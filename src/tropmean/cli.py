@@ -3,7 +3,7 @@
 Five subcommands: ``distance``, ``mean``, ``polytrope``, ``certify`` and
 ``bench``.  Results go to stdout as JSON (CSV for bench), diagnostics to
 stderr.  Exit codes: 0 success, 2 malformed or unusable input, 3 a point
-that fails optimality certification, 4 exhaustive-search budget exceeded.
+that fails optimality certification or a mean that could not be certified.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from typing import Any, Sequence
 
 from .certify import find_certificate, verify_certificate
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
-from .errors import (
-    BudgetExceeded,
-    EmptyPolytrope,
-    NotOptimal,
-    ParseError,
-    Unbounded,
-)
+from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
 from .frechet import FrechetResult, exact_frechet, fm_polytrope, greedy_frechet
 from .polytrope import PolytropeMatrix, kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
@@ -56,9 +50,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotOptimal as exc:
         print(f"not optimal: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--mode", choices=("greedy", "exact"), default="exact")
     p_mean.add_argument("--tol", type=parse_rational, default=None, help="greedy tolerance")
     p_mean.add_argument("--max-iter", type=int, default=None, help="greedy round cap")
-    p_mean.add_argument("--budget", type=int, default=None, help="fallback enumeration budget")
     p_mean.set_defaults(handler=_cmd_mean)
 
     p_poly = sub.add_parser("polytrope", help="h-description, vertices and plot data")
@@ -176,7 +166,10 @@ def _pick(flag: Any, options: dict[str, Any], key: str, default: Any, conv: Any)
     if flag is not None:
         return flag
     if key in options:
-        return conv(options[key])
+        try:
+            return conv(options[key])
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise ParseError(f"option {key!r} has an unusable value {options[key]!r}") from None
     return default
 
 
@@ -184,7 +177,6 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     sample, options = _load_sample(args.file)
     tol = _pick(args.tol, options, "tol", Fraction(1, 10**9), lambda v: Fraction(str(v)))
     max_iter = _pick(args.max_iter, options, "max_iter", 400, int)
-    budget = _pick(args.budget, options, "budget", 10**6, int)
 
     if args.mode == "greedy":
         mean, value = greedy_frechet(sample, max_iter=max_iter, tol=tol)
@@ -199,12 +191,9 @@ def _cmd_mean(args: argparse.Namespace) -> int:
         _emit(result_to_json(result))
         return 0
 
-    result = exact_frechet(sample, budget=budget, greedy_max_iter=max_iter, greedy_tol=tol)
+    result = exact_frechet(sample, greedy_max_iter=max_iter, greedy_tol=tol)
     _emit(result_to_json(result))
-    if result.exact:
-        return 0
-    count = (sample.n * (sample.n - 1)) ** sample.m
-    return 4 if count > budget else 3
+    return 0 if result.exact else 3
 
 
 def _cmd_polytrope(args: argparse.Namespace) -> int:

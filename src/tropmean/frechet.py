@@ -8,7 +8,7 @@ on the torus.  Three cooperating routes live here:
 * ``exact_frechet``: promotes the greedy iterate to the exact optimum by
   reading off the near-active pieces, solving the induced tie system by
   equality-constrained least squares, and certifying the candidate; an
-  exhaustive fallback covers adversarial cases.
+  epigraph quadratic program covers the cases the tie systems miss.
 * ``fm_polytrope``: the h-description of the full mean set, obtained by
   intersecting the tropical balls around the samples with the per-sample
   optimal radii.
@@ -229,7 +229,6 @@ def two_point_mean(p1: TorusPoint, p2: TorusPoint) -> TorusPoint:
 
 def exact_frechet(
     sample: SampleSet,
-    budget: int = 10**6,
     greedy_max_iter: int = 400,
     greedy_tol: RationalLike = Fraction(1, 10**9),
 ) -> FrechetResult:
@@ -239,12 +238,12 @@ def exact_frechet(
     piece pattern at increasing slack thresholds and solve each pattern's
     tie system exactly; when no pattern certifies, minimize the objective
     outright as an epigraph quadratic program started at the greedy
-    iterate; as a last resort fall back to the exhaustive solver (the same
-    one used as an independent oracle in the tests) when the piece budget
-    (n(n-1))^m allows it.  Every candidate from every stage passes through
-    the same certificate search plus independent verification, and only a
-    certified point is reported with ``exact=True``; otherwise the best
-    greedy iterate comes back flagged ``exact=False``.
+    iterate.  Every candidate from every stage passes through the same
+    certificate search plus independent verification, and only a certified
+    point is reported with ``exact=True``.  The quadratic program solves
+    the convex problem exactly, so its optimum certifies; when it fails
+    with a QPError instead, the greedy iterate comes back flagged
+    ``exact=False``.
     """
     v, greedy_val = greedy_frechet(sample, max_iter=greedy_max_iter, tol=greedy_tol)
 
@@ -285,15 +284,6 @@ def exact_frechet(
         cand = None
     if cand is not None:
         result = _certified_result(sample, cand)
-        if result is not None:
-            return result
-
-    total = (sample.n * (sample.n - 1)) ** sample.m
-    if total <= budget:
-        from .oracle import brute_force_frechet
-
-        _, witness, _ = brute_force_frechet(sample, budget=budget)
-        result = _certified_result(sample, witness)
         if result is not None:
             return result
 

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .core import RationalLike, TorusPoint, as_rational, canonicalize
 from .errors import EmptyPolytrope, Unbounded
-from .simplex import feasible_point
 
 NEG_INF = float("-inf")
 
@@ -188,15 +187,22 @@ def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> SegmentDecomposition:
 
 
 def pseudovertices(c: PolytropeMatrix, include_non_extreme: bool = False) -> list[TorusPoint]:
-    """Vertices of Q(C) as a classical polytope.
+    """Classical vertices of Q(C) found among the tropical segment breakpoints.
 
-    Every classical vertex appears among the breakpoints of the tropical
-    segments between pairs of tropical vertices, so those breakpoints are
-    collected (first occurrence order) and filtered down to the extreme
-    points by an exact linear feasibility test.  Pass include_non_extreme
-    to get the unfiltered breakpoint union instead.
+    The candidates are the tropical vertices and the breakpoints of the
+    tropical segments between every ordered pair of them, in first
+    occurrence order.  A candidate is kept when it is a vertex of Q(C):
+    every candidate lies in Q(C), which is tropically convex, and a point
+    of Q(C) is a vertex exactly when the pairs (i, j) with x_i - x_j equal
+    to the closure entry c*_ij connect all n coordinates, so that the
+    normals e_i - e_j of its tight constraints span the torus.  Pass
+    include_non_extreme to get the unfiltered candidate list instead.
+
+    For n >= 4 the candidates can miss vertices of Q(C), so the result is
+    a subset of the vertex set, not always all of it.
     """
-    verts = tropical_vertices(c)
+    star = kleene_star(c)
+    verts = tropical_vertices(star)
     candidates: list[TorusPoint] = []
     seen: set[TorusPoint] = set()
     for a in verts:
@@ -213,21 +219,23 @@ def pseudovertices(c: PolytropeMatrix, include_non_extreme: bool = False) -> lis
                     candidates.append(p)
     if include_non_extreme:
         return candidates
-    return [p for p in candidates if _is_extreme(p, candidates)]
+    return [p for p in candidates if _tight_pairs_connect(star, p)]
 
 
-def _is_extreme(p: TorusPoint, points: list[TorusPoint]) -> bool:
-    """True when p is not a convex combination of the other points."""
-    others = [q for q in points if q != p]
-    if not others:
-        return True
+def _tight_pairs_connect(star: PolytropeMatrix, p: TorusPoint) -> bool:
+    """True when the pairs (i, j) with p_i - p_j == c*_ij connect 0..n-1."""
     n = p.dim
-    # Rows: one per coordinate 1..n-1 (first coordinates are all zero),
-    # plus the affine row sum(lambda) = 1; unknowns are the lambda weights.
-    a = [[q.coords[i] for q in others] for i in range(1, n)]
-    a.append([Fraction(1)] * len(others))
-    b = [p.coords[i] for i in range(1, n)] + [Fraction(1)]
-    return feasible_point(a, b) is None
+    reached = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j not in reached and (
+                p[i] - p[j] == star.entries[i][j] or p[j] - p[i] == star.entries[j][i]
+            ):
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == n
 
 
 def intersect(mats: Sequence[PolytropeMatrix]) -> PolytropeMatrix:

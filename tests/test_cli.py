@@ -130,13 +130,18 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
     import tropmean.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "exact_frechet", lambda s, **kw: stub)
-    # enough budget: certification simply failed
     assert main(["mean", path]) == 3
-    capsys.readouterr()
-    # the enumeration fallback was out of budget: a distinct exit code
-    assert main(["mean", path, "--budget", "1"]) == 4
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"] is False
+
+
+@pytest.mark.parametrize("options", ['{"max_iter": "abc"}', '{"tol": [1]}'])
+def test_mean_rejects_unusable_option_values(tmp_path, capsys, options):
+    body = '{"points": [[0, 0, 0], [0, 1, 2]], "options": %s}' % options
+    path = write(tmp_path, "opts.json", body)
+    assert main(["mean", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_polytrope_from_matrix_golden(tmp_path, capsys):

@@ -24,6 +24,7 @@ from tropmean import (
     trop_scale,
     tropical_vertices,
 )
+from tropmean.simplex import feasible_point
 from support import nonpositive_matrix, rand_point, rand_vector
 
 F = Fraction
@@ -260,6 +261,44 @@ def test_pseudovertex_filter_drops_interior_breakpoints():
         raw = pseudovertices(c, include_non_extreme=True)
         assert set(filtered) <= set(raw)
         assert all(membership(c, p.coords) for p in raw)
+
+
+def _lp_extreme_filter(c):
+    """Candidates that are no convex combination of the other candidates,
+    decided by one exact simplex feasibility LP per candidate."""
+    candidates = pseudovertices(c, include_non_extreme=True)
+    kept = []
+    for p in candidates:
+        others = [q for q in candidates if q != p]
+        a = [[q.coords[i] for q in others] for i in range(1, p.dim)]
+        a.append([F(1)] * len(others))
+        b = [p.coords[i] for i in range(1, p.dim)] + [F(1)]
+        if not others or feasible_point(a, b) is None:
+            kept.append(p)
+    return kept
+
+
+def test_pseudovertices_match_the_lp_extreme_point_filter():
+    rng = Random("polytrope:lp-filter")
+    for n in range(2, 6):
+        for span in (1, 2, 6):
+            for _ in range(8):
+                c = nonpositive_matrix(rng, n, span)
+                assert pseudovertices(c) == _lp_extreme_filter(c)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="segment breakpoints between tropical vertices miss some classical vertices for n >= 4",
+)
+def test_pseudovertices_include_a_vertex_off_the_pairwise_segments():
+    c = PolytropeMatrix.from_rows(
+        [[0, -2, -1, 0], [0, 0, 0, 0], [-1, -4, 0, -1], [-1, -2, -1, 0]]
+    )
+    # tight pairs 3-0, 3-1 and 3-2 connect all four coordinates: a vertex
+    vertex = canonicalize([0, 1, 0, -1])
+    assert membership(c, vertex.coords)
+    assert vertex in pseudovertices(c)
 
 
 def test_intersect_singleton_and_golden_segment():
