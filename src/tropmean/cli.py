@@ -173,10 +173,19 @@ def _pick(flag: Any, options: dict[str, Any], key: str, default: Any, conv: Any)
     return default
 
 
+def _round_cap(value: Any) -> int:
+    """An option's round cap: a whole number, never a bool or a fraction."""
+    if isinstance(value, bool) or (isinstance(value, Fraction) and value.denominator != 1):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _cmd_mean(args: argparse.Namespace) -> int:
+    if args.mode == "exact" and (args.tol is not None or args.max_iter is not None):
+        raise ParseError("--tol and --max-iter apply to --mode greedy only")
     sample, options = _load_sample(args.file)
     tol = _pick(args.tol, options, "tol", Fraction(1, 10**9), lambda v: Fraction(str(v)))
-    max_iter = _pick(args.max_iter, options, "max_iter", 400, int)
+    max_iter = _pick(args.max_iter, options, "max_iter", 400, _round_cap)
 
     if args.mode == "greedy":
         mean, value = greedy_frechet(sample, max_iter=max_iter, tol=tol)
@@ -191,7 +200,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
         _emit(result_to_json(result))
         return 0
 
-    result = exact_frechet(sample, greedy_max_iter=max_iter, greedy_tol=tol)
+    result = exact_frechet(sample)
     _emit(result_to_json(result))
     return 0 if result.exact else 3
 

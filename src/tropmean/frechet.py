@@ -1,17 +1,18 @@
 """Fréchet means under the tropical metric.
 
 The objective c(x) = sum_j d_tr(x, p_j)^2 is piecewise quadratic and convex
-on the torus.  Three cooperating routes live here:
+on the torus.  Two routes live here:
 
 * ``greedy_frechet``: coordinate-pair descent with the diminishing step
   schedule 2/(k+2) and monotone acceptance, entirely in rational arithmetic.
-* ``exact_frechet``: promotes the greedy iterate to the exact optimum by
-  reading off the near-active pieces, solving the induced tie system by
-  equality-constrained least squares, and certifying the candidate; an
-  epigraph quadratic program covers the cases the tie systems miss.
-* ``fm_polytrope``: the h-description of the full mean set, obtained by
-  intersecting the tropical balls around the samples with the per-sample
-  optimal radii.
+* ``exact_frechet``: one epigraph quadratic program, started at the
+  coordinatewise average, whose optimum is the exact mean and whose KKT
+  multipliers are its positivity certificate; the certificate is checked
+  independently before the mean is reported as exact.
+
+``fm_polytrope`` gives the h-description of the full mean set, obtained by
+intersecting the tropical balls around the samples with the per-sample
+optimal radii.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .certify import Certificate, find_certificate, verify_certificate
+from .certify import Certificate, piece_for, verify_certificate
 from .core import (
     RationalLike,
     SampleSet,
@@ -30,8 +31,6 @@ from .core import (
     canonicalize,
     trop_dist,
 )
-from .errors import NotOptimal
-from .linalg import solve_affine
 from .polytrope import PolytropeMatrix, segment_breakpoints
 from .qp import QPError, minimize_qp
 
@@ -227,106 +226,56 @@ def two_point_mean(p1: TorusPoint, p2: TorusPoint) -> TorusPoint:
     return chain[-1]
 
 
-def exact_frechet(
-    sample: SampleSet,
-    greedy_max_iter: int = 400,
-    greedy_tol: RationalLike = Fraction(1, 10**9),
-) -> FrechetResult:
+def exact_frechet(sample: SampleSet) -> FrechetResult:
     """Exact Fréchet mean with a verified optimality certificate.
 
-    Pipeline: run the greedy solver to near-convergence, guess the active
-    piece pattern at increasing slack thresholds and solve each pattern's
-    tie system exactly; when no pattern certifies, minimize the objective
-    outright as an epigraph quadratic program started at the greedy
-    iterate.  Every candidate from every stage passes through the same
-    certificate search plus independent verification, and only a certified
-    point is reported with ``exact=True``.  The quadratic program solves
-    the convex problem exactly, so its optimum certifies; when it fails
-    with a QPError instead, the greedy iterate comes back flagged
-    ``exact=False``.
+    Solves the epigraph quadratic program once, started at the
+    coordinatewise average of the sample, and reads the certificate off
+    the multipliers of its optimum.  The result is reported with
+    ``exact=True`` only after ``verify_certificate`` accepts that
+    certificate and its value equals the objective at the mean.  When the
+    program fails with a QPError or a check fails, the start point comes
+    back flagged ``exact=False``.
     """
-    v, greedy_val = greedy_frechet(sample, max_iter=greedy_max_iter, tol=greedy_tol)
-
-    result = _certified_result(sample, v)
-    if result is not None:
-        return result
-
-    ladder = [
-        Fraction(1, 10**6),
-        Fraction(1, 1000),
-        Fraction(1, 100),
-        Fraction(1, 10),
-        Fraction(1, 2),
-        Fraction(1),
-        Fraction(2),
-        Fraction(4),
-    ]
-    tried: set[tuple[tuple[tuple[int, int], ...], ...]] = set()
-    for theta in ladder:
-        pattern = _near_active_pattern(sample, v, theta)
-        for _ in range(4):  # original pattern plus up to three polish rounds
-            key = tuple(tuple(p) for p in pattern)
-            if key in tried:
-                break
-            tried.add(key)
-            cand = _tie_candidate(sample, pattern)
-            if cand is None:
-                break
-            if _consistent(sample, pattern, cand):
-                result = _certified_result(sample, cand)
-                if result is not None:
-                    return result
-            pattern = _near_active_pattern(sample, cand, Fraction(0))
-
-    try:
-        cand = _epigraph_candidate(sample, v)
-    except QPError:
-        cand = None
-    if cand is not None:
-        result = _certified_result(sample, cand)
-        if result is not None:
-            return result
-
-    dists = tuple(trop_dist(v, p) for p in sample)
-    return FrechetResult(
-        mean=v,
-        distances=dists,
-        min_sum=greedy_val,
-        fm_polytrope=fm_polytrope(sample, v),
-        exact=False,
-        certificate=None,
+    start = canonicalize(
+        [sum((p[a] for p in sample), Fraction(0)) / sample.m for a in range(sample.n)]
     )
-
-
-def _certified_result(sample: SampleSet, point: TorusPoint) -> FrechetResult | None:
-    """Certificate search plus independent verification at one point."""
     try:
-        cert = find_certificate(sample, point)
-    except NotOptimal:
-        return None
-    if not verify_certificate(sample, cert):
-        return None
-    dists = tuple(trop_dist(point, p) for p in sample)
-    value = sum((d * d for d in dists), Fraction(0))
-    assert value == cert.c_star
+        mean, cert = _epigraph_qp(sample, start)
+        certified = verify_certificate(sample, cert) and cert.c_star == objective(
+            sample, mean.coords
+        )
+    except QPError:
+        certified = False
+    if not certified:
+        mean, cert = start, None
+    dists = tuple(trop_dist(mean, p) for p in sample)
     return FrechetResult(
-        mean=point,
+        mean=mean,
         distances=dists,
-        min_sum=value,
-        fm_polytrope=fm_polytrope(sample, point),
-        exact=True,
+        min_sum=sum((d * d for d in dists), Fraction(0)),
+        fm_polytrope=fm_polytrope(sample, mean),
+        exact=certified,
         certificate=cert,
     )
 
 
-def _epigraph_candidate(sample: SampleSet, start: TorusPoint) -> TorusPoint:
-    """Global minimizer via one exact quadratic program.
+def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
+    """Global minimizer and its certificate from one exact quadratic program.
 
     Variables are the gauge coordinates x_2..x_n plus one epigraph value
     t_j per sample, constrained by t_j >= (x_i - x_k) - (p_{j,i} - p_{j,k})
     for every ordered pair; minimizing sum t_j^2 presses each t_j onto the
     per-sample max, so the optimum solves the full piecewise problem.  The
-    start point lifts the greedy iterate, which is feasible by definition.
+    start point lifts with t_j = d(start, p_j), which is feasible.
+
+    At the optimum, stationarity in t_j gives sum_ik lam_jik = 2 t_j and
+    stationarity in x gives sum lam_jik (e_i - e_k) = 0.  So the weights
+    w_jik = lam_jik / sum_ik lam_jik are convex weights on active pieces
+    whose combined gradient vanishes: a positivity certificate (see
+    ``certify``), with each piece reported as its i < k representative.  A
+    sample with t_j = 0 is the mean itself, and weight 1 on any one piece
+    serves.
     """
     n = sample.n
     m = sample.m
@@ -339,6 +288,7 @@ def _epigraph_candidate(sample: SampleSet, start: TorusPoint) -> TorusPoint:
         h[nv + j][nv + j] = Fraction(2)
     g = [zero] * nvars
 
+    pieces: list[tuple[int, int, int]] = []
     c_rows: list[list[Fraction]] = []
     d: list[Fraction] = []
     for j in range(m):
@@ -353,121 +303,26 @@ def _epigraph_candidate(sample: SampleSet, start: TorusPoint) -> TorusPoint:
                 if k > 0:
                     row[k - 1] += 1
                 row[nv + j] = Fraction(1)
+                pieces.append((j, min(i, k), max(i, k)))
                 c_rows.append(row)
                 d.append(-(p[i] - p[k]))
 
-    xs = list(start.coords)
-    z0 = [xs[a + 1] for a in range(nv)]
+    z0 = list(start.coords[1:])
     z0.extend(trop_dist(start, p) for p in sample)
-    _, z, _ = minimize_qp(h, g, c_rows, d, z0)
-    return canonicalize([zero] + z[:nv])
+    c_star, z, active, lam = minimize_qp(h, g, c_rows, d, z0)
 
-
-def _near_active_pattern(
-    sample: SampleSet, x: TorusPoint, theta: Fraction
-) -> list[list[tuple[int, int]]]:
-    """Ordered pairs within theta of each per-sample maximum at x."""
-    n = sample.n
-    xs = list(x.coords)
-    pattern = []
-    for p in sample:
-        diffs = [xs[a] - p[a] for a in range(n)]
-        d = max(diffs) - min(diffs)
-        pairs = []
-        for a in range(n):
-            for b in range(n):
-                if a != b and diffs[a] - diffs[b] >= d - theta:
-                    pairs.append((a, b))
-        pattern.append(pairs)
-    return pattern
-
-
-def _tie_candidate(
-    sample: SampleSet, pattern: list[list[tuple[int, int]]]
-) -> TorusPoint | None:
-    """Exact minimizer of the pattern's tie system, or None if inconsistent.
-
-    All pieces named in a sample's pattern are forced equal (linear
-    constraints); the sum of the squared representative pieces is then
-    minimized over the constraint subspace by normal equations.
-    """
-    n = sample.n
-    nv = n - 1
-
-    def coeff(a: int, b: int) -> list[Fraction]:
-        vec = [Fraction(0)] * nv
-        if a > 0:
-            vec[a - 1] += 1
-        if b > 0:
-            vec[b - 1] -= 1
-        return vec
-
-    eq_rows: list[list[Fraction]] = []
-    eq_rhs: list[Fraction] = []
-    for j, pairs in enumerate(pattern):
-        p = sample[j]
-        a0, b0 = pairs[0]
-        c0 = p[a0] - p[b0]
-        v0 = coeff(a0, b0)
-        for a, b in pairs[1:]:
-            c1 = p[a] - p[b]
-            eq_rows.append([u - w for u, w in zip(v0, coeff(a, b))])
-            eq_rhs.append(c0 - c1)
-
-    if eq_rows:
-        sol = solve_affine(eq_rows, eq_rhs)
-        if sol is None:
-            return None
-        part, basis = list(sol.particular), [list(b) for b in sol.basis]
-    else:
-        part = [Fraction(0)] * nv
-        basis = [
-            [Fraction(1) if t == s else Fraction(0) for t in range(nv)]
-            for s in range(nv)
-        ]
-
-    # Least squares for sum_j ell_j(x)^2 with x = part + basis . y.
-    kdim = len(basis)
-    rows_a: list[list[Fraction]] = []
-    rhs_b: list[Fraction] = []
-    for j, pairs in enumerate(pattern):
-        p = sample[j]
-        a0, b0 = pairs[0]
-        v0 = coeff(a0, b0)
-        const = sum(v0[t] * part[t] for t in range(nv)) - (p[a0] - p[b0])
-        rows_a.append([sum(v0[t] * basis[s][t] for t in range(nv)) for s in range(kdim)])
-        rhs_b.append(const)
-
-    if kdim:
-        ata = [
-            [
-                sum(rows_a[j][s] * rows_a[j][t] for j in range(len(rows_a)))
-                for t in range(kdim)
-            ]
-            for s in range(kdim)
-        ]
-        atb = [
-            -sum(rows_a[j][s] * rhs_b[j] for j in range(len(rows_a)))
-            for s in range(kdim)
-        ]
-        ysol = solve_affine(ata, atb)
-        assert ysol is not None
-        y = ysol.particular
-        x = [part[t] + sum(basis[s][t] * y[s] for s in range(kdim)) for t in range(nv)]
-    else:
-        x = part
-    return canonicalize([Fraction(0)] + x)
-
-
-def _consistent(
-    sample: SampleSet, pattern: list[list[tuple[int, int]]], cand: TorusPoint
-) -> bool:
-    """The pattern's representative piece must attain the distance at cand."""
-    xs = list(cand.coords)
-    for j, pairs in enumerate(pattern):
-        p = sample[j]
-        a0, b0 = pairs[0]
-        value = (xs[a0] - xs[b0]) - (p[a0] - p[b0])
-        if value != trop_dist(xs, p):
-            return False
-    return True
+    lam_by_sample: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(m)]
+    for r, value in zip(active, lam):
+        if value != 0:
+            j, i, k = pieces[r]
+            lam_by_sample[j][i, k] = lam_by_sample[j].get((i, k), zero) + value
+    weights = []
+    for j, per in enumerate(lam_by_sample):
+        total = sum(per.values(), zero)
+        if total == 0:
+            per = {(0, 1): Fraction(1)}
+            total = Fraction(1)
+        weights.append(
+            tuple((piece_for(sample, j, i, k), per[i, k] / total) for i, k in sorted(per))
+        )
+    return canonicalize([zero] + z[:nv]), Certificate(c_star, tuple(weights))

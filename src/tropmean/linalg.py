@@ -23,10 +23,14 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = Fraction(1) / m[r][c]
         m[r] = [v * inv for v in m[r]]
+        # Only the pivot row's nonzero entries change the other rows.
+        nonzero = [(t, v) for t, v in enumerate(m[r]) if v != 0]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                row = m[i]
+                for t, v in nonzero:
+                    row[t] -= f * v
         pivots.append(c)
         r += 1
         if r == len(m):

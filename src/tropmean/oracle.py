@@ -221,7 +221,7 @@ def brute_force_frechet(
             break
         h = [[2 * a for a in row] for row in _gram(cell.assignment, nv)]
         g = [-2 * v for v in _moment(cell.assignment, sample, nv)]
-        qval, z, _ = minimize_qp(h, g, cell.rows, cell.rhs, cell.start)
+        qval, z, _, _ = minimize_qp(h, g, cell.rows, cell.rhs, cell.start)
         cell.value = qval + _const(cell.assignment, sample)
         cell.point = z
         if best is None or cell.value < best:

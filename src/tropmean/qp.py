@@ -5,7 +5,12 @@ positive semidefinite and everything is a Fraction.  The method is the
 classical one: keep a working set W of constraints treated as equalities,
 minimize q on the corresponding affine subspace, either step to the nearest
 blocking constraint or, once stationary, inspect the multipliers.  Blocking
-rows are always independent of the working set, so multipliers stay unique.
+rows are always independent of the working set, so multipliers stay unique,
+and the multipliers of the optimum are returned with it.
+
+H and the constraint rows are converted once to sparse (index, value) lists,
+so every product, gradient and blocking-row scan skips zero entries; the
+epigraph programs of ``frechet`` have three nonzeros per row.
 
 Exact arithmetic removes every tolerance question; the iteration cap is a
 safety net and is never reached on the problem sizes this package solves.
@@ -15,10 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import dot, mat_vec, nullspace, solve_affine
+from .linalg import dot, nullspace, solve_affine
 
 Vector = list[Fraction]
 Matrix = list[Vector]
+Sparse = list[tuple[int, Fraction]]
 
 
 class QPError(RuntimeError):
@@ -32,41 +38,48 @@ def minimize_qp(
     d: Vector,
     z0: Vector,
     max_iter: int = 10000,
-) -> tuple[Fraction, Vector, list[int]]:
+) -> tuple[Fraction, Vector, list[int], Vector]:
     """Solve min 1/2 z^T H z + g^T z  s.t.  C z >= d.
 
-    z0 must be feasible.  Returns (optimal value, optimizer, active rows).
-    H is a full symmetric positive semidefinite matrix.
+    z0 must be feasible.  H is a full symmetric positive semidefinite
+    matrix.  Returns (optimal value, optimizer, active rows, multipliers):
+    the rows of the final working set in increasing order and their
+    multipliers lam >= 0 in the same order, with C_A^T lam = H z + g.
     """
     nvars = len(z0)
+    hs = [_sparse(row) for row in h]
+    cs = [_sparse(row) for row in c_rows]
     z = list(z0)
-    for row, rhs in zip(c_rows, d):
-        if dot(row, z) < rhs:
-            raise QPError("infeasible starting point")
-    work: list[int] = [i for i, (row, rhs) in enumerate(zip(c_rows, d)) if dot(row, z) == rhs]
+    slacks = [_sdot(row, z) - rhs for row, rhs in zip(cs, d)]
+    if any(s < 0 for s in slacks):
+        raise QPError("infeasible starting point")
+    work = [i for i, s in enumerate(slacks) if s == 0]
     # Keep the initial working set independent: greedily drop dependent rows.
     work = _independent_subset([c_rows[i] for i in work], work, nvars)
 
     for _ in range(max_iter):
-        grad = [hz + gi for hz, gi in zip(mat_vec(h, z), g)]
+        hz = [_sdot(row, z) for row in hs]
+        grad = [a + b for a, b in zip(hz, g)]
         basis = nullspace([c_rows[i] for i in work], nvars)
-        step = _subspace_step(h, grad, basis)
-        if all(v == 0 for v in step):
+        step = _subspace_step(hs, grad, basis)
+        if not any(step):
             lam = _multipliers(c_rows, work, grad, nvars)
             neg = [i for i, v in zip(work, lam) if v < 0]
             if not neg:
-                value = Fraction(1, 2) * dot(mat_vec(h, z), z) + dot(g, z)
-                return value, z, sorted(work)
+                value = Fraction(1, 2) * dot(hz, z) + dot(g, z)
+                order = sorted(range(len(work)), key=work.__getitem__)
+                return value, z, [work[a] for a in order], [lam[a] for a in order]
             work.remove(min(neg))
             continue
         alpha = Fraction(1)
         blocker = None
-        for i in range(len(c_rows)):
-            if i in work:
+        in_work = set(work)
+        for i, row in enumerate(cs):
+            if i in in_work:
                 continue
-            s = dot(c_rows[i], step)
+            s = _sdot(row, step)
             if s < 0:
-                slack = dot(c_rows[i], z) - d[i]
+                slack = _sdot(row, z) - d[i]
                 limit = slack / (-s)
                 if limit < alpha:
                     alpha = limit
@@ -78,23 +91,32 @@ def minimize_qp(
     raise QPError("active-set iteration cap exceeded")
 
 
-def _subspace_step(h: Matrix, grad: Vector, basis: list[tuple[Fraction, ...]]) -> Vector:
+def _sparse(row: Vector | tuple[Fraction, ...]) -> Sparse:
+    return [(t, v) for t, v in enumerate(row) if v != 0]
+
+
+def _sdot(row: Sparse, x: Vector | tuple[Fraction, ...]) -> Fraction:
+    return sum((v * x[t] for t, v in row), Fraction(0))
+
+
+def _subspace_step(hs: list[Sparse], grad: Vector, basis: list[tuple[Fraction, ...]]) -> Vector:
     """Minimize the quadratic along z + span(basis); returns the step."""
-    nvars = len(grad)
+    step = [Fraction(0)] * len(grad)
     if not basis:
-        return [Fraction(0)] * nvars
+        return step
     k = len(basis)
-    hb = [mat_vec(h, list(v)) for v in basis]
-    red = [[dot(list(basis[a]), hb[b]) for b in range(k)] for a in range(k)]
-    rhs = [-dot(list(v), grad) for v in basis]
+    sb = [_sparse(v) for v in basis]
+    hb = [[_sdot(row, v) for row in hs] for v in basis]
+    red = [[_sdot(sb[a], hb[b]) for b in range(k)] for a in range(k)]
+    rhs = [-_sdot(v, grad) for v in sb]
     sol = solve_affine(red, rhs)
     if sol is None:
         # Cannot happen for a quadratic bounded below on the subspace.
         raise QPError("unbounded equality subproblem")
-    y = sol.particular
-    return [
-        sum((y[a] * basis[a][t] for a in range(k)), Fraction(0)) for t in range(nvars)
-    ]
+    for ya, v in zip(sol.particular, sb):
+        for t, val in v:
+            step[t] += ya * val
+    return step
 
 
 def _multipliers(

@@ -135,13 +135,32 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
     assert doc["exact"] is False
 
 
-@pytest.mark.parametrize("options", ['{"max_iter": "abc"}', '{"tol": [1]}'])
+@pytest.mark.parametrize(
+    "options",
+    [
+        '{"max_iter": "abc"}',
+        '{"tol": [1]}',
+        '{"max_iter": 2.5}',
+        '{"max_iter": true}',
+        '{"tol": true}',
+    ],
+)
 def test_mean_rejects_unusable_option_values(tmp_path, capsys, options):
     body = '{"points": [[0, 0, 0], [0, 1, 2]], "options": %s}' % options
     path = write(tmp_path, "opts.json", body)
     assert main(["mean", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--tol", "1/100"], ["--max-iter", "5"]])
+def test_mean_rejects_greedy_flags_in_exact_mode(tmp_path, capsys, flags):
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    assert main(["mean", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tol and --max-iter apply to --mode greedy only\n"
+    assert main(["mean", path, "--mode", "exact", *flags]) == 2
 
 
 def test_polytrope_from_matrix_golden(tmp_path, capsys):

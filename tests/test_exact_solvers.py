@@ -114,7 +114,7 @@ def _qp_value(h, g, z):
 def test_qp_unconstrained_minimum():
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-2), F(-4)]
-    value, z, active = minimize_qp(h, g, [], [], [F(0), F(0)])
+    value, z, active, _ = minimize_qp(h, g, [], [], [F(0), F(0)])
     assert z == [F(1), F(2)]
     assert value == F(-5)
     assert active == []
@@ -125,7 +125,7 @@ def test_qp_activates_a_blocking_constraint():
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-2), F(-4)]
     rows = [[F(-1), F(-1)]]
-    value, z, active = minimize_qp(h, g, rows, [F(-1)], [F(0), F(0)])
+    value, z, active, _ = minimize_qp(h, g, rows, [F(-1)], [F(0), F(0)])
     assert z == [F(0), F(1)]
     assert active == [0]
     # drop the constant terms 1 + 4 carried outside the canonical form
@@ -136,7 +136,7 @@ def test_qp_activates_a_blocking_constraint():
 def test_qp_leaves_an_inactive_constraint_alone():
     h = [[F(2)]]
     g = [F(-6)]
-    value, z, active = minimize_qp(h, g, [[F(1)]], [F(0)], [F(5)])
+    value, z, active, _ = minimize_qp(h, g, [[F(1)]], [F(0)], [F(5)])
     assert z == [F(3)]
     assert active == []
 
@@ -152,7 +152,7 @@ def test_qp_semidefinite_hessian_with_equality_like_rows():
     g = [F(0), F(0)]
     rows = [[F(0), F(1)], [F(0), F(-1)]]
     d = [F(1), F(-1)]
-    value, z, active = minimize_qp(h, g, rows, d, [F(4), F(1)])
+    value, z, active, _ = minimize_qp(h, g, rows, d, [F(4), F(1)])
     assert z[0] == F(0)
     assert z[1] == F(1)
     assert value == F(0)
@@ -181,7 +181,13 @@ def test_qp_random_boxes_agree_with_coordinate_clamping():
             rows.extend([up, dn])
             d.extend([lo[a], -hi[a]])
         z0 = [min(max(F(0), lo[a]), hi[a]) for a in range(nv)]
-        value, z, _ = minimize_qp(h, g, rows, d, z0)
+        value, z, active, lam = minimize_qp(h, g, rows, d, z0)
         clamped = [min(max(target[a], lo[a]), hi[a]) for a in range(nv)]
         assert z == clamped
         assert value == _qp_value(h, g, clamped)
+        # KKT: nonnegative multipliers with C_A^T lam = H z + g
+        assert len(lam) == len(active)
+        assert all(v >= 0 for v in lam)
+        grad = [hz + ga for hz, ga in zip(mat_vec(h, z), g)]
+        combined = [sum((v * rows[i][t] for i, v in zip(active, lam)), F(0)) for t in range(nv)]
+        assert combined == grad

@@ -7,6 +7,7 @@ import pytest
 
 from tropmean import (
     SampleSet,
+    brute_force_frechet,
     canonicalize,
     exact_frechet,
     fm_polytrope,
@@ -111,6 +112,49 @@ def test_exact_six_coordinate_golden():
     known_mean = canonicalize([F(-3, 5), F(-3, 5), 0, F(-4, 5), 0, 0])
     assert membership(result.fm_polytrope, known_mean.coords)
     assert objective(s, known_mean.coords) == F(182, 25)
+
+
+def test_exact_mean_at_a_sample_point():
+    # the mean is sample 1 itself, so t_1 = 0 and its multipliers vanish
+    s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2), (0, -1, -2)])
+    result = exact_frechet(s)
+    assert result.exact
+    assert result.mean == s[0]
+    assert result.distances[0] == 0
+    assert result.min_sum == 8
+    assert brute_force_frechet(s)[0] == 8
+    assert result.certificate is not None
+    assert result.certificate.c_star == 8
+    assert verify_certificate(s, result.certificate)
+
+
+def test_exact_duplicated_sample():
+    s = SampleSet.from_rows([(0, 0, 0), (0, 0, 0), (0, 1, 2)])
+    result = exact_frechet(s)
+    assert result.exact
+    assert result.min_sum == F(8, 3)
+    assert brute_force_frechet(s)[0] == F(8, 3)
+    assert result.distances[0] == result.distances[1]
+    assert result.certificate is not None
+    assert verify_certificate(s, result.certificate)
+
+
+@pytest.mark.parametrize("failure", ["qp", "verification"])
+def test_exact_falls_back_to_the_average_when_not_certified(monkeypatch, failure):
+    import tropmean.frechet as frechet_mod
+
+    def raise_qp_error(*args):
+        raise frechet_mod.QPError("stub")
+
+    if failure == "qp":
+        monkeypatch.setattr(frechet_mod, "minimize_qp", raise_qp_error)
+    else:
+        monkeypatch.setattr(frechet_mod, "verify_certificate", lambda s, c: False)
+    result = exact_frechet(THREE_POINTS)
+    assert not result.exact
+    assert result.certificate is None
+    assert result.mean == canonicalize([-1, -2, -4])
+    assert result.min_sum == objective(THREE_POINTS, result.mean.coords)
 
 
 def test_result_invariants_on_random_instances():
