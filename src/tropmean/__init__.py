@@ -28,6 +28,7 @@ from .core import (
 from .errors import (
     BudgetExceeded,
     EmptyPolytrope,
+    InternalError,
     NotOptimal,
     ParseError,
     TropmeanError,
@@ -63,6 +64,7 @@ __all__ = [
     "Certificate",
     "EmptyPolytrope",
     "FrechetResult",
+    "InternalError",
     "NEG_INF",
     "NotOptimal",
     "ParseError",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
-from .errors import NotOptimal
+from .errors import InternalError, NotOptimal
 from .linalg import AffineSolution, solve_affine
 from .simplex import feasible_point
 
@@ -214,8 +214,8 @@ def min_quadratic(q: QuadraticForm) -> tuple[Fraction, AffineSolution]:
             g[a] += wa * form.const
         c0 += w * form.const ** 2
     sol = solve_affine(h, [-v for v in g])
-    # Normal equations of a sum of squares are always consistent.
-    assert sol is not None
+    if sol is None:
+        raise InternalError("normal equations of a sum of squares came out inconsistent")
     value = c0 + sum((g[a] * sol.particular[a] for a in range(nv)), Fraction(0))
     pad = lambda v: (Fraction(0),) + tuple(v)
     full = AffineSolution(pad(sol.particular), tuple(pad(b) for b in sol.basis))

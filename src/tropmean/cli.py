@@ -27,6 +27,7 @@ from .serialize import (
     load_points,
     matrix_from_json,
     matrix_to_json,
+    parse_json,
     parse_rational,
     point_to_json,
     result_to_json,
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mean = sub.add_parser("mean", help="Fréchet mean and FM polytrope")
     p_mean.add_argument("file", help="points file (JSON or CSV), '-' for stdin")
     p_mean.add_argument("--mode", choices=("greedy", "exact"), default="exact")
-    p_mean.add_argument("--tol", type=parse_rational, default=None, help="greedy tolerance")
+    p_mean.add_argument("--tol", type=_parse_scalar, default=None, help="greedy tolerance")
     p_mean.add_argument("--max-iter", type=int, default=None, help="greedy round cap")
     p_mean.set_defaults(handler=_cmd_mean)
 
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--max-iter", type=int, default=200, help="greedy round cap per rep")
-    p_bench.add_argument("--tol", type=parse_rational, default=Fraction(1, 10**9))
+    p_bench.add_argument("--tol", type=_parse_scalar, default=Fraction(1, 10**9))
     p_bench.add_argument(
         "--trace",
         action="store_true",
@@ -125,6 +126,13 @@ def _read_text(path: str) -> str:
 def _load_sample(path: str) -> tuple[SampleSet, dict[str, Any]]:
     sample, options = load_points(_read_text(path))
     return sample, options
+
+
+def _parse_scalar(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_vector(text: str) -> TorusPoint:
@@ -168,7 +176,7 @@ def _pick(flag: Any, options: dict[str, Any], key: str, default: Any, conv: Any)
     if key in options:
         try:
             return conv(options[key])
-        except (ValueError, TypeError, ZeroDivisionError):
+        except (ParseError, ValueError, TypeError):
             raise ParseError(f"option {key!r} has an unusable value {options[key]!r}") from None
     return default
 
@@ -184,7 +192,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     if args.mode == "exact" and (args.tol is not None or args.max_iter is not None):
         raise ParseError("--tol and --max-iter apply to --mode greedy only")
     sample, options = _load_sample(args.file)
-    tol = _pick(args.tol, options, "tol", Fraction(1, 10**9), lambda v: Fraction(str(v)))
+    tol = _pick(args.tol, options, "tol", Fraction(1, 10**9), lambda v: parse_rational(str(v)))
     max_iter = _pick(args.max_iter, options, "max_iter", 400, _round_cap)
 
     if args.mode == "greedy":
@@ -210,7 +218,7 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
         raise ParseError("give either a points file or --matrix, not both or neither")
 
     if args.matrix is not None:
-        mat = matrix_from_json(json.loads(_read_text(args.matrix), parse_float=Fraction))
+        mat = matrix_from_json(parse_json(_read_text(args.matrix)))
     else:
         sample, _ = _load_sample(args.file)
         if args.mean is None:

@@ -4,38 +4,60 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+
+from .errors import InternalError
 
 Matrix = list[list[Fraction]]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (rref rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form. Returns (rref rows, pivot column indices).
+
+    Fraction-free Gauss-Jordan: each row is scaled once to integers, a row
+    is eliminated by integer cross-multiplication with the pivot row and
+    then divided by the gcd of its entries, and each pivot row is divided
+    by its pivot only once, at the end.  Every intermediate row is a
+    nonzero multiple of the row rational elimination would hold, so the
+    zero pattern, the pivot choices and (RREF being unique) the returned
+    Fractions are exactly those of elimination over the rationals.
+    """
+    m = [over_common_denominator(r)[1] for r in rows]
     if not m:
-        return m, []
+        return [], []
     ncols = len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        # Only the pivot row's nonzero entries change the other rows.
-        nonzero = [(t, v) for t, v in enumerate(m[r]) if v != 0]
+        p = m[r][c]
+        # Only the pivot row's nonzero entries enter the cross-multiplication.
+        nonzero = [(t, v) for t, v in enumerate(m[r]) if v]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                row = m[i]
+            f = m[i][c]
+            if i != r and f:
+                row = [p * v for v in m[i]]
                 for t, v in nonzero:
                     row[t] -= f * v
+                g = gcd(*row)
+                m[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    zero = Fraction(0)
+    out = [[Fraction(v, row[c]) if v else zero for v in row] for row, c in zip(m, pivots)]
+    out.extend([zero] * ncols for _ in range(len(m) - r))
+    return out, pivots
+
+
+def over_common_denominator(x: list[Fraction]) -> tuple[int, list[int]]:
+    """(den, nums) with x[t] == nums[t] / den, den the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in x))
+    return den, [v.numerator * (den // v.denominator) for v in x]
 
 
 @dataclass(frozen=True)
@@ -81,7 +103,8 @@ def nullspace(rows: Matrix, nvars: int) -> list[tuple[Fraction, ...]]:
             for i in range(nvars)
         ]
     sol = solve_affine(rows, [Fraction(0)] * len(rows))
-    assert sol is not None
+    if sol is None:
+        raise InternalError("a homogeneous system came out inconsistent")
     return list(sol.basis)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import SampleSet, TorusPoint, canonicalize
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InternalError
 from .linalg import dot, solve_affine
 from .qp import minimize_qp
 
@@ -108,7 +108,8 @@ def brute_force_frechet(
 
     def lower_bound() -> tuple[Fraction, list[Fraction]]:
         sol = solve_affine([row[:] for row in a_mat], list(b_vec))
-        assert sol is not None  # normal equations are always consistent
+        if sol is None:
+            raise InternalError("normal equations of a sum of squares came out inconsistent")
         x = list(sol.particular)
         return c0 - dot(b_vec, x), x
 
@@ -209,7 +210,8 @@ def brute_force_frechet(
                 region[a][b] = old
 
     descend(0)
-    assert cells, "the regions cover the torus, one must be feasible"
+    if not cells:
+        raise InternalError("no feasible region, though the regions cover the torus")
 
     # Settle deferred cells cheapest bound first; once the bound passes the
     # best value no remaining cell can matter.
@@ -227,11 +229,13 @@ def brute_force_frechet(
         if best is None or cell.value < best:
             best = cell.value
 
-    assert best is not None
+    if best is None:
+        raise InternalError("no region was evaluated")
     winners = [c for c in cells if c.value == best]
     winners.sort(key=lambda c: c.order)
     witness = winners[0].point
-    assert witness is not None
+    if witness is None:
+        raise InternalError("the best region has no minimizer")
     mean = canonicalize([zero] + witness)
     optimal = [c.assignment for c in winners[:MAX_ASSIGNMENTS]]
     return best, mean, optimal

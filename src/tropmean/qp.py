@@ -8,9 +8,17 @@ blocking constraint or, once stationary, inspect the multipliers.  Blocking
 rows are always independent of the working set, so multipliers stay unique,
 and the multipliers of the optimum are returned with it.
 
-H and the constraint rows are converted once to sparse (index, value) lists,
-so every product, gradient and blocking-row scan skips zero entries; the
-epigraph programs of ``frechet`` have three nonzeros per row.
+H is converted once to sparse (index, value) lists, so every product and
+gradient skips zero entries; the epigraph programs of ``frechet`` have
+three nonzeros per constraint row.  The ratio test runs on integers: each
+constraint row and its rhs are scaled once by their common denominator,
+which leaves the sign of every slack and every step length unchanged, and
+on each step z and the step direction are put over common denominators.
+Step lengths are then compared by integer cross-multiplication, in the
+same row order and with the same strict comparison as over the rationals,
+so the iterates, the blocking rows and the results are exactly those of
+rational arithmetic.  The dense solves go through the fraction-free
+``linalg.rref``.
 
 Exact arithmetic removes every tolerance question; the iteration cap is a
 safety net and is never reached on the problem sizes this package solves.
@@ -20,11 +28,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import dot, nullspace, solve_affine
+from .linalg import dot, nullspace, over_common_denominator, rref, solve_affine
 
 Vector = list[Fraction]
 Matrix = list[Vector]
 Sparse = list[tuple[int, Fraction]]
+IntSparse = list[tuple[int, int]]
 
 
 class QPError(RuntimeError):
@@ -48,19 +57,27 @@ def minimize_qp(
     """
     nvars = len(z0)
     hs = [_sparse(row) for row in h]
-    cs = [_sparse(row) for row in c_rows]
+    cs: list[IntSparse] = []
+    ds: list[int] = []
+    for row, rhs in zip(c_rows, d):
+        row_int, d_int = _scaled(row, rhs)
+        cs.append(row_int)
+        ds.append(d_int)
     z = list(z0)
-    slacks = [_sdot(row, z) - rhs for row, rhs in zip(cs, d)]
+    zd, zn = over_common_denominator(z)
+    slacks = [_idot(row, zn) - rhs * zd for row, rhs in zip(cs, ds)]
     if any(s < 0 for s in slacks):
         raise QPError("infeasible starting point")
     work = [i for i, s in enumerate(slacks) if s == 0]
     # Keep the initial working set independent: greedily drop dependent rows.
-    work = _independent_subset([c_rows[i] for i in work], work, nvars)
+    # Scaling a row changes neither its nullspace nor the pivot columns of
+    # the rows written as columns, so both run on the integer rows.
+    work = _independent_subset(_dense([cs[i] for i in work], nvars), work, nvars)
 
     for _ in range(max_iter):
         hz = [_sdot(row, z) for row in hs]
         grad = [a + b for a, b in zip(hz, g)]
-        basis = nullspace([c_rows[i] for i in work], nvars)
+        basis = nullspace(_dense([cs[i] for i in work], nvars), nvars)
         step = _subspace_step(hs, grad, basis)
         if not any(step):
             lam = _multipliers(c_rows, work, grad, nvars)
@@ -71,19 +88,24 @@ def minimize_qp(
                 return value, z, [work[a] for a in order], [lam[a] for a in order]
             work.remove(min(neg))
             continue
-        alpha = Fraction(1)
+        # z = zn/zd and step = sn/sd.  A row's limit slack/(-row.step) is
+        # (num/den)·(sd/zd) with integer num = row.zn - rhs·zd and
+        # den = -row.sn, so the limits compare as num/den; (zd, sd) is 1.
+        zd, zn = over_common_denominator(z)
+        sd, sn = over_common_denominator(step)
+        best_num, best_den = zd, sd
         blocker = None
         in_work = set(work)
         for i, row in enumerate(cs):
             if i in in_work:
                 continue
-            s = _sdot(row, step)
+            s = _idot(row, sn)
             if s < 0:
-                slack = _sdot(row, z) - d[i]
-                limit = slack / (-s)
-                if limit < alpha:
-                    alpha = limit
+                num = _idot(row, zn) - ds[i] * zd
+                if num * best_den < best_num * -s:
+                    best_num, best_den = num, -s
                     blocker = i
+        alpha = Fraction(best_num * sd, best_den * zd)
         if alpha > 0:
             z = [zi + alpha * pi for zi, pi in zip(z, step)]
         if blocker is not None:
@@ -93,6 +115,30 @@ def minimize_qp(
 
 def _sparse(row: Vector | tuple[Fraction, ...]) -> Sparse:
     return [(t, v) for t, v in enumerate(row) if v != 0]
+
+
+def _scaled(row: Vector, rhs: Fraction) -> tuple[IntSparse, int]:
+    """The sparse row and its rhs times their common denominator."""
+    sparse = _sparse(row)
+    _, nums = over_common_denominator([rhs] + [v for _, v in sparse])
+    return [(t, v) for (t, _), v in zip(sparse, nums[1:])], nums[0]
+
+
+def _dense(rows: list[IntSparse], nvars: int) -> list[list[int]]:
+    out = []
+    for row in rows:
+        dense = [0] * nvars
+        for t, v in row:
+            dense[t] = v
+        out.append(dense)
+    return out
+
+
+def _idot(row: IntSparse, x: list[int]) -> int:
+    acc = 0
+    for t, v in row:
+        acc += v * x[t]
+    return acc
 
 
 def _sdot(row: Sparse, x: Vector | tuple[Fraction, ...]) -> Fraction:
@@ -136,11 +182,11 @@ def _multipliers(
 def _independent_subset(
     rows: list[Vector], labels: list[int], nvars: int
 ) -> list[int]:
-    keep: list[int] = []
-    kept_rows: list[Vector] = []
-    for row, label in zip(rows, labels):
-        trial = kept_rows + [row]
-        if len(nullspace(trial, nvars)) == nvars - len(trial):
-            kept_rows = trial
-            keep.append(label)
-    return keep
+    """Labels of the rows that greedy order keeps independent.
+
+    Greedy order keeps a row exactly when it is not in the span of the rows
+    before it, which is when its column is a pivot column of the rows
+    written as columns.
+    """
+    _, pivots = rref([[row[t] for row in rows] for t in range(nvars)])
+    return [labels[c] for c in pivots]

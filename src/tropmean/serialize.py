@@ -4,6 +4,14 @@ Rationals travel as strings, "p/q" or plain "p" for integers, so no reader
 ever sees a rounded value.  Decimal literals in input files are converted
 exactly (0.2 becomes 1/5, not the nearest binary float).  Minus infinity in
 matrix entries is encoded as JSON null.
+
+Every number read, whether a string literal, a CSV cell or a bare JSON
+number, is held to MAX_LITERAL_DIGITS digits in all (numerator, denominator,
+decimal part and exponent together) and to a decimal exponent of at most
+MAX_LITERAL_EXPONENT in absolute value.  The caps are checked on the text,
+before any integer is built, so a literal such as 1e100000000 is refused at
+once, and every number read stays well below Python's limit of 4,300
+digits for converting an integer to text.
 """
 
 from __future__ import annotations
@@ -27,11 +35,57 @@ def format_rational(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+MAX_LITERAL_DIGITS = 1000
+MAX_LITERAL_EXPONENT = 1000
+
+
 def parse_rational(text: str) -> Fraction:
+    body = text.strip()
+    _check_size(body)
+    if "e" in body or "E" in body:
+        _, _, exponent = body.lower().partition("e")
+        try:
+            too_large = abs(int(exponent)) > MAX_LITERAL_EXPONENT
+        except ValueError as exc:
+            raise ParseError(f"not a rational: {text!r}") from exc
+        if too_large:
+            raise ParseError(
+                f"exponent of {_abbreviate(body)} exceeds {MAX_LITERAL_EXPONENT}"
+            )
     try:
-        return Fraction(text.strip())
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
+
+
+def parse_json(text: str) -> Any:
+    """A JSON document with its numbers read exactly and within the caps.
+
+    Decimal numbers become Fractions, integers stay ints.
+    """
+    try:
+        return json.loads(text, parse_float=parse_rational, parse_int=_parse_int)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _parse_int(text: str) -> int:
+    _check_size(text)
+    return int(text)
+
+
+def _check_size(literal: str) -> None:
+    # A literal no longer than the cap cannot hold more digits than the cap.
+    if len(literal) <= MAX_LITERAL_DIGITS:
+        return
+    if sum(ch.isdigit() for ch in literal) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"number {_abbreviate(literal)} has more than {MAX_LITERAL_DIGITS} digits"
+        )
+
+
+def _abbreviate(literal: str) -> str:
+    return repr(literal if len(literal) <= 24 else f"{literal[:10]}...{literal[-10:]}")
 
 
 def point_to_json(p: TorusPoint) -> list[str]:
@@ -140,10 +194,7 @@ def load_points(text: str) -> tuple[SampleSet, dict[str, Any]]:
     """
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
-        try:
-            doc = json.loads(text, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        doc = parse_json(text)
         if isinstance(doc, list):
             doc = {"points": doc}
         if not isinstance(doc, dict) or "points" not in doc:

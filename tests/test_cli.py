@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tropmean
 from tropmean import (
     SampleSet,
     canonicalize,
@@ -318,3 +321,45 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+@pytest.mark.parametrize(
+    "coordinate",
+    ['"1e4400"', '"1e100000"', "1e4400", "7" * 5000, '"%s"' % ("7" * 5000)],
+    ids=["string-1e4400", "string-1e100000", "number-1e4400", "number-5000-digits", "string-5000-digits"],
+)
+def test_oversized_literals_exit_2_with_one_line(tmp_path, capsys, coordinate):
+    path = write(tmp_path, "big.json", '{"points": [[%s, 0, 0], [0, 1, 2]]}' % coordinate)
+    for command in (["mean", path], ["distance", path]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_polytrope_matrix_rejects_malformed_json(tmp_path, capsys):
+    for text in ('{"n": 2, "entries": [[0, -1], [-1, 0]', '{"n": 2, "entries": [[0, 1e4400], [-1, 0]]}'):
+        path = write(tmp_path, "matrix.json", text)
+        assert main(["polytrope", "--matrix", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_optimized_interpreter_gives_the_same_output(tmp_path):
+    """python -O strips asserts; the package's checks and output must not
+    depend on them."""
+    path = write(tmp_path, "pts.json", '{"points": [[0, "1/2", 3], [2, -1, 0], [0, 4, "-7/3"], [1, 1, 1]]}')
+    src = str(Path(tropmean.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "tropmean", "mean", path],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for flags in (["-O"], [])
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert '"exact": true' in runs[0].stdout

@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropmean.linalg import dot, mat_vec, nullspace, rref, solve_affine
 from tropmean.qp import QPError, minimize_qp
@@ -25,6 +27,70 @@ def test_rref_identifies_pivots():
     assert pivots == [0]
     assert reduced[0] == [F(1), F(2)]
     assert all(v == 0 for v in reduced[1])
+
+
+def _rref_over_fractions(rows):
+    """Plain Gauss-Jordan over the rationals, the reference for rref."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Rational matrices, wide or tall, with zero rows, duplicate rows and
+    rows that combine earlier ones, so rank deficiency is common."""
+    cols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "copy", "combination")))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([F(0)] * cols if kind == "zero" else draw(_row(cols)))
+        elif kind == "copy":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(_entries), draw(_entries)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append(draw(_row(cols)))
+    return rows
+
+
+def _row(cols):
+    return st.lists(_entries, min_size=cols, max_size=cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+@example([])
+@example([[F(1, 2), F(0), F(-3, 4)], [F(1, 3), F(0), F(-1, 2)], [F(0), F(0), F(0)]])
+def test_rref_matches_fraction_gauss_jordan(rows):
+    reduced, pivots = rref(rows)
+    expected, expected_pivots = _rref_over_fractions(rows)
+    assert pivots == expected_pivots
+    assert reduced == expected
+    assert all(type(v) is Fraction for row in reduced for v in row)
 
 
 def test_solve_affine_unique_solution():
@@ -191,3 +257,45 @@ def test_qp_random_boxes_agree_with_coordinate_clamping():
         grad = [hz + ga for hz, ga in zip(mat_vec(h, z), g)]
         combined = [sum((v * rows[i][t] for i, v in zip(active, lam)), F(0)) for t in range(nv)]
         assert combined == grad
+
+
+def test_qp_scaled_row_keeps_the_iterates_and_scales_its_multiplier():
+    # minimize (z1-1)^2 + (z2-2)^2 + z3^2 over rows with non-integer entries;
+    # row 0 (z1 + z2 <= 1, written with halves) is the one active at the optimum.
+    h = [[F(2), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(2)]]
+    g = [F(-2), F(-4), F(0)]
+    rows = [
+        [F(-1, 2), F(-1, 2), F(0)],
+        [F(1, 3), F(0), F(2, 5)],
+        [F(0), F(-3, 4), F(1, 6)],
+    ]
+    d = [F(-1, 2), F(-1, 3), F(-5, 2)]
+    z0 = [F(0), F(0), F(0)]
+    value, z, active, lam = minimize_qp(h, g, rows, d, z0)
+    assert z == [F(0), F(1), F(0)]
+    assert active == [0]
+    assert lam == [F(4)]
+    scale = F(7, 3)
+    rows_scaled = [[scale * v for v in rows[0]]] + rows[1:]
+    d_scaled = [scale * d[0]] + d[1:]
+    value_s, z_s, active_s, lam_s = minimize_qp(h, g, rows_scaled, d_scaled, z0)
+    assert (value_s, z_s, active_s) == (value, z, active)
+    assert lam_s == [lam[0] * F(3, 7)]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_qp_first_row_blocks_on_a_tie(order):
+    # Two parallel rows both say z1 <= 1, so they block the first step at the
+    # same length; the lower index enters the working set and the other row
+    # stays out, since it is then dependent on it.
+    h = [[F(2), F(0)], [F(0), F(2)]]
+    g = [F(-4), F(0)]
+    pair = [([F(-1), F(0)], F(-1)), ([F(-5, 3), F(0)], F(-5, 3))]
+    rows = [pair[a][0] for a in order]
+    d = [pair[a][1] for a in order]
+    value, z, active, lam = minimize_qp(h, g, rows, d, [F(0), F(0)])
+    assert z == [F(1), F(0)]
+    assert value == F(-3)
+    assert active == [0]
+    # C_A^T lam = H z + g = (-2, 0)
+    assert lam == [F(2) / -rows[0][0]]

@@ -16,6 +16,8 @@ from tropmean import (
     find_certificate,
 )
 from tropmean.serialize import (
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
     certificate_from_json,
     certificate_to_json,
     format_rational,
@@ -45,6 +47,40 @@ def test_parse_rational_failures():
         parse_rational("one half")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+def test_parse_rational_caps_digits_and_exponent():
+    for text in ("1e4400", "1e100000", "7" * 5000, "1/" + "3" * 5000, "2.5E-4400"):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+    with pytest.raises(ParseError, match="digits"):
+        parse_rational("1" * (MAX_LITERAL_DIGITS + 1))
+    assert parse_rational("1" * MAX_LITERAL_DIGITS) == F(int("1" * MAX_LITERAL_DIGITS))
+    with pytest.raises(ParseError, match="exponent"):
+        parse_rational(f"1e{MAX_LITERAL_EXPONENT + 1}")
+    assert parse_rational(f"-1e{MAX_LITERAL_EXPONENT}") == -F(10) ** MAX_LITERAL_EXPONENT
+    assert parse_rational(f"1E-{MAX_LITERAL_EXPONENT}") == F(1, 10**MAX_LITERAL_EXPONENT)
+    # the literal forms the bench generator and the README use still parse
+    assert parse_rational("-12/5") == F(-12, 5)
+    assert parse_rational("0.5e3") == F(500)
+    assert parse_rational("1_000") == F(1000)
+
+
+def test_load_points_caps_bare_json_numbers():
+    huge = "7" * 5000
+    for doc in (
+        '{"points": [[%s, 1], [0, 0]]}' % huge,
+        '{"points": [[1e4400, 1], [0, 0]]}',
+        '[["1e100000", 1], [0, 0]]',
+        '{"points": [[0, 1], [0, 0]], "options": {"max_iter": %s}}' % huge,
+    ):
+        with pytest.raises(ParseError):
+            load_points(doc)
+    with pytest.raises(ParseError):
+        load_points("%s,1\n0,0\n" % huge)
+    s, _ = load_points('{"points": [["-12/5", 3], [2.5e2, -40]]}')
+    assert s[0].coords == (F(0), F(27, 5))
+    assert s[1].coords == (F(0), F(-290))
 
 
 def test_point_round_trip():
