@@ -190,6 +190,10 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
     """
     n = sample.n
     dists = [trop_dist(mean, p) for p in sample]
+    # The maximum runs over integers on one common denominator.
+    den = lcm(*(v.denominator for v in dists), *(c.denominator for p in sample for c in p))
+    dn = [v.numerator * (den // v.denominator) for v in dists]
+    pn = [[c.numerator * (den // c.denominator) for c in p] for p in sample]
     rows = []
     for i in range(n):
         row = []
@@ -197,7 +201,7 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
             if i == kk:
                 row.append(Fraction(0))
             else:
-                row.append(max(-dists[j] + sample[j][i] - sample[j][kk] for j in range(sample.m)))
+                row.append(Fraction(max(p[i] - p[kk] - dj for p, dj in zip(pn, dn)), den))
         rows.append(row)
     return PolytropeMatrix.from_rows(rows)
 
@@ -289,23 +293,24 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     g = [zero] * nvars
 
     pieces: list[tuple[int, int, int]] = []
-    c_rows: list[list[Fraction]] = []
+    c_rows: list[list[int]] = []
     d: list[Fraction] = []
     for j in range(m):
-        p = sample[j]
+        den = lcm(*(c.denominator for c in sample[j]))
+        p = [c.numerator * (den // c.denominator) for c in sample[j]]
         for i in range(n):
             for k in range(n):
                 if i == k:
                     continue
-                row = [zero] * nvars
+                row = [0] * nvars
                 if i > 0:
-                    row[i - 1] -= 1
+                    row[i - 1] = -1
                 if k > 0:
-                    row[k - 1] += 1
-                row[nv + j] = Fraction(1)
+                    row[k - 1] = 1
+                row[nv + j] = 1
                 pieces.append((j, min(i, k), max(i, k)))
                 c_rows.append(row)
-                d.append(-(p[i] - p[k]))
+                d.append(Fraction(p[k] - p[i], den))
 
     z0 = list(start.coords[1:])
     z0.extend(trop_dist(start, p) for p in sample)

@@ -6,29 +6,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalError
-
 Matrix = list[list[Fraction]]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form. Returns (rref rows, pivot column indices).
 
-    Fraction-free Gauss-Jordan: each row is scaled once to integers, a row
-    is eliminated by integer cross-multiplication with the pivot row and
-    then divided by the gcd of its entries, and each pivot row is divided
-    by its pivot only once, at the end.  Every intermediate row is a
-    nonzero multiple of the row rational elimination would hold, so the
-    zero pattern, the pivot choices and (RREF being unique) the returned
-    Fractions are exactly those of elimination over the rationals.
+    Each row is scaled once to integers, ``integer_rref`` eliminates, and
+    each pivot row is divided by its pivot only once, at the end; the RREF
+    being unique, the Fractions are those of elimination over the rationals.
     """
     m = [over_common_denominator(r)[1] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
+    pivots = integer_rref(m)
+    zero = Fraction(0)
+    out = [[Fraction(v, row[c]) if v else zero for v in row] for row, c in zip(m, pivots)]
+    out.extend([zero] * ncols for _ in range(len(m) - len(pivots)))
+    return out, pivots
+
+
+def integer_rref(m: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivots.
+
+    A row is eliminated by integer cross-multiplication with the pivot row
+    and, unless the pivot is 1, divided by the gcd of its entries.  Every
+    row stays a nonzero multiple of the row rational elimination would
+    hold, so the zero pattern and the pivot choices are exactly those of
+    elimination over the rationals: on return, row r is its RREF row times
+    its pivot m[r][pivots[r]], and the rows past the rank are zero.
+    """
+    if not m:
+        return []
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0])):
         pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
@@ -39,19 +52,23 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         for i in range(len(m)):
             f = m[i][c]
             if i != r and f:
-                row = [p * v for v in m[i]]
-                for t, v in nonzero:
-                    row[t] -= f * v
-                g = gcd(*row)
-                m[i] = [v // g for v in row] if g > 1 else row
+                if p == 1:
+                    row = m[i][:]
+                    for t, v in nonzero:
+                        row[t] -= f * v
+                else:
+                    row = [p * v for v in m[i]]
+                    for t, v in nonzero:
+                        row[t] -= f * v
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [v // g for v in row]
+                m[i] = row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    zero = Fraction(0)
-    out = [[Fraction(v, row[c]) if v else zero for v in row] for row, c in zip(m, pivots)]
-    out.extend([zero] * ncols for _ in range(len(m) - r))
-    return out, pivots
+    return pivots
 
 
 def over_common_denominator(x: list[Fraction]) -> tuple[int, list[int]]:
@@ -95,17 +112,32 @@ def solve_affine(a: Matrix, b: list[Fraction]) -> AffineSolution | None:
     return AffineSolution(tuple(part), tuple(basis))
 
 
-def nullspace(rows: Matrix, nvars: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : rows @ x = 0}."""
-    if not rows:
-        return [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(nvars))
-            for i in range(nvars)
-        ]
-    sol = solve_affine(rows, [Fraction(0)] * len(rows))
-    if sol is None:
-        raise InternalError("a homogeneous system came out inconsistent")
-    return list(sol.basis)
+def nullspace(rows: Matrix, nvars: int) -> list[list[int]]:
+    """Integer basis of {x : rows @ x = 0}.
+
+    One vector per free column f of the RREF: the solution with x_f = 1
+    and the other free variables zero, times the lcm of its denominators.
+    """
+    # Integer rows, such as the quadratic programs pass, need no scaling.
+    m = [
+        list(r) if all(type(v) is int for v in r) else over_common_denominator(r)[1]
+        for r in rows
+    ]
+    pivots = integer_rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(nvars):
+        if f in pivot_set:
+            continue
+        # Row r of m is its RREF row times its pivot, so x_c = -m[r][f] / m[r][c].
+        terms = [(row[f], row[c], c) for row, c in zip(m, pivots) if row[f]]
+        scale = lcm(*(p // gcd(p, v) for v, p, _ in terms))
+        vec = [0] * nvars
+        vec[f] = scale
+        for v, p, c in terms:
+            vec[c] = -v * scale // p
+        basis.append(vec)
+    return basis
 
 
 def mat_vec(a: Matrix, x: list[Fraction]) -> list[Fraction]:

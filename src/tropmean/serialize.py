@@ -30,9 +30,27 @@ from .polytrope import NEG_INF, PolytropeMatrix, TropicalScalar
 
 
 def format_rational(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    num, den = v.numerator, v.denominator
+    if -_CHUNK < num < _CHUNK and den < _CHUNK:
+        return str(num) if den == 1 else f"{num}/{den}"
+    return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
+
+
+# Integers of at least _CHUNK_DIGITS digits are written chunk by chunk, so an
+# output of any size stays below Python's limit on converting one integer.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(v: int) -> str:
+    if -_CHUNK < v < _CHUNK:
+        return str(v)
+    rest, chunks = abs(v), []
+    while rest:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(low)
+    head = ("-" if v < 0 else "") + str(chunks.pop())
+    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
 MAX_LITERAL_DIGITS = 1000
@@ -155,9 +173,17 @@ def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
     for j, group in enumerate(groups):
         if not isinstance(group, dict) or group.get("sample") != j + 1:
             raise ParseError(f"weight group {j} must declare sample {j + 1}")
+        items = group.get("pieces", [])
+        if not isinstance(items, list):
+            raise ParseError(f"the pieces of sample {j + 1} must be an array")
         entries = []
-        for item in group.get("pieces", []):
-            piece = piece_for(sample, j, int(item["i"]) - 1, int(item["k"]) - 1)
+        for item in items:
+            if not isinstance(item, dict) or not {"i", "k", "c", "w"} <= item.keys():
+                raise ParseError(f"a piece of sample {j + 1} must be an object with i, k, c and w")
+            i, k = _piece_index(item["i"], sample.n), _piece_index(item["k"], sample.n)
+            if i == k:
+                raise ParseError(f"a piece of sample {j + 1} has i == k == {i + 1}")
+            piece = piece_for(sample, j, i, k)
             if piece.c != _coord(item["c"]):
                 raise ParseError(
                     f"piece constant mismatch in sample {j + 1}: {item['c']!r}"
@@ -165,6 +191,13 @@ def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
             entries.append((piece, _coord(item["w"])))
         by_sample.append(tuple(entries))
     return Certificate(c_star=_coord(data["c_star"]), weights=tuple(by_sample))
+
+
+def _piece_index(value: Any, n: int) -> int:
+    """A 1-based coordinate index of a certificate piece, as a 0-based int."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= n:
+        raise ParseError(f"piece index {value!r} is not an integer in 1..{n}")
+    return value - 1
 
 
 def result_to_json(result: FrechetResult) -> dict[str, Any]:

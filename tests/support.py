@@ -11,6 +11,8 @@ from random import Random
 
 from tropmean import PolytropeMatrix, SampleSet, canonicalize
 from tropmean.core import TorusPoint
+from tropmean.linalg import dot, mat_vec, rref, solve_affine
+from tropmean.qp import QPError
 
 DENOMS = (1, 2, 3, 5)
 
@@ -55,3 +57,73 @@ def nonpositive_matrix(rng: Random, n: int, span: int = 12) -> PolytropeMatrix:
         for i in range(n)
     ]
     return PolytropeMatrix.from_rows(rows)
+
+
+def reference_qp(h, g, rows, d, z0, max_iter=1000):
+    """The primal active-set loop of ``qp.minimize_qp`` written over Fractions.
+
+    The nullspace and the subspace step come from ``solve_affine``, the
+    ratio test compares rational step lengths with a strict ``<`` in row
+    order, and the working set starts as the greedily independent tight
+    rows.  Returns ``((value, z, active, lam), stats)``, where ``stats``
+    counts loop iterations, rows dropped for a negative multiplier and
+    ratio-test ties a later row lost to an earlier one.
+    """
+    nvars = len(z0)
+    z = list(z0)
+    stats = {"iterations": 0, "drops": 0, "ties": 0}
+    slacks = [dot(row, z) - rhs for row, rhs in zip(rows, d)]
+    if any(s < 0 for s in slacks):
+        raise QPError("infeasible starting point")
+    work = []
+    for i, s in enumerate(slacks):
+        chosen = [rows[a] for a in work + [i]]
+        if s == 0 and len(rref([list(r) for r in chosen])[1]) == len(chosen):
+            work.append(i)
+    for _ in range(max_iter):
+        stats["iterations"] += 1
+        grad = [a + b for a, b in zip(mat_vec(h, z), g)]
+        if work:
+            tight = solve_affine([rows[i] for i in work], [Fraction(0)] * len(work))
+            basis = [list(v) for v in tight.basis]
+        else:
+            basis = [[Fraction(int(a == b)) for b in range(nvars)] for a in range(nvars)]
+        step = [Fraction(0)] * nvars
+        if basis:
+            hb = [mat_vec(h, v) for v in basis]
+            red = [[dot(va, vb) for vb in hb] for va in basis]
+            sol = solve_affine(red, [-dot(v, grad) for v in basis])
+            if sol is None:
+                raise QPError("unbounded equality subproblem")
+            for y, v in zip(sol.particular, basis):
+                step = [s + y * vt for s, vt in zip(step, v)]
+        if not any(step):
+            lam = []
+            if work:
+                at = [[rows[i][t] for i in work] for t in range(nvars)]
+                sol = solve_affine(at, grad)
+                if sol is None:
+                    raise QPError("stationary point with inconsistent multiplier system")
+                lam = list(sol.particular)
+            neg = [i for i, v in zip(work, lam) if v < 0]
+            if not neg:
+                value = Fraction(1, 2) * dot(mat_vec(h, z), z) + dot(g, z)
+                order = sorted(range(len(work)), key=work.__getitem__)
+                return (value, z, [work[a] for a in order], [lam[a] for a in order]), stats
+            work.remove(min(neg))
+            stats["drops"] += 1
+            continue
+        alpha, blocker = Fraction(1), None
+        for i, row in enumerate(rows):
+            s = dot(row, step)
+            if i in work or s >= 0:
+                continue
+            limit = (dot(row, z) - d[i]) / -s
+            if limit < alpha:
+                alpha, blocker = limit, i
+            elif limit == alpha and blocker is not None:
+                stats["ties"] += 1
+        z = [zt + alpha * st for zt, st in zip(z, step)]
+        if blocker is not None:
+            work.append(blocker)
+    raise QPError("active-set iteration cap exceeded")

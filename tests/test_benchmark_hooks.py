@@ -1,0 +1,70 @@
+"""The benchmark's tracer finds the exact QP by two module attributes.
+
+``perfbench/tracer.py`` counts the rows of each epigraph program through
+``tropmean.frechet.minimize_qp`` and the active-set iterations through
+``tropmean.qp.nullspace``.  A kernel change that renamed either, or stopped
+computing one basis per iteration, would zero or skew those layers without
+failing anything else.
+"""
+
+import importlib
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+import pytest
+
+import tropmean.frechet as frechet_mod
+from tropmean import SampleSet, exact_frechet
+
+from support import reference_qp
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+HOOKS = {
+    ("tropmean.frechet", "minimize_qp"): "qp.minimize",
+    ("tropmean.qp", "nullspace"): "count:qp.nullspace_calls",
+}
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_the_qp_names(tracer):
+    targets = {(module, attr): layer for module, attr, layer, _ in tracer.TARGETS}
+    for (module, attr), layer in HOOKS.items():
+        assert targets[module, attr] == layer
+        assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_one_exact_solve_counts_its_rows_and_iterations(tracer, monkeypatch):
+    rng = Random("hooks:exact")
+    sample = SampleSet.from_rows(
+        [[Fraction(rng.randint(-25, 25), 5) for _ in range(5)] for _ in range(8)]
+    )
+    programs = []
+    solve = frechet_mod.minimize_qp
+
+    def recorded(*args):
+        programs.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(frechet_mod, "minimize_qp", recorded)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        result = exact_frechet(sample)
+    finally:
+        spans.uninstall()
+    assert result.exact
+    assert not set(spans.missing) & {f"{m}.{a}" for m, a in HOOKS}
+    (program,) = programs
+    _, stats = reference_qp(*program)
+    assert spans.calls["qp.minimize"] == 1
+    assert spans.counts["qp.minimize.rows"] == len(program[2]) == 8 * 5 * 4
+    assert spans.counts["qp.nullspace_calls"] == stats["iterations"] > 1

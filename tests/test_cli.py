@@ -363,3 +363,27 @@ def test_optimized_interpreter_gives_the_same_output(tmp_path):
     assert [proc.returncode for proc in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert '"exact": true' in runs[0].stdout
+
+
+def _read_int(text):
+    """An integer from decimal text of any length, read in chunks that stay
+    below Python's limit on converting text to one integer."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_mean_writes_rationals_past_the_integer_text_limit(tmp_path, capsys):
+    """Every literal holds 991 digits, within the cap, but the mean's
+    denominator has more than 4,300, Python's limit for str(int)."""
+    qs = [10**990 + 7 * j + 1 for j in range(6)]
+    points = [[0, f"1/{q}"] for q in qs]
+    path = write(tmp_path, "tiny.json", json.dumps({"points": points}))
+    assert main(["mean", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    num, den = doc["mean"][1].split("/")
+    expected = sum((F(1, q) for q in qs), F(0)) / 6
+    assert len(den) > 4300
+    assert (_read_int(num), _read_int(den)) == (expected.numerator, expected.denominator)

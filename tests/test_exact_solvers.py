@@ -2,14 +2,18 @@
 
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tropmean.qp as qp_mod
 from tropmean.linalg import dot, mat_vec, nullspace, rref, solve_affine
 from tropmean.qp import QPError, minimize_qp
 from tropmean.simplex import feasible_point
+
+from support import reference_qp
 
 F = Fraction
 
@@ -299,3 +303,105 @@ def test_qp_first_row_blocks_on_a_tie(order):
     assert active == [0]
     # C_A^T lam = H z + g = (-2, 0)
     assert lam == [F(2) / -rows[0][0]]
+
+
+def _program(h, g, rows, d, z0):
+    matrix = lambda a: [[F(v) for v in r] for r in a]
+    return matrix(h), [F(v) for v in g], matrix(rows), [F(v) for v in d], [F(v) for v in z0]
+
+
+# Hand-made programs, each built to exercise one feature of the loop.
+QP_CASES = {
+    # min (x - 0)^2 + (x - 3/2)^2 as an epigraph program in (x, t1, t2):
+    # H has a zero block for x, as in frechet's epigraph program.
+    "zero-block": _program(
+        [[0, 0, 0], [0, 2, 0], [0, 0, 2]],
+        [0, 0, 0],
+        [[-1, 1, 0], [1, 1, 0], [-1, 0, 1], [1, 0, 1]],
+        [0, 0, F(-3, 2), F(3, 2)],
+        [0, 0, F(3, 2)],
+    ),
+    # Rows and right-hand sides with denominators 2 to 6.
+    "non-integer-rows": _program(
+        [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+        [-2, -4, 0],
+        [[F(-1, 2), F(-1, 2), 0], [F(1, 3), 0, F(2, 5)], [0, F(-3, 4), F(1, 6)]],
+        [F(-1, 2), F(-1, 3), F(-5, 2)],
+        [0, 0, 0],
+    ),
+    # Two parallel rows both say z1 <= 1 and block the first step together.
+    "parallel-tie": _program(
+        [[2, 0], [0, 2]], [-4, 0], [[-1, 0], [F(-5, 3), 0]], [-1, F(-5, 3)], [0, 0]
+    ),
+    # z1 <= 1 is tight at the start, but its multiplier there is negative.
+    "negative-multiplier": _program([[2, 0], [0, 2]], [0, 0], [[-1, 0]], [-1], [1, 0]),
+}
+
+
+def test_qp_cases_exercise_their_feature():
+    h, _, _, _, _ = QP_CASES["zero-block"]
+    assert all(v == 0 for v in h[0])
+    _, _, rows, _, _ = QP_CASES["non-integer-rows"]
+    assert any(v.denominator > 1 for row in rows for v in row)
+    assert reference_qp(*QP_CASES["parallel-tie"])[1]["ties"] >= 1
+    assert reference_qp(*QP_CASES["negative-multiplier"])[1]["drops"] >= 1
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _qp_programs(draw):
+    """Convex programs bounded below: H = M^T M, whose leading columns may be
+    zero (a zero block), and g = H w, so the gradient stays in the range of H.
+    Rows are fresh, tight at z0 or not, or positive multiples of an earlier
+    row with the same multiple of its rhs, which tie in the ratio test."""
+    nvars = draw(st.integers(1, 4))
+    zero = draw(st.integers(0, nvars - 1))
+    m = [
+        [F(0)] * zero + [draw(_small) for _ in range(nvars - zero)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    h = [[sum((r[a] * r[b] for r in m), F(0)) for b in range(nvars)] for a in range(nvars)]
+    g = mat_vec(h, [draw(_small) for _ in range(nvars)])
+    z0 = [draw(_small) for _ in range(nvars)]
+    rows, d = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            k = draw(st.integers(0, len(rows) - 1))
+            c = draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+            rows.append([c * v for v in rows[k]])
+            d.append(c * d[k])
+        else:
+            row = [draw(_small) for _ in range(nvars)]
+            slack = draw(st.sampled_from((F(0), F(0), F(1, 2), F(3))))
+            rows.append(row)
+            d.append(dot(row, z0) - slack)
+    return h, g, rows, d, z0
+
+
+@settings(max_examples=250, deadline=None)
+@given(_qp_programs())
+@example(QP_CASES["zero-block"])
+@example(QP_CASES["non-integer-rows"])
+@example(QP_CASES["parallel-tie"])
+@example(QP_CASES["negative-multiplier"])
+def test_qp_matches_the_fraction_active_set_loop(program):
+    """The integer kernel returns what the rational loop returns, after the
+    same number of iterations (one nullspace per iteration)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return nullspace(*args)
+
+    try:
+        expected, stats = reference_qp(*program)
+    except QPError:
+        with pytest.raises(QPError):
+            minimize_qp(*program)
+        return
+    with mock.patch.object(qp_mod, "nullspace", counted):
+        result = minimize_qp(*program)
+    assert result == expected
+    assert len(calls) == stats["iterations"]

@@ -253,3 +253,29 @@ def test_fm_polytrope_segment_golden():
         canonicalize([0, 3, 3]),
         canonicalize([0, 4, 4]),
     }
+
+
+def _fm_polytrope_by_definition(sample, mean):
+    d = [trop_dist(mean, p) for p in sample]
+    return tuple(
+        tuple(
+            F(0) if i == k else max(-d[j] + sample[j][i] - sample[j][k] for j in range(sample.m))
+            for k in range(sample.n)
+        )
+        for i in range(sample.n)
+    )
+
+
+def test_fm_polytrope_matches_the_definition():
+    """fm_polytrope works over one common denominator; its entries equal the
+    Fraction maxima c_ik = max_j(-d_j + p_j,i - p_j,k)."""
+    rng = Random("frechet:fm-polytrope")
+    for _ in range(30):
+        n, m = rng.randint(2, 5), rng.randint(1, 5)
+        rows = [[F(rng.randint(-12, 12), rng.choice((1, 2, 3, 5))) for _ in range(n)] for _ in range(m)]
+        rows[0][-1] = F(7, 5)
+        sample = SampleSet.from_rows(rows)
+        for mean in (sample[rng.randrange(m)], exact_frechet(sample).mean, rand_point(rng, n)):
+            entries = fm_polytrope(sample, mean).entries
+            assert entries == _fm_polytrope_by_definition(sample, mean)
+            assert all(type(v) is Fraction for row in entries for v in row)

@@ -196,3 +196,48 @@ def test_load_points_error_positions():
         load_points('{"points": [[0, 1], [0, 1, 2]]}')
     with pytest.raises(ParseError):
         load_points('{"points": [[true, false]]}')
+
+
+def _lax(i):
+    """What ``int(i) - 1`` made of an index, with the matching piece
+    constant, so that only the index check can refuse the piece."""
+
+    def change(piece, p):
+        a = int(i) - 1
+        piece.update(i=i, c=str(p[a] - p[piece["k"] - 1]))
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda piece, p: piece.pop("i"),
+        lambda piece, p: piece.update(i="x"),
+        lambda piece, p: piece.update(i=9),
+        _lax(0),
+        _lax(-1),
+        _lax(2.5),
+        _lax(Fraction(5, 2)),
+        _lax(True),
+        lambda piece, p: piece.update(i=piece["k"], c="0"),
+        "string piece",
+        "pieces not a list",
+    ],
+    ids=[
+        "missing-i", "text-i", "i-past-n", "i-zero", "i-negative", "float-i",
+        "fraction-i", "bool-i", "i-equals-k", "string-piece", "pieces-object",
+    ],
+)
+def test_certificate_json_rejects_malformed_pieces(change):
+    s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
+    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])))
+    group = doc["weights"][0]
+    if change == "string piece":
+        group["pieces"][0] = "i=1,k=2"
+    elif change == "pieces not a list":
+        group["pieces"] = {"i": 1}
+    else:
+        change(group["pieces"][0], s[0])
+    with pytest.raises(ParseError):
+        certificate_from_json(doc, s)
