@@ -267,67 +267,69 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
 def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
     """Global minimizer and its certificate from one exact quadratic program.
 
-    Variables are the gauge coordinates x_2..x_n plus one epigraph value
-    t_j per sample, constrained by t_j >= (x_i - x_k) - (p_{j,i} - p_{j,k})
-    for every ordered pair; minimizing sum t_j^2 presses each t_j onto the
-    per-sample max, so the optimum solves the full piecewise problem.  The
-    start point lifts with t_j = d(start, p_j), which is feasible.
+    The split program writes d(x, p_j) = u_j - l_j and minimizes
+    sum (u_j - l_j)^2 over x_2..x_n, u and l subject to u_j - x_i >= -p_{j,i}
+    and x_k - l_j >= p_{j,k} for all i, k: 2nm difference rows, which
+    ``minimize_qp`` solves on a forest.  The start lifts with u_j and l_j at
+    the max and min of x - p_j, and so does the optimum.
 
-    At the optimum, stationarity in t_j gives sum_ik lam_jik = 2 t_j and
-    stationarity in x gives sum lam_jik (e_i - e_k) = 0.  So the weights
-    w_jik = lam_jik / sum_ik lam_jik are convex weights on active pieces
-    whose combined gradient vanishes: a positivity certificate (see
-    ``certify``), with each piece reported as its i < k representative.  A
-    sample with t_j = 0 is the mean itself, and weight 1 on any one piece
-    serves.
+    With multipliers alpha_ji and beta_jk on those rows, stationarity in u_j
+    and l_j gives sum_i alpha_ji = sum_k beta_jk = 2 t_j, t_j = u_j - l_j, and
+    in x gives sum_j (sum_i alpha_ji e_i - sum_k beta_jk e_k) = 0.  So the
+    product weights w_jik = alpha_ji beta_jk / (2 t_j)^2, on pieces active at
+    t_j, are a positivity certificate (see ``certify``): their combined
+    gradient sum_j 2 t_j sum_ik w_jik (e_i - e_k) vanishes.  Pieces are
+    reported as their i < k representative; a sample with t_j = 0 is the mean
+    itself, and weight 1 on piece (0, 1) serves.
     """
     n = sample.n
     m = sample.m
     nv = n - 1
-    nvars = nv + m
+    nvars = nv + 2 * m
     zero = Fraction(0)
 
     h = [[zero] * nvars for _ in range(nvars)]
-    for j in range(m):
-        h[nv + j][nv + j] = Fraction(2)
+    for u in range(nv, nv + m):
+        h[u][u] = h[u + m][u + m] = Fraction(2)
+        h[u][u + m] = h[u + m][u] = Fraction(-2)
     g = [zero] * nvars
 
-    pieces: list[tuple[int, int, int]] = []
+    # Sample j's n rows of u_j, then its n rows of l_j: row r is sample r // 2n.
     c_rows: list[list[int]] = []
     d: list[Fraction] = []
     for j in range(m):
         den = lcm(*(c.denominator for c in sample[j]))
         p = [c.numerator * (den // c.denominator) for c in sample[j]]
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
+        for sign, var in ((1, nv + j), (-1, nv + m + j)):
+            for i in range(n):
                 row = [0] * nvars
                 if i > 0:
-                    row[i - 1] = -1
-                if k > 0:
-                    row[k - 1] = 1
-                row[nv + j] = 1
-                pieces.append((j, min(i, k), max(i, k)))
+                    row[i - 1] = -sign
+                row[var] = sign
                 c_rows.append(row)
-                d.append(Fraction(p[k] - p[i], den))
+                d.append(Fraction(-sign * p[i], den))
 
-    z0 = list(start.coords[1:])
-    z0.extend(trop_dist(start, p) for p in sample)
+    x = start.coords
+    gaps = [[a - b for a, b in zip(x, p)] for p in sample]
+    z0 = [*x[1:], *map(max, gaps), *map(min, gaps)]
     c_star, z, active, lam = minimize_qp(h, g, c_rows, d, z0)
 
-    lam_by_sample: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(m)]
+    # Per sample, its alpha and its beta by coordinate.
+    sides: list[tuple[dict[int, Fraction], ...]] = [({}, {}) for _ in range(m)]
     for r, value in zip(active, lam):
-        if value != 0:
-            j, i, k = pieces[r]
-            lam_by_sample[j][i, k] = lam_by_sample[j].get((i, k), zero) + value
+        if value:
+            j, s = divmod(r, 2 * n)
+            sides[j][s // n][s % n] = value
     weights = []
-    for j, per in enumerate(lam_by_sample):
-        total = sum(per.values(), zero)
-        if total == 0:
-            per = {(0, 1): Fraction(1)}
-            total = Fraction(1)
-        weights.append(
-            tuple((piece_for(sample, j, i, k), per[i, k] / total) for i, k in sorted(per))
-        )
+    for j, (alpha, beta) in enumerate(sides):
+        total = sum(alpha.values(), zero) * sum(beta.values(), zero)
+        if not total:
+            alpha, beta, total = {0: Fraction(1)}, {1: Fraction(1)}, 1
+        per = {
+            (min(i, k), max(i, k)): a * b / total
+            for i, a in alpha.items()
+            for k, b in beta.items()
+        }
+        pieces = sorted(per.items())
+        weights.append(tuple((piece_for(sample, j, i, k), w) for (i, k), w in pieces))
     return canonicalize([zero] + z[:nv]), Certificate(c_star, tuple(weights))

@@ -31,6 +31,21 @@ same loop over the rationals:
   cross-multiplication, in the same row order and with the same strict
   comparison as over the rationals, so the blocking rows are the same too.
 
+Working sets of difference rows, c (e_a - e_b) or c e_a (one variable
+against a ground held at zero), need no elimination.  Programs made of such rows
+are optimal-tension problems (Rockafellar, *Network Flows and Monotropic
+Optimization*, 1984), and an independent set of them is a forest on the
+variables and the ground.  Its nullspace is spanned by the indicator
+vectors of the components without the ground, and that is exactly the RREF
+basis: in a component of k variables joined by k - 1 rows any k - 1 columns
+are independent, so the pivots are its k - 1 lowest variables, the free
+column is its highest, and the RREF vector of that column is 1 on the
+component; the vectors come in the order of their free columns.  So the
+forest route takes the same steps.  Its multipliers, the flow dual to the
+tension, come from peeling leaves, and a tight row enters the starting
+working set exactly when it joins two components.  Other rows take the
+RREF routes.
+
 Exact arithmetic removes every tolerance question; the iteration cap is a
 safety net and is never reached on the problem sizes this package solves.
 """
@@ -40,7 +55,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import integer_rref, nullspace, over_common_denominator
+from .linalg import integer_rref, over_common_denominator
+from .linalg import nullspace as rref_nullspace
 
 Vector = list[Fraction]
 Matrix = list[Vector]
@@ -85,11 +101,11 @@ def minimize_qp(
         raise QPError("infeasible starting point")
     work = [i for i, s in enumerate(slacks) if s == 0]
     # Keep the initial working set independent: greedily drop dependent rows.
-    work = _independent_subset(_dense([cs[i] for i in work], nvars), work, nvars)
+    work = _independent_subset([cs[i] for i in work], work, nvars)
 
     for _ in range(max_iter):
         grad = [_idot(row, zn) + v * zd for row, v in zip(hs, gs)]
-        rows_w = _dense([cs[i] for i in work], nvars)
+        rows_w = [cs[i] for i in work]
         sd, sn = _subspace_step(hs, grad, nullspace(rows_w, nvars), zd)
         if not any(sn):
             u = _multipliers(rows_w, grad)
@@ -202,8 +218,21 @@ def _subspace_step(
     if not k:
         return 1, sn
     sb = [[(t, v) for t, v in enumerate(vec) if v] for vec in basis]
-    hb = [[_idot(row, vec) for row in hs] for vec in basis]
-    red = [[_idot(sb[a], hb[b]) for b in range(k)] + [-_idot(sb[a], grad)] for a in range(k)]
+    # B^T H B from the nonzeros of H B, H being symmetric: column t of H is
+    # row t of hs, and the entries of B are looked up by row.
+    at: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+    for a, vec in enumerate(sb):
+        for t, v in vec:
+            at[t].append((a, v))
+    red = [[0] * k + [-_idot(vec, grad)] for vec in sb]
+    for b, vec in enumerate(sb):
+        hb: dict[int, int] = {}
+        for t, v in vec:
+            for s, hv in hs[t]:
+                hb[s] = hb.get(s, 0) + v * hv
+        for s, hv in hb.items():
+            for a, v in at[s]:
+                red[a][b] += v * hv
     pivots = integer_rref(red)
     if pivots and pivots[-1] == k:
         # Cannot happen for a quadratic bounded below on the subspace.
@@ -219,11 +248,83 @@ def _subspace_step(
     return den * zd // div, [v // div for v in sn]
 
 
-def _multipliers(rows_w: list[list[int]], grad: list[int]) -> list[Fraction]:
-    """Solve C_W^T u = grad for the (unique) working-set solution u."""
-    w = len(rows_w)
+def nullspace(rows: list[IntSparse], nvars: int) -> list[list[int]]:
+    """Integer basis of {z : rows z = 0}, the rows in sparse form.
+
+    On difference rows the basis is the indicator vectors of the components
+    that do not hold the ground, in the order of their largest variable:
+    exactly the basis ``linalg.nullspace`` reads off the RREF.  Other rows
+    go to ``linalg.nullspace``.
+    """
+    if not _difference_rows(rows):
+        return rref_nullspace(_dense(rows, nvars), nvars)
+    root = _UnionFind(nvars)
+    for row in rows:
+        root.join(*_ends(row, nvars))
+    members: dict[int, list[int]] = {}
+    ground = root.find(nvars)
+    for t in range(nvars):
+        r = root.find(t)
+        if r != ground:
+            members.setdefault(r, []).append(t)
+    basis = []
+    for group in sorted(members.values(), key=lambda g: g[-1]):
+        vec = [0] * nvars
+        for t in group:
+            vec[t] = 1
+        basis.append(vec)
+    return basis
+
+
+def _multipliers(rows: list[IntSparse], grad: list[int]) -> list[Fraction]:
+    """Solve C_W^T u = grad for the (unique) working-set solution u.
+
+    On difference rows the working set is a forest, solved by peeling its
+    leaves: a leaf variable t has one row left, whose multiplier is the
+    residual of t over the row's entry at t; the row's other end, with the
+    opposite entry, takes that residual on.  So the residuals stay integers,
+    and a residual left at a root without a row is an inconsistency.
+    """
+    w = len(rows)
     if not w:
         return []
+    if not _difference_rows(rows):
+        return _rref_multipliers(rows, grad)
+    nvars = len(grad)
+    at: list[list[int]] = [[] for _ in range(nvars)]
+    for r, row in enumerate(rows):
+        for t, _ in row:
+            at[t].append(r)
+    degree = [len(rs) for rs in at]
+    residual = list(grad)
+    u: list[Fraction] = [Fraction(0)] * w
+    done = [False] * w
+    leaves = [t for t in range(nvars) if degree[t] == 1]
+    while leaves:
+        t = leaves.pop()
+        if degree[t] != 1:
+            continue
+        r = next(r for r in at[t] if not done[r])
+        done[r] = True
+        degree[t] = 0
+        res = residual[t]
+        residual[t] = 0
+        for s, v in rows[r]:
+            if s == t:
+                u[r] = Fraction(res, v)
+            else:
+                residual[s] += res
+                degree[s] -= 1
+                if degree[s] == 1:
+                    leaves.append(s)
+    if any(residual):
+        raise QPError("stationary point with inconsistent multiplier system")
+    return u
+
+
+def _rref_multipliers(rows: list[IntSparse], grad: list[int]) -> list[Fraction]:
+    w = len(rows)
+    rows_w = _dense(rows, len(grad))
     at = [[row[t] for row in rows_w] + [gt] for t, gt in enumerate(grad)]
     pivots = integer_rref(at)
     if pivots and pivots[-1] == w:
@@ -234,14 +335,55 @@ def _multipliers(rows_w: list[list[int]], grad: list[int]) -> list[Fraction]:
     return u
 
 
-def _independent_subset(
-    rows: list[list[int]], labels: list[int], nvars: int
-) -> list[int]:
+def _independent_subset(rows: list[IntSparse], labels: list[int], nvars: int) -> list[int]:
     """Labels of the rows that greedy order keeps independent.
 
-    Greedy order keeps a row exactly when it is not in the span of the rows
-    before it, which is when its column is a pivot column of the rows
-    written as columns.
+    A difference row is kept exactly when it joins two components of the
+    rows kept before it.  Otherwise greedy order keeps a row exactly when it
+    is not in the span of the rows before it, which is when its column is a
+    pivot column of the rows written as columns.
     """
-    pivots = integer_rref([[row[t] for row in rows] for t in range(nvars)])
+    if not _difference_rows(rows):
+        return _rref_independent_subset(rows, labels, nvars)
+    root = _UnionFind(nvars)
+    return [label for row, label in zip(rows, labels) if root.join(*_ends(row, nvars))]
+
+
+def _rref_independent_subset(rows: list[IntSparse], labels: list[int], nvars: int) -> list[int]:
+    dense = _dense(rows, nvars)
+    pivots = integer_rref([[row[t] for row in dense] for t in range(nvars)])
     return [labels[c] for c in pivots]
+
+
+def _difference_rows(rows: list[IntSparse]) -> bool:
+    """Whether every row is c (e_a - e_b), or c e_a: one variable against the ground."""
+    return all(
+        len(row) == 1 or (len(row) == 2 and row[0][1] == -row[1][1]) for row in rows
+    )
+
+
+def _ends(row: IntSparse, nvars: int) -> tuple[int, int]:
+    """The two nodes a difference row joins, the ground being node nvars."""
+    return row[0][0], (row[1][0] if len(row) == 2 else nvars)
+
+
+class _UnionFind:
+    """Disjoint sets over the nodes 0..nvars, node nvars being the ground."""
+
+    def __init__(self, nvars: int) -> None:
+        self.parent = list(range(nvars + 1))
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def join(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True

@@ -201,17 +201,18 @@ def _piece_index(value: Any, n: int) -> int:
 
 
 def result_to_json(result: FrechetResult) -> dict[str, Any]:
-    from .polytrope import pseudovertices, tropical_vertices
+    from .polytrope import kleene_star, pseudovertices, tropical_vertices
 
-    mat = result.fm_polytrope
+    # Both vertex lists read the closure; starring it once serves both.
+    star = kleene_star(result.fm_polytrope)
     out: dict[str, Any] = {
         "mean": point_to_json(result.mean),
         "distances": [format_rational(d) for d in result.distances],
         "min_sum": format_rational(result.min_sum),
-        "fm_polytrope": matrix_to_json(mat),
+        "fm_polytrope": matrix_to_json(result.fm_polytrope),
         "exact": result.exact,
-        "tropical_vertices": [point_to_json(v) for v in tropical_vertices(mat)],
-        "pseudovertices": [point_to_json(v) for v in pseudovertices(mat)],
+        "tropical_vertices": [point_to_json(v) for v in tropical_vertices(star)],
+        "pseudovertices": [point_to_json(v) for v in pseudovertices(star)],
     }
     if result.certificate is not None:
         out["certificate"] = certificate_to_json(result.certificate)

@@ -1,10 +1,12 @@
 """The benchmark's tracer finds the exact QP by two module attributes.
 
 ``perfbench/tracer.py`` counts the rows of each epigraph program through
-``tropmean.frechet.minimize_qp`` and the active-set iterations through
-``tropmean.qp.nullspace``.  A kernel change that renamed either, or stopped
-computing one basis per iteration, would zero or skew those layers without
-failing anything else.
+``tropmean.frechet.minimize_qp`` (2nm rows for m samples in n coordinates)
+and the active-set iterations through ``tropmean.qp.nullspace``, which the
+loop calls once per iteration on the working-set rows, whether their basis
+comes from the forest or from the RREF.  A kernel change that renamed
+either, or stopped computing one basis per iteration, would zero or skew
+those layers without failing anything else.
 """
 
 import importlib
@@ -66,5 +68,5 @@ def test_one_exact_solve_counts_its_rows_and_iterations(tracer, monkeypatch):
     (program,) = programs
     _, stats = reference_qp(*program)
     assert spans.calls["qp.minimize"] == 1
-    assert spans.counts["qp.minimize.rows"] == len(program[2]) == 8 * 5 * 4
+    assert spans.counts["qp.minimize.rows"] == len(program[2]) == 2 * 5 * 8
     assert spans.counts["qp.nullspace_calls"] == stats["iterations"] > 1

@@ -1,6 +1,7 @@
 """Rational linear algebra, LP feasibility and the active-set QP solver."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 from unittest import mock
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
+from tropmean import SampleSet, canonicalize
 from tropmean.linalg import dot, mat_vec, nullspace, rref, solve_affine
 from tropmean.qp import QPError, minimize_qp
 from tropmean.simplex import feasible_point
@@ -389,11 +392,16 @@ def _qp_programs(draw):
 def test_qp_matches_the_fraction_active_set_loop(program):
     """The integer kernel returns what the rational loop returns, after the
     same number of iterations (one nullspace per iteration)."""
+    _assert_matches_reference(program)
+
+
+def _assert_matches_reference(program):
     calls = []
+    basis = qp_mod.nullspace
 
     def counted(*args):
         calls.append(1)
-        return nullspace(*args)
+        return basis(*args)
 
     try:
         expected, stats = reference_qp(*program)
@@ -405,3 +413,116 @@ def test_qp_matches_the_fraction_active_set_loop(program):
         result = minimize_qp(*program)
     assert result == expected
     assert len(calls) == stats["iterations"]
+
+
+class _Recorded(Exception):
+    pass
+
+
+@st.composite
+def _split_programs(draw):
+    """The split epigraph program of a random sample, n <= 5 and m <= 6,
+    started at a random point; coordinates repeat often, so ties abound."""
+    n = draw(st.integers(2, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, 6)))]
+    start = canonicalize([draw(entry) for _ in range(n)])
+    programs = []
+
+    def record(*args):
+        programs.append(args)
+        raise _Recorded
+
+    with mock.patch.object(frechet_mod, "minimize_qp", record):
+        with pytest.raises(_Recorded):
+            frechet_mod._epigraph_qp(SampleSet.from_rows(rows), start)
+    return n, programs[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_split_programs())
+def test_split_programs_match_the_fraction_active_set_loop(case):
+    """On the mean's own programs, whose rows are all difference rows, the
+    forest route returns what the rational loop returns, after as many
+    iterations."""
+    n, program = case
+    _, _, rows, d, z0 = program
+    assert all(sum(1 for v in row if v) <= 2 for row in rows)
+    # The start lifts u_j and l_j to the max and min: each has a tight row.
+    slacks = [dot(row, z0) - rhs for row, rhs in zip(rows, d)]
+    assert all(min(slacks[r : r + n]) == 0 for r in range(0, len(rows), n))
+    _assert_matches_reference(program)
+
+
+@st.composite
+def _difference_row_sets(draw, forest=True):
+    """Sparse difference rows on nvars variables, in qp's form: c (e_a - e_b)
+    as [(a, c), (b, -c)] with a < b, or [(a, c)] against the ground.
+
+    As a forest, each variable, in a random order, stays isolated or joins
+    the ground or one variable drawn before it; otherwise extra rows may
+    close cycles or repeat a row scaled.  The rows come shuffled.
+    """
+    nvars = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(nvars)))
+    coef = st.integers(-5, 5).filter(bool)
+    ends = []
+    for pos, t in enumerate(order):
+        other = draw(st.sampled_from([None, nvars, *order[:pos]]))
+        if other is not None:
+            ends.append((t, other))
+    if not forest:
+        node = st.integers(0, nvars)
+        for _ in range(draw(st.integers(0, 4))):
+            a, b = draw(node), draw(node)
+            if a != b:
+                ends.append((a, b))
+    rows = []
+    for a, b in ends:
+        c = draw(coef)
+        a, b = min(a, b), max(a, b)
+        rows.append([(a, c)] if b == nvars else [(a, c), (b, -c)])
+    return draw(st.permutations(rows)), nvars
+
+
+@settings(max_examples=300, deadline=None)
+@given(_difference_row_sets())
+@example(([], 3))
+@example(([[(0, 2), (2, -2)], [(1, -3)]], 4))
+def test_forest_nullspace_is_the_rref_basis(case):
+    rows, nvars = case
+    assert qp_mod.nullspace(rows, nvars) == nullspace(qp_mod._dense(rows, nvars), nvars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_difference_row_sets(forest=False))
+def test_union_find_keeps_the_rows_rref_keeps(case):
+    rows, nvars = case
+    labels = list(range(len(rows)))
+    kept = qp_mod._independent_subset(rows, labels, nvars)
+    assert kept == qp_mod._rref_independent_subset(rows, labels, nvars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_difference_row_sets(), st.data())
+def test_leaf_peeling_solves_the_multiplier_system(case, data):
+    rows, nvars = case
+    u = [data.draw(st.fractions(-4, 4, max_denominator=3)) for _ in rows]
+    # grad = C^T u, over a common denominator so that it is an integer vector
+    den = lcm(*(v.denominator for v in u))
+    grad = [0] * nvars
+    for row, v in zip(rows, u):
+        for t, c in row:
+            grad[t] += c * v * den
+    grad = [int(g) for g in grad]
+    u = [v * den for v in u]
+    assert qp_mod._multipliers(rows, grad) == u
+    if rows:
+        assert qp_mod._rref_multipliers(rows, grad) == u
+    # A residual no row can absorb is an inconsistency on both routes.
+    free = [t for t in range(nvars) if all(t not in dict(row) for row in rows)]
+    if free and rows:
+        grad[free[0]] += 1
+        for solve in (qp_mod._multipliers, qp_mod._rref_multipliers):
+            with pytest.raises(QPError):
+                solve(rows, grad)

@@ -5,8 +5,10 @@ from random import Random
 
 import pytest
 
+import tropmean.qp as qp_mod
 from tropmean import (
     SampleSet,
+    active_pieces,
     brute_force_frechet,
     canonicalize,
     exact_frechet,
@@ -19,6 +21,7 @@ from tropmean import (
     two_point_mean,
     verify_certificate,
 )
+from tropmean.cli import _random_sample
 from support import int_sample, rand_point, rand_sample
 
 F = Fraction
@@ -137,6 +140,84 @@ def test_exact_duplicated_sample():
     assert result.distances[0] == result.distances[1]
     assert result.certificate is not None
     assert verify_certificate(s, result.certificate)
+
+
+def test_split_certificate_on_ties():
+    # At the mean (0, 1, 1, 1), sample 1 is largest in x - p at coordinates
+    # 0 and 2 and smallest at 1 and 3, so both of its sides carry a tie.
+    s = SampleSet.from_rows([(-1, -3, 1, 1), (-3, 3, -2, 3), (1, 2, 0, -2)])
+    result = exact_frechet(s)
+    assert result.exact
+    assert result.mean == canonicalize([0, 1, 1, 1])
+    cert = result.certificate
+    assert verify_certificate(s, cert)
+    active = active_pieces(s, result.mean.coords)
+    split = 0
+    for j, per in enumerate(cert.weights):
+        assert sum(w for _, w in per) == 1
+        assert all(piece in active[j] for piece, _ in per)
+        # Orient each piece from its largest to its smallest coordinate; the
+        # weights are then the products alpha_i beta_k of their marginals.
+        oriented = {}
+        for piece, w in per:
+            if piece.form_value(result.mean.coords) == result.distances[j]:
+                oriented[piece.i, piece.k] = w
+            else:
+                oriented[piece.k, piece.i] = w
+        alpha, beta = {}, {}
+        for (i, k), w in oriented.items():
+            alpha[i] = alpha.get(i, 0) + w
+            beta[k] = beta.get(k, 0) + w
+        for i, a in alpha.items():
+            for k, b in beta.items():
+                assert oriented.get((i, k), 0) == a * b
+        split += len(alpha) >= 2 and len(beta) >= 2
+    assert split == 1
+
+
+def test_exact_bench_cell_15_15():
+    # Bench cell (15, 15) rep 1, larger than any benchmark cell.  The values,
+    # times 5 (25 for the sum), were computed with the n(n-1)m-row epigraph
+    # program that the split program replaced; both solve the same problem.
+    result = exact_frechet(_random_sample(0, 15, 15, 1))
+    assert result.exact
+    assert [5 * d for d in result.distances] == [
+        239, 284, 270, 218, 261, 239, 272, 251, 234, 239, 276, 257, 255, 224, 271
+    ]
+    assert 25 * result.min_sum == 963172
+    assert [[5 * v for v in row] for row in result.fm_polytrope.entries] == [
+        [0, -53, -62, -110, -113, -50, -184, -35, -17, -124, -7, -82, -47, -76, -115],
+        [-47, 0, -87, -174, -103, -71, -83, -137, -109, -123, -21, -144, -73, -123, -146],
+        [-3, -24, 0, -42, -190, -85, -148, -76, -90, -157, -80, -168, -9, -118, -123],
+        [32, -63, -53, 0, -85, -63, 23, -31, -27, -17, -24, -73, 33, -31, -112],
+        [22, 5, -63, -29, 0, -57, 13, 23, 41, -27, 22, -55, 23, -41, -57],
+        [-24, -71, -12, -54, -28, 0, -95, -65, -62, -30, -3, -106, -2, -105, -118],
+        [-19, -30, 1, -47, -54, -37, 0, 17, -67, -51, -47, -22, -17, 8, -135],
+        [-69, -88, -102, -112, -78, -120, -170, 0, -110, -120, -43, -98, -62, -6, -98],
+        [-55, -66, -29, -77, -90, -71, -120, -19, 0, -91, -28, -58, -47, -28, -157],
+        [32, 11, -124, -7, -107, 28, -147, 2, 20, 0, 1, -76, 24, -37, -78],
+        [-10, -10, 10, -38, -22, -46, -19, -1, -78, -25, 0, -20, -8, -73, -76],
+        [-25, -46, -107, -64, -115, 20, -128, -40, -18, -5, -11, 0, 16, -45, -112],
+        [-27, -17, -7, -66, -23, -88, -149, -88, -57, -47, -93, -114, 0, 1, -113],
+        [-76, 6, 8, -123, -24, -135, -11, -87, -58, -47, -103, -22, -47, 0, -60],
+        [-36, -34, 3, -50, -22, -54, -89, 0, -135, -53, -93, -20, -25, -9, 0],
+    ]
+
+
+def test_exact_mean_takes_the_forest_route(monkeypatch):
+    # Every working set of the split program is a forest.  A fallback to the
+    # RREF routines would keep every output and lose the speed.
+    sample = _random_sample(0, 8, 16, 1)
+    expected = exact_frechet(sample)
+
+    def refuse(*args):
+        raise AssertionError("the exact route fell back to RREF")
+
+    for name in ("rref_nullspace", "_rref_multipliers", "_rref_independent_subset"):
+        monkeypatch.setattr(qp_mod, name, refuse)
+    result = exact_frechet(sample)
+    assert result.exact
+    assert result == expected
 
 
 @pytest.mark.parametrize("failure", ["qp", "verification"])

@@ -155,6 +155,24 @@ def test_result_document_shape():
     json.dumps(doc)  # the document is plain JSON data
 
 
+def test_result_document_stars_the_mean_polytrope_once(monkeypatch):
+    import tropmean.polytrope as polytrope_mod
+
+    closures = []
+    star = polytrope_mod.kleene_star
+
+    def counted(c):
+        if not c.starred:
+            closures.append(c)
+        return star(c)
+
+    monkeypatch.setattr(polytrope_mod, "kleene_star", counted)
+    result = exact_frechet(SampleSet.from_rows([(0, 0, 0), (0, 1, 2), (0, 3, 1)]))
+    doc = result_to_json(result)
+    assert closures == [result.fm_polytrope]
+    assert doc["tropical_vertices"] and doc["pseudovertices"]
+
+
 def test_load_points_json_forms():
     s, options = load_points('{"points": [[0, 1], ["1/2", 3]]}')
     assert s.m == 2 and s.n == 2
