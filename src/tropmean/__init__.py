@@ -11,7 +11,6 @@ from .certify import (
     QuadraticForm,
     QuadraticPiece,
     active_pieces,
-    find_certificate,
     min_quadratic,
     verify_certificate,
 )
@@ -27,6 +26,7 @@ from .core import (
 )
 from .errors import (
     BudgetExceeded,
+    CertificateError,
     EmptyPolytrope,
     InternalError,
     NotOptimal,
@@ -37,6 +37,7 @@ from .errors import (
 from .frechet import (
     FrechetResult,
     exact_frechet,
+    find_certificate,
     fm_polytrope,
     greedy_frechet,
     objective,
@@ -62,6 +63,7 @@ __all__ = [
     "AffineForm",
     "BudgetExceeded",
     "Certificate",
+    "CertificateError",
     "EmptyPolytrope",
     "FrechetResult",
     "InternalError",

@@ -5,8 +5,9 @@ Each squared distance to a sample is the maximum of squares of affine forms
 global minimizer exactly when some convex combination of the pieces that are
 active at x* has vanishing gradient there: the combined weighted quadratic
 then touches the objective from below at x*, so its exact minimum certifies
-the optimal value.  Finding weights is rational linear feasibility; checking
-a certificate is an independent exact minimization of the combined form.
+the optimal value.  The weights come from the multipliers of the exact
+quadratic program in ``frechet``; checking a certificate here is an
+independent exact minimization of the combined form.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
-from .errors import InternalError, NotOptimal
+from .core import RationalLike, SampleSet, as_rational, trop_dist
+from .errors import CertificateError, InternalError
 from .linalg import AffineSolution, solve_affine
-from .simplex import feasible_point
 
 
 @dataclass(frozen=True)
@@ -97,57 +97,6 @@ def active_pieces(sample: SampleSet, x: Sequence[RationalLike]) -> list[list[Qua
     return out
 
 
-def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
-    """Search for convex piece weights with vanishing combined gradient at x_star.
-
-    Feasibility of the rational linear system below is equivalent to x_star
-    minimizing the summed squared distances, so failure raises NotOptimal.
-    Pieces are reported through their i < k representative.
-    """
-    n = sample.n
-    m = sample.m
-    xs = list(x_star.coords)
-    dists = [trop_dist(xs, p) for p in sample]
-
-    # Canonical (i < k) active pieces per sample, in scan order.
-    per_sample: list[list[QuadraticPiece]] = []
-    for j, acts in enumerate(active_pieces(sample, xs)):
-        seen: set[tuple[int, int]] = set()
-        canon = []
-        for piece in acts:
-            key = (min(piece.i, piece.k), max(piece.i, piece.k))
-            if key not in seen:
-                seen.add(key)
-                canon.append(piece_for(sample, j, key[0], key[1]))
-        per_sample.append(canon)
-
-    cols = [(j, piece) for j in range(m) for piece in per_sample[j]]
-    nrows = n + m
-    a: list[list[Fraction]] = [[Fraction(0)] * len(cols) for _ in range(nrows)]
-    b: list[Fraction] = [Fraction(0)] * n + [Fraction(1)] * m
-    for col, (j, piece) in enumerate(cols):
-        # Gradient of w * (x_i - x_k - c)^2 at x* is 2 w ell (e_i - e_k)
-        # with ell = +-d_j; the common factor 2 is dropped.
-        ell = piece.form_value(xs)
-        a[piece.i][col] = ell
-        a[piece.k][col] = -ell
-        a[n + j][col] = Fraction(1)
-
-    lam = feasible_point(a, b)
-    if lam is None:
-        raise NotOptimal("no convex combination of active pieces is stationary here")
-
-    weights = []
-    for j in range(m):
-        entries = []
-        for col, (jj, piece) in enumerate(cols):
-            if jj == j and lam[col] != 0:
-                entries.append((piece, lam[col]))
-        weights.append(tuple(entries))
-    c_star = sum((d * d for d in dists), Fraction(0))
-    return Certificate(c_star, tuple(weights))
-
-
 def combined_form(sample: SampleSet, cert: Certificate) -> QuadraticForm:
     """The certificate's weighted sum of squared pieces as one quadratic form."""
     n = sample.n
@@ -165,28 +114,28 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     """Independent check that the certificate proves objective >= c_star.
 
     Structural defects (weights not convex, piece constants that do not
-    match the sample data) raise ValueError.  Otherwise the combined
+    match the sample data) raise CertificateError.  Otherwise the combined
     quadratic is minimized exactly and compared against c_star.
     """
     if len(cert.weights) != sample.m:
-        raise ValueError("certificate sample count mismatch")
+        raise CertificateError("certificate sample count mismatch")
     n = sample.n
     for j, per in enumerate(cert.weights):
         if not per:
-            raise ValueError(f"sample {j} carries no pieces")
+            raise CertificateError(f"sample {j} carries no pieces")
         total = Fraction(0)
         for piece, w in per:
             if piece.sample != j:
-                raise ValueError("piece attached to the wrong sample")
+                raise CertificateError("piece attached to the wrong sample")
             if not (0 <= piece.i < n and 0 <= piece.k < n) or piece.i == piece.k:
-                raise ValueError("piece indices out of range")
+                raise CertificateError("piece indices out of range")
             if piece.c != sample[j][piece.i] - sample[j][piece.k]:
-                raise ValueError("piece constant does not match the sample")
+                raise CertificateError("piece constant does not match the sample")
             if w < 0:
-                raise ValueError("negative weight")
+                raise CertificateError("negative weight")
             total += w
         if total != 1:
-            raise ValueError(f"weights of sample {j} sum to {total}, not 1")
+            raise CertificateError(f"weights of sample {j} sum to {total}, not 1")
     value, _ = min_quadratic(combined_form(sample, cert))
     return value >= cert.c_star
 

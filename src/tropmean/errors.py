@@ -24,8 +24,13 @@ class Unbounded(TropmeanError):
 
 
 class NotOptimal(TropmeanError):
-    """Raised when no positivity certificate exists at the queried point,
-    i.e. the point is not a minimizer of the summed squared distances."""
+    """Raised when the queried point is not a minimizer of the summed squared
+    distances, or when no mean of the sample could be certified."""
+
+
+class CertificateError(TropmeanError, ValueError):
+    """Raised when a certificate is malformed: pieces that do not fit the
+    sample, or weights that are not convex.  Also a ValueError."""
 
 
 class InternalError(TropmeanError):

@@ -9,6 +9,8 @@ on the torus.  Two routes live here:
   coordinatewise average, whose optimum is the exact mean and whose KKT
   multipliers are its positivity certificate; the certificate is checked
   independently before the mean is reported as exact.
+  ``find_certificate`` hands out that certificate for any point whose
+  objective equals its certified minimum.
 
 ``fm_polytrope`` gives the h-description of the full mean set, obtained by
 intersecting the tropical balls around the samples with the per-sample
@@ -31,6 +33,7 @@ from .core import (
     canonicalize,
     trop_dist,
 )
+from .errors import NotOptimal
 from .polytrope import PolytropeMatrix, segment_breakpoints
 from .qp import QPError, minimize_qp
 
@@ -188,8 +191,12 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
     is the intersection of the tropical balls B(p_j, d_j); entrywise that
     is c_ij = max_j(-d_j + p_{j,i} - p_{j,k}) with a zero diagonal.
     """
+    return _mean_set(sample, [trop_dist(mean, p) for p in sample])
+
+
+def _mean_set(sample: SampleSet, dists: Sequence[Fraction]) -> PolytropeMatrix:
+    """The intersection of the balls B(p_j, d_j) given the distances d_j."""
     n = sample.n
-    dists = [trop_dist(mean, p) for p in sample]
     # The maximum runs over integers on one common denominator.
     den = lcm(*(v.denominator for v in dists), *(c.denominator for p in sample for c in p))
     dn = [v.numerator * (den // v.denominator) for v in dists]
@@ -246,22 +253,45 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     )
     try:
         mean, cert = _epigraph_qp(sample, start)
-        certified = verify_certificate(sample, cert) and cert.c_star == objective(
-            sample, mean.coords
-        )
     except QPError:
-        certified = False
-    if not certified:
-        mean, cert = start, None
+        return _result_at(sample, start)
+    result = _result_at(sample, mean, cert)
+    if cert.c_star == result.min_sum and verify_certificate(sample, cert):
+        return result
+    return _result_at(sample, start)
+
+
+def _result_at(
+    sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None
+) -> FrechetResult:
+    """The result at ``mean``, flagged exact when a ``cert`` is given."""
     dists = tuple(trop_dist(mean, p) for p in sample)
     return FrechetResult(
         mean=mean,
         distances=dists,
         min_sum=sum((d * d for d in dists), Fraction(0)),
-        fm_polytrope=fm_polytrope(sample, mean),
-        exact=certified,
+        fm_polytrope=_mean_set(sample, dists),
+        exact=cert is not None,
         certificate=cert,
     )
+
+
+def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
+    """The verified certificate of ``exact_frechet``, when x_star is a mean.
+
+    A certificate proves objective >= c_star everywhere and names no point,
+    so x_star is a Fréchet mean exactly when its objective equals the
+    certified minimum; the certificate then proves its optimality.  Raises
+    NotOptimal when x_star's objective is higher, or when no mean of the
+    sample could be certified.
+    """
+    result = exact_frechet(sample)
+    if not result.exact:
+        raise NotOptimal("could not certify a mean for this sample")
+    value = objective(sample, x_star.coords)
+    if value != result.min_sum:
+        raise NotOptimal(f"objective {value} exceeds the certified minimum {result.min_sum}")
+    return result.certificate
 
 
 def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Certificate]:

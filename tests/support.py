@@ -127,3 +127,71 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000):
         if blocker is not None:
             work.append(blocker)
     raise QPError("active-set iteration cap exceeded")
+
+
+# A textbook phase-one simplex with Bland's rule: artificial variables are
+# introduced for every row and their sum is minimized.  Bland's pivot rule
+# (smallest eligible index, smallest row index on ratio ties) guarantees
+# termination, and with Fraction arithmetic there is no tolerance to tune.
+# It is the reference the polytrope suite checks its extreme-point filter by.
+def feasible_point(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """Return some x >= 0 with A x = b, or None when the system is infeasible."""
+    nrows = len(a)
+    if nrows == 0:
+        return []
+    nvars = len(a[0])
+
+    # Tableau columns: nvars original variables, nrows artificials, then rhs.
+    tab: list[list[Fraction]] = []
+    for i in range(nrows):
+        row = [Fraction(v) for v in a[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(nrows))
+        row.append(rhs)
+        tab.append(row)
+    basis = [nvars + i for i in range(nrows)]
+    total = nvars + nrows
+
+    # Objective row for sum of artificials, expressed in the current basis.
+    obj = [Fraction(0)] * (total + 1)
+    for i in range(nrows):
+        for j in range(total + 1):
+            obj[j] += tab[i][j]
+
+    while True:
+        enter = next((j for j in range(nvars) if obj[j] > 0), None)
+        if enter is None:
+            break
+        ratio = None
+        leave = None
+        for i in range(nrows):
+            if tab[i][enter] > 0:
+                r = tab[i][total] / tab[i][enter]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio = r
+                    leave = i
+        if leave is None:
+            # The phase-one objective is bounded below by zero, so an
+            # unbounded pivot column cannot occur.
+            raise RuntimeError("phase-one simplex lost boundedness")
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(nrows):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    if obj[total] != 0:
+        return None
+    x = [Fraction(0)] * nvars
+    for i, bv in enumerate(basis):
+        if bv < nvars:
+            x[bv] = tab[i][total]
+    return x

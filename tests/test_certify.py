@@ -7,6 +7,7 @@ import pytest
 
 from tropmean import (
     Certificate,
+    CertificateError,
     NotOptimal,
     QuadraticPiece,
     SampleSet,
@@ -14,9 +15,12 @@ from tropmean import (
     canonicalize,
     exact_frechet,
     find_certificate,
+    kleene_star,
+    membership,
     min_quadratic,
     objective,
     trop_dist,
+    tropical_vertices,
     verify_certificate,
 )
 from tropmean.certify import AffineForm, QuadraticForm, combined_form
@@ -122,6 +126,45 @@ def test_malformed_certificates_are_rejected():
         verify_certificate(THREE_POINTS, tampered)
 
 
+def _defective(cert, defect):
+    weights = list(cert.weights)
+    piece, w = weights[0][0]
+    if defect == "sample count":
+        weights.pop()
+    elif defect == "no pieces":
+        weights[0] = ()
+    elif defect == "wrong sample":
+        weights[0] = ((QuadraticPiece(1, piece.i, piece.k, piece.c), w),)
+    elif defect == "out of range":
+        weights[0] = ((QuadraticPiece(0, piece.i, 3, piece.c), w),)
+    elif defect == "constant":
+        weights[0] = ((QuadraticPiece(0, piece.i, piece.k, piece.c + 1), w),)
+    elif defect == "negative weight":
+        weights[0] = ((piece, F(-1)), (piece, F(2)))
+    else:
+        weights[0] = ((piece, F(1, 2)),)
+    return Certificate(cert.c_star, tuple(weights))
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("sample count", "sample count"),
+        ("no pieces", "carries no pieces"),
+        ("wrong sample", "wrong sample"),
+        ("out of range", "out of range"),
+        ("constant", "constant does not match"),
+        ("negative weight", "negative weight"),
+        ("not convex", "sum to 1/2, not 1"),
+    ],
+)
+def test_structural_defects_raise_certificate_error(defect, message):
+    cert = find_certificate(THREE_POINTS, THREE_MEAN)
+    with pytest.raises(CertificateError, match=message) as caught:
+        verify_certificate(THREE_POINTS, _defective(cert, defect))
+    assert isinstance(caught.value, ValueError)
+
+
 def test_combined_form_touches_the_objective_at_the_optimum():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
     form = combined_form(THREE_POINTS, cert)
@@ -212,3 +255,33 @@ def test_certificates_on_random_certified_optima():
         if objective(s, worse.coords) > result.min_sum:
             with pytest.raises(NotOptimal):
                 find_certificate(s, worse)
+
+
+def test_find_certificate_at_every_tropical_vertex_of_the_mean_set():
+    """Every point of the mean set has the exact mean's objective, so its
+    certificate is the exact route's, and each weighted piece is active
+    there: the combined form touches the objective at every minimizer."""
+    rng = Random("certify:vertices")
+    vertices = 0
+    for _ in range(120):
+        n, m = rng.randint(2, 5), rng.randint(1, 5)
+        s = int_sample(rng, n, m)
+        result = exact_frechet(s)
+        assert result.exact
+        for v in tropical_vertices(kleene_star(result.fm_polytrope)):
+            cert = find_certificate(s, v)
+            assert verify_certificate(s, cert)
+            assert cert.c_star == objective(s, v.coords)
+            active = active_pieces(s, v.coords)
+            for j, per in enumerate(cert.weights):
+                assert all(piece in active[j] for piece, _ in per)
+            vertices += 1
+        step = F(1)
+        while True:
+            off = canonicalize(list(result.mean.coords[:-1]) + [result.mean.coords[-1] + step])
+            if not membership(result.fm_polytrope, off.coords):
+                break
+            step *= 2
+        with pytest.raises(NotOptimal):
+            find_certificate(s, off)
+    assert vertices > 200

@@ -14,9 +14,7 @@ import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
 from tropmean.linalg import dot, mat_vec, nullspace, rref, solve_affine
 from tropmean.qp import QPError, minimize_qp
-from tropmean.simplex import feasible_point
-
-from support import reference_qp
+from support import feasible_point, reference_qp
 
 F = Fraction
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
 from tropmean import (
     SampleSet,
@@ -222,8 +225,6 @@ def test_exact_mean_takes_the_forest_route(monkeypatch):
 
 @pytest.mark.parametrize("failure", ["qp", "verification"])
 def test_exact_falls_back_to_the_average_when_not_certified(monkeypatch, failure):
-    import tropmean.frechet as frechet_mod
-
     def raise_qp_error(*args):
         raise frechet_mod.QPError("stub")
 
@@ -236,6 +237,23 @@ def test_exact_falls_back_to_the_average_when_not_certified(monkeypatch, failure
     assert result.certificate is None
     assert result.mean == canonicalize([-1, -2, -4])
     assert result.min_sum == objective(THREE_POINTS, result.mean.coords)
+
+
+def test_a_certified_mean_measures_each_distance_once(monkeypatch):
+    # The distances at the mean feed the certificate check, min_sum and the
+    # mean set alike, so each sample costs one trop_dist call.
+    calls = []
+    real = frechet_mod.trop_dist
+
+    def counted(x, p):
+        calls.append(p)
+        return real(x, p)
+
+    monkeypatch.setattr(frechet_mod, "trop_dist", counted)
+    sample = _random_sample(0, 6, 12, 1)
+    result = exact_frechet(sample)
+    assert result.exact
+    assert len(calls) == sample.m
 
 
 def test_result_invariants_on_random_instances():
@@ -360,3 +378,45 @@ def test_fm_polytrope_matches_the_definition():
             entries = fm_polytrope(sample, mean).entries
             assert entries == _fm_polytrope_by_definition(sample, mean)
             assert all(type(v) is Fraction for row in entries for v in row)
+
+
+@st.composite
+def _metamorphic_cases(draw):
+    """A sample with n <= 4 and m <= 3 and the draws of every transform."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=m, max_size=m
+        )
+    )
+    return (
+        rows,
+        draw(st.permutations(range(m))),
+        draw(st.permutations(range(n))),
+        (draw(st.integers(0, m - 1)), F(draw(st.integers(-9, 9)), draw(st.integers(1, 3)))),
+        draw(st.sampled_from((-3, -2, -1, 2, 3))),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_metamorphic_cases())
+def test_metamorphic_transforms_against_the_oracle(case):
+    """Each transform of the sample changes the exhaustive minimum in a known
+    way, and the exact route certifies the transformed sample's mean."""
+    rows, sample_perm, coord_perm, (shifted, c), k = case
+    value, _, _ = brute_force_frechet(SampleSet.from_rows(rows))
+    transforms = {
+        "permuted samples": ([rows[j] for j in sample_perm], value),
+        "permuted coordinates": ([[p[a] for a in coord_perm] for p in rows], value),
+        "one sample shifted along (1, ..., 1)": (
+            [[v + c for v in p] if j == shifted else p for j, p in enumerate(rows)],
+            value,
+        ),
+        "entries scaled by k": ([[k * v for v in p] for p in rows], k * k * value),
+        "samples duplicated": (rows + rows, 2 * value),
+    }
+    for name, (transformed, expected) in transforms.items():
+        result = exact_frechet(SampleSet.from_rows(transformed))
+        assert result.exact, name
+        assert result.min_sum == expected, name

@@ -24,8 +24,7 @@ from tropmean import (
     trop_scale,
     tropical_vertices,
 )
-from tropmean.simplex import feasible_point
-from support import nonpositive_matrix, rand_point, rand_vector
+from support import feasible_point, nonpositive_matrix, rand_point, rand_vector
 
 F = Fraction
 
