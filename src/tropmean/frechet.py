@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import NotOptimal
 from .polytrope import PolytropeMatrix, segment_breakpoints
-from .qp import QPError, minimize_qp
+from .qp import Edge, QPError, minimize_qp
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -299,9 +299,9 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
 
     The split program writes d(x, p_j) = u_j - l_j and minimizes
     sum (u_j - l_j)^2 over x_2..x_n, u and l subject to u_j - x_i >= -p_{j,i}
-    and x_k - l_j >= p_{j,k} for all i, k: 2nm difference rows, which
-    ``minimize_qp`` solves on a forest.  The start lifts with u_j and l_j at
-    the max and min of x - p_j, and so does the optimum.
+    and x_k - l_j >= p_{j,k} for all i, k: 2nm difference rows, the edges
+    ``minimize_qp`` takes.  The start lifts with u_j and l_j at the max and
+    min of x - p_j, and so does the optimum.
 
     With multipliers alpha_ji and beta_jk on those rows, stationarity in u_j
     and l_j gives sum_i alpha_ji = sum_k beta_jk = 2 t_j, t_j = u_j - l_j, and
@@ -325,24 +325,19 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     g = [zero] * nvars
 
     # Sample j's n rows of u_j, then its n rows of l_j: row r is sample r // 2n.
-    c_rows: list[list[int]] = []
+    # x_1 is the ground, and x_2..x_n are variables 0..n-2.
+    xs = [None, *range(nv)]
+    edges: list[Edge] = []
     d: list[Fraction] = []
     for j in range(m):
-        den = lcm(*(c.denominator for c in sample[j]))
-        p = [c.numerator * (den // c.denominator) for c in sample[j]]
-        for sign, var in ((1, nv + j), (-1, nv + m + j)):
-            for i in range(n):
-                row = [0] * nvars
-                if i > 0:
-                    row[i - 1] = -sign
-                row[var] = sign
-                c_rows.append(row)
-                d.append(Fraction(-sign * p[i], den))
+        edges += [(nv + j, x) for x in xs]
+        edges += [(x, nv + m + j) for x in xs]
+        d += [-c for c in sample[j]] + list(sample[j])
 
     x = start.coords
     gaps = [[a - b for a, b in zip(x, p)] for p in sample]
     z0 = [*x[1:], *map(max, gaps), *map(min, gaps)]
-    c_star, z, active, lam = minimize_qp(h, g, c_rows, d, z0)
+    c_star, z, active, lam = minimize_qp(h, g, edges, d, z0)
 
     # Per sample, its alpha and its beta by coordinate.
     sides: list[tuple[dict[int, Fraction], ...]] = [({}, {}) for _ in range(m)]

@@ -112,34 +112,6 @@ def solve_affine(a: Matrix, b: list[Fraction]) -> AffineSolution | None:
     return AffineSolution(tuple(part), tuple(basis))
 
 
-def nullspace(rows: Matrix, nvars: int) -> list[list[int]]:
-    """Integer basis of {x : rows @ x = 0}.
-
-    One vector per free column f of the RREF: the solution with x_f = 1
-    and the other free variables zero, times the lcm of its denominators.
-    """
-    # Integer rows, such as the quadratic programs pass, need no scaling.
-    m = [
-        list(r) if all(type(v) is int for v in r) else over_common_denominator(r)[1]
-        for r in rows
-    ]
-    pivots = integer_rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(nvars):
-        if f in pivot_set:
-            continue
-        # Row r of m is its RREF row times its pivot, so x_c = -m[r][f] / m[r][c].
-        terms = [(row[f], row[c], c) for row, c in zip(m, pivots) if row[f]]
-        scale = lcm(*(p // gcd(p, v) for v, p, _ in terms))
-        vec = [0] * nvars
-        vec[f] = scale
-        for v, p, c in terms:
-            vec[c] = -v * scale // p
-        basis.append(vec)
-    return basis
-
-
 def mat_vec(a: Matrix, x: list[Fraction]) -> list[Fraction]:
     return [sum((r[j] * x[j] for j in range(len(x))), Fraction(0)) for r in a]
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .core import SampleSet, TorusPoint, canonicalize
 from .errors import BudgetExceeded, InternalError
 from .linalg import dot, solve_affine
-from .qp import minimize_qp
+from .qp import Edge, minimize_qp
 
 Assignment = tuple[tuple[int, int], ...]
 
@@ -44,8 +44,10 @@ class _Cell:
     bound: Fraction  # unconstrained lower bound on the region minimum
     point: list[Fraction] | None  # minimizer in gauge coordinates, if known
     start: list[Fraction]  # feasible gauge point for the deferred program
-    rows: list[list[Fraction]]
+    edges: list[Edge]
     rhs: list[Fraction]
+    # Normal equations (A, b, c0) of the deferred program's sum of squares.
+    normal: tuple[list[list[Fraction]], list[Fraction], Fraction] | None
 
 
 def brute_force_frechet(
@@ -68,14 +70,8 @@ def brute_force_frechet(
     pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
     nv = n - 1
     zero = Fraction(0)
-
-    def gauge_row(i: int, k: int) -> list[Fraction]:
-        row = [zero] * nv
-        if i > 0:
-            row[i - 1] += 1
-        if k > 0:
-            row[k - 1] -= 1
-        return row
+    # Gauge coordinates: x_1 is the ground, and x_2..x_n are variables 0..n-2.
+    node = [None, *range(nv)]
 
     # Difference-constraint increments per (sample, pair): choosing (i, k)
     # for sample j forces x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k.
@@ -153,15 +149,17 @@ def brute_force_frechet(
                 seen = objective_at(gauge_feas)
                 if ub is None or seen < ub:
                     ub = seen
-            rows: list[list[Fraction]] = []
+            edges: list[Edge] = []
             rhs: list[Fraction] = []
+            normal = None
             if value is None:
                 for i in range(n):
                     for k in range(n):
                         c = region[i][k]
                         if c is not None:
-                            rows.append(gauge_row(i, k))
+                            edges.append((node[i], node[k]))
                             rhs.append(c)
+                normal = ([row[:] for row in a_mat], list(b_vec), c0)
             cells.append(
                 _Cell(
                     order=len(cells),
@@ -170,8 +168,9 @@ def brute_force_frechet(
                     bound=bound,
                     point=point,
                     start=gauge_feas,
-                    rows=rows,
+                    edges=edges,
                     rhs=rhs,
+                    normal=normal,
                 )
             )
             return
@@ -183,14 +182,13 @@ def brute_force_frechet(
                     saved.append((a, b, old))
                     region[a][b] = c
             p = sample[j]
-            r = gauge_row(i, k)
             c = p[i] - p[k]
-            for s in range(nv):
-                if r[s]:
-                    b_vec[s] += c * r[s]
-                    for t in range(nv):
-                        if r[t]:
-                            a_mat[s][t] += r[s] * r[t]
+            # The piece (x_i - x_k - c)^2 in gauge coordinates.
+            r = [(t, v) for t, v in ((node[i], 1), (node[k], -1)) if t is not None]
+            for s, rs in r:
+                b_vec[s] += c * rs
+                for t, rt in r:
+                    a_mat[s][t] += rs * rt
             c0 += c * c
 
             bound, _ = lower_bound()
@@ -199,12 +197,10 @@ def brute_force_frechet(
                 descend(j + 1)
                 chosen.pop()
 
-            for s in range(nv):
-                if r[s]:
-                    b_vec[s] -= c * r[s]
-                    for t in range(nv):
-                        if r[t]:
-                            a_mat[s][t] -= r[s] * r[t]
+            for s, rs in r:
+                b_vec[s] -= c * rs
+                for t, rt in r:
+                    a_mat[s][t] -= rs * rt
             c0 -= c * c
             for a, b, old in saved:
                 region[a][b] = old
@@ -221,10 +217,11 @@ def brute_force_frechet(
     ):
         if best is not None and cell.bound > best:
             break
-        h = [[2 * a for a in row] for row in _gram(cell.assignment, nv)]
-        g = [-2 * v for v in _moment(cell.assignment, sample, nv)]
-        qval, z, _, _ = minimize_qp(h, g, cell.rows, cell.rhs, cell.start)
-        cell.value = qval + _const(cell.assignment, sample)
+        gram, moment, const = cell.normal
+        h = [[2 * a for a in row] for row in gram]
+        g = [-2 * v for v in moment]
+        qval, z, _, _ = minimize_qp(h, g, cell.edges, cell.rhs, cell.start)
+        cell.value = qval + const
         cell.point = z
         if best is None or cell.value < best:
             best = cell.value
@@ -264,45 +261,3 @@ def _difference_point(
         if not changed:
             return dist
     return None
-
-
-def _gram(assignment: Assignment, nv: int) -> list[list[Fraction]]:
-    zero = Fraction(0)
-    a = [[zero] * nv for _ in range(nv)]
-    for i, k in assignment:
-        r = _row(i, k, nv)
-        for s in range(nv):
-            if r[s]:
-                for t in range(nv):
-                    if r[t]:
-                        a[s][t] += r[s] * r[t]
-    return a
-
-
-def _moment(assignment: Assignment, sample: SampleSet, nv: int) -> list[Fraction]:
-    zero = Fraction(0)
-    b = [zero] * nv
-    for j, (i, k) in enumerate(assignment):
-        r = _row(i, k, nv)
-        c = sample[j][i] - sample[j][k]
-        for s in range(nv):
-            if r[s]:
-                b[s] += c * r[s]
-    return b
-
-
-def _const(assignment: Assignment, sample: SampleSet) -> Fraction:
-    total = Fraction(0)
-    for j, (i, k) in enumerate(assignment):
-        c = sample[j][i] - sample[j][k]
-        total += c * c
-    return total
-
-
-def _row(i: int, k: int, nv: int) -> list[Fraction]:
-    row = [Fraction(0)] * nv
-    if i > 0:
-        row[i - 1] += 1
-    if k > 0:
-        row[k - 1] -= 1
-    return row

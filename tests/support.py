@@ -59,6 +59,19 @@ def nonpositive_matrix(rng: Random, n: int, span: int = 12) -> PolytropeMatrix:
     return PolytropeMatrix.from_rows(rows)
 
 
+def densify(edges, nvars):
+    """The dense rows of ``qp.minimize_qp`` edges: (a, b) is e_a - e_b, None the ground."""
+    rows = []
+    for a, b in edges:
+        row = [Fraction(0)] * nvars
+        if a is not None:
+            row[a] += 1
+        if b is not None:
+            row[b] -= 1
+        rows.append(row)
+    return rows
+
+
 def reference_qp(h, g, rows, d, z0, max_iter=1000):
     """The primal active-set loop of ``qp.minimize_qp`` written over Fractions.
 

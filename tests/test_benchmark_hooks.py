@@ -3,10 +3,9 @@
 ``perfbench/tracer.py`` counts the rows of each epigraph program through
 ``tropmean.frechet.minimize_qp`` (2nm rows for m samples in n coordinates)
 and the active-set iterations through ``tropmean.qp.nullspace``, which the
-loop calls once per iteration on the working-set rows, whether their basis
-comes from the forest or from the RREF.  A kernel change that renamed
-either, or stopped computing one basis per iteration, would zero or skew
-those layers without failing anything else.
+loop calls once per iteration on the working-set rows.  A kernel change that
+renamed either, or stopped computing one basis per iteration, would zero or
+skew those layers without failing anything else.
 """
 
 import importlib
@@ -20,7 +19,7 @@ import pytest
 import tropmean.frechet as frechet_mod
 from tropmean import SampleSet, exact_frechet
 
-from support import reference_qp
+from support import densify, reference_qp
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 HOOKS = {
@@ -66,7 +65,8 @@ def test_one_exact_solve_counts_its_rows_and_iterations(tracer, monkeypatch):
     assert result.exact
     assert not set(spans.missing) & {f"{m}.{a}" for m, a in HOOKS}
     (program,) = programs
-    _, stats = reference_qp(*program)
+    h, g, edges, d, z0 = program
+    _, stats = reference_qp(h, g, densify(edges, len(z0)), d, z0)
     assert spans.calls["qp.minimize"] == 1
     assert spans.counts["qp.minimize.rows"] == len(program[2]) == 2 * 5 * 8
     assert spans.counts["qp.nullspace_calls"] == stats["iterations"] > 1

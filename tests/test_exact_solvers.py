@@ -1,7 +1,6 @@
 """Rational linear algebra, LP feasibility and the active-set QP solver."""
 
 from fractions import Fraction
-from math import lcm
 from random import Random
 from unittest import mock
 
@@ -12,9 +11,9 @@ from hypothesis import strategies as st
 import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
-from tropmean.linalg import dot, mat_vec, nullspace, rref, solve_affine
+from tropmean.linalg import dot, mat_vec, rref, solve_affine
 from tropmean.qp import QPError, minimize_qp
-from support import feasible_point, reference_qp
+from support import densify, feasible_point, reference_qp
 
 F = Fraction
 
@@ -132,19 +131,6 @@ def test_solve_affine_random_consistent_systems():
         assert mat_vec(a, mix) == b
 
 
-def test_nullspace_dimension_and_membership():
-    rng = Random("linalg:null")
-    for _ in range(40):
-        rows = rng.randint(0, 3)
-        cols = rng.randint(1, 5)
-        a = _rand_matrix(rng, rows, cols)
-        basis = nullspace(a, cols)
-        _, pivots = rref([row[:] for row in a])
-        assert len(basis) == cols - len(pivots)
-        for v in basis:
-            assert all(val == 0 for val in mat_vec(a, list(v)))
-
-
 def test_dot_and_mat_vec():
     assert dot([F(1), F(2)], [F(3), F(4)]) == F(11)
     assert mat_vec([[F(1), F(0)], [F(5), F(2)]], [F(2), F(3)]) == [F(2), F(16)]
@@ -192,38 +178,40 @@ def test_qp_unconstrained_minimum():
 
 
 def test_qp_activates_a_blocking_constraint():
-    # minimize (z1-1)^2 + (z2-2)^2 over z1 + z2 <= 1, i.e. -z1 - z2 >= -1
+    # minimize (z1-1)^2 + (z2-2)^2 over z1 - z2 >= 0 from (2, 0): the step
+    # towards (1, 2) is blocked at (4/3, 4/3), and the optimum is (3/2, 3/2).
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-2), F(-4)]
-    rows = [[F(-1), F(-1)]]
-    value, z, active, _ = minimize_qp(h, g, rows, [F(-1)], [F(0), F(0)])
-    assert z == [F(0), F(1)]
+    value, z, active, lam = minimize_qp(h, g, [(0, 1)], [F(0)], [F(2), F(0)])
+    assert z == [F(3, 2), F(3, 2)]
     assert active == [0]
+    # H z + g = (1, -1) = lam (e_1 - e_2)
+    assert lam == [F(1)]
     # drop the constant terms 1 + 4 carried outside the canonical form
     assert value == _qp_value(h, g, z)
-    assert value == F(-3)
+    assert value == F(-9, 2)
 
 
 def test_qp_leaves_an_inactive_constraint_alone():
     h = [[F(2)]]
     g = [F(-6)]
-    value, z, active, _ = minimize_qp(h, g, [[F(1)]], [F(0)], [F(5)])
+    value, z, active, _ = minimize_qp(h, g, [(0, None)], [F(0)], [F(5)])
     assert z == [F(3)]
     assert active == []
 
 
 def test_qp_rejects_infeasible_start():
     with pytest.raises(QPError):
-        minimize_qp([[F(2)]], [F(0)], [[F(1)]], [F(1)], [F(0)])
+        minimize_qp([[F(2)]], [F(0)], [(0, None)], [F(1)], [F(0)])
 
 
 def test_qp_semidefinite_hessian_with_equality_like_rows():
-    # flat direction z2; constraints pin z2 between 1 and 1
+    # flat direction z2; ground edges both ways round pin z2 between 1 and 1
     h = [[F(2), F(0)], [F(0), F(0)]]
     g = [F(0), F(0)]
-    rows = [[F(0), F(1)], [F(0), F(-1)]]
+    edges = [(1, None), (None, 1)]
     d = [F(1), F(-1)]
-    value, z, active, _ = minimize_qp(h, g, rows, d, [F(4), F(1)])
+    value, z, active, _ = minimize_qp(h, g, edges, d, [F(4), F(1)])
     assert z[0] == F(0)
     assert z[1] == F(1)
     assert value == F(0)
@@ -240,19 +228,15 @@ def test_qp_random_boxes_agree_with_coordinate_clamping():
         hi = [F(rng.randint(1, 5)) for _ in range(nv)]
         h = [[F(0)] * nv for _ in range(nv)]
         g = []
-        rows = []
+        edges = []
         d = []
         for a in range(nv):
             h[a][a] = 2 * diag[a]
             g.append(-2 * diag[a] * target[a])
-            up = [F(0)] * nv
-            up[a] = F(1)
-            dn = [F(0)] * nv
-            dn[a] = F(-1)
-            rows.extend([up, dn])
+            edges.extend([(a, None), (None, a)])
             d.extend([lo[a], -hi[a]])
         z0 = [min(max(F(0), lo[a]), hi[a]) for a in range(nv)]
-        value, z, active, lam = minimize_qp(h, g, rows, d, z0)
+        value, z, active, lam = minimize_qp(h, g, edges, d, z0)
         clamped = [min(max(target[a], lo[a]), hi[a]) for a in range(nv)]
         assert z == clamped
         assert value == _qp_value(h, g, clamped)
@@ -260,92 +244,77 @@ def test_qp_random_boxes_agree_with_coordinate_clamping():
         assert len(lam) == len(active)
         assert all(v >= 0 for v in lam)
         grad = [hz + ga for hz, ga in zip(mat_vec(h, z), g)]
+        rows = densify(edges, nv)
         combined = [sum((v * rows[i][t] for i, v in zip(active, lam)), F(0)) for t in range(nv)]
         assert combined == grad
 
 
-def test_qp_scaled_row_keeps_the_iterates_and_scales_its_multiplier():
-    # minimize (z1-1)^2 + (z2-2)^2 + z3^2 over rows with non-integer entries;
-    # row 0 (z1 + z2 <= 1, written with halves) is the one active at the optimum.
-    h = [[F(2), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(2)]]
-    g = [F(-2), F(-4), F(0)]
-    rows = [
-        [F(-1, 2), F(-1, 2), F(0)],
-        [F(1, 3), F(0), F(2, 5)],
-        [F(0), F(-3, 4), F(1, 6)],
-    ]
-    d = [F(-1, 2), F(-1, 3), F(-5, 2)]
-    z0 = [F(0), F(0), F(0)]
-    value, z, active, lam = minimize_qp(h, g, rows, d, z0)
-    assert z == [F(0), F(1), F(0)]
-    assert active == [0]
-    assert lam == [F(4)]
-    scale = F(7, 3)
-    rows_scaled = [[scale * v for v in rows[0]]] + rows[1:]
-    d_scaled = [scale * d[0]] + d[1:]
-    value_s, z_s, active_s, lam_s = minimize_qp(h, g, rows_scaled, d_scaled, z0)
-    assert (value_s, z_s, active_s) == (value, z, active)
-    assert lam_s == [lam[0] * F(3, 7)]
-
-
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_qp_first_row_blocks_on_a_tie(order):
-    # Two parallel rows both say z1 <= 1, so they block the first step at the
-    # same length; the lower index enters the working set and the other row
-    # stays out, since it is then dependent on it.
+    # z1 <= 1 and z1 - z2 <= 1 both block the first step, from the origin
+    # towards (2, 0), at the same length; the lower index enters the working
+    # set, and the optimum is (1, 0) either way.
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-4), F(0)]
-    pair = [([F(-1), F(0)], F(-1)), ([F(-5, 3), F(0)], F(-5, 3))]
-    rows = [pair[a][0] for a in order]
+    pair = [((None, 0), F(-1)), ((1, 0), F(-1))]
+    edges = [pair[a][0] for a in order]
     d = [pair[a][1] for a in order]
-    value, z, active, lam = minimize_qp(h, g, rows, d, [F(0), F(0)])
+    z0 = [F(0), F(0)]
+    value, z, active, lam = minimize_qp(h, g, edges, d, z0)
     assert z == [F(1), F(0)]
     assert value == F(-3)
-    assert active == [0]
-    # C_A^T lam = H z + g = (-2, 0)
-    assert lam == [F(2) / -rows[0][0]]
+    assert 0 in active
+    # C_A^T lam = H z + g = (-2, 0) puts the whole multiplier on z1 <= 1.
+    assert dict(zip(active, lam)).get(order.index(0)) == 2
+    assert sum(lam) == 2
+    assert (value, z, active, lam) == reference_qp(h, g, densify(edges, 2), d, z0)[0]
 
 
-def _program(h, g, rows, d, z0):
+def _program(h, g, edges, d, z0):
     matrix = lambda a: [[F(v) for v in r] for r in a]
-    return matrix(h), [F(v) for v in g], matrix(rows), [F(v) for v in d], [F(v) for v in z0]
+    return matrix(h), [F(v) for v in g], edges, [F(v) for v in d], [F(v) for v in z0]
 
 
 # Hand-made programs, each built to exercise one feature of the loop.
 QP_CASES = {
-    # min (x - 0)^2 + (x - 3/2)^2 as an epigraph program in (x, t1, t2):
+    # min (u - l)^2 over (x, u, l) with u >= x, u >= 3/2, l <= x and l <= 0:
     # H has a zero block for x, as in frechet's epigraph program.
     "zero-block": _program(
-        [[0, 0, 0], [0, 2, 0], [0, 0, 2]],
+        [[0, 0, 0], [0, 2, -2], [0, -2, 2]],
         [0, 0, 0],
-        [[-1, 1, 0], [1, 1, 0], [-1, 0, 1], [1, 0, 1]],
-        [0, 0, F(-3, 2), F(3, 2)],
-        [0, 0, F(3, 2)],
+        [(1, 0), (1, None), (0, 2), (None, 2)],
+        [0, F(3, 2), 0, 0],
+        [3, 5, -1],
     ),
-    # Rows and right-hand sides with denominators 2 to 6.
-    "non-integer-rows": _program(
+    # Right-hand sides with denominators 2 to 6.
+    "fractional-rhs": _program(
         [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
         [-2, -4, 0],
-        [[F(-1, 2), F(-1, 2), 0], [F(1, 3), 0, F(2, 5)], [0, F(-3, 4), F(1, 6)]],
-        [F(-1, 2), F(-1, 3), F(-5, 2)],
+        [(None, 0), (2, 1), (0, 2), (1, None), (None, 1)],
+        [F(-1, 2), F(-5, 6), F(-7, 4), F(-3, 5), F(-4, 3)],
         [0, 0, 0],
     ),
-    # Two parallel rows both say z1 <= 1 and block the first step together.
-    "parallel-tie": _program(
-        [[2, 0], [0, 2]], [-4, 0], [[-1, 0], [F(-5, 3), 0]], [-1, F(-5, 3)], [0, 0]
+    # One edge twice says z1 <= 1, and both copies block the first step.
+    "repeated-tie": _program(
+        [[2, 0], [0, 2]], [-4, 0], [(None, 0), (None, 0)], [-1, -1], [0, 0]
     ),
     # z1 <= 1 is tight at the start, but its multiplier there is negative.
-    "negative-multiplier": _program([[2, 0], [0, 2]], [0, 0], [[-1, 0]], [-1], [1, 0]),
+    "negative-multiplier": _program([[2, 0], [0, 2]], [0, 0], [(None, 0)], [-1], [1, 0]),
 }
 
 
 def test_qp_cases_exercise_their_feature():
     h, _, _, _, _ = QP_CASES["zero-block"]
     assert all(v == 0 for v in h[0])
-    _, _, rows, _, _ = QP_CASES["non-integer-rows"]
-    assert any(v.denominator > 1 for row in rows for v in row)
-    assert reference_qp(*QP_CASES["parallel-tie"])[1]["ties"] >= 1
-    assert reference_qp(*QP_CASES["negative-multiplier"])[1]["drops"] >= 1
+    _, _, _, d, _ = QP_CASES["fractional-rhs"]
+    assert {v.denominator for v in d} == {2, 3, 4, 5, 6}
+    assert _reference(QP_CASES["repeated-tie"])[1]["ties"] >= 1
+    assert _reference(QP_CASES["negative-multiplier"])[1]["drops"] >= 1
+
+
+def _reference(program):
+    h, g, edges, d, z0 = program
+    return reference_qp(h, g, densify(edges, len(z0)), d, z0)
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -355,8 +324,9 @@ _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 def _qp_programs(draw):
     """Convex programs bounded below: H = M^T M, whose leading columns may be
     zero (a zero block), and g = H w, so the gradient stays in the range of H.
-    Rows are fresh, tight at z0 or not, or positive multiples of an earlier
-    row with the same multiple of its rhs, which tie in the ratio test."""
+    Edges join two variables or a variable and the ground, either way round,
+    and are tight at z0 or not; or they repeat an earlier edge and its rhs,
+    and tie with it in the ratio test."""
     nvars = draw(st.integers(1, 4))
     zero = draw(st.integers(0, nvars - 1))
     m = [
@@ -366,26 +336,27 @@ def _qp_programs(draw):
     h = [[sum((r[a] * r[b] for r in m), F(0)) for b in range(nvars)] for a in range(nvars)]
     g = mat_vec(h, [draw(_small) for _ in range(nvars)])
     z0 = [draw(_small) for _ in range(nvars)]
-    rows, d = [], []
+    at = lambda t: F(0) if t is None else z0[t]
+    node = st.sampled_from([None, *range(nvars)])
+    edges, d = [], []
     for _ in range(draw(st.integers(0, 6))):
-        if rows and draw(st.booleans()):
-            k = draw(st.integers(0, len(rows) - 1))
-            c = draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
-            rows.append([c * v for v in rows[k]])
-            d.append(c * d[k])
+        if edges and draw(st.booleans()):
+            k = draw(st.integers(0, len(edges) - 1))
+            edges.append(edges[k])
+            d.append(d[k])
         else:
-            row = [draw(_small) for _ in range(nvars)]
-            slack = draw(st.sampled_from((F(0), F(0), F(1, 2), F(3))))
-            rows.append(row)
-            d.append(dot(row, z0) - slack)
-    return h, g, rows, d, z0
+            a, b = draw(st.tuples(node, node).filter(lambda e: e[0] != e[1]))
+            slack = draw(st.sampled_from((F(0), F(0), F(1, 2), F(5, 6), F(3))))
+            edges.append((a, b))
+            d.append(at(a) - at(b) - slack)
+    return h, g, edges, d, z0
 
 
 @settings(max_examples=250, deadline=None)
 @given(_qp_programs())
 @example(QP_CASES["zero-block"])
-@example(QP_CASES["non-integer-rows"])
-@example(QP_CASES["parallel-tie"])
+@example(QP_CASES["fractional-rhs"])
+@example(QP_CASES["repeated-tie"])
 @example(QP_CASES["negative-multiplier"])
 def test_qp_matches_the_fraction_active_set_loop(program):
     """The integer kernel returns what the rational loop returns, after the
@@ -402,7 +373,7 @@ def _assert_matches_reference(program):
         return basis(*args)
 
     try:
-        expected, stats = reference_qp(*program)
+        expected, stats = _reference(program)
     except QPError:
         with pytest.raises(QPError):
             minimize_qp(*program)
@@ -440,30 +411,28 @@ def _split_programs(draw):
 @settings(max_examples=100, deadline=None)
 @given(_split_programs())
 def test_split_programs_match_the_fraction_active_set_loop(case):
-    """On the mean's own programs, whose rows are all difference rows, the
-    forest route returns what the rational loop returns, after as many
-    iterations."""
+    """On the mean's own programs the kernel returns what the rational loop
+    returns, after as many iterations."""
     n, program = case
-    _, _, rows, d, z0 = program
-    assert all(sum(1 for v in row if v) <= 2 for row in rows)
+    _, _, edges, d, z0 = program
     # The start lifts u_j and l_j to the max and min: each has a tight row.
+    rows = densify(edges, len(z0))
     slacks = [dot(row, z0) - rhs for row, rhs in zip(rows, d)]
     assert all(min(slacks[r : r + n]) == 0 for r in range(0, len(rows), n))
     _assert_matches_reference(program)
 
 
 @st.composite
-def _difference_row_sets(draw, forest=True):
-    """Sparse difference rows on nvars variables, in qp's form: c (e_a - e_b)
-    as [(a, c), (b, -c)] with a < b, or [(a, c)] against the ground.
+def _edge_sets(draw, forest=True):
+    """Edges on nvars variables in qp's internal form, node nvars being the
+    ground, each either way round.
 
     As a forest, each variable, in a random order, stays isolated or joins
-    the ground or one variable drawn before it; otherwise extra rows may
-    close cycles or repeat a row scaled.  The rows come shuffled.
+    the ground or one variable drawn before it; otherwise extra edges may
+    close cycles or repeat an edge.  The edges come shuffled.
     """
     nvars = draw(st.integers(1, 7))
     order = draw(st.permutations(range(nvars)))
-    coef = st.integers(-5, 5).filter(bool)
     ends = []
     for pos, t in enumerate(order):
         other = draw(st.sampled_from([None, nvars, *order[:pos]]))
@@ -475,52 +444,54 @@ def _difference_row_sets(draw, forest=True):
             a, b = draw(node), draw(node)
             if a != b:
                 ends.append((a, b))
-    rows = []
-    for a, b in ends:
-        c = draw(coef)
-        a, b = min(a, b), max(a, b)
-        rows.append([(a, c)] if b == nvars else [(a, c), (b, -c)])
-    return draw(st.permutations(rows)), nvars
+    ends = [e if draw(st.booleans()) else e[::-1] for e in ends]
+    return draw(st.permutations(ends)), nvars
+
+
+def _dense_ends(ends, nvars):
+    return densify([tuple(None if t == nvars else t for t in e) for e in ends], nvars)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_difference_row_sets())
+@given(_edge_sets())
 @example(([], 3))
-@example(([[(0, 2), (2, -2)], [(1, -3)]], 4))
+@example(([(0, 2), (4, 1)], 4))
 def test_forest_nullspace_is_the_rref_basis(case):
-    rows, nvars = case
-    assert qp_mod.nullspace(rows, nvars) == nullspace(qp_mod._dense(rows, nvars), nvars)
+    ends, nvars = case
+    rows = _dense_ends(ends, nvars) or [[F(0)] * nvars]
+    expected = solve_affine(rows, [F(0)] * len(rows)).basis
+    groups = qp_mod.nullspace(ends, nvars)
+    assert tuple(tuple(int(t in group) for t in range(nvars)) for group in groups) == expected
 
 
 @settings(max_examples=300, deadline=None)
-@given(_difference_row_sets(forest=False))
+@given(_edge_sets(forest=False))
 def test_union_find_keeps_the_rows_rref_keeps(case):
-    rows, nvars = case
-    labels = list(range(len(rows)))
-    kept = qp_mod._independent_subset(rows, labels, nvars)
-    assert kept == qp_mod._rref_independent_subset(rows, labels, nvars)
+    ends, nvars = case
+    kept = qp_mod._independent_subset(ends, list(range(len(ends))), nvars)
+    rows = _dense_ends(ends, nvars)
+    greedy = []
+    for r in range(len(rows)):
+        if len(rref([rows[i] for i in greedy + [r]])[1]) == len(greedy) + 1:
+            greedy.append(r)
+    assert kept == greedy
 
 
 @settings(max_examples=300, deadline=None)
-@given(_difference_row_sets(), st.data())
+@given(_edge_sets(), st.data())
 def test_leaf_peeling_solves_the_multiplier_system(case, data):
-    rows, nvars = case
-    u = [data.draw(st.fractions(-4, 4, max_denominator=3)) for _ in rows]
-    # grad = C^T u, over a common denominator so that it is an integer vector
-    den = lcm(*(v.denominator for v in u))
-    grad = [0] * nvars
-    for row, v in zip(rows, u):
-        for t, c in row:
-            grad[t] += c * v * den
-    grad = [int(g) for g in grad]
-    u = [v * den for v in u]
-    assert qp_mod._multipliers(rows, grad) == u
-    if rows:
-        assert qp_mod._rref_multipliers(rows, grad) == u
-    # A residual no row can absorb is an inconsistency on both routes.
-    free = [t for t in range(nvars) if all(t not in dict(row) for row in rows)]
-    if free and rows:
+    ends, nvars = case
+    u = [data.draw(st.integers(-9, 9)) for _ in ends]
+    # grad = C^T u over the variables; the ground takes no equation.
+    grad = [0] * (nvars + 1)
+    for (a, b), v in zip(ends, u):
+        grad[a] += v
+        grad[b] -= v
+    grad.pop()
+    assert qp_mod._multipliers(ends, grad) == u
+    # A residual no row can absorb is an inconsistency.
+    free = [t for t in range(nvars) if all(t not in e for e in ends)]
+    if free:
         grad[free[0]] += 1
-        for solve in (qp_mod._multipliers, qp_mod._rref_multipliers):
-            with pytest.raises(QPError):
-                solve(rows, grad)
+        with pytest.raises(QPError):
+            qp_mod._multipliers(ends, grad)

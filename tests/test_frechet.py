@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropmean.frechet as frechet_mod
-import tropmean.qp as qp_mod
 from tropmean import (
     SampleSet,
     active_pieces,
@@ -205,22 +204,6 @@ def test_exact_bench_cell_15_15():
         [-76, 6, 8, -123, -24, -135, -11, -87, -58, -47, -103, -22, -47, 0, -60],
         [-36, -34, 3, -50, -22, -54, -89, 0, -135, -53, -93, -20, -25, -9, 0],
     ]
-
-
-def test_exact_mean_takes_the_forest_route(monkeypatch):
-    # Every working set of the split program is a forest.  A fallback to the
-    # RREF routines would keep every output and lose the speed.
-    sample = _random_sample(0, 8, 16, 1)
-    expected = exact_frechet(sample)
-
-    def refuse(*args):
-        raise AssertionError("the exact route fell back to RREF")
-
-    for name in ("rref_nullspace", "_rref_multipliers", "_rref_independent_subset"):
-        monkeypatch.setattr(qp_mod, name, refuse)
-    result = exact_frechet(sample)
-    assert result.exact
-    assert result == expected
 
 
 @pytest.mark.parametrize("failure", ["qp", "verification"])
