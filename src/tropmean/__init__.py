@@ -6,9 +6,7 @@ approximations.
 """
 
 from .certify import (
-    AffineForm,
     Certificate,
-    QuadraticForm,
     QuadraticPiece,
     active_pieces,
     min_quadratic,
@@ -60,7 +58,6 @@ from .polytrope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineForm",
     "BudgetExceeded",
     "Certificate",
     "CertificateError",
@@ -71,7 +68,6 @@ __all__ = [
     "NotOptimal",
     "ParseError",
     "PolytropeMatrix",
-    "QuadraticForm",
     "QuadraticPiece",
     "Rational",
     "SampleSet",

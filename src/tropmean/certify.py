@@ -8,6 +8,11 @@ then touches the objective from below at x*, so its exact minimum certifies
 the optimal value.  The weights come from the multipliers of the exact
 quadratic program in ``frechet``; checking a certificate here is an
 independent exact minimization of the combined form.
+
+The check is built from difference pieces alone: ``add_square`` adds each
+weighted square w (x_i - x_k - c)^2 to the normal equations A y = b in the
+gauge x_1 = 0, and ``min_quadratic`` solves them exactly.  The exhaustive
+oracle builds its region sums with the same two functions.
 """
 
 from __future__ import annotations
@@ -33,29 +38,6 @@ class QuadraticPiece:
 
     def form_value(self, x: Sequence[Fraction]) -> Fraction:
         return x[self.i] - x[self.k] - self.c
-
-
-@dataclass(frozen=True)
-class AffineForm:
-    """coeffs . x + const, with a full-length coefficient vector."""
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-
-    def value_at(self, x: Sequence[Fraction]) -> Fraction:
-        return sum((c * v for c, v in zip(self.coeffs, x)), self.const)
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """A positive-weighted sum of squares of affine forms on the torus,
-    handled in the gauge x_1 = 0."""
-
-    n: int
-    terms: tuple[tuple[AffineForm, Fraction], ...]
-
-    def value_at(self, x: Sequence[Fraction]) -> Fraction:
-        return sum((w * f.value_at(x) ** 2 for f, w in self.terms), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -97,19 +79,6 @@ def active_pieces(sample: SampleSet, x: Sequence[RationalLike]) -> list[list[Qua
     return out
 
 
-def combined_form(sample: SampleSet, cert: Certificate) -> QuadraticForm:
-    """The certificate's weighted sum of squared pieces as one quadratic form."""
-    n = sample.n
-    terms = []
-    for per in cert.weights:
-        for piece, w in per:
-            coeffs = [Fraction(0)] * n
-            coeffs[piece.i] += 1
-            coeffs[piece.k] -= 1
-            terms.append((AffineForm(tuple(coeffs), -piece.c), w))
-    return QuadraticForm(n, tuple(terms))
-
-
 def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     """Independent check that the certificate proves objective >= c_star.
 
@@ -120,6 +89,9 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     if len(cert.weights) != sample.m:
         raise CertificateError("certificate sample count mismatch")
     n = sample.n
+    a = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
+    b = [Fraction(0)] * (n - 1)
+    c0 = Fraction(0)
     for j, per in enumerate(cert.weights):
         if not per:
             raise CertificateError(f"sample {j} carries no pieces")
@@ -134,38 +106,45 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
             if w < 0:
                 raise CertificateError("negative weight")
             total += w
+            c0 += add_square(a, b, piece, w)
         if total != 1:
             raise CertificateError(f"weights of sample {j} sum to {total}, not 1")
-    value, _ = min_quadratic(combined_form(sample, cert))
+    value, _ = min_quadratic(a, b, c0)
     return value >= cert.c_star
 
 
-def min_quadratic(q: QuadraticForm) -> tuple[Fraction, AffineSolution]:
-    """Exact global minimum of a weighted sum of squares in the gauge x_1 = 0.
+def add_square(
+    a: list[list[Fraction]], b: list[Fraction], piece: QuadraticPiece, w: RationalLike
+) -> Fraction:
+    """Add w (x_i - x_k - c)^2 to the normal equations A y = b, in place.
+
+    y = (x_2, ..., x_n) is the gauge x_1 = 0, so a piece that touches x_1
+    adds to one row only.  Returns the square's share w c^2 of the constant
+    term; a negative w removes a square that was added before.
+    """
+    ends = [(t - 1, s) for t, s in ((piece.i, 1), (piece.k, -1)) if t]
+    wc = w * piece.c
+    for s, rs in ends:
+        b[s] += wc * rs
+        row = a[s]
+        for t, rt in ends:
+            row[t] += w * rs * rt
+    return wc * piece.c
+
+
+def min_quadratic(
+    a: list[list[Fraction]], b: list[Fraction], c0: Fraction
+) -> tuple[Fraction, AffineSolution]:
+    """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
+    normal equations ``add_square`` built.
 
     Returns the minimum value together with the full minimizer set (a
-    particular solution of the normal equations and a basis of the flat
-    directions), both padded back to full n-length coordinates.
+    particular solution of A y = b and a basis of the flat directions), both
+    padded back to full n-length coordinates with x_1 = 0.
     """
-    nv = q.n - 1
-    h = [[Fraction(0)] * nv for _ in range(nv)]
-    g = [Fraction(0)] * nv
-    c0 = Fraction(0)
-    for form, w in q.terms:
-        coef = form.coeffs[1:]
-        for a in range(nv):
-            if coef[a] == 0:
-                continue
-            wa = w * coef[a]
-            for bidx in range(nv):
-                if coef[bidx] != 0:
-                    h[a][bidx] += wa * coef[bidx]
-            g[a] += wa * form.const
-        c0 += w * form.const ** 2
-    sol = solve_affine(h, [-v for v in g])
+    sol = solve_affine(a, b)
     if sol is None:
         raise InternalError("normal equations of a sum of squares came out inconsistent")
-    value = c0 + sum((g[a] * sol.particular[a] for a in range(nv)), Fraction(0))
+    value = c0 - sum((v * y for v, y in zip(b, sol.particular)), Fraction(0))
     pad = lambda v: (Fraction(0),) + tuple(v)
-    full = AffineSolution(pad(sol.particular), tuple(pad(b) for b in sol.basis))
-    return value, full
+    return value, AffineSolution(pad(sol.particular), tuple(pad(v) for v in sol.basis))

@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 from random import Random
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
@@ -98,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(handler=_cmd_certify)
 
     p_bench = sub.add_parser("bench", help="timing grid over random samples")
-    p_bench.add_argument("--dims", type=_parse_ints, default=(5, 10, 15, 20))
-    p_bench.add_argument("--multipliers", type=_parse_ints, default=(1, 2, 3))
+    p_bench.add_argument("--dims", type=_ints_at_least(2), default=(5, 10, 15, 20))
+    p_bench.add_argument("--multipliers", type=_ints_at_least(1), default=(1, 2, 3))
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--max-iter", type=int, default=200, help="greedy round cap per rep")
@@ -147,11 +147,19 @@ def _parse_vector(text: str) -> TorusPoint:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _ints_at_least(low: int) -> Callable[[str], tuple[int, ...]]:
+    """An argparse type for comma-separated integers, each at least ``low``."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(p) for p in text.split(",") if p.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if any(v < low for v in values):
+            raise argparse.ArgumentTypeError(f"values must be at least {low}")
+        return values
+
+    return parse
 
 
 def _emit(doc: Any) -> None:

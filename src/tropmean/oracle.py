@@ -15,8 +15,10 @@ normal equations alone (when the free minimizer already lies inside the
 region); only the rest run an exact active-set program.
 
 The module is deliberately independent of the refinement pipeline in
-``frechet``: it shares only the exact linear-algebra and QP kernels, so the
-tests can confront the two routes on equal terms.
+``frechet``: it shares only the exact linear-algebra and QP kernels and
+``certify``'s normal equations of squared difference pieces, and its region
+enumeration is its own, so the tests can confront the two routes on equal
+terms.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certify import add_square, min_quadratic, piece_for
 from .core import SampleSet, TorusPoint, canonicalize
 from .errors import BudgetExceeded, InternalError
-from .linalg import dot, solve_affine
 from .qp import Edge, minimize_qp
 
 Assignment = tuple[tuple[int, int], ...]
@@ -42,12 +44,8 @@ class _Cell:
     assignment: Assignment
     value: Fraction | None  # exact region minimum, if already known
     bound: Fraction  # unconstrained lower bound on the region minimum
-    point: list[Fraction] | None  # minimizer in gauge coordinates, if known
+    point: tuple[Fraction, ...] | None  # minimizer with x_1 = 0, if known
     start: list[Fraction]  # feasible gauge point for the deferred program
-    edges: list[Edge]
-    rhs: list[Fraction]
-    # Normal equations (A, b, c0) of the deferred program's sum of squares.
-    normal: tuple[list[list[Fraction]], list[Fraction], Fraction] | None
 
 
 def brute_force_frechet(
@@ -70,8 +68,6 @@ def brute_force_frechet(
     pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
     nv = n - 1
     zero = Fraction(0)
-    # Gauge coordinates: x_1 is the ground, and x_2..x_n are variables 0..n-2.
-    node = [None, *range(nv)]
 
     # Difference-constraint increments per (sample, pair): choosing (i, k)
     # for sample j forces x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k.
@@ -88,12 +84,25 @@ def brute_force_frechet(
                     cons.append((a, k, p[a] - p[k]))
             per_pair[(i, k)] = cons
         increments.append(per_pair)
+    pieces = [{pair: piece_for(sample, j, *pair) for pair in pairs} for j in range(m)]
 
-    # Accumulated region: bound[i][k] is the current lower bound on
+    def tighten(
+        region: list[list[Fraction | None]], j: int, pair: tuple[int, int]
+    ) -> list[tuple[int, int, Fraction | None]]:
+        """Impose sample j's increments for ``pair``; returns what to undo."""
+        saved = []
+        for a, b, c in increments[j][pair]:
+            old = region[a][b]
+            if old is None or c > old:
+                saved.append((a, b, old))
+                region[a][b] = c
+        return saved
+
+    # Accumulated region: region[i][k] is the current lower bound on
     # x_i - x_k, or None while unconstrained.
     region: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
-    # Normal-equation data of the unconstrained partial sum: A x = b in
-    # gauge coordinates, plus the constant term.
+    # Normal equations A y = b of the unconstrained partial sum in the gauge
+    # x_1 = 0, plus its constant term.
     a_mat = [[zero] * nv for _ in range(nv)]
     b_vec = [zero] * nv
     c0 = zero
@@ -102,106 +111,50 @@ def brute_force_frechet(
     ub: Fraction | None = None  # best objective value seen anywhere
     chosen: list[tuple[int, int]] = []
 
-    def lower_bound() -> tuple[Fraction, list[Fraction]]:
-        sol = solve_affine([row[:] for row in a_mat], list(b_vec))
-        if sol is None:
-            raise InternalError("normal equations of a sum of squares came out inconsistent")
-        x = list(sol.particular)
-        return c0 - dot(b_vec, x), x
-
     def objective_at(x: list[Fraction]) -> Fraction:
-        full = [zero] + x
         total = zero
         for p in sample:
-            diffs = [full[a] - p[a] for a in range(n)]
+            diffs = [x[a] - p[a] for a in range(n)]
             spread = max(diffs) - min(diffs)
             total += spread * spread
         return total
 
-    def in_region(x: list[Fraction]) -> bool:
-        full = [zero] + x
+    def in_region(x: tuple[Fraction, ...]) -> bool:
         for i in range(n):
             row = region[i]
             for k in range(n):
                 c = row[k]
-                if c is not None and full[i] - full[k] < c:
+                if c is not None and x[i] - x[k] < c:
                     return False
         return True
 
+    def settle(bound: Fraction, free_min: tuple[Fraction, ...], feas: list[Fraction]) -> None:
+        """Record the leaf region from its parent's bound and feasible point."""
+        nonlocal ub
+        if in_region(free_min):
+            value, point, seen = bound, free_min, bound
+        else:
+            value, point, seen = None, None, objective_at(feas)
+        if ub is None or seen < ub:
+            ub = seen
+        start = [feas[t] - feas[0] for t in range(1, n)]
+        cells.append(_Cell(len(cells), tuple(chosen), value, bound, point, start))
+
     def descend(j: int) -> None:
-        nonlocal ub, c0
-        if j == m:
-            bound, free_min = lower_bound()
-            if ub is not None and bound > ub:
-                return
-            feas = _difference_point(region, n)
-            if feas is None:
-                return
-            gauge_feas = [feas[t] - feas[0] for t in range(1, n)]
-            if in_region(free_min):
-                value: Fraction | None = bound
-                point: list[Fraction] | None = free_min
-                if ub is None or bound < ub:
-                    ub = bound
-            else:
-                value = None
-                point = None
-                seen = objective_at(gauge_feas)
-                if ub is None or seen < ub:
-                    ub = seen
-            edges: list[Edge] = []
-            rhs: list[Fraction] = []
-            normal = None
-            if value is None:
-                for i in range(n):
-                    for k in range(n):
-                        c = region[i][k]
-                        if c is not None:
-                            edges.append((node[i], node[k]))
-                            rhs.append(c)
-                normal = ([row[:] for row in a_mat], list(b_vec), c0)
-            cells.append(
-                _Cell(
-                    order=len(cells),
-                    assignment=tuple(chosen),
-                    value=value,
-                    bound=bound,
-                    point=point,
-                    start=gauge_feas,
-                    edges=edges,
-                    rhs=rhs,
-                    normal=normal,
-                )
-            )
-            return
+        nonlocal c0
         for i, k in pairs:
-            saved: list[tuple[int, int, Fraction | None]] = []
-            for a, b, c in increments[j][(i, k)]:
-                old = region[a][b]
-                if old is None or c > old:
-                    saved.append((a, b, old))
-                    region[a][b] = c
-            p = sample[j]
-            c = p[i] - p[k]
-            # The piece (x_i - x_k - c)^2 in gauge coordinates.
-            r = [(t, v) for t, v in ((node[i], 1), (node[k], -1)) if t is not None]
-            for s, rs in r:
-                b_vec[s] += c * rs
-                for t, rt in r:
-                    a_mat[s][t] += rs * rt
-            c0 += c * c
-
-            bound, _ = lower_bound()
-            if (ub is None or bound <= ub) and _difference_point(region, n) is not None:
+            saved = tighten(region, j, (i, k))
+            c0 += add_square(a_mat, b_vec, pieces[j][i, k], 1)
+            bound, sol = min_quadratic(a_mat, b_vec, c0)
+            feas = _difference_point(region, n) if ub is None or bound <= ub else None
+            if feas is not None:
                 chosen.append((i, k))
-                descend(j + 1)
+                if j + 1 < m:
+                    descend(j + 1)
+                else:
+                    settle(bound, sol.particular, feas)
                 chosen.pop()
-
-            for s, rs in r:
-                b_vec[s] -= c * rs
-                for t, rt in r:
-                    a_mat[s][t] -= rs * rt
-            c0 -= c * c
+            c0 += add_square(a_mat, b_vec, pieces[j][i, k], -1)
             for a, b, old in saved:
                 region[a][b] = old
 
@@ -210,19 +163,34 @@ def brute_force_frechet(
         raise InternalError("no feasible region, though the regions cover the torus")
 
     # Settle deferred cells cheapest bound first; once the bound passes the
-    # best value no remaining cell can matter.
+    # best value no remaining cell can matter.  Each rebuilds its program
+    # from its assignment.
+    node = [None, *range(nv)]  # x_1 is the ground, x_2..x_n variables 0..n-2
     best = min((c.value for c in cells if c.value is not None), default=None)
     for cell in sorted(
         (c for c in cells if c.value is None), key=lambda c: (c.bound, c.order)
     ):
         if best is not None and cell.bound > best:
             break
-        gram, moment, const = cell.normal
+        cell_region: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
+        gram = [[zero] * nv for _ in range(nv)]
+        moment = [zero] * nv
+        const = zero
+        for j, pair in enumerate(cell.assignment):
+            tighten(cell_region, j, pair)
+            const += add_square(gram, moment, pieces[j][pair], 1)
+        edges: list[Edge] = []
+        rhs: list[Fraction] = []
+        for i in range(n):
+            for k in range(n):
+                if cell_region[i][k] is not None:
+                    edges.append((node[i], node[k]))
+                    rhs.append(cell_region[i][k])
         h = [[2 * a for a in row] for row in gram]
         g = [-2 * v for v in moment]
-        qval, z, _, _ = minimize_qp(h, g, cell.edges, cell.rhs, cell.start)
+        qval, z, _, _ = minimize_qp(h, g, edges, rhs, cell.start)
         cell.value = qval + const
-        cell.point = z
+        cell.point = (zero, *z)
         if best is None or cell.value < best:
             best = cell.value
 
@@ -233,9 +201,8 @@ def brute_force_frechet(
     witness = winners[0].point
     if witness is None:
         raise InternalError("the best region has no minimizer")
-    mean = canonicalize([zero] + witness)
     optimal = [c.assignment for c in winners[:MAX_ASSIGNMENTS]]
-    return best, mean, optimal
+    return best, canonicalize(witness), optimal
 
 
 def _difference_point(

@@ -131,8 +131,12 @@ def matrix_from_json(data: Any) -> PolytropeMatrix:
     if not isinstance(data, dict) or "entries" not in data:
         raise ParseError("matrix JSON must be an object with an 'entries' key")
     entries = data["entries"]
+    if not isinstance(entries, list):
+        raise ParseError("matrix 'entries' must be a list of rows")
     n = data.get("n", len(entries))
-    if not isinstance(entries, list) or len(entries) != n:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ParseError("matrix size n must be an integer of at least 2")
+    if len(entries) != n:
         raise ParseError("matrix entry rows do not match declared size")
     rows: list[list[TropicalScalar]] = []
     for raw in entries:

@@ -23,7 +23,7 @@ from tropmean import (
     tropical_vertices,
     verify_certificate,
 )
-from tropmean.certify import AffineForm, QuadraticForm, combined_form
+from tropmean.certify import add_square
 from support import int_sample, rand_sample
 
 F = Fraction
@@ -165,19 +165,39 @@ def test_structural_defects_raise_certificate_error(defect, message):
     assert isinstance(caught.value, ValueError)
 
 
+def _normal_equations(n, terms):
+    """A, b and c0 of the weighted sum over (piece, w) terms."""
+    a = [[F(0)] * (n - 1) for _ in range(n - 1)]
+    b = [F(0)] * (n - 1)
+    c0 = sum((add_square(a, b, piece, w) for piece, w in terms), F(0))
+    return a, b, c0
+
+
+def _weighted_sum(terms, x):
+    return sum((w * piece.form_value(x) ** 2 for piece, w in terms), F(0))
+
+
+def _random_terms(rng, n):
+    """Weighted difference pieces with rational constants and weights; the
+    pairs are drawn from all of range(n), so some touch the ground x_1."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        i, k = rng.sample(range(n), 2)
+        c = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        terms.append((QuadraticPiece(0, i, k, c), F(rng.randint(1, 8), rng.choice((1, 2, 3)))))
+    return terms
+
+
 def test_combined_form_touches_the_objective_at_the_optimum():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
-    form = combined_form(THREE_POINTS, cert)
-    assert form.value_at(list(THREE_MEAN.coords)) == cert.c_star
-    value, _ = min_quadratic(form)
+    terms = [term for per in cert.weights for term in per]
+    assert _weighted_sum(terms, list(THREE_MEAN.coords)) == cert.c_star
+    value, _ = min_quadratic(*_normal_equations(THREE_POINTS.n, terms))
     assert value == 186
 
 
 def test_min_quadratic_single_square():
-    form = QuadraticForm(
-        3, ((AffineForm((F(0), F(1), F(0)), F(-3)), F(1)),)
-    )
-    value, sol = min_quadratic(form)
+    value, sol = min_quadratic(*_normal_equations(3, [(QuadraticPiece(0, 1, 0, F(3)), F(1))]))
     assert value == 0
     assert sol.particular[1] == 3
     # one flat direction: the third coordinate is free
@@ -185,30 +205,50 @@ def test_min_quadratic_single_square():
     assert sol.basis[0][2] != 0
 
 
+def test_add_square_with_negative_weight_undoes_the_square():
+    rng = Random("certify:undo")
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        terms = _random_terms(rng, n)
+        a, b, c0 = _normal_equations(n, terms)
+        piece, w = terms[-1]
+        c0 += add_square(a, b, piece, -w)
+        assert (a, b, c0) == _normal_equations(n, terms[:-1])
+
+
 def test_min_quadratic_matches_direct_elimination():
     rng = Random("certify:quad")
     for _ in range(50):
         n = rng.randint(2, 5)
-        terms = []
-        for _ in range(rng.randint(1, 6)):
-            coeffs = [F(0)] + [
-                F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n - 1)
-            ]
-            const = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-            weight = F(rng.randint(1, 4))
-            terms.append((AffineForm(tuple(coeffs), const), weight))
-        form = QuadraticForm(n, tuple(terms))
-        value, sol = min_quadratic(form)
-        attained = form.value_at(list(sol.particular))
+        terms = _random_terms(rng, n)
+        value, sol = min_quadratic(*_normal_equations(n, terms))
+        attained = _weighted_sum(terms, list(sol.particular))
         assert attained == value
         # sampled points never beat the reported minimum
         for _ in range(20):
             x = [F(0)] + [F(rng.randint(-8, 8), rng.choice((1, 2))) for _ in range(n - 1)]
-            assert form.value_at(x) >= value
+            assert _weighted_sum(terms, x) >= value
         # flat directions really are flat
         for v in sol.basis:
             shifted = [a + b for a, b in zip(sol.particular, v)]
-            assert form.value_at(shifted) == value
+            assert _weighted_sum(terms, shifted) == value
+
+
+def test_min_quadratic_point_is_stationary_along_every_gauge_axis():
+    """f(x + e_t) == f(x - e_t) for a quadratic f means its gradient has no
+    e_t component at x; checked on the weighted sum itself, with no linear
+    algebra, for every coordinate x_2..x_n the gauge leaves free."""
+    rng = Random("certify:stationary")
+    for _ in range(50):
+        n = rng.randint(2, 5)
+        terms = _random_terms(rng, n)
+        _, sol = min_quadratic(*_normal_equations(n, terms))
+        x = list(sol.particular)
+        assert x[0] == 0
+        for t in range(1, n):
+            up = x[:t] + [x[t] + 1] + x[t + 1:]
+            down = x[:t] + [x[t] - 1] + x[t + 1:]
+            assert _weighted_sum(terms, up) == _weighted_sum(terms, down)
 
 
 def test_min_quadratic_gauge_choice_does_not_matter():
@@ -223,19 +263,14 @@ def test_min_quadratic_gauge_choice_does_not_matter():
             pairs.append((i, k, F(rng.randint(-5, 5)), F(rng.randint(1, 3))))
 
         def build(perm):
-            terms = []
-            for i, k, c, w in pairs:
-                coeffs = [F(0)] * n
-                coeffs[perm[i]] += 1
-                coeffs[perm[k]] -= 1
-                terms.append((AffineForm(tuple(coeffs), c), w))
-            return QuadraticForm(n, tuple(terms))
+            terms = [(QuadraticPiece(0, perm[i], perm[k], c), w) for i, k, c, w in pairs]
+            return _normal_equations(n, terms)
 
         base = list(range(n))
         perm = base[:]
         rng.shuffle(perm)
-        v1, _ = min_quadratic(build(base))
-        v2, _ = min_quadratic(build(perm))
+        v1, _ = min_quadratic(*build(base))
+        v2, _ = min_quadratic(*build(perm))
         assert v1 == v2
 
 

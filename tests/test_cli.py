@@ -286,6 +286,20 @@ def test_bench_records_timings_by_default(capsys):
         assert float(cell) >= 0.0
 
 
+@pytest.mark.parametrize(
+    "flag, value, low", [("--dims", "1", 2), ("--dims", "0", 2), ("--multipliers", "0", 1)]
+)
+def test_bench_refuses_sizes_it_cannot_sample(flag, value, low, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["bench", flag, value, "--reps", "1"])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"tropmean bench: error: argument {flag}: values must be at least {low}"
+    ]
+
+
 def test_bench_trace_is_monotone(capsys):
     args = [
         "bench",
@@ -338,7 +352,13 @@ def test_oversized_literals_exit_2_with_one_line(tmp_path, capsys, coordinate):
 
 
 def test_polytrope_matrix_rejects_malformed_json(tmp_path, capsys):
-    for text in ('{"n": 2, "entries": [[0, -1], [-1, 0]', '{"n": 2, "entries": [[0, 1e4400], [-1, 0]]}'):
+    for text in (
+        '{"n": 2, "entries": [[0, -1], [-1, 0]',
+        '{"n": 2, "entries": [[0, 1e4400], [-1, 0]]}',
+        '{"entries": 5}',
+        '{"entries": [[0]]}',
+        '{"n": true, "entries": [[0]]}',
+    ):
         path = write(tmp_path, "matrix.json", text)
         assert main(["polytrope", "--matrix", path]) == 2
         err = capsys.readouterr().err

@@ -1,7 +1,10 @@
-"""README's Layout block names exactly the modules of the package.
+"""README's Layout block names exactly the modules of the package, and the
+package's export list names only what it defines.
 
 A module added, deleted or moved without the README following would leave
 the layout describing code that is not there; this keeps the two in step.
+A stale name in ``tropmean.__all__`` would otherwise fail only on a star
+import.
 """
 
 import re
@@ -19,3 +22,14 @@ def _layout_modules():
 def test_readme_layout_names_every_module():
     modules = sorted(p.name for p in (ROOT / "src" / "tropmean").glob("*.py"))
     assert _layout_modules() == modules
+
+
+def test_every_exported_name_resolves():
+    import tropmean
+
+    assert len(set(tropmean.__all__)) == len(tropmean.__all__)
+    missing = [name for name in tropmean.__all__ if not hasattr(tropmean, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from tropmean import *", namespace)
+    assert set(tropmean.__all__) <= set(namespace)
