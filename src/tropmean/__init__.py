@@ -45,7 +45,6 @@ from .oracle import brute_force_frechet
 from .polytrope import (
     NEG_INF,
     PolytropeMatrix,
-    SegmentDecomposition,
     ball_to_polytrope,
     intersect,
     kleene_star,
@@ -71,7 +70,6 @@ __all__ = [
     "QuadraticPiece",
     "Rational",
     "SampleSet",
-    "SegmentDecomposition",
     "TorusPoint",
     "TropmeanError",
     "Unbounded",

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Five subcommands: ``distance``, ``mean``, ``polytrope``, ``certify`` and
-``bench``; ``certify --point`` and ``polytrope --mean`` accept a point whose
-objective equals the exact mean's certified minimum.  Results go to stdout
-as JSON (CSV for bench), diagnostics to stderr.  Exit codes: 0 success, 2
-malformed or unusable input, 3 a point that fails optimality certification
-or a mean that could not be certified.
+``bench``; ``certify --point`` accepts a point whose objective equals the
+exact mean's certified minimum.  ``mean`` and ``polytrope`` star their mean
+or input polytrope once and read both vertex lists off that closure; the
+serializer only renders them.  Results go to stdout as JSON (CSV for
+bench), diagnostics to stderr.  Exit codes: 0 success, 2 malformed or
+unusable input, 3 a point that fails optimality certification or a mean
+that could not be certified.
 """
 
 from __future__ import annotations
@@ -78,18 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("file", help="points file (JSON or CSV), '-' for stdin")
     p_mean.add_argument("--mode", choices=("greedy", "exact"), default="exact")
     p_mean.add_argument("--tol", type=_parse_scalar, default=None, help="greedy tolerance")
-    p_mean.add_argument("--max-iter", type=int, default=None, help="greedy round cap")
+    p_mean.add_argument("--max-iter", type=_int_at_least(0), default=None, help="greedy round cap")
     p_mean.set_defaults(handler=_cmd_mean)
 
     p_poly = sub.add_parser("polytrope", help="h-description, vertices and plot data")
     p_poly.add_argument("file", nargs="?", help="points file; omit when using --matrix")
     p_poly.add_argument("--matrix", help="polytrope matrix JSON file instead of points")
-    p_poly.add_argument("--mean", type=_parse_vector, default=None, help="mean as 'a,b,c'")
-    p_poly.add_argument(
-        "--trust",
-        action="store_true",
-        help="skip the optimality certification of --mean",
-    )
     p_poly.set_defaults(handler=_cmd_polytrope)
 
     p_cert = sub.add_parser("certify", help="optimality certificate for a point")
@@ -100,9 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="timing grid over random samples")
     p_bench.add_argument("--dims", type=_ints_at_least(2), default=(5, 10, 15, 20))
     p_bench.add_argument("--multipliers", type=_ints_at_least(1), default=(1, 2, 3))
-    p_bench.add_argument("--reps", type=int, default=10)
+    p_bench.add_argument("--reps", type=_int_at_least(1), default=10)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--max-iter", type=int, default=200, help="greedy round cap per rep")
+    p_bench.add_argument(
+        "--max-iter", type=_int_at_least(0), default=200, help="greedy round cap per rep"
+    )
     p_bench.add_argument("--tol", type=_parse_scalar, default=Fraction(1, 10**9))
     p_bench.add_argument(
         "--trace",
@@ -125,11 +123,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_sample(path: str) -> tuple[SampleSet, dict[str, Any]]:
-    sample, options = load_points(_read_text(path))
-    return sample, options
-
-
 def _parse_scalar(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -145,6 +138,21 @@ def _parse_vector(text: str) -> TorusPoint:
         return canonicalize([parse_rational(p) for p in parts])
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for one integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return parse
 
 
 def _ints_at_least(low: int) -> Callable[[str], tuple[int, ...]]:
@@ -168,7 +176,7 @@ def _emit(doc: Any) -> None:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    sample, _ = _load_sample(args.file)
+    sample, _ = load_points(_read_text(args.file))
     a, b = args.pair
     if not (1 <= a <= sample.m and 1 <= b <= sample.m):
         raise ParseError(f"point indices must be in 1..{sample.m}")
@@ -192,27 +200,31 @@ def _pick(flag: Any, options: dict[str, Any], key: str, default: Any, conv: Any)
 
 
 def _round_cap(value: Any) -> int:
-    """An option's round cap: a whole number, never a bool or a fraction."""
+    """An option's round cap: a whole number of at least 0, never a bool or
+    a fraction."""
     if isinstance(value, bool) or (isinstance(value, Fraction) and value.denominator != 1):
         raise ValueError(f"not an integer: {value!r}")
-    return int(value)
+    cap = int(value)
+    if cap < 0:
+        raise ValueError(f"negative: {value!r}")
+    return cap
 
 
 def _cmd_mean(args: argparse.Namespace) -> int:
     if args.mode == "exact" and (args.tol is not None or args.max_iter is not None):
         raise ParseError("--tol and --max-iter apply to --mode greedy only")
-    sample, options = _load_sample(args.file)
+    sample, options = load_points(_read_text(args.file))
     tol = _pick(args.tol, options, "tol", Fraction(1, 10**9), lambda v: parse_rational(str(v)))
     max_iter = _pick(args.max_iter, options, "max_iter", 400, _round_cap)
 
     if args.mode == "greedy":
         mean, _ = greedy_frechet(sample, max_iter=max_iter, tol=tol)
-        _emit(result_to_json(_result_at(sample, mean)))
-        return 0
-
-    result = exact_frechet(sample)
-    _emit(result_to_json(result))
-    return 0 if result.exact else 3
+        result = _result_at(sample, mean)
+    else:
+        result = exact_frechet(sample)
+    _, tverts, pverts = _closure_and_vertices(result.fm_polytrope)
+    _emit(result_to_json(result, tverts, pverts))
+    return 3 if args.mode == "exact" and not result.exact else 0
 
 
 def _cmd_polytrope(args: argparse.Namespace) -> int:
@@ -222,25 +234,13 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
     if args.matrix is not None:
         mat = matrix_from_json(parse_json(_read_text(args.matrix)))
     else:
-        sample, _ = _load_sample(args.file)
-        if args.mean is None:
-            result = exact_frechet(sample)
-            if not result.exact:
-                raise NotOptimal("could not certify a mean for this sample; pass --mean")
-            mat = result.fm_polytrope
-        else:
-            mean = args.mean
-            if mean.dim != sample.n:
-                raise ParseError(
-                    f"--mean has {mean.dim} coordinates, the points have {sample.n}"
-                )
-            if not args.trust:
-                find_certificate(sample, mean)
-            mat = fm_polytrope(sample, mean)
+        sample, _ = load_points(_read_text(args.file))
+        result = exact_frechet(sample)
+        if not result.exact:
+            raise NotOptimal("could not certify a mean for this sample")
+        mat = result.fm_polytrope
 
-    starred = kleene_star(mat)
-    tverts = tropical_vertices(starred)
-    pverts = pseudovertices(starred)
+    starred, tverts, pverts = _closure_and_vertices(mat)
     doc: dict[str, Any] = {
         "matrix": matrix_to_json(mat),
         "starred": matrix_to_json(starred),
@@ -255,8 +255,17 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
     return 0
 
 
+def _closure_and_vertices(
+    mat: PolytropeMatrix,
+) -> tuple[PolytropeMatrix, list[TorusPoint], list[TorusPoint]]:
+    """The Kleene closure of ``mat``, starred once, with the tropical
+    vertices and pseudovertices read off it."""
+    starred = kleene_star(mat)
+    return starred, tropical_vertices(starred), pseudovertices(starred)
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
-    sample, _ = _load_sample(args.file)
+    sample, _ = load_points(_read_text(args.file))
     if args.point.dim != sample.n:
         raise ParseError(
             f"--point has {args.point.dim} coordinates, the points have {sample.n}"

@@ -224,7 +224,7 @@ def two_point_mean(p1: TorusPoint, p2: TorusPoint) -> TorusPoint:
     if total == 0:
         return p1
     target = total / 2
-    chain = list(segment_breakpoints(p2, p1))  # runs from p1 to p2
+    chain = segment_breakpoints(p2, p1)  # runs from p1 to p2
     acc = Fraction(0)
     for u, w in zip(chain, chain[1:]):
         piece = trop_dist(u, w)

@@ -111,10 +111,3 @@ def solve_affine(a: Matrix, b: list[Fraction]) -> AffineSolution | None:
         basis.append(tuple(vec))
     return AffineSolution(tuple(part), tuple(basis))
 
-
-def mat_vec(a: Matrix, x: list[Fraction]) -> list[Fraction]:
-    return [sum((r[j] * x[j] for j in range(len(x))), Fraction(0)) for r in a]
-
-
-def dot(x: list[Fraction], y: list[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))

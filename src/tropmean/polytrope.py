@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import RationalLike, TorusPoint, as_rational, canonicalize
@@ -151,74 +152,45 @@ def tropical_vertices(c: PolytropeMatrix) -> list[TorusPoint]:
     return out
 
 
-@dataclass(frozen=True)
-class SegmentDecomposition:
-    """The tropical segment between two points as a chain of ordinary segments.
-
-    ``points`` lists the breakpoints in order, both endpoints included, so
-    consecutive entries bound one classical line segment.  A tropical
-    segment in n coordinates never needs more than n breakpoints.
-    """
-
-    points: tuple[TorusPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> SegmentDecomposition:
+def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
     """Breakpoints of the tropical segment from y to x.
 
     Points on the segment are (lam + x) max y with lam running over the
     reals; the combinatorics change exactly at the distinct values of
     y_i - x_i.  Evaluating there yields the breakpoint chain, which starts
-    at y (smallest threshold) and ends at x (largest).
+    at y (smallest threshold) and ends at x (largest), so consecutive
+    entries bound one classical line segment.  A tropical segment in n
+    coordinates never needs more than n breakpoints, and the chain from x
+    to y is the same points in reverse.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     thresholds = sorted({yi - xi for xi, yi in zip(x, y)})
-    pts = []
-    for lam in thresholds:
-        pts.append(canonicalize([max(lam + xi, yi) for xi, yi in zip(x, y)]))
-    return SegmentDecomposition(tuple(pts))
+    return tuple(
+        canonicalize([max(lam + xi, yi) for xi, yi in zip(x, y)]) for lam in thresholds
+    )
 
 
-def pseudovertices(c: PolytropeMatrix, include_non_extreme: bool = False) -> list[TorusPoint]:
+def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
     """Classical vertices of Q(C) found among the tropical segment breakpoints.
 
     The candidates are the tropical vertices and the breakpoints of the
-    tropical segments between every ordered pair of them, in first
-    occurrence order.  A candidate is kept when it is a vertex of Q(C):
-    every candidate lies in Q(C), which is tropically convex, and a point
-    of Q(C) is a vertex exactly when the pairs (i, j) with x_i - x_j equal
-    to the closure entry c*_ij connect all n coordinates, so that the
-    normals e_i - e_j of its tight constraints span the torus.  Pass
-    include_non_extreme to get the unfiltered candidate list instead.
+    tropical segment between each pair of them, walked once per pair from
+    the later vertex to the earlier one, in first occurrence order.  A
+    candidate is kept when it is a vertex of Q(C): every candidate lies in
+    Q(C), which is tropically convex, and a point of Q(C) is a vertex
+    exactly when the pairs (i, j) with x_i - x_j equal to the closure entry
+    c*_ij connect all n coordinates, so that the normals e_i - e_j of its
+    tight constraints span the torus.
 
     For n >= 4 the candidates can miss vertices of Q(C), so the result is
     a subset of the vertex set, not always all of it.
     """
     star = kleene_star(c)
     verts = tropical_vertices(star)
-    candidates: list[TorusPoint] = []
-    seen: set[TorusPoint] = set()
-    for a in verts:
-        if a not in seen:
-            seen.add(a)
-            candidates.append(a)
-    for a in verts:
-        for b in verts:
-            if a is b:
-                continue
-            for p in segment_breakpoints(a, b):
-                if p not in seen:
-                    seen.add(p)
-                    candidates.append(p)
-    if include_non_extreme:
-        return candidates
+    candidates = dict.fromkeys(verts)
+    for a, b in combinations(verts, 2):
+        candidates.update(dict.fromkeys(segment_breakpoints(a, b)))
     return [p for p in candidates if _tight_pairs_connect(star, p)]
 
 

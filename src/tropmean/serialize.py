@@ -20,7 +20,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .certify import Certificate, QuadraticPiece, piece_for
 from .core import SampleSet, TorusPoint, as_rational, canonicalize
@@ -204,19 +204,19 @@ def _piece_index(value: Any, n: int) -> int:
     return value - 1
 
 
-def result_to_json(result: FrechetResult) -> dict[str, Any]:
-    from .polytrope import kleene_star, pseudovertices, tropical_vertices
-
-    # Both vertex lists read the closure; starring it once serves both.
-    star = kleene_star(result.fm_polytrope)
+def result_to_json(
+    result: FrechetResult, tropical: Sequence[TorusPoint], pseudo: Sequence[TorusPoint]
+) -> dict[str, Any]:
+    """A mean result with the tropical vertices and pseudovertices of its
+    mean polytrope, which the caller computes."""
     out: dict[str, Any] = {
         "mean": point_to_json(result.mean),
         "distances": [format_rational(d) for d in result.distances],
         "min_sum": format_rational(result.min_sum),
         "fm_polytrope": matrix_to_json(result.fm_polytrope),
         "exact": result.exact,
-        "tropical_vertices": [point_to_json(v) for v in tropical_vertices(star)],
-        "pseudovertices": [point_to_json(v) for v in pseudovertices(star)],
+        "tropical_vertices": [point_to_json(v) for v in tropical],
+        "pseudovertices": [point_to_json(v) for v in pseudo],
     }
     if result.certificate is not None:
         out["certificate"] = certificate_to_json(result.certificate)

@@ -11,7 +11,7 @@ from random import Random
 
 from tropmean import PolytropeMatrix, SampleSet, canonicalize
 from tropmean.core import TorusPoint
-from tropmean.linalg import dot, mat_vec, rref, solve_affine
+from tropmean.linalg import rref, solve_affine
 from tropmean.qp import QPError
 
 DENOMS = (1, 2, 3, 5)
@@ -57,6 +57,14 @@ def nonpositive_matrix(rng: Random, n: int, span: int = 12) -> PolytropeMatrix:
         for i in range(n)
     ]
     return PolytropeMatrix.from_rows(rows)
+
+
+def mat_vec(a, x):
+    return [sum((r[j] * x[j] for j in range(len(x))), Fraction(0)) for r in a]
+
+
+def dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
 def densify(edges, nvars):

@@ -212,16 +212,41 @@ def test_polytrope_from_points_without_a_mean(tmp_path, capsys):
     assert doc["polygon"] == [["0", "1"], ["1", "1"]]
 
 
-def test_polytrope_checks_a_supplied_mean(tmp_path, capsys):
+def test_polytrope_takes_no_claimed_mean(tmp_path, capsys):
+    """A claimed mean is checked by ``certify --point``; ``polytrope``
+    always computes the mean set itself."""
     path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
-    assert main(["polytrope", path, "--mean", "0,0,-1"]) == 0
-    capsys.readouterr()
-    assert main(["polytrope", path, "--mean", "0,0,0"]) == 3
-    assert main(["polytrope", path, "--mean", "0,0"]) == 2
-    # --trust skips certification and emits the ball intersection anyway
-    assert main(["polytrope", path, "--mean", "0,0,0", "--trust"]) == 0
+    with pytest.raises(SystemExit) as caught:
+        main(["polytrope", path, "--mean", "0,0,-1"])
+    assert caught.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mean"], ["mean", "--mode", "greedy"], ["polytrope"]],
+    ids=["mean", "mean-greedy", "polytrope"],
+)
+def test_mean_and_polytrope_star_one_unstarred_matrix(tmp_path, capsys, monkeypatch, command):
+    import tropmean.cli as cli_mod
+    import tropmean.polytrope as polytrope_mod
+
+    closures = []
+    star = polytrope_mod.kleene_star
+
+    def counted(c):
+        if not c.starred:
+            closures.append(c)
+        return star(c)
+
+    monkeypatch.setattr(polytrope_mod, "kleene_star", counted)
+    monkeypatch.setattr(cli_mod, "kleene_star", counted)
+    path = write(tmp_path, "pts.csv", "0,0,0\n0,1,2\n0,3,1\n")
+    assert main([*command, path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert "matrix" in doc and "pseudovertices" in doc
+    assert len(closures) == 1
+    assert matrix_to_json(closures[0]) == doc.get("matrix", doc.get("fm_polytrope"))
+    assert doc["tropical_vertices"] and doc["pseudovertices"]
 
 
 def test_certify_golden(tmp_path, capsys):
@@ -298,6 +323,31 @@ def test_bench_refuses_sizes_it_cannot_sample(flag, value, low, capsys):
     assert [line for line in captured.err.splitlines() if "error:" in line] == [
         f"tropmean bench: error: argument {flag}: values must be at least {low}"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["bench", "--reps", "0"], None),
+        (["bench", "--max-iter", "-1", "--reps", "1"], None),
+        (["mean", "--mode", "greedy", "--max-iter", "-5"], None),
+        (["mean", "--mode", "greedy"], '{"max_iter": -5}'),
+        (["mean"], '{"max_iter": -5}'),
+    ],
+    ids=["bench-reps", "bench-max-iter", "greedy-max-iter", "greedy-option", "exact-option"],
+)
+def test_unusable_counts_exit_2_with_one_line(tmp_path, capsys, argv, options):
+    if argv[0] == "mean":
+        body = '{"points": [[0, 0, 0], [0, 1, 2]], "options": %s}' % (options or "{}")
+        argv = [*argv, write(tmp_path, "pts.json", body)]
+    try:
+        code = main(argv)
+    except SystemExit as caught:
+        code = caught.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
 def test_bench_trace_is_monotone(capsys):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
-from tropmean.linalg import dot, mat_vec, rref, solve_affine
+from tropmean.linalg import rref, solve_affine
 from tropmean.qp import QPError, minimize_qp
-from support import densify, feasible_point, reference_qp
+from support import densify, dot, feasible_point, mat_vec, reference_qp
 
 F = Fraction
 

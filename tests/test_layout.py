@@ -1,14 +1,18 @@
-"""README's Layout block names exactly the modules of the package, and the
+"""README's Layout block names exactly the modules of the package, its
+Command line section names exactly the command-line flags, and the
 package's export list names only what it defines.
 
-A module added, deleted or moved without the README following would leave
-the layout describing code that is not there; this keeps the two in step.
-A stale name in ``tropmean.__all__`` would otherwise fail only on a star
+A module or flag added, deleted or moved without the README following would
+leave it describing code that is not there; this keeps the two in step.  A
+stale name in ``tropmean.__all__`` would otherwise fail only on a star
 import.
 """
 
+import argparse
 import re
 from pathlib import Path
+
+from tropmean.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +26,27 @@ def _layout_modules():
 def test_readme_layout_names_every_module():
     modules = sorted(p.name for p in (ROOT / "src" / "tropmean").glob("*.py"))
     assert _layout_modules() == modules
+
+
+def _parser_flags():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        flag
+        for command in sub.choices.values()
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+
+
+def test_readme_names_every_cli_flag():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    defined = _parser_flags()
+    assert sorted(defined - documented) == []
+    assert sorted(documented - defined) == []
 
 
 def test_every_exported_name_resolves():

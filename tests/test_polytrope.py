@@ -235,6 +235,22 @@ def test_segment_points_lie_on_the_tropical_segment():
             assert len(deltas) <= 2
 
 
+def _segment_candidates(c):
+    """The tropical vertices, then the breakpoints of the segment between
+    every ordered pair of them, in first occurrence order: each segment is
+    walked from both ends."""
+    verts = tropical_vertices(c)
+    candidates = list(verts)
+    for a in verts:
+        for b in verts:
+            if a == b:
+                continue
+            for p in segment_breakpoints(a, b):
+                if p not in candidates:
+                    candidates.append(p)
+    return candidates
+
+
 def test_pseudovertices_golden_count():
     pts = pseudovertices(KNOWN)
     assert len(pts) == 5
@@ -242,8 +258,7 @@ def test_pseudovertices_golden_count():
     assert all(v in pts for v in tverts)
     for p in pts:
         assert membership(KNOWN, p.coords)
-    raw = pseudovertices(KNOWN, include_non_extreme=True)
-    assert set(pts) <= set(raw)
+    assert set(pts) <= set(_segment_candidates(KNOWN))
 
 
 def test_pseudovertices_of_a_point_ball():
@@ -257,7 +272,7 @@ def test_pseudovertex_filter_drops_interior_breakpoints():
         n = rng.randint(2, 4)
         c = nonpositive_matrix(rng, n, span=6)
         filtered = pseudovertices(c)
-        raw = pseudovertices(c, include_non_extreme=True)
+        raw = _segment_candidates(c)
         assert set(filtered) <= set(raw)
         assert all(membership(c, p.coords) for p in raw)
 
@@ -265,7 +280,7 @@ def test_pseudovertex_filter_drops_interior_breakpoints():
 def _lp_extreme_filter(c):
     """Candidates that are no convex combination of the other candidates,
     decided by one exact simplex feasibility LP per candidate."""
-    candidates = pseudovertices(c, include_non_extreme=True)
+    candidates = _segment_candidates(c)
     kept = []
     for p in candidates:
         others = [q for q in candidates if q != p]
