@@ -7,6 +7,17 @@ constraint".  The central computation is the max-plus Kleene star
 C* = I + C + C^2 + ..., obtained by a Floyd-Warshall sweep; its columns
 are the tropical vertices of Q(C), and a strictly positive diagonal in the
 closure certifies emptiness.
+
+The closure, the tropical vertices, the segment breakpoints and the vertex
+test run on plain ints.  A matrix is scaled once: each finite entry becomes
+its numerator over the lcm of the finite entries' denominators, and -inf
+becomes None.  Floyd-Warshall, the column shifts, the breakpoint maxima and
+the tight-pair comparisons only add, subtract, compare and take maxima,
+which commute with multiplying every value by one positive integer.  So each
+int is the rational the computation stands for times that denominator, and
+the closure and the vertices, in their order, are exact and identical to a
+computation over Fractions.  Only the returned entries and points become
+Fractions again.
 """
 
 from __future__ import annotations
@@ -14,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
-from .core import RationalLike, TorusPoint, as_rational, canonicalize
+from .core import RationalLike, TorusPoint, as_rational
 from .errors import EmptyPolytrope, Unbounded
+from .linalg import over_common_denominator
 
 NEG_INF = float("-inf")
 
@@ -87,33 +100,51 @@ def ball_to_polytrope(center: Sequence[RationalLike], radius: RationalLike) -> P
 def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
     """Max-plus closure I + C + C^2 + ... via Floyd-Warshall in O(n^3).
 
-    Raises EmptyPolytrope when the closure has a strictly positive diagonal
-    entry, which witnesses an infeasible cycle of constraints.
+    The sweep runs on the integer numerators over one common denominator
+    and converts back once.  Raises EmptyPolytrope when the closure has a
+    strictly positive diagonal entry, which witnesses an infeasible cycle
+    of constraints.
     """
     if c.starred:
         return c
     n = c.n
-    a = [[c.entries[i][j] for j in range(n)] for i in range(n)]
+    den, a = _over_common_denominator(c)
     for i in range(n):
-        if a[i][i] < 0:
-            a[i][i] = Fraction(0)
+        if a[i][i] is None or a[i][i] < 0:
+            a[i][i] = 0
     for k in range(n):
         row_k = a[k]
-        for i in range(n):
-            aik = a[i][k]
-            if aik == NEG_INF:
+        for row_i in a:
+            aik = row_i[k]
+            if aik is None:
                 continue
-            row_i = a[i]
-            for j in range(n):
-                if row_k[j] == NEG_INF:
-                    continue
-                v = aik + row_k[j]
-                if v > row_i[j]:
-                    row_i[j] = v
+            for j, v in enumerate(row_k):
+                if v is not None:
+                    v += aik
+                    if row_i[j] is None or v > row_i[j]:
+                        row_i[j] = v
     for i in range(n):
         if a[i][i] > 0:
             raise EmptyPolytrope(f"closure diagonal entry ({i},{i}) is positive")
-    return PolytropeMatrix.from_rows(a, starred=True)
+    return PolytropeMatrix.from_rows(_unscale(a, den), starred=True)
+
+
+def _over_common_denominator(c: PolytropeMatrix) -> tuple[int, list[list[int | None]]]:
+    """(den, rows) with c_ij == rows[i][j] / den and None for -inf; den is
+    the lcm of the finite entries' denominators."""
+    den = lcm(*(v.denominator for row in c.entries for v in row if isinstance(v, Fraction)))
+    return den, [
+        [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else None for v in row]
+        for row in c.entries
+    ]
+
+
+def _unscale(rows: Sequence[Sequence[int | None]], den: int) -> list[tuple[TropicalScalar, ...]]:
+    """Integer rows over den back to Fractions and -inf, building one
+    Fraction per distinct value."""
+    values = {v for row in rows for v in row}
+    frac = {v: NEG_INF if v is None else Fraction(v, den) for v in values}
+    return [tuple(frac[v] for v in row) for row in rows]
 
 
 def membership(c: PolytropeMatrix, x: Sequence[RationalLike]) -> bool:
@@ -138,18 +169,20 @@ def tropical_vertices(c: PolytropeMatrix) -> list[TorusPoint]:
     the closure means the polytrope is unbounded and has no such finite
     generator set; that case raises Unbounded.
     """
-    star = kleene_star(c)
-    out: list[TorusPoint] = []
-    seen: set[TorusPoint] = set()
-    for j in range(star.n):
-        col = star.column(j)
-        if any(v == NEG_INF for v in col):
+    den, _, verts = _vertex_columns(kleene_star(c))
+    return [TorusPoint(p) for p in _unscale(verts, den)]
+
+
+def _vertex_columns(star: PolytropeMatrix) -> tuple[int, list[list[int]], list[tuple[int, ...]]]:
+    """(den, a, verts): the closure's integer numerators over den and its
+    distinct canonical columns in column order, also over den."""
+    den, a = _over_common_denominator(star)
+    verts: dict[tuple[int, ...], None] = {}
+    for col in zip(*a):
+        if None in col:
             raise Unbounded("closure column contains -inf; polytrope is unbounded")
-        p = canonicalize(col)
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+        verts[tuple(v - col[0] for v in col)] = None
+    return den, a, list(verts)
 
 
 def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
@@ -165,10 +198,19 @@ def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    thresholds = sorted({yi - xi for xi, yi in zip(x, y)})
-    return tuple(
-        canonicalize([max(lam + xi, yi) for xi, yi in zip(x, y)]) for lam in thresholds
-    )
+    den, nums = over_common_denominator([*x, *y])
+    chain = _breakpoints(nums[: x.dim], nums[x.dim :])
+    return tuple(TorusPoint(p) for p in _unscale(chain, den))
+
+
+def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:
+    """The breakpoint chain of ``segment_breakpoints`` on integer numerators
+    over one denominator, each point canonical (first entry zero)."""
+    out = []
+    for lam in sorted({yi - xi for xi, yi in zip(x, y)}):
+        p0 = max(lam + x[0], y[0])
+        out.append(tuple(max(lam + xi, yi) - p0 for xi, yi in zip(x, y)))
+    return out
 
 
 def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
@@ -186,25 +228,23 @@ def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
     For n >= 4 the candidates can miss vertices of Q(C), so the result is
     a subset of the vertex set, not always all of it.
     """
-    star = kleene_star(c)
-    verts = tropical_vertices(star)
+    den, a, verts = _vertex_columns(kleene_star(c))
     candidates = dict.fromkeys(verts)
-    for a, b in combinations(verts, 2):
-        candidates.update(dict.fromkeys(segment_breakpoints(a, b)))
-    return [p for p in candidates if _tight_pairs_connect(star, p)]
+    for u, w in combinations(verts, 2):
+        candidates.update(dict.fromkeys(_breakpoints(u, w)))
+    kept = [p for p in candidates if _tight_pairs_connect(a, p)]
+    return [TorusPoint(p) for p in _unscale(kept, den)]
 
 
-def _tight_pairs_connect(star: PolytropeMatrix, p: TorusPoint) -> bool:
-    """True when the pairs (i, j) with p_i - p_j == c*_ij connect 0..n-1."""
-    n = p.dim
+def _tight_pairs_connect(a: list[list[int]], p: tuple[int, ...]) -> bool:
+    """True when the pairs (i, j) with p_i - p_j == a_ij connect 0..n-1."""
+    n = len(p)
     reached = {0}
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(n):
-            if j not in reached and (
-                p[i] - p[j] == star.entries[i][j] or p[j] - p[i] == star.entries[j][i]
-            ):
+            if j not in reached and (p[i] - p[j] == a[i][j] or p[j] - p[i] == a[j][i]):
                 reached.add(j)
                 stack.append(j)
     return len(reached) == n

@@ -7,9 +7,10 @@ run of the tests sees the same instances on every platform and process.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
-from tropmean import PolytropeMatrix, SampleSet, canonicalize
+from tropmean import NEG_INF, PolytropeMatrix, SampleSet, Unbounded, canonicalize, kleene_star
 from tropmean.core import TorusPoint
 from tropmean.linalg import rref, solve_affine
 from tropmean.qp import QPError
@@ -216,3 +217,58 @@ def feasible_point(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
         if bv < nvars:
             x[bv] = tab[i][total]
     return x
+
+
+# The vertex pass as it ran over Fractions before the polytrope layer moved
+# to integers on one common denominator: the order of the returned points,
+# not only their set, is what the command line prints.
+def reference_tropical_vertices(c: PolytropeMatrix) -> list[TorusPoint]:
+    """Canonicalized closure columns, deduplicated in column order."""
+    star = kleene_star(c)
+    out: list[TorusPoint] = []
+    seen: set[TorusPoint] = set()
+    for j in range(star.n):
+        col = star.column(j)
+        if any(v == NEG_INF for v in col):
+            raise Unbounded("closure column contains -inf; polytrope is unbounded")
+        p = canonicalize(col)
+        if p not in seen:
+            seen.add(p)
+            out.append(p)
+    return out
+
+
+def reference_segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
+    """(lam + x) max y at each distinct y_i - x_i, in increasing order."""
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    thresholds = sorted({yi - xi for xi, yi in zip(x, y)})
+    return tuple(
+        canonicalize([max(lam + xi, yi) for xi, yi in zip(x, y)]) for lam in thresholds
+    )
+
+
+def reference_pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
+    """Segment breakpoints between tropical vertices whose tight pairs
+    connect all coordinates."""
+    star = kleene_star(c)
+    verts = reference_tropical_vertices(star)
+    candidates = dict.fromkeys(verts)
+    for a, b in combinations(verts, 2):
+        candidates.update(dict.fromkeys(reference_segment_breakpoints(a, b)))
+    return [p for p in candidates if _reference_tight_pairs_connect(star, p)]
+
+
+def _reference_tight_pairs_connect(star: PolytropeMatrix, p: TorusPoint) -> bool:
+    n = p.dim
+    reached = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j not in reached and (
+                p[i] - p[j] == star.entries[i][j] or p[j] - p[i] == star.entries[j][i]
+            ):
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == n

@@ -1,11 +1,14 @@
-"""The benchmark's tracer finds the exact QP by two module attributes.
+"""The benchmark's tracer finds its layers by module attribute.
 
 ``perfbench/tracer.py`` counts the rows of each epigraph program through
 ``tropmean.frechet.minimize_qp`` (2nm rows for m samples in n coordinates)
 and the active-set iterations through ``tropmean.qp.nullspace``, which the
-loop calls once per iteration on the working-set rows.  A kernel change that
-renamed either, or stopped computing one basis per iteration, would zero or
-skew those layers without failing anything else.
+loop calls once per iteration on the working-set rows.  It times the
+polytrope layers through ``kleene_star``, ``tropical_vertices`` and
+``pseudovertices``, looked up in both ``tropmean.polytrope`` and
+``tropmean.cli``.  A kernel change that renamed any of these, or stopped
+computing one basis per iteration, would zero or skew those layers without
+failing anything else.
 """
 
 import importlib
@@ -40,6 +43,21 @@ def test_tracer_hooks_the_qp_names(tracer):
     targets = {(module, attr): layer for module, attr, layer, _ in tracer.TARGETS}
     for (module, attr), layer in HOOKS.items():
         assert targets[module, attr] == layer
+        assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_tracer_hooks_the_polytrope_names(tracer):
+    hooked = {
+        (module, attr): layer
+        for module, attr, layer, _ in tracer.TARGETS
+        if layer.startswith("polytrope.")
+    }
+    assert hooked == {
+        (module, name): f"polytrope.{name}"
+        for module in ("tropmean.polytrope", "tropmean.cli")
+        for name in ("kleene_star", "tropical_vertices", "pseudovertices")
+    }
+    for module, attr in hooked:
         assert callable(getattr(importlib.import_module(module), attr, None))
 
 

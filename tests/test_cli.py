@@ -415,6 +415,37 @@ def test_polytrope_matrix_rejects_malformed_json(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+UNBOUNDED_LINE = "error: closure column contains -inf; polytrope is unbounded\n"
+
+
+@pytest.mark.parametrize(
+    "entries, line",
+    [
+        ([["0", "2"], ["-1", "0"]], "error: closure diagonal entry (0,0) is positive\n"),
+        ([[None, None, None], [None, None, None], [None, None, None]], UNBOUNDED_LINE),
+        ([["0", None, "-1"], ["-2", None, "0"], ["0", None, "0"]], UNBOUNDED_LINE),
+    ],
+    ids=["positive-cycle", "all-null", "null-column"],
+)
+def test_polytrope_matrix_without_vertices_exits_2_with_one_line(tmp_path, capsys, entries, line):
+    path = write(tmp_path, "matrix.json", json.dumps({"n": len(entries), "entries": entries}))
+    assert main(["polytrope", "--matrix", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
+
+
+def test_polytrope_matrix_with_a_neg_inf_diagonal(tmp_path, capsys):
+    entries = [[None, "-1", "-2"], ["-1", None, "-1/2"], ["-3", "0", "0"]]
+    path = write(tmp_path, "matrix.json", json.dumps({"n": 3, "entries": entries}))
+    assert main(["polytrope", "--matrix", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert [row[i] for i, row in enumerate(doc["starred"]["entries"])] == ["0", "0", "0"]
+    assert doc["tropical_vertices"] and doc["pseudovertices"]
+
+
 def test_optimized_interpreter_gives_the_same_output(tmp_path):
     """python -O strips asserts; the package's checks and output must not
     depend on them."""

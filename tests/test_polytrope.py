@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropmean import (
     EmptyPolytrope,
@@ -24,7 +26,15 @@ from tropmean import (
     trop_scale,
     tropical_vertices,
 )
-from support import feasible_point, nonpositive_matrix, rand_point, rand_vector
+from support import (
+    feasible_point,
+    nonpositive_matrix,
+    rand_point,
+    rand_vector,
+    reference_pseudovertices,
+    reference_segment_breakpoints,
+    reference_tropical_vertices,
+)
 
 F = Fraction
 
@@ -116,6 +126,62 @@ def test_positive_cycle_is_reported_empty():
     bad = PolytropeMatrix.from_rows([[F(0), F(2)], [F(-1), F(0)]])
     with pytest.raises(EmptyPolytrope):
         kleene_star(bad)
+
+
+def _fraction_star(rows):
+    """Plain Floyd-Warshall over Fractions: None when some closure diagonal
+    entry is positive, else the closure rows."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    for i in range(n):
+        a[i][i] = max(a[i][i], F(0))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if a[i][k] != NEG_INF and a[k][j] != NEG_INF:
+                    a[i][j] = max(a[i][j], a[i][k] + a[k][j])
+    if any(a[i][i] > 0 for i in range(n)):
+        return None
+    return tuple(tuple(r) for r in a)
+
+
+_DENOMS = (1, 2, 3, 5, 7)
+_neg_inf = st.just(NEG_INF)
+_off_diagonal = st.one_of(
+    _neg_inf, st.builds(Fraction, st.integers(-20, 2), st.sampled_from(_DENOMS))
+)
+_diagonal = st.one_of(
+    _neg_inf,
+    st.just(F(0)),
+    st.builds(Fraction, st.integers(-6, -1), st.sampled_from(_DENOMS)),
+)
+
+
+@st.composite
+def _constraint_rows(draw):
+    n = draw(st.integers(2, 7))
+    return [[draw(_diagonal if i == j else _off_diagonal) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constraint_rows())
+@example([[F(0), F(2)], [F(-1), F(0)]])  # the cycle 0 -> 1 -> 0 gains 1: empty
+@example([[F(1, 3), F(-1)], [F(-1), NEG_INF]])  # a positive diagonal: empty
+@example([[NEG_INF, NEG_INF], [NEG_INF, NEG_INF]])
+@example([[F(-1, 2), F(-1, 3), F(-1, 5)], [F(-1, 7), NEG_INF, F(-2)], [F(-3), F(-1), F(-5, 7)]])
+def test_kleene_star_matches_a_fraction_floyd_warshall(rows):
+    expected = _fraction_star(rows)
+    c = PolytropeMatrix.from_rows(rows)
+    if expected is None:
+        with pytest.raises(EmptyPolytrope):
+            kleene_star(c)
+        return
+    star = kleene_star(c)
+    assert star.starred
+    assert star.entries == expected
+    for row in star.entries:
+        for v in row:
+            assert type(v) is Fraction or (type(v) is float and v == NEG_INF)
 
 
 def test_membership_golden_checks():
@@ -299,6 +365,89 @@ def test_pseudovertices_match_the_lp_extreme_point_filter():
             for _ in range(8):
                 c = nonpositive_matrix(rng, n, span)
                 assert pseudovertices(c) == _lp_extreme_filter(c)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (EmptyPolytrope, Unbounded) as exc:
+        return type(exc), str(exc)
+
+
+def _mixed_matrix(rng, n):
+    """Denominators 1 to 7, about one entry in ten -inf, odd diagonals."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            r = rng.random()
+            if r < 0.1:
+                row.append(NEG_INF)
+            elif i == j:
+                row.append(F(0) if r < 0.8 else F(-rng.randint(1, 4), rng.choice(_DENOMS)))
+            else:
+                row.append(F(rng.randint(-3 * n, 1), rng.choice(_DENOMS)))
+        rows.append(row)
+    return PolytropeMatrix.from_rows(rows)
+
+
+def test_vertex_pass_matches_the_fraction_reference_on_seeded_matrices():
+    rng = Random("polytrope:vertex-pass")
+    bounded = 0
+    for _ in range(360):
+        c = _mixed_matrix(rng, rng.randint(2, 7))
+        tverts = _outcome(tropical_vertices, c)
+        assert tverts == _outcome(reference_tropical_vertices, c)
+        assert _outcome(pseudovertices, c) == _outcome(reference_pseudovertices, c)
+        bounded += isinstance(tverts, list)
+    assert bounded >= 200
+
+
+def test_vertex_pass_matches_the_fraction_reference_on_the_benchmark_matrices():
+    """The nine ``polytrope-matrix`` benchmark inputs, from their generator:
+    zero diagonal, off-diagonals in [-10n, 0] over 1, 2 or 5."""
+    for n in (5, 6, 7):
+        for rep in range(3):
+            rng = Random(f"matrix:0:{n}:{rep}")
+            c = PolytropeMatrix.from_rows(
+                [
+                    [
+                        F(0) if i == j else F(rng.randint(-10 * n, 0), rng.choice((1, 2, 5)))
+                        for j in range(n)
+                    ]
+                    for i in range(n)
+                ]
+            )
+            assert tropical_vertices(c) == reference_tropical_vertices(c)
+            assert pseudovertices(c) == reference_pseudovertices(c)
+
+
+def test_segment_breakpoints_match_the_fraction_reference():
+    rng = Random("polytrope:segment-reference")
+    for t in range(300):
+        n = rng.randint(2, 7)
+        x = canonicalize([F(rng.randint(-12, 12), rng.choice(_DENOMS)) for _ in range(n)])
+        if t % 3 == 0:
+            y = x
+        elif t % 3 == 1:
+            # few distinct differences, so thresholds repeat
+            shifts = [F(rng.randint(-6, 6), rng.choice(_DENOMS)) for _ in range(2)]
+            y = canonicalize([v + rng.choice(shifts) for v in x])
+        else:
+            y = canonicalize([F(rng.randint(-12, 12), rng.choice(_DENOMS)) for _ in range(n)])
+        assert segment_breakpoints(x, y) == reference_segment_breakpoints(x, y)
+        assert segment_breakpoints(y, x) == reference_segment_breakpoints(y, x)
+
+
+def test_pseudovertices_reject_a_closure_with_a_neg_inf_column():
+    c = PolytropeMatrix.from_rows(
+        [[F(0), F(-1), NEG_INF], [F(0), F(0), NEG_INF], [F(-2), F(-1), F(0)]]
+    )
+    star = kleene_star(c)
+    assert [row[2] for row in star.entries] == [NEG_INF, NEG_INF, F(0)]
+    with pytest.raises(Unbounded):
+        pseudovertices(star)
 
 
 @pytest.mark.xfail(
