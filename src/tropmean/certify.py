@@ -118,17 +118,24 @@ def add_square(
 ) -> Fraction:
     """Add w (x_i - x_k - c)^2 to the normal equations A y = b, in place.
 
+    That is w (e_i - e_k)(e_i - e_k)^T on A and w c (e_i - e_k) on b, so w
+    and w c are added or subtracted directly: +w on A's two diagonal entries
+    and -w on its two off-diagonal ones, +w c at i and -w c at k on b.
     y = (x_2, ..., x_n) is the gauge x_1 = 0, so a piece that touches x_1
     adds to one row only.  Returns the square's share w c^2 of the constant
     term; a negative w removes a square that was added before.
     """
-    ends = [(t - 1, s) for t, s in ((piece.i, 1), (piece.k, -1)) if t]
+    i, k = piece.i - 1, piece.k - 1
     wc = w * piece.c
-    for s, rs in ends:
-        b[s] += wc * rs
-        row = a[s]
-        for t, rt in ends:
-            row[t] += w * rs * rt
+    if i >= 0:
+        b[i] += wc
+        a[i][i] += w
+    if k >= 0:
+        b[k] -= wc
+        a[k][k] += w
+        if i >= 0:
+            a[i][k] -= w
+            a[k][i] -= w
     return wc * piece.c
 
 

@@ -23,7 +23,14 @@ from typing import Any, Callable, Sequence
 
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
-from .frechet import _result_at, exact_frechet, find_certificate, fm_polytrope, greedy_frechet
+from .frechet import (
+    _result_at,
+    _scale,
+    exact_frechet,
+    find_certificate,
+    fm_polytrope,
+    greedy_frechet,
+)
 from .polytrope import PolytropeMatrix, kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
     certificate_to_json,
@@ -57,7 +64,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="tropmean",
         description="Exact Fréchet means and mean polytropes under the tropical metric.",
@@ -219,7 +228,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
 
     if args.mode == "greedy":
         mean, _ = greedy_frechet(sample, max_iter=max_iter, tol=tol)
-        result = _result_at(sample, mean)
+        result = _result_at(_scale(sample), mean)
     else:
         result = exact_frechet(sample)
     _, tverts, pverts = _closure_and_vertices(result.fm_polytrope)

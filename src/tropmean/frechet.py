@@ -8,7 +8,9 @@ on the torus.  Two routes live here:
 * ``exact_frechet``: one epigraph quadratic program, started at the
   coordinatewise average, whose optimum is the exact mean and whose KKT
   multipliers are its positivity certificate; the certificate is checked
-  independently before the mean is reported as exact.
+  independently before the mean is reported as exact.  The sample is
+  scaled once to integers over one common denominator, and the start, the
+  program's lift, the distances and the mean set are computed on it.
   ``find_certificate`` hands out that certificate for any point whose
   objective equals its certified minimum.
 
@@ -22,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from operator import sub
+from typing import Callable, NamedTuple, Sequence
 
 from .certify import Certificate, piece_for, verify_certificate
 from .core import (
@@ -191,26 +194,56 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
     is the intersection of the tropical balls B(p_j, d_j); entrywise that
     is c_ij = max_j(-d_j + p_{j,i} - p_{j,k}) with a zero diagonal.
     """
-    return _mean_set(sample, [trop_dist(mean, p) for p in sample])
+    e, nums, lifts = _lift(_scale(sample), mean)
+    return _mean_set(nums, [hi - lo for hi, lo in lifts], e)
 
 
-def _mean_set(sample: SampleSet, dists: Sequence[Fraction]) -> PolytropeMatrix:
-    """The intersection of the balls B(p_j, d_j) given the distances d_j."""
-    n = sample.n
-    # The maximum runs over integers on one common denominator.
-    den = lcm(*(v.denominator for v in dists), *(c.denominator for p in sample for c in p))
-    dn = [v.numerator * (den // v.denominator) for v in dists]
-    pn = [[c.numerator * (den // c.denominator) for c in p] for p in sample]
-    rows = []
-    for i in range(n):
-        row = []
-        for kk in range(n):
-            if i == kk:
-                row.append(Fraction(0))
-            else:
-                row.append(Fraction(max(p[i] - p[kk] - dj for p, dj in zip(pn, dn)), den))
-        rows.append(row)
-    return PolytropeMatrix.from_rows(rows)
+class _Scaled(NamedTuple):
+    """A sample on one common denominator: sample[j][a] == nums[j][a] / den,
+    den the lcm of the coordinates' denominators."""
+
+    sample: SampleSet
+    den: int
+    nums: list[list[int]]
+
+
+def _scale(sample: SampleSet) -> _Scaled:
+    den = lcm(*(c.denominator for p in sample for c in p))
+    return _Scaled(sample, den, [[c.numerator * (den // c.denominator) for c in p] for p in sample])
+
+
+def _average(scaled: _Scaled) -> TorusPoint:
+    """The coordinatewise average of the sample, canonical because every
+    sample point is."""
+    den = scaled.den * len(scaled.nums)
+    return TorusPoint(tuple(Fraction(sum(col), den) for col in zip(*scaled.nums)))
+
+
+def _lift(scaled: _Scaled, x: TorusPoint) -> tuple[int, list[list[int]], list[tuple[int, int]]]:
+    """(e, nums, lifts): the sample over the common denominator e of the
+    sample and x, and per sample the max and min of x - p_j, over e too."""
+    e = lcm(scaled.den, *(v.denominator for v in x))
+    xs = [v.numerator * (e // v.denominator) for v in x]
+    f = e // scaled.den
+    nums = scaled.nums if f == 1 else [[c * f for c in p] for p in scaled.nums]
+    lifts = []
+    for p in nums:
+        gaps = list(map(sub, xs, p))
+        lifts.append((max(gaps), min(gaps)))
+    return e, nums, lifts
+
+
+def _mean_set(nums: list[list[int]], spreads: list[int], e: int) -> PolytropeMatrix:
+    """The intersection of the balls B(p_j, d_j), the sample and the
+    distances given as integers over e."""
+    cols = list(zip(*nums))
+    # tops[i][j] = p_{j,i} - d_j, so entry (i, k) is the max of tops[i] - cols[k].
+    tops = [list(map(sub, col, spreads)) for col in cols]
+    zero = Fraction(0)
+    return PolytropeMatrix.from_rows(
+        [Fraction(max(map(sub, top, col)), e) if i != k else zero for k, col in enumerate(cols)]
+        for i, top in enumerate(tops)
+    )
 
 
 def two_point_mean(p1: TorusPoint, p2: TorusPoint) -> TorusPoint:
@@ -247,30 +280,35 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     certificate and its value equals the objective at the mean.  When the
     program fails with a QPError or a check fails, the start point comes
     back flagged ``exact=False``.
+
+    The sample is scaled once to integers over the lcm of its
+    denominators.  The start, the program's lift and right-hand sides, the
+    distances, ``min_sum`` and the mean set are all computed on that one
+    scaled sample; only the values handed on become Fractions.
     """
-    start = canonicalize(
-        [sum((p[a] for p in sample), Fraction(0)) / sample.m for a in range(sample.n)]
-    )
+    scaled = _scale(sample)
+    start = _average(scaled)
     try:
-        mean, cert = _epigraph_qp(sample, start)
+        mean, cert = _epigraph_qp(scaled, start)
     except QPError:
-        return _result_at(sample, start)
-    result = _result_at(sample, mean, cert)
+        return _result_at(scaled, start)
+    result = _result_at(scaled, mean, cert)
     if cert.c_star == result.min_sum and verify_certificate(sample, cert):
         return result
-    return _result_at(sample, start)
+    return _result_at(scaled, start)
 
 
 def _result_at(
-    sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None
+    scaled: _Scaled, mean: TorusPoint, cert: Certificate | None = None
 ) -> FrechetResult:
     """The result at ``mean``, flagged exact when a ``cert`` is given."""
-    dists = tuple(trop_dist(mean, p) for p in sample)
+    e, nums, lifts = _lift(scaled, mean)
+    spreads = [hi - lo for hi, lo in lifts]
     return FrechetResult(
         mean=mean,
-        distances=dists,
-        min_sum=sum((d * d for d in dists), Fraction(0)),
-        fm_polytrope=_mean_set(sample, dists),
+        distances=tuple(Fraction(v, e) for v in spreads),
+        min_sum=Fraction(sum(v * v for v in spreads), e * e),
+        fm_polytrope=_mean_set(nums, spreads, e),
         exact=cert is not None,
         certificate=cert,
     )
@@ -294,7 +332,7 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
     return result.certificate
 
 
-def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
+def _epigraph_qp(scaled: _Scaled, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
     """Global minimizer and its certificate from one exact quadratic program.
 
     The split program writes d(x, p_j) = u_j - l_j and minimizes
@@ -311,17 +349,21 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     gradient sum_j 2 t_j sum_ik w_jik (e_i - e_k) vanishes.  Pieces are
     reported as their i < k representative; a sample with t_j = 0 is the mean
     itself, and weight 1 on piece (0, 1) serves.
+
+    H is passed by its 4m nonzero entries, 2 on the diagonal of u_j and l_j
+    and -2 between them, and the lift is computed on the scaled sample.
     """
+    sample = scaled.sample
     n = sample.n
     m = sample.m
     nv = n - 1
     nvars = nv + 2 * m
     zero = Fraction(0)
 
-    h = [[zero] * nvars for _ in range(nvars)]
-    for u in range(nv, nv + m):
-        h[u][u] = h[u + m][u + m] = Fraction(2)
-        h[u][u + m] = h[u + m][u] = Fraction(-2)
+    two, minus_two = Fraction(2), Fraction(-2)
+    h: list[list[tuple[int, Fraction]]] = [[] for _ in range(nv)]
+    h += [[(u, two), (u + m, minus_two)] for u in range(nv, nv + m)]
+    h += [[(u, minus_two), (u + m, two)] for u in range(nv, nv + m)]
     g = [zero] * nvars
 
     # Sample j's n rows of u_j, then its n rows of l_j: row r is sample r // 2n.
@@ -334,9 +376,9 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
         edges += [(x, nv + m + j) for x in xs]
         d += [-c for c in sample[j]] + list(sample[j])
 
-    x = start.coords
-    gaps = [[a - b for a, b in zip(x, p)] for p in sample]
-    z0 = [*x[1:], *map(max, gaps), *map(min, gaps)]
+    e, _, lifts = _lift(scaled, start)
+    tops, bots = zip(*lifts)
+    z0 = [*start.coords[1:], *(Fraction(v, e) for v in tops + bots)]
     c_star, z, active, lam = minimize_qp(h, g, edges, d, z0)
 
     # Per sample, its alpha and its beta by coordinate.

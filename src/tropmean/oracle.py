@@ -186,7 +186,7 @@ def brute_force_frechet(
                 if cell_region[i][k] is not None:
                     edges.append((node[i], node[k]))
                     rhs.append(cell_region[i][k])
-        h = [[2 * a for a in row] for row in gram]
+        h = [[(t, 2 * v) for t, v in enumerate(row) if v] for row in gram]
         g = [-2 * v for v in moment]
         qval, z, _, _ = minimize_qp(h, g, edges, rhs, cell.start)
         cell.value = qval + const

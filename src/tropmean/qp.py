@@ -1,8 +1,9 @@
 """Exact primal active-set solver for small optimal-tension quadratic programs.
 
 Minimizes q(z) = 1/2 z^T H z + g^T z subject to difference constraints
-z_a - z_b >= d, where H is positive semidefinite, the data are rationals
-and either end of a constraint may be the ground, a node held at zero.
+z_a - z_b >= d, where H is positive semidefinite and given by its nonzero
+entries per row, the data are rationals and either end of a constraint may
+be the ground, a node held at zero.
 These are optimal-tension problems (Rockafellar, *Network Flows and
 Monotropic Optimization*, 1984).  The method is the classical one: keep a
 working set W of constraints treated as equalities, minimize q on the
@@ -29,11 +30,11 @@ ground, so the working set needs no elimination:
 The whole loop runs on integers, and its iterates are exactly those of the
 same loop over the rationals:
 
-* H and g are scaled once by their common denominator sigma, and each row
-  by the denominator of its rhs.  A positive factor on the objective
-  changes neither its minimizer on any subspace nor any step, and one on a
-  row changes neither its zero set nor the sign of its slack, so the
-  working-set sequence is unchanged.
+* H and g are scaled once by their common denominator sigma, which only
+  H's nonzero entries enter, and each row by the denominator of its rhs.
+  A positive factor on the objective changes neither its minimizer on any
+  subspace nor any step, and one on a row changes neither its zero set nor
+  the sign of its slack, so the working-set sequence is unchanged.
 * z is kept as an integer vector over one denominator, z = zn / zd, reduced
   by the gcd after each move, and the gradient H z + g as the integer
   vector sigma * zd * (H z + g).  Slacks are kept as integers over zd too
@@ -55,7 +56,7 @@ from math import gcd, lcm
 from .linalg import integer_rref, over_common_denominator
 
 Vector = list[Fraction]
-Matrix = list[Vector]
+Sparse = list[list[tuple[int, Fraction]]]
 IntSparse = list[tuple[int, int]]
 Edge = tuple[int | None, int | None]
 
@@ -67,20 +68,21 @@ class QPError(RuntimeError):
 
 
 def minimize_qp(
-    h: Matrix, g: Vector, edges: list[Edge], d: Vector, z0: Vector
+    h: Sparse, g: Vector, edges: list[Edge], d: Vector, z0: Vector
 ) -> tuple[Fraction, Vector, list[int], Vector]:
     """Solve min 1/2 z^T H z + g^T z  s.t.  z_a - z_b >= d[r] for each edge r = (a, b).
 
     Either end of an edge may be None, the ground, which is held at zero:
     (a, None) reads z_a >= d[r] and (None, b) reads -z_b >= d[r].  z0 must
-    be feasible.  H is a full symmetric positive semidefinite matrix.
+    be feasible.  H is symmetric positive semidefinite, given as the
+    nonzero entries (column, value) of each of its rows.
     Returns (optimal value, optimizer, active rows, multipliers): the rows
     of the final working set in increasing order and their multipliers
     lam >= 0 in the same order, with sum_r lam_r (e_a - e_b) = H z + g.
     """
     nvars = len(z0)
-    sigma = lcm(*(v.denominator for row in h for v in row), *(v.denominator for v in g))
-    hs = [_scaled_by(row, sigma) for row in h]
+    sigma = lcm(*(v.denominator for row in h for _, v in row), *(v.denominator for v in g))
+    hs = [[(t, v.numerator * (sigma // v.denominator)) for t, v in row] for row in h]
     gs = [v.numerator * (sigma // v.denominator) for v in g]
     # Node nvars is the ground: zn and every step hold a zero there.
     ends = [(nvars if a is None else a, nvars if b is None else b) for a, b in edges]
@@ -135,11 +137,6 @@ def minimize_qp(
         if blocker is not None:
             work.append(blocker)
     raise QPError("active-set iteration cap exceeded")
-
-
-def _scaled_by(row: Vector, scale: int) -> IntSparse:
-    """The nonzero entries of the row times scale, a multiple of their denominators."""
-    return [(t, v.numerator * (scale // v.denominator)) for t, v in enumerate(row) if v]
 
 
 def _idot(row: IntSparse, x: list[int]) -> int:

@@ -10,7 +10,15 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from tropmean import NEG_INF, PolytropeMatrix, SampleSet, Unbounded, canonicalize, kleene_star
+from tropmean import (
+    NEG_INF,
+    PolytropeMatrix,
+    SampleSet,
+    Unbounded,
+    canonicalize,
+    kleene_star,
+    trop_dist,
+)
 from tropmean.core import TorusPoint
 from tropmean.linalg import rref, solve_affine
 from tropmean.qp import QPError
@@ -81,6 +89,22 @@ def densify(edges, nvars):
     return rows
 
 
+def sparse_rows(h):
+    """The nonzero entries (column, value) of each row of a dense matrix, the
+    form ``qp.minimize_qp`` takes H in."""
+    return [[(t, v) for t, v in enumerate(row) if v] for row in h]
+
+
+def dense_rows(rows):
+    """The square dense matrix whose nonzero entries per row are ``rows``;
+    the inverse of ``sparse_rows``."""
+    h = [[Fraction(0)] * len(rows) for _ in rows]
+    for row, entries in zip(h, rows):
+        for t, v in entries:
+            row[t] = v
+    return h
+
+
 def reference_qp(h, g, rows, d, z0, max_iter=1000):
     """The primal active-set loop of ``qp.minimize_qp`` written over Fractions.
 
@@ -149,6 +173,55 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000):
         if blocker is not None:
             work.append(blocker)
     raise QPError("active-set iteration cap exceeded")
+
+
+# The assembly of the mean's epigraph program and of the result at a point,
+# as it ran over Fractions before ``exact_frechet`` moved to integers on one
+# common denominator; the integer route must hand the solver and the caller
+# exactly these values.
+def reference_average(sample: SampleSet) -> TorusPoint:
+    """The canonical coordinatewise average, the start of the program."""
+    return canonicalize(
+        [sum((p[a] for p in sample), Fraction(0)) / sample.m for a in range(sample.n)]
+    )
+
+
+def reference_epigraph_program(sample: SampleSet, start: TorusPoint):
+    """(dense H, g, edges, d, z0) of the split epigraph program at ``start``."""
+    n, m = sample.n, sample.m
+    nv = n - 1
+    nvars = nv + 2 * m
+    zero = Fraction(0)
+    h = [[zero] * nvars for _ in range(nvars)]
+    for u in range(nv, nv + m):
+        h[u][u] = h[u + m][u + m] = Fraction(2)
+        h[u][u + m] = h[u + m][u] = Fraction(-2)
+    g = [zero] * nvars
+    xs = [None, *range(nv)]
+    edges = []
+    d = []
+    for j in range(m):
+        edges += [(nv + j, x) for x in xs]
+        edges += [(x, nv + m + j) for x in xs]
+        d += [-c for c in sample[j]] + list(sample[j])
+    x = start.coords
+    gaps = [[a - b for a, b in zip(x, p)] for p in sample]
+    z0 = [*x[1:], *map(max, gaps), *map(min, gaps)]
+    return h, g, edges, d, z0
+
+
+def reference_result_fields(sample: SampleSet, mean: TorusPoint):
+    """(distances, min_sum, fm_polytrope) of the result at ``mean``."""
+    dists = tuple(trop_dist(mean, p) for p in sample)
+    n = sample.n
+    rows = [
+        [
+            Fraction(0) if i == k else max(-dj + p[i] - p[k] for p, dj in zip(sample, dists))
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    return dists, sum((v * v for v in dists), Fraction(0)), PolytropeMatrix.from_rows(rows)
 
 
 # A textbook phase-one simplex with Bland's rule: artificial variables are

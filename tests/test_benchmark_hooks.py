@@ -22,7 +22,7 @@ import pytest
 import tropmean.frechet as frechet_mod
 from tropmean import SampleSet, exact_frechet
 
-from support import densify, reference_qp
+from support import dense_rows, densify, reference_qp
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 HOOKS = {
@@ -84,7 +84,7 @@ def test_one_exact_solve_counts_its_rows_and_iterations(tracer, monkeypatch):
     assert not set(spans.missing) & {f"{m}.{a}" for m, a in HOOKS}
     (program,) = programs
     h, g, edges, d, z0 = program
-    _, stats = reference_qp(h, g, densify(edges, len(z0)), d, z0)
+    _, stats = reference_qp(dense_rows(h), g, densify(edges, len(z0)), d, z0)
     assert spans.calls["qp.minimize"] == 1
     assert spans.counts["qp.minimize.rows"] == len(program[2]) == 2 * 5 * 8
     assert spans.counts["qp.nullspace_calls"] == stats["iterations"] > 1

@@ -1,5 +1,7 @@
 """End-to-end command tests driven through main()."""
 
+import argparse
+import hashlib
 import io
 import json
 import os
@@ -19,7 +21,7 @@ from tropmean import (
     trop_dist,
     verify_certificate,
 )
-from tropmean.cli import main
+from tropmean.cli import _build_parser, _random_sample, main
 from tropmean.frechet import FrechetResult
 from tropmean.serialize import (
     certificate_from_json,
@@ -488,3 +490,61 @@ def test_mean_writes_rationals_past_the_integer_text_limit(tmp_path, capsys):
     expected = sum((F(1, q) for q in qs), F(0)) / 6
     assert len(den) > 4300
     assert (_read_int(num), _read_int(den)) == (expected.numerator, expected.denominator)
+
+
+def test_the_parser_is_built_once_and_shared(tmp_path, capsys, monkeypatch):
+    import test_layout
+
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    assert main(["distance", path]) == 0
+    assert main(["distance", path, "--pair", "2", "3"]) == 0
+    assert capsys.readouterr().out == "9\n18\n"
+    assert len(parsers) == 2
+    assert parsers[0] is parsers[1] is _build_parser()
+    # A usage error after good calls still exits 2 with argparse's message.
+    with pytest.raises(SystemExit) as exc:
+        main(["distance"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tropmean distance")
+    assert "error: the following arguments are required: file" in err
+    test_layout.test_readme_names_every_cli_flag()
+
+
+# The benchmark's reference digests cover the fields every correct route
+# reproduces bit for bit; the file is read as data.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+ROUTE_INVARIANT = ("distances", "min_sum", "fm_polytrope", "tropical_vertices", "pseudovertices")
+
+
+@pytest.mark.parametrize(
+    "workload, n, m, rep",
+    [
+        ("mean-large", 8, 8, 1),
+        ("mean-large", 8, 16, 2),
+        ("mean-large", 10, 20, 1),
+        ("mean-large", 12, 12, 2),
+        ("mean-small", 3, 9, 5),
+        ("mean-small", 4, 8, 17),
+        ("mean-small", 5, 15, 2),
+        ("mean-small", 6, 18, 24),
+    ],
+)
+def test_mean_reproduces_the_benchmark_reference_digest(tmp_path, capsys, workload, n, m, rep):
+    sample = _random_sample(0, n, m, rep)
+    doc = {"points": [[str(v) for v in p] for p in sample]}
+    assert main(["mean", write(tmp_path, "pts.json", json.dumps(doc))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    fields = {key: out[key] for key in ROUTE_INVARIANT}
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    digests = reference[workload][f"{n},{m}"]["digests"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digests[rep - 1]

@@ -13,7 +13,15 @@ import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
 from tropmean.linalg import rref, solve_affine
 from tropmean.qp import QPError, minimize_qp
-from support import densify, dot, feasible_point, mat_vec, reference_qp
+from support import (
+    dense_rows,
+    densify,
+    dot,
+    feasible_point,
+    mat_vec,
+    reference_qp,
+    sparse_rows,
+)
 
 F = Fraction
 
@@ -171,7 +179,7 @@ def _qp_value(h, g, z):
 def test_qp_unconstrained_minimum():
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-2), F(-4)]
-    value, z, active, _ = minimize_qp(h, g, [], [], [F(0), F(0)])
+    value, z, active, _ = minimize_qp(sparse_rows(h), g, [], [], [F(0), F(0)])
     assert z == [F(1), F(2)]
     assert value == F(-5)
     assert active == []
@@ -182,7 +190,7 @@ def test_qp_activates_a_blocking_constraint():
     # towards (1, 2) is blocked at (4/3, 4/3), and the optimum is (3/2, 3/2).
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-2), F(-4)]
-    value, z, active, lam = minimize_qp(h, g, [(0, 1)], [F(0)], [F(2), F(0)])
+    value, z, active, lam = minimize_qp(sparse_rows(h), g, [(0, 1)], [F(0)], [F(2), F(0)])
     assert z == [F(3, 2), F(3, 2)]
     assert active == [0]
     # H z + g = (1, -1) = lam (e_1 - e_2)
@@ -195,14 +203,14 @@ def test_qp_activates_a_blocking_constraint():
 def test_qp_leaves_an_inactive_constraint_alone():
     h = [[F(2)]]
     g = [F(-6)]
-    value, z, active, _ = minimize_qp(h, g, [(0, None)], [F(0)], [F(5)])
+    value, z, active, _ = minimize_qp(sparse_rows(h), g, [(0, None)], [F(0)], [F(5)])
     assert z == [F(3)]
     assert active == []
 
 
 def test_qp_rejects_infeasible_start():
     with pytest.raises(QPError):
-        minimize_qp([[F(2)]], [F(0)], [(0, None)], [F(1)], [F(0)])
+        minimize_qp(sparse_rows([[F(2)]]), [F(0)], [(0, None)], [F(1)], [F(0)])
 
 
 def test_qp_semidefinite_hessian_with_equality_like_rows():
@@ -211,7 +219,7 @@ def test_qp_semidefinite_hessian_with_equality_like_rows():
     g = [F(0), F(0)]
     edges = [(1, None), (None, 1)]
     d = [F(1), F(-1)]
-    value, z, active, _ = minimize_qp(h, g, edges, d, [F(4), F(1)])
+    value, z, active, _ = minimize_qp(sparse_rows(h), g, edges, d, [F(4), F(1)])
     assert z[0] == F(0)
     assert z[1] == F(1)
     assert value == F(0)
@@ -236,7 +244,7 @@ def test_qp_random_boxes_agree_with_coordinate_clamping():
             edges.extend([(a, None), (None, a)])
             d.extend([lo[a], -hi[a]])
         z0 = [min(max(F(0), lo[a]), hi[a]) for a in range(nv)]
-        value, z, active, lam = minimize_qp(h, g, edges, d, z0)
+        value, z, active, lam = minimize_qp(sparse_rows(h), g, edges, d, z0)
         clamped = [min(max(target[a], lo[a]), hi[a]) for a in range(nv)]
         assert z == clamped
         assert value == _qp_value(h, g, clamped)
@@ -260,7 +268,7 @@ def test_qp_first_row_blocks_on_a_tie(order):
     edges = [pair[a][0] for a in order]
     d = [pair[a][1] for a in order]
     z0 = [F(0), F(0)]
-    value, z, active, lam = minimize_qp(h, g, edges, d, z0)
+    value, z, active, lam = minimize_qp(sparse_rows(h), g, edges, d, z0)
     assert z == [F(1), F(0)]
     assert value == F(-3)
     assert 0 in active
@@ -272,10 +280,11 @@ def test_qp_first_row_blocks_on_a_tie(order):
 
 def _program(h, g, edges, d, z0):
     matrix = lambda a: [[F(v) for v in r] for r in a]
-    return matrix(h), [F(v) for v in g], edges, [F(v) for v in d], [F(v) for v in z0]
+    return sparse_rows(matrix(h)), [F(v) for v in g], edges, [F(v) for v in d], [F(v) for v in z0]
 
 
-# Hand-made programs, each built to exercise one feature of the loop.
+# Hand-made programs, each built to exercise one feature of the loop, with H
+# by its nonzero entries per row as ``minimize_qp`` takes it.
 QP_CASES = {
     # min (u - l)^2 over (x, u, l) with u >= x, u >= 3/2, l <= x and l <= 0:
     # H has a zero block for x, as in frechet's epigraph program.
@@ -305,7 +314,7 @@ QP_CASES = {
 
 def test_qp_cases_exercise_their_feature():
     h, _, _, _, _ = QP_CASES["zero-block"]
-    assert all(v == 0 for v in h[0])
+    assert all(v == 0 for v in dense_rows(h)[0])
     _, _, _, d, _ = QP_CASES["fractional-rhs"]
     assert {v.denominator for v in d} == {2, 3, 4, 5, 6}
     assert _reference(QP_CASES["repeated-tie"])[1]["ties"] >= 1
@@ -314,7 +323,7 @@ def test_qp_cases_exercise_their_feature():
 
 def _reference(program):
     h, g, edges, d, z0 = program
-    return reference_qp(h, g, densify(edges, len(z0)), d, z0)
+    return reference_qp(dense_rows(h), g, densify(edges, len(z0)), d, z0)
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -326,7 +335,8 @@ def _qp_programs(draw):
     zero (a zero block), and g = H w, so the gradient stays in the range of H.
     Edges join two variables or a variable and the ground, either way round,
     and are tight at z0 or not; or they repeat an earlier edge and its rhs,
-    and tie with it in the ratio test."""
+    and tie with it in the ratio test.  H comes by its nonzero entries per
+    row."""
     nvars = draw(st.integers(1, 4))
     zero = draw(st.integers(0, nvars - 1))
     m = [
@@ -349,7 +359,7 @@ def _qp_programs(draw):
             slack = draw(st.sampled_from((F(0), F(0), F(1, 2), F(5, 6), F(3))))
             edges.append((a, b))
             d.append(at(a) - at(b) - slack)
-    return h, g, edges, d, z0
+    return sparse_rows(h), g, edges, d, z0
 
 
 @settings(max_examples=250, deadline=None)
@@ -404,7 +414,7 @@ def _split_programs(draw):
 
     with mock.patch.object(frechet_mod, "minimize_qp", record):
         with pytest.raises(_Recorded):
-            frechet_mod._epigraph_qp(SampleSet.from_rows(rows), start)
+            frechet_mod._epigraph_qp(frechet_mod._scale(SampleSet.from_rows(rows)), start)
     return n, programs[0]
 
 

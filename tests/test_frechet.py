@@ -24,7 +24,15 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.cli import _random_sample
-from support import int_sample, rand_point, rand_sample
+from support import (
+    dense_rows,
+    int_sample,
+    rand_point,
+    rand_sample,
+    reference_average,
+    reference_epigraph_program,
+    reference_result_fields,
+)
 
 F = Fraction
 
@@ -224,7 +232,8 @@ def test_exact_falls_back_to_the_average_when_not_certified(monkeypatch, failure
 
 def test_a_certified_mean_measures_each_distance_once(monkeypatch):
     # The distances at the mean feed the certificate check, min_sum and the
-    # mean set alike, so each sample costs one trop_dist call.
+    # mean set alike.  They are measured once, on the scaled sample, so no
+    # call goes through trop_dist, and each equals trop_dist at the mean.
     calls = []
     real = frechet_mod.trop_dist
 
@@ -236,7 +245,64 @@ def test_a_certified_mean_measures_each_distance_once(monkeypatch):
     sample = _random_sample(0, 6, 12, 1)
     result = exact_frechet(sample)
     assert result.exact
-    assert len(calls) == sample.m
+    assert calls == []
+    assert result.distances == tuple(real(result.mean, p) for p in sample)
+
+
+_entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def _mixed_samples(draw):
+    """Samples with n 2-8 and m 1-3n, denominators 1, 2, 3, 5 and 7, and
+    coordinates and points that repeat."""
+    n = draw(st.integers(2, 8))
+    pool = draw(st.lists(_entry, min_size=1, max_size=4))
+    coord = st.one_of(_entry, st.sampled_from(pool))
+    rows = []
+    for _ in range(draw(st.integers(1, 3 * n))):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append([draw(coord) for _ in range(n)])
+    return SampleSet.from_rows(rows)
+
+
+class _Recorded(frechet_mod.QPError):
+    """Raised in place of a solve; as a QPError it sends exact_frechet to
+    its fallback, the start."""
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mixed_samples(), st.data())
+def test_integer_assembly_matches_the_fraction_assembly(sample, data):
+    """The program handed to the solver, the fallback start and the result
+    fields are those the Fraction assembly gives."""
+    programs = []
+
+    def record(*args):
+        programs.append(args)
+        raise _Recorded
+
+    start = reference_average(sample)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frechet_mod, "minimize_qp", record)
+        fallback = exact_frechet(sample)
+    (program,) = programs
+    h, g, edges, d, z0 = program
+    expected = reference_epigraph_program(sample, start)
+    assert (dense_rows(h), g, edges, d, z0) == expected
+    assert all(isinstance(v, Fraction) for v in (*g, *d, *z0))
+    assert all(isinstance(v, Fraction) for row in h for _, v in row)
+    assert not fallback.exact
+    assert fallback.mean == start
+
+    result = exact_frechet(sample)
+    point = canonicalize(data.draw(st.lists(_entry, min_size=sample.n, max_size=sample.n)))
+    for at in (fallback, result, frechet_mod._result_at(frechet_mod._scale(sample), point)):
+        fields = (at.distances, at.min_sum, at.fm_polytrope)
+        assert fields == reference_result_fields(sample, at.mean)
+        assert at.fm_polytrope == fm_polytrope(sample, at.mean)
 
 
 def test_result_invariants_on_random_instances():
