@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Five subcommands: ``distance``, ``mean``, ``polytrope``, ``certify`` and
-``bench``; ``certify --point`` accepts a point whose objective equals the
-exact mean's certified minimum.  ``mean`` and ``polytrope`` star their mean
-or input polytrope once and read both vertex lists off that closure; the
-serializer only renders them.  Results go to stdout as JSON (CSV for
-bench), diagnostics to stderr.  Exit codes: 0 success, 2 malformed or
-unusable input, 3 a point that fails optimality certification or a mean
+``bench``.  ``mean`` runs ``exact_frechet`` and ``bench`` times it on
+seeded random samples; ``certify --point`` accepts a point whose objective
+equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` star
+their mean or input polytrope once and read both vertex lists off that
+closure; the serializer only renders them.  Results go to stdout as JSON
+(CSV for bench), diagnostics to stderr.  Exit codes: 0 success, 2 malformed
+or unusable input, 3 a point that fails optimality certification or a mean
 that could not be certified.
 """
 
@@ -23,14 +24,7 @@ from typing import Any, Callable, Sequence
 
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
-from .frechet import (
-    _result_at,
-    _scale,
-    exact_frechet,
-    find_certificate,
-    fm_polytrope,
-    greedy_frechet,
-)
+from .frechet import exact_frechet, find_certificate
 from .polytrope import PolytropeMatrix, kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
     certificate_to_json,
@@ -87,9 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mean = sub.add_parser("mean", help="Fréchet mean and FM polytrope")
     p_mean.add_argument("file", help="points file (JSON or CSV), '-' for stdin")
-    p_mean.add_argument("--mode", choices=("greedy", "exact"), default="exact")
-    p_mean.add_argument("--tol", type=_parse_scalar, default=None, help="greedy tolerance")
-    p_mean.add_argument("--max-iter", type=_int_at_least(0), default=None, help="greedy round cap")
     p_mean.set_defaults(handler=_cmd_mean)
 
     p_poly = sub.add_parser("polytrope", help="h-description, vertices and plot data")
@@ -108,15 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=_int_at_least(1), default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
-        "--max-iter", type=_int_at_least(0), default=200, help="greedy round cap per rep"
-    )
-    p_bench.add_argument("--tol", type=_parse_scalar, default=Fraction(1, 10**9))
-    p_bench.add_argument(
-        "--trace",
-        action="store_true",
-        help="write per-round objectives to stderr",
-    )
-    p_bench.add_argument(
         "--no-timing",
         action="store_true",
         help="leave the timing column empty for byte-reproducible output",
@@ -132,15 +114,8 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _parse_scalar(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _parse_vector(text: str) -> TorusPoint:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
+    parts = text.replace(" ", "").split(",")
     if len(parts) < 2:
         raise argparse.ArgumentTypeError("need at least two comma-separated coordinates")
     try:
@@ -169,7 +144,7 @@ def _ints_at_least(low: int) -> Callable[[str], tuple[int, ...]]:
 
     def parse(text: str) -> tuple[int, ...]:
         try:
-            values = tuple(int(p) for p in text.split(",") if p.strip())
+            values = tuple(int(p) for p in text.split(","))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         if any(v < low for v in values):
@@ -185,7 +160,7 @@ def _emit(doc: Any) -> None:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    sample, _ = load_points(_read_text(args.file))
+    sample = load_points(_read_text(args.file))
     a, b = args.pair
     if not (1 <= a <= sample.m and 1 <= b <= sample.m):
         raise ParseError(f"point indices must be in 1..{sample.m}")
@@ -197,43 +172,11 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pick(flag: Any, options: dict[str, Any], key: str, default: Any, conv: Any) -> Any:
-    if flag is not None:
-        return flag
-    if key in options:
-        try:
-            return conv(options[key])
-        except (ParseError, ValueError, TypeError):
-            raise ParseError(f"option {key!r} has an unusable value {options[key]!r}") from None
-    return default
-
-
-def _round_cap(value: Any) -> int:
-    """An option's round cap: a whole number of at least 0, never a bool or
-    a fraction."""
-    if isinstance(value, bool) or (isinstance(value, Fraction) and value.denominator != 1):
-        raise ValueError(f"not an integer: {value!r}")
-    cap = int(value)
-    if cap < 0:
-        raise ValueError(f"negative: {value!r}")
-    return cap
-
-
 def _cmd_mean(args: argparse.Namespace) -> int:
-    if args.mode == "exact" and (args.tol is not None or args.max_iter is not None):
-        raise ParseError("--tol and --max-iter apply to --mode greedy only")
-    sample, options = load_points(_read_text(args.file))
-    tol = _pick(args.tol, options, "tol", Fraction(1, 10**9), lambda v: parse_rational(str(v)))
-    max_iter = _pick(args.max_iter, options, "max_iter", 400, _round_cap)
-
-    if args.mode == "greedy":
-        mean, _ = greedy_frechet(sample, max_iter=max_iter, tol=tol)
-        result = _result_at(_scale(sample), mean)
-    else:
-        result = exact_frechet(sample)
+    result = exact_frechet(load_points(_read_text(args.file)))
     _, tverts, pverts = _closure_and_vertices(result.fm_polytrope)
     _emit(result_to_json(result, tverts, pverts))
-    return 3 if args.mode == "exact" and not result.exact else 0
+    return 0 if result.exact else 3
 
 
 def _cmd_polytrope(args: argparse.Namespace) -> int:
@@ -243,7 +186,7 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
     if args.matrix is not None:
         mat = matrix_from_json(parse_json(_read_text(args.matrix)))
     else:
-        sample, _ = load_points(_read_text(args.file))
+        sample = load_points(_read_text(args.file))
         result = exact_frechet(sample)
         if not result.exact:
             raise NotOptimal("could not certify a mean for this sample")
@@ -274,7 +217,7 @@ def _closure_and_vertices(
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    sample, _ = load_points(_read_text(args.file))
+    sample = load_points(_read_text(args.file))
     if args.point.dim != sample.n:
         raise ParseError(
             f"--point has {args.point.dim} coordinates, the points have {sample.n}"
@@ -291,26 +234,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             m = mult * n
             for rep in range(1, args.reps + 1):
                 sample = _random_sample(args.seed, n, m, rep)
-                trace = _make_trace(n, m, rep) if args.trace else None
                 t0 = time.perf_counter()
-                mean, value = greedy_frechet(
-                    sample, max_iter=args.max_iter, tol=args.tol, on_round=trace
-                )
-                fm_polytrope(sample, mean)
+                result = exact_frechet(sample)
                 elapsed_ms = (time.perf_counter() - t0) * 1000.0
                 cell = "" if args.no_timing else f"{elapsed_ms:.3f}"
-                writer.write(f"{n},{m},{rep},{cell},{format_rational(value)}\n")
+                writer.write(f"{n},{m},{rep},{cell},{format_rational(result.min_sum)}\n")
     return 0
-
-
-def _make_trace(n: int, m: int, rep: int):
-    def emit(rnd: int, value: Fraction) -> None:
-        print(
-            f"trace n={n} m={m} rep={rep} round={rnd} objective={format_rational(value)}",
-            file=sys.stderr,
-        )
-
-    return emit
 
 
 def _random_sample(seed: int, n: int, m: int, rep: int) -> SampleSet:

@@ -5,6 +5,7 @@ on the torus.  Two routes live here:
 
 * ``greedy_frechet``: coordinate-pair descent with the diminishing step
   schedule 2/(k+2) and monotone acceptance, entirely in rational arithmetic.
+  It is a library route only; no command runs it.
 * ``exact_frechet``: one epigraph quadratic program, started at the
   coordinatewise average, whose optimum is the exact mean and whose KKT
   multipliers are its positivity certificate; the certificate is checked

@@ -223,12 +223,12 @@ def result_to_json(
     return out
 
 
-def load_points(text: str) -> tuple[SampleSet, dict[str, Any]]:
+def load_points(text: str) -> SampleSet:
     """Parse an input document, JSON first, headerless CSV as fallback.
 
-    JSON: {"points": [[...], ...], "options": {...}} with coordinates as
-    "p/q" strings, integers, or decimal literals.  CSV: one point per row.
-    Returns the sample plus the (possibly empty) options block.
+    JSON: {"points": [[...], ...]} with coordinates as "p/q" strings,
+    integers, or decimal literals; any other key, such as an old "options"
+    block, is ignored.  CSV: one point per row.
     """
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
@@ -238,7 +238,6 @@ def load_points(text: str) -> tuple[SampleSet, dict[str, Any]]:
         if not isinstance(doc, dict) or "points" not in doc:
             raise ParseError("JSON input must carry a 'points' array")
         raw = doc["points"]
-        options = doc.get("options", {})
         if not isinstance(raw, list) or not raw:
             raise ParseError("'points' must be a nonempty array")
         rows = []
@@ -247,7 +246,6 @@ def load_points(text: str) -> tuple[SampleSet, dict[str, Any]]:
                 raise ParseError(f"point {idx} is not an array")
             rows.append([_coord(v) for v in row])
     else:
-        options = {}
         rows = []
         for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
             if not record or all(not cell.strip() for cell in record):
@@ -259,10 +257,9 @@ def load_points(text: str) -> tuple[SampleSet, dict[str, Any]]:
         if not rows:
             raise ParseError("no data rows found")
     try:
-        sample = SampleSet.from_rows(rows)
+        return SampleSet.from_rows(rows)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return sample, options if isinstance(options, dict) else {}
 
 
 def _coord(value: Any) -> Fraction:

@@ -16,6 +16,7 @@ import tropmean
 from tropmean import (
     SampleSet,
     canonicalize,
+    exact_frechet,
     fm_polytrope,
     greedy_frechet,
     trop_dist,
@@ -25,6 +26,7 @@ from tropmean.cli import _build_parser, _random_sample, main
 from tropmean.frechet import FrechetResult
 from tropmean.serialize import (
     certificate_from_json,
+    format_rational,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
@@ -91,17 +93,6 @@ def test_mean_exact_golden(tmp_path, capsys):
     assert matrix_to_json(mat) == doc["fm_polytrope"]
 
 
-def test_mean_greedy_mode(tmp_path, capsys):
-    path = write(tmp_path, "pts.json", '{"points": [[0, 0, 0], [0, 1, 2]]}')
-    assert main(["mean", path, "--mode", "greedy", "--max-iter", "300"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["exact"] is False
-    value = parse_rational(doc["min_sum"])
-    assert 2 <= value <= 2 + F(1, 10)
-    dists = [parse_rational(d) for d in doc["distances"]]
-    assert sum(d * d for d in dists) == value
-
-
 def test_mean_singleton(tmp_path, capsys):
     path = write(tmp_path, "one.csv", "5,6,9\n")
     assert main(["mean", path]) == 0
@@ -111,14 +102,16 @@ def test_mean_singleton(tmp_path, capsys):
     assert doc["exact"] is True
 
 
-def test_mean_flags_override_the_options_block(tmp_path, capsys):
-    body = '{"points": [[-3, 0, 0], [0, -6, 0], [0, 0, -12]], "options": {"max_iter": 3}}'
-    path = write(tmp_path, "opts.json", body)
-    assert main(["mean", path, "--mode", "greedy"]) == 0
-    short = parse_rational(json.loads(capsys.readouterr().out)["min_sum"])
-    assert main(["mean", path, "--mode", "greedy", "--max-iter", "400"]) == 0
-    long = parse_rational(json.loads(capsys.readouterr().out)["min_sum"])
-    assert long < short
+def test_mean_ignores_an_options_block(tmp_path, capsys):
+    """An options block in an input file is ignored, values no command
+    could use included."""
+    plain = write(tmp_path, "plain.json", THREE_POINTS_DOC)
+    body = THREE_POINTS_DOC[:-1] + ', "options": {"max_iter": "abc", "tol": [1]}}'
+    with_options = write(tmp_path, "opts.json", body)
+    assert main(["mean", plain]) == 0
+    expected = capsys.readouterr().out
+    assert main(["mean", with_options]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
@@ -138,34 +131,6 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
     assert main(["mean", path]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"] is False
-
-
-@pytest.mark.parametrize(
-    "options",
-    [
-        '{"max_iter": "abc"}',
-        '{"tol": [1]}',
-        '{"max_iter": 2.5}',
-        '{"max_iter": true}',
-        '{"tol": true}',
-    ],
-)
-def test_mean_rejects_unusable_option_values(tmp_path, capsys, options):
-    body = '{"points": [[0, 0, 0], [0, 1, 2]], "options": %s}' % options
-    path = write(tmp_path, "opts.json", body)
-    assert main(["mean", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("flags", [["--tol", "1/100"], ["--max-iter", "5"]])
-def test_mean_rejects_greedy_flags_in_exact_mode(tmp_path, capsys, flags):
-    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
-    assert main(["mean", path, *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --tol and --max-iter apply to --mode greedy only\n"
-    assert main(["mean", path, "--mode", "exact", *flags]) == 2
 
 
 def test_polytrope_from_matrix_golden(tmp_path, capsys):
@@ -225,10 +190,28 @@ def test_polytrope_takes_no_claimed_mean(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["mean"], ["mean", "--mode", "greedy"], ["polytrope"]],
-    ids=["mean", "mean-greedy", "polytrope"],
+    "argv",
+    [
+        ["mean", "--mode", "greedy"],
+        ["mean", "--tol", "1/2"],
+        ["mean", "--max-iter", "5"],
+        ["bench", "--trace"],
+        ["bench", "--max-iter", "5"],
+    ],
+    ids=["mean-mode", "mean-tol", "mean-max-iter", "bench-trace", "bench-max-iter"],
 )
+def test_greedy_flags_are_gone(tmp_path, capsys, argv):
+    """``mean`` always runs the exact route and ``bench`` times it, so the
+    flags that steered the greedy descent are unknown arguments."""
+    if argv[0] == "mean":
+        argv = [*argv, write(tmp_path, "pts.json", THREE_POINTS_DOC)]
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [["mean"], ["polytrope"]], ids=["mean", "polytrope"])
 def test_mean_and_polytrope_star_one_unstarred_matrix(tmp_path, capsys, monkeypatch, command):
     import tropmean.cli as cli_mod
     import tropmean.polytrope as polytrope_mod
@@ -268,6 +251,19 @@ def test_certify_rejects_a_bad_point(tmp_path, capsys):
     assert main(["certify", path, "--point", "0,0"]) == 2
 
 
+@pytest.mark.parametrize("point", ["0,,0,-1", "0,0,-1,", ",0,0,-1"])
+def test_certify_refuses_an_empty_coordinate(tmp_path, capsys, point):
+    """An empty field is an error, not a coordinate to skip: dropping it
+    would certify a different, shorter point."""
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    with pytest.raises(SystemExit) as caught:
+        main(["certify", path, "--point", point])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
 def test_certify_singleton_is_trivial(tmp_path, capsys):
     path = write(tmp_path, "one.csv", "2,3,4\n")
     assert main(["certify", path, "--point", "2,3,4"]) == 0
@@ -276,35 +272,23 @@ def test_certify_singleton_is_trivial(tmp_path, capsys):
 
 
 def test_bench_is_reproducible_without_timing(capsys):
-    args = [
-        "bench",
-        "--dims",
-        "3",
-        "--multipliers",
-        "1",
-        "--reps",
-        "1",
-        "--seed",
-        "7",
-        "--max-iter",
-        "60",
-        "--no-timing",
-    ]
-    assert main(args) == 0
+    args = ["bench", "--dims", "3,4", "--multipliers", "1,2", "--reps", "2", "--seed", "7"]
+    assert main([*args, "--no-timing"]) == 0
     first = capsys.readouterr().out
-    assert main(args) == 0
+    assert main([*args, "--no-timing"]) == 0
     second = capsys.readouterr().out
     assert first == second
     lines = first.strip().splitlines()
     assert lines[0] == "n,m,rep,mean_time_ms,objective"
-    assert len(lines) == 2
-    n, m, rep, cell, obj = lines[1].split(",")
-    assert (n, m, rep, cell) == ("3", "3", "1", "")
-    parse_rational(obj)
+    cells = [(n, mult * n, rep) for n in (3, 4) for mult in (1, 2) for rep in (1, 2)]
+    assert len(lines) == 1 + len(cells)
+    for line, (n, m, rep) in zip(lines[1:], cells):
+        exact = exact_frechet(_random_sample(7, n, m, rep))
+        assert line == f"{n},{m},{rep},,{format_rational(exact.min_sum)}"
 
 
 def test_bench_records_timings_by_default(capsys):
-    args = ["bench", "--dims", "3", "--multipliers", "1", "--reps", "2", "--max-iter", "40"]
+    args = ["bench", "--dims", "3", "--multipliers", "1", "--reps", "2"]
     assert main(args) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
@@ -328,54 +312,34 @@ def test_bench_refuses_sizes_it_cannot_sample(flag, value, low, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, options",
+    "flag, value",
     [
-        (["bench", "--reps", "0"], None),
-        (["bench", "--max-iter", "-1", "--reps", "1"], None),
-        (["mean", "--mode", "greedy", "--max-iter", "-5"], None),
-        (["mean", "--mode", "greedy"], '{"max_iter": -5}'),
-        (["mean"], '{"max_iter": -5}'),
+        ("--dims", ","),
+        ("--dims", ""),
+        ("--dims", "3,"),
+        ("--multipliers", ""),
+        ("--multipliers", ",2"),
     ],
-    ids=["bench-reps", "bench-max-iter", "greedy-max-iter", "greedy-option", "exact-option"],
 )
-def test_unusable_counts_exit_2_with_one_line(tmp_path, capsys, argv, options):
-    if argv[0] == "mean":
-        body = '{"points": [[0, 0, 0], [0, 1, 2]], "options": %s}' % (options or "{}")
-        argv = [*argv, write(tmp_path, "pts.json", body)]
-    try:
-        code = main(argv)
-    except SystemExit as caught:
-        code = caught.code
-    assert code == 2
+def test_bench_refuses_an_empty_size_entry(flag, value, capsys):
+    """An empty entry is an error, not a size to skip: an empty list would
+    print only the header and exit 0."""
+    with pytest.raises(SystemExit) as caught:
+        main(["bench", flag, value, "--reps", "1", "--no-timing"])
+    assert caught.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
-def test_bench_trace_is_monotone(capsys):
-    args = [
-        "bench",
-        "--dims",
-        "3",
-        "--multipliers",
-        "1",
-        "--reps",
-        "1",
-        "--seed",
-        "3",
-        "--max-iter",
-        "50",
-        "--trace",
-        "--no-timing",
-    ]
-    assert main(args) == 0
-    err = capsys.readouterr().err
-    values = []
-    for line in err.strip().splitlines():
-        assert line.startswith("trace n=3 m=3 rep=1 round=")
-        values.append(parse_rational(line.rsplit("=", 1)[1]))
-    assert values
-    assert all(a >= b for a, b in zip(values, values[1:]))
+@pytest.mark.parametrize("argv", [["bench", "--reps", "0"]], ids=["bench-reps"])
+def test_unusable_counts_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -78,7 +78,7 @@ def test_load_points_caps_bare_json_numbers():
             load_points(doc)
     with pytest.raises(ParseError):
         load_points("%s,1\n0,0\n" % huge)
-    s, _ = load_points('{"points": [["-12/5", 3], [2.5e2, -40]]}')
+    s = load_points('{"points": [["-12/5", 3], [2.5e2, -40]]}')
     assert s[0].coords == (F(0), F(27, 5))
     assert s[1].coords == (F(0), F(-290))
 
@@ -155,28 +155,27 @@ def test_result_document_shape():
 
 
 def test_load_points_json_forms():
-    s, options = load_points('{"points": [[0, 1], ["1/2", 3]]}')
+    s = load_points('{"points": [[0, 1], ["1/2", 3]]}')
     assert s.m == 2 and s.n == 2
     assert s[1] == canonicalize([F(1, 2), F(3)])
-    assert options == {}
-    s, options = load_points('{"points": [[0, 1]], "options": {"tol": "1/9"}}')
-    assert options == {"tol": "1/9"}
-    s, _ = load_points("[[0, 1], [2, 3]]")
+    # keys other than "points", an options block included, are ignored
+    with_options = '{"points": [[0, 1], ["1/2", 3]], "options": {"tol": "1/9", "max_iter": "x"}}'
+    assert load_points(with_options) == s
+    s = load_points("[[0, 1], [2, 3]]")
     assert s.m == 2
 
 
 def test_load_points_decimals_are_exact():
-    s, _ = load_points('{"points": [[0, 0.1], [0, 0.2]]}')
+    s = load_points('{"points": [[0, 0.1], [0, 0.2]]}')
     assert s[0].coords == (F(0), F(1, 10))
     assert s[1].coords == (F(0), F(1, 5))
 
 
 def test_load_points_csv():
-    s, options = load_points("0, 1, 2\n\n3, 4, 5\n")
-    assert options == {}
+    s = load_points("0, 1, 2\n\n3, 4, 5\n")
     assert s.m == 2
     assert s[1] == canonicalize([3, 4, 5])
-    s, _ = load_points("1/2,0\n-3,0.25\n")
+    s = load_points("1/2,0\n-3,0.25\n")
     assert s[1] == canonicalize([F(-3), F(1, 4)])
 
 
