@@ -37,9 +37,7 @@ from .frechet import (
     exact_frechet,
     find_certificate,
     fm_polytrope,
-    greedy_frechet,
     objective,
-    two_point_mean,
 )
 from .oracle import brute_force_frechet
 from .polytrope import (
@@ -81,7 +79,6 @@ __all__ = [
     "exact_frechet",
     "find_certificate",
     "fm_polytrope",
-    "greedy_frechet",
     "intersect",
     "kleene_star",
     "membership",
@@ -93,6 +90,5 @@ __all__ = [
     "trop_dist",
     "trop_scale",
     "tropical_vertices",
-    "two_point_mean",
     "verify_certificate",
 ]

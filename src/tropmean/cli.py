@@ -6,16 +6,18 @@ seeded random samples; ``certify --point`` accepts a point whose objective
 equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` star
 their mean or input polytrope once and read both vertex lists off that
 closure; the serializer only renders them.  Results go to stdout as JSON
-(CSV for bench), diagnostics to stderr.  Exit codes: 0 success, 2 malformed
-or unusable input, 3 a point that fails optimality certification or a mean
-that could not be certified.
+(CSV for bench), diagnostics to stderr.  Exit codes: 0 success, 1 stdout
+closed by its reader, 2 malformed or unusable input, 3 a point that fails
+optimality certification or a mean that could not be certified.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -43,10 +45,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the flush at exit
+        # cannot fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -167,7 +176,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     d = trop_dist(sample[a - 1], sample[b - 1])
     line = format_rational(d)
     if d.denominator != 1:
-        line += f" (= {float(d):.6g})"
+        with contextlib.suppress(OverflowError):
+            line += f" (= {float(d):.6g})"
     print(line)
     return 0
 

@@ -1,19 +1,14 @@
 """Fréchet means under the tropical metric.
 
 The objective c(x) = sum_j d_tr(x, p_j)^2 is piecewise quadratic and convex
-on the torus.  Two routes live here:
-
-* ``greedy_frechet``: coordinate-pair descent with the diminishing step
-  schedule 2/(k+2) and monotone acceptance, entirely in rational arithmetic.
-  It is a library route only; no command runs it.
-* ``exact_frechet``: one epigraph quadratic program, started at the
-  coordinatewise average, whose optimum is the exact mean and whose KKT
-  multipliers are its positivity certificate; the certificate is checked
-  independently before the mean is reported as exact.  The sample is
-  scaled once to integers over one common denominator, and the start, the
-  program's lift, the distances and the mean set are computed on it.
-  ``find_certificate`` hands out that certificate for any point whose
-  objective equals its certified minimum.
+on the torus.  ``exact_frechet`` computes its minimum exactly: one
+epigraph quadratic program, started at the coordinatewise average, whose
+optimum is the exact mean and whose KKT multipliers are its positivity
+certificate; the certificate is checked independently before the mean is
+reported as exact.  The sample is scaled once to integers over one common
+denominator, and the start, the program's lift, the distances and the mean
+set are computed on it.  ``find_certificate`` hands out that certificate for
+any point whose objective equals its certified minimum.
 
 ``fm_polytrope`` gives the h-description of the full mean set, obtained by
 intersecting the tropical balls around the samples with the per-sample
@@ -24,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import sub
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .certify import Certificate, piece_for, verify_certificate
 from .core import (
@@ -38,16 +33,8 @@ from .core import (
     trop_dist,
 )
 from .errors import NotOptimal
-from .polytrope import PolytropeMatrix, segment_breakpoints
+from .polytrope import PolytropeMatrix
 from .qp import Edge, QPError, minimize_qp
-
-DEFAULT_TOL = Fraction(1, 10**12)
-
-# Rounds without a tol-sized improvement before the greedy loop stops.  The
-# schedule may overshoot at the current step size even away from optimality,
-# so a single stalled scan is not treated as convergence; ten consecutive
-# stalls (with the step shrinking in between) are.
-STALL_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -71,121 +58,6 @@ def objective(sample: SampleSet, x: Sequence[RationalLike]) -> Fraction:
     """Sum of squared tropical distances from x to the sample points."""
     xs = [as_rational(v) for v in x]
     return sum((trop_dist(xs, p) ** 2 for p in sample), Fraction(0))
-
-
-def greedy_frechet(
-    sample: SampleSet,
-    max_iter: int = 100_000,
-    tol: RationalLike = DEFAULT_TOL,
-    on_round: Callable[[int, Fraction], None] | None = None,
-) -> tuple[TorusPoint, Fraction]:
-    """Descent over the direction pairs e_i - e_j with steps 2/(k+2).
-
-    Starts from the coordinatewise average of the sample.  Each round
-    evaluates the objective after a full step along every ordered pair,
-    takes the steepest strict decrease (lexicographically first on ties)
-    and advances the schedule; rounds that improve nothing still shrink
-    the step.  Stops after ``max_iter`` rounds or once no direction gains
-    more than ``tol`` for several consecutive rounds.
-
-    Iterates stay exact rationals throughout.  Internally the point is an
-    integer vector over a common denominator so the inner scan is pure
-    integer arithmetic.
-    """
-    tolv = as_rational(tol)
-    n = sample.n
-    m = sample.m
-    scale0 = lcm(*(c.denominator for p in sample for c in p), m)
-    base = [[int(c * scale0) for c in p] for p in sample]
-
-    # Start at the average: numerators at scale0 * m.
-    den = scale0 * m
-    nums = [sum(base[j][a] for j in range(m)) for a in range(n)]
-    nums, den = _reduce(nums, den)
-
-    def exact_value(nums: list[int], den: int) -> Fraction:
-        s = lcm(den, scale0)
-        f_pt, f_smp = s // den, s // scale0
-        total = Fraction(0)
-        for j in range(m):
-            diffs = [nums[a] * f_pt - base[j][a] * f_smp for a in range(n)]
-            spread = max(diffs) - min(diffs)
-            total += Fraction(spread * spread, s * s)
-        return total
-
-    current = exact_value(nums, den)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    k = 1
-    stall = 0
-    rounds = 0
-    while rounds < max_iter and stall < STALL_ROUNDS:
-        rounds += 1
-        g2 = gcd(2, k + 2)
-        q = (k + 2) // g2
-        scale = lcm(den, q, scale0)
-        lift = scale // den
-        step = (2 // g2) * (scale // q)
-        pos = [v * lift for v in nums]
-        sample_lift = scale // scale0
-        deltas = []
-        tops = []
-        bots = []
-        for j in range(m):
-            row = [pos[a] - base[j][a] * sample_lift for a in range(n)]
-            deltas.append(row)
-            order = sorted(range(n), key=lambda a: row[a])
-            bots.append([(row[a], a) for a in order[:3]])
-            tops.append([(row[a], a) for a in order[-1 : -4 : -1]])
-
-        best_num = None
-        best_dir = None
-        for i, j in pairs:
-            acc = 0
-            for s in range(m):
-                row = deltas[s]
-                a = row[i] + step
-                b = row[j] - step
-                hi = a if a >= b else b
-                lo = b if a >= b else a
-                for val, idx in tops[s]:
-                    if idx != i and idx != j:
-                        if val > hi:
-                            hi = val
-                        break
-                for val, idx in bots[s]:
-                    if idx != i and idx != j:
-                        if val < lo:
-                            lo = val
-                        break
-                e = hi - lo
-                acc += e * e
-            if best_num is None or acc < best_num:
-                best_num = acc
-                best_dir = (i, j)
-
-        decrease = Fraction(0)
-        trial = Fraction(best_num, scale * scale)
-        if trial < current:
-            i, j = best_dir
-            pos[i] += step
-            pos[j] -= step
-            nums, den = _reduce(pos, scale)
-            decrease = current - trial
-            current = trial
-        k += 1
-        stall = stall + 1 if decrease <= tolv else 0
-        if on_round is not None:
-            on_round(rounds, current)
-
-    point = canonicalize([Fraction(v, den) for v in nums])
-    return point, current
-
-
-def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = gcd(den, *nums) if nums else den
-    if g > 1:
-        return [v // g for v in nums], den // g
-    return list(nums), den
 
 
 def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
@@ -245,30 +117,6 @@ def _mean_set(nums: list[list[int]], spreads: list[int], e: int) -> PolytropeMat
         [Fraction(max(map(sub, top, col)), e) if i != k else zero for k, col in enumerate(cols)]
         for i, top in enumerate(tops)
     )
-
-
-def two_point_mean(p1: TorusPoint, p2: TorusPoint) -> TorusPoint:
-    """Midpoint of the tropical segment between two points.
-
-    Walks the breakpoint chain from p1 to p2 and interpolates linearly
-    inside the ordinary piece containing the half-way arc length.  The
-    result is a Fréchet mean of {p1, p2} with both distances d(p1,p2)/2.
-    """
-    total = trop_dist(p1, p2)
-    if total == 0:
-        return p1
-    target = total / 2
-    chain = segment_breakpoints(p2, p1)  # runs from p1 to p2
-    acc = Fraction(0)
-    for u, w in zip(chain, chain[1:]):
-        piece = trop_dist(u, w)
-        if piece == 0:
-            continue
-        if acc + piece >= target:
-            tau = (target - acc) / piece
-            return canonicalize([a + tau * (b - a) for a, b in zip(u, w)])
-        acc += piece
-    return chain[-1]
 
 
 def exact_frechet(sample: SampleSet) -> FrechetResult:

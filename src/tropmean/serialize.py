@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .certify import Certificate, QuadraticPiece, piece_for
-from .core import SampleSet, TorusPoint, as_rational, canonicalize
+from .core import SampleSet, TorusPoint, canonicalize
 from .errors import ParseError
 from .frechet import FrechetResult
 from .polytrope import NEG_INF, PolytropeMatrix, TropicalScalar

@@ -21,8 +21,6 @@ from tropmean import (
     canonicalize,
     exact_frechet,
     find_certificate,
-    fm_polytrope,
-    greedy_frechet,
     kleene_star,
     membership,
     objective,
@@ -226,19 +224,20 @@ def test_criterion_09_large_instance_completes_and_repeats():
                 for _ in range(m)
             ]
         )
-        mean, value = greedy_frechet(s, max_iter=200, tol=F(1, 10**9))
-        mat = fm_polytrope(s, mean)
-        star = kleene_star(mat)
+        result = exact_frechet(s)
+        assert result.exact
+        assert verify_certificate(s, result.certificate)
+        star = kleene_star(result.fm_polytrope)
         verts = tropical_vertices(star)
-        return mean, value, mat.entries, star.entries, tuple(verts)
+        return result, star.entries, tuple(verts)
 
     t0 = time.perf_counter()
     first = pipeline()
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     assert first == pipeline()
-    mean, value, _, star_entries, verts = first
-    assert value > 0
+    result, star_entries, verts = first
+    assert result.min_sum > 0
     assert len(star_entries) == 20
     assert verts
     for v in verts:

@@ -18,7 +18,7 @@ from tropmean import (
     canonicalize,
     exact_frechet,
     fm_polytrope,
-    greedy_frechet,
+    objective,
     trop_dist,
     verify_certificate,
 )
@@ -53,6 +53,15 @@ def test_distance_fractional_output_appends_a_decimal(tmp_path, capsys):
     path = write(tmp_path, "pts.json", '{"points": [[0, 0, "1/2"], [0, 1, 0]]}')
     assert main(["distance", path]) == 0
     assert capsys.readouterr().out == "3/2 (= 1.5)\n"
+
+
+def test_distance_beyond_float_range_prints_only_the_rational(tmp_path, capsys):
+    big = 10**400 + 7
+    path = write(tmp_path, "pts.json", '{"points": [[0, "1/3"], [0, "%d"]]}' % big)
+    assert main(["distance", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{3 * big - 1}/3\n"
+    assert captured.err == ""
 
 
 def test_distance_explicit_pair_and_identity(tmp_path, capsys):
@@ -117,11 +126,11 @@ def test_mean_ignores_an_options_block(tmp_path, capsys):
 def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "pts.json", '{"points": [[0, 0, 0], [0, 1, 2]]}')
     sample = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
-    mean, value = greedy_frechet(sample, max_iter=50)
+    mean = canonicalize([F(0), F(1, 2), F(1)])  # the sample average
     stub = FrechetResult(
         mean=mean,
         distances=tuple(trop_dist(mean, p) for p in sample),
-        min_sum=value,
+        min_sum=objective(sample, mean.coords),
         fm_polytrope=fm_polytrope(sample, mean),
         exact=False,
     )
@@ -351,6 +360,34 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path, capsys):
+    """A reader that stops early (``| head -1``) ends the command with exit
+    1 and nothing on stderr; an unreadable input file is still bad input."""
+    src = str(Path(tropmean.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # far more rows than the run reaches before the pipe is closed
+    argv = ["bench", "--dims", "2", "--multipliers", "1", "--reps", "100000", "--no-timing"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropmean", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"n,m,rep,mean_time_ms,objective\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert main(["mean", str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Objective, greedy descent, exact means, mean polytropes, midpoints."""
+"""Objective, exact means, mean polytropes, means of pairs."""
 
 from fractions import Fraction
 from random import Random
@@ -15,12 +15,10 @@ from tropmean import (
     canonicalize,
     exact_frechet,
     fm_polytrope,
-    greedy_frechet,
     membership,
     objective,
     pseudovertices,
     trop_dist,
-    two_point_mean,
     verify_certificate,
 )
 from tropmean.cli import _random_sample
@@ -49,39 +47,6 @@ def test_objective_golden_values():
 def test_objective_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         objective(THREE_POINTS, (0, 1))
-
-
-def test_greedy_on_a_singleton_returns_the_point():
-    s = SampleSet.from_rows([(4, 7, 9)])
-    v, value = greedy_frechet(s)
-    assert v == s[0]
-    assert value == 0
-
-
-def test_greedy_approaches_the_known_minimum():
-    v, value = greedy_frechet(THREE_POINTS, max_iter=2000, tol=F(1, 10**6))
-    assert 186 <= value <= 186 + F(1, 100)
-    assert objective(THREE_POINTS, v.coords) == value
-
-    s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
-    v, value = greedy_frechet(s, max_iter=2000, tol=F(1, 10**6))
-    assert 2 <= value <= 2 + F(1, 100)
-
-
-def test_greedy_trace_is_monotone():
-    seen = []
-    greedy_frechet(THREE_POINTS, max_iter=300, on_round=lambda rnd, val: seen.append(val))
-    assert len(seen) <= 300
-    assert all(a >= b for a, b in zip(seen, seen[1:]))
-
-
-def test_greedy_never_reports_below_the_true_minimum():
-    rng = Random("frechet:greedy")
-    for _ in range(10):
-        s = int_sample(rng, 3, rng.randint(2, 3))
-        result = exact_frechet(s)
-        _, value = greedy_frechet(s, max_iter=500, tol=F(1, 10**6))
-        assert value >= result.min_sum
 
 
 def test_exact_three_point_golden():
@@ -362,29 +327,35 @@ def test_equal_distance_to_every_sample_from_all_pseudovertices():
                 assert trop_dist(v, p) == result.distances[j]
 
 
+def _assert_pair_mean_is_a_midpoint(p1, p2):
+    """The mean of a pair sits at half their distance from both, so its
+    minimum is d^2/2, and it lies in its own mean polytrope."""
+    pair = SampleSet(points=(p1, p2))
+    result = exact_frechet(pair)
+    d = trop_dist(p1, p2)
+    assert result.exact
+    assert result.distances == (d / 2, d / 2)
+    assert result.min_sum == d * d / 2
+    assert objective(pair, result.mean.coords) == d * d / 2
+    assert membership(result.fm_polytrope, result.mean.coords)
+    return result
+
+
 def test_midpoint_trivial_and_golden_cases():
     p = canonicalize([0, 2, 7])
-    assert two_point_mean(p, p) == p
+    assert _assert_pair_mean_is_a_midpoint(p, p).mean == p
     a = canonicalize([0, 0, 0])
     b = canonicalize([0, 1, 2])
-    mid = two_point_mean(a, b)
-    assert trop_dist(mid, a) == 1
-    assert trop_dist(mid, b) == 1
+    result = _assert_pair_mean_is_a_midpoint(a, b)
+    assert result.distances == (1, 1)
+    assert result.min_sum == 2
 
 
 def test_midpoint_bisects_random_pairs():
     rng = Random("frechet:midpoint")
     for _ in range(60):
         n = rng.randint(2, 6)
-        p1 = rand_point(rng, n)
-        p2 = rand_point(rng, n)
-        mid = two_point_mean(p1, p2)
-        d = trop_dist(p1, p2)
-        assert trop_dist(mid, p1) == d / 2
-        assert trop_dist(mid, p2) == d / 2
-        pair = SampleSet(points=(p1, p2))
-        assert objective(pair, mid.coords) == d * d / 2
-        assert membership(fm_polytrope(pair, mid), mid.coords)
+        _assert_pair_mean_is_a_midpoint(rand_point(rng, n), rand_point(rng, n))
 
 
 def test_fm_polytrope_of_a_singleton_is_a_point_ball():

@@ -1,14 +1,16 @@
 """README's Layout block names exactly the modules of the package, its
-Command line section names exactly the command-line flags, and the
-package's export list names only what it defines.
+Command line section names exactly the command-line flags, the package's
+export list names only what it defines, and no module imports a name it
+does not use.
 
 A module or flag added, deleted or moved without the README following would
 leave it describing code that is not there; this keeps the two in step.  A
 stale name in ``tropmean.__all__`` would otherwise fail only on a star
-import.
+import, and a stale import outlives the code that needed it unnoticed.
 """
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
@@ -58,3 +60,28 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from tropmean import *", namespace)
     assert set(tropmean.__all__) <= set(namespace)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_module_uses_its_imports():
+    modules = sorted((ROOT / "src" / "tropmean").glob("*.py"))
+    unused = [
+        entry
+        for path in modules
+        if path.name != "__init__.py"
+        for entry in _unused_imports(path)
+    ]
+    assert unused == []
