@@ -11,19 +11,20 @@ independent exact minimization of the combined form.
 
 The check is built from difference pieces alone: ``add_square`` adds each
 weighted square w (x_i - x_k - c)^2 to the normal equations A y = b in the
-gauge x_1 = 0, and ``min_quadratic`` solves them exactly.  The exhaustive
-oracle builds its region sums with the same two functions.
+gauge x_1 = 0, and ``min_quadratic`` solves them by the QP step's integer
+solve.  The exhaustive oracle builds its region sums with the same two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .core import RationalLike, SampleSet, as_rational, trop_dist
 from .errors import CertificateError, InternalError
-from .linalg import AffineSolution, solve_affine
+from .linalg import integer_solve
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,21 @@ def add_square(
 
 def min_quadratic(
     a: list[list[Fraction]], b: list[Fraction], c0: Fraction
-) -> tuple[Fraction, AffineSolution]:
+) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
     normal equations ``add_square`` built.
 
-    Returns the minimum value together with the full minimizer set (a
-    particular solution of A y = b and a basis of the flat directions), both
-    padded back to full n-length coordinates with x_1 = 0.
+    A and b are scaled to integers by one common denominator and solved by
+    ``integer_solve``.  Returns the minimum value and one minimizer, the
+    solution of A y = b with its free coordinates at zero, padded back to
+    full n-length coordinates with x_1 = 0.
     """
-    sol = solve_affine(a, b)
-    if sol is None:
+    scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
+    rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]
+    bs = [row[-1] for row in rows]
+    solved = integer_solve(rows)
+    if solved is None:
         raise InternalError("normal equations of a sum of squares came out inconsistent")
-    value = c0 - sum((v * y for v, y in zip(b, sol.particular)), Fraction(0))
-    pad = lambda v: (Fraction(0),) + tuple(v)
-    return value, AffineSolution(pad(sol.particular), tuple(pad(v) for v in sol.basis))
+    den, nums = solved
+    value = c0 - Fraction(sum(v * y for v, y in zip(bs, nums)), scale * den)
+    return value, (Fraction(0), *(Fraction(v, den) for v in nums))

@@ -117,10 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ParseError(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _parse_vector(text: str) -> TorusPoint:
@@ -267,46 +271,14 @@ def _random_sample(seed: int, n: int, m: int, rep: int) -> SampleSet:
 
 
 def _polygon_ccw(points: list[TorusPoint]) -> list[tuple[Fraction, Fraction]]:
-    """Pseudovertices as 2D coordinates (x2-x1, x3-x1), counterclockwise.
-
-    Distinct polygon vertices never share a ray from the interior centroid,
-    so an exact quadrant-and-cross-product comparator orders them; the cycle
-    is rotated to start at the lexicographically smallest vertex.  Collinear
-    point sets fall back to lexicographic order.
-    """
-    pts = [(p[1], p[2]) for p in points]
-    if len(pts) <= 2:
-        return sorted(pts)
-    p0 = pts[0]
-    if all(_cross(_sub(p1, p0), _sub(p2, p0)) == 0 for p1 in pts for p2 in pts):
-        return sorted(pts)
-    k = len(pts)
-    gx = sum((u for u, _ in pts), Fraction(0)) / k
-    gy = sum((v for _, v in pts), Fraction(0)) / k
-
-    def half(p: tuple[Fraction, Fraction]) -> int:
-        dx, dy = p[0] - gx, p[1] - gy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-
-    def cmp(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return ha - hb
-        cr = _cross(_sub(a, (gx, gy)), _sub(b, (gx, gy)))
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    ordered = sorted(pts, key=functools.cmp_to_key(cmp))
-    start = ordered.index(min(ordered))
-    return ordered[start:] + ordered[:start]
-
-
-def _sub(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cross(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
+    """Pseudovertices as 2D coordinates (x2-x1, x3-x1), counterclockwise from
+    the lexicographically smallest: the points on or below the chord from it to
+    the largest left to right, then the points above the chord right to left."""
+    pts = sorted((p[1], p[2]) for p in points)
+    if len(pts) < 3:
+        return pts
+    (ax, ay), (bx, by) = pts[0], pts[-1]
+    side = [(bx - ax) * (v - ay) - (by - ay) * (u - ax) for u, v in pts]
+    below = [p for p, s in zip(pts, side) if s <= 0]
+    above = [p for p, s in zip(pts, side) if s > 0]
+    return below + above[::-1]

@@ -1,30 +1,10 @@
-"""Small exact linear algebra helpers over the rationals."""
+"""Exact linear algebra on integer rows: fraction-free elimination and the
+solution of an augmented system read off it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-Matrix = list[list[Fraction]]
-
-
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (rref rows, pivot column indices).
-
-    Each row is scaled once to integers, ``integer_rref`` eliminates, and
-    each pivot row is divided by its pivot only once, at the end; the RREF
-    being unique, the Fractions are those of elimination over the rationals.
-    """
-    m = [over_common_denominator(r)[1] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = integer_rref(m)
-    zero = Fraction(0)
-    out = [[Fraction(v, row[c]) if v else zero for v in row] for row, c in zip(m, pivots)]
-    out.extend([zero] * ncols for _ in range(len(m) - len(pivots)))
-    return out, pivots
 
 
 def integer_rref(m: list[list[int]]) -> list[int]:
@@ -71,43 +51,27 @@ def integer_rref(m: list[list[int]]) -> list[int]:
     return pivots
 
 
+def integer_solve(rows: list[list[int]]) -> tuple[int, list[int]] | None:
+    """Solve the augmented integer system [A | b] by ``integer_rref``, in place.
+
+    Returns the solution with the free variables at zero as (den, nums),
+    x[t] == nums[t] / den with den the least common denominator, or None
+    when the system is inconsistent.  No rows means no variables.
+    """
+    nvars = len(rows[0]) - 1 if rows else 0
+    pivots = integer_rref(rows)
+    if pivots and pivots[-1] == nvars:
+        return None  # a pivot in the rhs column marks inconsistency
+    # Row r is its RREF row times its pivot, so x_c = rows[r][nvars] / rows[r][c].
+    terms = [(c, row[nvars], row[c]) for row, c in zip(rows, pivots) if row[nvars]]
+    den = lcm(*(p // gcd(p, v) for _, v, p in terms))
+    nums = [0] * nvars
+    for c, v, p in terms:
+        nums[c] = v * den // p
+    return den, nums
+
+
 def over_common_denominator(x: list[Fraction]) -> tuple[int, list[int]]:
     """(den, nums) with x[t] == nums[t] / den, den the lcm of the denominators."""
     den = lcm(*(v.denominator for v in x))
     return den, [v.numerator * (den // v.denominator) for v in x]
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Solution set {particular + span(basis)} of a consistent linear system."""
-
-    particular: tuple[Fraction, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
-
-
-def solve_affine(a: Matrix, b: list[Fraction]) -> AffineSolution | None:
-    """Solve A x = b exactly.
-
-    Returns the full solution set (particular solution with free variables
-    set to zero, plus a nullspace basis), or None when inconsistent.
-    """
-    if len(a) != len(b):
-        raise ValueError("row count mismatch")
-    nvars = len(a[0]) if a else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
-    if nvars in pivots:
-        return None  # a pivot in the rhs column marks inconsistency
-    part = [Fraction(0)] * nvars
-    for r, c in enumerate(pivots):
-        part[c] = red[r][nvars]
-    free = [c for c in range(nvars) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * nvars
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
-        basis.append(tuple(vec))
-    return AffineSolution(tuple(part), tuple(basis))
-

@@ -145,14 +145,14 @@ def brute_force_frechet(
         for i, k in pairs:
             saved = tighten(region, j, (i, k))
             c0 += add_square(a_mat, b_vec, pieces[j][i, k], 1)
-            bound, sol = min_quadratic(a_mat, b_vec, c0)
+            bound, free_min = min_quadratic(a_mat, b_vec, c0)
             feas = _difference_point(region, n) if ub is None or bound <= ub else None
             if feas is not None:
                 chosen.append((i, k))
                 if j + 1 < m:
                     descend(j + 1)
                 else:
-                    settle(bound, sol.particular, feas)
+                    settle(bound, free_min, feas)
                 chosen.pop()
             c0 += add_square(a_mat, b_vec, pieces[j][i, k], -1)
             for a, b, old in saved:

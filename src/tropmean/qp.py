@@ -39,7 +39,7 @@ same loop over the rationals:
   by the gcd after each move, and the gradient H z + g as the integer
   vector sigma * zd * (H z + g).  Slacks are kept as integers over zd too
   and are updated from the row products the ratio test computes anyway.
-* The reduced system is solved by one ``linalg.integer_rref``.  Step
+* The reduced system is solved by one ``linalg.integer_solve``.  Step
   lengths are compared by integer cross-multiplication, in the same row
   order and with the same strict comparison as over the rationals, so the
   blocking rows are the same too.
@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import integer_rref, over_common_denominator
+from .linalg import integer_solve, over_common_denominator
 
 Vector = list[Fraction]
 Sparse = list[list[tuple[int, Fraction]]]
@@ -161,16 +161,11 @@ def _subspace_step(
     With den the common denominator of u, the step B y is sn / sd with
     sn = B (den u) and sd = den zd, both divided by their gcd.
     """
-    nvars = len(grad)
-    k = len(groups)
-    sn = [0] * nvars
-    if not k:
-        return 1, sn
-    group_of = [-1] * nvars
+    group_of = [-1] * len(grad)
     for a, group in enumerate(groups):
         for t in group:
             group_of[t] = a
-    red = [[0] * k + [-sum(grad[t] for t in group)] for group in groups]
+    red = [[0] * len(groups) + [-sum(grad[t] for t in group)] for group in groups]
     # Entry (a, b) of B^T H B sums H over the rows in group a and the
     # columns in group b; row t of hs is row t of the symmetric H.
     for b, group in enumerate(groups):
@@ -179,16 +174,14 @@ def _subspace_step(
                 a = group_of[s]
                 if a >= 0:
                     red[a][b] += hv
-    pivots = integer_rref(red)
-    if pivots and pivots[-1] == k:
+    solved = integer_solve(red)
+    if solved is None:
         # Cannot happen for a quadratic bounded below on the subspace.
         raise QPError("unbounded equality subproblem")
-    # Row r of red is its RREF row times the pivot, so u_c = red[r][k] / red[r][c].
-    terms = [(row[k], row[c], c) for row, c in zip(red, pivots) if row[k]]
-    den = lcm(*(p // gcd(p, v) for v, p, _ in terms))
-    for v, p, c in terms:
-        coef = v * den // p
-        for t in groups[c]:
+    den, nums = solved
+    sn = [0] * len(grad)
+    for group, coef in zip(groups, nums):
+        for t in group:
             sn[t] += coef
     div = gcd(den, *sn)
     return den * zd // div, [v // div for v in sn]

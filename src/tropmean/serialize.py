@@ -85,6 +85,8 @@ def parse_json(text: str) -> Any:
         return json.loads(text, parse_float=parse_rational, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 def _parse_int(text: str) -> int:

@@ -20,7 +20,6 @@ from tropmean import (
     trop_dist,
 )
 from tropmean.core import TorusPoint
-from tropmean.linalg import rref, solve_affine
 from tropmean.qp import QPError
 
 DENOMS = (1, 2, 3, 5)
@@ -105,10 +104,59 @@ def dense_rows(rows):
     return h
 
 
+def rref_over_fractions(rows):
+    """Plain Gauss-Jordan over the rationals: (RREF rows, pivot columns).
+
+    The reference the integer kernel is checked against, so it shares no
+    code with ``tropmean.linalg``.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def rank(rows):
+    return len(rref_over_fractions(rows)[1])
+
+
+def solve_over_fractions(a, b):
+    """A x = b by ``rref_over_fractions``: (particular, basis), or None when
+    inconsistent.  The particular solution has its free variables at zero;
+    the basis holds one nullspace vector per free column, in column order."""
+    nvars = len(a[0]) if a else 0
+    red, pivots = rref_over_fractions([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if nvars in pivots:
+        return None
+    particular = [Fraction(0)] * nvars
+    for r, c in enumerate(pivots):
+        particular[c] = red[r][nvars]
+    basis = []
+    for f in (c for c in range(nvars) if c not in pivots):
+        vec = [Fraction(int(t == f)) for t in range(nvars)]
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][f]
+        basis.append(vec)
+    return particular, basis
+
+
 def reference_qp(h, g, rows, d, z0, max_iter=1000):
     """The primal active-set loop of ``qp.minimize_qp`` written over Fractions.
 
-    The nullspace and the subspace step come from ``solve_affine``, the
+    The nullspace and the subspace step come from ``solve_over_fractions``, the
     ratio test compares rational step lengths with a strict ``<`` in row
     order, and the working set starts as the greedily independent tight
     rows.  Returns ``((value, z, active, lam), stats)``, where ``stats``
@@ -123,34 +171,32 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000):
         raise QPError("infeasible starting point")
     work = []
     for i, s in enumerate(slacks):
-        chosen = [rows[a] for a in work + [i]]
-        if s == 0 and len(rref([list(r) for r in chosen])[1]) == len(chosen):
+        if s == 0 and rank([rows[a] for a in work + [i]]) == len(work) + 1:
             work.append(i)
     for _ in range(max_iter):
         stats["iterations"] += 1
         grad = [a + b for a, b in zip(mat_vec(h, z), g)]
         if work:
-            tight = solve_affine([rows[i] for i in work], [Fraction(0)] * len(work))
-            basis = [list(v) for v in tight.basis]
+            _, basis = solve_over_fractions([rows[i] for i in work], [Fraction(0)] * len(work))
         else:
             basis = [[Fraction(int(a == b)) for b in range(nvars)] for a in range(nvars)]
         step = [Fraction(0)] * nvars
         if basis:
             hb = [mat_vec(h, v) for v in basis]
             red = [[dot(va, vb) for vb in hb] for va in basis]
-            sol = solve_affine(red, [-dot(v, grad) for v in basis])
+            sol = solve_over_fractions(red, [-dot(v, grad) for v in basis])
             if sol is None:
                 raise QPError("unbounded equality subproblem")
-            for y, v in zip(sol.particular, basis):
+            for y, v in zip(sol[0], basis):
                 step = [s + y * vt for s, vt in zip(step, v)]
         if not any(step):
             lam = []
             if work:
                 at = [[rows[i][t] for i in work] for t in range(nvars)]
-                sol = solve_affine(at, grad)
+                sol = solve_over_fractions(at, grad)
                 if sol is None:
                     raise QPError("stationary point with inconsistent multiplier system")
-                lam = list(sol.particular)
+                lam = sol[0]
             neg = [i for i, v in zip(work, lam) if v < 0]
             if not neg:
                 value = Fraction(1, 2) * dot(mat_vec(h, z), z) + dot(g, z)

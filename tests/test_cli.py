@@ -418,6 +418,39 @@ def test_polytrope_matrix_rejects_malformed_json(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _assert_one_error_line(capsys, start="error: "):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(start) and captured.err.count("\n") == 1
+
+
+def test_non_utf8_points_exit_2_with_one_line_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"points": [[0, 1], [0, "\xff"]]}')
+    for argv in (["mean"], ["distance"], ["polytrope"], ["certify", "--point", "0,0"]):
+        assert main([*argv, str(path)]) == 2
+        _assert_one_error_line(capsys, f"error: {path}: not UTF-8")
+
+
+def test_non_utf8_matrix_exits_2_with_one_line_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 2, "entries": [[0, "\xff"], [-1, 0]]}')
+    assert main(["polytrope", "--matrix", str(path)]) == 2
+    _assert_one_error_line(capsys, f"error: {path}: not UTF-8")
+
+
+def test_deeply_nested_points_exit_2_with_one_line(tmp_path, capsys):
+    path = write(tmp_path, "deep.json", "[" * 100_000)
+    assert main(["mean", path]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_deeply_nested_matrix_exits_2_with_one_line(tmp_path, capsys):
+    path = write(tmp_path, "deep.json", '{"entries": ' + "[" * 100_000)
+    assert main(["polytrope", "--matrix", path]) == 2
+    _assert_one_error_line(capsys)
+
+
 UNBOUNDED_LINE = "error: closure column contains -inf; polytrope is unbounded\n"
 
 

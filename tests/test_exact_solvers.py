@@ -1,6 +1,7 @@
 """Rational linear algebra, LP feasibility and the active-set QP solver."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
-from tropmean.linalg import rref, solve_affine
+from tropmean.linalg import integer_rref, integer_solve, over_common_denominator
 from tropmean.qp import QPError, minimize_qp
 from support import (
     dense_rows,
@@ -20,6 +21,9 @@ from support import (
     feasible_point,
     mat_vec,
     reference_qp,
+    rank,
+    rref_over_fractions,
+    solve_over_fractions,
     sparse_rows,
 )
 
@@ -34,32 +38,11 @@ def _rand_matrix(rng, rows, cols, span=6):
 
 
 def test_rref_identifies_pivots():
-    a = [[F(2), F(4)], [F(1), F(2)]]
-    reduced, pivots = rref(a)
-    assert pivots == [0]
-    assert reduced[0] == [F(1), F(2)]
-    assert all(v == 0 for v in reduced[1])
-
-
-def _rref_over_fractions(rows):
-    """Plain Gauss-Jordan over the rationals, the reference for rref."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        lead = m[r][c]
-        m[r] = [v / lead for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    m = [[2, 4, 6], [1, 2, 5]]
+    assert integer_rref(m) == [0, 2]
+    # each row is its RREF row [1, 2, 0] / [0, 0, 1] times its pivot
+    assert m[0][1] == 2 * m[0][0] and m[0][2] == 0
+    assert m[1][:2] == [0, 0] and m[1][2] != 0
 
 
 _entries = st.one_of(
@@ -93,50 +76,62 @@ def _row(cols):
     return st.lists(_entries, min_size=cols, max_size=cols)
 
 
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators, the form the kernel takes."""
+    return [over_common_denominator(row)[1] for row in rows]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
 @example([])
 @example([[F(1, 2), F(0), F(-3, 4)], [F(1, 3), F(0), F(-1, 2)], [F(0), F(0), F(0)]])
 def test_rref_matches_fraction_gauss_jordan(rows):
-    reduced, pivots = rref(rows)
-    expected, expected_pivots = _rref_over_fractions(rows)
+    """``integer_rref`` has the pivots of rational Gauss-Jordan and each row
+    is the RREF row times its pivot, the rows past the rank zero;
+    ``integer_solve`` of the same rows read as [A | b] is the RREF's
+    particular solution, free variables at zero, over the least common
+    denominator, or None when the rhs column holds a pivot."""
+    expected, expected_pivots = rref_over_fractions(rows)
+    m = _integer_rows(rows)
+    pivots = integer_rref(m)
     assert pivots == expected_pivots
-    assert reduced == expected
-    assert all(type(v) is Fraction for row in reduced for v in row)
+    for r, row in enumerate(m):
+        lead = row[pivots[r]] if r < len(pivots) else 1
+        assert [F(v, lead) for v in row] == expected[r]
+    nvars = len(rows[0]) - 1 if rows else 0
+    solved = integer_solve(_integer_rows(rows))
+    if nvars in expected_pivots:
+        assert solved is None
+        return
+    den, nums = solved
+    x = [F(v, den) for v in nums]
+    assert den == lcm(*(v.denominator for v in x))
+    a, b = [row[:nvars] for row in rows], [row[nvars] for row in rows]
+    assert x == solve_over_fractions(a, b)[0]
+    assert mat_vec(a, x) == b
 
 
-def test_solve_affine_unique_solution():
-    a = [[F(2), F(0)], [F(0), F(3)]]
-    sol = solve_affine(a, [F(4), F(9)])
-    assert sol is not None
-    assert sol.particular == (F(2), F(3))
-    assert sol.basis == ()
-
-
-def test_solve_affine_inconsistent_returns_none():
-    a = [[F(1), F(1)], [F(2), F(2)]]
-    assert solve_affine(a, [F(1), F(3)]) is None
-
-
-def test_solve_affine_random_consistent_systems():
-    rng = Random("linalg:consistent")
-    for _ in range(60):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        a = _rand_matrix(rng, rows, cols)
-        x0 = [F(rng.randint(-5, 5), rng.choice((1, 2))) for _ in range(cols)]
-        b = mat_vec(a, x0)
-        sol = solve_affine(a, b)
-        assert sol is not None
-        assert mat_vec(a, list(sol.particular)) == b
-        for v in sol.basis:
-            assert all(val == 0 for val in mat_vec(a, list(v)))
-        # the particular plus any basis combination still solves the system
-        mix = list(sol.particular)
-        for v in sol.basis:
-            w = F(rng.randint(-3, 3))
-            mix = [mi + w * vi for mi, vi in zip(mix, v)]
-        assert mat_vec(a, mix) == b
+@settings(max_examples=300, deadline=None)
+@given(_matrices(), st.data())
+def test_integer_solve_finds_a_planted_solution(rows, data):
+    """A consistent system built from a planted x0 is solved exactly, free
+    variables at zero; moving b off the column space makes it None."""
+    if not rows:
+        return
+    nvars = len(rows[0])
+    x0 = [data.draw(_entries) for _ in range(nvars)]
+    b = mat_vec(rows, x0)
+    _, pivots = rref_over_fractions(rows)
+    den, nums = integer_solve(_integer_rows([row + [v] for row, v in zip(rows, b)]))
+    x = [F(v, den) for v in nums]
+    assert mat_vec(rows, x) == b
+    assert all(x[c] == 0 for c in range(nvars) if c not in pivots)
+    if len(pivots) < len(rows):
+        # a rank-deficient system has a b no combination of its columns reaches
+        # (a nonzero y with y A = 0 is orthogonal to every column)
+        _, left_null = solve_over_fractions([list(col) for col in zip(*rows)], [F(0)] * nvars)
+        b_off = [u + v for u, v in zip(b, left_null[0])]
+        assert integer_solve(_integer_rows([row + [v] for row, v in zip(rows, b_off)])) is None
 
 
 def test_dot_and_mat_vec():
@@ -469,9 +464,9 @@ def _dense_ends(ends, nvars):
 def test_forest_nullspace_is_the_rref_basis(case):
     ends, nvars = case
     rows = _dense_ends(ends, nvars) or [[F(0)] * nvars]
-    expected = solve_affine(rows, [F(0)] * len(rows)).basis
+    _, expected = solve_over_fractions(rows, [F(0)] * len(rows))
     groups = qp_mod.nullspace(ends, nvars)
-    assert tuple(tuple(int(t in group) for t in range(nvars)) for group in groups) == expected
+    assert [[int(t in group) for t in range(nvars)] for group in groups] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -482,7 +477,7 @@ def test_union_find_keeps_the_rows_rref_keeps(case):
     rows = _dense_ends(ends, nvars)
     greedy = []
     for r in range(len(rows)):
-        if len(rref([rows[i] for i in greedy + [r]])[1]) == len(greedy) + 1:
+        if rank([rows[i] for i in greedy + [r]]) == len(greedy) + 1:
             greedy.append(r)
     assert kept == greedy
 

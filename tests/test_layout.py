@@ -1,12 +1,14 @@
 """README's Layout block names exactly the modules of the package, its
 Command line section names exactly the command-line flags, the package's
-export list names only what it defines, and no module imports a name it
-does not use.
+export list names only what it defines, no module imports a name it does
+not use, and no module checks an invariant with ``assert``.
 
 A module or flag added, deleted or moved without the README following would
 leave it describing code that is not there; this keeps the two in step.  A
 stale name in ``tropmean.__all__`` would otherwise fail only on a star
 import, and a stale import outlives the code that needed it unnoticed.
+``python -O`` strips assert statements, so an invariant checked by one would
+go unchecked there; the package raises its errors instead.
 """
 
 import argparse
@@ -85,3 +87,13 @@ def test_every_module_uses_its_imports():
         for entry in _unused_imports(path)
     ]
     assert unused == []
+
+
+def test_no_module_asserts():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "tropmean").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
