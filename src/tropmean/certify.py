@@ -12,7 +12,9 @@ independent exact minimization of the combined form.
 The check is built from difference pieces alone: ``add_square`` adds each
 weighted square w (x_i - x_k - c)^2 to the normal equations A y = b in the
 gauge x_1 = 0, and ``min_quadratic`` solves them by the QP step's integer
-solve.  The exhaustive oracle builds its region sums with the same two.
+solve.  ``verify_certificate`` feeds them integers, the sample over its
+common denominator and the weights over theirs; the exhaustive oracle builds
+its region sums with the same two on Fractions.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from typing import Sequence
 from .core import RationalLike, SampleSet, as_rational, trop_dist
 from .errors import CertificateError, InternalError
 from .linalg import integer_solve
+
+# The normal equations hold ints or Fractions alike.
+Exact = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -86,37 +91,50 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     Structural defects (weights not convex, piece constants that do not
     match the sample data) raise CertificateError.  Otherwise the combined
     quadratic is minimized exactly and compared against c_star.
+
+    The check runs on integers: the sample over its common denominator den
+    (``sample.scaled``) and the weights over theirs, W.  Piece constants are
+    compared by cross-multiplying, and the weights of a sample must sum to
+    W.  In X = den x the combined form is sum (w W)(X_i - X_k - c den)^2
+    divided by W den^2, all of whose terms are integers, so the minimum of
+    those integer normal equations is divided by W den^2 once at the end.
     """
     if len(cert.weights) != sample.m:
         raise CertificateError("certificate sample count mismatch")
     n = sample.n
-    a = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
-    b = [Fraction(0)] * (n - 1)
-    c0 = Fraction(0)
+    den, nums = sample.scaled
+    wden = lcm(*(w.denominator for per in cert.weights for _, w in per))
+    a = [[0] * (n - 1) for _ in range(n - 1)]
+    b = [0] * (n - 1)
+    c0 = 0
     for j, per in enumerate(cert.weights):
         if not per:
             raise CertificateError(f"sample {j} carries no pieces")
-        total = Fraction(0)
+        p = nums[j]
+        total = 0
         for piece, w in per:
+            i, k = piece.i, piece.k
             if piece.sample != j:
                 raise CertificateError("piece attached to the wrong sample")
-            if not (0 <= piece.i < n and 0 <= piece.k < n) or piece.i == piece.k:
+            if not (0 <= i < n and 0 <= k < n) or i == k:
                 raise CertificateError("piece indices out of range")
-            if piece.c != sample[j][piece.i] - sample[j][piece.k]:
+            c = p[i] - p[k]
+            if piece.c.numerator * den != c * piece.c.denominator:
                 raise CertificateError("piece constant does not match the sample")
             if w < 0:
                 raise CertificateError("negative weight")
-            total += w
-            c0 += add_square(a, b, piece, w)
-        if total != 1:
-            raise CertificateError(f"weights of sample {j} sum to {total}, not 1")
+            wn = w.numerator * (wden // w.denominator)
+            total += wn
+            c0 += add_square(a, b, i, k, c, wn)
+        if total != wden:
+            raise CertificateError(f"weights of sample {j} sum to {Fraction(total, wden)}, not 1")
     value, _ = min_quadratic(a, b, c0)
-    return value >= cert.c_star
+    return value / (wden * den * den) >= cert.c_star
 
 
 def add_square(
-    a: list[list[Fraction]], b: list[Fraction], piece: QuadraticPiece, w: RationalLike
-) -> Fraction:
+    a: list[list[Exact]], b: list[Exact], i: int, k: int, c: Exact, w: Exact
+) -> Exact:
     """Add w (x_i - x_k - c)^2 to the normal equations A y = b, in place.
 
     That is w (e_i - e_k)(e_i - e_k)^T on A and w c (e_i - e_k) on b, so w
@@ -126,8 +144,8 @@ def add_square(
     adds to one row only.  Returns the square's share w c^2 of the constant
     term; a negative w removes a square that was added before.
     """
-    i, k = piece.i - 1, piece.k - 1
-    wc = w * piece.c
+    i, k = i - 1, k - 1
+    wc = w * c
     if i >= 0:
         b[i] += wc
         a[i][i] += w
@@ -137,19 +155,19 @@ def add_square(
         if i >= 0:
             a[i][k] -= w
             a[k][i] -= w
-    return wc * piece.c
+    return wc * c
 
 
 def min_quadratic(
-    a: list[list[Fraction]], b: list[Fraction], c0: Fraction
+    a: list[list[Exact]], b: list[Exact], c0: Exact
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
     normal equations ``add_square`` built.
 
-    A and b are scaled to integers by one common denominator and solved by
-    ``integer_solve``.  Returns the minimum value and one minimizer, the
-    solution of A y = b with its free coordinates at zero, padded back to
-    full n-length coordinates with x_1 = 0.
+    A and b, ints or Fractions, are scaled to integers by one common
+    denominator and solved by ``integer_solve``.  Returns the minimum value
+    and one minimizer, the solution of A y = b with its free coordinates at
+    zero, padded back to full n-length coordinates with x_1 = 0.
     """
     scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
     rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]

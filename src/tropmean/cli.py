@@ -5,8 +5,11 @@ Five subcommands: ``distance``, ``mean``, ``polytrope``, ``certify`` and
 seeded random samples; ``certify --point`` accepts a point whose objective
 equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` star
 their mean or input polytrope once and read both vertex lists off that
-closure; the serializer only renders them.  Results go to stdout as JSON
-(CSV for bench), diagnostics to stderr.  Exit codes: 0 success, 1 stdout
+closure; the serializer only renders them.  Input is read as bytes and
+decoded as UTF-8, from a file or stdin alike.  Results go to stdout as JSON
+(CSV for bench, one line for distance), diagnostics to stderr; every JSON
+document is written by ``_render``, whose bytes equal
+``json.dumps(doc, indent=2)``.  Exit codes: 0 success, 1 stdout
 closed by its reader, 2 malformed or unusable input, 3 a point that fails
 optimality certification or a mean that could not be certified.
 """
@@ -16,11 +19,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as encode
 from random import Random
 from typing import Any, Callable, Sequence
 
@@ -117,14 +120,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
+    """The bytes of a file, or of stdin for '-', decoded as UTF-8 whatever
+    the locale, with "\r\n" and "\r" read as "\n" as text mode reads them."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_vector(text: str) -> TorusPoint:
@@ -168,8 +176,34 @@ def _ints_at_least(low: int) -> Callable[[str], tuple[int, ...]]:
 
 
 def _emit(doc: Any) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_render(doc) + "\n")
+
+
+def _render(doc: Any, indent: str = "\n") -> str:
+    """``doc`` byte for byte as ``json.dumps(doc, indent=2)`` writes it:
+    strings ASCII-escaped, and each item of a nonempty list or object on a
+    line of its own.  ``indent`` is the newline and spaces that start the
+    line ``doc`` is on."""
+    if isinstance(doc, str):
+        return encode(doc)
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    inner = indent + "  "
+    # Most items are strings: they are encoded in place, not by recursion.
+    if isinstance(doc, list):
+        items = [encode(v) if type(v) is str else _render(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(doc, dict):
+        items = [
+            f"{encode(k)}: {encode(v) if type(v) is str else _render(v, inner)}"
+            for k, v in doc.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"cannot render {type(doc).__name__} as JSON")
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:

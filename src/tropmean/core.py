@@ -1,15 +1,19 @@
 """Exact points of the tropical projective torus and the tropical metric.
 
-Every quantity in this package is a ``fractions.Fraction``; nothing is ever
-rounded.  A point of the torus R^n / R(1,...,1) is stored through its unique
-representative whose first coordinate is zero, so equality, hashing and
-serialization are all well defined.
+Every quantity this package returns is a ``fractions.Fraction``; nothing is
+ever rounded.  A point of the torus R^n / R(1,...,1) is stored through its
+unique representative whose first coordinate is zero, so equality, hashing
+and serialization are all well defined.  A sample also keeps its points as
+integers over one common denominator, ``SampleSet.scaled``, which the
+solvers and the certificate check compute on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -126,6 +130,31 @@ class SampleSet:
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "SampleSet":
         return cls(tuple(canonicalize(row) for row in rows))
+
+    @classmethod
+    def from_integers(cls, den: int, rows: Sequence[Sequence[int]]) -> "SampleSet":
+        """The sample of raw points rows[j][a] / den, den > 0.
+
+        Canonicalizes on the integers and reduces them to ``scaled``, so
+        each distinct coordinate becomes one Fraction; the same rows given
+        as Fractions to ``from_rows`` make an equal sample.
+        """
+        if any(len(row) < 2 for row in rows):
+            raise ValueError("need at least two coordinates")
+        nums = [[v - row[0] for v in row] for row in rows]
+        g = gcd(den, *(v for row in nums for v in row))
+        den, nums = den // g, tuple(tuple(v // g for v in row) for row in nums)
+        values = {v: Fraction(v, den) for v in {v for row in nums for v in row}}
+        sample = cls(tuple(TorusPoint(tuple(map(values.__getitem__, row))) for row in nums))
+        sample.__dict__["scaled"] = (den, nums)
+        return sample
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, nums) with self[j][a] == nums[j][a] / den, den the lcm of
+        the denominators of the canonical coordinates."""
+        den = lcm(*(c.denominator for p in self.points for c in p))
+        return den, tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in self)
 
     @property
     def n(self) -> int:

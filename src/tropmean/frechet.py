@@ -5,10 +5,10 @@ on the torus.  ``exact_frechet`` computes its minimum exactly: one
 epigraph quadratic program, started at the coordinatewise average, whose
 optimum is the exact mean and whose KKT multipliers are its positivity
 certificate; the certificate is checked independently before the mean is
-reported as exact.  The sample is scaled once to integers over one common
-denominator, and the start, the program's lift, the distances and the mean
-set are computed on it.  ``find_certificate`` hands out that certificate for
-any point whose objective equals its certified minimum.
+reported as exact.  The start, the program's lift, the distances and the
+mean set are computed on the sample's integers over one common denominator,
+which ``SampleSet.scaled`` holds.  ``find_certificate`` hands out that
+certificate for any point whose objective equals its certified minimum.
 
 ``fm_polytrope`` gives the h-description of the full mean set, obtained by
 intersecting the tropical balls around the samples with the per-sample
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .certify import Certificate, piece_for, verify_certificate
 from .core import (
@@ -67,38 +67,27 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
     is the intersection of the tropical balls B(p_j, d_j); entrywise that
     is c_ij = max_j(-d_j + p_{j,i} - p_{j,k}) with a zero diagonal.
     """
-    e, nums, lifts = _lift(_scale(sample), mean)
+    e, nums, lifts = _lift(sample, mean)
     return _mean_set(nums, [hi - lo for hi, lo in lifts], e)
 
 
-class _Scaled(NamedTuple):
-    """A sample on one common denominator: sample[j][a] == nums[j][a] / den,
-    den the lcm of the coordinates' denominators."""
-
-    sample: SampleSet
-    den: int
-    nums: list[list[int]]
-
-
-def _scale(sample: SampleSet) -> _Scaled:
-    den = lcm(*(c.denominator for p in sample for c in p))
-    return _Scaled(sample, den, [[c.numerator * (den // c.denominator) for c in p] for p in sample])
-
-
-def _average(scaled: _Scaled) -> TorusPoint:
+def _average(sample: SampleSet) -> TorusPoint:
     """The coordinatewise average of the sample, canonical because every
     sample point is."""
-    den = scaled.den * len(scaled.nums)
-    return TorusPoint(tuple(Fraction(sum(col), den) for col in zip(*scaled.nums)))
+    den, nums = sample.scaled
+    return TorusPoint(tuple(Fraction(sum(col), den * len(nums)) for col in zip(*nums)))
 
 
-def _lift(scaled: _Scaled, x: TorusPoint) -> tuple[int, list[list[int]], list[tuple[int, int]]]:
+def _lift(
+    sample: SampleSet, x: TorusPoint
+) -> tuple[int, Sequence[Sequence[int]], list[tuple[int, int]]]:
     """(e, nums, lifts): the sample over the common denominator e of the
     sample and x, and per sample the max and min of x - p_j, over e too."""
-    e = lcm(scaled.den, *(v.denominator for v in x))
+    den, nums = sample.scaled
+    e = lcm(den, *(v.denominator for v in x))
     xs = [v.numerator * (e // v.denominator) for v in x]
-    f = e // scaled.den
-    nums = scaled.nums if f == 1 else [[c * f for c in p] for p in scaled.nums]
+    f = e // den
+    nums = nums if f == 1 else [[c * f for c in p] for p in nums]
     lifts = []
     for p in nums:
         gaps = list(map(sub, xs, p))
@@ -106,7 +95,7 @@ def _lift(scaled: _Scaled, x: TorusPoint) -> tuple[int, list[list[int]], list[tu
     return e, nums, lifts
 
 
-def _mean_set(nums: list[list[int]], spreads: list[int], e: int) -> PolytropeMatrix:
+def _mean_set(nums: Sequence[Sequence[int]], spreads: list[int], e: int) -> PolytropeMatrix:
     """The intersection of the balls B(p_j, d_j), the sample and the
     distances given as integers over e."""
     cols = list(zip(*nums))
@@ -130,28 +119,27 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     program fails with a QPError or a check fails, the start point comes
     back flagged ``exact=False``.
 
-    The sample is scaled once to integers over the lcm of its
-    denominators.  The start, the program's lift and right-hand sides, the
-    distances, ``min_sum`` and the mean set are all computed on that one
-    scaled sample; only the values handed on become Fractions.
+    The start, the program's lift and right-hand sides, the distances,
+    ``min_sum`` and the mean set are all computed on the sample's integers
+    over one common denominator, ``sample.scaled``; only the values handed
+    on become Fractions.
     """
-    scaled = _scale(sample)
-    start = _average(scaled)
+    start = _average(sample)
     try:
-        mean, cert = _epigraph_qp(scaled, start)
+        mean, cert = _epigraph_qp(sample, start)
     except QPError:
-        return _result_at(scaled, start)
-    result = _result_at(scaled, mean, cert)
+        return _result_at(sample, start)
+    result = _result_at(sample, mean, cert)
     if cert.c_star == result.min_sum and verify_certificate(sample, cert):
         return result
-    return _result_at(scaled, start)
+    return _result_at(sample, start)
 
 
 def _result_at(
-    scaled: _Scaled, mean: TorusPoint, cert: Certificate | None = None
+    sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None
 ) -> FrechetResult:
     """The result at ``mean``, flagged exact when a ``cert`` is given."""
-    e, nums, lifts = _lift(scaled, mean)
+    e, nums, lifts = _lift(sample, mean)
     spreads = [hi - lo for hi, lo in lifts]
     return FrechetResult(
         mean=mean,
@@ -181,7 +169,7 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
     return result.certificate
 
 
-def _epigraph_qp(scaled: _Scaled, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
+def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
     """Global minimizer and its certificate from one exact quadratic program.
 
     The split program writes d(x, p_j) = u_j - l_j and minimizes
@@ -200,9 +188,8 @@ def _epigraph_qp(scaled: _Scaled, start: TorusPoint) -> tuple[TorusPoint, Certif
     itself, and weight 1 on piece (0, 1) serves.
 
     H is passed by its 4m nonzero entries, 2 on the diagonal of u_j and l_j
-    and -2 between them, and the lift is computed on the scaled sample.
+    and -2 between them, and the lift is computed on ``sample.scaled``.
     """
-    sample = scaled.sample
     n = sample.n
     m = sample.m
     nv = n - 1
@@ -225,7 +212,7 @@ def _epigraph_qp(scaled: _Scaled, start: TorusPoint) -> tuple[TorusPoint, Certif
         edges += [(x, nv + m + j) for x in xs]
         d += [-c for c in sample[j]] + list(sample[j])
 
-    e, _, lifts = _lift(scaled, start)
+    e, _, lifts = _lift(sample, start)
     tops, bots = zip(*lifts)
     z0 = [*start.coords[1:], *(Fraction(v, e) for v in tops + bots)]
     c_star, z, active, lam = minimize_qp(h, g, edges, d, z0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import add_square, min_quadratic, piece_for
+from .certify import add_square, min_quadratic
 from .core import SampleSet, TorusPoint, canonicalize
 from .errors import BudgetExceeded, InternalError
 from .qp import Edge, minimize_qp
@@ -84,7 +84,7 @@ def brute_force_frechet(
                     cons.append((a, k, p[a] - p[k]))
             per_pair[(i, k)] = cons
         increments.append(per_pair)
-    pieces = [{pair: piece_for(sample, j, *pair) for pair in pairs} for j in range(m)]
+    consts = [{(i, k): p[i] - p[k] for i, k in pairs} for p in sample]
 
     def tighten(
         region: list[list[Fraction | None]], j: int, pair: tuple[int, int]
@@ -144,7 +144,7 @@ def brute_force_frechet(
         nonlocal c0
         for i, k in pairs:
             saved = tighten(region, j, (i, k))
-            c0 += add_square(a_mat, b_vec, pieces[j][i, k], 1)
+            c0 += add_square(a_mat, b_vec, i, k, consts[j][i, k], 1)
             bound, free_min = min_quadratic(a_mat, b_vec, c0)
             feas = _difference_point(region, n) if ub is None or bound <= ub else None
             if feas is not None:
@@ -154,7 +154,7 @@ def brute_force_frechet(
                 else:
                     settle(bound, free_min, feas)
                 chosen.pop()
-            c0 += add_square(a_mat, b_vec, pieces[j][i, k], -1)
+            c0 += add_square(a_mat, b_vec, i, k, consts[j][i, k], -1)
             for a, b, old in saved:
                 region[a][b] = old
 
@@ -178,7 +178,7 @@ def brute_force_frechet(
         const = zero
         for j, pair in enumerate(cell.assignment):
             tighten(cell_region, j, pair)
-            const += add_square(gram, moment, pieces[j][pair], 1)
+            const += add_square(gram, moment, *pair, consts[j][pair], 1)
         edges: list[Edge] = []
         rhs: list[Fraction] = []
         for i in range(n):

@@ -12,6 +12,11 @@ MAX_LITERAL_EXPONENT in absolute value.  The caps are checked on the text,
 before any integer is built, so a literal such as 1e100000000 is refused at
 once, and every number read stays well below Python's limit of 4,300
 digits for converting an integer to text.
+
+``load_points`` reads a bare JSON integer or a plain ASCII "p" or "p/q"
+literal straight to an integer pair; every other form goes through
+``parse_rational``, so the same inputs are accepted with the same messages.
+The sample is then built on the common denominator of its coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
+from math import lcm
 from typing import Any, Sequence
 
 from .certify import Certificate, QuadraticPiece, piece_for
@@ -65,7 +72,7 @@ def parse_rational(text: str) -> Fraction:
         try:
             too_large = abs(int(exponent)) > MAX_LITERAL_EXPONENT
         except ValueError as exc:
-            raise ParseError(f"not a rational: {text!r}") from exc
+            raise ParseError(f"not a rational: {_abbreviate(text)}") from exc
         if too_large:
             raise ParseError(
                 f"exponent of {_abbreviate(body)} exceeds {MAX_LITERAL_EXPONENT}"
@@ -73,7 +80,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r}") from exc
+        raise ParseError(f"not a rational: {_abbreviate(text)}") from exc
 
 
 def parse_json(text: str) -> Any:
@@ -104,8 +111,13 @@ def _check_size(literal: str) -> None:
         )
 
 
-def _abbreviate(literal: str) -> str:
-    return repr(literal if len(literal) <= 24 else f"{literal[:10]}...{literal[-10:]}")
+def _abbreviate(value: Any) -> str:
+    """An input value for an error line: its repr, where a string or a repr
+    longer than 24 characters keeps only its first and last ten."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 24 else f"{value[:10]}...{value[-10:]}")
+    text = repr(value)
+    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
 
 
 def point_to_json(p: TorusPoint) -> list[str]:
@@ -192,7 +204,7 @@ def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
             piece = piece_for(sample, j, i, k)
             if piece.c != _coord(item["c"]):
                 raise ParseError(
-                    f"piece constant mismatch in sample {j + 1}: {item['c']!r}"
+                    f"piece constant mismatch in sample {j + 1}: {_abbreviate(item['c'])}"
                 )
             entries.append((piece, _coord(item["w"])))
         by_sample.append(tuple(entries))
@@ -202,7 +214,7 @@ def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
 def _piece_index(value: Any, n: int) -> int:
     """A 1-based coordinate index of a certificate piece, as a 0-based int."""
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= n:
-        raise ParseError(f"piece index {value!r} is not an integer in 1..{n}")
+        raise ParseError(f"piece index {_abbreviate(value)} is not an integer in 1..{n}")
     return value - 1
 
 
@@ -230,7 +242,8 @@ def load_points(text: str) -> SampleSet:
 
     JSON: {"points": [[...], ...]} with coordinates as "p/q" strings,
     integers, or decimal literals; any other key, such as an old "options"
-    block, is ignored.  CSV: one point per row.
+    block, is ignored.  CSV: one point per row.  Coordinates are read as
+    integer pairs and the sample is built on their common denominator.
     """
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
@@ -246,22 +259,40 @@ def load_points(text: str) -> SampleSet:
         for idx, row in enumerate(raw):
             if not isinstance(row, list):
                 raise ParseError(f"point {idx} is not an array")
-            rows.append([_coord(v) for v in row])
+            rows.append([_ratio(v) for v in row])
     else:
         rows = []
         for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
             try:
-                rows.append([_coord(cell.strip()) for cell in record])
+                rows.append([_ratio(cell.strip()) for cell in record])
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
         if not rows:
             raise ParseError("no data rows found")
+    den = lcm(*(d for row in rows for _, d in row))
     try:
-        return SampleSet.from_rows(rows)
+        return SampleSet.from_integers(den, [[v * (den // d) for v, d in row] for row in rows])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# A plain ASCII "p" or "p/q" literal with a nonzero q.
+_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _ratio(value: Any) -> tuple[int, int]:
+    """One coordinate as (numerator, denominator), the same value ``_coord``
+    reads; a bare int or a plain literal is read directly."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_LITERAL_DIGITS:
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain:
+            return int(plain[1]), int(plain[2] or 1)
+    v = _coord(value)
+    return v.numerator, v.denominator
 
 
 def _coord(value: Any) -> Fraction:
@@ -276,4 +307,4 @@ def _coord(value: Any) -> Fraction:
         # Floats only appear when a caller bypassed parse_float; refuse
         # rather than guess which decimal was meant.
         raise ParseError(f"refusing inexact float {value!r}; write it as a string")
-    raise ParseError(f"cannot read coordinate {value!r}")
+    raise ParseError(f"cannot read coordinate {_abbreviate(value)}")

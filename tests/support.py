@@ -6,12 +6,18 @@ run of the tests sees the same instances on every platform and process.
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from random import Random
 
 from tropmean import (
     NEG_INF,
+    Certificate,
+    CertificateError,
+    ParseError,
     PolytropeMatrix,
     SampleSet,
     Unbounded,
@@ -21,6 +27,7 @@ from tropmean import (
 )
 from tropmean.core import TorusPoint
 from tropmean.qp import QPError
+from tropmean.serialize import _coord, parse_json
 
 DENOMS = (1, 2, 3, 5)
 
@@ -268,6 +275,90 @@ def reference_result_fields(sample: SampleSet, mean: TorusPoint):
         for i in range(n)
     ]
     return dists, sum((v * v for v in dists), Fraction(0)), PolytropeMatrix.from_rows(rows)
+
+
+# The input and certificate routes as they ran over Fractions before the
+# sample was carried as integers from the parser on: the integer routes must
+# accept the same inputs, build the same samples and reach the same verdicts,
+# with the same error texts.
+def reference_load_points(text: str):
+    """(sample, scaled) by the Fraction route: every coordinate through
+    ``serialize._coord``, then ``SampleSet.from_rows``, and the scaled form
+    as the lcm of the canonical coordinates' denominators."""
+    stripped = text.lstrip()
+    if stripped.startswith("{") or stripped.startswith("["):
+        doc = parse_json(text)
+        if isinstance(doc, list):
+            doc = {"points": doc}
+        if not isinstance(doc, dict) or "points" not in doc:
+            raise ParseError("JSON input must carry a 'points' array")
+        raw = doc["points"]
+        if not isinstance(raw, list) or not raw:
+            raise ParseError("'points' must be a nonempty array")
+        rows = []
+        for idx, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise ParseError(f"point {idx} is not an array")
+            rows.append([_coord(v) for v in row])
+    else:
+        rows = []
+        for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if not record or all(not cell.strip() for cell in record):
+                continue
+            try:
+                rows.append([_coord(cell.strip()) for cell in record])
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+        if not rows:
+            raise ParseError("no data rows found")
+    try:
+        sample = SampleSet.from_rows(rows)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    den = lcm(*(c.denominator for p in sample for c in p))
+    nums = tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in sample)
+    return sample, (den, nums)
+
+
+def reference_verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
+    """``verify_certificate`` over Fractions: the same checks in the same
+    order, and the combined quadratic minimized by ``solve_over_fractions``
+    on its normal equations in the gauge x_1 = 0."""
+    if len(cert.weights) != sample.m:
+        raise CertificateError("certificate sample count mismatch")
+    n = sample.n
+    a = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
+    b = [Fraction(0)] * (n - 1)
+    c0 = Fraction(0)
+    for j, per in enumerate(cert.weights):
+        if not per:
+            raise CertificateError(f"sample {j} carries no pieces")
+        total = Fraction(0)
+        for piece, w in per:
+            if piece.sample != j:
+                raise CertificateError("piece attached to the wrong sample")
+            if not (0 <= piece.i < n and 0 <= piece.k < n) or piece.i == piece.k:
+                raise CertificateError("piece indices out of range")
+            if piece.c != sample[j][piece.i] - sample[j][piece.k]:
+                raise CertificateError("piece constant does not match the sample")
+            if w < 0:
+                raise CertificateError("negative weight")
+            total += w
+            # w (x_i - x_k - c)^2 with e_i - e_k in the coordinates x_2..x_n
+            row = [Fraction(0)] * (n - 1)
+            if piece.i:
+                row[piece.i - 1] += 1
+            if piece.k:
+                row[piece.k - 1] -= 1
+            for s in range(n - 1):
+                b[s] += w * piece.c * row[s]
+                for t in range(n - 1):
+                    a[s][t] += w * row[s] * row[t]
+            c0 += w * piece.c * piece.c
+        if total != 1:
+            raise CertificateError(f"weights of sample {j} sum to {total}, not 1")
+    y, _ = solve_over_fractions(a, b)
+    return c0 - dot(b, y) >= cert.c_star
 
 
 # A textbook phase-one simplex with Bland's rule: artificial variables are

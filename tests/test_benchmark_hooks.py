@@ -6,9 +6,11 @@ and the active-set iterations through ``tropmean.qp.nullspace``, which the
 loop calls once per iteration on the working-set rows.  It times the
 polytrope layers through ``kleene_star``, ``tropical_vertices`` and
 ``pseudovertices``, looked up in both ``tropmean.polytrope`` and
-``tropmean.cli``.  A kernel change that renamed any of these, or stopped
-computing one basis per iteration, would zero or skew those layers without
-failing anything else.
+``tropmean.cli``, and the parse, render and certificate-check layers
+through ``tropmean.cli.load_points``, ``tropmean.cli.result_to_json`` and
+``tropmean.frechet.verify_certificate``.  A kernel change that renamed any
+of these, or stopped computing one basis per iteration, would zero or skew
+those layers without failing anything else.
 """
 
 import importlib
@@ -42,6 +44,17 @@ def tracer():
 def test_tracer_hooks_the_qp_names(tracer):
     targets = {(module, attr): layer for module, attr, layer, _ in tracer.TARGETS}
     for (module, attr), layer in HOOKS.items():
+        assert targets[module, attr] == layer
+        assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_tracer_hooks_the_parse_render_and_check_names(tracer):
+    targets = {(module, attr): layer for module, attr, layer, _ in tracer.TARGETS}
+    for (module, attr), layer in {
+        ("tropmean.cli", "load_points"): "serialize.load_points",
+        ("tropmean.cli", "result_to_json"): "serialize.result_to_json",
+        ("tropmean.frechet", "verify_certificate"): "certify.verify",
+    }.items():
         assert targets[module, attr] == layer
         assert callable(getattr(importlib.import_module(module), attr, None))
 

@@ -1,5 +1,6 @@
 """Optimality certificates and exact quadratic minimization."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -24,7 +25,8 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.certify import add_square
-from support import int_sample, rand_sample
+from tropmean.serialize import load_points
+from support import int_sample, rand_sample, reference_verify_certificate
 
 F = Fraction
 
@@ -165,11 +167,85 @@ def test_structural_defects_raise_certificate_error(defect, message):
     assert isinstance(caught.value, ValueError)
 
 
+def _verdict(check, sample, cert):
+    try:
+        return check(sample, cert)
+    except CertificateError as exc:
+        return f"CertificateError: {exc}"
+
+
+def _mixed_sample(rng, n, m):
+    """A sample read from literals over 1, 2 and 6 and decimals, so that
+    its common denominator and its weights' differ."""
+    def literal():
+        kind = rng.randrange(4)
+        if kind == 3:
+            return f"{rng.randint(-9, 9)}.{rng.randint(0, 99):02d}"
+        return f"{rng.randint(-12, 12)}/{(1, 2, 6)[kind]}"
+
+    rows = [[literal() for _ in range(n)] for _ in range(m)]
+    return load_points(json.dumps({"points": rows}))
+
+
+def _mutations(cert):
+    """The certificate with c_star raised by 1/10**9, weight moved between
+    two pieces of one sample, a wrong piece constant and a negative weight."""
+    weights = list(cert.weights)
+    (piece, w), *rest = weights[0]
+    yield Certificate(cert.c_star + F(1, 10**9), cert.weights)
+    for j, per in enumerate(weights):
+        if len(per) > 1:
+            (p0, w0), (p1, w1), *tail = per
+            moved = weights[:j] + [((p0, w0 / 2), (p1, w1 + w0 / 2), *tail)] + weights[j + 1:]
+            yield Certificate(cert.c_star, tuple(moved))
+            break
+    wrong = QuadraticPiece(piece.sample, piece.i, piece.k, piece.c + F(1, 3))
+    yield Certificate(cert.c_star, (((wrong, w), *rest), *weights[1:]))
+    yield Certificate(cert.c_star, (((piece, -w), *rest), *weights[1:]))
+
+
+def test_integer_check_agrees_with_the_fraction_check():
+    """On samples with mixed denominators and on four mutations of each
+    certificate, the integer check and the Fraction reference give the same
+    verdict or raise the same error."""
+    rng = Random("certify:integer-check")
+    verdicts = []
+    for _ in range(40):
+        s = _mixed_sample(rng, rng.randint(2, 5), rng.randint(1, 6))
+        cert = exact_frechet(s).certificate
+        assert verify_certificate(s, cert) is True
+        assert reference_verify_certificate(s, cert) is True
+        raised, *others = _mutations(cert)
+        assert _verdict(verify_certificate, s, raised) is False
+        for mutated in (raised, *others):
+            verdict = _verdict(verify_certificate, s, mutated)
+            assert verdict == _verdict(reference_verify_certificate, s, mutated)
+            verdicts.append(verdict)
+    assert "CertificateError: negative weight" in verdicts
+    assert "CertificateError: piece constant does not match the sample" in verdicts
+    assert verdicts.count(False) > 40  # some moved weights fail on the minimum
+
+
+def test_add_square_builds_the_same_equations_on_ints_and_fractions():
+    rng = Random("certify:ints")
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        terms = [(*rng.sample(range(n), 2), rng.randint(-6, 6), rng.randint(-3, 8)) for _ in range(5)]
+        built = []
+        for zero in (0, F(0)):
+            a = [[zero] * (n - 1) for _ in range(n - 1)]
+            b = [zero] * (n - 1)
+            c0 = sum(add_square(a, b, i, k, zero + c, zero + w) for i, k, c, w in terms)
+            built.append((a, b, c0))
+        assert built[0] == built[1]
+        assert all(type(v) is int for v in (*built[0][1], built[0][2]))
+
+
 def _normal_equations(n, terms):
     """A, b and c0 of the weighted sum over (piece, w) terms."""
     a = [[F(0)] * (n - 1) for _ in range(n - 1)]
     b = [F(0)] * (n - 1)
-    c0 = sum((add_square(a, b, piece, w) for piece, w in terms), F(0))
+    c0 = sum((add_square(a, b, piece.i, piece.k, piece.c, w) for piece, w in terms), F(0))
     return a, b, c0
 
 
@@ -210,7 +286,7 @@ def test_add_square_with_negative_weight_undoes_the_square():
         terms = _random_terms(rng, n)
         a, b, c0 = _normal_equations(n, terms)
         piece, w = terms[-1]
-        c0 += add_square(a, b, piece, -w)
+        c0 += add_square(a, b, piece.i, piece.k, piece.c, -w)
         assert (a, b, c0) == _normal_equations(n, terms[:-1])
 
 

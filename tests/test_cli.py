@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropmean
 from tropmean import (
@@ -22,7 +24,7 @@ from tropmean import (
     trop_dist,
     verify_certificate,
 )
-from tropmean.cli import _build_parser, _random_sample, main
+from tropmean.cli import _build_parser, _emit, _random_sample, _render, main
 from tropmean.frechet import FrechetResult
 from tropmean.serialize import (
     certificate_from_json,
@@ -73,7 +75,7 @@ def test_distance_explicit_pair_and_identity(tmp_path, capsys):
 
 
 def test_distance_reads_stdin(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("0,0,0\n0,1,2\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"0,0,0\n0,1,2\n")))
     assert main(["distance", "-"]) == 0
     assert capsys.readouterr().out == "2\n"
 
@@ -439,6 +441,36 @@ def test_non_utf8_matrix_exits_2_with_one_line_naming_the_file(tmp_path, capsys)
     _assert_one_error_line(capsys, f"error: {path}: not UTF-8")
 
 
+def test_bad_bytes_on_stdin_name_the_utf8_problem(capsys, monkeypatch):
+    # A POSIX locale opens stdin with surrogateescape, so bad bytes decode
+    # silently unless stdin is read as bytes.
+    raw = io.BytesIO(b'{"points": [[0, 1], [0, "\xff"]]}')
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, "utf-8", "surrogateescape"))
+    assert main(["mean", "-"]) == 2
+    _assert_one_error_line(capsys, "error: stdin: not UTF-8 text (byte 25: invalid start byte)")
+
+
+def _assert_short_error_line(capsys, start):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = captured.err.encode("utf-8")
+    assert line.startswith(start.encode("utf-8")) and line.count(b"\n") == 1
+    assert len(line) <= 300
+
+
+def test_a_long_coordinate_string_is_abbreviated_on_its_error_line(tmp_path, capsys):
+    path = write(tmp_path, "long.json", '{"points": [["%s", 0], [0, 1]]}' % ("x" * 100_000))
+    assert main(["mean", path]) == 2
+    _assert_short_error_line(capsys, "error: not a rational: 'xxxxxxxxxx...xxxxxxxxxx'")
+
+
+def test_a_deeply_nested_coordinate_is_abbreviated_on_its_error_line(tmp_path, capsys):
+    nested = "[" * 900 + "]" * 900
+    path = write(tmp_path, "nested.json", '{"points": [[%s, 0], [0, 1]]}' % nested)
+    assert main(["mean", path]) == 2
+    _assert_short_error_line(capsys, "error: cannot read coordinate [[[[[[[[[[...]]]]]]]]]]")
+
+
 def test_deeply_nested_points_exit_2_with_one_line(tmp_path, capsys):
     path = write(tmp_path, "deep.json", "[" * 100_000)
     assert main(["mean", path]) == 2
@@ -582,3 +614,27 @@ def test_mean_reproduces_the_benchmark_reference_digest(tmp_path, capsys, worklo
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
     digests = reference[workload][f"{n},{m}"]["digests"]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digests[rep - 1]
+
+
+# Documents of the output's shape: objects and arrays, nested, empty or not,
+# holding strings (non-ASCII and control characters among them), ints,
+# booleans and null.
+_documents = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_the_writer_gives_the_bytes_of_json_dumps(doc):
+    assert _render(doc) == json.dumps(doc, indent=2)
+
+
+def test_emit_writes_the_rendered_document_and_a_newline(capsys):
+    doc = {"mean": ["0", "-1/2"], "exact": True, "n": 3, "none": None, "é": [[], {}]}
+    _emit(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

@@ -409,7 +409,7 @@ def _split_programs(draw):
 
     with mock.patch.object(frechet_mod, "minimize_qp", record):
         with pytest.raises(_Recorded):
-            frechet_mod._epigraph_qp(frechet_mod._scale(SampleSet.from_rows(rows)), start)
+            frechet_mod._epigraph_qp(SampleSet.from_rows(rows), start)
     return n, programs[0]
 
 

@@ -1,14 +1,19 @@
 """README's Layout block names exactly the modules of the package, its
 Command line section names exactly the command-line flags, the package's
 export list names only what it defines, no module imports a name it does
-not use, and no module checks an invariant with ``assert``.
+not use, and no module checks an invariant with ``assert``.  ``certify``
+imports nothing from ``frechet`` or ``qp``, and no module calls
+``json.dump`` or ``json.dumps``.
 
 A module or flag added, deleted or moved without the README following would
 leave it describing code that is not there; this keeps the two in step.  A
 stale name in ``tropmean.__all__`` would otherwise fail only on a star
 import, and a stale import outlives the code that needed it unnoticed.
 ``python -O`` strips assert statements, so an invariant checked by one would
-go unchecked there; the package raises its errors instead.
+go unchecked there; the package raises its errors instead.  A certificate
+check that called into the route it checks would not be independent of it,
+and a second JSON writer could drift from the one whose bytes the goldens
+and the benchmark digests pin.
 """
 
 import argparse
@@ -97,3 +102,38 @@ def test_no_module_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _imported_modules(path):
+    """The modules a file imports from, as dotted names; a relative import
+    is written relative to the package, without its leading dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_certify_imports_nothing_from_the_route_it_checks():
+    imported = _imported_modules(ROOT / "src" / "tropmean" / "certify.py")
+    route = {"frechet", "qp"}
+    assert [m for m in imported if route & set(m.split("."))] == []
+
+
+def test_one_json_writer():
+    calls = []
+    for path in sorted((ROOT / "src" / "tropmean").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in {"dump", "dumps"}:
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                if {alias.name for alias in node.names} & {"dump", "dumps"}:
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

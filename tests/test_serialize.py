@@ -5,6 +5,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmean import (
     NEG_INF,
@@ -29,7 +31,7 @@ from tropmean.serialize import (
     point_to_json,
     result_to_json,
 )
-from support import rand_point
+from support import rand_point, reference_load_points
 
 F = Fraction
 
@@ -239,3 +241,68 @@ def test_certificate_json_rejects_malformed_pieces(change):
         change(group["pieces"][0], s[0])
     with pytest.raises(ParseError):
         certificate_from_json(doc, s)
+
+
+# Literals the fast read takes (plain ASCII "p" and "p/q", signs, leading
+# zeros) and every form it must hand to parse_rational unchanged.
+_digits = st.text("0123456789", min_size=1, max_size=5)
+_sign = st.sampled_from(["", "-", "+"])
+_plain = st.one_of(
+    st.builds("{}{}".format, _sign, _digits),
+    st.builds("{}{}/{}".format, _sign, _digits, st.integers(1, 10**5)),
+)
+_literal = st.one_of(
+    _plain,
+    _plain,
+    st.builds(" {} ".format, _plain),
+    st.sampled_from(
+        ["1_000", "2.5", "-0.125", ".5", "1e2", "2.5E-1", "-1e-3", "\u0663", "\u0661/\u0662",
+         "1/0", "-3/00", "1/", "/2", "1//2", "--1", "1/-2", "0x10", "x", "", " ", "nan", "inf",
+         "7" * 1001, "1/" + "3" * 999, "1e1001"]
+    ),
+)
+_json_cell = st.one_of(
+    st.builds(json.dumps, _literal),
+    st.builds(str, st.integers(-(10**20), 10**20)),
+    st.sampled_from(["2.5", "-0.0", "1E3", "true", "false", "null", "[1]", "{}"]),
+)
+
+
+@st.composite
+def _documents(draw):
+    """A JSON or CSV points document.  Most rows share one width, and half
+    the documents draw only from the literals the fast read takes."""
+    width = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.sampled_from([width] * 24 + [0, 1, 5]), min_size=1, max_size=5))
+    clean = draw(st.booleans())
+    if draw(st.booleans()):
+        bare = st.builds(str, st.integers(-(10**20), 10**20))
+        cell = st.one_of(st.builds(json.dumps, _plain), bare) if clean else _json_cell
+        rows = [draw(st.lists(cell, min_size=k, max_size=k)) for k in widths]
+        points = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+        return points if draw(st.booleans()) else '{"points": %s}' % points
+    cell = _plain if clean else _literal
+    rows = [draw(st.lists(cell, min_size=k, max_size=k)) for k in widths]
+    return "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_load_points_matches_the_fraction_route(text):
+    """The integer read accepts what the Fraction route accepts, builds the
+    same points and the same scaled form, and fails with the same text."""
+    got = _outcome(load_points, text)
+    expected = _outcome(reference_load_points, text)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        sample, scaled = expected
+        assert not isinstance(got, str), got
+        assert (got.points, got.scaled) == (sample.points, scaled)
