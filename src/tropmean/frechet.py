@@ -23,15 +23,8 @@ from math import lcm
 from operator import sub
 from typing import Sequence
 
-from .certify import Certificate, piece_for, verify_certificate
-from .core import (
-    RationalLike,
-    SampleSet,
-    TorusPoint,
-    as_rational,
-    canonicalize,
-    trop_dist,
-)
+from .certify import Certificate, QuadraticPiece, verify_certificate
+from .core import RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
 from .errors import NotOptimal
 from .polytrope import PolytropeMatrix
 from .qp import Edge, QPError, minimize_qp
@@ -187,52 +180,61 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     reported as their i < k representative; a sample with t_j = 0 is the mean
     itself, and weight 1 on piece (0, 1) serves.
 
-    H is passed by its 4m nonzero entries, 2 on the diagonal of u_j and l_j
-    and -2 between them, and the lift is computed on ``sample.scaled``.
+    The program is solved on integers, in the variables e z with e the common
+    denominator of the sample and the start (``_lift``): its right-hand sides
+    are the sample's numerators over e, its start the lift over e, and H is
+    given by its 4m nonzero entries, 2 on the diagonal of u_j and l_j and -2
+    between them.  Its value is c_star times e^2.  The multipliers come back
+    as integers over one positive factor, which a weight alpha beta /
+    (sum alpha sum beta) does not see, so each weight is one Fraction of
+    integers, and so is each piece constant, read off the sample over e.
     """
     n = sample.n
     m = sample.m
     nv = n - 1
-    nvars = nv + 2 * m
-    zero = Fraction(0)
 
-    two, minus_two = Fraction(2), Fraction(-2)
-    h: list[list[tuple[int, Fraction]]] = [[] for _ in range(nv)]
-    h += [[(u, two), (u + m, minus_two)] for u in range(nv, nv + m)]
-    h += [[(u, minus_two), (u + m, two)] for u in range(nv, nv + m)]
-    g = [zero] * nvars
+    h: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    h += [[(u, 2), (u + m, -2)] for u in range(nv, nv + m)]
+    h += [[(u, -2), (u + m, 2)] for u in range(nv, nv + m)]
+    g = [0] * (nv + 2 * m)
 
+    e, nums, lifts = _lift(sample, start)
     # Sample j's n rows of u_j, then its n rows of l_j: row r is sample r // 2n.
     # x_1 is the ground, and x_2..x_n are variables 0..n-2.
     xs = [None, *range(nv)]
     edges: list[Edge] = []
-    d: list[Fraction] = []
-    for j in range(m):
+    d: list[int] = []
+    for j, p in enumerate(nums):
         edges += [(nv + j, x) for x in xs]
         edges += [(x, nv + m + j) for x in xs]
-        d += [-c for c in sample[j]] + list(sample[j])
-
-    e, _, lifts = _lift(sample, start)
+        d += [-c for c in p]
+        d += p
     tops, bots = zip(*lifts)
-    z0 = [*start.coords[1:], *(Fraction(v, e) for v in tops + bots)]
-    c_star, z, active, lam = minimize_qp(h, g, edges, d, z0)
+    x0 = [v.numerator * (e // v.denominator) for v in start.coords[1:]]
+    value, (zd, zn), active, u = minimize_qp(h, g, edges, d, [*x0, *tops, *bots])
 
-    # Per sample, its alpha and its beta by coordinate.
-    sides: list[tuple[dict[int, Fraction], ...]] = [({}, {}) for _ in range(m)]
-    for r, value in zip(active, lam):
-        if value:
+    # Per sample, its alpha and its beta by coordinate, over one factor.
+    sides: list[tuple[dict[int, int], ...]] = [({}, {}) for _ in range(m)]
+    for r, a in zip(active, u):
+        if a:
             j, s = divmod(r, 2 * n)
-            sides[j][s // n][s % n] = value
+            sides[j][s // n][s % n] = a
     weights = []
     for j, (alpha, beta) in enumerate(sides):
-        total = sum(alpha.values(), zero) * sum(beta.values(), zero)
+        total = sum(alpha.values()) * sum(beta.values())
         if not total:
-            alpha, beta, total = {0: Fraction(1)}, {1: Fraction(1)}, 1
+            alpha, beta, total = {0: 1}, {1: 1}, 1
         per = {
-            (min(i, k), max(i, k)): a * b / total
+            (min(i, k), max(i, k)): Fraction(a * b, total)
             for i, a in alpha.items()
             for k, b in beta.items()
         }
-        pieces = sorted(per.items())
-        weights.append(tuple((piece_for(sample, j, i, k), w) for (i, k), w in pieces))
-    return canonicalize([zero] + z[:nv]), Certificate(c_star, tuple(weights))
+        p = nums[j]
+        weights.append(
+            tuple(
+                (QuadraticPiece(j, i, k, Fraction(p[i] - p[k], e)), w)
+                for (i, k), w in sorted(per.items())
+            )
+        )
+    mean = TorusPoint((Fraction(0), *(Fraction(v, zd * e) for v in zn[:nv])))
+    return mean, Certificate(value / (e * e), tuple(weights))

@@ -19,6 +19,11 @@ The module is deliberately independent of the refinement pipeline in
 ``certify``'s normal equations of squared difference pieces, and its region
 enumeration is its own, so the tests can confront the two routes on equal
 terms.
+
+The walk runs on the sample's integers over its common denominator den
+(``SampleSet.scaled``), in the coordinates X = den x: regions, increments,
+feasible points and deferred programs are integers, region minima are in
+units of 1/den^2, and only the returned value and witness are scaled back.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class _Cell:
     value: Fraction | None  # exact region minimum, if already known
     bound: Fraction  # unconstrained lower bound on the region minimum
     point: tuple[Fraction, ...] | None  # minimizer with x_1 = 0, if known
-    start: list[Fraction]  # feasible gauge point for the deferred program
+    start: list[int]  # feasible gauge point for the deferred program
 
 
 def brute_force_frechet(
@@ -67,14 +72,13 @@ def brute_force_frechet(
 
     pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
     nv = n - 1
-    zero = Fraction(0)
+    den, nums = sample.scaled
 
     # Difference-constraint increments per (sample, pair): choosing (i, k)
     # for sample j forces x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k.
-    increments: list[dict[tuple[int, int], list[tuple[int, int, Fraction]]]] = []
-    for j in range(m):
-        p = sample[j]
-        per_pair: dict[tuple[int, int], list[tuple[int, int, Fraction]]] = {}
+    increments: list[dict[tuple[int, int], list[tuple[int, int, int]]]] = []
+    for p in nums:
+        per_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for i, k in pairs:
             cons = []
             for a in range(n):
@@ -84,11 +88,11 @@ def brute_force_frechet(
                     cons.append((a, k, p[a] - p[k]))
             per_pair[(i, k)] = cons
         increments.append(per_pair)
-    consts = [{(i, k): p[i] - p[k] for i, k in pairs} for p in sample]
+    consts = [{(i, k): p[i] - p[k] for i, k in pairs} for p in nums]
 
     def tighten(
-        region: list[list[Fraction | None]], j: int, pair: tuple[int, int]
-    ) -> list[tuple[int, int, Fraction | None]]:
+        region: list[list[int | None]], j: int, pair: tuple[int, int]
+    ) -> list[tuple[int, int, int | None]]:
         """Impose sample j's increments for ``pair``; returns what to undo."""
         saved = []
         for a, b, c in increments[j][pair]:
@@ -100,20 +104,20 @@ def brute_force_frechet(
 
     # Accumulated region: region[i][k] is the current lower bound on
     # x_i - x_k, or None while unconstrained.
-    region: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
+    region: list[list[int | None]] = [[None] * n for _ in range(n)]
     # Normal equations A y = b of the unconstrained partial sum in the gauge
     # x_1 = 0, plus its constant term.
-    a_mat = [[zero] * nv for _ in range(nv)]
-    b_vec = [zero] * nv
-    c0 = zero
+    a_mat = [[0] * nv for _ in range(nv)]
+    b_vec = [0] * nv
+    c0 = 0
 
     cells: list[_Cell] = []
-    ub: Fraction | None = None  # best objective value seen anywhere
+    ub: Fraction | int | None = None  # best objective value seen anywhere, times den^2
     chosen: list[tuple[int, int]] = []
 
-    def objective_at(x: list[Fraction]) -> Fraction:
-        total = zero
-        for p in sample:
+    def objective_at(x: list[int]) -> int:
+        total = 0
+        for p in nums:
             diffs = [x[a] - p[a] for a in range(n)]
             spread = max(diffs) - min(diffs)
             total += spread * spread
@@ -128,7 +132,7 @@ def brute_force_frechet(
                     return False
         return True
 
-    def settle(bound: Fraction, free_min: tuple[Fraction, ...], feas: list[Fraction]) -> None:
+    def settle(bound: Fraction, free_min: tuple[Fraction, ...], feas: list[int]) -> None:
         """Record the leaf region from its parent's bound and feasible point."""
         nonlocal ub
         if in_region(free_min):
@@ -172,15 +176,15 @@ def brute_force_frechet(
     ):
         if best is not None and cell.bound > best:
             break
-        cell_region: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
-        gram = [[zero] * nv for _ in range(nv)]
-        moment = [zero] * nv
-        const = zero
+        cell_region: list[list[int | None]] = [[None] * n for _ in range(n)]
+        gram = [[0] * nv for _ in range(nv)]
+        moment = [0] * nv
+        const = 0
         for j, pair in enumerate(cell.assignment):
             tighten(cell_region, j, pair)
             const += add_square(gram, moment, *pair, consts[j][pair], 1)
         edges: list[Edge] = []
-        rhs: list[Fraction] = []
+        rhs: list[int] = []
         for i in range(n):
             for k in range(n):
                 if cell_region[i][k] is not None:
@@ -188,9 +192,9 @@ def brute_force_frechet(
                     rhs.append(cell_region[i][k])
         h = [[(t, 2 * v) for t, v in enumerate(row) if v] for row in gram]
         g = [-2 * v for v in moment]
-        qval, z, _, _ = minimize_qp(h, g, edges, rhs, cell.start)
+        qval, (zd, zn), _, _ = minimize_qp(h, g, edges, rhs, cell.start)
         cell.value = qval + const
-        cell.point = (zero, *z)
+        cell.point = (Fraction(0), *(Fraction(v, zd) for v in zn))
         if best is None or cell.value < best:
             best = cell.value
 
@@ -202,19 +206,17 @@ def brute_force_frechet(
     if witness is None:
         raise InternalError("the best region has no minimizer")
     optimal = [c.assignment for c in winners[:MAX_ASSIGNMENTS]]
-    return best, canonicalize(witness), optimal
+    return Fraction(best, den * den), canonicalize([Fraction(v, den) for v in witness]), optimal
 
 
-def _difference_point(
-    region: list[list[Fraction | None]], n: int
-) -> list[Fraction] | None:
+def _difference_point(region: list[list[int | None]], n: int) -> list[int] | None:
     """A vector with x_i - x_k >= region[i][k] everywhere, or None.
 
     Bellman-Ford on the constraint graph: an entry c at (i, k) is the edge
     x_k <= x_i - c.  All potentials start at zero, which plays the role of
     a virtual source connected to every node.
     """
-    dist = [Fraction(0)] * n
+    dist = [0] * n
     for sweep in range(n + 1):
         changed = False
         for i in range(n):

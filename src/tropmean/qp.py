@@ -2,7 +2,7 @@
 
 Minimizes q(z) = 1/2 z^T H z + g^T z subject to difference constraints
 z_a - z_b >= d, where H is positive semidefinite and given by its nonzero
-entries per row, the data are rationals and either end of a constraint may
+entries per row, the data are integers and either end of a constraint may
 be the ground, a node held at zero.
 These are optimal-tension problems (Rockafellar, *Network Flows and
 Monotropic Optimization*, 1984).  The method is the classical one: keep a
@@ -27,22 +27,22 @@ ground, so the working set needs no elimination:
   before it.
 * Its multipliers, the flow dual to the tension, come from peeling leaves.
 
-The whole loop runs on integers, and its iterates are exactly those of the
-same loop over the rationals:
+The data are integers, and so is every step of the loop; its iterates are
+exactly those of the same loop over the rationals:
 
-* H and g are scaled once by their common denominator sigma, which only
-  H's nonzero entries enter, and each row by the denominator of its rhs.
-  A positive factor on the objective changes neither its minimizer on any
-  subspace nor any step, and one on a row changes neither its zero set nor
-  the sign of its slack, so the working-set sequence is unchanged.
 * z is kept as an integer vector over one denominator, z = zn / zd, reduced
   by the gcd after each move, and the gradient H z + g as the integer
-  vector sigma * zd * (H z + g).  Slacks are kept as integers over zd too
-  and are updated from the row products the ratio test computes anyway.
-* The reduced system is solved by one ``linalg.integer_solve``.  Step
-  lengths are compared by integer cross-multiplication, in the same row
-  order and with the same strict comparison as over the rationals, so the
-  blocking rows are the same too.
+  vector zd * (H z + g).
+* The ratio test walks the rows once.  A slack is computed, as
+  zn_a - zn_b - d zd, only for a row the step moves toward, the only rows
+  that can block.  Step lengths are compared by integer cross-multiplication,
+  in the same row order and with the same strict comparison as over the
+  rationals, so the blocking rows are the same too.
+* The reduced system is solved by one ``linalg.integer_solve``.
+
+A program with rational data is put on integers by its caller: scaling z by
+a positive factor, and the objective by another, changes no working set,
+step or blocking row.
 
 Exact arithmetic removes every tolerance question; the iteration cap is a
 safety net and is never reached on the problem sizes this package solves.
@@ -51,12 +51,10 @@ safety net and is never reached on the problem sizes this package solves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import integer_solve, over_common_denominator
+from .linalg import integer_solve
 
-Vector = list[Fraction]
-Sparse = list[list[tuple[int, Fraction]]]
 IntSparse = list[tuple[int, int]]
 Edge = tuple[int | None, int | None]
 
@@ -68,72 +66,64 @@ class QPError(RuntimeError):
 
 
 def minimize_qp(
-    h: Sparse, g: Vector, edges: list[Edge], d: Vector, z0: Vector
-) -> tuple[Fraction, Vector, list[int], Vector]:
+    h: list[IntSparse], g: list[int], edges: list[Edge], d: list[int], z0: list[int]
+) -> tuple[Fraction, tuple[int, list[int]], list[int], list[int]]:
     """Solve min 1/2 z^T H z + g^T z  s.t.  z_a - z_b >= d[r] for each edge r = (a, b).
 
     Either end of an edge may be None, the ground, which is held at zero:
     (a, None) reads z_a >= d[r] and (None, b) reads -z_b >= d[r].  z0 must
     be feasible.  H is symmetric positive semidefinite, given as the
-    nonzero entries (column, value) of each of its rows.
-    Returns (optimal value, optimizer, active rows, multipliers): the rows
-    of the final working set in increasing order and their multipliers
-    lam >= 0 in the same order, with sum_r lam_r (e_a - e_b) = H z + g.
+    nonzero entries (column, value) of each of its rows.  All data are ints.
+    Returns (optimal value, (zd, zn), active rows, u): the optimizer
+    z = zn / zd with zd > 0, the rows of the final working set in increasing
+    order, and their multipliers lam = u / zd over the same zd, lam >= 0 in
+    the same order, with sum_r lam_r (e_a - e_b) = H z + g.
     """
     nvars = len(z0)
-    sigma = lcm(*(v.denominator for row in h for _, v in row), *(v.denominator for v in g))
-    hs = [[(t, v.numerator * (sigma // v.denominator)) for t, v in row] for row in h]
-    gs = [v.numerator * (sigma // v.denominator) for v in g]
     # Node nvars is the ground: zn and every step hold a zero there.
     ends = [(nvars if a is None else a, nvars if b is None else b) for a, b in edges]
-    scales = [v.denominator for v in d]
-    ds = [v.numerator for v in d]
-    zd, zn = over_common_denominator(list(z0))
-    zn.append(0)
-    slacks = [s * (zn[a] - zn[b]) - v * zd for (a, b), s, v in zip(ends, scales, ds)]
+    zd, zn = 1, [*z0, 0]
+    slacks = [zn[a] - zn[b] - v for (a, b), v in zip(ends, d)]
     if any(s < 0 for s in slacks):
         raise QPError("infeasible starting point")
     work = _independent_subset(ends, [i for i, s in enumerate(slacks) if s == 0], nvars)
 
     for _ in range(MAX_ITER):
-        grad = [_idot(row, zn) + v * zd for row, v in zip(hs, gs)]
+        grad = [_idot(row, zn) + v * zd for row, v in zip(h, g)]
         ends_w = [ends[i] for i in work]
-        sd, sn = _subspace_step(hs, grad, nullspace(ends_w, nvars), zd)
+        sd, sn = _subspace_step(h, grad, nullspace(ends_w, nvars), zd)
         if not any(sn):
             u = _multipliers(ends_w, grad)
             neg = [i for i, v in zip(work, u) if v < 0]
             if not neg:
-                # zn.grad = zn^T Hs zn + zd gs.zn, all over sigma zd^2.
-                value = Fraction(_dot(zn, grad) + zd * _dot(gs, zn), 2 * sigma * zd * zd)
-                z = [Fraction(v, zd) for v in zn[:nvars]]
-                lam = [Fraction(v, sigma * zd) for v in u]
+                # zn.grad = zn^T H zn + zd g.zn, all over zd^2.
+                value = Fraction(_dot(zn, grad) + zd * _dot(g, zn), 2 * zd * zd)
                 order = sorted(range(len(work)), key=work.__getitem__)
-                return value, z, [work[a] for a in order], [lam[a] for a in order]
+                return value, (zd, zn[:nvars]), [work[a] for a in order], [u[a] for a in order]
             work.remove(min(neg))
             continue
         sn.append(0)
-        # Row i's limit slack_i / (-row_i.step) is (slacks[i] / -prods[i]) times
-        # sd/zd, so the limits compare as slacks[i] / -prods[i], starting from
-        # zd/sd (a full step).  Working-set rows have prods[i] == 0.
-        prods = [s * (sn[a] - sn[b]) for (a, b), s in zip(ends, scales)]
+        # Row i's limit slack_i / (-row_i.step) is (slack / -prod) times
+        # sd/zd with slack = zn_a - zn_b - d_i zd, so the limits compare as
+        # slack / -prod, starting from zd/sd (a full step).  Only a row with
+        # prod < 0 can block; working-set rows have prod == 0.
         best_num, best_den = zd, sd
         blocker = None
-        for i, s in enumerate(prods):
-            if s < 0:
-                num = slacks[i]
-                if num * best_den < best_num * -s:
-                    best_num, best_den = num, -s
+        for i, (a, b) in enumerate(ends):
+            prod = sn[a] - sn[b]
+            if prod < 0:
+                num = zn[a] - zn[b] - d[i] * zd
+                if num * best_den < best_num * -prod:
+                    best_num, best_den = num, -prod
                     blocker = i
         if best_num:
             # z + alpha step with alpha = best_num sd / (best_den zd).
             zn = [best_den * a + best_num * b for a, b in zip(zn, sn)]
-            slacks = [best_den * a + best_num * b for a, b in zip(slacks, prods)]
             zd *= best_den
             div = gcd(zd, *zn)
             if div > 1:
                 zd //= div
                 zn = [v // div for v in zn]
-                slacks = [v // div for v in slacks]
         if blocker is not None:
             work.append(blocker)
     raise QPError("active-set iteration cap exceeded")
@@ -156,7 +146,7 @@ def _subspace_step(
     """Minimize the quadratic along z + span(B); returns the step as (sd, sn).
 
     The columns of B are the indicator vectors of the groups.  With grad =
-    sigma zd (H z + g) and the scaled H, the reduced system
+    zd (H z + g), the reduced system
     (B^T H B) u = -B^T grad is solved by u = zd y, y the rational solution.
     With den the common denominator of u, the step B y is sn / sd with
     sn = B (den u) and sd = den zd, both divided by their gcd.
@@ -194,15 +184,15 @@ def nullspace(ends: list[tuple[int, int]], nvars: int) -> list[list[int]]:
     the ground, in the order of their largest variable, each given as its
     variables in increasing order.
     """
-    root = _UnionFind(nvars)
-    for a, b in ends:
-        root.join(a, b)
+    parent, _ = _forest(ends, nvars)
     members: dict[int, list[int]] = {}
-    ground = root.find(nvars)
-    for t in range(nvars):
-        r = root.find(t)
-        if r != ground:
-            members.setdefault(r, []).append(t)
+    for t in range(nvars + 1):
+        r = t
+        while r != parent[r]:
+            r = parent[r]
+        parent[t] = r
+        members.setdefault(r, []).append(t)
+    del members[parent[nvars]]
     return sorted(members.values(), key=lambda group: group[-1])
 
 
@@ -251,27 +241,24 @@ def _independent_subset(ends: list[tuple[int, int]], rows: list[int], nvars: int
     A row is kept exactly when it joins two components of the rows kept
     before it.
     """
-    root = _UnionFind(nvars)
-    return [r for r in rows if root.join(*ends[r])]
+    _, kept = _forest([ends[r] for r in rows], nvars)
+    return [rows[i] for i in kept]
 
 
-class _UnionFind:
-    """Disjoint sets over the nodes 0..nvars, node nvars being the ground."""
+def _forest(ends: list[tuple[int, int]], nvars: int) -> tuple[list[int], list[int]]:
+    """Union-find over the nodes 0..nvars, node nvars being the ground.
 
-    def __init__(self, nvars: int) -> None:
-        self.parent = list(range(nvars + 1))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def join(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; False when they were one already."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+    Joins the rows (a, b) in order and returns the parent list and the
+    positions of the rows that joined two components.
+    """
+    parent = list(range(nvars + 1))
+    kept = []
+    for r, (a, b) in enumerate(ends):
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            kept.append(r)
+    return parent, kept

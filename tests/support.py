@@ -25,6 +25,7 @@ from tropmean import (
     kleene_star,
     trop_dist,
 )
+from tropmean.certify import piece_for
 from tropmean.core import TorusPoint
 from tropmean.qp import QPError
 from tropmean.serialize import _coord, parse_json
@@ -74,12 +75,14 @@ def nonpositive_matrix(rng: Random, n: int, span: int = 12) -> PolytropeMatrix:
     return PolytropeMatrix.from_rows(rows)
 
 
+# The dense reference routines skip the zero entries of their first
+# operand, which changes no result and keeps sparse programs cheap.
 def mat_vec(a, x):
-    return [sum((r[j] * x[j] for j in range(len(x))), Fraction(0)) for r in a]
+    return [dot(r, x) for r in a]
 
 
 def dot(x, y):
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+    return sum((a * b for a, b in zip(x, y) if a), Fraction(0))
 
 
 def densify(edges, nvars):
@@ -126,11 +129,11 @@ def rref_over_fractions(rows):
             continue
         m[r], m[p] = m[p], m[r]
         lead = m[r][c]
-        m[r] = [v / lead for v in m[r]]
+        m[r] = [v / lead if v else v for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
@@ -228,6 +231,59 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000):
     raise QPError("active-set iteration cap exceeded")
 
 
+def integer_program(h, g, edges, d, z0):
+    """A rational program of ``qp.minimize_qp`` put on integers: (program, e, s).
+
+    z is scaled by e, the lcm of the denominators of d and z0, and the
+    objective then by s, the lcm of the denominators of H and of e g, so the
+    program in e z has H' = s H, g' = s e g, d' = e d and z0' = e z0.  Its
+    optimizer is e times, its value s e^2 times and its multipliers s e times
+    those of the rational program, and its working sets are the same.  The
+    scaling is this helper's own, so it shares no code with ``qp`` or
+    ``linalg``.
+    """
+    e = lcm(*(Fraction(v).denominator for v in (*d, *z0)))
+    s = lcm(
+        *(Fraction(v).denominator for row in h for _, v in row),
+        *(Fraction(e * v).denominator for v in g),
+    )
+    program = (
+        [[(t, _whole(s * v)) for t, v in row] for row in h],
+        [_whole(s * e * v) for v in g],
+        list(edges),
+        [_whole(e * v) for v in d],
+        [_whole(e * v) for v in z0],
+    )
+    return program, e, s
+
+
+def _whole(v):
+    v = Fraction(v)
+    if v.denominator != 1:
+        raise ValueError(f"{v} is not an integer")
+    return v.numerator
+
+
+def fraction_result(result, e, s):
+    """``minimize_qp``'s result on ``integer_program``'s program, read back as
+    the rational program's (value, z, active, lam)."""
+    value, (zd, zn), active, u = result
+    return (
+        value / (s * e * e),
+        [Fraction(v, zd * e) for v in zn],
+        active,
+        [Fraction(v, zd * s * e) for v in u],
+    )
+
+
+def fraction_program(h, g, edges, d, z0):
+    """An integer program of ``qp.minimize_qp`` as ``reference_qp`` takes it:
+    dense H, g, dense rows, d and z0, all Fractions."""
+    h = [[Fraction(v) for v in row] for row in dense_rows(h)]
+    as_fractions = lambda xs: [Fraction(v) for v in xs]
+    return h, as_fractions(g), densify(edges, len(z0)), as_fractions(d), as_fractions(z0)
+
+
 # The assembly of the mean's epigraph program and of the result at a point,
 # as it ran over Fractions before ``exact_frechet`` moved to integers on one
 # common denominator; the integer route must hand the solver and the caller
@@ -261,6 +317,35 @@ def reference_epigraph_program(sample: SampleSet, start: TorusPoint):
     gaps = [[a - b for a, b in zip(x, p)] for p in sample]
     z0 = [*x[1:], *map(max, gaps), *map(min, gaps)]
     return h, g, edges, d, z0
+
+
+def reference_epigraph(sample: SampleSet, start: TorusPoint):
+    """(mean, certificate) of the epigraph program by the Fraction route:
+    ``reference_epigraph_program``, ``reference_qp`` and the weights read off
+    the rational multipliers, alpha_ji beta_jk / (sum alpha_j sum beta_j) per
+    i < k piece, weight 1 on piece (0, 1) for a sample with no multiplier."""
+    n, m = sample.n, sample.m
+    h, g, edges, d, z0 = reference_epigraph_program(sample, start)
+    (c_star, z, active, lam), _ = reference_qp(h, g, densify(edges, len(z0)), d, z0)
+    sides = [({}, {}) for _ in range(m)]
+    for r, value in zip(active, lam):
+        if value:
+            j, s = divmod(r, 2 * n)
+            sides[j][s // n][s % n] = value
+    weights = []
+    for j, (alpha, beta) in enumerate(sides):
+        total = sum(alpha.values(), Fraction(0)) * sum(beta.values(), Fraction(0))
+        if not total:
+            alpha, beta, total = {0: Fraction(1)}, {1: Fraction(1)}, 1
+        per = {
+            (min(i, k), max(i, k)): a * b / total
+            for i, a in alpha.items()
+            for k, b in beta.items()
+        }
+        weights.append(
+            tuple((piece_for(sample, j, i, k), w) for (i, k), w in sorted(per.items()))
+        )
+    return canonicalize([Fraction(0), *z[: n - 1]]), Certificate(c_star, tuple(weights))
 
 
 def reference_result_fields(sample: SampleSet, mean: TorusPoint):

@@ -24,7 +24,7 @@ import pytest
 import tropmean.frechet as frechet_mod
 from tropmean import SampleSet, exact_frechet
 
-from support import dense_rows, densify, reference_qp
+from support import fraction_program, reference_qp
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 HOOKS = {
@@ -96,8 +96,8 @@ def test_one_exact_solve_counts_its_rows_and_iterations(tracer, monkeypatch):
     assert result.exact
     assert not set(spans.missing) & {f"{m}.{a}" for m, a in HOOKS}
     (program,) = programs
-    h, g, edges, d, z0 = program
-    _, stats = reference_qp(dense_rows(h), g, densify(edges, len(z0)), d, z0)
+    # The recorded program is on integers; the reference runs it as Fractions.
+    _, stats = reference_qp(*fraction_program(*program))
     assert spans.calls["qp.minimize"] == 1
     assert spans.counts["qp.minimize.rows"] == len(program[2]) == 2 * 5 * 8
     assert spans.counts["qp.nullspace_calls"] == stats["iterations"] > 1

@@ -19,6 +19,9 @@ from support import (
     densify,
     dot,
     feasible_point,
+    fraction_program,
+    fraction_result,
+    integer_program,
     mat_vec,
     reference_qp,
     rank,
@@ -167,6 +170,21 @@ def test_feasible_point_on_random_feasible_systems():
         assert mat_vec(a, x) == b
 
 
+def _solve(h, g, edges, d, z0):
+    """``minimize_qp`` on a rational program, through ``integer_program``,
+    its result read back as the rational program's."""
+    program, e, s = integer_program(h, g, edges, d, z0)
+    return fraction_result(minimize_qp(*program), e, s)
+
+
+def test_qp_takes_integers_and_returns_them_over_one_denominator():
+    # The program of test_qp_activates_a_blocking_constraint: the optimizer
+    # (3/2, 3/2) comes back as (3, 3) over 2, and the multiplier 1 as 2 over
+    # the same 2.
+    result = minimize_qp([[(0, 2)], [(1, 2)]], [-2, -4], [(0, 1)], [0], [2, 0])
+    assert result == (F(-9, 2), (2, [3, 3]), [0], [2])
+
+
 def _qp_value(h, g, z):
     return F(1, 2) * dot(mat_vec(h, z), z) + dot(g, z)
 
@@ -174,7 +192,7 @@ def _qp_value(h, g, z):
 def test_qp_unconstrained_minimum():
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-2), F(-4)]
-    value, z, active, _ = minimize_qp(sparse_rows(h), g, [], [], [F(0), F(0)])
+    value, z, active, _ = _solve(sparse_rows(h), g, [], [], [F(0), F(0)])
     assert z == [F(1), F(2)]
     assert value == F(-5)
     assert active == []
@@ -185,7 +203,7 @@ def test_qp_activates_a_blocking_constraint():
     # towards (1, 2) is blocked at (4/3, 4/3), and the optimum is (3/2, 3/2).
     h = [[F(2), F(0)], [F(0), F(2)]]
     g = [F(-2), F(-4)]
-    value, z, active, lam = minimize_qp(sparse_rows(h), g, [(0, 1)], [F(0)], [F(2), F(0)])
+    value, z, active, lam = _solve(sparse_rows(h), g, [(0, 1)], [F(0)], [F(2), F(0)])
     assert z == [F(3, 2), F(3, 2)]
     assert active == [0]
     # H z + g = (1, -1) = lam (e_1 - e_2)
@@ -198,14 +216,14 @@ def test_qp_activates_a_blocking_constraint():
 def test_qp_leaves_an_inactive_constraint_alone():
     h = [[F(2)]]
     g = [F(-6)]
-    value, z, active, _ = minimize_qp(sparse_rows(h), g, [(0, None)], [F(0)], [F(5)])
+    value, z, active, _ = _solve(sparse_rows(h), g, [(0, None)], [F(0)], [F(5)])
     assert z == [F(3)]
     assert active == []
 
 
 def test_qp_rejects_infeasible_start():
     with pytest.raises(QPError):
-        minimize_qp(sparse_rows([[F(2)]]), [F(0)], [(0, None)], [F(1)], [F(0)])
+        _solve(sparse_rows([[F(2)]]), [F(0)], [(0, None)], [F(1)], [F(0)])
 
 
 def test_qp_semidefinite_hessian_with_equality_like_rows():
@@ -214,7 +232,7 @@ def test_qp_semidefinite_hessian_with_equality_like_rows():
     g = [F(0), F(0)]
     edges = [(1, None), (None, 1)]
     d = [F(1), F(-1)]
-    value, z, active, _ = minimize_qp(sparse_rows(h), g, edges, d, [F(4), F(1)])
+    value, z, active, _ = _solve(sparse_rows(h), g, edges, d, [F(4), F(1)])
     assert z[0] == F(0)
     assert z[1] == F(1)
     assert value == F(0)
@@ -239,7 +257,7 @@ def test_qp_random_boxes_agree_with_coordinate_clamping():
             edges.extend([(a, None), (None, a)])
             d.extend([lo[a], -hi[a]])
         z0 = [min(max(F(0), lo[a]), hi[a]) for a in range(nv)]
-        value, z, active, lam = minimize_qp(sparse_rows(h), g, edges, d, z0)
+        value, z, active, lam = _solve(sparse_rows(h), g, edges, d, z0)
         clamped = [min(max(target[a], lo[a]), hi[a]) for a in range(nv)]
         assert z == clamped
         assert value == _qp_value(h, g, clamped)
@@ -263,7 +281,7 @@ def test_qp_first_row_blocks_on_a_tie(order):
     edges = [pair[a][0] for a in order]
     d = [pair[a][1] for a in order]
     z0 = [F(0), F(0)]
-    value, z, active, lam = minimize_qp(sparse_rows(h), g, edges, d, z0)
+    value, z, active, lam = _solve(sparse_rows(h), g, edges, d, z0)
     assert z == [F(1), F(0)]
     assert value == F(-3)
     assert 0 in active
@@ -278,8 +296,9 @@ def _program(h, g, edges, d, z0):
     return sparse_rows(matrix(h)), [F(v) for v in g], edges, [F(v) for v in d], [F(v) for v in z0]
 
 
-# Hand-made programs, each built to exercise one feature of the loop, with H
-# by its nonzero entries per row as ``minimize_qp`` takes it.
+# Hand-made rational programs, each built to exercise one feature of the
+# loop, with H by its nonzero entries per row; ``_solve`` puts them on
+# integers for ``minimize_qp``.
 QP_CASES = {
     # min (u - l)^2 over (x, u, l) with u >= x, u >= 3/2, l <= x and l <= 0:
     # H has a zero block for x, as in frechet's epigraph program.
@@ -317,8 +336,7 @@ def test_qp_cases_exercise_their_feature():
 
 
 def _reference(program):
-    h, g, edges, d, z0 = program
-    return reference_qp(dense_rows(h), g, densify(edges, len(z0)), d, z0)
+    return reference_qp(*fraction_program(*program))
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -381,10 +399,10 @@ def _assert_matches_reference(program):
         expected, stats = _reference(program)
     except QPError:
         with pytest.raises(QPError):
-            minimize_qp(*program)
+            _solve(*program)
         return
     with mock.patch.object(qp_mod, "nullspace", counted):
-        result = minimize_qp(*program)
+        result = _solve(*program)
     assert result == expected
     assert len(calls) == stats["iterations"]
 

@@ -1,6 +1,7 @@
 """Objective, exact means, mean polytropes, means of pairs."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -28,6 +29,7 @@ from support import (
     rand_point,
     rand_sample,
     reference_average,
+    reference_epigraph,
     reference_epigraph_program,
     reference_result_fields,
 )
@@ -255,10 +257,16 @@ def test_integer_assembly_matches_the_fraction_assembly(sample, data):
         fallback = exact_frechet(sample)
     (program,) = programs
     h, g, edges, d, z0 = program
-    expected = reference_epigraph_program(sample, start)
-    assert (dense_rows(h), g, edges, d, z0) == expected
-    assert all(isinstance(v, Fraction) for v in (*g, *d, *z0))
-    assert all(isinstance(v, Fraction) for row in h for _, v in row)
+    assert all(type(v) is int for v in (*g, *d, *z0))
+    assert all(type(v) is int for row in h for _, v in row)
+    # The program is in the variables e z, e the common denominator of the
+    # sample and the start: its rows and start are e times the Fraction
+    # ones, and H (the objective e^2 times) and g are unchanged.
+    e = lcm(sample.scaled[0], *(v.denominator for v in start))
+    eh, eg, eedges, ed, ez0 = reference_epigraph_program(sample, start)
+    assert (dense_rows(h), g, edges) == (eh, eg, eedges)
+    assert d == [e * v for v in ed]
+    assert z0 == [e * v for v in ez0]
     assert not fallback.exact
     assert fallback.mean == start
 
@@ -268,6 +276,49 @@ def test_integer_assembly_matches_the_fraction_assembly(sample, data):
         fields = (at.distances, at.min_sum, at.fm_polytrope)
         assert fields == reference_result_fields(sample, at.mean)
         assert at.fm_polytrope == fm_polytrope(sample, at.mean)
+
+
+@st.composite
+def _tied_samples(draw):
+    """Samples with n <= 5 and m <= 6 and entries in -3..3 over 1 or 2, so
+    coordinates tie often, with the average or a random point as start."""
+    n = draw(st.integers(2, 5))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    sample = SampleSet.from_rows(rows)
+    start = draw(
+        st.one_of(
+            st.just(reference_average(sample)),
+            st.lists(entry, min_size=n, max_size=n).map(canonicalize),
+        )
+    )
+    return sample, start
+
+
+def _assert_epigraph_matches_the_fraction_route(sample, start):
+    mean, cert = frechet_mod._epigraph_qp(sample, start)
+    expected_mean, expected_cert = reference_epigraph(sample, start)
+    assert mean == expected_mean
+    assert cert == expected_cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_samples())
+def test_certificate_read_off_matches_the_fraction_route(case):
+    """The mean and the certificate read off the integer multipliers, the
+    weights compared exactly, equal those of the Fraction program, solve and
+    read-off."""
+    _assert_epigraph_matches_the_fraction_route(*case)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_certificate_read_off_on_the_benchmark_pool(n):
+    """The same on every mean-small pool instance: ``bench --seed 0`` cells
+    (n, m) with m = n, 2n, 3n, reps 1 to 24."""
+    for m in (n, 2 * n, 3 * n):
+        for rep in range(1, 25):
+            sample = _random_sample(0, n, m, rep)
+            _assert_epigraph_matches_the_fraction_route(sample, reference_average(sample))
 
 
 def test_result_invariants_on_random_instances():

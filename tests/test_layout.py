@@ -13,7 +13,10 @@ import, and a stale import outlives the code that needed it unnoticed.
 go unchecked there; the package raises its errors instead.  A certificate
 check that called into the route it checks would not be independent of it,
 and a second JSON writer could drift from the one whose bytes the goldens
-and the benchmark digests pin.
+and the benchmark digests pin.  ``qp`` reads no ``.denominator`` and does not
+import ``over_common_denominator``: the exact QP takes integer data, and a
+rescaling inside it would be a second, hidden scaling of what its caller
+already put on integers.
 """
 
 import argparse
@@ -137,3 +140,15 @@ def test_one_json_writer():
                 if {alias.name for alias in node.names} & {"dump", "dumps"}:
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_the_qp_kernel_takes_integers_only():
+    path = ROOT / "src" / "tropmean" / "qp.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "denominator"
+    ]
+    assert reads == []
+    assert not any(m.endswith("over_common_denominator") for m in _imported_modules(path))
