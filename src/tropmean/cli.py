@@ -51,18 +51,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader closed stdout: point it at devnull so the flush at exit
-        # cannot fail again, and end quietly.
+        # cannot fail again, and end quietly.  A BrokenPipeError is an
+        # OSError, so this handler comes first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EmptyPolytrope, Unbounded) as exc:
+    except (ParseError, OSError, EmptyPolytrope, Unbounded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotOptimal as exc:

@@ -5,7 +5,9 @@ ever rounded.  A point of the torus R^n / R(1,...,1) is stored through its
 unique representative whose first coordinate is zero, so equality, hashing
 and serialization are all well defined.  A sample also keeps its points as
 integers over one common denominator, ``SampleSet.scaled``, which the
-solvers and the certificate check compute on.
+solvers and the certificate check compute on.  A string becomes a rational
+through ``read_literal`` only, under the literal caps the command line
+applies too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ RationalLike = Fraction | int | str
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and decimal strings to an exact Fraction."""
+    """Coerce ints, 'p/q' strings and decimal strings to an exact Fraction;
+    a string is read by ``read_literal``, under the literal caps."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -30,8 +33,44 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return read_literal(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+# Caps on every number literal read: its digits in all, and its decimal exponent.
+MAX_LITERAL_DIGITS = 1000
+MAX_LITERAL_EXPONENT = 1000
+
+
+def read_literal(text: str) -> Fraction:
+    """The rational a "p", "p/q" or decimal literal names, exactly.  A
+    malformed literal, or one over the caps, which are checked on the text
+    before any integer is built, raises ValueError with the line to print."""
+    body = text.strip()
+    # A literal no longer than the cap cannot hold more digits than the cap.
+    if len(body) > MAX_LITERAL_DIGITS and sum(c.isdigit() for c in body) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"number {abbreviate(body)} has more than {MAX_LITERAL_DIGITS} digits")
+    if "e" in body or "E" in body:
+        _, _, exponent = body.lower().partition("e")
+        try:
+            too_large = abs(int(exponent)) > MAX_LITERAL_EXPONENT
+        except ValueError:
+            raise ValueError(f"not a rational: {abbreviate(text)}") from None
+        if too_large:
+            raise ValueError(f"exponent of {abbreviate(body)} exceeds {MAX_LITERAL_EXPONENT}")
+    try:
+        return Fraction(body)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational: {abbreviate(text)}") from None
+
+
+def abbreviate(value: object) -> str:
+    """An input value for an error line: its repr, where a string or a repr
+    longer than 24 characters keeps only its first and last ten."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 24 else f"{value[:10]}...{value[-10:]}")
+    text = repr(value)
+    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
 
 
 @dataclass(frozen=True)

@@ -94,11 +94,10 @@ def _mean_set(nums: Sequence[Sequence[int]], spreads: list[int], e: int) -> Poly
     cols = list(zip(*nums))
     # tops[i][j] = p_{j,i} - d_j, so entry (i, k) is the max of tops[i] - cols[k].
     tops = [list(map(sub, col, spreads)) for col in cols]
-    zero = Fraction(0)
-    return PolytropeMatrix.from_rows(
-        [Fraction(max(map(sub, top, col)), e) if i != k else zero for k, col in enumerate(cols)]
-        for i, top in enumerate(tops)
-    )
+    rows = [[max(map(sub, top, col)) for col in cols] for top in tops]
+    for i, row in enumerate(rows):
+        row[i] = 0
+    return PolytropeMatrix(e, rows)
 
 
 def exact_frechet(sample: SampleSet) -> FrechetResult:

@@ -3,7 +3,6 @@ solution of an augmented system read off it."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -70,8 +69,3 @@ def integer_solve(rows: list[list[int]]) -> tuple[int, list[int]] | None:
         nums[c] = v * den // p
     return den, nums
 
-
-def over_common_denominator(x: list[Fraction]) -> tuple[int, list[int]]:
-    """(den, nums) with x[t] == nums[t] / den, den the lcm of the denominators."""
-    den = lcm(*(v.denominator for v in x))
-    return den, [v.numerator * (den // v.denominator) for v in x]

@@ -8,72 +8,89 @@ C* = I + C + C^2 + ..., obtained by a Floyd-Warshall sweep; its columns
 are the tropical vertices of Q(C), and a strictly positive diagonal in the
 closure certifies emptiness.
 
+A ``PolytropeMatrix`` is held as ``(den, rows)``: c_ij == rows[i][j] / den,
+with None for -inf.  ``from_rows`` is the one place where Fractions are
+scaled.  The constructor divides den and the integers by their gcd, so den
+is the entries' least common denominator whatever denominator the matrix
+was built over, and equality and hashing compare values.  ``entries`` gives
+the Fractions and -inf back, one Fraction per distinct value.
+
 The closure, the tropical vertices, the segment breakpoints and the vertex
-test run on plain ints.  A matrix is scaled once: each finite entry becomes
-its numerator over the lcm of the finite entries' denominators, and -inf
-becomes None.  Floyd-Warshall, the column shifts, the breakpoint maxima and
-the tight-pair comparisons only add, subtract, compare and take maxima,
-which commute with multiplying every value by one positive integer.  So each
-int is the rational the computation stands for times that denominator, and
-the closure and the vertices, in their order, are exact and identical to a
-computation over Fractions.  Only the returned entries and points become
-Fractions again.
+test run on those integers.  Floyd-Warshall, the column shifts, the
+breakpoint maxima and the tight-pair comparisons only add, subtract,
+compare and take maxima, which commute with multiplying every value by one
+positive integer.  So each int is the rational the computation stands for
+times den, and the closure and the vertices, in their order, are exact and
+identical to a computation over Fractions.  Only the returned points become
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import RationalLike, TorusPoint, as_rational
 from .errors import EmptyPolytrope, Unbounded
-from .linalg import over_common_denominator
 
 NEG_INF = float("-inf")
 
 TropicalScalar = Fraction | float  # the only float ever allowed is -inf
 
 
-def _check_scalar(v: TropicalScalar) -> TropicalScalar:
-    if isinstance(v, Fraction):
+def _check_scalar(v: Fraction | int) -> Fraction | int:
+    if isinstance(v, (Fraction, int)) and not isinstance(v, bool):
         return v
-    if isinstance(v, float) and v == NEG_INF:
-        return NEG_INF
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
     raise ValueError(f"matrix entries must be rationals or -inf, got {v!r}")
 
 
 @dataclass(frozen=True)
 class PolytropeMatrix:
-    """Square constraint matrix for Q(C) = {x : x_i - x_j >= c_ij}.
+    """Square constraint matrix for Q(C) = {x : x_i - x_j >= c_ij}, held as
+    c_ij == rows[i][j] / den over the least common denominator den.
 
     ``starred`` marks matrices known to equal their own Kleene star; it is
     derived metadata and does not take part in equality.
     """
 
-    n: int
-    entries: tuple[tuple[TropicalScalar, ...], ...]
+    den: int
+    rows: tuple[tuple[int | None, ...], ...]
     starred: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
+        n = len(self.rows)
+        if n < 2:
             raise ValueError("polytropes need dimension at least 2")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        if any(len(r) != n for r in self.rows):
             raise ValueError("entries must form an n x n matrix")
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(tuple(_check_scalar(v) for v in row) for row in self.entries),
-        )
+        if self.den < 1:
+            raise ValueError("the denominator must be positive")
+        g = gcd(self.den, *(v for row in self.rows for v in row if v is not None))
+        rows = tuple(tuple(v if v is None else v // g for v in row) for row in self.rows)
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]], starred: bool = False) -> "PolytropeMatrix":
-        ent = tuple(tuple(row) for row in rows)
-        return cls(len(ent), ent, starred)
+        """The matrix of Fraction, int and -inf entries, over the lcm of the
+        finite entries' denominators."""
+        ent = [[None if v == NEG_INF else _check_scalar(v) for v in row] for row in rows]
+        den = lcm(*(v.denominator for row in ent for v in row if v is not None))
+        nums = [[v if v is None else v.numerator * (den // v.denominator) for v in r] for r in ent]
+        return cls(den, nums, starred)
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[TropicalScalar, ...], ...]:
+        """The entries as Fractions and -inf."""
+        return tuple(_unscale(self.rows, self.den))
 
     def column(self, j: int) -> tuple[TropicalScalar, ...]:
         return tuple(self.entries[i][j] for i in range(self.n))
@@ -100,15 +117,15 @@ def ball_to_polytrope(center: Sequence[RationalLike], radius: RationalLike) -> P
 def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
     """Max-plus closure I + C + C^2 + ... via Floyd-Warshall in O(n^3).
 
-    The sweep runs on the integer numerators over one common denominator
-    and converts back once.  Raises EmptyPolytrope when the closure has a
-    strictly positive diagonal entry, which witnesses an infeasible cycle
-    of constraints.
+    The sweep runs on a copy of the integer rows, over the same
+    denominator.  Raises EmptyPolytrope when the closure has a strictly
+    positive diagonal entry, which witnesses an infeasible cycle of
+    constraints.
     """
     if c.starred:
         return c
     n = c.n
-    den, a = _over_common_denominator(c)
+    a = [list(row) for row in c.rows]
     for i in range(n):
         if a[i][i] is None or a[i][i] < 0:
             a[i][i] = 0
@@ -126,17 +143,7 @@ def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
     for i in range(n):
         if a[i][i] > 0:
             raise EmptyPolytrope(f"closure diagonal entry ({i},{i}) is positive")
-    return PolytropeMatrix.from_rows(_unscale(a, den), starred=True)
-
-
-def _over_common_denominator(c: PolytropeMatrix) -> tuple[int, list[list[int | None]]]:
-    """(den, rows) with c_ij == rows[i][j] / den and None for -inf; den is
-    the lcm of the finite entries' denominators."""
-    den = lcm(*(v.denominator for row in c.entries for v in row if isinstance(v, Fraction)))
-    return den, [
-        [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else None for v in row]
-        for row in c.entries
-    ]
+    return PolytropeMatrix(c.den, a, starred=True)
 
 
 def _unscale(rows: Sequence[Sequence[int | None]], den: int) -> list[tuple[TropicalScalar, ...]]:
@@ -169,20 +176,19 @@ def tropical_vertices(c: PolytropeMatrix) -> list[TorusPoint]:
     the closure means the polytrope is unbounded and has no such finite
     generator set; that case raises Unbounded.
     """
-    den, _, verts = _vertex_columns(kleene_star(c))
-    return [TorusPoint(p) for p in _unscale(verts, den)]
+    star = kleene_star(c)
+    return [TorusPoint(p) for p in _unscale(_vertex_columns(star), star.den)]
 
 
-def _vertex_columns(star: PolytropeMatrix) -> tuple[int, list[list[int]], list[tuple[int, ...]]]:
-    """(den, a, verts): the closure's integer numerators over den and its
-    distinct canonical columns in column order, also over den."""
-    den, a = _over_common_denominator(star)
+def _vertex_columns(star: PolytropeMatrix) -> list[tuple[int, ...]]:
+    """The closure's distinct canonical columns in column order, as
+    integers over its denominator."""
     verts: dict[tuple[int, ...], None] = {}
-    for col in zip(*a):
+    for col in zip(*star.rows):
         if None in col:
             raise Unbounded("closure column contains -inf; polytrope is unbounded")
         verts[tuple(v - col[0] for v in col)] = None
-    return den, a, list(verts)
+    return list(verts)
 
 
 def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
@@ -198,8 +204,8 @@ def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    den, nums = over_common_denominator([*x, *y])
-    chain = _breakpoints(nums[: x.dim], nums[x.dim :])
+    den = lcm(*(v.denominator for v in (*x, *y)))
+    chain = _breakpoints(*([v.numerator * (den // v.denominator) for v in p] for p in (x, y)))
     return tuple(TorusPoint(p) for p in _unscale(chain, den))
 
 
@@ -228,15 +234,16 @@ def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
     For n >= 4 the candidates can miss vertices of Q(C), so the result is
     a subset of the vertex set, not always all of it.
     """
-    den, a, verts = _vertex_columns(kleene_star(c))
+    star = kleene_star(c)
+    verts = _vertex_columns(star)
     candidates = dict.fromkeys(verts)
     for u, w in combinations(verts, 2):
         candidates.update(dict.fromkeys(_breakpoints(u, w)))
-    kept = [p for p in candidates if _tight_pairs_connect(a, p)]
-    return [TorusPoint(p) for p in _unscale(kept, den)]
+    kept = [p for p in candidates if _tight_pairs_connect(star.rows, p)]
+    return [TorusPoint(p) for p in _unscale(kept, star.den)]
 
 
-def _tight_pairs_connect(a: list[list[int]], p: tuple[int, ...]) -> bool:
+def _tight_pairs_connect(a: Sequence[Sequence[int]], p: tuple[int, ...]) -> bool:
     """True when the pairs (i, j) with p_i - p_j == a_ij connect 0..n-1."""
     n = len(p)
     reached = {0}

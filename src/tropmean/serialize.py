@@ -11,12 +11,14 @@ decimal part and exponent together) and to a decimal exponent of at most
 MAX_LITERAL_EXPONENT in absolute value.  The caps are checked on the text,
 before any integer is built, so a literal such as 1e100000000 is refused at
 once, and every number read stays well below Python's limit of 4,300
-digits for converting an integer to text.
+digits for converting an integer to text.  ``as_rational`` shares the check.
 
-``load_points`` reads a bare JSON integer or a plain ASCII "p" or "p/q"
-literal straight to an integer pair; every other form goes through
-``parse_rational``, so the same inputs are accepted with the same messages.
-The sample is then built on the common denominator of its coordinates.
+Points, matrix entries and certificate values are read by one coordinate
+reader, ``_ratio``: a bare JSON integer or a plain ASCII "p" or "p/q"
+literal goes straight to an integer pair, and every other form through
+``parse_rational``.  ``load_points`` and ``matrix_from_json`` then put
+their pairs over the lcm of the denominators, the sample as its common
+denominator and integers, the matrix as its ``(den, rows)``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Sequence
 
+from . import core
 from .certify import Certificate, QuadraticPiece, piece_for
-from .core import SampleSet, TorusPoint, canonicalize
+from .core import SampleSet, TorusPoint, abbreviate, read_literal
 from .errors import ParseError
 from .frechet import FrechetResult
-from .polytrope import NEG_INF, PolytropeMatrix, TropicalScalar
+from .polytrope import NEG_INF, PolytropeMatrix
 
 
 def format_rational(v: Fraction) -> str:
@@ -60,27 +63,16 @@ def _decimal(v: int) -> str:
     return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
-MAX_LITERAL_DIGITS = 1000
-MAX_LITERAL_EXPONENT = 1000
+# The literal caps, defined in ``core`` and named here beside the formats.
+MAX_LITERAL_DIGITS = core.MAX_LITERAL_DIGITS
+MAX_LITERAL_EXPONENT = core.MAX_LITERAL_EXPONENT
 
 
 def parse_rational(text: str) -> Fraction:
-    body = text.strip()
-    _check_size(body)
-    if "e" in body or "E" in body:
-        _, _, exponent = body.lower().partition("e")
-        try:
-            too_large = abs(int(exponent)) > MAX_LITERAL_EXPONENT
-        except ValueError as exc:
-            raise ParseError(f"not a rational: {_abbreviate(text)}") from exc
-        if too_large:
-            raise ParseError(
-                f"exponent of {_abbreviate(body)} exceeds {MAX_LITERAL_EXPONENT}"
-            )
     try:
-        return Fraction(body)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {_abbreviate(text)}") from exc
+        return read_literal(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def parse_json(text: str) -> Any:
@@ -97,47 +89,16 @@ def parse_json(text: str) -> Any:
 
 
 def _parse_int(text: str) -> int:
-    _check_size(text)
-    return int(text)
-
-
-def _check_size(literal: str) -> None:
-    # A literal no longer than the cap cannot hold more digits than the cap.
-    if len(literal) <= MAX_LITERAL_DIGITS:
-        return
-    if sum(ch.isdigit() for ch in literal) > MAX_LITERAL_DIGITS:
-        raise ParseError(
-            f"number {_abbreviate(literal)} has more than {MAX_LITERAL_DIGITS} digits"
-        )
-
-
-def _abbreviate(value: Any) -> str:
-    """An input value for an error line: its repr, where a string or a repr
-    longer than 24 characters keeps only its first and last ten."""
-    if isinstance(value, str):
-        return repr(value if len(value) <= 24 else f"{value[:10]}...{value[-10:]}")
-    text = repr(value)
-    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+    # A literal no longer than the digit cap is within the caps.
+    return int(text) if len(text) <= MAX_LITERAL_DIGITS else int(parse_rational(text))
 
 
 def point_to_json(p: TorusPoint) -> list[str]:
     return [format_rational(c) for c in p]
 
 
-def point_from_json(data: Any) -> TorusPoint:
-    if not isinstance(data, list) or len(data) < 2:
-        raise ParseError("a point must be a list of at least two coordinates")
-    return canonicalize([_coord(v) for v in data])
-
-
 def matrix_to_json(c: PolytropeMatrix) -> dict[str, Any]:
-    entries: list[list[str | None]] = []
-    for i in range(c.n):
-        row: list[str | None] = []
-        for j in range(c.n):
-            v = c.entries[i][j]
-            row.append(None if v == NEG_INF else format_rational(v))
-        entries.append(row)
+    entries = [[None if v == NEG_INF else format_rational(v) for v in row] for row in c.entries]
     return {"n": c.n, "entries": entries}
 
 
@@ -152,12 +113,12 @@ def matrix_from_json(data: Any) -> PolytropeMatrix:
         raise ParseError("matrix size n must be an integer of at least 2")
     if len(entries) != n:
         raise ParseError("matrix entry rows do not match declared size")
-    rows: list[list[TropicalScalar]] = []
+    rows = []
     for raw in entries:
         if not isinstance(raw, list) or len(raw) != n:
             raise ParseError("matrix rows must all have length n")
-        rows.append([NEG_INF if v is None else _coord(v) for v in raw])
-    return PolytropeMatrix.from_rows(rows)
+        rows.append([None if v is None else _ratio(v) for v in raw])
+    return PolytropeMatrix(*_over_lcm(rows))
 
 
 def certificate_to_json(cert: Certificate) -> dict[str, Any]:
@@ -202,19 +163,19 @@ def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
             if i == k:
                 raise ParseError(f"a piece of sample {j + 1} has i == k == {i + 1}")
             piece = piece_for(sample, j, i, k)
-            if piece.c != _coord(item["c"]):
+            if piece.c != Fraction(*_ratio(item["c"])):
                 raise ParseError(
-                    f"piece constant mismatch in sample {j + 1}: {_abbreviate(item['c'])}"
+                    f"piece constant mismatch in sample {j + 1}: {abbreviate(item['c'])}"
                 )
-            entries.append((piece, _coord(item["w"])))
+            entries.append((piece, Fraction(*_ratio(item["w"]))))
         by_sample.append(tuple(entries))
-    return Certificate(c_star=_coord(data["c_star"]), weights=tuple(by_sample))
+    return Certificate(c_star=Fraction(*_ratio(data["c_star"])), weights=tuple(by_sample))
 
 
 def _piece_index(value: Any, n: int) -> int:
     """A 1-based coordinate index of a certificate piece, as a 0-based int."""
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= n:
-        raise ParseError(f"piece index {_abbreviate(value)} is not an integer in 1..{n}")
+        raise ParseError(f"piece index {abbreviate(value)} is not an integer in 1..{n}")
     return value - 1
 
 
@@ -271,11 +232,16 @@ def load_points(text: str) -> SampleSet:
                 raise ParseError(f"line {lineno}: {exc}") from exc
         if not rows:
             raise ParseError("no data rows found")
-    den = lcm(*(d for row in rows for _, d in row))
     try:
-        return SampleSet.from_integers(den, [[v * (den // d) for v, d in row] for row in rows])
+        return SampleSet.from_integers(*_over_lcm(rows))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _over_lcm(rows: list[list[tuple[int, int] | None]]) -> tuple[int, list[list[int | None]]]:
+    """(den, nums): rows of (numerator, denominator) pairs or None, over the lcm den."""
+    den = lcm(*(p[1] for row in rows for p in row if p is not None))
+    return den, [[None if p is None else p[0] * (den // p[1]) for p in row] for row in rows]
 
 
 # A plain ASCII "p" or "p/q" literal with a nonzero q.
@@ -283,28 +249,24 @@ _PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def _ratio(value: Any) -> tuple[int, int]:
-    """One coordinate as (numerator, denominator), the same value ``_coord``
-    reads; a bare int or a plain literal is read directly."""
+    """One coordinate from a JSON scalar or CSV cell, exactly, as (numerator,
+    denominator); a bare int or a plain literal is read directly."""
     if type(value) is int:
         return value, 1
     if type(value) is str and len(value) <= MAX_LITERAL_DIGITS:
         plain = _PLAIN_RATIONAL.fullmatch(value)
         if plain:
             return int(plain[1]), int(plain[2] or 1)
-    v = _coord(value)
-    return v.numerator, v.denominator
-
-
-def _coord(value: Any) -> Fraction:
-    """One coordinate from a JSON scalar or CSV cell, exactly."""
     if isinstance(value, bool):
         raise ParseError("booleans are not coordinates")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    if isinstance(value, float):
+        v = Fraction(value)
+    elif isinstance(value, str):
+        v = parse_rational(value)
+    elif isinstance(value, float):
         # Floats only appear when a caller bypassed parse_float; refuse
         # rather than guess which decimal was meant.
         raise ParseError(f"refusing inexact float {value!r}; write it as a string")
-    raise ParseError(f"cannot read coordinate {_abbreviate(value)}")
+    else:
+        raise ParseError(f"cannot read coordinate {abbreviate(value)}")
+    return v.numerator, v.denominator

@@ -28,7 +28,8 @@ from tropmean import (
 from tropmean.certify import piece_for
 from tropmean.core import TorusPoint
 from tropmean.qp import QPError
-from tropmean.serialize import _coord, parse_json
+from tropmean.core import abbreviate
+from tropmean.serialize import parse_json, parse_rational
 
 DENOMS = (1, 2, 3, 5)
 
@@ -363,12 +364,47 @@ def reference_result_fields(sample: SampleSet, mean: TorusPoint):
 
 
 # The input and certificate routes as they ran over Fractions before the
-# sample was carried as integers from the parser on: the integer routes must
-# accept the same inputs, build the same samples and reach the same verdicts,
-# with the same error texts.
+# sample and the matrix were carried as integers from the parser on: the
+# integer routes must accept the same inputs, build the same samples and
+# matrices and reach the same verdicts, with the same error texts.
+def reference_coord(value):
+    """One coordinate from a JSON scalar or CSV cell as a Fraction, by the
+    checks and messages of the serializer's coordinate reader."""
+    if isinstance(value, bool):
+        raise ParseError("booleans are not coordinates")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, float):
+        raise ParseError(f"refusing inexact float {value!r}; write it as a string")
+    raise ParseError(f"cannot read coordinate {abbreviate(value)}")
+
+
+def reference_matrix_from_json(data):
+    """A matrix document read entry by entry to Fractions and -inf and built
+    by ``PolytropeMatrix.from_rows``."""
+    if not isinstance(data, dict) or "entries" not in data:
+        raise ParseError("matrix JSON must be an object with an 'entries' key")
+    entries = data["entries"]
+    if not isinstance(entries, list):
+        raise ParseError("matrix 'entries' must be a list of rows")
+    n = data.get("n", len(entries))
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ParseError("matrix size n must be an integer of at least 2")
+    if len(entries) != n:
+        raise ParseError("matrix entry rows do not match declared size")
+    rows = []
+    for raw in entries:
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ParseError("matrix rows must all have length n")
+        rows.append([NEG_INF if v is None else reference_coord(v) for v in raw])
+    return PolytropeMatrix.from_rows(rows)
+
+
 def reference_load_points(text: str):
     """(sample, scaled) by the Fraction route: every coordinate through
-    ``serialize._coord``, then ``SampleSet.from_rows``, and the scaled form
+    ``reference_coord``, then ``SampleSet.from_rows``, and the scaled form
     as the lcm of the canonical coordinates' denominators."""
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
@@ -384,14 +420,14 @@ def reference_load_points(text: str):
         for idx, row in enumerate(raw):
             if not isinstance(row, list):
                 raise ParseError(f"point {idx} is not an array")
-            rows.append([_coord(v) for v in row])
+            rows.append([reference_coord(v) for v in row])
     else:
         rows = []
         for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
             try:
-                rows.append([_coord(cell.strip()) for cell in record])
+                rows.append([reference_coord(cell.strip()) for cell in record])
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
         if not rows:

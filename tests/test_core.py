@@ -42,6 +42,30 @@ def test_as_rational_rejects_floats_and_bools():
     assert as_rational(Fraction(2, 7)) == Fraction(2, 7)
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["7" * 1001, "1e1001", "1/" + "3" * 1001, "2.5E-1001", "x", "1/0"],
+    ids=["1001-digits", "exponent", "1001-digit-denominator", "negative-exponent", "text", "zero-denominator"],
+)
+def test_library_strings_are_held_to_the_literal_caps(literal):
+    """A string handed to the library is read under the command line's caps:
+    an oversized or malformed one raises ValueError before any large
+    integer is built."""
+    with pytest.raises(ValueError):
+        as_rational(literal)
+    with pytest.raises(ValueError):
+        canonicalize(["0", literal])
+    with pytest.raises(ValueError):
+        SampleSet.from_rows([["0", literal], ["1", "2"]])
+
+
+def test_library_strings_at_the_literal_caps_are_read():
+    assert as_rational("7" * 1000) == int("7" * 1000)
+    assert as_rational(" -1e1000 ") == -(Fraction(10) ** 1000)
+    assert as_rational("1/" + "3" * 998) == Fraction(1, int("3" * 998))
+    assert canonicalize(["1/2", "0.25"]).coords == (0, Fraction(-1, 4))
+
+
 def test_trop_add_is_coordinatewise_max():
     assert trop_add((0, 1), (1, 0)) == (1, 1)
     assert trop_add((-3, 0, 0), (0, -6, 0)) == (0, 0, 0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
-from tropmean.linalg import integer_rref, integer_solve, over_common_denominator
+from tropmean.linalg import integer_rref, integer_solve
 from tropmean.qp import QPError, minimize_qp
 from support import (
     dense_rows,
@@ -81,7 +81,8 @@ def _row(cols):
 
 def _integer_rows(rows):
     """Each row times the lcm of its denominators, the form the kernel takes."""
-    return [over_common_denominator(row)[1] for row in rows]
+    dens = [lcm(*(v.denominator for v in row)) for row in rows]
+    return [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
 
 
 @settings(max_examples=300, deadline=None)

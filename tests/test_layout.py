@@ -1,6 +1,7 @@
 """README's Layout block names exactly the modules of the package, its
-Command line section names exactly the command-line flags, the package's
-export list names only what it defines, no module imports a name it does
+Command line section names exactly the command-line flags, its Library
+section names every exported function, the package's export list names
+only what it defines, no module imports a name it does
 not use, and no module checks an invariant with ``assert``.  ``certify``
 imports nothing from ``frechet`` or ``qp``, and no module calls
 ``json.dump`` or ``json.dumps``.
@@ -16,11 +17,16 @@ and a second JSON writer could drift from the one whose bytes the goldens
 and the benchmark digests pin.  ``qp`` reads no ``.denominator`` and does not
 import ``over_common_denominator``: the exact QP takes integer data, and a
 rescaling inside it would be a second, hidden scaling of what its caller
-already put on integers.
+already put on integers.  For the same reason, in ``polytrope`` only
+``PolytropeMatrix.from_rows``, which scales Fraction entries onto a matrix's
+integers, and ``segment_breakpoints``, which scales two points, read
+``.denominator``, and ``linalg`` holds no scaling helper: the closure and
+vertex kernels take a matrix's integers as they are held.
 """
 
 import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -59,6 +65,17 @@ def test_readme_names_every_cli_flag():
     defined = _parser_flags()
     assert sorted(defined - documented) == []
     assert sorted(documented - defined) == []
+
+
+def test_readme_library_names_every_exported_function():
+    import tropmean
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library", 1)[1].split("\n## ", 1)[0]
+    functions = [
+        name for name in tropmean.__all__ if inspect.isfunction(getattr(tropmean, name))
+    ]
+    assert [name for name in functions if not re.search(rf"`{name}\b", section)] == []
 
 
 def test_every_exported_name_resolves():
@@ -152,3 +169,29 @@ def test_the_qp_kernel_takes_integers_only():
     ]
     assert reads == []
     assert not any(m.endswith("over_common_denominator") for m in _imported_modules(path))
+
+
+def _denominator_readers(path):
+    """The qualified names of the functions and methods of a module that
+    read ``.denominator``; "" stands for the module's top level."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "denominator":
+                readers.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return readers
+
+
+def test_the_polytrope_kernels_take_integers_only():
+    polytrope = ROOT / "src" / "tropmean" / "polytrope.py"
+    assert _denominator_readers(polytrope) <= {"PolytropeMatrix.from_rows", "segment_breakpoints"}
+    linalg = ast.parse((ROOT / "src" / "tropmean" / "linalg.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)}
+    assert "over_common_denominator" not in defined

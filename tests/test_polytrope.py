@@ -1,6 +1,7 @@
 """Polytrope matrices: closure, membership, vertices, segments, balls."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -78,6 +79,38 @@ def test_matrix_validation():
         PolytropeMatrix.from_rows([[F(0), F(1)], [F(0)]])
     with pytest.raises(ValueError):
         PolytropeMatrix.from_rows([[F(0), 0.5], [F(0), F(0)]])
+
+
+_scalars = st.one_of(
+    st.integers(-30, 30),
+    st.builds(F, st.integers(-30, 30), st.sampled_from((1, 2, 3, 5, 7))),
+    st.just(NEG_INF),
+)
+
+
+@st.composite
+def _square_rows(draw):
+    n = draw(st.integers(2, 5))
+    return [draw(st.lists(_scalars, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_rows(), st.integers(1, 12))
+def test_from_rows_holds_the_entries_over_their_least_common_denominator(rows, k):
+    """``entries`` gives the rows back as Fractions and -inf, ``den`` is the
+    least common denominator of the finite entries and ``rows`` holds them
+    times den; the same values over a multiple of den make an equal matrix
+    with an equal hash."""
+    c = PolytropeMatrix.from_rows(rows)
+    assert c.entries == tuple(map(tuple, rows))
+    assert all(v is NEG_INF or type(v) is F for row in c.entries for v in row)
+    assert c.den == lcm(*(F(v).denominator for row in rows for v in row if v != NEG_INF))
+    assert c.rows == tuple(
+        tuple(None if v == NEG_INF else int(v * c.den) for v in row) for row in rows
+    )
+    scaled = PolytropeMatrix(k * c.den, [[v if v is None else k * v for v in row] for row in c.rows])
+    assert scaled == c and hash(scaled) == hash(c)
+    assert (scaled.den, scaled.rows) == (c.den, c.rows)
 
 
 def test_kleene_star_golden():

@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +26,10 @@ from tropmean.serialize import (
     matrix_from_json,
     matrix_to_json,
     parse_rational,
-    point_from_json,
     point_to_json,
     result_to_json,
 )
-from support import rand_point, reference_load_points
+from support import reference_load_points, reference_matrix_from_json
 
 F = Fraction
 
@@ -83,17 +81,6 @@ def test_load_points_caps_bare_json_numbers():
     s = load_points('{"points": [["-12/5", 3], [2.5e2, -40]]}')
     assert s[0].coords == (F(0), F(27, 5))
     assert s[1].coords == (F(0), F(-290))
-
-
-def test_point_round_trip():
-    rng = Random("serialize:points")
-    for _ in range(40):
-        p = rand_point(rng, rng.randint(2, 6))
-        assert point_from_json(point_to_json(p)) == p
-    with pytest.raises(ParseError):
-        point_from_json(["0"])
-    with pytest.raises(ParseError):
-        point_from_json("0,1")
 
 
 def test_matrix_round_trip_with_bottom_entries():
@@ -306,3 +293,46 @@ def test_load_points_matches_the_fraction_route(text):
         sample, scaled = expected
         assert not isinstance(got, str), got
         assert (got.points, got.scaled) == (sample.points, scaled)
+
+
+# Matrix cells of every kind a document can hold: bare ints, literals,
+# decimals as parse_json reads them, null, and values no reader may take.
+_matrix_cell = st.one_of(
+    st.integers(-(10**20), 10**20),
+    _literal,
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def _matrix_documents(draw):
+    """A matrix document, mostly square, half of them from well-formed cells
+    only, with an ``n`` that is sometimes wrong."""
+    n = draw(st.integers(2, 4))
+    clean = st.one_of(st.integers(-50, 50), _plain, st.none())
+    cell = clean if draw(st.booleans()) else _matrix_cell
+    widths = draw(st.lists(st.sampled_from([n] * 12 + [n - 1, n + 1]), min_size=n, max_size=n))
+    doc = {"entries": [draw(st.lists(cell, min_size=k, max_size=k)) for k in widths]}
+    if draw(st.booleans()):
+        doc["n"] = draw(st.sampled_from([n, n, n, n + 1, 1, True, "2"]))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_documents())
+def test_matrix_from_json_matches_the_fraction_route(doc):
+    """The integer read of a matrix document accepts what reading every
+    entry to a Fraction accepts, builds the same matrix, and fails with the
+    same text."""
+    got = _outcome(matrix_from_json, doc)
+    expected = _outcome(reference_matrix_from_json, doc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert (got, got.entries) == (expected, expected.entries)
