@@ -24,6 +24,7 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode
+from math import lcm
 from random import Random
 from typing import Any, Callable, Sequence
 
@@ -33,6 +34,7 @@ from .frechet import exact_frechet, find_certificate
 from .polytrope import PolytropeMatrix, kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
     certificate_to_json,
+    format_ratio,
     format_rational,
     load_points,
     matrix_from_json,
@@ -243,9 +245,7 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
         "pseudovertices": [point_to_json(v) for v in pverts],
     }
     if mat.n == 3:
-        doc["polygon"] = [
-            [format_rational(u), format_rational(v)] for u, v in _polygon_ccw(pverts)
-        ]
+        doc["polygon"] = _polygon_ccw(pverts)
     _emit(doc)
     return 0
 
@@ -299,15 +299,18 @@ def _random_sample(seed: int, n: int, m: int, rep: int) -> SampleSet:
     return SampleSet.from_rows(rows)
 
 
-def _polygon_ccw(points: list[TorusPoint]) -> list[tuple[Fraction, Fraction]]:
+def _polygon_ccw(points: list[TorusPoint]) -> list[list[str]]:
     """Pseudovertices as 2D coordinates (x2-x1, x3-x1), counterclockwise from
     the lexicographically smallest: the points on or below the chord from it to
-    the largest left to right, then the points above the chord right to left."""
-    pts = sorted((p[1], p[2]) for p in points)
-    if len(pts) < 3:
-        return pts
-    (ax, ay), (bx, by) = pts[0], pts[-1]
-    side = [(bx - ax) * (v - ay) - (by - ay) * (u - ax) for u, v in pts]
-    below = [p for p, s in zip(pts, side) if s <= 0]
-    above = [p for p, s in zip(pts, side) if s > 0]
-    return below + above[::-1]
+    the largest left to right, then the points above the chord right to left.
+    The order is taken on the points' integers over the lcm of their
+    denominators, and the coordinates are formatted from them."""
+    den = lcm(*(p.den for p in points))
+    pts = sorted((p.nums[1] * (den // p.den), p.nums[2] * (den // p.den)) for p in points)
+    if len(pts) >= 3:
+        (ax, ay), (bx, by) = pts[0], pts[-1]
+        side = [(bx - ax) * (v - ay) - (by - ay) * (u - ax) for u, v in pts]
+        below = [p for p, s in zip(pts, side) if s <= 0]
+        above = [p for p, s in zip(pts, side) if s > 0]
+        pts = below + above[::-1]
+    return [[format_ratio(u, den), format_ratio(v, den)] for u, v in pts]

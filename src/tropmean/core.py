@@ -1,9 +1,12 @@
 """Exact points of the tropical projective torus and the tropical metric.
 
-Every quantity this package returns is a ``fractions.Fraction``; nothing is
-ever rounded.  A point of the torus R^n / R(1,...,1) is stored through its
-unique representative whose first coordinate is zero, so equality, hashing
-and serialization are all well defined.  A sample also keeps its points as
+Every quantity this package returns is exact; nothing is ever rounded.  A
+point of the torus R^n / R(1,...,1) is stored through its unique
+representative whose first coordinate is zero, held as ``(den, nums)``:
+integers over a positive denominator, divided by their gcd, so equality,
+hashing and serialization are all well defined.  ``coords`` gives the
+coordinates back as Fractions, and ``canonicalize`` is the one place where
+Fractions are scaled onto a point.  A sample also keeps its points as
 integers over one common denominator, ``SampleSet.scaled``, which the
 solvers and the certificate check compute on.  A string becomes a rational
 through ``read_literal`` only, under the literal caps the command line
@@ -77,32 +80,42 @@ def abbreviate(value: object) -> str:
 class TorusPoint:
     """A point of the tropical projective torus in canonical form.
 
-    The stored coordinate tuple always has its first entry equal to zero;
-    use :func:`canonicalize` to build a point from an arbitrary
-    representative.
+    Held as ``(den, nums)``: coordinate i is nums[i] / den, with nums[0]
+    zero and den positive, both divided by their gcd, so equality and
+    hashing compare values.  ``coords`` gives the Fractions back; use
+    :func:`canonicalize` to build a point from an arbitrary representative.
     """
 
-    coords: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) < 2:
+        if len(self.nums) < 2:
             raise ValueError("torus points need at least two coordinates")
-        if any(not isinstance(c, Fraction) for c in self.coords):
-            object.__setattr__(
-                self, "coords", tuple(as_rational(c) for c in self.coords)
-            )
-        if self.coords[0] != 0:
+        if self.den < 1:
+            raise ValueError("the denominator must be positive")
+        if self.nums[0] != 0:
             raise ValueError(
                 "canonical representative must have first coordinate 0; "
                 "use canonicalize()"
             )
+        g = gcd(self.den, *self.nums)
+        nums = tuple(self.nums) if g == 1 else tuple(v // g for v in self.nums)
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", nums)
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, one Fraction per distinct value."""
+        values = {v: Fraction(v, self.den) for v in set(self.nums)}
+        return tuple(map(values.__getitem__, self.nums))
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coords)
@@ -119,12 +132,15 @@ def canonicalize(coords: Sequence[RationalLike]) -> TorusPoint:
 
     Subtracts the first coordinate from all entries, which is the unique
     shift by a multiple of (1,...,1) that lands on first-coordinate zero.
+    This is the one place where Fractions are scaled onto a point: over the
+    lcm of their denominators.
     """
     vals = [as_rational(c) for c in coords]
     if len(vals) < 2:
         raise ValueError("need at least two coordinates")
-    first = vals[0]
-    return TorusPoint(tuple(v - first for v in vals))
+    den = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
+    return TorusPoint(den, tuple(v - nums[0] for v in nums))
 
 
 def trop_add(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -174,26 +190,25 @@ class SampleSet:
     def from_integers(cls, den: int, rows: Sequence[Sequence[int]]) -> "SampleSet":
         """The sample of raw points rows[j][a] / den, den > 0.
 
-        Canonicalizes on the integers and reduces them to ``scaled``, so
-        each distinct coordinate becomes one Fraction; the same rows given
-        as Fractions to ``from_rows`` make an equal sample.
+        Canonicalizes on the integers and reduces them to ``scaled``, and
+        builds each point from its row; the same rows given as Fractions to
+        ``from_rows`` make an equal sample.
         """
         if any(len(row) < 2 for row in rows):
             raise ValueError("need at least two coordinates")
         nums = [[v - row[0] for v in row] for row in rows]
         g = gcd(den, *(v for row in nums for v in row))
         den, nums = den // g, tuple(tuple(v // g for v in row) for row in nums)
-        values = {v: Fraction(v, den) for v in {v for row in nums for v in row}}
-        sample = cls(tuple(TorusPoint(tuple(map(values.__getitem__, row))) for row in nums))
+        sample = cls(tuple(TorusPoint(den, row) for row in nums))
         sample.__dict__["scaled"] = (den, nums)
         return sample
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, nums) with self[j][a] == nums[j][a] / den, den the lcm of
-        the denominators of the canonical coordinates."""
-        den = lcm(*(c.denominator for p in self.points for c in p))
-        return den, tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in self)
+        the points' denominators."""
+        den = lcm(*(p.den for p in self.points))
+        return den, tuple(tuple(v * (den // p.den) for v in p.nums) for p in self.points)
 
     @property
     def n(self) -> int:

@@ -68,7 +68,7 @@ def _average(sample: SampleSet) -> TorusPoint:
     """The coordinatewise average of the sample, canonical because every
     sample point is."""
     den, nums = sample.scaled
-    return TorusPoint(tuple(Fraction(sum(col), den * len(nums)) for col in zip(*nums)))
+    return TorusPoint(den * len(nums), tuple(sum(col) for col in zip(*nums)))
 
 
 def _lift(
@@ -77,8 +77,8 @@ def _lift(
     """(e, nums, lifts): the sample over the common denominator e of the
     sample and x, and per sample the max and min of x - p_j, over e too."""
     den, nums = sample.scaled
-    e = lcm(den, *(v.denominator for v in x))
-    xs = [v.numerator * (e // v.denominator) for v in x]
+    e = lcm(den, x.den)
+    xs = [v * (e // x.den) for v in x.nums]
     f = e // den
     nums = nums if f == 1 else [[c * f for c in p] for p in nums]
     lifts = []
@@ -113,8 +113,9 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
 
     The start, the program's lift and right-hand sides, the distances,
     ``min_sum`` and the mean set are all computed on the sample's integers
-    over one common denominator, ``sample.scaled``; only the values handed
-    on become Fractions.
+    over one common denominator, ``sample.scaled``, and the start and the
+    mean are points built from those integers; only the distances,
+    ``min_sum`` and the certificate become Fractions.
     """
     start = _average(sample)
     try:
@@ -209,7 +210,7 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
         d += [-c for c in p]
         d += p
     tops, bots = zip(*lifts)
-    x0 = [v.numerator * (e // v.denominator) for v in start.coords[1:]]
+    x0 = [v * (e // start.den) for v in start.nums[1:]]
     value, (zd, zn), active, u = minimize_qp(h, g, edges, d, [*x0, *tops, *bots])
 
     # Per sample, its alpha and its beta by coordinate, over one factor.
@@ -235,5 +236,5 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
                 for (i, k), w in sorted(per.items())
             )
         )
-    mean = TorusPoint((Fraction(0), *(Fraction(v, zd * e) for v in zn[:nv])))
+    mean = TorusPoint(zd * e, (0, *zn[:nv]))
     return mean, Certificate(value / (e * e), tuple(weights))

@@ -21,8 +21,10 @@ breakpoint maxima and the tight-pair comparisons only add, subtract,
 compare and take maxima, which commute with multiplying every value by one
 positive integer.  So each int is the rational the computation stands for
 times den, and the closure and the vertices, in their order, are exact and
-identical to a computation over Fractions.  Only the returned points become
-Fractions.
+identical to a computation over Fractions.  The returned points are built
+from those integers over den, as ``TorusPoint(den, nums)``, so no Fraction
+is built from the matrix to its vertices; ``segment_breakpoints`` puts its
+two points over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -89,8 +91,10 @@ class PolytropeMatrix:
 
     @cached_property
     def entries(self) -> tuple[tuple[TropicalScalar, ...], ...]:
-        """The entries as Fractions and -inf."""
-        return tuple(_unscale(self.rows, self.den))
+        """The entries as Fractions and -inf, one Fraction per distinct value."""
+        values = {v for row in self.rows for v in row}
+        frac = {v: NEG_INF if v is None else Fraction(v, self.den) for v in values}
+        return tuple(tuple(frac[v] for v in row) for row in self.rows)
 
     def column(self, j: int) -> tuple[TropicalScalar, ...]:
         return tuple(self.entries[i][j] for i in range(self.n))
@@ -146,14 +150,6 @@ def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
     return PolytropeMatrix(c.den, a, starred=True)
 
 
-def _unscale(rows: Sequence[Sequence[int | None]], den: int) -> list[tuple[TropicalScalar, ...]]:
-    """Integer rows over den back to Fractions and -inf, building one
-    Fraction per distinct value."""
-    values = {v for row in rows for v in row}
-    frac = {v: NEG_INF if v is None else Fraction(v, den) for v in values}
-    return [tuple(frac[v] for v in row) for row in rows]
-
-
 def membership(c: PolytropeMatrix, x: Sequence[RationalLike]) -> bool:
     """Exact test of x_i - x_j >= c_ij for all i != j (any representative)."""
     if len(x) != c.n:
@@ -177,7 +173,7 @@ def tropical_vertices(c: PolytropeMatrix) -> list[TorusPoint]:
     generator set; that case raises Unbounded.
     """
     star = kleene_star(c)
-    return [TorusPoint(p) for p in _unscale(_vertex_columns(star), star.den)]
+    return [TorusPoint(star.den, p) for p in _vertex_columns(star)]
 
 
 def _vertex_columns(star: PolytropeMatrix) -> list[tuple[int, ...]]:
@@ -204,9 +200,9 @@ def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    den = lcm(*(v.denominator for v in (*x, *y)))
-    chain = _breakpoints(*([v.numerator * (den // v.denominator) for v in p] for p in (x, y)))
-    return tuple(TorusPoint(p) for p in _unscale(chain, den))
+    den = lcm(x.den, y.den)
+    chain = _breakpoints(*([v * (den // p.den) for v in p.nums] for p in (x, y)))
+    return tuple(TorusPoint(den, p) for p in chain)
 
 
 def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:
@@ -240,7 +236,7 @@ def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
     for u, w in combinations(verts, 2):
         candidates.update(dict.fromkeys(_breakpoints(u, w)))
     kept = [p for p in candidates if _tight_pairs_connect(star.rows, p)]
-    return [TorusPoint(p) for p in _unscale(kept, star.den)]
+    return [TorusPoint(star.den, p) for p in kept]
 
 
 def _tight_pairs_connect(a: Sequence[Sequence[int]], p: tuple[int, ...]) -> bool:

@@ -19,6 +19,11 @@ literal goes straight to an integer pair, and every other form through
 ``parse_rational``.  ``load_points`` and ``matrix_from_json`` then put
 their pairs over the lcm of the denominators, the sample as its common
 denominator and integers, the matrix as its ``(den, rows)``.
+
+Rationals are written by one routine, ``format_ratio``, from a numerator
+and a positive denominator: points from their ``(den, nums)``, matrices
+from their ``(den, rows)``, and ``format_rational`` from a Fraction's two
+integers, so no Fraction is built to write a point or a matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import io
 import json
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Sequence
 
 from . import core
@@ -36,11 +41,18 @@ from .certify import Certificate, QuadraticPiece, piece_for
 from .core import SampleSet, TorusPoint, abbreviate, read_literal
 from .errors import ParseError
 from .frechet import FrechetResult
-from .polytrope import NEG_INF, PolytropeMatrix
+from .polytrope import PolytropeMatrix
 
 
 def format_rational(v: Fraction) -> str:
-    num, den = v.numerator, v.denominator
+    return format_ratio(v.numerator, v.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """num / den, den > 0, in lowest terms as "p" or "p/q"."""
+    g = gcd(num, den)
+    if g > 1:
+        num, den = num // g, den // g
     if -_CHUNK < num < _CHUNK and den < _CHUNK:
         return str(num) if den == 1 else f"{num}/{den}"
     return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
@@ -94,11 +106,11 @@ def _parse_int(text: str) -> int:
 
 
 def point_to_json(p: TorusPoint) -> list[str]:
-    return [format_rational(c) for c in p]
+    return [format_ratio(v, p.den) for v in p.nums]
 
 
 def matrix_to_json(c: PolytropeMatrix) -> dict[str, Any]:
-    entries = [[None if v == NEG_INF else format_rational(v) for v in row] for row in c.entries]
+    entries = [[None if v is None else format_ratio(v, c.den) for v in row] for row in c.rows]
     return {"n": c.n, "entries": entries}
 
 

@@ -29,7 +29,7 @@ from tropmean.certify import piece_for
 from tropmean.core import TorusPoint
 from tropmean.qp import QPError
 from tropmean.core import abbreviate
-from tropmean.serialize import parse_json, parse_rational
+from tropmean.serialize import format_rational, parse_json, parse_rational
 
 DENOMS = (1, 2, 3, 5)
 
@@ -439,6 +439,25 @@ def reference_load_points(text: str):
     den = lcm(*(c.denominator for p in sample for c in p))
     nums = tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in sample)
     return sample, (den, nums)
+
+
+# A point and the rendering as they ran over Fractions before a point was
+# held as integers over its denominator: ``canonicalize`` subtracted the
+# first coordinate from every Fraction, and the serializer formatted each
+# coordinate and each matrix entry from its Fraction.
+def reference_canonicalize(coords) -> tuple[Fraction, ...]:
+    """The canonical coordinates of a raw vector by Fraction arithmetic."""
+    vals = [Fraction(v) for v in coords]
+    return tuple(v - vals[0] for v in vals)
+
+
+def reference_point_to_json(p: TorusPoint) -> list[str]:
+    return [format_rational(c) for c in p.coords]
+
+
+def reference_matrix_to_json(c: PolytropeMatrix) -> dict:
+    entries = [[None if v == NEG_INF else format_rational(v) for v in row] for row in c.entries]
+    return {"n": c.n, "entries": entries}
 
 
 def reference_verify_certificate(sample: SampleSet, cert: Certificate) -> bool:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,37 @@ def test_mean_and_polytrope_star_one_unstarred_matrix(tmp_path, capsys, monkeypa
     assert len(closures) == 1
     assert matrix_to_json(closures[0]) == doc.get("matrix", doc.get("fm_polytrope"))
     assert doc["tropical_vertices"] and doc["pseudovertices"]
+
+
+def test_polytrope_matrix_builds_no_fraction(tmp_path, capsys, monkeypatch):
+    """From the parsed document to the printed vertices, ``polytrope
+    --matrix`` runs on integers: the matrix, its closure, the tropical
+    vertices and pseudovertices and their text are built without one
+    Fraction, for bounded matrices in 4 to 7 coordinates with p/q entries."""
+    rng = Random("cli:no-fractions")
+    paths = []
+    for n in (4, 5, 6, 7):
+        for rep in range(3):
+            cell = lambda: f"{rng.randint(-10 * n, 0)}/{rng.choice((1, 2, 5))}"
+            entries = [[cell() for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                entries[i][i] = "0"
+            body = json.dumps({"n": n, "entries": entries})
+            paths.append(write(tmp_path, f"mat-{n}-{rep}.json", body))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    codes = [main(["polytrope", "--matrix", path]) for path in paths]
+    monkeypatch.undo()
+    assert codes == [0] * len(paths)
+    assert built == []
+    docs = capsys.readouterr().out
+    assert docs.count('"pseudovertices"') == len(paths)
 
 
 def test_certify_golden(tmp_path, capsys):

@@ -1,12 +1,23 @@
 """Torus points, tropical operations and the tropical metric."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropmean import SampleSet, as_rational, canonicalize, trop_add, trop_dist, trop_scale
-from support import rand_point, rand_vector
+from tropmean import (
+    SampleSet,
+    TorusPoint,
+    as_rational,
+    canonicalize,
+    trop_add,
+    trop_dist,
+    trop_scale,
+)
+from support import rand_point, rand_vector, reference_canonicalize
 
 
 def test_canonicalize_subtracts_the_first_coordinate():
@@ -31,6 +42,37 @@ def test_canonicalize_is_idempotent():
 def test_canonicalize_rejects_short_vectors():
     with pytest.raises(ValueError):
         canonicalize([Fraction(1)])
+
+
+_coordinates = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 5, 7, 12))),
+    st.sampled_from(("1/2", "-0.25", "7")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coordinates, min_size=2, max_size=6), st.integers(1, 12))
+def test_a_point_is_held_as_integers_over_its_denominator(values, k):
+    """``canonicalize`` gives the Fraction route's canonical coordinates
+    back through ``coords``, over den the lcm of their denominators; the
+    same integers over a multiple of den make an equal point with an equal
+    hash; and the constructor refuses a short vector, a nonzero first entry
+    and a denominator below 1 with ValueError (raised, not asserted, as
+    ``test_layout`` holds every module to, so ``python -O`` keeps it)."""
+    p = canonicalize(values)
+    expected = reference_canonicalize(values)
+    assert p.coords == expected and all(type(v) is Fraction for v in p.coords)
+    assert p.den == lcm(*(v.denominator for v in expected))
+    assert p.nums == tuple(int(v * p.den) for v in expected)
+    assert p.dim == len(p) == len(values)
+    assert (list(p), p[-1]) == (list(expected), expected[-1])
+    scaled = TorusPoint(k * p.den, [k * v for v in p.nums])
+    assert scaled == p and hash(scaled) == hash(p)
+    assert (scaled.den, scaled.nums) == (p.den, p.nums)
+    for den, nums in ((p.den, p.nums[:1]), (p.den, (k, *p.nums[1:])), (1 - k, p.nums)):
+        with pytest.raises(ValueError):
+            TorusPoint(den, nums)
 
 
 def test_as_rational_rejects_floats_and_bools():

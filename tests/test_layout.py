@@ -19,9 +19,10 @@ import ``over_common_denominator``: the exact QP takes integer data, and a
 rescaling inside it would be a second, hidden scaling of what its caller
 already put on integers.  For the same reason, in ``polytrope`` only
 ``PolytropeMatrix.from_rows``, which scales Fraction entries onto a matrix's
-integers, and ``segment_breakpoints``, which scales two points, read
-``.denominator``, and ``linalg`` holds no scaling helper: the closure and
-vertex kernels take a matrix's integers as they are held.
+integers, reads ``.denominator``, and ``linalg`` holds no scaling helper:
+the closure, vertex and segment kernels take a matrix's and a point's
+integers as they are held.  In ``core`` only ``canonicalize``, which scales
+Fraction coordinates onto a point's integers, reads ``.denominator``.
 """
 
 import argparse
@@ -191,7 +192,12 @@ def _denominator_readers(path):
 
 def test_the_polytrope_kernels_take_integers_only():
     polytrope = ROOT / "src" / "tropmean" / "polytrope.py"
-    assert _denominator_readers(polytrope) <= {"PolytropeMatrix.from_rows", "segment_breakpoints"}
+    assert _denominator_readers(polytrope) <= {"PolytropeMatrix.from_rows"}
     linalg = ast.parse((ROOT / "src" / "tropmean" / "linalg.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)}
     assert "over_common_denominator" not in defined
+
+
+def test_points_are_scaled_in_canonicalize_only():
+    core = ROOT / "src" / "tropmean" / "core.py"
+    assert _denominator_readers(core) <= {"canonicalize"}

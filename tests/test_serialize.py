@@ -12,6 +12,7 @@ from tropmean import (
     ParseError,
     PolytropeMatrix,
     SampleSet,
+    TorusPoint,
     canonicalize,
     exact_frechet,
     find_certificate,
@@ -29,7 +30,12 @@ from tropmean.serialize import (
     point_to_json,
     result_to_json,
 )
-from support import reference_load_points, reference_matrix_from_json
+from support import (
+    reference_load_points,
+    reference_matrix_from_json,
+    reference_matrix_to_json,
+    reference_point_to_json,
+)
 
 F = Fraction
 
@@ -336,3 +342,36 @@ def test_matrix_from_json_matches_the_fraction_route(doc):
     else:
         assert not isinstance(got, str), got
         assert (got, got.entries) == (expected, expected.entries)
+
+
+# Integers of 1,000 to 1,500 digits, where the chunked writer runs.
+_long = st.integers(10**999, 10**1500 - 1)
+_numerators = st.one_of(st.integers(-60, 60), _long, _long.map(lambda v: -v))
+_denominators = st.one_of(st.just(1), st.integers(1, 60), _long)
+
+
+@st.composite
+def _numerator_grids(draw):
+    """An n x n grid of numerators and None, n from 2 to 4."""
+    n = draw(st.integers(2, 4))
+    cell = st.one_of(_numerators, st.none())
+    return [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_denominators, _numerator_grids())
+def test_points_and_matrices_render_as_by_the_fraction_route(den, rows):
+    """``point_to_json`` and ``matrix_to_json`` write from a point's or a
+    matrix's integers the strings that formatting each Fraction wrote, which
+    are Python's own text for it: negative values, den 1, None entries and
+    integers past the chunk size alike."""
+    c = PolytropeMatrix(den, rows)
+    expected = reference_matrix_to_json(c)
+    assert matrix_to_json(c) == expected
+    assert expected["entries"] == [
+        [None if v == NEG_INF else str(v) for v in row] for row in c.entries
+    ]
+    p = TorusPoint(den, (0, *(0 if v is None else v for v in rows[0][1:])))
+    expected = reference_point_to_json(p)
+    assert point_to_json(p) == expected
+    assert expected == [str(v) for v in p.coords]
