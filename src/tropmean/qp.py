@@ -12,27 +12,45 @@ constraint or, once stationary, inspect the multipliers.  Blocking rows are
 always independent of the working set, so multipliers stay unique, and the
 multipliers of the optimum are returned with it.
 
-An independent set of difference rows is a forest on the variables and the
-ground, so the working set needs no elimination:
+At a stationary point the row with the most negative multiplier leaves W,
+ties going to the lowest row index (Dantzig's rule).  After
+``DEGENERATE_STEPS`` steps of length zero in a row, the lowest-index
+negative row leaves instead, until a step has positive length; with the
+ratio test's lowest-index blocking row that is Bland's rule (Bland, "New
+finite pivoting rules for the simplex method", 1977), which cannot cycle at
+one point.  So the loop ends: q never rises and falls strictly on a step of
+positive length, a stationary point minimizes q over its W's subspace, so
+no W is stationary twice across such a step, and the fallback ends every
+run of zero-length steps.
 
-* Its nullspace is spanned by the indicator vectors of the components
+An independent set of difference rows is a forest on the variables and the
+ground, and the loop keeps W as one across iterations: per node its
+component label and its W rows, per component its nodes in increasing order.
+
+* Join: a row whose ends lie in two components enters, and the smaller
+  component takes the larger one's label.  A blocking row always joins two.
+  The starting W joins the tight rows in order, keeping a row exactly when
+  greedy order finds it independent of the rows before it.
+* Split: a dropped row leaves, and a walk from one of its ends over the
+  rows left collects that side of its tree under a fresh label.
+* The nullspace is spanned by the indicator vectors of the components
   without the ground, and that is exactly the basis read off the RREF of its
   rows: in a component of k variables joined by k - 1 rows any k - 1 columns
   are independent, so the pivots are its k - 1 lowest variables, the free
   column is its highest, and the RREF vector of that column is 1 on the
   component; the vectors come in the order of their free columns.  So the
   steps are those of the loop that takes its basis from the RREF.
-* A tight row enters the starting working set exactly when it joins two
-  components, which is when greedy order finds it independent of the rows
-  before it.
-* Its multipliers, the flow dual to the tension, come from peeling leaves.
+* The multipliers, the flow dual to the tension, come from one rooted pass
+  per tree: rooted at its largest node, the ground when it holds it, each
+  node in reverse walk order hands its residual to the row to its parent as
+  that row's multiplier, and on to the parent.
 
 The data are integers, and so is every step of the loop; its iterates are
 exactly those of the same loop over the rationals:
 
 * z is kept as an integer vector over one denominator, z = zn / zd, reduced
   by the gcd after each move, and the gradient H z + g as the integer
-  vector zd * (H z + g).
+  vector zd * (H z + g), summed over a flat list of H's nonzero entries.
 * The ratio test walks the rows once.  A slack is computed, as
   zn_a - zn_b - d zd, only for a row the step moves toward, the only rows
   that can block.  Step lengths are compared by integer cross-multiplication,
@@ -59,6 +77,7 @@ IntSparse = list[tuple[int, int]]
 Edge = tuple[int | None, int | None]
 
 MAX_ITER = 10_000
+DEGENERATE_STEPS = 12
 
 
 class QPError(RuntimeError):
@@ -86,21 +105,27 @@ def minimize_qp(
     slacks = [zn[a] - zn[b] - v for (a, b), v in zip(ends, d)]
     if any(s < 0 for s in slacks):
         raise QPError("infeasible starting point")
-    work = _independent_subset(ends, [i for i, s in enumerate(slacks) if s == 0], nvars)
+    work = Forest(ends, nvars)
+    for i, s in enumerate(slacks):
+        if s == 0:
+            work.join(i)
+    entries = [(s, t, v) for s, row in enumerate(h) for t, v in row]
+    degenerate = 0
 
     for _ in range(MAX_ITER):
-        grad = [_idot(row, zn) + v * zd for row, v in zip(h, g)]
-        ends_w = [ends[i] for i in work]
-        sd, sn = _subspace_step(h, grad, nullspace(ends_w, nvars), zd)
+        grad = [v * zd for v in g]
+        for s, t, v in entries:
+            grad[s] += v * zn[t]
+        sd, sn = _subspace_step(h, grad, nullspace(work), zd)
         if not any(sn):
-            u = _multipliers(ends_w, grad)
-            neg = [i for i, v in zip(work, u) if v < 0]
+            u = work.multipliers(grad)
+            neg = [(v, r) for r, v in u.items() if v < 0]
             if not neg:
                 # zn.grad = zn^T H zn + zd g.zn, all over zd^2.
                 value = Fraction(_dot(zn, grad) + zd * _dot(g, zn), 2 * zd * zd)
-                order = sorted(range(len(work)), key=work.__getitem__)
-                return value, (zd, zn[:nvars]), [work[a] for a in order], [u[a] for a in order]
-            work.remove(min(neg))
+                active = sorted(u)
+                return value, (zd, zn[:nvars]), active, [u[r] for r in active]
+            work.split(min(neg)[1] if degenerate < DEGENERATE_STEPS else min(r for _, r in neg))
             continue
         sn.append(0)
         # Row i's limit slack_i / (-row_i.step) is (slack / -prod) times
@@ -116,6 +141,7 @@ def minimize_qp(
                 if num * best_den < best_num * -prod:
                     best_num, best_den = num, -prod
                     blocker = i
+        degenerate = 0 if best_num else degenerate + 1
         if best_num:
             # z + alpha step with alpha = best_num sd / (best_den zd).
             zn = [best_den * a + best_num * b for a, b in zip(zn, sn)]
@@ -125,19 +151,83 @@ def minimize_qp(
                 zd //= div
                 zn = [v // div for v in zn]
         if blocker is not None:
-            work.append(blocker)
+            work.join(blocker)
     raise QPError("active-set iteration cap exceeded")
 
 
-def _idot(row: IntSparse, x: list[int]) -> int:
-    acc = 0
-    for t, v in row:
-        acc += v * x[t]
-    return acc
+class Forest:
+    """A working set of rows with ``ends`` on the nodes 0..nvars, nvars the ground.
 
+    ``label`` holds each node's component, ``members`` each component's nodes
+    in increasing order and ``at`` each node's rows in the forest.
+    """
 
-def _dot(x: list[int], y: list[int]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    def __init__(self, ends: list[tuple[int, int]], nvars: int) -> None:
+        self.ends = ends
+        self.label = list(range(nvars + 1))
+        self.members = {t: [t] for t in range(nvars + 1)}
+        self.at: list[list[int]] = [[] for _ in range(nvars + 1)]
+        self.fresh = nvars + 1
+
+    def join(self, r: int) -> bool:
+        """Add row r when its ends lie in two components; says whether it did."""
+        a, b = self.ends[r]
+        keep, gone = self.label[a], self.label[b]
+        if keep == gone:
+            return False
+        if len(self.members[keep]) < len(self.members[gone]):
+            keep, gone = gone, keep
+        moved = self.members.pop(gone)
+        for t in moved:
+            self.label[t] = keep
+        self.members[keep] = sorted(self.members[keep] + moved)
+        self.at[a].append(r)
+        self.at[b].append(r)
+        return True
+
+    def split(self, r: int) -> None:
+        """Remove row r, which is in the forest."""
+        a, b = self.ends[r]
+        self.at[a].remove(r)
+        self.at[b].remove(r)
+        side, _ = self._walk(a)
+        old, new = self.label[a], self.fresh
+        self.fresh += 1
+        for t in side:
+            self.label[t] = new
+        self.members[new] = sorted(side)
+        self.members[old] = [t for t in self.members[old] if self.label[t] == old]
+
+    def multipliers(self, grad: list[int]) -> dict[int, int]:
+        """u by row with sum_r u_r (e_a - e_b) = grad over the forest's rows (a, b);
+        a residual left at a root other than the ground is an inconsistency."""
+        residual = [*grad, 0]
+        u = {}
+        for group in self.members.values():
+            order, up = self._walk(group[-1])
+            for t in order[:0:-1]:
+                r = up[t]
+                res = residual[t]
+                a, b = self.ends[r]
+                u[r], other = (res, b) if a == t else (-res, a)
+                residual[other] += res
+            if residual[group[-1]] and group[-1] < len(grad):
+                raise QPError("stationary point with inconsistent multiplier system")
+        return u
+
+    def _walk(self, root: int) -> tuple[list[int], dict[int, int | None]]:
+        """The nodes of root's tree, each after its parent, and each node's
+        row to its parent, None for the root."""
+        order = [root]
+        up: dict[int, int | None] = {root: None}
+        for t in order:
+            for r in self.at[t]:
+                if r != up[t]:
+                    a, b = self.ends[r]
+                    other = b if a == t else a
+                    up[other] = r
+                    order.append(other)
+        return order, up
 
 
 def _subspace_step(
@@ -177,88 +267,17 @@ def _subspace_step(
     return den * zd // div, [v // div for v in sn]
 
 
-def nullspace(ends: list[tuple[int, int]], nvars: int) -> list[list[int]]:
-    """Basis of {z : z_a = z_b for every row (a, b)}, node nvars being the ground.
+def nullspace(work: Forest) -> list[list[int]]:
+    """Basis of {z : z_a = z_b for every row (a, b) of the forest}.
 
     The basis is the indicator vectors of the components that do not hold
     the ground, in the order of their largest variable, each given as its
     variables in increasing order.
     """
-    parent, _ = _forest(ends, nvars)
-    members: dict[int, list[int]] = {}
-    for t in range(nvars + 1):
-        r = t
-        while r != parent[r]:
-            r = parent[r]
-        parent[t] = r
-        members.setdefault(r, []).append(t)
-    del members[parent[nvars]]
-    return sorted(members.values(), key=lambda group: group[-1])
+    ground = work.label[-1]
+    groups = [group for lab, group in work.members.items() if lab != ground]
+    return sorted(groups, key=lambda group: group[-1])
 
 
-def _multipliers(ends: list[tuple[int, int]], grad: list[int]) -> list[int]:
-    """Solve sum_r u_r (e_a - e_b) = grad over the working-set rows (a, b).
-
-    The working set is a forest, solved by peeling its leaves: a leaf
-    variable t has one row left, whose multiplier is the residual of t, or
-    its negative when t is the row's end b; the row's other end takes that
-    residual on.  A residual left at a root without a row is an
-    inconsistency.  The ground, node len(grad), is never peeled.
-    """
-    nvars = len(grad)
-    at: list[list[int]] = [[] for _ in range(nvars + 1)]
-    for r, (a, b) in enumerate(ends):
-        at[a].append(r)
-        at[b].append(r)
-    degree = [len(rs) for rs in at]
-    residual = [*grad, 0]
-    u = [0] * len(ends)
-    done = [False] * len(ends)
-    leaves = [t for t in range(nvars) if degree[t] == 1]
-    while leaves:
-        t = leaves.pop()
-        if degree[t] != 1:
-            continue
-        r = next(r for r in at[t] if not done[r])
-        done[r] = True
-        degree[t] = 0
-        res = residual[t]
-        residual[t] = 0
-        a, b = ends[r]
-        u[r], other = (res, b) if a == t else (-res, a)
-        residual[other] += res
-        degree[other] -= 1
-        if degree[other] == 1 and other < nvars:
-            leaves.append(other)
-    if any(residual[:nvars]):
-        raise QPError("stationary point with inconsistent multiplier system")
-    return u
-
-
-def _independent_subset(ends: list[tuple[int, int]], rows: list[int], nvars: int) -> list[int]:
-    """The rows, in order, that greedy order keeps independent.
-
-    A row is kept exactly when it joins two components of the rows kept
-    before it.
-    """
-    _, kept = _forest([ends[r] for r in rows], nvars)
-    return [rows[i] for i in kept]
-
-
-def _forest(ends: list[tuple[int, int]], nvars: int) -> tuple[list[int], list[int]]:
-    """Union-find over the nodes 0..nvars, node nvars being the ground.
-
-    Joins the rows (a, b) in order and returns the parent list and the
-    positions of the rows that joined two components.
-    """
-    parent = list(range(nvars + 1))
-    kept = []
-    for r, (a, b) in enumerate(ends):
-        while a != parent[a]:
-            parent[a] = a = parent[parent[a]]
-        while b != parent[b]:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            kept.append(r)
-    return parent, kept
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(a * b for a, b in zip(x, y))

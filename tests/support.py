@@ -27,7 +27,7 @@ from tropmean import (
 )
 from tropmean.certify import piece_for
 from tropmean.core import TorusPoint
-from tropmean.qp import QPError
+from tropmean.qp import DEGENERATE_STEPS, QPError
 from tropmean.core import abbreviate
 from tropmean.serialize import format_rational, parse_json, parse_rational
 
@@ -164,19 +164,24 @@ def solve_over_fractions(a, b):
     return particular, basis
 
 
-def reference_qp(h, g, rows, d, z0, max_iter=1000):
+def reference_qp(h, g, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERATE_STEPS):
     """The primal active-set loop of ``qp.minimize_qp`` written over Fractions.
 
     The nullspace and the subspace step come from ``solve_over_fractions``, the
     ratio test compares rational step lengths with a strict ``<`` in row
     order, and the working set starts as the greedily independent tight
-    rows.  Returns ``((value, z, active, lam), stats)``, where ``stats``
-    counts loop iterations, rows dropped for a negative multiplier and
-    ratio-test ties a later row lost to an earlier one.
+    rows.  At a stationary point it drops the row with the most negative
+    multiplier, ties to the lowest row index, or the lowest-index negative
+    row once ``degenerate_steps`` steps in a row had length zero, until a
+    step has positive length.  Returns ``((value, z, active, lam), stats)``,
+    where ``stats`` counts loop iterations, rows dropped for a negative
+    multiplier, the drops that took the lowest index after a run of zero
+    steps, and ratio-test ties a later row lost to an earlier one.
     """
     nvars = len(z0)
     z = list(z0)
-    stats = {"iterations": 0, "drops": 0, "ties": 0}
+    stats = {"iterations": 0, "drops": 0, "fallbacks": 0, "ties": 0}
+    degenerate = 0
     slacks = [dot(row, z) - rhs for row, rhs in zip(rows, d)]
     if any(s < 0 for s in slacks):
         raise QPError("infeasible starting point")
@@ -208,12 +213,16 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000):
                 if sol is None:
                     raise QPError("stationary point with inconsistent multiplier system")
                 lam = sol[0]
-            neg = [i for i, v in zip(work, lam) if v < 0]
+            neg = [(v, i) for i, v in zip(work, lam) if v < 0]
             if not neg:
                 value = Fraction(1, 2) * dot(mat_vec(h, z), z) + dot(g, z)
                 order = sorted(range(len(work)), key=work.__getitem__)
                 return (value, z, [work[a] for a in order], [lam[a] for a in order]), stats
-            work.remove(min(neg))
+            if degenerate < degenerate_steps:
+                work.remove(min(neg)[1])
+            else:
+                work.remove(min(i for _, i in neg))
+                stats["fallbacks"] += 1
             stats["drops"] += 1
             continue
         alpha, blocker = Fraction(1), None
@@ -226,6 +235,7 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000):
                 alpha, blocker = limit, i
             elif limit == alpha and blocker is not None:
                 stats["ties"] += 1
+        degenerate = degenerate + 1 if alpha == 0 else 0
         z = [zt + alpha * st for zt, st in zip(z, step)]
         if blocker is not None:
             work.append(blocker)

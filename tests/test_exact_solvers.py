@@ -412,14 +412,8 @@ class _Recorded(Exception):
     pass
 
 
-@st.composite
-def _split_programs(draw):
-    """The split epigraph program of a random sample, n <= 5 and m <= 6,
-    started at a random point; coordinates repeat often, so ties abound."""
-    n = draw(st.integers(2, 5))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-    rows = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, 6)))]
-    start = canonicalize([draw(entry) for _ in range(n)])
+def _epigraph_program(sample, start):
+    """The integer program ``_epigraph_qp`` hands ``minimize_qp``."""
     programs = []
 
     def record(*args):
@@ -428,8 +422,19 @@ def _split_programs(draw):
 
     with mock.patch.object(frechet_mod, "minimize_qp", record):
         with pytest.raises(_Recorded):
-            frechet_mod._epigraph_qp(SampleSet.from_rows(rows), start)
-    return n, programs[0]
+            frechet_mod._epigraph_qp(sample, start)
+    return programs[0]
+
+
+@st.composite
+def _split_programs(draw):
+    """The split epigraph program of a random sample, n <= 5 and m <= 6,
+    started at a random point; coordinates repeat often, so ties abound."""
+    n = draw(st.integers(2, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, 6)))]
+    start = canonicalize([draw(entry) for _ in range(n)])
+    return n, _epigraph_program(SampleSet.from_rows(rows), start)
 
 
 @settings(max_examples=100, deadline=None)
@@ -443,6 +448,35 @@ def test_split_programs_match_the_fraction_active_set_loop(case):
     rows = densify(edges, len(z0))
     slacks = [dot(row, z0) - rhs for row, rhs in zip(rows, d)]
     assert all(min(slacks[r : r + n]) == 0 for r in range(0, len(rows), n))
+    _assert_matches_reference(program)
+
+
+# Eight coordinates in -1..1 for eleven samples: started at the average, the
+# epigraph program meets DEGENERATE_STEPS steps of length zero in a row
+# before a drop, and the drop then takes the lowest index.
+DEGENERATE_SAMPLE = [
+    [-1, -1, 0, 1, -1, 0, -1, 1],
+    [1, 0, -1, -1, 1, 1, 1, -1],
+    [1, -1, -1, -1, -1, -1, 1, 1],
+    [0, 0, 0, 0, 0, 1, 1, 0],
+    [1, -1, 0, 1, 1, -1, 0, 1],
+    [-1, 0, -1, -1, -1, 1, 0, 1],
+    [-1, 1, 1, 0, 1, 1, -1, -1],
+    [-1, 1, 1, 0, 1, -1, 1, 0],
+    [1, 0, 0, -1, 1, 0, 1, 0],
+    [0, -1, 1, 0, 0, 0, -1, -1],
+    [0, -1, 1, 1, 0, 0, 1, -1],
+]
+
+
+def test_degenerate_runs_fall_back_to_the_lowest_index_drop():
+    sample = SampleSet.from_rows([[F(v) for v in row] for row in DEGENERATE_SAMPLE])
+    program = _epigraph_program(sample, frechet_mod._average(sample))
+    _, stats = _reference(program)
+    assert stats["fallbacks"] >= 1
+    # Without the fallback the loop takes another path.
+    _, dantzig = reference_qp(*fraction_program(*program), degenerate_steps=10**9)
+    assert dantzig["iterations"] != stats["iterations"]
     _assert_matches_reference(program)
 
 
@@ -476,6 +510,22 @@ def _dense_ends(ends, nvars):
     return densify([tuple(None if t == nvars else t for t in e) for e in ends], nvars)
 
 
+def _forest(ends, nvars):
+    """The forest of ``ends`` joined in order, and the rows it kept."""
+    work = qp_mod.Forest(ends, nvars)
+    return work, [r for r in range(len(ends)) if work.join(r)]
+
+
+def _flow(ends, u, nvars):
+    """C^T u over the variables, the rows' flow; the ground takes no equation."""
+    grad = [0] * (nvars + 1)
+    for r, v in u.items():
+        a, b = ends[r]
+        grad[a] += v
+        grad[b] -= v
+    return grad[:nvars]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_edge_sets())
 @example(([], 3))
@@ -484,7 +534,7 @@ def test_forest_nullspace_is_the_rref_basis(case):
     ends, nvars = case
     rows = _dense_ends(ends, nvars) or [[F(0)] * nvars]
     _, expected = solve_over_fractions(rows, [F(0)] * len(rows))
-    groups = qp_mod.nullspace(ends, nvars)
+    groups = qp_mod.nullspace(_forest(ends, nvars)[0])
     assert [[int(t in group) for t in range(nvars)] for group in groups] == expected
 
 
@@ -492,7 +542,7 @@ def test_forest_nullspace_is_the_rref_basis(case):
 @given(_edge_sets(forest=False))
 def test_union_find_keeps_the_rows_rref_keeps(case):
     ends, nvars = case
-    kept = qp_mod._independent_subset(ends, list(range(len(ends))), nvars)
+    _, kept = _forest(ends, nvars)
     rows = _dense_ends(ends, nvars)
     greedy = []
     for r in range(len(rows)):
@@ -505,17 +555,43 @@ def test_union_find_keeps_the_rows_rref_keeps(case):
 @given(_edge_sets(), st.data())
 def test_leaf_peeling_solves_the_multiplier_system(case, data):
     ends, nvars = case
-    u = [data.draw(st.integers(-9, 9)) for _ in ends]
-    # grad = C^T u over the variables; the ground takes no equation.
-    grad = [0] * (nvars + 1)
-    for (a, b), v in zip(ends, u):
-        grad[a] += v
-        grad[b] -= v
-    grad.pop()
-    assert qp_mod._multipliers(ends, grad) == u
+    work, _ = _forest(ends, nvars)
+    u = {r: data.draw(st.integers(-9, 9)) for r in range(len(ends))}
+    grad = _flow(ends, u, nvars)
+    assert work.multipliers(grad) == u
     # A residual no row can absorb is an inconsistency.
     free = [t for t in range(nvars) if all(t not in e for e in ends)]
     if free:
         grad[free[0]] += 1
         with pytest.raises(QPError):
-            qp_mod._multipliers(ends, grad)
+            work.multipliers(grad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_sets(forest=False), st.data())
+def test_joins_and_splits_keep_the_rebuilt_basis(case, data):
+    """After every join and split, the maintained forest has the nullspace
+    basis rebuilt from its rows, same groups in the same order, and its
+    rooted pass solves the multiplier system of its rows."""
+    ends, nvars = case
+    work = qp_mod.Forest(ends, nvars)
+    inside = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        if inside and data.draw(st.booleans()):
+            r = data.draw(st.sampled_from(inside))
+            work.split(r)
+            inside.remove(r)
+        elif ends:
+            r = data.draw(st.integers(0, len(ends) - 1))
+            rows = _dense_ends([ends[i] for i in inside + [r]], nvars)
+            independent = rank(rows) == len(inside) + 1
+            assert work.join(r) == independent
+            if independent:
+                inside.append(r)
+        rows = _dense_ends([ends[i] for i in inside], nvars) or [[F(0)] * nvars]
+        _, expected = solve_over_fractions(rows, [F(0)] * len(rows))
+        groups = qp_mod.nullspace(work)
+        assert [[int(t in group) for t in range(nvars)] for group in groups] == expected
+        assert all(group == sorted(group) for group in groups)
+        u = {r: data.draw(st.integers(-9, 9)) for r in inside}
+        assert work.multipliers(_flow(ends, u, nvars)) == u
