@@ -4,17 +4,18 @@ Each squared distance to a sample is the maximum of squares of affine forms
 (x_i - x_k) - (p_i - p_k), one per ordered coordinate pair.  A point x* is a
 global minimizer exactly when some convex combination of the pieces that are
 active at x* has vanishing gradient there: the combined weighted quadratic
-then touches the objective from below at x*, so its exact minimum certifies
-the optimal value.  The weights come from the multipliers of the exact
-quadratic program in ``frechet``; checking a certificate here is an
-independent exact minimization of the combined form.
+q lies below the objective everywhere and touches it at x*, so
+objective(x) >= q(x) >= q(x*) = objective(x*) for every x.  The weights come
+from the multipliers of the exact quadratic program in ``frechet``, and a
+certificate names the point x* it certifies.  ``verify_certificate`` checks
+it at that point alone, with no elimination: every weighted piece is active
+at x*, the weighted gradient vanishes there, and objective(x*) >= c_star,
+all on integers over the common denominator of the sample and the point.
+Nothing of the route that found the weights is trusted.
 
-The check is built from difference pieces alone: ``add_square`` adds each
-weighted square w (x_i - x_k - c)^2 to the normal equations A y = b in the
-gauge x_1 = 0, and ``min_quadratic`` solves them by the QP step's integer
-solve.  ``verify_certificate`` feeds them integers, the sample over its
-common denominator and the weights over theirs; the exhaustive oracle builds
-its region sums with the same two on Fractions.
+``add_square`` and ``min_quadratic`` build and minimize a sum of weighted
+difference squares on its normal equations, in the gauge x_1 = 0; the
+exhaustive oracle builds its region sums with them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .core import RationalLike, SampleSet, as_rational, trop_dist
+from .core import RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
 from .errors import CertificateError, InternalError
 from .linalg import integer_solve
 
@@ -48,10 +49,12 @@ class QuadraticPiece:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-sample convex weights on active pieces plus the certified value."""
+    """Per-sample convex weights on the pieces active at ``point``, and the
+    certified value: objective >= c_star everywhere, attained at ``point``."""
 
     c_star: Fraction
     weights: tuple[tuple[tuple[QuadraticPiece, Fraction], ...], ...]
+    point: TorusPoint
 
     def weight_map(self, j: int) -> dict[tuple[int, int], Fraction]:
         return {(p.i, p.k): w for p, w in self.weights[j]}
@@ -88,48 +91,75 @@ def active_pieces(sample: SampleSet, x: Sequence[RationalLike]) -> list[list[Qua
 def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     """Independent check that the certificate proves objective >= c_star.
 
-    Structural defects (weights not convex, piece constants that do not
-    match the sample data) raise CertificateError.  Otherwise the combined
-    quadratic is minimized exactly and compared against c_star.
+    Structural defects (a point of the wrong dimension, weights not convex,
+    piece constants that do not match the sample data) raise
+    CertificateError.  Otherwise the certificate holds when, at its point
+    x, every piece of positive weight is active (|x_i - x_k - c| equals the
+    distance to its sample), the weighted gradient sum w (x_i - x_k - c)
+    (e_i - e_k) vanishes and objective(x) >= c_star.  Then the weighted form
+    q lies below the objective, x minimizes q and q(x) = objective(x), so
+    objective >= c_star everywhere.
 
-    The check runs on integers: the sample over its common denominator den
-    (``sample.scaled``) and the weights over theirs, W.  Piece constants are
-    compared by cross-multiplying, and the weights of a sample must sum to
-    W.  In X = den x the combined form is sum (w W)(X_i - X_k - c den)^2
-    divided by W den^2, all of whose terms are integers, so the minimum of
-    those integer normal equations is divided by W den^2 once at the end.
+    The check runs on integers: the sample and the point over their common
+    denominator e, so each form is an integer over e, and each sample's
+    weights over their own denominator W_j.  Piece constants are compared
+    by cross-multiplying against the sample over its own denominator, and
+    the weights of a sample must sum to W_j.  An active form is +-s_j, the
+    spread of x - p_j over e, so sample j adds s_j g_j / W_j to the gradient
+    over e, where g_j sums +-w W_j (e_i - e_k); those are summed over the
+    running lcm of the W_j.
     """
     if len(cert.weights) != sample.m:
         raise CertificateError("certificate sample count mismatch")
     n = sample.n
+    x = cert.point
+    if x.dim != n:
+        raise CertificateError(f"certificate point has {x.dim} coordinates, not {n}")
     den, nums = sample.scaled
-    wden = lcm(*(w.denominator for per in cert.weights for _, w in per))
-    a = [[0] * (n - 1) for _ in range(n - 1)]
-    b = [0] * (n - 1)
-    c0 = 0
+    e = lcm(den, x.den)
+    f = e // den
+    xs = [v * (e // x.den) for v in x.nums]
+    active = True
+    value = 0
+    grad, gden = [0] * n, 1
     for j, per in enumerate(cert.weights):
         if not per:
             raise CertificateError(f"sample {j} carries no pieces")
         p = nums[j]
+        gaps = [a - c * f for a, c in zip(xs, p)]
+        spread = max(gaps) - min(gaps)
+        value += spread * spread
+        wden = lcm(*(w.denominator for _, w in per))
         total = 0
+        g = [0] * n
         for piece, w in per:
             i, k = piece.i, piece.k
             if piece.sample != j:
                 raise CertificateError("piece attached to the wrong sample")
             if not (0 <= i < n and 0 <= k < n) or i == k:
                 raise CertificateError("piece indices out of range")
-            c = p[i] - p[k]
-            if piece.c.numerator * den != c * piece.c.denominator:
+            if piece.c.numerator * den != (p[i] - p[k]) * piece.c.denominator:
                 raise CertificateError("piece constant does not match the sample")
-            if w < 0:
-                raise CertificateError("negative weight")
             wn = w.numerator * (wden // w.denominator)
+            if wn < 0:
+                raise CertificateError("negative weight")
             total += wn
-            c0 += add_square(a, b, i, k, c, wn)
+            form = gaps[i] - gaps[k]
+            if wn and form != spread:
+                if form != -spread:
+                    active = False
+                wn = -wn
+            g[i] += wn
+            g[k] -= wn
         if total != wden:
             raise CertificateError(f"weights of sample {j} sum to {Fraction(total, wden)}, not 1")
-    value, _ = min_quadratic(a, b, c0)
-    return value / (wden * den * den) >= cert.c_star
+        if active and spread and any(g):
+            step = lcm(gden, wden)
+            a, b = step // gden, spread * (step // wden)
+            grad = [u * a + v * b for u, v in zip(grad, g)]
+            gden = step
+    c_star = cert.c_star
+    return active and not any(grad) and value * c_star.denominator >= c_star.numerator * e * e
 
 
 def add_square(

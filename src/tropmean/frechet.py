@@ -4,11 +4,12 @@ The objective c(x) = sum_j d_tr(x, p_j)^2 is piecewise quadratic and convex
 on the torus.  ``exact_frechet`` computes its minimum exactly: one
 epigraph quadratic program, started at the coordinatewise average, whose
 optimum is the exact mean and whose KKT multipliers are its positivity
-certificate; the certificate is checked independently before the mean is
-reported as exact.  The start, the program's lift, the distances and the
-mean set are computed on the sample's integers over one common denominator,
-which ``SampleSet.scaled`` holds.  ``find_certificate`` hands out that
-certificate for any point whose objective equals its certified minimum.
+certificate; the certificate names the mean as its point and is checked
+there, by stationarity, before the mean is reported as exact.  The start,
+the program's lift, the distances and the mean set are computed on the
+sample's integers over one common denominator, which ``SampleSet.scaled``
+holds.  ``find_certificate`` hands out that certificate's weights, named at
+and checked at any point whose objective equals the certified minimum.
 
 ``fm_polytrope`` gives the h-description of the full mean set, obtained by
 intersecting the tropical balls around the samples with the per-sample
@@ -17,7 +18,7 @@ optimal radii.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import sub
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .certify import Certificate, QuadraticPiece, verify_certificate
 from .core import RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
-from .errors import NotOptimal
+from .errors import InternalError, NotOptimal
 from .polytrope import PolytropeMatrix
 from .qp import Edge, QPError, minimize_qp
 
@@ -105,11 +106,13 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
 
     Solves the epigraph quadratic program once, started at the
     coordinatewise average of the sample, and reads the certificate off
-    the multipliers of its optimum.  The result is reported with
-    ``exact=True`` only after ``verify_certificate`` accepts that
-    certificate and its value equals the objective at the mean.  When the
-    program fails with a QPError or a check fails, the start point comes
-    back flagged ``exact=False``.
+    the multipliers of its optimum; the certificate names the mean as its
+    point.  The result is reported with ``exact=True`` only when its value
+    equals the objective at the mean and ``verify_certificate`` accepts it
+    there: every weighted piece active at the mean and the weighted
+    gradient zero, with no system solved.  When the program fails with a
+    QPError or a check fails, the start point comes back flagged
+    ``exact=False``.
 
     The start, the program's lift and right-hand sides, the distances,
     ``min_sum`` and the mean set are all computed on the sample's integers
@@ -145,13 +148,15 @@ def _result_at(
 
 
 def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
-    """The verified certificate of ``exact_frechet``, when x_star is a mean.
+    """The exact mean's verified certificate, named at x_star and checked there.
 
-    A certificate proves objective >= c_star everywhere and names no point,
-    so x_star is a Fréchet mean exactly when its objective equals the
-    certified minimum; the certificate then proves its optimality.  Raises
-    NotOptimal when x_star's objective is higher, or when no mean of the
-    sample could be certified.
+    The weights of one mean serve at every mean: with c_star = q(mean),
+    q(y) <= objective(y) = c_star = min q at any mean y, so y minimizes q
+    and every weighted piece is active at y.  So x_star is a Fréchet mean
+    exactly when its objective equals the certified minimum, and the exact
+    mean's weights named at x_star then pass ``verify_certificate`` there.
+    Raises NotOptimal when x_star's objective is higher, or when no mean of
+    the sample could be certified.
     """
     result = exact_frechet(sample)
     if not result.exact:
@@ -159,7 +164,10 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
     value = objective(sample, x_star.coords)
     if value != result.min_sum:
         raise NotOptimal(f"objective {value} exceeds the certified minimum {result.min_sum}")
-    return result.certificate
+    cert = replace(result.certificate, point=x_star)
+    if not verify_certificate(sample, cert):
+        raise InternalError("the mean's certificate does not hold at a point of equal objective")
+    return cert
 
 
 def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
@@ -237,4 +245,4 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
             )
         )
     mean = TorusPoint(zd * e, (0, *zn[:nv]))
-    return mean, Certificate(value / (e * e), tuple(weights))
+    return mean, Certificate(value / (e * e), tuple(weights), mean)

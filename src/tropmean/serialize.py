@@ -134,7 +134,8 @@ def matrix_from_json(data: Any) -> PolytropeMatrix:
 
 
 def certificate_to_json(cert: Certificate) -> dict[str, Any]:
-    """Certificate as a self-contained proof document.
+    """Certificate as a self-contained proof document: the certified value,
+    the point it is attained at and the weights.
 
     Sample and coordinate indices are 1-based here, matching how such
     proofs are written out by hand; in-memory objects stay 0-based.
@@ -151,12 +152,21 @@ def certificate_to_json(cert: Certificate) -> dict[str, Any]:
             for piece, w in entries
         ]
         weights.append({"sample": j + 1, "pieces": pieces})
-    return {"c_star": format_rational(cert.c_star), "weights": weights}
+    return {
+        "c_star": format_rational(cert.c_star),
+        "point": point_to_json(cert.point),
+        "weights": weights,
+    }
 
 
 def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
-    if not isinstance(data, dict) or "c_star" not in data or "weights" not in data:
-        raise ParseError("certificate JSON needs 'c_star' and 'weights'")
+    if not isinstance(data, dict) or not {"c_star", "point", "weights"} <= data.keys():
+        raise ParseError("certificate JSON needs 'c_star', 'point' and 'weights'")
+    raw = data["point"]
+    if not isinstance(raw, list) or len(raw) != sample.n:
+        raise ParseError(f"certificate 'point' must be an array of {sample.n} coordinates")
+    den, (nums,) = _over_lcm([[_ratio(v) for v in raw]])
+    point = TorusPoint(den, tuple(v - nums[0] for v in nums))
     groups = data["weights"]
     if not isinstance(groups, list) or len(groups) != sample.m:
         raise ParseError("certificate must carry one weight group per sample")
@@ -181,7 +191,7 @@ def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
                 )
             entries.append((piece, Fraction(*_ratio(item["w"]))))
         by_sample.append(tuple(entries))
-    return Certificate(c_star=Fraction(*_ratio(data["c_star"])), weights=tuple(by_sample))
+    return Certificate(Fraction(*_ratio(data["c_star"])), tuple(by_sample), point)
 
 
 def _piece_index(value: Any, n: int) -> int:

@@ -356,7 +356,8 @@ def reference_epigraph(sample: SampleSet, start: TorusPoint):
         weights.append(
             tuple((piece_for(sample, j, i, k), w) for (i, k), w in sorted(per.items()))
         )
-    return canonicalize([Fraction(0), *z[: n - 1]]), Certificate(c_star, tuple(weights))
+    mean = canonicalize([Fraction(0), *z[: n - 1]])
+    return mean, Certificate(c_star, tuple(weights), mean)
 
 
 def reference_result_fields(sample: SampleSet, mean: TorusPoint):
@@ -471,12 +472,17 @@ def reference_matrix_to_json(c: PolytropeMatrix) -> dict:
 
 
 def reference_verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
-    """``verify_certificate`` over Fractions: the same checks in the same
-    order, and the combined quadratic minimized by ``solve_over_fractions``
-    on its normal equations in the gauge x_1 = 0."""
+    """``verify_certificate`` by elimination over Fractions: the same
+    structural checks in the same order, then the combined quadratic q
+    minimized by ``solve_over_fractions`` on its normal equations in the
+    gauge x_1 = 0.  The certificate holds when min q >= c_star and the
+    objective at its point equals min q: q lies below the objective, so
+    that is the point minimizing q with every weighted piece active."""
     if len(cert.weights) != sample.m:
         raise CertificateError("certificate sample count mismatch")
     n = sample.n
+    if cert.point.dim != n:
+        raise CertificateError(f"certificate point has {cert.point.dim} coordinates, not {n}")
     a = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
     b = [Fraction(0)] * (n - 1)
     c0 = Fraction(0)
@@ -508,7 +514,9 @@ def reference_verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
         if total != 1:
             raise CertificateError(f"weights of sample {j} sum to {total}, not 1")
     y, _ = solve_over_fractions(a, b)
-    return c0 - dot(b, y) >= cert.c_star
+    value = c0 - dot(b, y)
+    at_point = sum((trop_dist(cert.point, p) ** 2 for p in sample), Fraction(0))
+    return value >= cert.c_star and value == at_point
 
 
 # A textbook phase-one simplex with Bland's rule: artificial variables are

@@ -1,10 +1,16 @@
 """Optimality certificates and exact quadratic minimization."""
 
+import importlib.util
 import json
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmean import (
     Certificate,
@@ -24,7 +30,7 @@ from tropmean import (
     tropical_vertices,
     verify_certificate,
 )
-from tropmean.certify import add_square
+from tropmean.certify import add_square, piece_for
 from tropmean.serialize import load_points
 from support import int_sample, rand_sample, reference_verify_certificate
 
@@ -94,13 +100,13 @@ def test_perturbed_weights_fail_verification():
             continue
         (p1, w1), (p2, w2) = per
         swapped.append(((p1, w2), (p2, w1)))
-    bad = Certificate(cert.c_star, tuple(swapped))
+    bad = Certificate(cert.c_star, tuple(swapped), cert.point)
     assert not verify_certificate(THREE_POINTS, bad)
 
 
 def test_weaker_bound_still_verifies():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
-    weaker = Certificate(cert.c_star - 1, cert.weights)
+    weaker = Certificate(cert.c_star - 1, cert.weights, cert.point)
     assert verify_certificate(THREE_POINTS, weaker)
 
 
@@ -110,12 +116,14 @@ def test_malformed_certificates_are_rejected():
     negative = Certificate(
         cert.c_star,
         (((piece, F(-1)),),) + cert.weights[1:],
+        cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, negative)
     unnormalized = Certificate(
         cert.c_star,
         (((piece, F(1, 2)),),) + cert.weights[1:],
+        cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, unnormalized)
@@ -123,6 +131,7 @@ def test_malformed_certificates_are_rejected():
         cert.c_star,
         (((QuadraticPiece(0, piece.i, piece.k, piece.c + 1), F(1)),),)
         + cert.weights[1:],
+        cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, tampered)
@@ -145,7 +154,7 @@ def _defective(cert, defect):
         weights[0] = ((piece, F(-1)), (piece, F(2)))
     else:
         weights[0] = ((piece, F(1, 2)),)
-    return Certificate(cert.c_star, tuple(weights))
+    return Certificate(cert.c_star, tuple(weights), cert.point)
 
 
 @pytest.mark.parametrize(
@@ -192,16 +201,16 @@ def _mutations(cert):
     two pieces of one sample, a wrong piece constant and a negative weight."""
     weights = list(cert.weights)
     (piece, w), *rest = weights[0]
-    yield Certificate(cert.c_star + F(1, 10**9), cert.weights)
+    yield Certificate(cert.c_star + F(1, 10**9), cert.weights, cert.point)
     for j, per in enumerate(weights):
         if len(per) > 1:
             (p0, w0), (p1, w1), *tail = per
             moved = weights[:j] + [((p0, w0 / 2), (p1, w1 + w0 / 2), *tail)] + weights[j + 1:]
-            yield Certificate(cert.c_star, tuple(moved))
+            yield Certificate(cert.c_star, tuple(moved), cert.point)
             break
     wrong = QuadraticPiece(piece.sample, piece.i, piece.k, piece.c + F(1, 3))
-    yield Certificate(cert.c_star, (((wrong, w), *rest), *weights[1:]))
-    yield Certificate(cert.c_star, (((piece, -w), *rest), *weights[1:]))
+    yield Certificate(cert.c_star, (((wrong, w), *rest), *weights[1:]), cert.point)
+    yield Certificate(cert.c_star, (((piece, -w), *rest), *weights[1:]), cert.point)
 
 
 def test_integer_check_agrees_with_the_fraction_check():
@@ -224,6 +233,130 @@ def test_integer_check_agrees_with_the_fraction_check():
     assert "CertificateError: negative weight" in verdicts
     assert "CertificateError: piece constant does not match the sample" in verdicts
     assert verdicts.count(False) > 40  # some moved weights fail on the minimum
+
+
+@st.composite
+def _tied_samples(draw):
+    """Samples with n 2-5 and m 1-6 whose coordinates repeat often: halves
+    in -3..3, so ties, duplicates and several means are common."""
+    n = draw(st.integers(2, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    return SampleSet.from_rows(rows)
+
+
+def _with_weights(cert, j, per):
+    return replace(cert, weights=(*cert.weights[:j], tuple(per), *cert.weights[j + 1:]))
+
+
+def _inactive_pairs(sample, x):
+    """Per sample, its first pair (i, k), i < k, whose piece is inactive at
+    x, or None when every piece is."""
+    n = sample.n
+    pairs = []
+    for p in sample:
+        d = trop_dist(x, p)
+        inactive = (
+            (i, k)
+            for i in range(n)
+            for k in range(i + 1, n)
+            if abs(x[i] - x[k] - (p[i] - p[k])) != d
+        )
+        pairs.append(next(inactive, None))
+    return pairs
+
+
+def _inactive_moves(sample, cert):
+    """Half of the first weight of the first sample that has an inactive
+    piece moved onto it; and, in every such sample, half of every weight
+    moved onto an inactive piece in both orientations, a quarter each.
+    The second leaves zero the gradient of a check that counts each piece
+    at +-s_j as if it were active, so only the activity test rejects it."""
+    pairs = _inactive_pairs(sample, cert.point)
+    if not any(pairs):
+        return []
+    j = next(j for j, ik in enumerate(pairs) if ik)
+    (piece, w), *rest = cert.weights[j]
+    one = _with_weights(cert, j, ((piece, w / 2), *rest, (piece_for(sample, j, *pairs[j]), w / 2)))
+    every = []
+    for j, (per, ik) in enumerate(zip(cert.weights, pairs)):
+        if ik:
+            halves = [(piece, w / 2) for piece, w in per]
+            quarters = [(piece_for(sample, j, *pair), F(1, 4)) for pair in (ik, ik[::-1])]
+            per = halves + quarters
+        every.append(tuple(per))
+    return [one, replace(cert, weights=tuple(every))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_samples(), st.data())
+def test_stationarity_check_agrees_with_the_elimination_check(sample, data):
+    """The check at the certificate's point and the elimination reference
+    give the same verdict, or raise the same CertificateError, on the exact
+    mean's certificate and on its mutations: the point shifted by 1/den in
+    one coordinate, weight moved to inactive pieces, weights not summing to
+    1, c_star raised by 1/10**9 and a negative weight."""
+    result = exact_frechet(sample)
+    assert result.exact
+    cert = result.certificate
+    assert cert.point == result.mean
+    x = cert.point
+    t = data.draw(st.integers(0, sample.n - 1))
+    coords = list(x.coords)
+    coords[t] += Fraction(data.draw(st.sampled_from((1, -1))), x.den)
+    shifted = replace(cert, point=canonicalize(coords))
+    (piece, w), *rest = cert.weights[0]
+    halved = _with_weights(cert, 0, ((piece, w / 2), *rest))
+    negative = _with_weights(cert, 0, ((piece, -w), *rest))
+    raised = replace(cert, c_star=cert.c_star + F(1, 10**9))
+    expected = {
+        cert: True,
+        shifted: objective(sample, shifted.point.coords) == cert.c_star,
+        halved: f"CertificateError: weights of sample 0 sum to {w / 2 + 1 - w}, not 1",
+        negative: "CertificateError: negative weight",
+        raised: False,
+    }
+    expected.update(dict.fromkeys(_inactive_moves(sample, cert), False))
+    for mutated, verdict in expected.items():
+        assert _verdict(verify_certificate, sample, mutated) == verdict
+        assert _verdict(reference_verify_certificate, sample, mutated) == verdict
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # perfbench/workloads.py, loaded from its file and registered under its
+    # bare name for as long as the module's tests run: its dataclasses look
+    # their module up.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "workloads", module)
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("name", ["mean-small", "mean-large"])
+def test_a_shifted_point_fails_on_every_pool_sample(workloads, name):
+    """On every benchmark pool sample, moving the certified mean by 1/den in
+    one coordinate, either way, verifies exactly when the moved point is
+    also a mean, and on each sample some such move fails."""
+    workload = workloads.WORKLOADS[name]
+    for cell in workload.cells:
+        for rep in range(1, workload.pool + 1):
+            sample = SampleSet.from_rows(workloads.mean_rows(*cell, rep))
+            result = exact_frechet(sample)
+            x = result.mean
+            verdicts = []
+            for t in range(sample.n):
+                for step in (F(1, x.den), F(-1, x.den)):
+                    coords = list(x.coords)
+                    coords[t] += step
+                    y = canonicalize(coords)
+                    verdict = verify_certificate(sample, replace(result.certificate, point=y))
+                    assert verdict == (objective(sample, y.coords) == result.min_sum)
+                    verdicts.append(verdict)
+            assert not all(verdicts), (cell, rep)
 
 
 def test_add_square_builds_the_same_equations_on_ints_and_fractions():

@@ -125,6 +125,23 @@ def test_certificate_round_trip_uses_one_based_indices():
     assert back == cert
 
 
+def test_certificate_json_needs_its_point():
+    """The point is read like any coordinate and canonicalized; a document
+    without it, or with the wrong number of coordinates, is refused."""
+    s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
+    cert = find_certificate(s, canonicalize([0, 0, -1]))
+    doc = certificate_to_json(cert)
+    assert doc["point"] == ["0", "0", "-1"]
+    shifted = dict(doc, point=["1/2", "0.5", "-1/2"])
+    assert certificate_from_json(shifted, s) == cert
+    for point in (None, ["0", "0"], ["0", "0", "-1", "0"], "0,0,-1", ["0", "x", "1"]):
+        bad = dict(doc, point=point)
+        if point is None:
+            del bad["point"]
+        with pytest.raises(ParseError):
+            certificate_from_json(bad, s)
+
+
 def test_certificate_json_rejects_mismatched_constants():
     s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
     result = exact_frechet(s)
