@@ -39,7 +39,6 @@ from .frechet import (
     fm_polytrope,
     objective,
 )
-from .oracle import brute_force_frechet
 from .polytrope import (
     NEG_INF,
     PolytropeMatrix,
@@ -74,7 +73,6 @@ __all__ = [
     "active_pieces",
     "as_rational",
     "ball_to_polytrope",
-    "brute_force_frechet",
     "canonicalize",
     "exact_frechet",
     "find_certificate",

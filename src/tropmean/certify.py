@@ -20,12 +20,11 @@ exhaustive oracle builds its region sums with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
-from .core import RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
+from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
 from .errors import CertificateError, InternalError
 from .linalg import integer_solve
 
@@ -33,28 +32,32 @@ from .linalg import integer_solve
 Exact = int | Fraction
 
 
-@dataclass(frozen=True)
-class QuadraticPiece:
+class QuadraticPiece(Frozen):
     """One affine form x_i - x_k - c whose square lower-bounds a squared
     distance; c is the matching coordinate difference of sample j."""
 
-    sample: int
-    i: int
-    k: int
-    c: Fraction
+    _fields = ("sample", "i", "k", "c")
+
+    def __init__(self, sample: int, i: int, k: int, c: Fraction) -> None:
+        self.__dict__.update(sample=sample, i=i, k=k, c=c)
 
     def form_value(self, x: Sequence[Fraction]) -> Fraction:
         return x[self.i] - x[self.k] - self.c
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Per-sample convex weights on the pieces active at ``point``, and the
     certified value: objective >= c_star everywhere, attained at ``point``."""
 
-    c_star: Fraction
-    weights: tuple[tuple[tuple[QuadraticPiece, Fraction], ...], ...]
-    point: TorusPoint
+    _fields = ("c_star", "weights", "point")
+
+    def __init__(
+        self,
+        c_star: Fraction,
+        weights: tuple[tuple[tuple[QuadraticPiece, Fraction], ...], ...],
+        point: TorusPoint,
+    ) -> None:
+        self.__dict__.update(c_star=c_star, weights=weights, point=point)
 
     def weight_map(self, j: int) -> dict[tuple[int, int], Fraction]:
         return {(p.i, p.k): w for p, w in self.weights[j]}

@@ -22,11 +22,11 @@ import functools
 import os
 import sys
 import time
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode
 from math import lcm
 from random import Random
-from typing import Any, Callable, Sequence
 
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
@@ -172,11 +172,11 @@ def _ints_at_least(low: int) -> Callable[[str], tuple[int, ...]]:
     return parse
 
 
-def _emit(doc: Any) -> None:
+def _emit(doc: object) -> None:
     sys.stdout.write(_render(doc) + "\n")
 
 
-def _render(doc: Any, indent: str = "\n") -> str:
+def _render(doc: object, indent: str = "\n") -> str:
     """``doc`` byte for byte as ``json.dumps(doc, indent=2)`` writes it:
     strings ASCII-escaped, and each item of a nonempty list or object on a
     line of its own.  ``indent`` is the newline and spaces that start the
@@ -238,7 +238,7 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
         mat = result.fm_polytrope
 
     starred, tverts, pverts = _closure_and_vertices(mat)
-    doc: dict[str, Any] = {
+    doc: dict[str, object] = {
         "matrix": matrix_to_json(mat),
         "starred": matrix_to_json(starred),
         "tropical_vertices": [point_to_json(v) for v in tverts],

@@ -15,11 +15,10 @@ applies too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -76,8 +75,43 @@ def abbreviate(value: object) -> str:
     return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass's ``__init__`` checks and normalises its fields and stores
+    them through ``self.__dict__``; after that, assigning or deleting an
+    attribute raises AttributeError.  ``_fields`` names the fields in
+    constructor order for the repr.  Equality and hashing compare
+    ``_key()``, the fields unless a class narrows it, between instances of
+    one class only.  A ``cached_property`` stores its value in
+    ``__dict__`` too, and is not a field.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TorusPoint(Frozen):
     """A point of the tropical projective torus in canonical form.
 
     Held as ``(den, nums)``: coordinate i is nums[i] / den, with nums[0]
@@ -86,23 +120,21 @@ class TorusPoint:
     :func:`canonicalize` to build a point from an arbitrary representative.
     """
 
-    den: int
-    nums: tuple[int, ...]
+    _fields = ("den", "nums")
 
-    def __post_init__(self) -> None:
-        if len(self.nums) < 2:
+    def __init__(self, den: int, nums: tuple[int, ...]) -> None:
+        if len(nums) < 2:
             raise ValueError("torus points need at least two coordinates")
-        if self.den < 1:
+        if den < 1:
             raise ValueError("the denominator must be positive")
-        if self.nums[0] != 0:
+        if nums[0] != 0:
             raise ValueError(
                 "canonical representative must have first coordinate 0; "
                 "use canonicalize()"
             )
-        g = gcd(self.den, *self.nums)
-        nums = tuple(self.nums) if g == 1 else tuple(v // g for v in self.nums)
-        object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "nums", nums)
+        g = gcd(den, *nums)
+        nums = tuple(nums) if g == 1 else tuple(v // g for v in nums)
+        self.__dict__.update(den=den // g, nums=nums)
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:
@@ -169,18 +201,18 @@ def trop_dist(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Fraction:
     return max(diffs) - min(diffs)
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Frozen):
     """A nonempty finite configuration of torus points of equal dimension."""
 
-    points: tuple[TorusPoint, ...]
+    _fields = ("points",)
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: tuple[TorusPoint, ...]) -> None:
+        if not points:
             raise ValueError("sample set must be nonempty")
-        n = self.points[0].dim
-        if any(p.dim != n for p in self.points):
+        n = points[0].dim
+        if any(p.dim != n for p in points):
             raise ValueError("all sample points must share one dimension")
+        self.__dict__["points"] = points
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "SampleSet":

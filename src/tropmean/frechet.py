@@ -18,21 +18,19 @@ optimal radii.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 from operator import sub
-from typing import Sequence
 
 from .certify import Certificate, QuadraticPiece, verify_certificate
-from .core import RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
+from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
 from .errors import InternalError, NotOptimal
 from .polytrope import PolytropeMatrix
 from .qp import Edge, QPError, minimize_qp
 
 
-@dataclass(frozen=True)
-class FrechetResult:
+class FrechetResult(Frozen):
     """Outcome of a mean computation.
 
     ``exact`` is True only when a positivity certificate for ``mean`` was
@@ -40,12 +38,25 @@ class FrechetResult:
     the squared ``distances``.
     """
 
-    mean: TorusPoint
-    distances: tuple[Fraction, ...]
-    min_sum: Fraction
-    fm_polytrope: PolytropeMatrix
-    exact: bool
-    certificate: Certificate | None = None
+    _fields = ("mean", "distances", "min_sum", "fm_polytrope", "exact", "certificate")
+
+    def __init__(
+        self,
+        mean: TorusPoint,
+        distances: tuple[Fraction, ...],
+        min_sum: Fraction,
+        fm_polytrope: PolytropeMatrix,
+        exact: bool,
+        certificate: Certificate | None = None,
+    ) -> None:
+        self.__dict__.update(
+            mean=mean,
+            distances=distances,
+            min_sum=min_sum,
+            fm_polytrope=fm_polytrope,
+            exact=exact,
+            certificate=certificate,
+        )
 
 
 def objective(sample: SampleSet, x: Sequence[RationalLike]) -> Fraction:
@@ -164,7 +175,8 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
     value = objective(sample, x_star.coords)
     if value != result.min_sum:
         raise NotOptimal(f"objective {value} exceeds the certified minimum {result.min_sum}")
-    cert = replace(result.certificate, point=x_star)
+    c = result.certificate
+    cert = Certificate(c.c_star, c.weights, x_star)
     if not verify_certificate(sample, cert):
         raise InternalError("the mean's certificate does not hold at a point of equal objective")
     return cert

@@ -29,14 +29,13 @@ two points over the lcm of their denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
-from .core import RationalLike, TorusPoint, as_rational
+from .core import Frozen, RationalLike, TorusPoint, as_rational
 from .errors import EmptyPolytrope, Unbounded
 
 NEG_INF = float("-inf")
@@ -50,8 +49,7 @@ def _check_scalar(v: Fraction | int) -> Fraction | int:
     raise ValueError(f"matrix entries must be rationals or -inf, got {v!r}")
 
 
-@dataclass(frozen=True)
-class PolytropeMatrix:
+class PolytropeMatrix(Frozen):
     """Square constraint matrix for Q(C) = {x : x_i - x_j >= c_ij}, held as
     c_ij == rows[i][j] / den over the least common denominator den.
 
@@ -59,22 +57,24 @@ class PolytropeMatrix:
     derived metadata and does not take part in equality.
     """
 
-    den: int
-    rows: tuple[tuple[int | None, ...], ...]
-    starred: bool = field(default=False, compare=False)
+    _fields = ("den", "rows", "starred")
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
+    def __init__(
+        self, den: int, rows: Sequence[Sequence[int | None]], starred: bool = False
+    ) -> None:
+        n = len(rows)
         if n < 2:
             raise ValueError("polytropes need dimension at least 2")
-        if any(len(r) != n for r in self.rows):
+        if any(len(r) != n for r in rows):
             raise ValueError("entries must form an n x n matrix")
-        if self.den < 1:
+        if den < 1:
             raise ValueError("the denominator must be positive")
-        g = gcd(self.den, *(v for row in self.rows for v in row if v is not None))
-        rows = tuple(tuple(v if v is None else v // g for v in row) for row in self.rows)
-        object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "rows", rows)
+        g = gcd(den, *(v for row in rows for v in row if v is not None))
+        rows = tuple(tuple(v if v is None else v // g for v in row) for row in rows)
+        self.__dict__.update(den=den // g, rows=rows, starred=starred)
+
+    def _key(self) -> tuple:
+        return self.den, self.rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]], starred: bool = False) -> "PolytropeMatrix":

@@ -32,9 +32,9 @@ import csv
 import io
 import json
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Sequence
 
 from . import core
 from .certify import Certificate, QuadraticPiece, piece_for
@@ -87,7 +87,7 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(str(exc)) from exc
 
 
-def parse_json(text: str) -> Any:
+def parse_json(text: str) -> object:
     """A JSON document with its numbers read exactly and within the caps.
 
     Decimal numbers become Fractions, integers stay ints.
@@ -109,12 +109,12 @@ def point_to_json(p: TorusPoint) -> list[str]:
     return [format_ratio(v, p.den) for v in p.nums]
 
 
-def matrix_to_json(c: PolytropeMatrix) -> dict[str, Any]:
+def matrix_to_json(c: PolytropeMatrix) -> dict[str, object]:
     entries = [[None if v is None else format_ratio(v, c.den) for v in row] for row in c.rows]
     return {"n": c.n, "entries": entries}
 
 
-def matrix_from_json(data: Any) -> PolytropeMatrix:
+def matrix_from_json(data: object) -> PolytropeMatrix:
     if not isinstance(data, dict) or "entries" not in data:
         raise ParseError("matrix JSON must be an object with an 'entries' key")
     entries = data["entries"]
@@ -133,7 +133,7 @@ def matrix_from_json(data: Any) -> PolytropeMatrix:
     return PolytropeMatrix(*_over_lcm(rows))
 
 
-def certificate_to_json(cert: Certificate) -> dict[str, Any]:
+def certificate_to_json(cert: Certificate) -> dict[str, object]:
     """Certificate as a self-contained proof document: the certified value,
     the point it is attained at and the weights.
 
@@ -159,7 +159,7 @@ def certificate_to_json(cert: Certificate) -> dict[str, Any]:
     }
 
 
-def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
+def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
     if not isinstance(data, dict) or not {"c_star", "point", "weights"} <= data.keys():
         raise ParseError("certificate JSON needs 'c_star', 'point' and 'weights'")
     raw = data["point"]
@@ -194,7 +194,7 @@ def certificate_from_json(data: Any, sample: SampleSet) -> Certificate:
     return Certificate(Fraction(*_ratio(data["c_star"])), tuple(by_sample), point)
 
 
-def _piece_index(value: Any, n: int) -> int:
+def _piece_index(value: object, n: int) -> int:
     """A 1-based coordinate index of a certificate piece, as a 0-based int."""
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= n:
         raise ParseError(f"piece index {abbreviate(value)} is not an integer in 1..{n}")
@@ -203,10 +203,10 @@ def _piece_index(value: Any, n: int) -> int:
 
 def result_to_json(
     result: FrechetResult, tropical: Sequence[TorusPoint], pseudo: Sequence[TorusPoint]
-) -> dict[str, Any]:
+) -> dict[str, object]:
     """A mean result with the tropical vertices and pseudovertices of its
     mean polytrope, which the caller computes."""
-    out: dict[str, Any] = {
+    out: dict[str, object] = {
         "mean": point_to_json(result.mean),
         "distances": [format_rational(d) for d in result.distances],
         "min_sum": format_rational(result.min_sum),
@@ -270,7 +270,7 @@ def _over_lcm(rows: list[list[tuple[int, int] | None]]) -> tuple[int, list[list[
 _PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
-def _ratio(value: Any) -> tuple[int, int]:
+def _ratio(value: object) -> tuple[int, int]:
     """One coordinate from a JSON scalar or CSV cell, exactly, as (numerator,
     denominator); a bare int or a plain literal is read directly."""
     if type(value) is int:

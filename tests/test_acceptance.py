@@ -17,7 +17,6 @@ from tropmean import (
     PolytropeMatrix,
     SampleSet,
     ball_to_polytrope,
-    brute_force_frechet,
     canonicalize,
     exact_frechet,
     find_certificate,
@@ -29,6 +28,7 @@ from tropmean import (
     tropical_vertices,
     verify_certificate,
 )
+from tropmean.oracle import brute_force_frechet
 from support import int_sample, nonpositive_matrix, rand_vector
 
 F = Fraction

@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -246,7 +245,7 @@ def _tied_samples(draw):
 
 
 def _with_weights(cert, j, per):
-    return replace(cert, weights=(*cert.weights[:j], tuple(per), *cert.weights[j + 1:]))
+    return Certificate(cert.c_star, (*cert.weights[:j], tuple(per), *cert.weights[j + 1:]), cert.point)
 
 
 def _inactive_pairs(sample, x):
@@ -285,7 +284,7 @@ def _inactive_moves(sample, cert):
             quarters = [(piece_for(sample, j, *pair), F(1, 4)) for pair in (ik, ik[::-1])]
             per = halves + quarters
         every.append(tuple(per))
-    return [one, replace(cert, weights=tuple(every))]
+    return [one, Certificate(cert.c_star, tuple(every), cert.point)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,11 +303,11 @@ def test_stationarity_check_agrees_with_the_elimination_check(sample, data):
     t = data.draw(st.integers(0, sample.n - 1))
     coords = list(x.coords)
     coords[t] += Fraction(data.draw(st.sampled_from((1, -1))), x.den)
-    shifted = replace(cert, point=canonicalize(coords))
+    shifted = Certificate(cert.c_star, cert.weights, canonicalize(coords))
     (piece, w), *rest = cert.weights[0]
     halved = _with_weights(cert, 0, ((piece, w / 2), *rest))
     negative = _with_weights(cert, 0, ((piece, -w), *rest))
-    raised = replace(cert, c_star=cert.c_star + F(1, 10**9))
+    raised = Certificate(cert.c_star + F(1, 10**9), cert.weights, cert.point)
     expected = {
         cert: True,
         shifted: objective(sample, shifted.point.coords) == cert.c_star,
@@ -353,7 +352,8 @@ def test_a_shifted_point_fails_on_every_pool_sample(workloads, name):
                     coords = list(x.coords)
                     coords[t] += step
                     y = canonicalize(coords)
-                    verdict = verify_certificate(sample, replace(result.certificate, point=y))
+                    cert = result.certificate
+                    verdict = verify_certificate(sample, Certificate(cert.c_star, cert.weights, y))
                     assert verdict == (objective(sample, y.coords) == result.min_sum)
                     verdicts.append(verdict)
             assert not all(verdicts), (cell, rep)

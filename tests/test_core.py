@@ -1,5 +1,7 @@
 """Torus points, tropical operations and the tropical metric."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -9,14 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropmean import (
+    NEG_INF,
+    PolytropeMatrix,
+    QuadraticPiece,
     SampleSet,
     TorusPoint,
     as_rational,
     canonicalize,
+    exact_frechet,
     trop_add,
     trop_dist,
     trop_scale,
 )
+from tropmean.certify import piece_for
 from support import rand_point, rand_vector, reference_canonicalize
 
 
@@ -170,3 +177,52 @@ def test_sample_set_rejects_bad_shapes():
         SampleSet.from_rows([])
     with pytest.raises(ValueError):
         SampleSet.from_rows([(0, 1), (0, 1, 2)])
+
+
+def _equal_values():
+    """Pairs of equal values, one of each value class, each side built on
+    its own: a point from two representatives, a sample from Fractions and
+    from integers, two matrices that differ only in ``starred`` and in the
+    denominator they were given over, and two solves of one sample."""
+    rows = [[0, 1, 2], [3, 1, 0], [1, 1, 1]]
+    sample = SampleSet.from_rows(rows)
+    one, two = exact_frechet(sample), exact_frechet(SampleSet.from_rows(rows))
+    return [
+        (canonicalize([1, 3, 2]), TorusPoint(2, (0, 4, 2))),
+        (sample, SampleSet.from_integers(1, rows)),
+        (
+            PolytropeMatrix(2, [[0, 2], [None, 0]], starred=True),
+            PolytropeMatrix.from_rows([[0, 1], [NEG_INF, 0]]),
+        ),
+        (QuadraticPiece(1, 0, 2, Fraction(3)), piece_for(sample, 1, 0, 2)),
+        (one.certificate, two.certificate),
+        (one, two),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_values_compare_and_hash_by_value_and_refuse_changes(index):
+    """Each value class compares and hashes by value, refuses assignment
+    and deletion of any attribute, and survives pickle and deepcopy as an
+    equal value."""
+    x, y = _equal_values()[index]
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != object()
+    for name in [*vars(x), "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    for name in vars(x):
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    for z in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert z == x and hash(z) == hash(x)
+
+
+def test_value_reprs():
+    assert repr(TorusPoint(2, (0, 4, 1))) == "TorusPoint(0, 2, 1/2)"
+    assert repr(QuadraticPiece(1, 0, 2, Fraction(3))) == (
+        "QuadraticPiece(sample=1, i=0, k=2, c=Fraction(3, 1))"
+    )
+    assert repr(PolytropeMatrix(2, [[0, 2], [None, 0]], starred=True)) == (
+        "PolytropeMatrix(den=1, rows=((0, 1), (None, 0)), starred=True)"
+    )

@@ -12,7 +12,6 @@ import tropmean.frechet as frechet_mod
 from tropmean import (
     SampleSet,
     active_pieces,
-    brute_force_frechet,
     canonicalize,
     exact_frechet,
     fm_polytrope,
@@ -23,6 +22,7 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.cli import _random_sample
+from tropmean.oracle import brute_force_frechet
 from support import (
     dense_rows,
     int_sample,

@@ -23,12 +23,19 @@ integers, reads ``.denominator``, and ``linalg`` holds no scaling helper:
 the closure, vertex and segment kernels take a matrix's and a point's
 integers as they are held.  In ``core`` only ``canonicalize``, which scales
 Fraction coordinates onto a point's integers, reads ``.denominator``.
+
+Start-up is most of the wall time of one command, so importing
+``tropmean.cli`` loads neither ``dataclasses`` (which brings ``inspect``,
+``ast`` and ``dis``) nor ``typing``, which annotations alone would use, nor
+the exhaustive oracle, which no command calls.
 """
 
 import argparse
 import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from tropmean.cli import _build_parser
@@ -201,3 +208,14 @@ def test_the_polytrope_kernels_take_integers_only():
 def test_points_are_scaled_in_canonicalize_only():
     core = ROOT / "src" / "tropmean" / "core.py"
     assert _denominator_readers(core) <= {"canonicalize"}
+
+
+def test_the_command_line_imports_no_heavy_module():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tropmean.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    command = [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")]
+    loaded = set(subprocess.run(command, capture_output=True, text=True, check=True, timeout=60).stdout.split())
+    assert "tropmean.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "typing", "tropmean.oracle"}) == []

@@ -8,11 +8,11 @@ import pytest
 from tropmean import (
     BudgetExceeded,
     SampleSet,
-    brute_force_frechet,
     canonicalize,
     exact_frechet,
     objective,
 )
+from tropmean.oracle import brute_force_frechet
 from support import int_sample
 
 F = Fraction
