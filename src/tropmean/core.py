@@ -206,7 +206,8 @@ class SampleSet(Frozen):
 
     _fields = ("points",)
 
-    def __init__(self, points: tuple[TorusPoint, ...]) -> None:
+    def __init__(self, points: Iterable[TorusPoint]) -> None:
+        points = tuple(points)
         if not points:
             raise ValueError("sample set must be nonempty")
         n = points[0].dim

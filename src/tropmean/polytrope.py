@@ -15,16 +15,21 @@ is the entries' least common denominator whatever denominator the matrix
 was built over, and equality and hashing compare values.  ``entries`` gives
 the Fractions and -inf back, one Fraction per distinct value.
 
-The closure, the tropical vertices, the segment breakpoints and the vertex
-test run on those integers.  Floyd-Warshall, the column shifts, the
-breakpoint maxima and the tight-pair comparisons only add, subtract,
-compare and take maxima, which commute with multiplying every value by one
-positive integer.  So each int is the rational the computation stands for
-times den, and the closure and the vertices, in their order, are exact and
-identical to a computation over Fractions.  The returned points are built
-from those integers over den, as ``TorusPoint(den, nums)``, so no Fraction
-is built from the matrix to its vertices; ``segment_breakpoints`` puts its
-two points over the lcm of their denominators.
+The closure, the tropical vertices and the segment breakpoints run on
+those integers.  Floyd-Warshall, the column shifts and the breakpoint
+comparisons only add, subtract, compare and take maxima, which commute
+with multiplying every value by one positive integer.  So each int is the
+rational the computation stands for times den, and the closure and the
+vertices, in their order, are exact and identical to a computation over
+Fractions.  The returned points are built from those integers over den, as
+``TorusPoint(den, nums)``, so no Fraction is built from the matrix to its
+vertices; ``segment_breakpoints`` puts its two points over the lcm of their
+denominators.
+
+Every breakpoint of a tropical segment between two columns of the closure
+is a classical vertex of Q(C), so ``pseudovertices`` lists them all with no
+vertex test; the proof, in its docstring, needs the closure, which it
+computes first.
 """
 
 from __future__ import annotations
@@ -192,65 +197,67 @@ def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
 
     Points on the segment are (lam + x) max y with lam running over the
     reals; the combinatorics change exactly at the distinct values of
-    y_i - x_i.  Evaluating there yields the breakpoint chain, which starts
-    at y (smallest threshold) and ends at x (largest), so consecutive
-    entries bound one classical line segment.  A tropical segment in n
-    coordinates never needs more than n breakpoints, and the chain from x
-    to y is the same points in reverse.
+    y_i - x_i.  Evaluating there yields the breakpoint chain: y at the
+    smallest threshold, the interior breakpoints, and x at the largest, so
+    consecutive entries bound one classical line segment.  When x == y the
+    chain is (x,).  A tropical segment in n coordinates never needs more
+    than n breakpoints, and the chain from x to y is the same points in
+    reverse.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
+    if x == y:
+        return (x,)
     den = lcm(x.den, y.den)
-    chain = _breakpoints(*([v * (den // p.den) for v in p.nums] for p in (x, y)))
-    return tuple(TorusPoint(den, p) for p in chain)
+    interior = _breakpoints(*([v * (den // p.den) for v in p.nums] for p in (x, y)))
+    return (y, *(TorusPoint(den, p) for p in interior), x)
 
 
 def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:
-    """The breakpoint chain of ``segment_breakpoints`` on integer numerators
-    over one denominator, each point canonical (first entry zero)."""
+    """The interior breakpoints of the segment from y to x on integer
+    numerators over one denominator, in increasing threshold lam: point
+    coordinate i is lam + x_i when y_i - x_i <= lam and y_i otherwise,
+    shifted to first entry zero.  The chain's ends, y and x, are left out.
+    """
+    d = [yi - xi for xi, yi in zip(x, y)]
     out = []
-    for lam in sorted({yi - xi for xi, yi in zip(x, y)}):
-        p0 = max(lam + x[0], y[0])
-        out.append(tuple(max(lam + xi, yi) - p0 for xi, yi in zip(x, y)))
+    for lam in sorted(set(d))[1:-1]:
+        p0 = lam + x[0] if d[0] <= lam else y[0]
+        a, b = lam - p0, -p0
+        out.append(tuple(xi + a if di <= lam else yi + b for xi, yi, di in zip(x, y, d)))
     return out
 
 
 def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
-    """Classical vertices of Q(C) found among the tropical segment breakpoints.
+    """Classical vertices of Q(C): the tropical vertices and the breakpoints
+    of the tropical segment between each pair of them, walked once per pair
+    from the later vertex to the earlier one, in first occurrence order.
 
-    The candidates are the tropical vertices and the breakpoints of the
-    tropical segment between each pair of them, walked once per pair from
-    the later vertex to the earlier one, in first occurrence order.  A
-    candidate is kept when it is a vertex of Q(C): every candidate lies in
-    Q(C), which is tropically convex, and a point of Q(C) is a vertex
-    exactly when the pairs (i, j) with x_i - x_j equal to the closure entry
-    c*_ij connect all n coordinates, so that the normals e_i - e_j of its
-    tight constraints span the torus.
+    Each of these points is a vertex.  A point p of Q(C) is one exactly
+    when the pairs (i, j) with p_i - p_j equal to the closure entry c*_ij
+    connect all n coordinates, so that the normals e_i - e_j of its tight
+    constraints span the torus.  A tropical vertex, column a of C*, is
+    tight against its own index a for every i, since c*_aa = 0.  For the
+    segment between columns a and b, u_i = c*_ia and w_i = c*_ib (the
+    canonical columns shift every threshold by one constant), closure gives
+    c*_ib - c*_ia >= c*_ab = w_a - u_a and c*_ib - c*_ia <= -c*_ba =
+    w_b - u_b, so a attains the smallest threshold and b the largest.  At
+    the breakpoint p = (lam + u) max w with lam = w_k - u_k, the set
+    S = {i : w_i - u_i <= lam} contains a and k.  Each i in S is tight
+    against a (p_i - p_a = c*_ia); when b is not in S, each j outside S and
+    k as well are tight against b (p_j - p_b = c*_jb); when b is in S, S is
+    every coordinate.  Either way the tight pairs connect all coordinates.
+    The argument needs C* closed, which is why the closure is taken first.
 
-    For n >= 4 the candidates can miss vertices of Q(C), so the result is
-    a subset of the vertex set, not always all of it.
+    For n >= 4 some vertices of Q(C) lie on no such segment, so the result
+    is a subset of the vertex set, not always all of it.
     """
     star = kleene_star(c)
     verts = _vertex_columns(star)
-    candidates = dict.fromkeys(verts)
+    points = dict.fromkeys(verts)
     for u, w in combinations(verts, 2):
-        candidates.update(dict.fromkeys(_breakpoints(u, w)))
-    kept = [p for p in candidates if _tight_pairs_connect(star.rows, p)]
-    return [TorusPoint(star.den, p) for p in kept]
-
-
-def _tight_pairs_connect(a: Sequence[Sequence[int]], p: tuple[int, ...]) -> bool:
-    """True when the pairs (i, j) with p_i - p_j == a_ij connect 0..n-1."""
-    n = len(p)
-    reached = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j not in reached and (p[i] - p[j] == a[i][j] or p[j] - p[i] == a[j][i]):
-                reached.add(j)
-                stack.append(j)
-    return len(reached) == n
+        points.update(dict.fromkeys(_breakpoints(u, w)))
+    return [TorusPoint(star.den, p) for p in points]
 
 
 def intersect(mats: Sequence[PolytropeMatrix]) -> PolytropeMatrix:

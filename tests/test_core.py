@@ -179,6 +179,16 @@ def test_sample_set_rejects_bad_shapes():
         SampleSet.from_rows([(0, 1), (0, 1, 2)])
 
 
+def test_sample_set_from_a_list_is_immutable_and_hashable():
+    rows = [(0, 1), (0, 2)]
+    points = [canonicalize(row) for row in rows]
+    s = SampleSet(points)
+    points.append(canonicalize([0, 1, 2]))
+    assert s.points == tuple(points[:2]) and s.m == 2
+    assert s == SampleSet.from_rows(rows)
+    assert hash(s) == hash(SampleSet.from_rows(rows))
+
+
 def _equal_values():
     """Pairs of equal values, one of each value class, each side built on
     its own: a point from two representatives, a sample from Fractions and

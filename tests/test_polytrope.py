@@ -28,6 +28,7 @@ from tropmean import (
     tropical_vertices,
 )
 from support import (
+    _reference_tight_pairs_connect,
     feasible_point,
     nonpositive_matrix,
     rand_point,
@@ -454,6 +455,20 @@ def test_vertex_pass_matches_the_fraction_reference_on_the_benchmark_matrices():
             )
             assert tropical_vertices(c) == reference_tropical_vertices(c)
             assert pseudovertices(c) == reference_pseudovertices(c)
+
+
+def test_every_segment_breakpoint_of_the_closure_is_a_vertex():
+    """``pseudovertices`` keeps every breakpoint with no vertex test: on
+    2,000 closures of matrices with n 2 to 7 and small spans 0 to 4, so
+    with many ties, equal columns and lower-dimensional Q(C), each point it
+    returns has tight pairs that connect all coordinates, and the list is
+    the reference's, which still filters by that test."""
+    rng = Random("polytrope:tight-pairs")
+    for t in range(2000):
+        star = kleene_star(nonpositive_matrix(rng, 2 + t % 6, t // 6 % 5))
+        pts = pseudovertices(star)
+        assert all(_reference_tight_pairs_connect(star, p) for p in pts)
+        assert pts == reference_pseudovertices(star)
 
 
 def test_segment_breakpoints_match_the_fraction_reference():
