@@ -5,22 +5,13 @@ descriptions and certificates are exact values, never floating point
 approximations.
 """
 
-from .certify import (
-    Certificate,
-    QuadraticPiece,
-    active_pieces,
-    min_quadratic,
-    verify_certificate,
-)
+from .certify import Certificate, QuadraticPiece, verify_certificate
 from .core import (
-    Rational,
     SampleSet,
     TorusPoint,
     as_rational,
     canonicalize,
-    trop_add,
     trop_dist,
-    trop_scale,
 )
 from .errors import (
     BudgetExceeded,
@@ -42,12 +33,9 @@ from .frechet import (
 from .polytrope import (
     NEG_INF,
     PolytropeMatrix,
-    ball_to_polytrope,
-    intersect,
     kleene_star,
     membership,
     pseudovertices,
-    segment_breakpoints,
     tropical_vertices,
 )
 
@@ -65,28 +53,20 @@ __all__ = [
     "ParseError",
     "PolytropeMatrix",
     "QuadraticPiece",
-    "Rational",
     "SampleSet",
     "TorusPoint",
     "TropmeanError",
     "Unbounded",
-    "active_pieces",
     "as_rational",
-    "ball_to_polytrope",
     "canonicalize",
     "exact_frechet",
     "find_certificate",
     "fm_polytrope",
-    "intersect",
     "kleene_star",
     "membership",
-    "min_quadratic",
     "objective",
     "pseudovertices",
-    "segment_breakpoints",
-    "trop_add",
     "trop_dist",
-    "trop_scale",
     "tropical_vertices",
     "verify_certificate",
 ]

@@ -11,11 +11,8 @@ certificate names the point x* it certifies.  ``verify_certificate`` checks
 it at that point alone, with no elimination: every weighted piece is active
 at x*, the weighted gradient vanishes there, and objective(x*) >= c_star,
 all on integers over the common denominator of the sample and the point.
-Nothing of the route that found the weights is trusted.
-
-``add_square`` and ``min_quadratic`` build and minimize a sum of weighted
-difference squares on its normal equations, in the gauge x_1 = 0; the
-exhaustive oracle builds its region sums with them.
+Nothing of the route that found the weights is trusted, and the module
+imports only ``core`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -24,12 +21,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
-from .errors import CertificateError, InternalError
-from .linalg import integer_solve
-
-# The normal equations hold ints or Fractions alike.
-Exact = int | Fraction
+from .core import Frozen, SampleSet, TorusPoint
+from .errors import CertificateError
 
 
 class QuadraticPiece(Frozen):
@@ -66,29 +59,6 @@ class Certificate(Frozen):
 def piece_for(sample: SampleSet, j: int, i: int, k: int) -> QuadraticPiece:
     p = sample[j]
     return QuadraticPiece(j, i, k, p[i] - p[k])
-
-
-def active_pieces(sample: SampleSet, x: Sequence[RationalLike]) -> list[list[QuadraticPiece]]:
-    """Per sample, all ordered pairs whose affine form attains +-d_tr(x, p_j).
-
-    Both orientations of an attaining pair are reported; they square to the
-    same function.  When x equals a sample point every pair is active.
-    """
-    xs = [as_rational(v) for v in x]
-    n = sample.n
-    out: list[list[QuadraticPiece]] = []
-    for j, p in enumerate(sample):
-        d = trop_dist(xs, p)
-        acts = []
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
-                val = (xs[i] - xs[k]) - (p[i] - p[k])
-                if val == d or val == -d:
-                    acts.append(QuadraticPiece(j, i, k, p[i] - p[k]))
-        out.append(acts)
-    return out
 
 
 def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
@@ -164,50 +134,3 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     c_star = cert.c_star
     return active and not any(grad) and value * c_star.denominator >= c_star.numerator * e * e
 
-
-def add_square(
-    a: list[list[Exact]], b: list[Exact], i: int, k: int, c: Exact, w: Exact
-) -> Exact:
-    """Add w (x_i - x_k - c)^2 to the normal equations A y = b, in place.
-
-    That is w (e_i - e_k)(e_i - e_k)^T on A and w c (e_i - e_k) on b, so w
-    and w c are added or subtracted directly: +w on A's two diagonal entries
-    and -w on its two off-diagonal ones, +w c at i and -w c at k on b.
-    y = (x_2, ..., x_n) is the gauge x_1 = 0, so a piece that touches x_1
-    adds to one row only.  Returns the square's share w c^2 of the constant
-    term; a negative w removes a square that was added before.
-    """
-    i, k = i - 1, k - 1
-    wc = w * c
-    if i >= 0:
-        b[i] += wc
-        a[i][i] += w
-    if k >= 0:
-        b[k] -= wc
-        a[k][k] += w
-        if i >= 0:
-            a[i][k] -= w
-            a[k][i] -= w
-    return wc * c
-
-
-def min_quadratic(
-    a: list[list[Exact]], b: list[Exact], c0: Exact
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
-    normal equations ``add_square`` built.
-
-    A and b, ints or Fractions, are scaled to integers by one common
-    denominator and solved by ``integer_solve``.  Returns the minimum value
-    and one minimizer, the solution of A y = b with its free coordinates at
-    zero, padded back to full n-length coordinates with x_1 = 0.
-    """
-    scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
-    rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]
-    bs = [row[-1] for row in rows]
-    solved = integer_solve(rows)
-    if solved is None:
-        raise InternalError("normal equations of a sum of squares came out inconsistent")
-    den, nums = solved
-    value = c0 - Fraction(sum(v * y for v, y in zip(bs, nums)), scale * den)
-    return value, (Fraction(0), *(Fraction(v, den) for v in nums))

@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-Rational = Fraction
-
 RationalLike = Fraction | int | str
 
 
@@ -173,19 +171,6 @@ def canonicalize(coords: Sequence[RationalLike]) -> TorusPoint:
     den = lcm(*(v.denominator for v in vals))
     nums = [v.numerator * (den // v.denominator) for v in vals]
     return TorusPoint(den, tuple(v - nums[0] for v in nums))
-
-
-def trop_add(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Coordinatewise max of two raw vectors (tropical addition)."""
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return tuple(max(as_rational(a), as_rational(b)) for a, b in zip(x, y))
-
-
-def trop_scale(lam: RationalLike, x: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Add the scalar lam to every coordinate (tropical scalar action)."""
-    s = as_rational(lam)
-    return tuple(s + as_rational(a) for a in x)
 
 
 def trop_dist(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Fraction:

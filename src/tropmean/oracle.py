@@ -15,10 +15,10 @@ normal equations alone (when the free minimizer already lies inside the
 region); only the rest run an exact active-set program.
 
 The module is deliberately independent of the refinement pipeline in
-``frechet``: it shares only the exact linear-algebra and QP kernels and
-``certify``'s normal equations of squared difference pieces, and its region
-enumeration is its own, so the tests can confront the two routes on equal
-terms.
+``frechet``: it shares only the exact linear-algebra and QP kernels, and its
+region enumeration and the normal equations of its partial sums,
+``add_square`` and ``min_quadratic``, are its own, so the tests can confront
+the two routes on equal terms.
 
 The walk runs on the sample's integers over its common denominator den
 (``SampleSet.scaled``), in the coordinates X = den x: regions, increments,
@@ -30,13 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .certify import add_square, min_quadratic
 from .core import SampleSet, TorusPoint, canonicalize
 from .errors import BudgetExceeded, InternalError
+from .linalg import integer_solve
 from .qp import Edge, minimize_qp
 
 Assignment = tuple[tuple[int, int], ...]
+
+# The normal equations hold ints or Fractions alike.
+Exact = int | Fraction
 
 # Cap on the optimal-assignment list; desk-scale instances stay far below
 # it, degenerate handcrafted ones will not starve memory.
@@ -230,3 +234,51 @@ def _difference_point(region: list[list[int | None]], n: int) -> list[int] | Non
         if not changed:
             return dist
     return None
+
+
+def add_square(
+    a: list[list[Exact]], b: list[Exact], i: int, k: int, c: Exact, w: Exact
+) -> Exact:
+    """Add w (x_i - x_k - c)^2 to the normal equations A y = b, in place.
+
+    That is w (e_i - e_k)(e_i - e_k)^T on A and w c (e_i - e_k) on b, so w
+    and w c are added or subtracted directly: +w on A's two diagonal entries
+    and -w on its two off-diagonal ones, +w c at i and -w c at k on b.
+    y = (x_2, ..., x_n) is the gauge x_1 = 0, so a piece that touches x_1
+    adds to one row only.  Returns the square's share w c^2 of the constant
+    term; a negative w removes a square that was added before.
+    """
+    i, k = i - 1, k - 1
+    wc = w * c
+    if i >= 0:
+        b[i] += wc
+        a[i][i] += w
+    if k >= 0:
+        b[k] -= wc
+        a[k][k] += w
+        if i >= 0:
+            a[i][k] -= w
+            a[k][i] -= w
+    return wc * c
+
+
+def min_quadratic(
+    a: list[list[Exact]], b: list[Exact], c0: Exact
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
+    normal equations ``add_square`` built.
+
+    A and b, ints or Fractions, are scaled to integers by one common
+    denominator and solved by ``integer_solve``.  Returns the minimum value
+    and one minimizer, the solution of A y = b with its free coordinates at
+    zero, padded back to full n-length coordinates with x_1 = 0.
+    """
+    scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
+    rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]
+    bs = [row[-1] for row in rows]
+    solved = integer_solve(rows)
+    if solved is None:
+        raise InternalError("normal equations of a sum of squares came out inconsistent")
+    den, nums = solved
+    value = c0 - Fraction(sum(v * y for v, y in zip(bs, nums)), scale * den)
+    return value, (Fraction(0), *(Fraction(v, den) for v in nums))

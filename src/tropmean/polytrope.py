@@ -15,16 +15,15 @@ is the entries' least common denominator whatever denominator the matrix
 was built over, and equality and hashing compare values.  ``entries`` gives
 the Fractions and -inf back, one Fraction per distinct value.
 
-The closure, the tropical vertices and the segment breakpoints run on
-those integers.  Floyd-Warshall, the column shifts and the breakpoint
-comparisons only add, subtract, compare and take maxima, which commute
-with multiplying every value by one positive integer.  So each int is the
-rational the computation stands for times den, and the closure and the
-vertices, in their order, are exact and identical to a computation over
-Fractions.  The returned points are built from those integers over den, as
+The closure, the tropical vertices and the pseudovertices run on those
+integers.  Floyd-Warshall, the column shifts and the breakpoint comparisons
+only add, subtract, compare and take maxima, which commute with multiplying
+every value by one positive integer.  So each int is the rational the
+computation stands for times den, and the closure and the vertices, in their
+order, are exact and identical to a computation over Fractions.  The
+returned points are built from those integers over den, as
 ``TorusPoint(den, nums)``, so no Fraction is built from the matrix to its
-vertices; ``segment_breakpoints`` puts its two points over the lcm of their
-denominators.
+vertices.
 
 Every breakpoint of a tropical segment between two columns of the closure
 is a classical vertex of Q(C), so ``pseudovertices`` lists them all with no
@@ -82,13 +81,13 @@ class PolytropeMatrix(Frozen):
         return self.den, self.rows
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]], starred: bool = False) -> "PolytropeMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]]) -> "PolytropeMatrix":
         """The matrix of Fraction, int and -inf entries, over the lcm of the
         finite entries' denominators."""
         ent = [[None if v == NEG_INF else _check_scalar(v) for v in row] for row in rows]
         den = lcm(*(v.denominator for row in ent for v in row if v is not None))
         nums = [[v if v is None else v.numerator * (den // v.denominator) for v in r] for r in ent]
-        return cls(den, nums, starred)
+        return cls(den, nums)
 
     @property
     def n(self) -> int:
@@ -100,27 +99,6 @@ class PolytropeMatrix(Frozen):
         values = {v for row in self.rows for v in row}
         frac = {v: NEG_INF if v is None else Fraction(v, self.den) for v in values}
         return tuple(tuple(frac[v] for v in row) for row in self.rows)
-
-    def column(self, j: int) -> tuple[TropicalScalar, ...]:
-        return tuple(self.entries[i][j] for i in range(self.n))
-
-
-def ball_to_polytrope(center: Sequence[RationalLike], radius: RationalLike) -> PolytropeMatrix:
-    """H-description of the closed tropical ball B(center, radius).
-
-    Off-diagonal entries are -r + y_i - y_j, the diagonal is zero.  For
-    r >= 0 this matrix is already its own closure.
-    """
-    r = as_rational(radius)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    y = [as_rational(c) for c in center]
-    n = len(y)
-    rows = [
-        [Fraction(0) if i == j else -r + y[i] - y[j] for j in range(n)]
-        for i in range(n)
-    ]
-    return PolytropeMatrix.from_rows(rows, starred=True)
 
 
 def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
@@ -192,27 +170,6 @@ def _vertex_columns(star: PolytropeMatrix) -> list[tuple[int, ...]]:
     return list(verts)
 
 
-def segment_breakpoints(x: TorusPoint, y: TorusPoint) -> tuple[TorusPoint, ...]:
-    """Breakpoints of the tropical segment from y to x.
-
-    Points on the segment are (lam + x) max y with lam running over the
-    reals; the combinatorics change exactly at the distinct values of
-    y_i - x_i.  Evaluating there yields the breakpoint chain: y at the
-    smallest threshold, the interior breakpoints, and x at the largest, so
-    consecutive entries bound one classical line segment.  When x == y the
-    chain is (x,).  A tropical segment in n coordinates never needs more
-    than n breakpoints, and the chain from x to y is the same points in
-    reverse.
-    """
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
-    if x == y:
-        return (x,)
-    den = lcm(x.den, y.den)
-    interior = _breakpoints(*([v * (den // p.den) for v in p.nums] for p in (x, y)))
-    return (y, *(TorusPoint(den, p) for p in interior), x)
-
-
 def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:
     """The interior breakpoints of the segment from y to x on integer
     numerators over one denominator, in increasing threshold lam: point
@@ -259,20 +216,3 @@ def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
         points.update(dict.fromkeys(_breakpoints(u, w)))
     return [TorusPoint(star.den, p) for p in points]
 
-
-def intersect(mats: Sequence[PolytropeMatrix]) -> PolytropeMatrix:
-    """Entrywise max of the constraint matrices: h-description of the
-    intersection.  The result is generally not closed; star it before
-    reading off vertices."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise ValueError("dimension mismatch")
-    if len(mats) == 1:
-        return mats[0]
-    rows = [
-        [max(m.entries[i][j] for m in mats) for j in range(n)]
-        for i in range(n)
-    ]
-    return PolytropeMatrix.from_rows(rows)

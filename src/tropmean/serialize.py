@@ -172,7 +172,8 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
         raise ParseError("certificate must carry one weight group per sample")
     by_sample: list[tuple[tuple[QuadraticPiece, Fraction], ...]] = []
     for j, group in enumerate(groups):
-        if not isinstance(group, dict) or group.get("sample") != j + 1:
+        label = group.get("sample") if isinstance(group, dict) else None
+        if isinstance(label, bool) or not isinstance(label, int) or label != j + 1:
             raise ParseError(f"weight group {j} must declare sample {j + 1}")
         items = group.get("pieces", [])
         if not isinstance(items, list):

@@ -19,6 +19,7 @@ from tropmean import (
     CertificateError,
     ParseError,
     PolytropeMatrix,
+    QuadraticPiece,
     SampleSet,
     Unbounded,
     canonicalize,
@@ -595,8 +596,7 @@ def reference_tropical_vertices(c: PolytropeMatrix) -> list[TorusPoint]:
     star = kleene_star(c)
     out: list[TorusPoint] = []
     seen: set[TorusPoint] = set()
-    for j in range(star.n):
-        col = star.column(j)
+    for col in zip(*star.entries):
         if any(v == NEG_INF for v in col):
             raise Unbounded("closure column contains -inf; polytrope is unbounded")
         p = canonicalize(col)
@@ -640,3 +640,54 @@ def _reference_tight_pairs_connect(star: PolytropeMatrix, p: TorusPoint) -> bool
                 reached.add(j)
                 stack.append(j)
     return len(reached) == n
+
+
+# The paper's definition of the mean set, the intersection of the tropical
+# balls B(p_j, d_j), written over Fractions: ``fm_polytrope`` must build the
+# same matrix on integers.
+def ball_to_polytrope(center, radius) -> PolytropeMatrix:
+    """H-description of the closed tropical ball B(center, radius): entry
+    (i, j) is -r + y_i - y_j off the diagonal and zero on it.  For r >= 0
+    the matrix is its own closure."""
+    r = Fraction(radius)
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    y = [Fraction(c) for c in center]
+    n = len(y)
+    return PolytropeMatrix.from_rows(
+        [[Fraction(0) if i == j else -r + y[i] - y[j] for j in range(n)] for i in range(n)]
+    )
+
+
+def intersect(mats) -> PolytropeMatrix:
+    """Entrywise max of the constraint matrices: the h-description of the
+    intersection, which is generally not closed."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    n = mats[0].n
+    if any(m.n != n for m in mats):
+        raise ValueError("dimension mismatch")
+    if len(mats) == 1:
+        return mats[0]
+    return PolytropeMatrix.from_rows(
+        [[max(m.entries[i][j] for m in mats) for j in range(n)] for i in range(n)]
+    )
+
+
+def active_pieces(sample: SampleSet, x) -> list[list[QuadraticPiece]]:
+    """Per sample, every ordered pair whose affine form attains
+    +-d_tr(x, p_j); both orientations of a pair are listed, and at a sample
+    point every pair is."""
+    xs = [Fraction(v) for v in x]
+    out = []
+    for j, p in enumerate(sample):
+        d = trop_dist(xs, p)
+        out.append(
+            [
+                QuadraticPiece(j, i, k, p[i] - p[k])
+                for i in range(sample.n)
+                for k in range(sample.n)
+                if i != k and abs(xs[i] - xs[k] - (p[i] - p[k])) == d
+            ]
+        )
+    return out

@@ -16,7 +16,6 @@ from tropmean import (
     NotOptimal,
     PolytropeMatrix,
     SampleSet,
-    ball_to_polytrope,
     canonicalize,
     exact_frechet,
     find_certificate,
@@ -29,7 +28,7 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.oracle import brute_force_frechet
-from support import int_sample, nonpositive_matrix, rand_vector
+from support import ball_to_polytrope, int_sample, nonpositive_matrix, rand_vector
 
 F = Fraction
 

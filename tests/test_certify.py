@@ -1,4 +1,5 @@
-"""Optimality certificates and exact quadratic minimization."""
+"""Optimality certificates, and the oracle's exact minimization of weighted
+sums of squared difference pieces."""
 
 import importlib.util
 import json
@@ -17,21 +18,20 @@ from tropmean import (
     NotOptimal,
     QuadraticPiece,
     SampleSet,
-    active_pieces,
     canonicalize,
     exact_frechet,
     find_certificate,
     kleene_star,
     membership,
-    min_quadratic,
     objective,
     trop_dist,
     tropical_vertices,
     verify_certificate,
 )
-from tropmean.certify import add_square, piece_for
+from tropmean.certify import piece_for
+from tropmean.oracle import add_square, min_quadratic
 from tropmean.serialize import load_points
-from support import int_sample, rand_sample, reference_verify_certificate
+from support import active_pieces, int_sample, rand_sample, reference_verify_certificate
 
 F = Fraction
 

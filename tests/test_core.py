@@ -1,4 +1,4 @@
-"""Torus points, tropical operations and the tropical metric."""
+"""Torus points, samples, immutable values and the tropical metric."""
 
 import copy
 import pickle
@@ -19,9 +19,7 @@ from tropmean import (
     as_rational,
     canonicalize,
     exact_frechet,
-    trop_add,
     trop_dist,
-    trop_scale,
 )
 from tropmean.certify import piece_for
 from support import rand_point, rand_vector, reference_canonicalize
@@ -113,21 +111,6 @@ def test_library_strings_at_the_literal_caps_are_read():
     assert as_rational(" -1e1000 ") == -(Fraction(10) ** 1000)
     assert as_rational("1/" + "3" * 998) == Fraction(1, int("3" * 998))
     assert canonicalize(["1/2", "0.25"]).coords == (0, Fraction(-1, 4))
-
-
-def test_trop_add_is_coordinatewise_max():
-    assert trop_add((0, 1), (1, 0)) == (1, 1)
-    assert trop_add((-3, 0, 0), (0, -6, 0)) == (0, 0, 0)
-
-
-def test_trop_add_dimension_mismatch():
-    with pytest.raises(ValueError):
-        trop_add((0, 1), (0, 1, 2))
-
-
-def test_trop_scale_shifts_every_coordinate():
-    assert trop_scale(2, (0, 1, 2)) == (2, 3, 4)
-    assert trop_scale(Fraction(-1, 2), (0, 0)) == (Fraction(-1, 2), Fraction(-1, 2))
 
 
 def test_distance_golden_values():

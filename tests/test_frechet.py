@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import tropmean.frechet as frechet_mod
 from tropmean import (
     SampleSet,
-    active_pieces,
     canonicalize,
     exact_frechet,
     fm_polytrope,
@@ -24,8 +23,11 @@ from tropmean import (
 from tropmean.cli import _random_sample
 from tropmean.oracle import brute_force_frechet
 from support import (
+    active_pieces,
+    ball_to_polytrope,
     dense_rows,
     int_sample,
+    intersect,
     rand_point,
     rand_sample,
     reference_average,
@@ -425,20 +427,10 @@ def test_fm_polytrope_segment_golden():
     }
 
 
-def _fm_polytrope_by_definition(sample, mean):
-    d = [trop_dist(mean, p) for p in sample]
-    return tuple(
-        tuple(
-            F(0) if i == k else max(-d[j] + sample[j][i] - sample[j][k] for j in range(sample.m))
-            for k in range(sample.n)
-        )
-        for i in range(sample.n)
-    )
-
-
 def test_fm_polytrope_matches_the_definition():
-    """fm_polytrope works over one common denominator; its entries equal the
-    Fraction maxima c_ik = max_j(-d_j + p_j,i - p_j,k)."""
+    """fm_polytrope works over one common denominator; at any point its
+    entries equal the Fraction maxima c_ik = max_j(-d_j + p_j,i - p_j,k) of
+    the balls B(p_j, d_j) at the point's distances d_j."""
     rng = Random("frechet:fm-polytrope")
     for _ in range(30):
         n, m = rng.randint(2, 5), rng.randint(1, 5)
@@ -447,8 +439,32 @@ def test_fm_polytrope_matches_the_definition():
         sample = SampleSet.from_rows(rows)
         for mean in (sample[rng.randrange(m)], exact_frechet(sample).mean, rand_point(rng, n)):
             entries = fm_polytrope(sample, mean).entries
-            assert entries == _fm_polytrope_by_definition(sample, mean)
+            balls = [ball_to_polytrope(p, trop_dist(mean, p)) for p in sample]
+            assert entries == intersect(balls).entries
             assert all(type(v) is Fraction for row in entries for v in row)
+
+
+def test_the_mean_set_is_the_intersection_of_the_balls():
+    """The paper's mean set is the intersection of the tropical balls
+    B(p_j, d_j) at the mean's distances; ``fm_polytrope`` builds its matrix
+    on integers over one common denominator and must match the reference
+    built ball by ball over Fractions.  Small spans make ties, and every
+    third sample repeats one of its points."""
+    rng = Random("frechet:balls")
+    for t in range(150):
+        n, m = 2 + t % 5, rng.randint(1, 6)
+        if t % 2:
+            sample = int_sample(rng, n, m, span=rng.choice((1, 2, 3 * n)))
+        else:
+            sample = rand_sample(rng, n, m, span=rng.choice((2, 12)))
+        if t % 3 == 0:
+            sample = SampleSet((*sample, sample[rng.randrange(sample.m)]))
+        result = exact_frechet(sample)
+        assert result.exact
+        balls = [ball_to_polytrope(p, d) for p, d in zip(sample, result.distances)]
+        expected = intersect(balls)
+        assert fm_polytrope(sample, result.mean) == expected
+        assert result.fm_polytrope == expected
 
 
 @st.composite

@@ -1,10 +1,10 @@
 """README's Layout block names exactly the modules of the package, its
 Command line section names exactly the command-line flags, its Library
-section names every exported function, the package's export list names
-only what it defines, no module imports a name it does
-not use, and no module checks an invariant with ``assert``.  ``certify``
-imports nothing from ``frechet`` or ``qp``, and no module calls
-``json.dump`` or ``json.dumps``.
+section names every exported function and only names that resolve, the
+package's export list names only what it defines, no module imports a name
+it does not use, and no module checks an invariant with ``assert``.  Of the
+package, ``certify`` imports only ``core`` and ``errors``, and no module
+calls ``json.dump`` or ``json.dumps``.
 
 A module or flag added, deleted or moved without the README following would
 leave it describing code that is not there; this keeps the two in step.  A
@@ -12,17 +12,18 @@ stale name in ``tropmean.__all__`` would otherwise fail only on a star
 import, and a stale import outlives the code that needed it unnoticed.
 ``python -O`` strips assert statements, so an invariant checked by one would
 go unchecked there; the package raises its errors instead.  A certificate
-check that called into the route it checks would not be independent of it,
-and a second JSON writer could drift from the one whose bytes the goldens
-and the benchmark digests pin.  ``qp`` reads no ``.denominator`` and does not
-import ``over_common_denominator``: the exact QP takes integer data, and a
-rescaling inside it would be a second, hidden scaling of what its caller
-already put on integers.  For the same reason, in ``polytrope`` only
-``PolytropeMatrix.from_rows``, which scales Fraction entries onto a matrix's
-integers, reads ``.denominator``, and ``linalg`` holds no scaling helper:
-the closure, vertex and segment kernels take a matrix's and a point's
-integers as they are held.  In ``core`` only ``canonicalize``, which scales
-Fraction coordinates onto a point's integers, reads ``.denominator``.
+check that called into the route it checks, or solved a system, would not
+be independent of it, and a second JSON writer could drift from the one
+whose bytes the goldens and the benchmark digests pin.  ``qp`` reads no
+``.denominator`` and does not import ``over_common_denominator``: the exact
+QP takes integer data, and a rescaling inside it would be a second, hidden
+scaling of what its caller already put on integers.  For the same reason,
+in ``polytrope`` only ``PolytropeMatrix.from_rows``, which scales Fraction
+entries onto a matrix's integers, reads ``.denominator``, and ``linalg``
+holds no scaling helper: the closure, vertex and breakpoint kernels take a
+matrix's and a point's integers as they are held.  In ``core`` only
+``canonicalize``, which scales Fraction coordinates onto a point's
+integers, reads ``.denominator``.
 
 Start-up is most of the wall time of one command, so importing
 ``tropmean.cli`` loads neither ``dataclasses`` (which brings ``inspect``,
@@ -32,6 +33,9 @@ the exhaustive oracle, which no command calls.
 
 import argparse
 import ast
+import builtins
+import fractions
+import importlib
 import inspect
 import re
 import subprocess
@@ -75,7 +79,43 @@ def test_readme_names_every_cli_flag():
     assert sorted(documented - defined) == []
 
 
+def _library_name_resolves(name):
+    """Whether a dotted name from the README's Library section names a
+    ``tropmean`` export or an attribute of one, ``tropmean.<module>.<name>``,
+    a field or attribute of an exported class, or a builtin or ``fractions``
+    name."""
+    import tropmean
+
+    head, *rest = name.split(".")
+    if head == "tropmean" and rest:
+        try:
+            obj = importlib.import_module(f"tropmean.{rest.pop(0)}")
+        except ImportError:
+            return False
+    elif head in tropmean.__all__:
+        obj = getattr(tropmean, head)
+    elif rest:
+        return False
+    else:
+        classes = [c for c in map(tropmean.__dict__.get, tropmean.__all__) if isinstance(c, type)]
+        return (
+            hasattr(builtins, head)
+            or hasattr(fractions, head)
+            or any(head in getattr(c, "_fields", ()) or hasattr(c, head) for c in classes)
+        )
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
 def test_readme_library_names_every_exported_function():
+    """Both ways: every exported function is named in the Library section,
+    and every backticked name there, outside the code example, resolves, so
+    a deleted name cannot linger.  A span is checked by its leading dotted
+    name (``exact`` in ``exact=False``); one with no leading name, such as
+    an option, is not a name."""
     import tropmean
 
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -84,6 +124,14 @@ def test_readme_library_names_every_exported_function():
         name for name in tropmean.__all__ if inspect.isfunction(getattr(tropmean, name))
     ]
     assert [name for name in functions if not re.search(rf"`{name}\b", section)] == []
+    prose = re.sub(r"```.*?```", "", section, flags=re.DOTALL)
+    names = [
+        match.group()
+        for span in re.findall(r"`([^`]+)`", prose)
+        if (match := re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", span))
+    ]
+    assert names
+    assert [name for name in names if not _library_name_resolves(name)] == []
 
 
 def test_every_exported_name_resolves():
@@ -149,9 +197,12 @@ def _imported_modules(path):
 
 
 def test_certify_imports_nothing_from_the_route_it_checks():
+    """Of the package, ``certify`` imports ``core`` and ``errors`` only: it
+    solves no system and shares nothing with the route it checks."""
     imported = _imported_modules(ROOT / "src" / "tropmean" / "certify.py")
-    route = {"frechet", "qp"}
-    assert [m for m in imported if route & set(m.split("."))] == []
+    package = {p.stem for p in (ROOT / "src" / "tropmean").glob("*.py")} | {"tropmean"}
+    parts = {part for m in imported for part in m.split(".")}
+    assert sorted(parts & package) == ["core", "errors"]
 
 
 def test_one_json_writer():

@@ -1,4 +1,5 @@
-"""Polytrope matrices: closure, membership, vertices, segments, balls."""
+"""Polytrope matrices: closure, membership, vertices, segment breakpoints,
+and the tropical balls and intersections of the tests' reference."""
 
 from fractions import Fraction
 from math import lcm
@@ -13,23 +14,22 @@ from tropmean import (
     NEG_INF,
     PolytropeMatrix,
     SampleSet,
+    TorusPoint,
     Unbounded,
-    ball_to_polytrope,
     canonicalize,
     exact_frechet,
-    intersect,
     kleene_star,
     membership,
     pseudovertices,
-    segment_breakpoints,
-    trop_add,
     trop_dist,
-    trop_scale,
     tropical_vertices,
 )
+from tropmean.polytrope import _breakpoints
 from support import (
     _reference_tight_pairs_connect,
+    ball_to_polytrope,
     feasible_point,
+    intersect,
     nonpositive_matrix,
     rand_point,
     rand_vector,
@@ -294,11 +294,23 @@ def test_ball_membership_matches_distance():
         assert membership(ball, x) == (trop_dist(x, center) <= r)
 
 
+def _chain(x, y):
+    """The breakpoint chain of the tropical segment from y to x, as
+    ``pseudovertices`` builds it: y, the interior breakpoints ``_breakpoints``
+    finds on the two points over their common denominator, and x; just x
+    when x == y."""
+    if x == y:
+        return [x]
+    den = lcm(x.den, y.den)
+    u, w = ([v * (den // p.den) for v in p.nums] for p in (x, y))
+    return [y, *(TorusPoint(den, p) for p in _breakpoints(u, w)), x]
+
+
 def test_segment_chain_golden():
     x = canonicalize([0, 0, 0])
     y = canonicalize([0, 1, 2])
-    chain = list(segment_breakpoints(x, y))
-    assert chain == [
+    assert _breakpoints(x.nums, y.nums) == [(0, 0, 1)]
+    assert _chain(x, y) == [
         canonicalize([0, 1, 2]),
         canonicalize([0, 0, 1]),
         canonicalize([0, 0, 0]),
@@ -307,10 +319,11 @@ def test_segment_chain_golden():
 
 def test_segment_degenerate_and_two_coordinate_cases():
     p = canonicalize([3, 1, 4])
-    assert list(segment_breakpoints(p, p)) == [p]
+    assert _breakpoints(p.nums, p.nums) == []
     a = canonicalize([0, 0])
     b = canonicalize([0, 3])
-    assert list(segment_breakpoints(a, b)) == [b, a]
+    assert _breakpoints(a.nums, b.nums) == []
+    assert _chain(a, b) == [b, a]
 
 
 def test_segment_points_lie_on_the_tropical_segment():
@@ -319,11 +332,11 @@ def test_segment_points_lie_on_the_tropical_segment():
         n = rng.randint(2, 6)
         x = rand_point(rng, n)
         y = rand_point(rng, n)
-        chain = list(segment_breakpoints(x, y))
+        chain = _chain(x, y)
         assert len(chain) <= n
         assert chain[0] == y and chain[-1] == x
         lams = sorted({yi - xi for xi, yi in zip(x, y)})
-        reachable = {canonicalize(trop_add(trop_scale(lam, x.coords), y.coords)) for lam in lams}
+        reachable = {canonicalize([max(lam + xi, yi) for xi, yi in zip(x, y)]) for lam in lams}
         assert set(chain) <= reachable
         # breakpoints sit on a geodesic, so distances add up along the chain
         total = sum(
@@ -345,7 +358,7 @@ def _segment_candidates(c):
         for b in verts:
             if a == b:
                 continue
-            for p in segment_breakpoints(a, b):
+            for p in _chain(a, b):
                 if p not in candidates:
                     candidates.append(p)
     return candidates
@@ -484,8 +497,8 @@ def test_segment_breakpoints_match_the_fraction_reference():
             y = canonicalize([v + rng.choice(shifts) for v in x])
         else:
             y = canonicalize([F(rng.randint(-12, 12), rng.choice(_DENOMS)) for _ in range(n)])
-        assert segment_breakpoints(x, y) == reference_segment_breakpoints(x, y)
-        assert segment_breakpoints(y, x) == reference_segment_breakpoints(y, x)
+        assert tuple(_chain(x, y)) == reference_segment_breakpoints(x, y)
+        assert tuple(_chain(y, x)) == reference_segment_breakpoints(y, x)
 
 
 def test_pseudovertices_reject_a_closure_with_a_neg_inf_column():

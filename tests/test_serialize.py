@@ -151,6 +151,17 @@ def test_certificate_json_rejects_mismatched_constants():
         certificate_from_json(doc, s)
 
 
+@pytest.mark.parametrize("group, label", [(0, True), (1, 2.0), (2, "3"), (0, None)])
+def test_certificate_json_reads_sample_labels_as_integers(group, label):
+    """A weight group's ``sample`` is read like a piece index: ``true`` is
+    not 1 and ``2.0`` is not 2, though they compare equal in Python."""
+    s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
+    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])))
+    doc["weights"][group]["sample"] = label
+    with pytest.raises(ParseError, match=f"weight group {group} must declare sample {group + 1}"):
+        certificate_from_json(doc, s)
+
+
 def test_result_document_shape():
     s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
     result = exact_frechet(s)
