@@ -17,7 +17,6 @@ imports only ``core`` and ``errors``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -34,9 +33,6 @@ class QuadraticPiece(Frozen):
     def __init__(self, sample: int, i: int, k: int, c: Fraction) -> None:
         self.__dict__.update(sample=sample, i=i, k=k, c=c)
 
-    def form_value(self, x: Sequence[Fraction]) -> Fraction:
-        return x[self.i] - x[self.k] - self.c
-
 
 class Certificate(Frozen):
     """Per-sample convex weights on the pieces active at ``point``, and the
@@ -51,9 +47,6 @@ class Certificate(Frozen):
         point: TorusPoint,
     ) -> None:
         self.__dict__.update(c_star=c_star, weights=weights, point=point)
-
-    def weight_map(self, j: int) -> dict[tuple[int, int], Fraction]:
-        return {(p.i, p.k): w for p, w in self.weights[j]}
 
 
 def piece_for(sample: SampleSet, j: int, i: int, k: int) -> QuadraticPiece:

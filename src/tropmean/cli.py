@@ -3,13 +3,13 @@
 Five subcommands: ``distance``, ``mean``, ``polytrope``, ``certify`` and
 ``bench``.  ``mean`` runs ``exact_frechet`` and ``bench`` times it on
 seeded random samples; ``certify --point`` accepts a point whose objective
-equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` star
-their mean or input polytrope once and read both vertex lists off that
-closure; the serializer only renders them.  Input is read as bytes and
-decoded as UTF-8, from a file or stdin alike.  Results go to stdout as JSON
-(CSV for bench, one line for distance), diagnostics to stderr; every JSON
-document is written by ``_render``, whose bytes equal
-``json.dumps(doc, indent=2)``.  Exit codes: 0 success, 1 stdout
+equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` read
+both vertex lists of their mean or input polytrope off one closure, which
+``kleene_star`` keeps on the matrix; the serializer only renders them.
+Input is read as bytes and decoded as UTF-8, from a file or stdin alike.
+Results go to stdout as JSON (CSV for bench, one line for distance),
+diagnostics to stderr; every JSON document is written by ``_render``, whose
+bytes equal ``json.dumps(doc, indent=2)``.  Exit codes: 0 success, 1 stdout
 closed by its reader, 2 malformed or unusable input, 3 a point that fails
 optimality certification or a mean that could not be certified.
 """
@@ -31,7 +31,7 @@ from random import Random
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
 from .frechet import exact_frechet, find_certificate
-from .polytrope import PolytropeMatrix, kleene_star, pseudovertices, tropical_vertices
+from .polytrope import kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
     certificate_to_json,
     format_ratio,
@@ -219,8 +219,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 def _cmd_mean(args: argparse.Namespace) -> int:
     result = exact_frechet(load_points(_read_text(args.file)))
-    _, tverts, pverts = _closure_and_vertices(result.fm_polytrope)
-    _emit(result_to_json(result, tverts, pverts))
+    fm = result.fm_polytrope
+    _emit(result_to_json(result, tropical_vertices(fm), pseudovertices(fm)))
     return 0 if result.exact else 3
 
 
@@ -237,26 +237,17 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
             raise NotOptimal("could not certify a mean for this sample")
         mat = result.fm_polytrope
 
-    starred, tverts, pverts = _closure_and_vertices(mat)
+    pverts = pseudovertices(mat)
     doc: dict[str, object] = {
         "matrix": matrix_to_json(mat),
-        "starred": matrix_to_json(starred),
-        "tropical_vertices": [point_to_json(v) for v in tverts],
+        "starred": matrix_to_json(kleene_star(mat)),
+        "tropical_vertices": [point_to_json(v) for v in tropical_vertices(mat)],
         "pseudovertices": [point_to_json(v) for v in pverts],
     }
     if mat.n == 3:
         doc["polygon"] = _polygon_ccw(pverts)
     _emit(doc)
     return 0
-
-
-def _closure_and_vertices(
-    mat: PolytropeMatrix,
-) -> tuple[PolytropeMatrix, list[TorusPoint], list[TorusPoint]]:
-    """The Kleene closure of ``mat``, starred once, with the tropical
-    vertices and pseudovertices read off it."""
-    starred = kleene_star(mat)
-    return starred, tropical_vertices(starred), pseudovertices(starred)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:

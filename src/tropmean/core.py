@@ -80,9 +80,9 @@ class Frozen:
     them through ``self.__dict__``; after that, assigning or deleting an
     attribute raises AttributeError.  ``_fields`` names the fields in
     constructor order for the repr.  Equality and hashing compare
-    ``_key()``, the fields unless a class narrows it, between instances of
-    one class only.  A ``cached_property`` stores its value in
-    ``__dict__`` too, and is not a field.
+    ``_key()``, the fields, between instances of one class only.  Derived
+    state, a ``cached_property``'s value or a matrix's kept closure, is
+    stored in ``__dict__`` too, and is not a field.
     """
 
     _fields: tuple[str, ...] = ()

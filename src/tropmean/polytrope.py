@@ -6,7 +6,9 @@ semiring, with -inf (float('-inf') here, None in JSON) meaning "no
 constraint".  The central computation is the max-plus Kleene star
 C* = I + C + C^2 + ..., obtained by a Floyd-Warshall sweep; its columns
 are the tropical vertices of Q(C), and a strictly positive diagonal in the
-closure certifies emptiness.
+closure certifies emptiness.  Whether a matrix is closed is worked out, not
+declared: ``kleene_star`` keeps the closure it computes on the matrix and on
+the closure, so the vertex functions, which start from it, share one sweep.
 
 A ``PolytropeMatrix`` is held as ``(den, rows)``: c_ij == rows[i][j] / den,
 with None for -inf.  ``from_rows`` is the one place where Fractions are
@@ -55,17 +57,11 @@ def _check_scalar(v: Fraction | int) -> Fraction | int:
 
 class PolytropeMatrix(Frozen):
     """Square constraint matrix for Q(C) = {x : x_i - x_j >= c_ij}, held as
-    c_ij == rows[i][j] / den over the least common denominator den.
+    c_ij == rows[i][j] / den over the least common denominator den."""
 
-    ``starred`` marks matrices known to equal their own Kleene star; it is
-    derived metadata and does not take part in equality.
-    """
+    _fields = ("den", "rows")
 
-    _fields = ("den", "rows", "starred")
-
-    def __init__(
-        self, den: int, rows: Sequence[Sequence[int | None]], starred: bool = False
-    ) -> None:
+    def __init__(self, den: int, rows: Sequence[Sequence[int | None]]) -> None:
         n = len(rows)
         if n < 2:
             raise ValueError("polytropes need dimension at least 2")
@@ -75,10 +71,7 @@ class PolytropeMatrix(Frozen):
             raise ValueError("the denominator must be positive")
         g = gcd(den, *(v for row in rows for v in row if v is not None))
         rows = tuple(tuple(v if v is None else v // g for v in row) for row in rows)
-        self.__dict__.update(den=den // g, rows=rows, starred=starred)
-
-    def _key(self) -> tuple:
-        return self.den, self.rows
+        self.__dict__.update(den=den // g, rows=rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]]) -> "PolytropeMatrix":
@@ -107,10 +100,12 @@ def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
     The sweep runs on a copy of the integer rows, over the same
     denominator.  Raises EmptyPolytrope when the closure has a strictly
     positive diagonal entry, which witnesses an infeasible cycle of
-    constraints.
+    constraints.  The closure is kept in the private ``__dict__`` of ``c``
+    and of the closure itself, so a later call on either returns it with
+    no new sweep.
     """
-    if c.starred:
-        return c
+    if "_closure" in c.__dict__:
+        return c.__dict__["_closure"]
     n = c.n
     a = [list(row) for row in c.rows]
     for i in range(n):
@@ -130,7 +125,9 @@ def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
     for i in range(n):
         if a[i][i] > 0:
             raise EmptyPolytrope(f"closure diagonal entry ({i},{i}) is positive")
-    return PolytropeMatrix(c.den, a, starred=True)
+    star = PolytropeMatrix(c.den, a)
+    c.__dict__["_closure"] = star.__dict__["_closure"] = star
+    return star
 
 
 def membership(c: PolytropeMatrix, x: Sequence[RationalLike]) -> bool:

@@ -691,3 +691,13 @@ def active_pieces(sample: SampleSet, x) -> list[list[QuadraticPiece]]:
             ]
         )
     return out
+
+
+def form_value(piece: QuadraticPiece, x) -> Fraction:
+    """The piece's affine form x_i - x_k - c at x."""
+    return x[piece.i] - x[piece.k] - piece.c
+
+
+def weight_map(cert: Certificate, j: int) -> dict[tuple[int, int], Fraction]:
+    """Sample j's weights, keyed by their pieces' ordered pairs (i, k)."""
+    return {(p.i, p.k): w for p, w in cert.weights[j]}

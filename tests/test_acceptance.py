@@ -28,7 +28,7 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.oracle import brute_force_frechet
-from support import ball_to_polytrope, int_sample, nonpositive_matrix, rand_vector
+from support import ball_to_polytrope, int_sample, nonpositive_matrix, rand_vector, weight_map
 
 F = Fraction
 
@@ -60,7 +60,7 @@ def test_criterion_01_three_point_mean_and_certificate():
     assert result.mean == canonicalize([0, 0, -1])
     cert = result.certificate
     assert cert is not None
-    assert cert.weight_map(2) == {(0, 2): F(4, 11), (1, 2): F(7, 11)}
+    assert weight_map(cert, 2) == {(0, 2): F(4, 11), (1, 2): F(7, 11)}
     assert verify_certificate(s, cert)
     assert time.perf_counter() - t0 < 1.0
 

@@ -225,24 +225,27 @@ def test_greedy_flags_are_gone(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", [["mean"], ["polytrope"]], ids=["mean", "polytrope"])
 def test_mean_and_polytrope_star_one_unstarred_matrix(tmp_path, capsys, monkeypatch, command):
+    """Every ``kleene_star`` call of one command returns one and the same
+    closure object, so the command sweeps once; it is the closure of the
+    matrix the command prints."""
     import tropmean.cli as cli_mod
     import tropmean.polytrope as polytrope_mod
 
     closures = []
     star = polytrope_mod.kleene_star
 
-    def counted(c):
-        if not c.starred:
-            closures.append(c)
-        return star(c)
+    def recorded(c):
+        closures.append(star(c))
+        return closures[-1]
 
-    monkeypatch.setattr(polytrope_mod, "kleene_star", counted)
-    monkeypatch.setattr(cli_mod, "kleene_star", counted)
+    monkeypatch.setattr(polytrope_mod, "kleene_star", recorded)
+    monkeypatch.setattr(cli_mod, "kleene_star", recorded)
     path = write(tmp_path, "pts.csv", "0,0,0\n0,1,2\n0,3,1\n")
     assert main([*command, path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(closures) == 1
-    assert matrix_to_json(closures[0]) == doc.get("matrix", doc.get("fm_polytrope"))
+    assert len(closures) >= 2 and len({id(c) for c in closures}) == 1
+    matrix = matrix_from_json(doc.get("matrix", doc.get("fm_polytrope")))
+    assert closures[0] == star(matrix)
     assert doc["tropical_vertices"] and doc["pseudovertices"]
 
 

@@ -19,6 +19,7 @@ from tropmean import (
     as_rational,
     canonicalize,
     exact_frechet,
+    kleene_star,
     trop_dist,
 )
 from tropmean.certify import piece_for
@@ -175,25 +176,30 @@ def test_sample_set_from_a_list_is_immutable_and_hashable():
 def _equal_values():
     """Pairs of equal values, one of each value class, each side built on
     its own: a point from two representatives, a sample from Fractions and
-    from integers, two matrices that differ only in ``starred`` and in the
-    denominator they were given over, and two solves of one sample."""
+    from integers, two matrices given over different denominators, a
+    closure that keeps itself as its closure and the same rows built fresh,
+    and two solves of one sample."""
     rows = [[0, 1, 2], [3, 1, 0], [1, 1, 1]]
     sample = SampleSet.from_rows(rows)
     one, two = exact_frechet(sample), exact_frechet(SampleSet.from_rows(rows))
+    star = kleene_star(
+        PolytropeMatrix.from_rows([[0, -1, NEG_INF], [NEG_INF, 0, -2], [-5, NEG_INF, 0]])
+    )
     return [
         (canonicalize([1, 3, 2]), TorusPoint(2, (0, 4, 2))),
         (sample, SampleSet.from_integers(1, rows)),
         (
-            PolytropeMatrix(2, [[0, 2], [None, 0]], starred=True),
+            PolytropeMatrix(2, [[0, 2], [None, 0]]),
             PolytropeMatrix.from_rows([[0, 1], [NEG_INF, 0]]),
         ),
+        (star, PolytropeMatrix(star.den, star.rows)),
         (QuadraticPiece(1, 0, 2, Fraction(3)), piece_for(sample, 1, 0, 2)),
         (one.certificate, two.certificate),
         (one, two),
     ]
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(7))
 def test_values_compare_and_hash_by_value_and_refuse_changes(index):
     """Each value class compares and hashes by value, refuses assignment
     and deletion of any attribute, and survives pickle and deepcopy as an
@@ -216,6 +222,6 @@ def test_value_reprs():
     assert repr(QuadraticPiece(1, 0, 2, Fraction(3))) == (
         "QuadraticPiece(sample=1, i=0, k=2, c=Fraction(3, 1))"
     )
-    assert repr(PolytropeMatrix(2, [[0, 2], [None, 0]], starred=True)) == (
-        "PolytropeMatrix(den=1, rows=((0, 1), (None, 0)), starred=True)"
+    assert repr(kleene_star(PolytropeMatrix(2, [[0, 2], [None, 0]]))) == (
+        "PolytropeMatrix(den=1, rows=((0, 1), (None, 0)))"
     )

@@ -26,6 +26,7 @@ from support import (
     active_pieces,
     ball_to_polytrope,
     dense_rows,
+    form_value,
     int_sample,
     intersect,
     rand_point,
@@ -139,7 +140,7 @@ def test_split_certificate_on_ties():
         # weights are then the products alpha_i beta_k of their marginals.
         oriented = {}
         for piece, w in per:
-            if piece.form_value(result.mean.coords) == result.distances[j]:
+            if form_value(piece, result.mean.coords) == result.distances[j]:
                 oriented[piece.i, piece.k] = w
             else:
                 oriented[piece.k, piece.i] = w

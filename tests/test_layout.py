@@ -4,7 +4,8 @@ section names every exported function and only names that resolve, the
 package's export list names only what it defines, no module imports a name
 it does not use, and no module checks an invariant with ``assert``.  Of the
 package, ``certify`` imports only ``core`` and ``errors``, and no module
-calls ``json.dump`` or ``json.dumps``.
+calls ``json.dump`` or ``json.dumps``.  Every exported immutable value class
+takes exactly the fields it compares as constructor arguments.
 
 A module or flag added, deleted or moved without the README following would
 leave it describing code that is not there; this keeps the two in step.  A
@@ -259,6 +260,29 @@ def test_the_polytrope_kernels_take_integers_only():
 def test_points_are_scaled_in_canonicalize_only():
     core = ROOT / "src" / "tropmean" / "core.py"
     assert _denominator_readers(core) <= {"canonicalize"}
+
+
+def test_every_constructor_argument_is_a_compared_field():
+    """Each exported immutable value class takes exactly its ``_fields`` as
+    ``__init__`` parameters, in order, and compares all of them: state
+    derived from the fields, such as a matrix's closure, is worked out and
+    kept by the code that computes it, never passed in as a flag."""
+    import tropmean
+    from tropmean.core import Frozen
+
+    classes = [
+        c
+        for c in map(tropmean.__dict__.get, tropmean.__all__)
+        if isinstance(c, type) and issubclass(c, Frozen)
+    ]
+    assert len(classes) >= 5
+    offenders = [
+        c.__name__
+        for c in classes
+        if [*inspect.signature(c.__init__).parameters][1:] != [*c._fields]
+        or c._key is not Frozen._key
+    ]
+    assert offenders == []
 
 
 def test_the_command_line_imports_no_heavy_module():

@@ -117,7 +117,7 @@ def test_from_rows_holds_the_entries_over_their_least_common_denominator(rows, k
 def test_kleene_star_golden():
     star = kleene_star(KNOWN)
     assert star.entries == KNOWN_STAR
-    assert star.starred
+    assert kleene_star(star) is star
 
 
 def test_kleene_star_fixes_identity():
@@ -160,6 +160,17 @@ def test_positive_cycle_is_reported_empty():
     bad = PolytropeMatrix.from_rows([[F(0), F(2)], [F(-1), F(0)]])
     with pytest.raises(EmptyPolytrope):
         kleene_star(bad)
+
+
+@pytest.mark.parametrize("fn", [kleene_star, tropical_vertices, pseudovertices])
+def test_an_empty_polytrope_cannot_be_declared_closed(fn):
+    """Closedness is worked out by ``kleene_star``, never passed in: the
+    constructor takes no flag that would skip the sweep, and every function
+    that reads the closure of the rows of a positive cycle reports it empty."""
+    with pytest.raises(TypeError):
+        PolytropeMatrix(1, [[0, 2], [-1, 0]], starred=True)
+    with pytest.raises(EmptyPolytrope):
+        fn(PolytropeMatrix(1, [[0, 2], [-1, 0]]))
 
 
 def _fraction_star(rows):
@@ -211,7 +222,7 @@ def test_kleene_star_matches_a_fraction_floyd_warshall(rows):
             kleene_star(c)
         return
     star = kleene_star(c)
-    assert star.starred
+    assert kleene_star(star) is star
     assert star.entries == expected
     for row in star.entries:
         for v in row:
@@ -379,14 +390,14 @@ def test_pseudovertices_of_a_point_ball():
     assert pseudovertices(ball_to_polytrope(y, 0)) == [y]
 
 
-def test_pseudovertex_filter_drops_interior_breakpoints():
+def test_pseudovertices_are_segment_candidates_in_the_polytrope():
     rng = Random("polytrope:extreme")
     for _ in range(25):
         n = rng.randint(2, 4)
         c = nonpositive_matrix(rng, n, span=6)
-        filtered = pseudovertices(c)
+        points = pseudovertices(c)
         raw = _segment_candidates(c)
-        assert set(filtered) <= set(raw)
+        assert set(points) <= set(raw)
         assert all(membership(c, p.coords) for p in raw)
 
 
