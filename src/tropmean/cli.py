@@ -118,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     """The bytes of a file, or of stdin for '-', decoded as UTF-8 whatever
-    the locale, with "\r\n" and "\r" read as "\n" as text mode reads them."""
+    the locale, without one leading byte-order mark, with "\r\n" and "\r"
+    read as "\n" as text mode reads them."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -129,7 +130,7 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_vector(text: str) -> TorusPoint:

@@ -41,12 +41,20 @@ def as_rational(value: RationalLike) -> Fraction:
 MAX_LITERAL_DIGITS = 1000
 MAX_LITERAL_EXPONENT = 1000
 
+# Every character a literal may hold; ``Fraction`` checks the grammar.
+_LITERAL_CHARS = frozenset("0123456789+-/.eE")
+
 
 def read_literal(text: str) -> Fraction:
     """The rational a "p", "p/q" or decimal literal names, exactly.  A
     malformed literal, or one over the caps, which are checked on the text
-    before any integer is built, raises ValueError with the line to print."""
+    before any integer is built, raises ValueError with the line to print.
+    Only ASCII digits, signs, "/", "." and exponents are read: ``Fraction``
+    alone takes other decimal digits, and underscores and spaces around "/"
+    on some Python versions only."""
     body = text.strip()
+    if not _LITERAL_CHARS.issuperset(body):
+        raise ValueError(f"not a rational: {abbreviate(text)}")
     # A literal no longer than the cap cannot hold more digits than the cap.
     if len(body) > MAX_LITERAL_DIGITS and sum(c.isdigit() for c in body) > MAX_LITERAL_DIGITS:
         raise ValueError(f"number {abbreviate(body)} has more than {MAX_LITERAL_DIGITS} digits")

@@ -269,9 +269,11 @@ def min_quadratic(
     normal equations ``add_square`` built.
 
     A and b, ints or Fractions, are scaled to integers by one common
-    denominator and solved by ``integer_solve``.  Returns the minimum value
-    and one minimizer, the solution of A y = b with its free coordinates at
-    zero, padded back to full n-length coordinates with x_1 = 0.
+    denominator and solved by ``integer_solve``, which takes A symmetric
+    positive semidefinite, as the normal equations of a sum of squares are.
+    Returns the minimum value and one minimizer, the solution of A y = b
+    with its free coordinates at zero, padded back to full n-length
+    coordinates with x_1 = 0.
     """
     scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
     rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]

@@ -56,7 +56,8 @@ exactly those of the same loop over the rationals:
   that can block.  Step lengths are compared by integer cross-multiplication,
   in the same row order and with the same strict comparison as over the
   rationals, so the blocking rows are the same too.
-* The reduced system is solved by one ``linalg.integer_solve``.
+* The reduced system, symmetric positive semidefinite as H is, is solved
+  by one ``linalg.integer_solve``, which takes its pivots from the diagonal.
 
 A program with rational data is put on integers by its caller: scaling z by
 a positive factor, and the objective by another, changes no working set,

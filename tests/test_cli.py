@@ -485,6 +485,44 @@ def test_bad_bytes_on_stdin_name_the_utf8_problem(capsys, monkeypatch):
     _assert_one_error_line(capsys, "error: stdin: not UTF-8 text (byte 25: invalid start byte)")
 
 
+@pytest.mark.parametrize(
+    "text", ['{"points": [[4, 0, 9], [0, -1, 5]]}', "4,0,9\r\n0,-1,5\r\n"], ids=["json", "csv"]
+)
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, text):
+    """A spreadsheet's "CSV UTF-8" export starts with a BOM; the file reads
+    as it does without one, from a file and from stdin."""
+    data = b"\xef\xbb\xbf" + text.encode("utf-8")
+    path = tmp_path / "bom.txt"
+    path.write_bytes(data)
+    assert main(["distance", str(path)]) == 0
+    assert capsys.readouterr().out == "3\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main(["distance", "-"]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
+def test_a_second_byte_order_mark_is_not_a_number(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf0,1\n2,3\n")
+    assert main(["distance", str(path)]) == 2
+    _assert_one_error_line(capsys, "error: line 1: not a rational: '\\ufeff0'")
+
+
+@pytest.mark.parametrize(
+    "coordinate", ['"1_000"', '"1e1_0"', '"1 / 2"', '"\u0661\u0662"', '"\uff11"'],
+    ids=["underscore", "underscore-exponent", "spaced-slash", "arabic-indic-digits", "fullwidth-digit"],
+)
+def test_numbers_outside_the_ascii_syntax_exit_2_on_every_python(tmp_path, capsys, coordinate):
+    """Python 3.12 reads "1 / 2", 3.11 reads "1_000" and every version reads
+    non-ASCII decimal digits; the command line reads none of them."""
+    path = write(tmp_path, "pts.json", '{"points": [[%s, 2], [3, 4]]}' % coordinate)
+    assert main(["distance", path]) == 2
+    _assert_one_error_line(capsys, "error: not a rational: ")
+    csv_path = write(tmp_path, "pts.csv", "%s,2\n3,4\n" % json.loads(coordinate))
+    assert main(["distance", csv_path]) == 2
+    _assert_one_error_line(capsys, "error: line 1: not a rational: ")
+
+
 def _assert_short_error_line(capsys, start):
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -107,6 +107,19 @@ def test_library_strings_are_held_to_the_literal_caps(literal):
         SampleSet.from_rows([["0", literal], ["1", "2"]])
 
 
+@pytest.mark.parametrize(
+    "literal", ["1_000", "1e1_0", "1 / 2", "1/ 2", "\u0661\u0662", "\uff11.5"],
+    ids=[
+        "underscore", "underscore-exponent", "spaced-slash", "space-after-slash", "arabic-indic", "fullwidth",
+    ],
+)
+def test_library_strings_take_one_ascii_syntax(literal):
+    """Underscores, spaces around "/" and non-ASCII digits are refused on
+    every Python, though some versions' ``Fraction`` reads them."""
+    with pytest.raises(ValueError, match="not a rational"):
+        as_rational(literal)
+
+
 def test_library_strings_at_the_literal_caps_are_read():
     assert as_rational("7" * 1000) == int("7" * 1000)
     assert as_rational(" -1e1000 ") == -(Fraction(10) ** 1000)

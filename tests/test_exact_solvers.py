@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
+from tropmean.errors import InternalError
 from tropmean.linalg import integer_solve
 from tropmean.qp import QPError, minimize_qp
 from support import (
@@ -71,26 +72,46 @@ def _row(cols):
     return st.lists(_entries, min_size=cols, max_size=cols)
 
 
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators, the form the kernel takes."""
-    dens = [lcm(*(v.denominator for v in row)) for row in rows]
-    return [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
+def _integer_rows(a, b):
+    """[A | b] times the lcm of all its denominators, so a symmetric A stays
+    symmetric: the form the kernel takes."""
+    den = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
+    return [[v.numerator * (den // v.denominator) for v in (*row, rhs)] for row, rhs in zip(a, b)]
+
+
+def _gram(a):
+    """A^T A for the rows of A, symmetric positive semidefinite, as singular
+    as A is."""
+    nvars = len(a[0]) if a else 0
+    return [[sum(row[i] * row[j] for row in a) for j in range(nvars)] for i in range(nvars)]
+
+
+@st.composite
+def _normal_systems(draw):
+    """(A^T A, r) for a drawn A, with r = A^T b for a drawn b, in the range,
+    or r drawn freely, often outside it."""
+    a = draw(_matrices())
+    gram = _gram(a)
+    if draw(st.booleans()):
+        b = draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
+        return gram, mat_vec([list(col) for col in zip(*a)], b)
+    return gram, draw(st.lists(_entries, min_size=len(gram), max_size=len(gram)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_matrices())
-@example([])
-@example([[F(1, 2), F(0), F(-3, 4)], [F(1, 3), F(0), F(-1, 2)], [F(0), F(0), F(0)]])
-@example([[F(2), F(4), F(6)], [F(1), F(2), F(5)]])
-def test_integer_solve_matches_fraction_gauss_jordan(rows):
-    """Read as [A | b], rank-deficient or inconsistent as they often are,
-    the rows are solved as rational Gauss-Jordan solves them: None when the
-    rhs column holds a pivot, else the particular solution with every free
-    variable at zero, over the least common denominator."""
-    nvars = len(rows[0]) - 1 if rows else 0
-    a, b = [row[:nvars] for row in rows], [row[nvars] for row in rows]
+@given(_normal_systems())
+@example(([], []))
+@example(([[F(1), F(2)], [F(2), F(4)]], [F(1), F(3)]))
+@example(([[F(0), F(0)], [F(0), F(5, 4)]], [F(0), F(-1, 3)]))
+@example(([[F(1, 4), F(0), F(1, 2)], [F(0), F(0), F(0)], [F(1, 2), F(0), F(1)]], [F(1), F(0), F(2)]))
+def test_integer_solve_matches_fraction_gauss_jordan(system):
+    """A^T A x = r, rank-deficient or inconsistent as it often is, is solved
+    as rational Gauss-Jordan solves it: None when the rhs column holds a
+    pivot, else the particular solution with every free variable at zero,
+    over the least common denominator."""
+    a, b = system
     expected = solve_over_fractions(a, b)
-    solved = integer_solve(_integer_rows(rows))
+    solved = integer_solve(_integer_rows(a, b))
     if expected is None:
         assert solved is None
         return
@@ -104,24 +125,50 @@ def test_integer_solve_matches_fraction_gauss_jordan(rows):
 @settings(max_examples=300, deadline=None)
 @given(_matrices(), st.data())
 def test_integer_solve_finds_a_planted_solution(rows, data):
-    """A consistent system built from a planted x0 is solved exactly, free
-    variables at zero; moving b off the column space makes it None."""
-    if not rows:
-        return
-    nvars = len(rows[0])
+    """A^T A x = A^T A x0 for a planted x0 is solved exactly, free variables
+    at zero; adding a nullspace vector of A^T A to the rhs moves it off the
+    range, which is that nullspace's orthogonal complement, and makes it None."""
+    a = _gram(rows)
+    nvars = len(a)
     x0 = [data.draw(_entries) for _ in range(nvars)]
-    b = mat_vec(rows, x0)
-    _, pivots = rref_over_fractions(rows)
-    den, nums = integer_solve(_integer_rows([row + [v] for row, v in zip(rows, b)]))
+    b = mat_vec(a, x0)
+    _, pivots = rref_over_fractions(a)
+    den, nums = integer_solve(_integer_rows(a, b))
     x = [F(v, den) for v in nums]
-    assert mat_vec(rows, x) == b
+    assert mat_vec(a, x) == b
     assert all(x[c] == 0 for c in range(nvars) if c not in pivots)
-    if len(pivots) < len(rows):
-        # a rank-deficient system has a b no combination of its columns reaches
-        # (a nonzero y with y A = 0 is orthogonal to every column)
-        _, left_null = solve_over_fractions([list(col) for col in zip(*rows)], [F(0)] * nvars)
-        b_off = [u + v for u, v in zip(b, left_null[0])]
-        assert integer_solve(_integer_rows([row + [v] for row, v in zip(rows, b_off)])) is None
+    if len(pivots) < nvars:
+        _, null = solve_over_fractions(a, [F(0)] * nvars)
+        b_off = [u + v for u, v in zip(b, null[0])]
+        assert integer_solve(_integer_rows(a, b_off)) is None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-1, 0]],
+        [[0, 1, 0], [1, 0, 0]],
+        [[1, 2, 0], [2, 1, 0]],
+        [[0, 1, 1], [0, 1, 1]],
+        [[0, 0, 0], [1, 1, 1]],
+        [[-1, -2, -3, 0], [-2, -4, -6, 0], [-3, -6, -10, 1]],
+        [[2, 1, 1, 0], [1, 0, 1, 0], [1, 1, 2, 0]],
+    ],
+    ids=[
+        "negative",
+        "zero-pivot-indefinite",
+        "indefinite",
+        "zero-pivot-row",
+        "zero-pivot-column",
+        "negative-gram",
+        "late-negative",
+    ],
+)
+def test_integer_solve_refuses_a_system_that_is_not_psd(rows):
+    """A negative pivot, or a zero one with a nonzero entry in its row or
+    column, is outside the contract and raises instead of being solved."""
+    with pytest.raises(InternalError):
+        integer_solve(rows)
 
 
 def test_dot_and_mat_vec():
