@@ -5,7 +5,8 @@ Five subcommands: ``distance``, ``mean``, ``polytrope``, ``certify`` and
 seeded random samples; ``certify --point`` accepts a point whose objective
 equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` read
 both vertex lists of their mean or input polytrope off one closure, which
-``kleene_star`` keeps on the matrix; the serializer only renders them.
+``kleene_star`` keeps on the matrix, as integer columns over its
+denominator; the serializer only renders them.
 Input is read as bytes and decoded as UTF-8, from a file or stdin alike.
 Results go to stdout as JSON (CSV for bench, one line for distance),
 diagnostics to stderr; every JSON document is written by ``_render``, whose
@@ -25,7 +26,6 @@ import time
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode
-from math import lcm
 from random import Random
 
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
@@ -34,15 +34,14 @@ from .frechet import exact_frechet, find_certificate
 from .polytrope import kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
     certificate_to_json,
-    format_ratio,
     format_rational,
     load_points,
     matrix_from_json,
     matrix_to_json,
     parse_json,
     parse_rational,
-    point_to_json,
     result_to_json,
+    rows_to_json,
 )
 
 
@@ -221,7 +220,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_mean(args: argparse.Namespace) -> int:
     result = exact_frechet(load_points(_read_text(args.file)))
     fm = result.fm_polytrope
-    _emit(result_to_json(result, tropical_vertices(fm), pseudovertices(fm)))
+    den = kleene_star(fm).den
+    _emit(result_to_json(result, den, tropical_vertices(fm), pseudovertices(fm)))
     return 0 if result.exact else 3
 
 
@@ -238,15 +238,19 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
             raise NotOptimal("could not certify a mean for this sample")
         mat = result.fm_polytrope
 
+    # The tropical vertices lead the pseudovertex list, so their text is
+    # the list's leading rows.
     pverts = pseudovertices(mat)
+    star = kleene_star(mat)
+    vertices = rows_to_json(star.den, pverts)
     doc: dict[str, object] = {
         "matrix": matrix_to_json(mat),
-        "starred": matrix_to_json(kleene_star(mat)),
-        "tropical_vertices": [point_to_json(v) for v in tropical_vertices(mat)],
-        "pseudovertices": [point_to_json(v) for v in pverts],
+        "starred": matrix_to_json(star),
+        "tropical_vertices": vertices[: len(tropical_vertices(mat))],
+        "pseudovertices": vertices,
     }
     if mat.n == 3:
-        doc["polygon"] = _polygon_ccw(pverts)
+        doc["polygon"] = _polygon_ccw(pverts, vertices)
     _emit(doc)
     return 0
 
@@ -291,18 +295,17 @@ def _random_sample(seed: int, n: int, m: int, rep: int) -> SampleSet:
     return SampleSet.from_rows(rows)
 
 
-def _polygon_ccw(points: list[TorusPoint]) -> list[list[str]]:
+def _polygon_ccw(points: list[tuple[int, ...]], text: list[list[str]]) -> list[list[str]]:
     """Pseudovertices as 2D coordinates (x2-x1, x3-x1), counterclockwise from
     the lexicographically smallest: the points on or below the chord from it to
     the largest left to right, then the points above the chord right to left.
-    The order is taken on the points' integers over the lcm of their
-    denominators, and the coordinates are formatted from them."""
-    den = lcm(*(p.den for p in points))
-    pts = sorted((p.nums[1] * (den // p.den), p.nums[2] * (den // p.den)) for p in points)
+    The order is taken on the points' canonical integer columns over one
+    denominator, and each point's coordinates are its ``text`` row's last two."""
+    pts = sorted(((p[1], p[2]), t[1:]) for p, t in zip(points, text))
     if len(pts) >= 3:
-        (ax, ay), (bx, by) = pts[0], pts[-1]
-        side = [(bx - ax) * (v - ay) - (by - ay) * (u - ax) for u, v in pts]
+        (ax, ay), (bx, by) = pts[0][0], pts[-1][0]
+        side = [(bx - ax) * (v - ay) - (by - ay) * (u - ax) for (u, v), _ in pts]
         below = [p for p, s in zip(pts, side) if s <= 0]
         above = [p for p, s in zip(pts, side) if s > 0]
         pts = below + above[::-1]
-    return [[format_ratio(u, den), format_ratio(v, den)] for u, v in pts]
+    return [t for _, t in pts]

@@ -139,8 +139,9 @@ class TorusPoint(Frozen):
                 "use canonicalize()"
             )
         g = gcd(den, *nums)
-        nums = tuple(nums) if g == 1 else tuple(v // g for v in nums)
-        self.__dict__.update(den=den // g, nums=nums)
+        fields = self.__dict__
+        fields["den"] = den // g
+        fields["nums"] = tuple(nums) if g == 1 else tuple([v // g for v in nums])
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:

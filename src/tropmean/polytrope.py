@@ -22,10 +22,11 @@ integers.  Floyd-Warshall, the column shifts and the breakpoint comparisons
 only add, subtract, compare and take maxima, which commute with multiplying
 every value by one positive integer.  So each int is the rational the
 computation stands for times den, and the closure and the vertices, in their
-order, are exact and identical to a computation over Fractions.  The
-returned points are built from those integers over den, as
-``TorusPoint(den, nums)``, so no Fraction is built from the matrix to its
-vertices.
+order, are exact and identical to a computation over Fractions.  Both
+vertex functions return those integers: canonical columns, first entry
+zero, over the closure's denominator ``kleene_star(c).den``, so no point
+and no Fraction is built from the matrix to its vertices.  A caller that
+wants points builds them as ``TorusPoint(kleene_star(c).den, col)``.
 
 Every breakpoint of a tropical segment between two columns of the closure
 is a classical vertex of Q(C), so ``pseudovertices`` lists them all with no
@@ -41,7 +42,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
-from .core import Frozen, RationalLike, TorusPoint, as_rational
+from .core import Frozen, RationalLike, as_rational
 from .errors import EmptyPolytrope, Unbounded
 
 NEG_INF = float("-inf")
@@ -145,15 +146,15 @@ def membership(c: PolytropeMatrix, x: Sequence[RationalLike]) -> bool:
     return True
 
 
-def tropical_vertices(c: PolytropeMatrix) -> list[TorusPoint]:
-    """Canonicalized columns of the closure, deduplicated in column order.
+def tropical_vertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
+    """Canonicalized columns of the closure, deduplicated in column order,
+    as integers over the closure's denominator ``kleene_star(c).den``.
 
     These generate Q(C) as a tropical polytope.  A -inf entry anywhere in
     the closure means the polytrope is unbounded and has no such finite
     generator set; that case raises Unbounded.
     """
-    star = kleene_star(c)
-    return [TorusPoint(star.den, p) for p in _vertex_columns(star)]
+    return _vertex_columns(kleene_star(c))
 
 
 def _vertex_columns(star: PolytropeMatrix) -> list[tuple[int, ...]]:
@@ -182,10 +183,12 @@ def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
+def pseudovertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
     """Classical vertices of Q(C): the tropical vertices and the breakpoints
     of the tropical segment between each pair of them, walked once per pair
-    from the later vertex to the earlier one, in first occurrence order.
+    from the later vertex to the earlier one, in first occurrence order, as
+    canonical integer columns over ``kleene_star(c).den`` like
+    ``tropical_vertices``, whose columns lead the list.
 
     Each of these points is a vertex.  A point p of Q(C) is one exactly
     when the pairs (i, j) with p_i - p_j equal to the closure entry c*_ij
@@ -211,5 +214,5 @@ def pseudovertices(c: PolytropeMatrix) -> list[TorusPoint]:
     points = dict.fromkeys(verts)
     for u, w in combinations(verts, 2):
         points.update(dict.fromkeys(_breakpoints(u, w)))
-    return [TorusPoint(star.den, p) for p in points]
+    return list(points)
 

@@ -21,9 +21,12 @@ their pairs over the lcm of the denominators, the sample as its common
 denominator and integers, the matrix as its ``(den, rows)``.
 
 Rationals are written by one routine, ``format_ratio``, from a numerator
-and a positive denominator: points from their ``(den, nums)``, matrices
-from their ``(den, rows)``, and ``format_rational`` from a Fraction's two
-integers, so no Fraction is built to write a point or a matrix.
+and a positive denominator, and ``format_rational`` from a Fraction's two
+integers.  Rows of integers over one denominator, a point's ``(den,
+nums)``, a matrix's ``(den, rows)`` and the vertex columns over their
+closure's denominator, are written by ``rows_to_json``, which formats each
+distinct value once, so no Fraction is built to write a point, a matrix or
+a vertex list.
 """
 
 from __future__ import annotations
@@ -105,13 +108,22 @@ def _parse_int(text: str) -> int:
     return int(text) if len(text) <= MAX_LITERAL_DIGITS else int(parse_rational(text))
 
 
+def rows_to_json(den: int, rows: Sequence[Sequence[int | None]]) -> list[list[str | None]]:
+    """Rows of integers over one denominator den > 0 as text, None as None;
+    each distinct value is formatted once."""
+    text: dict[int | None, str | None] = {
+        v: format_ratio(v, den) for v in {v for row in rows for v in row} if v is not None
+    }
+    text[None] = None
+    return [[text[v] for v in row] for row in rows]
+
+
 def point_to_json(p: TorusPoint) -> list[str]:
-    return [format_ratio(v, p.den) for v in p.nums]
+    return rows_to_json(p.den, [p.nums])[0]
 
 
 def matrix_to_json(c: PolytropeMatrix) -> dict[str, object]:
-    entries = [[None if v is None else format_ratio(v, c.den) for v in row] for row in c.rows]
-    return {"n": c.n, "entries": entries}
+    return {"n": c.n, "entries": rows_to_json(c.den, c.rows)}
 
 
 def matrix_from_json(data: object) -> PolytropeMatrix:
@@ -203,18 +215,23 @@ def _piece_index(value: object, n: int) -> int:
 
 
 def result_to_json(
-    result: FrechetResult, tropical: Sequence[TorusPoint], pseudo: Sequence[TorusPoint]
+    result: FrechetResult,
+    den: int,
+    tropical: Sequence[Sequence[int]],
+    pseudo: Sequence[Sequence[int]],
 ) -> dict[str, object]:
     """A mean result with the tropical vertices and pseudovertices of its
-    mean polytrope, which the caller computes."""
+    mean polytrope, which the caller computes: integer columns over den,
+    the closure's denominator."""
+    vertices = rows_to_json(den, [*tropical, *pseudo])
     out: dict[str, object] = {
         "mean": point_to_json(result.mean),
         "distances": [format_rational(d) for d in result.distances],
         "min_sum": format_rational(result.min_sum),
         "fm_polytrope": matrix_to_json(result.fm_polytrope),
         "exact": result.exact,
-        "tropical_vertices": [point_to_json(v) for v in tropical],
-        "pseudovertices": [point_to_json(v) for v in pseudo],
+        "tropical_vertices": vertices[: len(tropical)],
+        "pseudovertices": vertices[len(tropical) :],
     }
     if result.certificate is not None:
         out["certificate"] = certificate_to_json(result.certificate)

@@ -588,6 +588,14 @@ def feasible_point(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     return x
 
 
+def vertex_points(fn, c: PolytropeMatrix) -> list[TorusPoint]:
+    """The integer columns ``fn`` returns for ``c``, ``tropical_vertices``
+    or ``pseudovertices``, as points over the closure's denominator."""
+    columns = fn(c)
+    den = kleene_star(c).den
+    return [TorusPoint(den, col) for col in columns]
+
+
 # The vertex pass as it ran over Fractions before the polytrope layer moved
 # to integers on one common denominator: the order of the returned points,
 # not only their set, is what the command line prints.

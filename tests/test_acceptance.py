@@ -28,7 +28,14 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.oracle import brute_force_frechet
-from support import ball_to_polytrope, int_sample, nonpositive_matrix, rand_vector, weight_map
+from support import (
+    ball_to_polytrope,
+    int_sample,
+    nonpositive_matrix,
+    rand_vector,
+    vertex_points,
+    weight_map,
+)
 
 F = Fraction
 
@@ -92,7 +99,7 @@ def test_criterion_03_segment_mean_set_and_oracle_value():
     s = SampleSet.from_rows([(0, 0, 8), (0, 2, 4), (0, 5, 3), (0, 10, 2)])
     result = exact_frechet(s)
     assert result.exact
-    assert set(pseudovertices(result.fm_polytrope)) == {
+    assert set(vertex_points(pseudovertices, result.fm_polytrope)) == {
         canonicalize([0, 3, 3]),
         canonicalize([0, 4, 4]),
     }
@@ -116,8 +123,8 @@ def test_criterion_04_closure_golden_and_five_vertices():
         (F(-4), F(0), F(-9)),
         (F(0), F(3), F(0)),
     )
-    verts = tropical_vertices(c)
-    pverts = pseudovertices(c)
+    verts = vertex_points(tropical_vertices, c)
+    pverts = vertex_points(pseudovertices, c)
     assert len(verts) == 3
     assert len(pverts) == 5
     assert all(v in pverts for v in verts)
@@ -143,7 +150,7 @@ def test_criterion_06_oracle_equivalence_on_two_hundred_instances():
         result = exact_frechet(s)
         assert result.exact, f"no certificate on {list(s)}"
         assert result.min_sum == oracle_value, f"value mismatch on {list(s)}"
-        for v in pseudovertices(result.fm_polytrope):
+        for v in vertex_points(pseudovertices, result.fm_polytrope):
             for j, p in enumerate(s):
                 assert trop_dist(v, p) == result.distances[j]
         checked += 1
@@ -227,7 +234,7 @@ def test_criterion_09_large_instance_completes_and_repeats():
         assert result.exact
         assert verify_certificate(s, result.certificate)
         star = kleene_star(result.fm_polytrope)
-        verts = tropical_vertices(star)
+        verts = vertex_points(tropical_vertices, star)
         return result, star.entries, tuple(verts)
 
     t0 = time.perf_counter()

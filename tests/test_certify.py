@@ -37,6 +37,7 @@ from support import (
     int_sample,
     rand_sample,
     reference_verify_certificate,
+    vertex_points,
     weight_map,
 )
 
@@ -513,7 +514,7 @@ def test_find_certificate_at_every_tropical_vertex_of_the_mean_set():
         s = int_sample(rng, n, m)
         result = exact_frechet(s)
         assert result.exact
-        for v in tropical_vertices(kleene_star(result.fm_polytrope)):
+        for v in vertex_points(tropical_vertices, kleene_star(result.fm_polytrope)):
             cert = find_certificate(s, v)
             assert verify_certificate(s, cert)
             assert cert.c_star == objective(s, v.coords)

@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 
 import tropmean
 from tropmean import (
+    NEG_INF,
+    PolytropeMatrix,
     SampleSet,
+    Unbounded,
     canonicalize,
     exact_frechet,
     fm_polytrope,
@@ -34,6 +37,7 @@ from tropmean.serialize import (
     matrix_to_json,
     parse_rational,
 )
+from support import reference_pseudovertices, reference_tropical_vertices
 
 F = Fraction
 
@@ -278,6 +282,87 @@ def test_polytrope_matrix_builds_no_fraction(tmp_path, capsys, monkeypatch):
     assert built == []
     docs = capsys.readouterr().out
     assert docs.count('"pseudovertices"') == len(paths)
+
+
+def test_polytrope_matrix_builds_no_torus_point(tmp_path, capsys, monkeypatch):
+    """``polytrope --matrix`` prints both vertex lists from the closure's
+    integer columns without one ``TorusPoint``, for bounded matrices in 3
+    to 7 coordinates with p/q entries, and the printed tropical vertices are
+    the leading rows of the printed pseudovertices."""
+    rng = Random("cli:no-torus-points")
+    paths = []
+    for n in range(3, 8):
+        for rep in range(3):
+            cell = lambda: f"{rng.randint(-10 * n, 0)}/{rng.choice((1, 2, 3, 5))}"
+            entries = [["0" if i == j else cell() for j in range(n)] for i in range(n)]
+            body = json.dumps({"n": n, "entries": entries})
+            paths.append(write(tmp_path, f"mat-{n}-{rep}.json", body))
+    built = []
+    init = tropmean.TorusPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tropmean.TorusPoint, "__init__", counted)
+    docs = []
+    for path in paths:
+        assert main(["polytrope", "--matrix", path]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    monkeypatch.undo()
+    assert built == []
+    for doc in docs:
+        tverts = doc["tropical_vertices"]
+        assert tverts and doc["pseudovertices"][: len(tverts)] == tverts
+
+
+def _read_points(rows):
+    return [canonicalize([parse_rational(v) for v in row]) for row in rows]
+
+
+def test_printed_vertex_lists_read_back_as_the_reference(tmp_path, capsys):
+    """The vertex lists ``polytrope --matrix`` and ``mean`` print read back,
+    in order, as the Fraction reference's tropical vertices and
+    pseudovertices: on matrices in 2 to 7 coordinates whose entries repeat a
+    few values, one in ten off the diagonal -inf, and on tie-heavy samples
+    with small integer coordinates.  An unbounded matrix prints nothing and
+    exits 2."""
+    rng = Random("cli:vertex-text")
+    bounded = 0
+    for t in range(240):
+        n = 2 + t % 6
+        pool = [Fraction(rng.randint(-3 * n, 0), rng.choice((1, 2, 3, 7))) for _ in range(3)]
+        rows = [
+            [
+                Fraction(0) if i == j else NEG_INF if rng.random() < 0.1 else rng.choice(pool)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        c = PolytropeMatrix.from_rows(rows)
+        body = json.dumps({"n": n, "entries": matrix_to_json(c)["entries"]})
+        code = main(["polytrope", "--matrix", write(tmp_path, f"mat-{t}.json", body)])
+        out = capsys.readouterr().out
+        try:
+            expected = reference_tropical_vertices(c), reference_pseudovertices(c)
+        except Unbounded:
+            assert code == 2 and out == ""
+            continue
+        assert code == 0
+        doc = json.loads(out)
+        assert _read_points(doc["tropical_vertices"]) == expected[0]
+        assert _read_points(doc["pseudovertices"]) == expected[1]
+        bounded += 1
+    assert 200 <= bounded < 240
+    for t in range(40):
+        n, m, span = 2 + t % 4, 1 + t % 5, 1 + t % 3
+        points = [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)]
+        path = write(tmp_path, f"pts-{t}.json", json.dumps({"points": points}))
+        assert main(["mean", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        fm = matrix_from_json(doc["fm_polytrope"])
+        assert _read_points(doc["tropical_vertices"]) == reference_tropical_vertices(fm)
+        assert _read_points(doc["pseudovertices"]) == reference_pseudovertices(fm)
 
 
 def test_certify_golden(tmp_path, capsys):

@@ -36,6 +36,7 @@ from support import (
     reference_pseudovertices,
     reference_segment_breakpoints,
     reference_tropical_vertices,
+    vertex_points,
 )
 
 F = Fraction
@@ -255,7 +256,7 @@ def test_membership_survives_the_closure():
 
 
 def test_tropical_vertices_golden():
-    verts = tropical_vertices(KNOWN)
+    verts = vertex_points(tropical_vertices, KNOWN)
     expected = [canonicalize(col) for col in zip(*KNOWN_STAR)]
     seen = []
     for p in expected:
@@ -363,7 +364,7 @@ def _segment_candidates(c):
     """The tropical vertices, then the breakpoints of the segment between
     every ordered pair of them, in first occurrence order: each segment is
     walked from both ends."""
-    verts = tropical_vertices(c)
+    verts = vertex_points(tropical_vertices, c)
     candidates = list(verts)
     for a in verts:
         for b in verts:
@@ -376,9 +377,9 @@ def _segment_candidates(c):
 
 
 def test_pseudovertices_golden_count():
-    pts = pseudovertices(KNOWN)
+    pts = vertex_points(pseudovertices, KNOWN)
     assert len(pts) == 5
-    tverts = tropical_vertices(KNOWN)
+    tverts = vertex_points(tropical_vertices, KNOWN)
     assert all(v in pts for v in tverts)
     for p in pts:
         assert membership(KNOWN, p.coords)
@@ -387,7 +388,7 @@ def test_pseudovertices_golden_count():
 
 def test_pseudovertices_of_a_point_ball():
     y = canonicalize([0, 2, 5])
-    assert pseudovertices(ball_to_polytrope(y, 0)) == [y]
+    assert vertex_points(pseudovertices, ball_to_polytrope(y, 0)) == [y]
 
 
 def test_pseudovertices_are_segment_candidates_in_the_polytrope():
@@ -395,7 +396,7 @@ def test_pseudovertices_are_segment_candidates_in_the_polytrope():
     for _ in range(25):
         n = rng.randint(2, 4)
         c = nonpositive_matrix(rng, n, span=6)
-        points = pseudovertices(c)
+        points = vertex_points(pseudovertices, c)
         raw = _segment_candidates(c)
         assert set(points) <= set(raw)
         assert all(membership(c, p.coords) for p in raw)
@@ -422,7 +423,7 @@ def test_pseudovertices_match_the_lp_extreme_point_filter():
         for span in (1, 2, 6):
             for _ in range(8):
                 c = nonpositive_matrix(rng, n, span)
-                assert pseudovertices(c) == _lp_extreme_filter(c)
+                assert vertex_points(pseudovertices, c) == _lp_extreme_filter(c)
 
 
 def _outcome(fn, *args):
@@ -455,9 +456,9 @@ def test_vertex_pass_matches_the_fraction_reference_on_seeded_matrices():
     bounded = 0
     for _ in range(360):
         c = _mixed_matrix(rng, rng.randint(2, 7))
-        tverts = _outcome(tropical_vertices, c)
+        tverts = _outcome(vertex_points, tropical_vertices, c)
         assert tverts == _outcome(reference_tropical_vertices, c)
-        assert _outcome(pseudovertices, c) == _outcome(reference_pseudovertices, c)
+        assert _outcome(vertex_points, pseudovertices, c) == _outcome(reference_pseudovertices, c)
         bounded += isinstance(tverts, list)
     assert bounded >= 200
 
@@ -477,8 +478,8 @@ def test_vertex_pass_matches_the_fraction_reference_on_the_benchmark_matrices():
                     for i in range(n)
                 ]
             )
-            assert tropical_vertices(c) == reference_tropical_vertices(c)
-            assert pseudovertices(c) == reference_pseudovertices(c)
+            assert vertex_points(tropical_vertices, c) == reference_tropical_vertices(c)
+            assert vertex_points(pseudovertices, c) == reference_pseudovertices(c)
 
 
 def test_every_segment_breakpoint_of_the_closure_is_a_vertex():
@@ -490,7 +491,7 @@ def test_every_segment_breakpoint_of_the_closure_is_a_vertex():
     rng = Random("polytrope:tight-pairs")
     for t in range(2000):
         star = kleene_star(nonpositive_matrix(rng, 2 + t % 6, t // 6 % 5))
-        pts = pseudovertices(star)
+        pts = vertex_points(pseudovertices, star)
         assert all(_reference_tight_pairs_connect(star, p) for p in pts)
         assert pts == reference_pseudovertices(star)
 
@@ -533,7 +534,7 @@ def test_pseudovertices_include_a_vertex_off_the_pairwise_segments():
     # tight pairs 3-0, 3-1 and 3-2 connect all four coordinates: a vertex
     vertex = canonicalize([0, 1, 0, -1])
     assert membership(c, vertex.coords)
-    assert vertex in pseudovertices(c)
+    assert vertex in vertex_points(pseudovertices, c)
 
 
 def test_intersect_singleton_and_golden_segment():
@@ -541,11 +542,11 @@ def test_intersect_singleton_and_golden_segment():
     b1 = ball_to_polytrope((0, 0, 0), 1)
     b2 = ball_to_polytrope((0, 1, 2), 1)
     both = intersect([b1, b2])
-    seg = pseudovertices(both)
+    seg = vertex_points(pseudovertices, both)
     assert set(seg) == {canonicalize([0, 0, 1]), canonicalize([0, 1, 1])}
     # the two-point mean polytrope is that same segment
     result = exact_frechet(SampleSet.from_rows([(0, 0, 0), (0, 1, 2)]))
-    assert set(pseudovertices(result.fm_polytrope)) == set(seg)
+    assert set(vertex_points(pseudovertices, result.fm_polytrope)) == set(seg)
 
 
 def test_intersect_of_far_balls_is_empty():

@@ -167,8 +167,8 @@ def test_certificate_json_reads_sample_labels_as_integers(group, label):
 def test_result_document_shape():
     s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
     result = exact_frechet(s)
-    tverts = [canonicalize([0, 0, 1]), canonicalize([0, 1, 1])]
-    doc = result_to_json(result, tverts, tverts[::-1])
+    tverts = [(0, 0, 1), (0, 1, 1)]
+    doc = result_to_json(result, 1, tverts, tverts[::-1])
     assert doc["min_sum"] == "2"
     assert doc["exact"] is True
     assert doc["mean"] == point_to_json(result.mean)
