@@ -6,13 +6,17 @@ seeded random samples; ``certify --point`` accepts a point whose objective
 equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` read
 both vertex lists of their mean or input polytrope off one closure, which
 ``kleene_star`` keeps on the matrix, as integer columns over its
-denominator; the serializer only renders them.
+denominator.
 Input is read as bytes and decoded as UTF-8, from a file or stdin alike.
 Results go to stdout as JSON (CSV for bench, one line for distance),
 diagnostics to stderr; every JSON document is written by ``_render``, whose
-bytes equal ``json.dumps(doc, indent=2)``.  Exit codes: 0 success, 1 stdout
-closed by its reader, 2 malformed or unusable input, 3 a point that fails
-optimality certification or a mean that could not be certified.
+bytes equal ``json.dumps(doc, indent=2)``.  ``mean`` hands it the text
+``serialize.result_to_json`` makes; ``polytrope`` hands it the input
+matrix, the closure and the vertex lists as integer row blocks, ``_Rows``,
+with one table of quoted text per denominator, ``_Texts``, so each
+distinct value of the document is formatted once.  Exit codes: 0 success,
+1 stdout closed by its reader, 2 malformed or unusable input, 3 a point
+that fails optimality certification or a mean that could not be certified.
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ from .frechet import exact_frechet, find_certificate
 from .polytrope import kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
     certificate_to_json,
+    format_ratio,
     format_rational,
     load_points,
     matrix_from_json,
-    matrix_to_json,
     parse_json,
     parse_rational,
     result_to_json,
-    rows_to_json,
 )
 
 
@@ -179,8 +182,8 @@ def _emit(doc: object) -> None:
 def _render(doc: object, indent: str = "\n") -> str:
     """``doc`` byte for byte as ``json.dumps(doc, indent=2)`` writes it:
     strings ASCII-escaped, and each item of a nonempty list or object on a
-    line of its own.  ``indent`` is the newline and spaces that start the
-    line ``doc`` is on."""
+    line of its own; a ``_Rows`` block as the rows ``rows_to_json`` makes.
+    ``indent`` is the newline and spaces that start the line ``doc`` is on."""
     if isinstance(doc, str):
         return encode(doc)
     if doc is None:
@@ -200,7 +203,44 @@ def _render(doc: object, indent: str = "\n") -> str:
             for k, v in doc.items()
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(doc, _Rows):
+        return doc.render(indent)
     raise TypeError(f"cannot render {type(doc).__name__} as JSON")
+
+
+class _Texts(dict):
+    """The quoted JSON text of integers over one denominator, "null" for
+    None, each value formatted on its first lookup."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__({None: "null"})
+        self.den = den
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = f'"{format_ratio(v, self.den)}"'
+        return text
+
+
+class _Rows:
+    """A block of nonempty rows of integers over the denominator of
+    ``texts``, None for -inf, which ``_render`` writes as the list of rows
+    of "p/q" strings and nulls that ``rows_to_json(texts.den, rows)`` makes.
+    The blocks of one document over one denominator share one ``texts``."""
+
+    __slots__ = ("texts", "rows")
+
+    def __init__(self, texts: _Texts, rows: Sequence[Sequence[int | None]]) -> None:
+        self.texts, self.rows = texts, rows
+
+    def render(self, indent: str) -> str:
+        """The block on a line that ``indent`` starts: one join per row over
+        the table, and one over the rows with the text that closes a row and
+        opens the next between them."""
+        inner = indent + "  "
+        item, text = inner + "  ", self.texts.__getitem__
+        sep, between = "," + item, inner + "]," + inner + "[" + item
+        rows = between.join([sep.join(map(text, r)) for r in self.rows])
+        return f"[{inner}[{item}{rows}{inner}]{indent}]" if self.rows else "[]"
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
@@ -238,19 +278,21 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
             raise NotOptimal("could not certify a mean for this sample")
         mat = result.fm_polytrope
 
-    # The tropical vertices lead the pseudovertex list, so their text is
-    # the list's leading rows.
+    # The tropical vertices lead the pseudovertex list, so they are its
+    # leading rows.
     pverts = pseudovertices(mat)
     star = kleene_star(mat)
-    vertices = rows_to_json(star.den, pverts)
+    # The blocks over one denominator share its table of text.
+    star_texts = _Texts(star.den)
+    mat_texts = star_texts if mat.den == star.den else _Texts(mat.den)
     doc: dict[str, object] = {
-        "matrix": matrix_to_json(mat),
-        "starred": matrix_to_json(star),
-        "tropical_vertices": vertices[: len(tropical_vertices(mat))],
-        "pseudovertices": vertices,
+        "matrix": {"n": mat.n, "entries": _Rows(mat_texts, mat.rows)},
+        "starred": {"n": star.n, "entries": _Rows(star_texts, star.rows)},
+        "tropical_vertices": _Rows(star_texts, pverts[: len(tropical_vertices(mat))]),
+        "pseudovertices": _Rows(star_texts, pverts),
     }
     if mat.n == 3:
-        doc["polygon"] = _polygon_ccw(pverts, vertices)
+        doc["polygon"] = _Rows(star_texts, _polygon_ccw(pverts))
     _emit(doc)
     return 0
 
@@ -295,17 +337,17 @@ def _random_sample(seed: int, n: int, m: int, rep: int) -> SampleSet:
     return SampleSet.from_rows(rows)
 
 
-def _polygon_ccw(points: list[tuple[int, ...]], text: list[list[str]]) -> list[list[str]]:
+def _polygon_ccw(points: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     """Pseudovertices as 2D coordinates (x2-x1, x3-x1), counterclockwise from
     the lexicographically smallest: the points on or below the chord from it to
     the largest left to right, then the points above the chord right to left.
-    The order is taken on the points' canonical integer columns over one
-    denominator, and each point's coordinates are its ``text`` row's last two."""
-    pts = sorted(((p[1], p[2]), t[1:]) for p, t in zip(points, text))
+    The points are canonical integer columns over one denominator, and the
+    coordinates are their last two entries, over the same denominator."""
+    pts = sorted((p[1], p[2]) for p in points)
     if len(pts) >= 3:
-        (ax, ay), (bx, by) = pts[0][0], pts[-1][0]
-        side = [(bx - ax) * (v - ay) - (by - ay) * (u - ax) for (u, v), _ in pts]
+        (ax, ay), (bx, by) = pts[0], pts[-1]
+        side = [(bx - ax) * (v - ay) - (by - ay) * (u - ax) for u, v in pts]
         below = [p for p, s in zip(pts, side) if s <= 0]
         above = [p for p, s in zip(pts, side) if s > 0]
         pts = below + above[::-1]
-    return [t for _, t in pts]
+    return pts

@@ -24,18 +24,24 @@ from tropmean import (
     canonicalize,
     exact_frechet,
     fm_polytrope,
+    kleene_star,
     objective,
+    pseudovertices,
     trop_dist,
+    tropical_vertices,
     verify_certificate,
 )
-from tropmean.cli import _build_parser, _emit, _random_sample, _render, main
+from tropmean.cli import _build_parser, _emit, _random_sample, _render, _Rows, _Texts, main
 from tropmean.frechet import FrechetResult
 from tropmean.serialize import (
     certificate_from_json,
+    format_ratio,
     format_rational,
+    load_points,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
+    rows_to_json,
 )
 from support import reference_pseudovertices, reference_tropical_vertices
 
@@ -363,6 +369,128 @@ def test_printed_vertex_lists_read_back_as_the_reference(tmp_path, capsys):
         fm = matrix_from_json(doc["fm_polytrope"])
         assert _read_points(doc["tropical_vertices"]) == reference_tropical_vertices(fm)
         assert _read_points(doc["pseudovertices"]) == reference_pseudovertices(fm)
+
+
+def _seeded_matrix_bodies(rng, count):
+    """``count`` matrix documents, n from 2 to 7 in turn, with p/q entries and
+    one in twenty off-diagonals null.  Even ones are x_i - x_j less a slack
+    that is zero for about a third of the entries, so some closures repeat a
+    column; odd ones draw entries in [-3n, 1] and are sometimes empty."""
+    bodies = []
+    for t in range(count):
+        n = 2 + t % 6
+        x = [Fraction(rng.randint(-4 * n, 4 * n), rng.choice((1, 2, 3))) for _ in range(n)]
+
+        def entry(i, j):
+            if i == j:
+                return "0"
+            if rng.random() < 0.05:
+                return None
+            if t % 2:
+                return f"{rng.randint(-3 * n, 1)}/{rng.choice((1, 2, 3, 5))}"
+            if rng.random() < 0.3:
+                return str(x[i] - x[j])
+            return str(x[i] - x[j] - F(rng.randint(1, 3 * n), rng.choice((1, 2, 5))))
+
+        entries = [[entry(i, j) for j in range(n)] for i in range(n)]
+        bodies.append(json.dumps({"n": n, "entries": entries}))
+    return bodies
+
+
+def _reference_polygon(den, pverts):
+    """The n = 3 polygon by Fractions: (x2-x1, x3-x1) counterclockwise from
+    the smallest point, below the chord to the largest and then above it."""
+    pts = sorted((F(p[1], den), F(p[2], den)) for p in pverts)
+    if len(pts) >= 3:
+        (ax, ay), (bx, by) = pts[0], pts[-1]
+        above = [(u, v) for u, v in pts if (bx - ax) * (v - ay) > (by - ay) * (u - ax)]
+        pts = [p for p in pts if p not in above] + above[::-1]
+    return [[format_rational(u), format_rational(v)] for u, v in pts]
+
+
+def _reference_polytrope_doc(mat):
+    star = kleene_star(mat)
+    pverts = pseudovertices(mat)
+    doc = {
+        "matrix": matrix_to_json(mat),
+        "starred": matrix_to_json(star),
+        "tropical_vertices": rows_to_json(star.den, tropical_vertices(mat)),
+        "pseudovertices": rows_to_json(star.den, pverts),
+    }
+    if mat.n == 3:
+        doc["polygon"] = _reference_polygon(star.den, pverts)
+    return doc
+
+
+def test_polytrope_prints_the_bytes_of_json_dumps_of_the_library_document(tmp_path, capsys):
+    """``polytrope`` writes, byte for byte, ``json.dumps(doc, indent=2)`` of
+    the document the serializer's writers and the vertex functions make:
+    on seeded matrices in 2 to 7 coordinates, with null entries, with
+    repeated closure columns and with n = 3 polygons, and from points files.
+    Matrices with no vertex list exit 2 and print nothing."""
+    rng = Random("cli:polytrope-bytes")
+    seen = {"printed": 0, "null": 0, "repeated": 0, "polygon": 0}
+    for t, body in enumerate(_seeded_matrix_bodies(rng, 240)):
+        code = main(["polytrope", "--matrix", write(tmp_path, f"mat-{t}.json", body)])
+        out = capsys.readouterr().out
+        mat = matrix_from_json(json.loads(body))
+        try:
+            doc = _reference_polytrope_doc(mat)
+        except (Unbounded, tropmean.EmptyPolytrope):
+            assert code == 2 and out == ""
+            continue
+        assert code == 0
+        assert out == json.dumps(doc, indent=2) + "\n"
+        seen["printed"] += 1
+        seen["null"] += None in sum(json.loads(body)["entries"], [])
+        seen["repeated"] += len(doc["tropical_vertices"]) < mat.n
+        seen["polygon"] += "polygon" in doc
+    assert seen["printed"] >= 180 and min(seen.values()) >= 5, seen
+    for t in range(30):
+        n, m, span = 2 + t % 4, 1 + t % 6, 1 + t % 3
+        points = [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)]
+        text = json.dumps({"points": points})
+        assert main(["polytrope", write(tmp_path, f"pts-{t}.json", text)]) == 0
+        mat = exact_frechet(load_points(text)).fm_polytrope
+        assert capsys.readouterr().out == json.dumps(_reference_polytrope_doc(mat), indent=2) + "\n"
+
+
+def test_polytrope_formats_each_value_once_per_denominator(tmp_path, capsys, monkeypatch):
+    """``polytrope --matrix`` calls ``format_ratio`` once for each distinct
+    value of its document over each denominator in it: the matrix's values
+    over its own, and the closure's and both vertex lists' over the
+    closure's, shared with the matrix's when the two are equal."""
+    import tropmean.cli as cli_mod
+    import tropmean.serialize as serialize_mod
+
+    calls = []
+
+    def counted(num, den):
+        calls.append((num, den))
+        return format_ratio(num, den)
+
+    monkeypatch.setattr(serialize_mod, "format_ratio", counted)
+    monkeypatch.setattr(cli_mod, "format_ratio", counted)
+    rng = Random("cli:format-once")
+    bodies = _seeded_matrix_bodies(rng, 60)
+    for n in (5, 6, 7):
+        cell = lambda: f"{rng.randint(-10 * n, 0)}/{rng.choice((1, 2, 5))}"
+        entries = [["0" if i == j else cell() for j in range(n)] for i in range(n)]
+        bodies.append(json.dumps({"n": n, "entries": entries}))
+    printed = 0
+    for t, body in enumerate(bodies):
+        calls.clear()
+        if main(["polytrope", "--matrix", write(tmp_path, f"mat-{t}.json", body)]) != 0:
+            continue
+        capsys.readouterr()
+        mat = matrix_from_json(json.loads(body))
+        star = kleene_star(mat)
+        values = {(v, mat.den) for row in mat.rows for v in row if v is not None}
+        values |= {(v, star.den) for row in star.rows for v in row}
+        values |= {(v, star.den) for col in pseudovertices(mat) for v in col}
+        assert sorted(calls) == sorted(values)
+        printed += 1
+    assert printed >= 40
 
 
 def test_certify_golden(tmp_path, capsys):
@@ -776,20 +904,52 @@ def test_mean_reproduces_the_benchmark_reference_digest(tmp_path, capsys, worklo
 
 # Documents of the output's shape: objects and arrays, nested, empty or not,
 # holding strings (non-ASCII and control characters among them), ints,
-# booleans and null.
+# booleans and null, and the blocks every command prints, lists of rows of
+# "p/q" strings and nulls, with empty rows and one-row blocks among them,
+# alone and in objects at depth 1 and 2.
+_ratio_texts = st.builds(format_ratio, st.integers(), st.integers(min_value=1))
+_text_blocks = st.lists(st.lists(_ratio_texts | st.none(), max_size=5), max_size=4)
+_keys = st.text(max_size=6)
 _documents = st.recursive(
-    st.one_of(st.text(), st.integers(), st.booleans(), st.none()),
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), _text_blocks),
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+        st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=4)
     ),
     max_leaves=25,
+)
+_block_documents = st.one_of(
+    _text_blocks,
+    st.dictionaries(_keys, _text_blocks, max_size=4),
+    st.dictionaries(_keys, st.dictionaries(_keys, _text_blocks, max_size=3), max_size=3),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_documents)
+@given(_documents | _block_documents)
 def test_the_writer_gives_the_bytes_of_json_dumps(doc):
     assert _render(doc) == json.dumps(doc, indent=2)
+
+
+_int_rows = st.lists(
+    st.lists(st.integers(-40, 40) | st.none(), min_size=1, max_size=5), max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_keys, st.sampled_from((1, 2, 6, 10)), _int_rows), max_size=4),
+    st.booleans(),
+)
+def test_the_writer_gives_integer_row_blocks_as_rows_to_json(blocks, nested):
+    """A ``_Rows`` block of rows over den is written as ``rows_to_json(den,
+    rows)`` is, in objects at depth 1 and 2, blocks over one denominator
+    sharing one table of text."""
+    texts = {}
+    doc = {key: _Rows(texts.setdefault(den, _Texts(den)), rows) for key, den, rows in blocks}
+    text = {key: rows_to_json(den, rows) for key, den, rows in blocks}
+    if nested:
+        doc, text = {"matrix": doc, "n": 3}, {"matrix": text, "n": 3}
+    assert _render(doc) == json.dumps(text, indent=2)
 
 
 def test_emit_writes_the_rendered_document_and_a_newline(capsys):
