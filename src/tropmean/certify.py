@@ -81,7 +81,7 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     x = cert.point
     if x.dim != n:
         raise CertificateError(f"certificate point has {x.dim} coordinates, not {n}")
-    den, nums = sample.scaled
+    den, nums = sample.den, sample.nums
     e = lcm(den, x.den)
     f = e // den
     xs = [v * (e // x.den) for v in x.nums]

@@ -28,7 +28,6 @@ import os
 import sys
 import time
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode
 from random import Random
 
@@ -331,10 +330,7 @@ def _random_sample(seed: int, n: int, m: int, rep: int) -> SampleSet:
     across processes and platforms.
     """
     rng = Random(f"{seed}:{n}:{m}:{rep}")
-    rows = [
-        [Fraction(rng.randint(-10 * n, 10 * n), 5) for _ in range(n)] for _ in range(m)
-    ]
-    return SampleSet.from_rows(rows)
+    return SampleSet(5, [[rng.randint(-10 * n, 10 * n) for _ in range(n)] for _ in range(m)])
 
 
 def _polygon_ccw(points: list[tuple[int, ...]]) -> list[tuple[int, int]]:

@@ -6,11 +6,11 @@ representative whose first coordinate is zero, held as ``(den, nums)``:
 integers over a positive denominator, divided by their gcd, so equality,
 hashing and serialization are all well defined.  ``coords`` gives the
 coordinates back as Fractions, and ``canonicalize`` is the one place where
-Fractions are scaled onto a point.  A sample also keeps its points as
-integers over one common denominator, ``SampleSet.scaled``, which the
-solvers and the certificate check compute on.  A string becomes a rational
-through ``read_literal`` only, under the literal caps the command line
-applies too.
+Fractions are scaled onto a point.  A sample is held the same way, as
+``(den, nums)``: its points' integers over one common denominator, which
+the solvers and the certificate check compute on.  A string becomes a
+rational through ``read_literal`` only, under the literal caps the command
+line applies too.
 """
 
 from __future__ import annotations
@@ -196,59 +196,54 @@ def trop_dist(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Fraction:
 
 
 class SampleSet(Frozen):
-    """A nonempty finite configuration of torus points of equal dimension."""
+    """A nonempty finite configuration of torus points of equal dimension.
 
-    _fields = ("points",)
+    Held as ``(den, nums)``: point j has coordinates nums[j][a] / den.  The
+    constructor takes raw rows over den > 0, shifts each to first entry 0
+    and divides den and the integers by their gcd, so equality and hashing
+    compare values.  ``points`` gives the ``TorusPoint``s back.
+    """
 
-    def __init__(self, points: Iterable[TorusPoint]) -> None:
-        points = tuple(points)
-        if not points:
+    _fields = ("den", "nums")
+
+    def __init__(self, den: int, nums: Sequence[Sequence[int]]) -> None:
+        if not nums:
             raise ValueError("sample set must be nonempty")
-        n = points[0].dim
-        if any(p.dim != n for p in points):
+        if any(len(row) < 2 for row in nums):
+            raise ValueError("need at least two coordinates")
+        n = len(nums[0])
+        if any(len(row) != n for row in nums):
             raise ValueError("all sample points must share one dimension")
-        self.__dict__["points"] = points
+        if den < 1:
+            raise ValueError("the denominator must be positive")
+        nums = [[v - row[0] for v in row] for row in nums]
+        g = gcd(den, *(v for row in nums for v in row))
+        nums = tuple(tuple(v // g for v in row) for row in nums)
+        self.__dict__.update(den=den // g, nums=nums)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "SampleSet":
-        return cls(tuple(canonicalize(row) for row in rows))
-
-    @classmethod
-    def from_integers(cls, den: int, rows: Sequence[Sequence[int]]) -> "SampleSet":
-        """The sample of raw points rows[j][a] / den, den > 0.
-
-        Canonicalizes on the integers and reduces them to ``scaled``, and
-        builds each point from its row; the same rows given as Fractions to
-        ``from_rows`` make an equal sample.
-        """
-        if any(len(row) < 2 for row in rows):
-            raise ValueError("need at least two coordinates")
-        nums = [[v - row[0] for v in row] for row in rows]
-        g = gcd(den, *(v for row in nums for v in row))
-        den, nums = den // g, tuple(tuple(v // g for v in row) for row in nums)
-        sample = cls(tuple(TorusPoint(den, row) for row in nums))
-        sample.__dict__["scaled"] = (den, nums)
-        return sample
+        points = [canonicalize(row) for row in rows]
+        den = lcm(*(p.den for p in points))
+        return cls(den, [[v * (den // p.den) for v in p.nums] for p in points])
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, nums) with self[j][a] == nums[j][a] / den, den the lcm of
-        the points' denominators."""
-        den = lcm(*(p.den for p in self.points))
-        return den, tuple(tuple(v * (den // p.den) for v in p.nums) for p in self.points)
+    def points(self) -> tuple[TorusPoint, ...]:
+        """The sample points, each built from its row."""
+        return tuple(TorusPoint(self.den, row) for row in self.nums)
 
     @property
     def n(self) -> int:
         """Ambient coordinate count."""
-        return self.points[0].dim
+        return len(self.nums[0])
 
     @property
     def m(self) -> int:
         """Number of samples."""
-        return len(self.points)
+        return len(self.nums)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.nums)
 
     def __iter__(self) -> Iterator[TorusPoint]:
         return iter(self.points)

@@ -7,8 +7,8 @@ optimum is the exact mean and whose KKT multipliers are its positivity
 certificate; the certificate names the mean as its point and is checked
 there, by stationarity, before the mean is reported as exact.  The start,
 the program's lift, the distances and the mean set are computed on the
-sample's integers over one common denominator, which ``SampleSet.scaled``
-holds.  ``find_certificate`` hands out that certificate's weights, named at
+sample's fields ``(den, nums)``, its integers over one common denominator.
+``find_certificate`` hands out that certificate's weights, named at
 and checked at any point whose objective equals the certified minimum.
 
 ``fm_polytrope`` gives the h-description of the full mean set, obtained by
@@ -79,7 +79,7 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
 def _average(sample: SampleSet) -> TorusPoint:
     """The coordinatewise average of the sample, canonical because every
     sample point is."""
-    den, nums = sample.scaled
+    den, nums = sample.den, sample.nums
     return TorusPoint(den * len(nums), tuple(sum(col) for col in zip(*nums)))
 
 
@@ -88,7 +88,7 @@ def _lift(
 ) -> tuple[int, Sequence[Sequence[int]], list[tuple[int, int]]]:
     """(e, nums, lifts): the sample over the common denominator e of the
     sample and x, and per sample the max and min of x - p_j, over e too."""
-    den, nums = sample.scaled
+    den, nums = sample.den, sample.nums
     e = lcm(den, x.den)
     xs = [v * (e // x.den) for v in x.nums]
     f = e // den
@@ -127,8 +127,8 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
 
     The start, the program's lift and right-hand sides, the distances,
     ``min_sum`` and the mean set are all computed on the sample's integers
-    over one common denominator, ``sample.scaled``, and the start and the
-    mean are points built from those integers; only the distances,
+    ``sample.nums`` over its one denominator ``sample.den``, and the start
+    and the mean are points built from those integers; only the distances,
     ``min_sum`` and the certificate become Fractions.
     """
     start = _average(sample)

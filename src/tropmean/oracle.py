@@ -20,8 +20,8 @@ region enumeration and the normal equations of its partial sums,
 ``add_square`` and ``min_quadratic``, are its own, so the tests can confront
 the two routes on equal terms.
 
-The walk runs on the sample's integers over its common denominator den
-(``SampleSet.scaled``), in the coordinates X = den x: regions, increments,
+The walk runs on the sample's fields, its integers over one common
+denominator den, in the coordinates X = den x: regions, increments,
 feasible points and deferred programs are integers, region minima are in
 units of 1/den^2, and only the returned value and witness are scaled back.
 """
@@ -76,7 +76,7 @@ def brute_force_frechet(
 
     pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
     nv = n - 1
-    den, nums = sample.scaled
+    den, nums = sample.den, sample.nums
 
     # Difference-constraint increments per (sample, pair): choosing (i, k)
     # for sample j forces x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k.

@@ -273,7 +273,7 @@ def load_points(text: str) -> SampleSet:
         if not rows:
             raise ParseError("no data rows found")
     try:
-        return SampleSet.from_integers(*_over_lcm(rows))
+        return SampleSet(*_over_lcm(rows))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

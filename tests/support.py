@@ -415,9 +415,9 @@ def reference_matrix_from_json(data):
 
 
 def reference_load_points(text: str):
-    """(sample, scaled) by the Fraction route: every coordinate through
-    ``reference_coord``, then ``SampleSet.from_rows``, and the scaled form
-    as the lcm of the canonical coordinates' denominators."""
+    """(sample, (den, nums)) by the Fraction route: every coordinate through
+    ``reference_coord``, then ``SampleSet.from_rows``, and the sample's
+    integers over den, the lcm of the canonical coordinates' denominators."""
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         doc = parse_json(text)

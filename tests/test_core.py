@@ -176,10 +176,29 @@ def test_sample_set_rejects_bad_shapes():
         SampleSet.from_rows([(0, 1), (0, 1, 2)])
 
 
+def test_sample_set_is_held_as_its_reduced_integers():
+    """The constructor shifts each row to first entry 0 and divides den and
+    the integers by their gcd, and rejects each bad shape with its line,
+    a denominator below one before any division."""
+    s = SampleSet(2, [[2, 4, 6], [0, 2, 2]])
+    assert (s.den, s.nums) == (1, ((0, 1, 2), (0, 1, 1)))
+    assert s == SampleSet.from_rows([[Fraction(1), Fraction(2), Fraction(3)], [0, 1, 1]])
+    for den, nums, text in [
+        (1, [[0]], "need at least two coordinates"),
+        (1, [], "sample set must be nonempty"),
+        (1, [[0, 1], [0, 1, 2]], "all sample points must share one dimension"),
+        (-3, [[0, 3]], "the denominator must be positive"),
+        (0, [[0, 0]], "the denominator must be positive"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            SampleSet(den, nums)
+        assert str(info.value) == text
+
+
 def test_sample_set_from_a_list_is_immutable_and_hashable():
     rows = [(0, 1), (0, 2)]
     points = [canonicalize(row) for row in rows]
-    s = SampleSet(points)
+    s = SampleSet.from_rows(points)
     points.append(canonicalize([0, 1, 2]))
     assert s.points == tuple(points[:2]) and s.m == 2
     assert s == SampleSet.from_rows(rows)
@@ -200,7 +219,7 @@ def _equal_values():
     )
     return [
         (canonicalize([1, 3, 2]), TorusPoint(2, (0, 4, 2))),
-        (sample, SampleSet.from_integers(1, rows)),
+        (sample, SampleSet(1, rows)),
         (
             PolytropeMatrix(2, [[0, 2], [None, 0]]),
             PolytropeMatrix.from_rows([[0, 1], [NEG_INF, 0]]),

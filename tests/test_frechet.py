@@ -266,7 +266,7 @@ def test_integer_assembly_matches_the_fraction_assembly(sample, data):
     # The program is in the variables e z, e the common denominator of the
     # sample and the start: its rows and start are e times the Fraction
     # ones, and H (the objective e^2 times) and g are unchanged.
-    e = lcm(sample.scaled[0], *(v.denominator for v in start))
+    e = lcm(sample.den, *(v.denominator for v in start))
     eh, eg, eedges, ed, ez0 = reference_epigraph_program(sample, start)
     assert (dense_rows(h), g, edges) == (eh, eg, eedges)
     assert d == [e * v for v in ed]
@@ -385,7 +385,7 @@ def test_equal_distance_to_every_sample_from_all_pseudovertices():
 def _assert_pair_mean_is_a_midpoint(p1, p2):
     """The mean of a pair sits at half their distance from both, so its
     minimum is d^2/2, and it lies in its own mean polytrope."""
-    pair = SampleSet(points=(p1, p2))
+    pair = SampleSet.from_rows((p1, p2))
     result = exact_frechet(pair)
     d = trop_dist(p1, p2)
     assert result.exact
@@ -460,7 +460,7 @@ def test_the_mean_set_is_the_intersection_of_the_balls():
         else:
             sample = rand_sample(rng, n, m, span=rng.choice((2, 12)))
         if t % 3 == 0:
-            sample = SampleSet((*sample, sample[rng.randrange(sample.m)]))
+            sample = SampleSet.from_rows((*sample, sample[rng.randrange(sample.m)]))
         result = exact_frechet(sample)
         assert result.exact
         balls = [ball_to_polytrope(p, d) for p, d in zip(sample, result.distances)]

@@ -320,7 +320,7 @@ def _outcome(load, text):
 @given(_documents())
 def test_load_points_matches_the_fraction_route(text):
     """The integer read accepts what the Fraction route accepts, builds the
-    same points and the same scaled form, and fails with the same text."""
+    same points and the same integers, and fails with the same text."""
     got = _outcome(load_points, text)
     expected = _outcome(reference_load_points, text)
     if isinstance(expected, str):
@@ -328,7 +328,7 @@ def test_load_points_matches_the_fraction_route(text):
     else:
         sample, scaled = expected
         assert not isinstance(got, str), got
-        assert (got.points, got.scaled) == (sample.points, scaled)
+        assert (got.points, (got.den, got.nums)) == (sample.points, scaled)
 
 
 # Matrix cells of every kind a document can hold: bare ints, literals,
