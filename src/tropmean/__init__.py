@@ -5,7 +5,7 @@ descriptions and certificates are exact values, never floating point
 approximations.
 """
 
-from .certify import Certificate, QuadraticPiece, verify_certificate
+from .certify import Certificate, verify_certificate
 from .core import (
     SampleSet,
     TorusPoint,
@@ -52,7 +52,6 @@ __all__ = [
     "NotOptimal",
     "ParseError",
     "PolytropeMatrix",
-    "QuadraticPiece",
     "SampleSet",
     "TorusPoint",
     "TropmeanError",

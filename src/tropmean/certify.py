@@ -24,56 +24,41 @@ from .core import Frozen, SampleSet, TorusPoint
 from .errors import CertificateError
 
 
-class QuadraticPiece(Frozen):
-    """One affine form x_i - x_k - c whose square lower-bounds a squared
-    distance; c is the matching coordinate difference of sample j."""
-
-    _fields = ("sample", "i", "k", "c")
-
-    def __init__(self, sample: int, i: int, k: int, c: Fraction) -> None:
-        self.__dict__.update(sample=sample, i=i, k=k, c=c)
-
-
 class Certificate(Frozen):
     """Per-sample convex weights on the pieces active at ``point``, and the
-    certified value: objective >= c_star everywhere, attained at ``point``."""
+    certified value: objective >= c_star everywhere, attained at ``point``.
+    ``weights[j]`` holds (i, k, w): weight w on sample j's piece for the
+    0-based coordinate pair (i, k), whose constant is read off the sample."""
 
     _fields = ("c_star", "weights", "point")
 
     def __init__(
         self,
         c_star: Fraction,
-        weights: tuple[tuple[tuple[QuadraticPiece, Fraction], ...], ...],
+        weights: tuple[tuple[tuple[int, int, Fraction], ...], ...],
         point: TorusPoint,
     ) -> None:
         self.__dict__.update(c_star=c_star, weights=weights, point=point)
-
-
-def piece_for(sample: SampleSet, j: int, i: int, k: int) -> QuadraticPiece:
-    p = sample[j]
-    return QuadraticPiece(j, i, k, p[i] - p[k])
 
 
 def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     """Independent check that the certificate proves objective >= c_star.
 
     Structural defects (a point of the wrong dimension, weights not convex,
-    piece constants that do not match the sample data) raise
-    CertificateError.  Otherwise the certificate holds when, at its point
-    x, every piece of positive weight is active (|x_i - x_k - c| equals the
-    distance to its sample), the weighted gradient sum w (x_i - x_k - c)
-    (e_i - e_k) vanishes and objective(x) >= c_star.  Then the weighted form
+    coordinate pairs out of range) raise CertificateError.  Otherwise the
+    certificate holds when, at its point x, every piece of positive weight
+    is active (|x_i - x_k - c|, c = p_i - p_k, equals the distance to its
+    sample), the weighted gradient sum w (x_i - x_k - c) (e_i - e_k)
+    vanishes and objective(x) >= c_star.  Then the weighted form
     q lies below the objective, x minimizes q and q(x) = objective(x), so
     objective >= c_star everywhere.
 
     The check runs on integers: the sample and the point over their common
     denominator e, so each form is an integer over e, and each sample's
-    weights over their own denominator W_j.  Piece constants are compared
-    by cross-multiplying against the sample over its own denominator, and
-    the weights of a sample must sum to W_j.  An active form is +-s_j, the
-    spread of x - p_j over e, so sample j adds s_j g_j / W_j to the gradient
-    over e, where g_j sums +-w W_j (e_i - e_k); those are summed over the
-    running lcm of the W_j.
+    weights over their own denominator W_j, which they must sum to.  An
+    active form is +-s_j, the spread of x - p_j over e, so sample j adds
+    s_j g_j / W_j to the gradient over e, where g_j sums +-w W_j (e_i -
+    e_k); those are summed over the running lcm of the W_j.
     """
     if len(cert.weights) != sample.m:
         raise CertificateError("certificate sample count mismatch")
@@ -95,17 +80,12 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
         gaps = [a - c * f for a, c in zip(xs, p)]
         spread = max(gaps) - min(gaps)
         value += spread * spread
-        wden = lcm(*(w.denominator for _, w in per))
+        wden = lcm(*(w.denominator for _, _, w in per))
         total = 0
         g = [0] * n
-        for piece, w in per:
-            i, k = piece.i, piece.k
-            if piece.sample != j:
-                raise CertificateError("piece attached to the wrong sample")
+        for i, k, w in per:
             if not (0 <= i < n and 0 <= k < n) or i == k:
                 raise CertificateError("piece indices out of range")
-            if piece.c.numerator * den != (p[i] - p[k]) * piece.c.denominator:
-                raise CertificateError("piece constant does not match the sample")
             wn = w.numerator * (wden // w.denominator)
             if wn < 0:
                 raise CertificateError("negative weight")

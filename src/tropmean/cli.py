@@ -257,10 +257,11 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_mean(args: argparse.Namespace) -> int:
-    result = exact_frechet(load_points(_read_text(args.file)))
+    sample = load_points(_read_text(args.file))
+    result = exact_frechet(sample)
     fm = result.fm_polytrope
     den = kleene_star(fm).den
-    _emit(result_to_json(result, den, tropical_vertices(fm), pseudovertices(fm)))
+    _emit(result_to_json(result, sample, den, tropical_vertices(fm), pseudovertices(fm)))
     return 0 if result.exact else 3
 
 
@@ -302,7 +303,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ParseError(
             f"--point has {args.point.dim} coordinates, the points have {sample.n}"
         )
-    _emit(certificate_to_json(find_certificate(sample, args.point)))
+    _emit(certificate_to_json(find_certificate(sample, args.point), sample))
     return 0
 
 

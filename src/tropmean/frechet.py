@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from .certify import Certificate, QuadraticPiece, verify_certificate
+from .certify import Certificate, verify_certificate
 from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
 from .errors import InternalError, NotOptimal
 from .polytrope import PolytropeMatrix
@@ -33,12 +33,12 @@ from .qp import Edge, QPError, minimize_qp
 class FrechetResult(Frozen):
     """Outcome of a mean computation.
 
-    ``exact`` is True only when a positivity certificate for ``mean`` was
-    found and independently verified; ``min_sum`` always equals the sum of
-    the squared ``distances``.
+    ``certificate`` is a positivity certificate for ``mean``, attached only
+    once found and independently verified, and ``exact`` says whether one
+    is; ``min_sum`` always equals the sum of the squared ``distances``.
     """
 
-    _fields = ("mean", "distances", "min_sum", "fm_polytrope", "exact", "certificate")
+    _fields = ("mean", "distances", "min_sum", "fm_polytrope", "certificate")
 
     def __init__(
         self,
@@ -46,7 +46,6 @@ class FrechetResult(Frozen):
         distances: tuple[Fraction, ...],
         min_sum: Fraction,
         fm_polytrope: PolytropeMatrix,
-        exact: bool,
         certificate: Certificate | None = None,
     ) -> None:
         self.__dict__.update(
@@ -54,9 +53,12 @@ class FrechetResult(Frozen):
             distances=distances,
             min_sum=min_sum,
             fm_polytrope=fm_polytrope,
-            exact=exact,
             certificate=certificate,
         )
+
+    @property
+    def exact(self) -> bool:
+        return self.certificate is not None
 
 
 def objective(sample: SampleSet, x: Sequence[RationalLike]) -> Fraction:
@@ -118,12 +120,12 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     Solves the epigraph quadratic program once, started at the
     coordinatewise average of the sample, and reads the certificate off
     the multipliers of its optimum; the certificate names the mean as its
-    point.  The result is reported with ``exact=True`` only when its value
-    equals the objective at the mean and ``verify_certificate`` accepts it
-    there: every weighted piece active at the mean and the weighted
-    gradient zero, with no system solved.  When the program fails with a
-    QPError or a check fails, the start point comes back flagged
-    ``exact=False``.
+    point.  The result carries the certificate, and so is exact, only when
+    its value equals the objective at the mean and ``verify_certificate``
+    accepts it there: every weighted piece active at the mean and the
+    weighted gradient zero, with no system solved.  When the program fails
+    with a QPError or a check fails, the start point comes back with no
+    certificate, not exact.
 
     The start, the program's lift and right-hand sides, the distances,
     ``min_sum`` and the mean set are all computed on the sample's integers
@@ -145,7 +147,7 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
 def _result_at(
     sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None
 ) -> FrechetResult:
-    """The result at ``mean``, flagged exact when a ``cert`` is given."""
+    """The result at ``mean``, exact when a ``cert`` is given."""
     e, nums, lifts = _lift(sample, mean)
     spreads = [hi - lo for hi, lo in lifts]
     return FrechetResult(
@@ -153,7 +155,6 @@ def _result_at(
         distances=tuple(Fraction(v, e) for v in spreads),
         min_sum=Fraction(sum(v * v for v in spreads), e * e),
         fm_polytrope=_mean_set(nums, spreads, e),
-        exact=cert is not None,
         certificate=cert,
     )
 
@@ -207,7 +208,7 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     between them.  Its value is c_star times e^2.  The multipliers come back
     as integers over one positive factor, which a weight alpha beta /
     (sum alpha sum beta) does not see, so each weight is one Fraction of
-    integers, and so is each piece constant, read off the sample over e.
+    integers.
     """
     n = sample.n
     m = sample.m
@@ -240,7 +241,7 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
             j, s = divmod(r, 2 * n)
             sides[j][s // n][s % n] = a
     weights = []
-    for j, (alpha, beta) in enumerate(sides):
+    for alpha, beta in sides:
         total = sum(alpha.values()) * sum(beta.values())
         if not total:
             alpha, beta, total = {0: 1}, {1: 1}, 1
@@ -249,12 +250,6 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
             for i, a in alpha.items()
             for k, b in beta.items()
         }
-        p = nums[j]
-        weights.append(
-            tuple(
-                (QuadraticPiece(j, i, k, Fraction(p[i] - p[k], e)), w)
-                for (i, k), w in sorted(per.items())
-            )
-        )
+        weights.append(tuple((i, k, w) for (i, k), w in sorted(per.items())))
     mean = TorusPoint(zd * e, (0, *zn[:nv]))
     return mean, Certificate(value / (e * e), tuple(weights), mean)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import core
-from .certify import Certificate, QuadraticPiece, piece_for
+from .certify import Certificate
 from .core import SampleSet, TorusPoint, abbreviate, read_literal
 from .errors import ParseError
 from .frechet import FrechetResult
@@ -145,23 +145,24 @@ def matrix_from_json(data: object) -> PolytropeMatrix:
     return PolytropeMatrix(*_over_lcm(rows))
 
 
-def certificate_to_json(cert: Certificate) -> dict[str, object]:
+def certificate_to_json(cert: Certificate, sample: SampleSet) -> dict[str, object]:
     """Certificate as a self-contained proof document: the certified value,
-    the point it is attained at and the weights.
+    the point it is attained at and the weights, each with its piece's
+    constant c = p_i - p_k written from the sample's integers.
 
     Sample and coordinate indices are 1-based here, matching how such
     proofs are written out by hand; in-memory objects stay 0-based.
     """
     weights = []
-    for j, entries in enumerate(cert.weights):
+    for j, (entries, p) in enumerate(zip(cert.weights, sample.nums, strict=True)):
         pieces = [
             {
-                "i": piece.i + 1,
-                "k": piece.k + 1,
-                "c": format_rational(piece.c),
+                "i": i + 1,
+                "k": k + 1,
+                "c": format_ratio(p[i] - p[k], sample.den),
                 "w": format_rational(w),
             }
-            for piece, w in entries
+            for i, k, w in entries
         ]
         weights.append({"sample": j + 1, "pieces": pieces})
     return {
@@ -172,6 +173,8 @@ def certificate_to_json(cert: Certificate) -> dict[str, object]:
 
 
 def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
+    """A proof document's certificate for ``sample``; each constant c is
+    checked against the sample's integers by cross-multiplying."""
     if not isinstance(data, dict) or not {"c_star", "point", "weights"} <= data.keys():
         raise ParseError("certificate JSON needs 'c_star', 'point' and 'weights'")
     raw = data["point"]
@@ -182,8 +185,8 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
     groups = data["weights"]
     if not isinstance(groups, list) or len(groups) != sample.m:
         raise ParseError("certificate must carry one weight group per sample")
-    by_sample: list[tuple[tuple[QuadraticPiece, Fraction], ...]] = []
-    for j, group in enumerate(groups):
+    by_sample: list[tuple[tuple[int, int, Fraction], ...]] = []
+    for j, (group, p) in enumerate(zip(groups, sample.nums)):
         label = group.get("sample") if isinstance(group, dict) else None
         if isinstance(label, bool) or not isinstance(label, int) or label != j + 1:
             raise ParseError(f"weight group {j} must declare sample {j + 1}")
@@ -197,12 +200,12 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
             i, k = _piece_index(item["i"], sample.n), _piece_index(item["k"], sample.n)
             if i == k:
                 raise ParseError(f"a piece of sample {j + 1} has i == k == {i + 1}")
-            piece = piece_for(sample, j, i, k)
-            if piece.c != Fraction(*_ratio(item["c"])):
+            cn, cd = _ratio(item["c"])
+            if cn * sample.den != (p[i] - p[k]) * cd:
                 raise ParseError(
                     f"piece constant mismatch in sample {j + 1}: {abbreviate(item['c'])}"
                 )
-            entries.append((piece, Fraction(*_ratio(item["w"]))))
+            entries.append((i, k, Fraction(*_ratio(item["w"]))))
         by_sample.append(tuple(entries))
     return Certificate(Fraction(*_ratio(data["c_star"])), tuple(by_sample), point)
 
@@ -216,13 +219,14 @@ def _piece_index(value: object, n: int) -> int:
 
 def result_to_json(
     result: FrechetResult,
+    sample: SampleSet,
     den: int,
     tropical: Sequence[Sequence[int]],
     pseudo: Sequence[Sequence[int]],
 ) -> dict[str, object]:
-    """A mean result with the tropical vertices and pseudovertices of its
-    mean polytrope, which the caller computes: integer columns over den,
-    the closure's denominator."""
+    """A mean result for ``sample`` with the tropical vertices and
+    pseudovertices of its mean polytrope, which the caller computes: integer
+    columns over den, the closure's denominator."""
     vertices = rows_to_json(den, [*tropical, *pseudo])
     out: dict[str, object] = {
         "mean": point_to_json(result.mean),
@@ -234,7 +238,7 @@ def result_to_json(
         "pseudovertices": vertices[len(tropical) :],
     }
     if result.certificate is not None:
-        out["certificate"] = certificate_to_json(result.certificate)
+        out["certificate"] = certificate_to_json(result.certificate, sample)
     return out
 
 

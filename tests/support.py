@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -19,18 +20,16 @@ from tropmean import (
     CertificateError,
     ParseError,
     PolytropeMatrix,
-    QuadraticPiece,
     SampleSet,
     Unbounded,
     canonicalize,
     kleene_star,
     trop_dist,
 )
-from tropmean.certify import piece_for
 from tropmean.core import TorusPoint
 from tropmean.qp import DEGENERATE_STEPS, QPError
 from tropmean.core import abbreviate
-from tropmean.serialize import format_rational, parse_json, parse_rational
+from tropmean.serialize import format_rational, load_points, parse_json, parse_rational
 
 DENOMS = (1, 2, 3, 5)
 
@@ -57,6 +56,19 @@ def int_sample(rng: Random, n: int, m: int, span: int | None = None) -> SampleSe
 
 def rand_sample(rng: Random, n: int, m: int, span: int = 12) -> SampleSet:
     return SampleSet.from_rows([rand_vector(rng, n, span) for _ in range(m)])
+
+
+def mixed_sample(rng: Random, n: int, m: int) -> SampleSet:
+    """A sample read from literals over 1, 2 and 6 and decimals, so that
+    its common denominator and its weights' differ."""
+    def literal():
+        kind = rng.randrange(4)
+        if kind == 3:
+            return f"{rng.randint(-9, 9)}.{rng.randint(0, 99):02d}"
+        return f"{rng.randint(-12, 12)}/{(1, 2, 6)[kind]}"
+
+    rows = [[literal() for _ in range(n)] for _ in range(m)]
+    return load_points(json.dumps({"points": rows}))
 
 
 def nonpositive_matrix(rng: Random, n: int, span: int = 12) -> PolytropeMatrix:
@@ -345,7 +357,7 @@ def reference_epigraph(sample: SampleSet, start: TorusPoint):
             j, s = divmod(r, 2 * n)
             sides[j][s // n][s % n] = value
     weights = []
-    for j, (alpha, beta) in enumerate(sides):
+    for alpha, beta in sides:
         total = sum(alpha.values(), Fraction(0)) * sum(beta.values(), Fraction(0))
         if not total:
             alpha, beta, total = {0: Fraction(1)}, {1: Fraction(1)}, 1
@@ -354,9 +366,7 @@ def reference_epigraph(sample: SampleSet, start: TorusPoint):
             for i, a in alpha.items()
             for k, b in beta.items()
         }
-        weights.append(
-            tuple((piece_for(sample, j, i, k), w) for (i, k), w in sorted(per.items()))
-        )
+        weights.append(tuple((i, k, w) for (i, k), w in sorted(per.items())))
     mean = canonicalize([Fraction(0), *z[: n - 1]])
     return mean, Certificate(c_star, tuple(weights), mean)
 
@@ -491,27 +501,25 @@ def reference_verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
         if not per:
             raise CertificateError(f"sample {j} carries no pieces")
         total = Fraction(0)
-        for piece, w in per:
-            if piece.sample != j:
-                raise CertificateError("piece attached to the wrong sample")
-            if not (0 <= piece.i < n and 0 <= piece.k < n) or piece.i == piece.k:
+        p = sample[j]
+        for i, k, w in per:
+            if not (0 <= i < n and 0 <= k < n) or i == k:
                 raise CertificateError("piece indices out of range")
-            if piece.c != sample[j][piece.i] - sample[j][piece.k]:
-                raise CertificateError("piece constant does not match the sample")
             if w < 0:
                 raise CertificateError("negative weight")
             total += w
+            c = p[i] - p[k]
             # w (x_i - x_k - c)^2 with e_i - e_k in the coordinates x_2..x_n
             row = [Fraction(0)] * (n - 1)
-            if piece.i:
-                row[piece.i - 1] += 1
-            if piece.k:
-                row[piece.k - 1] -= 1
+            if i:
+                row[i - 1] += 1
+            if k:
+                row[k - 1] -= 1
             for s in range(n - 1):
-                b[s] += w * piece.c * row[s]
+                b[s] += w * c * row[s]
                 for t in range(n - 1):
                     a[s][t] += w * row[s] * row[t]
-            c0 += w * piece.c * piece.c
+            c0 += w * c * c
         if total != 1:
             raise CertificateError(f"weights of sample {j} sum to {total}, not 1")
     y, _ = solve_over_fractions(a, b)
@@ -682,17 +690,17 @@ def intersect(mats) -> PolytropeMatrix:
     )
 
 
-def active_pieces(sample: SampleSet, x) -> list[list[QuadraticPiece]]:
-    """Per sample, every ordered pair whose affine form attains
+def active_pieces(sample: SampleSet, x) -> list[list[tuple[int, int]]]:
+    """Per sample, every ordered pair (i, k) whose affine form attains
     +-d_tr(x, p_j); both orientations of a pair are listed, and at a sample
     point every pair is."""
     xs = [Fraction(v) for v in x]
     out = []
-    for j, p in enumerate(sample):
+    for p in sample:
         d = trop_dist(xs, p)
         out.append(
             [
-                QuadraticPiece(j, i, k, p[i] - p[k])
+                (i, k)
                 for i in range(sample.n)
                 for k in range(sample.n)
                 if i != k and abs(xs[i] - xs[k] - (p[i] - p[k])) == d
@@ -701,11 +709,12 @@ def active_pieces(sample: SampleSet, x) -> list[list[QuadraticPiece]]:
     return out
 
 
-def form_value(piece: QuadraticPiece, x) -> Fraction:
-    """The piece's affine form x_i - x_k - c at x."""
-    return x[piece.i] - x[piece.k] - piece.c
+def form_value(sample: SampleSet, j: int, i: int, k: int, x) -> Fraction:
+    """The affine form x_i - x_k - (p_i - p_k) of sample j's piece (i, k) at x."""
+    p = sample[j]
+    return x[i] - x[k] - (p[i] - p[k])
 
 
 def weight_map(cert: Certificate, j: int) -> dict[tuple[int, int], Fraction]:
     """Sample j's weights, keyed by their pieces' ordered pairs (i, k)."""
-    return {(p.i, p.k): w for p, w in cert.weights[j]}
+    return {(i, k): w for i, k, w in cert.weights[j]}

@@ -2,7 +2,6 @@
 sums of squared difference pieces."""
 
 import importlib.util
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +15,6 @@ from tropmean import (
     Certificate,
     CertificateError,
     NotOptimal,
-    QuadraticPiece,
     SampleSet,
     canonicalize,
     exact_frechet,
@@ -28,13 +26,12 @@ from tropmean import (
     tropical_vertices,
     verify_certificate,
 )
-from tropmean.certify import piece_for
 from tropmean.oracle import add_square, min_quadratic
-from tropmean.serialize import load_points
 from support import (
     active_pieces,
     form_value,
     int_sample,
+    mixed_sample,
     rand_sample,
     reference_verify_certificate,
     vertex_points,
@@ -58,8 +55,8 @@ def test_active_pieces_evaluate_to_the_squared_distance():
         for j, acts in enumerate(per):
             d = trop_dist(x, s[j])
             assert acts, "every sample has at least one active piece"
-            for piece in acts:
-                assert form_value(piece, list(x.coords)) ** 2 == d * d
+            for i, k in acts:
+                assert form_value(s, j, i, k, list(x.coords)) ** 2 == d * d
 
 
 def test_active_pieces_at_a_sample_point_cover_all_pairs():
@@ -71,7 +68,7 @@ def test_active_pieces_at_a_sample_point_cover_all_pairs():
 
 def test_active_pieces_golden_inclusion():
     per = active_pieces(THREE_POINTS, THREE_MEAN.coords)
-    first = {(p.i, p.k) for p in per[0]}
+    first = set(per[0])
     # distance to the first point is 4, attained by the (0, 2) difference
     assert (0, 2) in first
 
@@ -105,8 +102,8 @@ def test_perturbed_weights_fail_verification():
         if j != 2:
             swapped.append(per)
             continue
-        (p1, w1), (p2, w2) = per
-        swapped.append(((p1, w2), (p2, w1)))
+        (i1, k1, w1), (i2, k2, w2) = per
+        swapped.append(((i1, k1, w2), (i2, k2, w1)))
     bad = Certificate(cert.c_star, tuple(swapped), cert.point)
     assert not verify_certificate(THREE_POINTS, bad)
 
@@ -119,25 +116,24 @@ def test_weaker_bound_still_verifies():
 
 def test_malformed_certificates_are_rejected():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
-    piece = cert.weights[0][0][0]
+    i, k, _ = cert.weights[0][0]
     negative = Certificate(
         cert.c_star,
-        (((piece, F(-1)),),) + cert.weights[1:],
+        (((i, k, F(-1)),),) + cert.weights[1:],
         cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, negative)
     unnormalized = Certificate(
         cert.c_star,
-        (((piece, F(1, 2)),),) + cert.weights[1:],
+        (((i, k, F(1, 2)),),) + cert.weights[1:],
         cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, unnormalized)
     tampered = Certificate(
         cert.c_star,
-        (((QuadraticPiece(0, piece.i, piece.k, piece.c + 1), F(1)),),)
-        + cert.weights[1:],
+        (((i, THREE_POINTS.n, F(1)),),) + cert.weights[1:],
         cert.point,
     )
     with pytest.raises(ValueError):
@@ -146,21 +142,19 @@ def test_malformed_certificates_are_rejected():
 
 def _defective(cert, defect):
     weights = list(cert.weights)
-    piece, w = weights[0][0]
+    i, k, w = weights[0][0]
     if defect == "sample count":
         weights.pop()
     elif defect == "no pieces":
         weights[0] = ()
-    elif defect == "wrong sample":
-        weights[0] = ((QuadraticPiece(1, piece.i, piece.k, piece.c), w),)
     elif defect == "out of range":
-        weights[0] = ((QuadraticPiece(0, piece.i, 3, piece.c), w),)
-    elif defect == "constant":
-        weights[0] = ((QuadraticPiece(0, piece.i, piece.k, piece.c + 1), w),)
+        weights[0] = ((i, 3, w),)
+    elif defect == "same index":
+        weights[0] = ((i, i, w),)
     elif defect == "negative weight":
-        weights[0] = ((piece, F(-1)), (piece, F(2)))
+        weights[0] = ((i, k, F(-1)), (i, k, F(2)))
     else:
-        weights[0] = ((piece, F(1, 2)),)
+        weights[0] = ((i, k, F(1, 2)),)
     return Certificate(cert.c_star, tuple(weights), cert.point)
 
 
@@ -169,9 +163,8 @@ def _defective(cert, defect):
     [
         ("sample count", "sample count"),
         ("no pieces", "carries no pieces"),
-        ("wrong sample", "wrong sample"),
         ("out of range", "out of range"),
-        ("constant", "constant does not match"),
+        ("same index", "out of range"),
         ("negative weight", "negative weight"),
         ("not convex", "sum to 1/2, not 1"),
     ],
@@ -190,34 +183,22 @@ def _verdict(check, sample, cert):
         return f"CertificateError: {exc}"
 
 
-def _mixed_sample(rng, n, m):
-    """A sample read from literals over 1, 2 and 6 and decimals, so that
-    its common denominator and its weights' differ."""
-    def literal():
-        kind = rng.randrange(4)
-        if kind == 3:
-            return f"{rng.randint(-9, 9)}.{rng.randint(0, 99):02d}"
-        return f"{rng.randint(-12, 12)}/{(1, 2, 6)[kind]}"
-
-    rows = [[literal() for _ in range(n)] for _ in range(m)]
-    return load_points(json.dumps({"points": rows}))
-
-
 def _mutations(cert):
     """The certificate with c_star raised by 1/10**9, weight moved between
-    two pieces of one sample, a wrong piece constant and a negative weight."""
+    two pieces of one sample, a coordinate index past n and a negative
+    weight."""
     weights = list(cert.weights)
-    (piece, w), *rest = weights[0]
+    (i, k, w), *rest = weights[0]
     yield Certificate(cert.c_star + F(1, 10**9), cert.weights, cert.point)
     for j, per in enumerate(weights):
         if len(per) > 1:
-            (p0, w0), (p1, w1), *tail = per
-            moved = weights[:j] + [((p0, w0 / 2), (p1, w1 + w0 / 2), *tail)] + weights[j + 1:]
+            (i0, k0, w0), (i1, k1, w1), *tail = per
+            per = ((i0, k0, w0 / 2), (i1, k1, w1 + w0 / 2), *tail)
+            moved = weights[:j] + [per] + weights[j + 1:]
             yield Certificate(cert.c_star, tuple(moved), cert.point)
             break
-    wrong = QuadraticPiece(piece.sample, piece.i, piece.k, piece.c + F(1, 3))
-    yield Certificate(cert.c_star, (((wrong, w), *rest), *weights[1:]), cert.point)
-    yield Certificate(cert.c_star, (((piece, -w), *rest), *weights[1:]), cert.point)
+    yield Certificate(cert.c_star, (((i, cert.point.dim, w), *rest), *weights[1:]), cert.point)
+    yield Certificate(cert.c_star, (((i, k, -w), *rest), *weights[1:]), cert.point)
 
 
 def test_integer_check_agrees_with_the_fraction_check():
@@ -227,7 +208,7 @@ def test_integer_check_agrees_with_the_fraction_check():
     rng = Random("certify:integer-check")
     verdicts = []
     for _ in range(40):
-        s = _mixed_sample(rng, rng.randint(2, 5), rng.randint(1, 6))
+        s = mixed_sample(rng, rng.randint(2, 5), rng.randint(1, 6))
         cert = exact_frechet(s).certificate
         assert verify_certificate(s, cert) is True
         assert reference_verify_certificate(s, cert) is True
@@ -238,7 +219,7 @@ def test_integer_check_agrees_with_the_fraction_check():
             assert verdict == _verdict(reference_verify_certificate, s, mutated)
             verdicts.append(verdict)
     assert "CertificateError: negative weight" in verdicts
-    assert "CertificateError: piece constant does not match the sample" in verdicts
+    assert "CertificateError: piece indices out of range" in verdicts
     assert verdicts.count(False) > 40  # some moved weights fail on the minimum
 
 
@@ -283,13 +264,13 @@ def _inactive_moves(sample, cert):
     if not any(pairs):
         return []
     j = next(j for j, ik in enumerate(pairs) if ik)
-    (piece, w), *rest = cert.weights[j]
-    one = _with_weights(cert, j, ((piece, w / 2), *rest, (piece_for(sample, j, *pairs[j]), w / 2)))
+    (i, k, w), *rest = cert.weights[j]
+    one = _with_weights(cert, j, ((i, k, w / 2), *rest, (*pairs[j], w / 2)))
     every = []
-    for j, (per, ik) in enumerate(zip(cert.weights, pairs)):
+    for per, ik in zip(cert.weights, pairs):
         if ik:
-            halves = [(piece, w / 2) for piece, w in per]
-            quarters = [(piece_for(sample, j, *pair), F(1, 4)) for pair in (ik, ik[::-1])]
+            halves = [(i, k, w / 2) for i, k, w in per]
+            quarters = [(*pair, F(1, 4)) for pair in (ik, ik[::-1])]
             per = halves + quarters
         every.append(tuple(per))
     return [one, Certificate(cert.c_star, tuple(every), cert.point)]
@@ -312,9 +293,9 @@ def test_stationarity_check_agrees_with_the_elimination_check(sample, data):
     coords = list(x.coords)
     coords[t] += Fraction(data.draw(st.sampled_from((1, -1))), x.den)
     shifted = Certificate(cert.c_star, cert.weights, canonicalize(coords))
-    (piece, w), *rest = cert.weights[0]
-    halved = _with_weights(cert, 0, ((piece, w / 2), *rest))
-    negative = _with_weights(cert, 0, ((piece, -w), *rest))
+    (i, k, w), *rest = cert.weights[0]
+    halved = _with_weights(cert, 0, ((i, k, w / 2), *rest))
+    negative = _with_weights(cert, 0, ((i, k, -w), *rest))
     raised = Certificate(cert.c_star + F(1, 10**9), cert.weights, cert.point)
     expected = {
         cert: True,
@@ -383,15 +364,15 @@ def test_add_square_builds_the_same_equations_on_ints_and_fractions():
 
 
 def _normal_equations(n, terms):
-    """A, b and c0 of the weighted sum over (piece, w) terms."""
+    """A, b and c0 of the weighted sum over (i, k, c, w) terms."""
     a = [[F(0)] * (n - 1) for _ in range(n - 1)]
     b = [F(0)] * (n - 1)
-    c0 = sum((add_square(a, b, piece.i, piece.k, piece.c, w) for piece, w in terms), F(0))
+    c0 = sum((add_square(a, b, i, k, c, w) for i, k, c, w in terms), F(0))
     return a, b, c0
 
 
 def _weighted_sum(terms, x):
-    return sum((w * form_value(piece, x) ** 2 for piece, w in terms), F(0))
+    return sum((w * (x[i] - x[k] - c) ** 2 for i, k, c, w in terms), F(0))
 
 
 def _random_terms(rng, n):
@@ -401,20 +382,24 @@ def _random_terms(rng, n):
     for _ in range(rng.randint(1, 6)):
         i, k = rng.sample(range(n), 2)
         c = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-        terms.append((QuadraticPiece(0, i, k, c), F(rng.randint(1, 8), rng.choice((1, 2, 3)))))
+        terms.append((i, k, c, F(rng.randint(1, 8), rng.choice((1, 2, 3)))))
     return terms
 
 
 def test_combined_form_touches_the_objective_at_the_optimum():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
-    terms = [term for per in cert.weights for term in per]
+    terms = [
+        (i, k, p[i] - p[k], w)
+        for per, p in zip(cert.weights, THREE_POINTS)
+        for i, k, w in per
+    ]
     assert _weighted_sum(terms, list(THREE_MEAN.coords)) == cert.c_star
     value, _ = min_quadratic(*_normal_equations(THREE_POINTS.n, terms))
     assert value == 186
 
 
 def test_min_quadratic_single_square():
-    value, point = min_quadratic(*_normal_equations(3, [(QuadraticPiece(0, 1, 0, F(3)), F(1))]))
+    value, point = min_quadratic(*_normal_equations(3, [(1, 0, F(3), F(1))]))
     assert value == 0
     # x_1 is the gauge, x_2 - x_1 = 3 is forced and x_3, free, is set to 0
     assert point == (0, 3, 0)
@@ -426,8 +411,8 @@ def test_add_square_with_negative_weight_undoes_the_square():
         n = rng.randint(2, 5)
         terms = _random_terms(rng, n)
         a, b, c0 = _normal_equations(n, terms)
-        piece, w = terms[-1]
-        c0 += add_square(a, b, piece.i, piece.k, piece.c, -w)
+        i, k, c, w = terms[-1]
+        c0 += add_square(a, b, i, k, c, -w)
         assert (a, b, c0) == _normal_equations(n, terms[:-1])
 
 
@@ -474,7 +459,7 @@ def test_min_quadratic_gauge_choice_does_not_matter():
             pairs.append((i, k, F(rng.randint(-5, 5)), F(rng.randint(1, 3))))
 
         def build(perm):
-            terms = [(QuadraticPiece(0, perm[i], perm[k], c), w) for i, k, c, w in pairs]
+            terms = [(perm[i], perm[k], c, w) for i, k, c, w in pairs]
             return _normal_equations(n, terms)
 
         base = list(range(n))
@@ -520,7 +505,7 @@ def test_find_certificate_at_every_tropical_vertex_of_the_mean_set():
             assert cert.c_star == objective(s, v.coords)
             active = active_pieces(s, v.coords)
             for j, per in enumerate(cert.weights):
-                assert all(piece in active[j] for piece, _ in per)
+                assert all((i, k) in active[j] for i, k, _ in per)
             vertices += 1
         step = F(1)
         while True:

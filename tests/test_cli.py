@@ -145,7 +145,6 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
         distances=tuple(trop_dist(mean, p) for p in sample),
         min_sum=objective(sample, mean.coords),
         fm_polytrope=fm_polytrope(sample, mean),
-        exact=False,
     )
     import tropmean.cli as cli_mod
 

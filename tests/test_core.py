@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from tropmean import (
     NEG_INF,
     PolytropeMatrix,
-    QuadraticPiece,
     SampleSet,
     TorusPoint,
     as_rational,
@@ -22,7 +21,6 @@ from tropmean import (
     kleene_star,
     trop_dist,
 )
-from tropmean.certify import piece_for
 from support import rand_point, rand_vector, reference_canonicalize
 
 
@@ -225,13 +223,12 @@ def _equal_values():
             PolytropeMatrix.from_rows([[0, 1], [NEG_INF, 0]]),
         ),
         (star, PolytropeMatrix(star.den, star.rows)),
-        (QuadraticPiece(1, 0, 2, Fraction(3)), piece_for(sample, 1, 0, 2)),
         (one.certificate, two.certificate),
         (one, two),
     ]
 
 
-@pytest.mark.parametrize("index", range(7))
+@pytest.mark.parametrize("index", range(6))
 def test_values_compare_and_hash_by_value_and_refuse_changes(index):
     """Each value class compares and hashes by value, refuses assignment
     and deletion of any attribute, and survives pickle and deepcopy as an
@@ -251,9 +248,6 @@ def test_values_compare_and_hash_by_value_and_refuse_changes(index):
 
 def test_value_reprs():
     assert repr(TorusPoint(2, (0, 4, 1))) == "TorusPoint(0, 2, 1/2)"
-    assert repr(QuadraticPiece(1, 0, 2, Fraction(3))) == (
-        "QuadraticPiece(sample=1, i=0, k=2, c=Fraction(3, 1))"
-    )
     assert repr(kleene_star(PolytropeMatrix(2, [[0, 2], [None, 0]]))) == (
         "PolytropeMatrix(den=1, rows=((0, 1), (None, 0)))"
     )

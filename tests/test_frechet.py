@@ -135,16 +135,16 @@ def test_split_certificate_on_ties():
     active = active_pieces(s, result.mean.coords)
     split = 0
     for j, per in enumerate(cert.weights):
-        assert sum(w for _, w in per) == 1
-        assert all(piece in active[j] for piece, _ in per)
+        assert sum(w for _, _, w in per) == 1
+        assert all((i, k) in active[j] for i, k, _ in per)
         # Orient each piece from its largest to its smallest coordinate; the
         # weights are then the products alpha_i beta_k of their marginals.
         oriented = {}
-        for piece, w in per:
-            if form_value(piece, result.mean.coords) == result.distances[j]:
-                oriented[piece.i, piece.k] = w
+        for i, k, w in per:
+            if form_value(s, j, i, k, result.mean.coords) == result.distances[j]:
+                oriented[i, k] = w
             else:
-                oriented[piece.k, piece.i] = w
+                oriented[k, i] = w
         alpha, beta = {}, {}
         for (i, k), w in oriented.items():
             alpha[i] = alpha.get(i, 0) + w

@@ -2,6 +2,8 @@
 
 import json
 from fractions import Fraction
+from math import lcm
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from tropmean import (
     NEG_INF,
+    Certificate,
     ParseError,
     PolytropeMatrix,
     SampleSet,
@@ -31,6 +34,8 @@ from tropmean.serialize import (
     result_to_json,
 )
 from support import (
+    mixed_sample,
+    reference_average,
     reference_load_points,
     reference_matrix_from_json,
     reference_matrix_to_json,
@@ -117,7 +122,7 @@ def test_matrix_json_validation():
 def test_certificate_round_trip_uses_one_based_indices():
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
     cert = find_certificate(s, canonicalize([0, 0, -1]))
-    doc = certificate_to_json(cert)
+    doc = certificate_to_json(cert, s)
     assert doc["c_star"] == "186"
     assert [g["sample"] for g in doc["weights"]] == [1, 2, 3]
     for group in doc["weights"]:
@@ -132,7 +137,7 @@ def test_certificate_json_needs_its_point():
     without it, or with the wrong number of coordinates, is refused."""
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
     cert = find_certificate(s, canonicalize([0, 0, -1]))
-    doc = certificate_to_json(cert)
+    doc = certificate_to_json(cert, s)
     assert doc["point"] == ["0", "0", "-1"]
     shifted = dict(doc, point=["1/2", "0.5", "-1/2"])
     assert certificate_from_json(shifted, s) == cert
@@ -147,10 +152,39 @@ def test_certificate_json_needs_its_point():
 def test_certificate_json_rejects_mismatched_constants():
     s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
     result = exact_frechet(s)
-    doc = certificate_to_json(result.certificate)
+    doc = certificate_to_json(result.certificate, s)
     doc["weights"][0]["pieces"][0]["c"] = "999"
     with pytest.raises(ParseError):
         certificate_from_json(doc, s)
+
+
+def test_certificate_constants_are_read_off_the_sample():
+    """On samples over mixed denominators, whose ``den`` is mostly neither 1
+    nor the common denominator e of the program, each written constant is
+    p_i - p_k of its sample and the document reads back equal; a constant
+    written unreduced is accepted, one off by 1/(2 den) is refused, and a
+    certificate with one weight group fewer than its sample is not written."""
+    rng = Random("serialize:constants")
+    apart = 0
+    for _ in range(40):
+        s = mixed_sample(rng, rng.randint(2, 5), rng.randint(1, 6))
+        cert = exact_frechet(s).certificate
+        doc = certificate_to_json(cert, s)
+        for group, p in zip(doc["weights"], s):
+            for item in group["pieces"]:
+                assert item["c"] == format_rational(p[item["i"] - 1] - p[item["k"] - 1])
+        assert certificate_from_json(json.loads(json.dumps(doc)), s) == cert
+        piece = doc["weights"][-1]["pieces"][-1]
+        c = F(piece["c"])
+        piece["c"] = f"{2 * c.numerator}/{2 * c.denominator}"
+        assert certificate_from_json(doc, s) == cert
+        piece["c"] = format_rational(c + F(1, 2 * s.den))
+        with pytest.raises(ParseError, match="piece constant mismatch"):
+            certificate_from_json(doc, s)
+        with pytest.raises(ValueError):
+            certificate_to_json(Certificate(cert.c_star, cert.weights[:-1], cert.point), s)
+        apart += s.den not in (1, lcm(s.den, reference_average(s).den))
+    assert apart >= 20
 
 
 @pytest.mark.parametrize("group, label", [(0, True), (1, 2.0), (2, "3"), (0, None)])
@@ -158,7 +192,7 @@ def test_certificate_json_reads_sample_labels_as_integers(group, label):
     """A weight group's ``sample`` is read like a piece index: ``true`` is
     not 1 and ``2.0`` is not 2, though they compare equal in Python."""
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
-    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])))
+    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])), s)
     doc["weights"][group]["sample"] = label
     with pytest.raises(ParseError, match=f"weight group {group} must declare sample {group + 1}"):
         certificate_from_json(doc, s)
@@ -168,7 +202,7 @@ def test_result_document_shape():
     s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
     result = exact_frechet(s)
     tverts = [(0, 0, 1), (0, 1, 1)]
-    doc = result_to_json(result, 1, tverts, tverts[::-1])
+    doc = result_to_json(result, s, 1, tverts, tverts[::-1])
     assert doc["min_sum"] == "2"
     assert doc["exact"] is True
     assert doc["mean"] == point_to_json(result.mean)
@@ -254,7 +288,7 @@ def _lax(i):
 )
 def test_certificate_json_rejects_malformed_pieces(change):
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
-    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])))
+    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])), s)
     group = doc["weights"][0]
     if change == "string piece":
         group["pieces"][0] = "i=1,k=2"
