@@ -203,21 +203,15 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
 
     The program is solved on integers, in the variables e z with e the common
     denominator of the sample and the start (``_lift``): its right-hand sides
-    are the sample's numerators over e, its start the lift over e, and H is
-    given by its 4m nonzero entries, 2 on the diagonal of u_j and l_j and -2
-    between them.  Its value is c_star times e^2.  The multipliers come back
-    as integers over one positive factor, which a weight alpha beta /
-    (sum alpha sum beta) does not see, so each weight is one Fraction of
-    integers.
+    are the sample's numerators over e, its start the lift over e, and its
+    objective the m squares (u_j, l_j, 0).  Its value is c_star times e^2.
+    The multipliers come back as integers over one positive factor, which a
+    weight alpha beta / (sum alpha sum beta) does not see, so each weight is
+    one Fraction of integers.
     """
     n = sample.n
     m = sample.m
     nv = n - 1
-
-    h: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    h += [[(u, 2), (u + m, -2)] for u in range(nv, nv + m)]
-    h += [[(u, -2), (u + m, 2)] for u in range(nv, nv + m)]
-    g = [0] * (nv + 2 * m)
 
     e, nums, lifts = _lift(sample, start)
     # Sample j's n rows of u_j, then its n rows of l_j: row r is sample r // 2n.
@@ -232,7 +226,8 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
         d += p
     tops, bots = zip(*lifts)
     x0 = [v * (e // start.den) for v in start.nums[1:]]
-    value, (zd, zn), active, u = minimize_qp(h, g, edges, d, [*x0, *tops, *bots])
+    squares = [(u, u + m, 0) for u in range(nv, nv + m)]
+    value, (zd, zn), active, u = minimize_qp(squares, edges, d, [*x0, *tops, *bots])
 
     # Per sample, its alpha and its beta by coordinate, over one factor.
     sides: list[tuple[dict[int, int], ...]] = [({}, {}) for _ in range(m)]

@@ -12,7 +12,8 @@ come from a Bellman-Ford pass rather than an LP, and a branch dies as soon
 as its prefix is infeasible or the unconstrained lower bound of its partial
 sum exceeds the best value seen.  Most surviving leaves are settled by the
 normal equations alone (when the free minimizer already lies inside the
-region); only the rest run an exact active-set program.
+region); only the rest run an exact active-set program, which takes the
+assignment's squares (x_i - x_k - c)^2 and the region's rows as they are.
 
 The module is deliberately independent of the refinement pipeline in
 ``frechet``: it shares only the exact linear-algebra and QP kernels, and its
@@ -22,8 +23,9 @@ the two routes on equal terms.
 
 The walk runs on the sample's fields, its integers over one common
 denominator den, in the coordinates X = den x: regions, increments,
-feasible points and deferred programs are integers, region minima are in
-units of 1/den^2, and only the returned value and witness are scaled back.
+feasible points, squares and deferred programs are integers, region minima
+are in units of 1/den^2, and only the returned value and witness are scaled
+back.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import lcm
 from .core import SampleSet, TorusPoint, canonicalize
 from .errors import BudgetExceeded, InternalError
 from .linalg import integer_solve
-from .qp import Edge, minimize_qp
+from .qp import Edge, Square, minimize_qp
 
 Assignment = tuple[tuple[int, int], ...]
 
@@ -181,12 +183,10 @@ def brute_force_frechet(
         if best is not None and cell.bound > best:
             break
         cell_region: list[list[int | None]] = [[None] * n for _ in range(n)]
-        gram = [[0] * nv for _ in range(nv)]
-        moment = [0] * nv
-        const = 0
-        for j, pair in enumerate(cell.assignment):
-            tighten(cell_region, j, pair)
-            const += add_square(gram, moment, *pair, consts[j][pair], 1)
+        squares: list[Square] = []
+        for j, (i, k) in enumerate(cell.assignment):
+            tighten(cell_region, j, (i, k))
+            squares.append((node[i], node[k], consts[j][i, k]))
         edges: list[Edge] = []
         rhs: list[int] = []
         for i in range(n):
@@ -194,10 +194,7 @@ def brute_force_frechet(
                 if cell_region[i][k] is not None:
                     edges.append((node[i], node[k]))
                     rhs.append(cell_region[i][k])
-        h = [[(t, 2 * v) for t, v in enumerate(row) if v] for row in gram]
-        g = [-2 * v for v in moment]
-        qval, (zd, zn), _, _ = minimize_qp(h, g, edges, rhs, cell.start)
-        cell.value = qval + const
+        cell.value, (zd, zn), _, _ = minimize_qp(squares, edges, rhs, cell.start)
         cell.point = (Fraction(0), *(Fraction(v, zd) for v in zn))
         if best is None or cell.value < best:
             best = cell.value

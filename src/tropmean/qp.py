@@ -1,9 +1,8 @@
 """Exact primal active-set solver for small optimal-tension quadratic programs.
 
-Minimizes q(z) = 1/2 z^T H z + g^T z subject to difference constraints
-z_a - z_b >= d, where H is positive semidefinite and given by its nonzero
-entries per row, the data are integers and either end of a constraint may
-be the ground, a node held at zero.
+Minimizes a sum of squares q(z) = sum_s (z_a - z_b - c_s)^2 subject to
+difference constraints z_a - z_b >= d, with integer data, where either end
+of a square or a constraint may be the ground, a node held at zero.
 These are optimal-tension problems (Rockafellar, *Network Flows and
 Monotropic Optimization*, 1984).  The method is the classical one: keep a
 working set W of constraints treated as equalities, minimize q on the
@@ -49,18 +48,20 @@ The data are integers, and so is every step of the loop; its iterates are
 exactly those of the same loop over the rationals:
 
 * z is kept as an integer vector over one denominator, z = zn / zd, reduced
-  by the gcd after each move, and the gradient H z + g as the integer
-  vector zd * (H z + g), summed over a flat list of H's nonzero entries.
+  by the gcd after each move, and the gradient of q as the integer vector
+  zd times it, the sum over the squares of 2 r (e_a - e_b) with the
+  residual r = zn_a - zn_b - c zd.
 * The ratio test walks the rows once.  A slack is computed, as
   zn_a - zn_b - d zd, only for a row the step moves toward, the only rows
   that can block.  Step lengths are compared by integer cross-multiplication,
   in the same row order and with the same strict comparison as over the
   rationals, so the blocking rows are the same too.
-* The reduced system, symmetric positive semidefinite as H is, is solved
-  by one ``linalg.integer_solve``, which takes its pivots from the diagonal.
+* The reduced system, symmetric positive semidefinite as a sum of squares
+  makes it, is built from the squares and solved by one
+  ``linalg.integer_solve``, which takes its pivots from the diagonal.
 
-A program with rational data is put on integers by its caller: scaling z by
-a positive factor, and the objective by another, changes no working set,
+A program with rational data is put on integers by its caller: scaling z,
+and with it every c and d, by one positive factor changes no working set,
 step or blocking row.
 
 Exact arithmetic removes every tolerance question; the iteration cap is a
@@ -74,8 +75,8 @@ from math import gcd
 
 from .linalg import integer_solve
 
-IntSparse = list[tuple[int, int]]
 Edge = tuple[int | None, int | None]
+Square = tuple[int | None, int | None, int]
 
 MAX_ITER = 10_000
 DEGENERATE_STEPS = 12
@@ -86,22 +87,23 @@ class QPError(RuntimeError):
 
 
 def minimize_qp(
-    h: list[IntSparse], g: list[int], edges: list[Edge], d: list[int], z0: list[int]
+    squares: list[Square], edges: list[Edge], d: list[int], z0: list[int]
 ) -> tuple[Fraction, tuple[int, list[int]], list[int], list[int]]:
-    """Solve min 1/2 z^T H z + g^T z  s.t.  z_a - z_b >= d[r] for each edge r = (a, b).
+    """Solve min sum (z_a - z_b - c)^2 over the squares (a, b, c)
+    s.t.  z_a - z_b >= d[r] for each edge r = (a, b).
 
-    Either end of an edge may be None, the ground, which is held at zero:
-    (a, None) reads z_a >= d[r] and (None, b) reads -z_b >= d[r].  z0 must
-    be feasible.  H is symmetric positive semidefinite, given as the
-    nonzero entries (column, value) of each of its rows.  All data are ints.
+    Either end of a square or an edge may be None, the ground, which is
+    held at zero: the edge (a, None) reads z_a >= d[r] and (None, b) reads
+    -z_b >= d[r].  z0 must be feasible.  All data are ints.
     Returns (optimal value, (zd, zn), active rows, u): the optimizer
     z = zn / zd with zd > 0, the rows of the final working set in increasing
     order, and their multipliers lam = u / zd over the same zd, lam >= 0 in
-    the same order, with sum_r lam_r (e_a - e_b) = H z + g.
+    the same order, with sum_r lam_r (e_a - e_b) the gradient of the sum.
     """
     nvars = len(z0)
     # Node nvars is the ground: zn and every step hold a zero there.
     ends = [(nvars if a is None else a, nvars if b is None else b) for a, b in edges]
+    terms = [(nvars if a is None else a, nvars if b is None else b, c) for a, b, c in squares]
     zd, zn = 1, [*z0, 0]
     slacks = [zn[a] - zn[b] - v for (a, b), v in zip(ends, d)]
     if any(s < 0 for s in slacks):
@@ -110,25 +112,25 @@ def minimize_qp(
     for i, s in enumerate(slacks):
         if s == 0:
             work.join(i)
-    entries = [(s, t, v) for s, row in enumerate(h) for t, v in row]
     degenerate = 0
 
     for _ in range(MAX_ITER):
-        grad = [v * zd for v in g]
-        for s, t, v in entries:
-            grad[s] += v * zn[t]
-        sd, sn = _subspace_step(h, grad, nullspace(work), zd)
+        # The ground's entry of grad collects what no variable takes.
+        grad = [0] * (nvars + 1)
+        res = [zn[a] - zn[b] - c * zd for a, b, c in terms]
+        for (a, b, _), r in zip(terms, res):
+            grad[a] += 2 * r
+            grad[b] -= 2 * r
+        sd, sn = _subspace_step(terms, grad, nullspace(work), zd)
         if not any(sn):
-            u = work.multipliers(grad)
+            u = work.multipliers(grad[:nvars])
             neg = [(v, r) for r, v in u.items() if v < 0]
             if not neg:
-                # zn.grad = zn^T H zn + zd g.zn, all over zd^2.
-                value = Fraction(_dot(zn, grad) + zd * _dot(g, zn), 2 * zd * zd)
                 active = sorted(u)
+                value = Fraction(sum(r * r for r in res), zd * zd)
                 return value, (zd, zn[:nvars]), active, [u[r] for r in active]
             work.split(min(neg)[1] if degenerate < DEGENERATE_STEPS else min(r for _, r in neg))
             continue
-        sn.append(0)
         # Row i's limit slack_i / (-row_i.step) is (slack / -prod) times
         # sd/zd with slack = zn_a - zn_b - d_i zd, so the limits compare as
         # slack / -prod, starting from zd/sd (a full step).  Only a row with
@@ -232,13 +234,13 @@ class Forest:
 
 
 def _subspace_step(
-    hs: list[IntSparse], grad: list[int], groups: list[list[int]], zd: int
+    terms: list[tuple[int, int, int]], grad: list[int], groups: list[list[int]], zd: int
 ) -> tuple[int, list[int]]:
-    """Minimize the quadratic along z + span(B); returns the step as (sd, sn).
+    """Minimize the sum of squares along z + span(B); returns the step as (sd, sn).
 
-    The columns of B are the indicator vectors of the groups.  With grad =
-    zd (H z + g), the reduced system
-    (B^T H B) u = -B^T grad is solved by u = zd y, y the rational solution.
+    The columns of B are the indicator vectors of the groups.  With grad
+    zd times the gradient, the reduced system (B^T H B) u = -B^T grad, H the
+    Hessian of the sum, is solved by u = zd y, y the rational solution.
     With den the common denominator of u, the step B y is sn / sd with
     sn = B (den u) and sd = den zd, both divided by their gcd.
     """
@@ -247,14 +249,18 @@ def _subspace_step(
         for t in group:
             group_of[t] = a
     red = [[0] * len(groups) + [-sum(grad[t] for t in group)] for group in groups]
-    # Entry (a, b) of B^T H B sums H over the rows in group a and the
-    # columns in group b; row t of hs is row t of the symmetric H.
-    for b, group in enumerate(groups):
-        for t in group:
-            for s, hv in hs[t]:
-                a = group_of[s]
-                if a >= 0:
-                    red[a][b] += hv
+    # A square on nodes a and b adds 2 (e_a - e_b)(e_a - e_b)^T to H, so
+    # 2 (f_p - f_q)(f_p - f_q)^T to B^T H B, p and q the groups of a and b.
+    for a, b, _ in terms:
+        p, q = group_of[a], group_of[b]
+        if p != q:
+            if p >= 0:
+                red[p][p] += 2
+            if q >= 0:
+                red[q][q] += 2
+                if p >= 0:
+                    red[p][q] -= 2
+                    red[q][p] -= 2
     solved = integer_solve(red)
     if solved is None:
         # Cannot happen for a quadratic bounded below on the subspace.
@@ -279,6 +285,3 @@ def nullspace(work: Forest) -> list[list[int]]:
     groups = [group for lab, group in work.members.items() if lab != ground]
     return sorted(groups, key=lambda group: group[-1])
 
-
-def _dot(x: list[int], y: list[int]) -> int:
-    return sum(a * b for a, b in zip(x, y))

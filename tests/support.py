@@ -112,20 +112,22 @@ def densify(edges, nvars):
     return rows
 
 
-def sparse_rows(h):
-    """The nonzero entries (column, value) of each row of a dense matrix, the
-    form ``qp.minimize_qp`` takes H in."""
-    return [[(t, v) for t, v in enumerate(row) if v] for row in h]
-
-
-def dense_rows(rows):
-    """The square dense matrix whose nonzero entries per row are ``rows``;
-    the inverse of ``sparse_rows``."""
-    h = [[Fraction(0)] * len(rows) for _ in rows]
-    for row, entries in zip(h, rows):
-        for t, v in entries:
-            row[t] = v
-    return h
+def dense_objective(squares, nvars):
+    """(H, g, c0), dense and over Fractions, with 1/2 z^T H z + g^T z + c0 the
+    sum of the ``qp.minimize_qp`` squares (a, b, c), that is (z_a - z_b - c)^2
+    with None the ground: each adds 2 (e_a - e_b)(e_a - e_b)^T to H,
+    -2 c (e_a - e_b) to g and c^2 to c0."""
+    h = [[Fraction(0)] * nvars for _ in range(nvars)]
+    g = [Fraction(0)] * nvars
+    c0 = Fraction(0)
+    for a, b, c in squares:
+        ends = [(t, sign) for t, sign in ((a, 1), (b, -1)) if t is not None]
+        for s, ss in ends:
+            g[s] -= 2 * ss * c
+            for t, st in ends:
+                h[s][t] += 2 * ss * st
+        c0 += Fraction(c) ** 2
+    return h, g, c0
 
 
 def rref_over_fractions(rows):
@@ -177,8 +179,9 @@ def solve_over_fractions(a, b):
     return particular, basis
 
 
-def reference_qp(h, g, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERATE_STEPS):
-    """The primal active-set loop of ``qp.minimize_qp`` written over Fractions.
+def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERATE_STEPS):
+    """The primal active-set loop of ``qp.minimize_qp`` written over Fractions,
+    on the objective 1/2 z^T H z + g^T z + c0 with dense H.
 
     The nullspace and the subspace step come from ``solve_over_fractions``, the
     ratio test compares rational step lengths with a strict ``<`` in row
@@ -228,7 +231,7 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERATE_S
                 lam = sol[0]
             neg = [(v, i) for i, v in zip(work, lam) if v < 0]
             if not neg:
-                value = Fraction(1, 2) * dot(mat_vec(h, z), z) + dot(g, z)
+                value = Fraction(1, 2) * dot(mat_vec(h, z), z) + dot(g, z) + c0
                 order = sorted(range(len(work)), key=work.__getitem__)
                 return (value, z, [work[a] for a in order], [lam[a] for a in order]), stats
             if degenerate < degenerate_steps:
@@ -255,30 +258,24 @@ def reference_qp(h, g, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERATE_S
     raise QPError("active-set iteration cap exceeded")
 
 
-def integer_program(h, g, edges, d, z0):
-    """A rational program of ``qp.minimize_qp`` put on integers: (program, e, s).
+def integer_program(squares, edges, d, z0):
+    """A rational program of ``qp.minimize_qp`` put on integers: (program, e).
 
-    z is scaled by e, the lcm of the denominators of d and z0, and the
-    objective then by s, the lcm of the denominators of H and of e g, so the
-    program in e z has H' = s H, g' = s e g, d' = e d and z0' = e z0.  Its
-    optimizer is e times, its value s e^2 times and its multipliers s e times
-    those of the rational program, and its working sets are the same.  The
-    scaling is this helper's own, so it shares no code with ``qp`` or
+    z is scaled by e, the lcm of the denominators of the squares' c, d and
+    z0, so the program in e z has the squares (a, b, e c), d' = e d and
+    z0' = e z0.  Its optimizer and multipliers are e times, its value e^2
+    times those of the rational program, and its working sets are the same.
+    The scaling is this helper's own, so it shares no code with ``qp`` or
     ``linalg``.
     """
-    e = lcm(*(Fraction(v).denominator for v in (*d, *z0)))
-    s = lcm(
-        *(Fraction(v).denominator for row in h for _, v in row),
-        *(Fraction(e * v).denominator for v in g),
-    )
+    e = lcm(*(Fraction(v).denominator for v in (*(c for _, _, c in squares), *d, *z0)))
     program = (
-        [[(t, _whole(s * v)) for t, v in row] for row in h],
-        [_whole(s * e * v) for v in g],
+        [(a, b, _whole(e * c)) for a, b, c in squares],
         list(edges),
         [_whole(e * v) for v in d],
         [_whole(e * v) for v in z0],
     )
-    return program, e, s
+    return program, e
 
 
 def _whole(v):
@@ -288,24 +285,28 @@ def _whole(v):
     return v.numerator
 
 
-def fraction_result(result, e, s):
+def fraction_result(result, e):
     """``minimize_qp``'s result on ``integer_program``'s program, read back as
     the rational program's (value, z, active, lam)."""
     value, (zd, zn), active, u = result
     return (
-        value / (s * e * e),
+        value / (e * e),
         [Fraction(v, zd * e) for v in zn],
         active,
-        [Fraction(v, zd * s * e) for v in u],
+        [Fraction(v, zd * e) for v in u],
     )
 
 
-def fraction_program(h, g, edges, d, z0):
-    """An integer program of ``qp.minimize_qp`` as ``reference_qp`` takes it:
-    dense H, g, dense rows, d and z0, all Fractions."""
-    h = [[Fraction(v) for v in row] for row in dense_rows(h)]
+def fraction_program(squares, edges, d, z0):
+    """A program of ``qp.minimize_qp`` as ``reference_qp`` takes it: dense H,
+    g and c0 from ``dense_objective``, dense rows, d and z0, all Fractions."""
     as_fractions = lambda xs: [Fraction(v) for v in xs]
-    return h, as_fractions(g), densify(edges, len(z0)), as_fractions(d), as_fractions(z0)
+    return (
+        *dense_objective(squares, len(z0)),
+        densify(edges, len(z0)),
+        as_fractions(d),
+        as_fractions(z0),
+    )
 
 
 # The assembly of the mean's epigraph program and of the result at a point,
@@ -350,7 +351,7 @@ def reference_epigraph(sample: SampleSet, start: TorusPoint):
     i < k piece, weight 1 on piece (0, 1) for a sample with no multiplier."""
     n, m = sample.n, sample.m
     h, g, edges, d, z0 = reference_epigraph_program(sample, start)
-    (c_star, z, active, lam), _ = reference_qp(h, g, densify(edges, len(z0)), d, z0)
+    (c_star, z, active, lam), _ = reference_qp(h, g, 0, densify(edges, len(z0)), d, z0)
     sides = [({}, {}) for _ in range(m)]
     for r, value in zip(active, lam):
         if value:

@@ -149,6 +149,10 @@ def _defective(cert, defect):
         weights[0] = ()
     elif defect == "out of range":
         weights[0] = ((i, 3, w),)
+    elif defect == "first out of range":
+        weights[0] = ((3, k, w),)
+    elif defect == "short point":
+        return Certificate(cert.c_star, cert.weights, canonicalize([0, -1]))
     elif defect == "same index":
         weights[0] = ((i, i, w),)
     elif defect == "negative weight":
@@ -164,6 +168,8 @@ def _defective(cert, defect):
         ("sample count", "sample count"),
         ("no pieces", "carries no pieces"),
         ("out of range", "out of range"),
+        ("first out of range", "piece indices out of range"),
+        ("short point", "certificate point has 2 coordinates, not 3"),
         ("same index", "out of range"),
         ("negative weight", "negative weight"),
         ("not convex", "sum to 1/2, not 1"),
@@ -174,6 +180,14 @@ def test_structural_defects_raise_certificate_error(defect, message):
     with pytest.raises(CertificateError, match=message) as caught:
         verify_certificate(THREE_POINTS, _defective(cert, defect))
     assert isinstance(caught.value, ValueError)
+
+
+def test_a_zero_weight_piece_need_not_be_active():
+    cert = find_certificate(THREE_POINTS, THREE_MEAN)
+    assert (0, 1) not in active_pieces(THREE_POINTS, cert.point.coords)[1]
+    weights = list(cert.weights)
+    weights[1] = (*weights[1], (0, 1, F(0)))
+    assert verify_certificate(THREE_POINTS, Certificate(cert.c_star, tuple(weights), cert.point))
 
 
 def _verdict(check, sample, cert):

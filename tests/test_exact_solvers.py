@@ -16,7 +16,7 @@ from tropmean.errors import InternalError
 from tropmean.linalg import integer_solve
 from tropmean.qp import QPError, minimize_qp
 from support import (
-    dense_rows,
+    dense_objective,
     densify,
     dot,
     feasible_point,
@@ -28,7 +28,6 @@ from support import (
     rank,
     rref_over_fractions,
     solve_over_fractions,
-    sparse_rows,
 )
 
 F = Fraction
@@ -204,104 +203,105 @@ def test_feasible_point_on_random_feasible_systems():
         assert mat_vec(a, x) == b
 
 
-def _solve(h, g, edges, d, z0):
+def _solve(squares, edges, d, z0):
     """``minimize_qp`` on a rational program, through ``integer_program``,
     its result read back as the rational program's."""
-    program, e, s = integer_program(h, g, edges, d, z0)
-    return fraction_result(minimize_qp(*program), e, s)
+    program, e = integer_program(squares, edges, d, z0)
+    return fraction_result(minimize_qp(*program), e)
 
 
 def test_qp_takes_integers_and_returns_them_over_one_denominator():
     # The program of test_qp_activates_a_blocking_constraint: the optimizer
     # (3/2, 3/2) comes back as (3, 3) over 2, and the multiplier 1 as 2 over
     # the same 2.
-    result = minimize_qp([[(0, 2)], [(1, 2)]], [-2, -4], [(0, 1)], [0], [2, 0])
-    assert result == (F(-9, 2), (2, [3, 3]), [0], [2])
+    result = minimize_qp([(0, None, 1), (1, None, 2)], [(0, 1)], [0], [2, 0])
+    assert result == (F(1, 2), (2, [3, 3]), [0], [2])
 
 
-def _qp_value(h, g, z):
-    return F(1, 2) * dot(mat_vec(h, z), z) + dot(g, z)
+def _qp_value(squares, z):
+    at = lambda t: F(0) if t is None else z[t]
+    return sum(((at(a) - at(b) - c) ** 2 for a, b, c in squares), F(0))
+
+
+def _gradient(squares, z):
+    h, g, _ = dense_objective(squares, len(z))
+    return [hz + ga for hz, ga in zip(mat_vec(h, z), g)]
 
 
 def test_qp_unconstrained_minimum():
-    h = [[F(2), F(0)], [F(0), F(2)]]
-    g = [F(-2), F(-4)]
-    value, z, active, _ = _solve(sparse_rows(h), g, [], [], [F(0), F(0)])
+    squares = [(0, None, F(1)), (1, None, F(2))]
+    value, z, active, _ = _solve(squares, [], [], [F(0), F(0)])
     assert z == [F(1), F(2)]
-    assert value == F(-5)
+    assert value == F(0)
     assert active == []
 
 
 def test_qp_activates_a_blocking_constraint():
     # minimize (z1-1)^2 + (z2-2)^2 over z1 - z2 >= 0 from (2, 0): the step
     # towards (1, 2) is blocked at (4/3, 4/3), and the optimum is (3/2, 3/2).
-    h = [[F(2), F(0)], [F(0), F(2)]]
-    g = [F(-2), F(-4)]
-    value, z, active, lam = _solve(sparse_rows(h), g, [(0, 1)], [F(0)], [F(2), F(0)])
+    squares = [(0, None, F(1)), (1, None, F(2))]
+    value, z, active, lam = _solve(squares, [(0, 1)], [F(0)], [F(2), F(0)])
     assert z == [F(3, 2), F(3, 2)]
     assert active == [0]
-    # H z + g = (1, -1) = lam (e_1 - e_2)
+    # the gradient (1, -1) = lam (e_1 - e_2)
+    assert _gradient(squares, z) == [F(1), F(-1)]
     assert lam == [F(1)]
-    # drop the constant terms 1 + 4 carried outside the canonical form
-    assert value == _qp_value(h, g, z)
-    assert value == F(-9, 2)
+    # the value carries the squares' constants
+    assert value == _qp_value(squares, z)
+    assert value == F(1, 2)
 
 
 def test_qp_leaves_an_inactive_constraint_alone():
-    h = [[F(2)]]
-    g = [F(-6)]
-    value, z, active, _ = _solve(sparse_rows(h), g, [(0, None)], [F(0)], [F(5)])
+    value, z, active, _ = _solve([(0, None, F(3))], [(0, None)], [F(0)], [F(5)])
     assert z == [F(3)]
+    assert value == F(0)
     assert active == []
 
 
 def test_qp_rejects_infeasible_start():
     with pytest.raises(QPError):
-        _solve(sparse_rows([[F(2)]]), [F(0)], [(0, None)], [F(1)], [F(0)])
+        _solve([(0, None, F(0))], [(0, None)], [F(1)], [F(0)])
 
 
 def test_qp_semidefinite_hessian_with_equality_like_rows():
-    # flat direction z2; ground edges both ways round pin z2 between 1 and 1
-    h = [[F(2), F(0)], [F(0), F(0)]]
-    g = [F(0), F(0)]
+    # no square on z2, a flat direction; ground edges both ways round pin
+    # z2 between 1 and 1
     edges = [(1, None), (None, 1)]
     d = [F(1), F(-1)]
-    value, z, active, _ = _solve(sparse_rows(h), g, edges, d, [F(4), F(1)])
+    value, z, active, _ = _solve([(0, None, F(0))], edges, d, [F(4), F(1)])
     assert z[0] == F(0)
     assert z[1] == F(1)
     assert value == F(0)
 
 
 def test_qp_random_boxes_agree_with_coordinate_clamping():
-    """Separable QPs over boxes have a closed-form answer to compare with."""
+    """Separable QPs over boxes have a closed-form answer to compare with:
+    weight diag[a] on (z_a - target[a])^2 is that many copies of the square."""
     rng = Random("qp:boxes")
     for _ in range(40):
         nv = rng.randint(1, 4)
-        diag = [F(rng.randint(1, 5)) for _ in range(nv)]
+        diag = [rng.randint(1, 5) for _ in range(nv)]
         target = [F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(nv)]
         lo = [F(rng.randint(-4, 0)) for _ in range(nv)]
         hi = [F(rng.randint(1, 5)) for _ in range(nv)]
-        h = [[F(0)] * nv for _ in range(nv)]
-        g = []
+        squares = []
         edges = []
         d = []
         for a in range(nv):
-            h[a][a] = 2 * diag[a]
-            g.append(-2 * diag[a] * target[a])
+            squares += [(a, None, target[a])] * diag[a]
             edges.extend([(a, None), (None, a)])
             d.extend([lo[a], -hi[a]])
         z0 = [min(max(F(0), lo[a]), hi[a]) for a in range(nv)]
-        value, z, active, lam = _solve(sparse_rows(h), g, edges, d, z0)
+        value, z, active, lam = _solve(squares, edges, d, z0)
         clamped = [min(max(target[a], lo[a]), hi[a]) for a in range(nv)]
         assert z == clamped
-        assert value == _qp_value(h, g, clamped)
-        # KKT: nonnegative multipliers with C_A^T lam = H z + g
+        assert value == _qp_value(squares, clamped)
+        # KKT: nonnegative multipliers with C_A^T lam the gradient
         assert len(lam) == len(active)
         assert all(v >= 0 for v in lam)
-        grad = [hz + ga for hz, ga in zip(mat_vec(h, z), g)]
         rows = densify(edges, nv)
         combined = [sum((v * rows[i][t] for i, v in zip(active, lam)), F(0)) for t in range(nv)]
-        assert combined == grad
+        assert combined == _gradient(squares, z)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -309,61 +309,59 @@ def test_qp_first_row_blocks_on_a_tie(order):
     # z1 <= 1 and z1 - z2 <= 1 both block the first step, from the origin
     # towards (2, 0), at the same length; the lower index enters the working
     # set, and the optimum is (1, 0) either way.
-    h = [[F(2), F(0)], [F(0), F(2)]]
-    g = [F(-4), F(0)]
+    squares = [(0, None, F(2)), (1, None, F(0))]
     pair = [((None, 0), F(-1)), ((1, 0), F(-1))]
     edges = [pair[a][0] for a in order]
     d = [pair[a][1] for a in order]
     z0 = [F(0), F(0)]
-    value, z, active, lam = _solve(sparse_rows(h), g, edges, d, z0)
+    value, z, active, lam = _solve(squares, edges, d, z0)
     assert z == [F(1), F(0)]
-    assert value == F(-3)
+    assert value == F(1)
     assert 0 in active
-    # C_A^T lam = H z + g = (-2, 0) puts the whole multiplier on z1 <= 1.
+    # C_A^T lam = the gradient (-2, 0) puts the whole multiplier on z1 <= 1.
     assert dict(zip(active, lam)).get(order.index(0)) == 2
     assert sum(lam) == 2
-    assert (value, z, active, lam) == reference_qp(h, g, densify(edges, 2), d, z0)[0]
+    assert (value, z, active, lam) == _reference((squares, edges, d, z0))[0]
 
 
-def _program(h, g, edges, d, z0):
-    matrix = lambda a: [[F(v) for v in r] for r in a]
-    return sparse_rows(matrix(h)), [F(v) for v in g], edges, [F(v) for v in d], [F(v) for v in z0]
+def _program(squares, edges, d, z0):
+    as_fractions = lambda xs: [F(v) for v in xs]
+    return [(a, b, F(c)) for a, b, c in squares], edges, as_fractions(d), as_fractions(z0)
 
 
 # Hand-made rational programs, each built to exercise one feature of the
-# loop, with H by its nonzero entries per row; ``_solve`` puts them on
-# integers for ``minimize_qp``.
+# loop; ``_solve`` puts them on integers for ``minimize_qp``.
 QP_CASES = {
     # min (u - l)^2 over (x, u, l) with u >= x, u >= 3/2, l <= x and l <= 0:
-    # H has a zero block for x, as in frechet's epigraph program.
+    # no square touches x, a zero block of H, as in frechet's epigraph program.
     "zero-block": _program(
-        [[0, 0, 0], [0, 2, -2], [0, -2, 2]],
-        [0, 0, 0],
+        [(1, 2, 0)],
         [(1, 0), (1, None), (0, 2), (None, 2)],
         [0, F(3, 2), 0, 0],
         [3, 5, -1],
     ),
     # Right-hand sides with denominators 2 to 6.
     "fractional-rhs": _program(
-        [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
-        [-2, -4, 0],
+        [(0, None, 1), (1, None, 2), (2, None, 0)],
         [(None, 0), (2, 1), (0, 2), (1, None), (None, 1)],
         [F(-1, 2), F(-5, 6), F(-7, 4), F(-3, 5), F(-4, 3)],
         [0, 0, 0],
     ),
     # One edge twice says z1 <= 1, and both copies block the first step.
     "repeated-tie": _program(
-        [[2, 0], [0, 2]], [-4, 0], [(None, 0), (None, 0)], [-1, -1], [0, 0]
+        [(0, None, 2), (1, None, 0)], [(None, 0), (None, 0)], [-1, -1], [0, 0]
     ),
     # z1 <= 1 is tight at the start, but its multiplier there is negative.
-    "negative-multiplier": _program([[2, 0], [0, 2]], [0, 0], [(None, 0)], [-1], [1, 0]),
+    "negative-multiplier": _program(
+        [(0, None, 0), (1, None, 0)], [(None, 0)], [-1], [1, 0]
+    ),
 }
 
 
 def test_qp_cases_exercise_their_feature():
-    h, _, _, _, _ = QP_CASES["zero-block"]
-    assert all(v == 0 for v in dense_rows(h)[0])
-    _, _, _, d, _ = QP_CASES["fractional-rhs"]
+    squares, _, _, _ = QP_CASES["zero-block"]
+    assert all(0 not in (a, b) for a, b, _ in squares)
+    _, _, d, _ = QP_CASES["fractional-rhs"]
     assert {v.denominator for v in d} == {2, 3, 4, 5, 6}
     assert _reference(QP_CASES["repeated-tie"])[1]["ties"] >= 1
     assert _reference(QP_CASES["negative-multiplier"])[1]["drops"] >= 1
@@ -378,20 +376,19 @@ _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 @st.composite
 def _qp_programs(draw):
-    """Convex programs bounded below: H = M^T M, whose leading columns may be
-    zero (a zero block), and g = H w, so the gradient stays in the range of H.
-    Edges join two variables or a variable and the ground, either way round,
-    and are tight at z0 or not; or they repeat an earlier edge and its rhs,
-    and tie with it in the ratio test.  H comes by its nonzero entries per
-    row."""
+    """Sums of one to four squares (z_a - z_b - c)^2, each on two variables
+    or a variable and the ground, either way round, and never on the
+    leading ``zero`` variables (a zero block of H); ends may repeat.  Edges
+    join two variables or a variable and the ground, either way round, and
+    are tight at z0 or not; or they repeat an earlier edge and its rhs, and
+    tie with it in the ratio test."""
     nvars = draw(st.integers(1, 4))
     zero = draw(st.integers(0, nvars - 1))
-    m = [
-        [F(0)] * zero + [draw(_small) for _ in range(nvars - zero)]
-        for _ in range(draw(st.integers(1, 3)))
+    square_node = st.sampled_from([None, *range(zero, nvars)])
+    squares = [
+        (*draw(st.tuples(square_node, square_node).filter(lambda e: e[0] != e[1])), draw(_small))
+        for _ in range(draw(st.integers(1, 4)))
     ]
-    h = [[sum((r[a] * r[b] for r in m), F(0)) for b in range(nvars)] for a in range(nvars)]
-    g = mat_vec(h, [draw(_small) for _ in range(nvars)])
     z0 = [draw(_small) for _ in range(nvars)]
     at = lambda t: F(0) if t is None else z0[t]
     node = st.sampled_from([None, *range(nvars)])
@@ -406,7 +403,7 @@ def _qp_programs(draw):
             slack = draw(st.sampled_from((F(0), F(0), F(1, 2), F(5, 6), F(3))))
             edges.append((a, b))
             d.append(at(a) - at(b) - slack)
-    return sparse_rows(h), g, edges, d, z0
+    return squares, edges, d, z0
 
 
 @settings(max_examples=250, deadline=None)
@@ -476,7 +473,7 @@ def test_split_programs_match_the_fraction_active_set_loop(case):
     """On the mean's own programs the kernel returns what the rational loop
     returns, after as many iterations."""
     n, program = case
-    _, _, edges, d, z0 = program
+    _, edges, d, z0 = program
     # The start lifts u_j and l_j to the max and min: each has a tight row.
     rows = densify(edges, len(z0))
     slacks = [dot(row, z0) - rhs for row, rhs in zip(rows, d)]

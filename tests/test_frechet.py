@@ -25,7 +25,7 @@ from tropmean.oracle import brute_force_frechet
 from support import (
     active_pieces,
     ball_to_polytrope,
-    dense_rows,
+    dense_objective,
     form_value,
     int_sample,
     intersect,
@@ -260,15 +260,15 @@ def test_integer_assembly_matches_the_fraction_assembly(sample, data):
         patch.setattr(frechet_mod, "minimize_qp", record)
         fallback = exact_frechet(sample)
     (program,) = programs
-    h, g, edges, d, z0 = program
-    assert all(type(v) is int for v in (*g, *d, *z0))
-    assert all(type(v) is int for row in h for _, v in row)
+    squares, edges, d, z0 = program
+    assert all(type(v) is int for v in (*d, *z0))
+    assert all(type(c) is int for _, _, c in squares)
     # The program is in the variables e z, e the common denominator of the
     # sample and the start: its rows and start are e times the Fraction
-    # ones, and H (the objective e^2 times) and g are unchanged.
+    # ones, and its squares, whose constants are zero, give the same H and g.
     e = lcm(sample.den, *(v.denominator for v in start))
     eh, eg, eedges, ed, ez0 = reference_epigraph_program(sample, start)
-    assert (dense_rows(h), g, edges) == (eh, eg, eedges)
+    assert (dense_objective(squares, len(z0)), edges) == ((eh, eg, 0), eedges)
     assert d == [e * v for v in ed]
     assert z0 == [e * v for v in ez0]
     assert not fallback.exact

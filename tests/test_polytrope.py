@@ -161,6 +161,11 @@ def test_positive_cycle_is_reported_empty():
     bad = PolytropeMatrix.from_rows([[F(0), F(2)], [F(-1), F(0)]])
     with pytest.raises(EmptyPolytrope):
         kleene_star(bad)
+    # Over den 2 the cycle 0 -> 1 -> 0 gains 1/2, a closure diagonal
+    # numerator of exactly 1.
+    with pytest.raises(EmptyPolytrope) as caught:
+        kleene_star(PolytropeMatrix(2, [[0, 1], [0, 0]]))
+    assert str(caught.value) == "closure diagonal entry (0,0) is positive"
 
 
 @pytest.mark.parametrize("fn", [kleene_star, tropical_vertices, pseudovertices])

@@ -267,26 +267,28 @@ def _lax(i):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, message",
     [
-        lambda piece, p: piece.pop("i"),
-        lambda piece, p: piece.update(i="x"),
-        lambda piece, p: piece.update(i=9),
-        _lax(0),
-        _lax(-1),
-        _lax(2.5),
-        _lax(Fraction(5, 2)),
-        _lax(True),
-        lambda piece, p: piece.update(i=piece["k"], c="0"),
-        "string piece",
-        "pieces not a list",
+        (lambda piece, p: piece.pop("i"), "a piece of sample 1 must be an object with i, k, c and w"),
+        (lambda piece, p: piece.update(i="x"), "piece index 'x' is not an integer in 1..3"),
+        (lambda piece, p: piece.update(i=9), "piece index 9 is not an integer in 1..3"),
+        (_lax(0), "piece index 0 is not an integer in 1..3"),
+        (_lax(-1), "piece index -1 is not an integer in 1..3"),
+        (_lax(2.5), "piece index 2.5 is not an integer in 1..3"),
+        (_lax(Fraction(5, 2)), "piece index Fraction(5, 2) is not an integer in 1..3"),
+        (_lax(True), "piece index True is not an integer in 1..3"),
+        (lambda piece, p: piece.update(i=piece["k"], c="0"), "a piece of sample 1 has i == k == 3"),
+        ("string piece", "a piece of sample 1 must be an object with i, k, c and w"),
+        ("pieces not a list", "the pieces of sample 1 must be an array"),
+        ("one group fewer", "certificate must carry one weight group per sample"),
     ],
     ids=[
         "missing-i", "text-i", "i-past-n", "i-zero", "i-negative", "float-i",
         "fraction-i", "bool-i", "i-equals-k", "string-piece", "pieces-object",
+        "group-missing",
     ],
 )
-def test_certificate_json_rejects_malformed_pieces(change):
+def test_certificate_json_rejects_malformed_pieces(change, message):
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
     doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])), s)
     group = doc["weights"][0]
@@ -294,10 +296,13 @@ def test_certificate_json_rejects_malformed_pieces(change):
         group["pieces"][0] = "i=1,k=2"
     elif change == "pieces not a list":
         group["pieces"] = {"i": 1}
+    elif change == "one group fewer":
+        doc["weights"].pop()
     else:
         change(group["pieces"][0], s[0])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as caught:
         certificate_from_json(doc, s)
+    assert str(caught.value) == message
 
 
 # Literals the fast read takes (plain ASCII "p" and "p/q", signs, leading
