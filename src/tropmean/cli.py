@@ -22,14 +22,12 @@ that fails optimality certification or a mean that could not be certified.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
 import time
 from collections.abc import Callable, Sequence
 from json.encoder import encode_basestring_ascii as encode
-from random import Random
 
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
@@ -250,8 +248,10 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     d = trop_dist(sample[a - 1], sample[b - 1])
     line = format_rational(d)
     if d.denominator != 1:
-        with contextlib.suppress(OverflowError):
+        try:
             line += f" (= {float(d):.6g})"
+        except OverflowError:
+            pass
     print(line)
     return 0
 
@@ -330,6 +330,8 @@ def _random_sample(seed: int, n: int, m: int, rep: int) -> SampleSet:
     "seed:n:m:rep", which CPython hashes stably, so output is identical
     across processes and platforms.
     """
+    from random import Random  # here, so that no other command imports it
+
     rng = Random(f"{seed}:{n}:{m}:{rep}")
     return SampleSet(5, [[rng.randint(-10 * n, 10 * n) for _ in range(n)] for _ in range(m)])
 

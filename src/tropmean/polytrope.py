@@ -22,16 +22,17 @@ integers.  Floyd-Warshall, the column shifts and the breakpoint comparisons
 only add, subtract, compare and take maxima, which commute with multiplying
 every value by one positive integer.  So each int is the rational the
 computation stands for times den, and the closure and the vertices, in their
-order, are exact and identical to a computation over Fractions.  Both
-vertex functions return those integers: canonical columns, first entry
-zero, over the closure's denominator ``kleene_star(c).den``, so no point
-and no Fraction is built from the matrix to its vertices.  A caller that
-wants points builds them as ``TorusPoint(kleene_star(c).den, col)``.
+order, are exact and identical to a computation over Fractions.
+``tropical_vertices`` is the one reader of the closure's columns, and both
+vertex functions return its integers: canonical columns, first entry zero,
+over the closure's denominator ``kleene_star(c).den``, so no point and no
+Fraction is built from the matrix to its vertices.  A caller that wants
+points builds them as ``TorusPoint(kleene_star(c).den, col)``.
 
 Every breakpoint of a tropical segment between two columns of the closure
 is a classical vertex of Q(C), so ``pseudovertices`` lists them all with no
-vertex test; the proof, in its docstring, needs the closure, which it
-computes first.
+vertex test; the proof, in its docstring, needs the closure, which its
+segments start from.
 """
 
 from __future__ import annotations
@@ -147,21 +148,15 @@ def membership(c: PolytropeMatrix, x: Sequence[RationalLike]) -> bool:
 
 
 def tropical_vertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
-    """Canonicalized columns of the closure, deduplicated in column order,
-    as integers over the closure's denominator ``kleene_star(c).den``.
+    """The closure's distinct canonical columns in column order, as
+    integers over its denominator ``kleene_star(c).den``.
 
     These generate Q(C) as a tropical polytope.  A -inf entry anywhere in
     the closure means the polytrope is unbounded and has no such finite
     generator set; that case raises Unbounded.
     """
-    return _vertex_columns(kleene_star(c))
-
-
-def _vertex_columns(star: PolytropeMatrix) -> list[tuple[int, ...]]:
-    """The closure's distinct canonical columns in column order, as
-    integers over its denominator."""
     verts: dict[tuple[int, ...], None] = {}
-    for col in zip(*star.rows):
+    for col in zip(*kleene_star(c).rows):
         if None in col:
             raise Unbounded("closure column contains -inf; polytrope is unbounded")
         verts[tuple(v - col[0] for v in col)] = None
@@ -169,17 +164,16 @@ def _vertex_columns(star: PolytropeMatrix) -> list[tuple[int, ...]]:
 
 
 def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:
-    """The interior breakpoints of the segment from y to x on integer
-    numerators over one denominator, in increasing threshold lam: point
-    coordinate i is lam + x_i when y_i - x_i <= lam and y_i otherwise,
-    shifted to first entry zero.  The chain's ends, y and x, are left out.
+    """The interior breakpoints of the segment from y to x, two canonical
+    columns over one denominator, in increasing threshold lam, canonical
+    too: coordinate i is x_i + min(lam, 0) when y_i - x_i <= lam and
+    y_i - max(lam, 0) otherwise.  The chain's ends, y and x, are left out.
     """
     d = [yi - xi for xi, yi in zip(x, y)]
     out = []
     for lam in sorted(set(d))[1:-1]:
-        p0 = lam + x[0] if d[0] <= lam else y[0]
-        a, b = lam - p0, -p0
-        out.append(tuple(xi + a if di <= lam else yi + b for xi, yi, di in zip(x, y, d)))
+        a, b = min(lam, 0), max(lam, 0)
+        out.append(tuple(xi + a if di <= lam else yi - b for xi, yi, di in zip(x, y, d)))
     return out
 
 
@@ -204,13 +198,12 @@ def pseudovertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
     against a (p_i - p_a = c*_ia); when b is not in S, each j outside S and
     k as well are tight against b (p_j - p_b = c*_jb); when b is in S, S is
     every coordinate.  Either way the tight pairs connect all coordinates.
-    The argument needs C* closed, which is why the closure is taken first.
+    The argument needs C* closed, which is why the segments join its columns.
 
     For n >= 4 some vertices of Q(C) lie on no such segment, so the result
     is a subset of the vertex set, not always all of it.
     """
-    star = kleene_star(c)
-    verts = _vertex_columns(star)
+    verts = tropical_vertices(c)
     points = dict.fromkeys(verts)
     for u, w in combinations(verts, 2):
         points.update(dict.fromkeys(_breakpoints(u, w)))

@@ -31,7 +31,6 @@ a vertex list.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
@@ -266,6 +265,8 @@ def load_points(text: str) -> SampleSet:
                 raise ParseError(f"point {idx} is not an array")
             rows.append([_ratio(v) for v in row])
     else:
+        import csv  # here, so that JSON input and the other commands skip it
+
         rows = []
         for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
             if not record or all(not cell.strip() for cell in record):

@@ -152,6 +152,13 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
     assert main(["mean", path]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"] is False
+    # Every other command that needs a certified mean refuses to go on.
+    monkeypatch.setattr(tropmean.frechet, "exact_frechet", lambda s, **kw: stub)
+    for argv in (["polytrope", path], ["certify", path, "--point", "0,1/2,1"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "not optimal: could not certify a mean for this sample\n"
 
 
 def test_polytrope_from_matrix_golden(tmp_path, capsys):
@@ -522,6 +529,18 @@ def test_certify_refuses_an_empty_coordinate(tmp_path, capsys, point):
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
+def test_certify_refuses_a_one_coordinate_point(tmp_path, capsys):
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    with pytest.raises(SystemExit) as caught:
+        main(["certify", path, "--point", "5"])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "tropmean certify: error: argument --point: need at least two comma-separated coordinates"
+    ]
+
+
 def test_certify_singleton_is_trivial(tmp_path, capsys):
     path = write(tmp_path, "one.csv", "2,3,4\n")
     assert main(["certify", path, "--point", "2,3,4"]) == 0
@@ -590,14 +609,23 @@ def test_bench_refuses_an_empty_size_entry(flag, value, capsys):
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
-@pytest.mark.parametrize("argv", [["bench", "--reps", "0"]], ids=["bench-reps"])
-def test_unusable_counts_exit_2_with_one_line(capsys, argv):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--reps", "0"], "argument --reps: must be at least 1"),
+        (["bench", "--reps", "x"], "argument --reps: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["bench-reps", "bench-reps-text"],
+)
+def test_unusable_counts_exit_2_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as caught:
         main(argv)
     assert caught.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"tropmean bench: error: {message}"
+    ]
 
 
 def test_module_entry_point(tmp_path):
@@ -733,6 +761,22 @@ def test_numbers_outside_the_ascii_syntax_exit_2_on_every_python(tmp_path, capsy
     csv_path = write(tmp_path, "pts.csv", "%s,2\n3,4\n" % json.loads(coordinate))
     assert main(["distance", csv_path]) == 2
     _assert_one_error_line(capsys, "error: line 1: not a rational: ")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"points": [1, 2]}', "error: point 0 is not an array"),
+        ('{"points": [["1e", 0], [0, 1]]}', "error: not a rational: '1e'"),
+        ('{"points": [["2e1.5", 0], [0, 1]]}', "error: not a rational: '2e1.5'"),
+    ],
+    ids=["point-not-an-array", "exponent-missing", "exponent-not-an-integer"],
+)
+def test_malformed_points_exit_2_with_their_line(tmp_path, capsys, text, line):
+    assert main(["mean", write(tmp_path, "pts.json", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
 
 
 def _assert_short_error_line(capsys, start):

@@ -240,6 +240,27 @@ def test_membership_golden_checks():
     assert not membership(KNOWN, (0, 0, 0))
 
 
+def test_membership_refuses_a_point_of_another_dimension():
+    with pytest.raises(ValueError) as caught:
+        membership(KNOWN, (0, 0))
+    assert str(caught.value) == "dimension mismatch"
+
+
+@pytest.mark.parametrize(
+    "den, rows, line",
+    [
+        (0, [[0, -1], [-1, 0]], "the denominator must be positive"),
+        (1, [[0]], "polytropes need dimension at least 2"),
+        (1, [[0, -1], [-1]], "entries must form an n x n matrix"),
+    ],
+    ids=["zero-denominator", "one-coordinate", "ragged"],
+)
+def test_the_matrix_constructor_refuses_a_malformed_matrix(den, rows, line):
+    with pytest.raises(ValueError) as caught:
+        PolytropeMatrix(den, rows)
+    assert str(caught.value) == line
+
+
 def test_membership_accepts_any_representative():
     rng = Random("polytrope:rep")
     for _ in range(40):
