@@ -9,12 +9,9 @@ both vertex lists of their mean or input polytrope off one closure, which
 denominator.
 Input is read as bytes and decoded as UTF-8, from a file or stdin alike.
 Results go to stdout as JSON (CSV for bench, one line for distance),
-diagnostics to stderr; every JSON document is written by ``_render``, whose
-bytes equal ``json.dumps(doc, indent=2)``.  ``mean`` hands it the text
-``serialize.result_to_json`` makes; ``polytrope`` hands it the input
-matrix, the closure and the vertex lists as integer row blocks, ``_Rows``,
-with one table of quoted text per denominator, ``_Texts``, so each
-distinct value of the document is formatted once.  Exit codes: 0 success,
+diagnostics to stderr; each JSON document is the text ``serialize``
+writes for it, ``result_to_json``, ``polytrope_to_json`` or
+``certificate_to_json``, and a newline.  Exit codes: 0 success,
 1 stdout closed by its reader, 2 malformed or unusable input, 3 a point
 that fails optimality certification or a mean that could not be certified.
 """
@@ -27,7 +24,6 @@ import os
 import sys
 import time
 from collections.abc import Callable, Sequence
-from json.encoder import encode_basestring_ascii as encode
 
 from .core import SampleSet, TorusPoint, canonicalize, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
@@ -35,12 +31,12 @@ from .frechet import exact_frechet, find_certificate
 from .polytrope import kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
     certificate_to_json,
-    format_ratio,
     format_rational,
     load_points,
     matrix_from_json,
     parse_json,
     parse_rational,
+    polytrope_to_json,
     result_to_json,
 )
 
@@ -172,74 +168,6 @@ def _ints_at_least(low: int) -> Callable[[str], tuple[int, ...]]:
     return parse
 
 
-def _emit(doc: object) -> None:
-    sys.stdout.write(_render(doc) + "\n")
-
-
-def _render(doc: object, indent: str = "\n") -> str:
-    """``doc`` byte for byte as ``json.dumps(doc, indent=2)`` writes it:
-    strings ASCII-escaped, and each item of a nonempty list or object on a
-    line of its own; a ``_Rows`` block as the rows ``rows_to_json`` makes.
-    ``indent`` is the newline and spaces that start the line ``doc`` is on."""
-    if isinstance(doc, str):
-        return encode(doc)
-    if doc is None:
-        return "null"
-    if isinstance(doc, bool):
-        return "true" if doc else "false"
-    if isinstance(doc, int):
-        return int.__repr__(doc)
-    inner = indent + "  "
-    # Most items are strings: they are encoded in place, not by recursion.
-    if isinstance(doc, list):
-        items = [encode(v) if type(v) is str else _render(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    if isinstance(doc, dict):
-        items = [
-            f"{encode(k)}: {encode(v) if type(v) is str else _render(v, inner)}"
-            for k, v in doc.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(doc, _Rows):
-        return doc.render(indent)
-    raise TypeError(f"cannot render {type(doc).__name__} as JSON")
-
-
-class _Texts(dict):
-    """The quoted JSON text of integers over one denominator, "null" for
-    None, each value formatted on its first lookup."""
-
-    def __init__(self, den: int) -> None:
-        super().__init__({None: "null"})
-        self.den = den
-
-    def __missing__(self, v: int) -> str:
-        text = self[v] = f'"{format_ratio(v, self.den)}"'
-        return text
-
-
-class _Rows:
-    """A block of nonempty rows of integers over the denominator of
-    ``texts``, None for -inf, which ``_render`` writes as the list of rows
-    of "p/q" strings and nulls that ``rows_to_json(texts.den, rows)`` makes.
-    The blocks of one document over one denominator share one ``texts``."""
-
-    __slots__ = ("texts", "rows")
-
-    def __init__(self, texts: _Texts, rows: Sequence[Sequence[int | None]]) -> None:
-        self.texts, self.rows = texts, rows
-
-    def render(self, indent: str) -> str:
-        """The block on a line that ``indent`` starts: one join per row over
-        the table, and one over the rows with the text that closes a row and
-        opens the next between them."""
-        inner = indent + "  "
-        item, text = inner + "  ", self.texts.__getitem__
-        sep, between = "," + item, inner + "]," + inner + "[" + item
-        rows = between.join([sep.join(map(text, r)) for r in self.rows])
-        return f"[{inner}[{item}{rows}{inner}]{indent}]" if self.rows else "[]"
-
-
 def _cmd_distance(args: argparse.Namespace) -> int:
     sample = load_points(_read_text(args.file))
     a, b = args.pair
@@ -261,7 +189,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     result = exact_frechet(sample)
     fm = result.fm_polytrope
     den = kleene_star(fm).den
-    _emit(result_to_json(result, sample, den, tropical_vertices(fm), pseudovertices(fm)))
+    print(result_to_json(result, sample, den, tropical_vertices(fm), pseudovertices(fm)))
     return 0 if result.exact else 3
 
 
@@ -278,22 +206,10 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
             raise NotOptimal("could not certify a mean for this sample")
         mat = result.fm_polytrope
 
-    # The tropical vertices lead the pseudovertex list, so they are its
-    # leading rows.
-    pverts = pseudovertices(mat)
     star = kleene_star(mat)
-    # The blocks over one denominator share its table of text.
-    star_texts = _Texts(star.den)
-    mat_texts = star_texts if mat.den == star.den else _Texts(mat.den)
-    doc: dict[str, object] = {
-        "matrix": {"n": mat.n, "entries": _Rows(mat_texts, mat.rows)},
-        "starred": {"n": star.n, "entries": _Rows(star_texts, star.rows)},
-        "tropical_vertices": _Rows(star_texts, pverts[: len(tropical_vertices(mat))]),
-        "pseudovertices": _Rows(star_texts, pverts),
-    }
-    if mat.n == 3:
-        doc["polygon"] = _Rows(star_texts, _polygon_ccw(pverts))
-    _emit(doc)
+    tropical, pverts = tropical_vertices(mat), pseudovertices(mat)
+    polygon = _polygon_ccw(pverts) if mat.n == 3 else None
+    print(polytrope_to_json(mat, star, tropical, pverts, polygon))
     return 0
 
 
@@ -303,7 +219,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ParseError(
             f"--point has {args.point.dim} coordinates, the points have {sample.n}"
         )
-    _emit(certificate_to_json(find_certificate(sample, args.point), sample))
+    print(certificate_to_json(find_certificate(sample, args.point), sample))
     return 0
 
 

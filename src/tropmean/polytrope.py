@@ -8,7 +8,8 @@ C* = I + C + C^2 + ..., obtained by a Floyd-Warshall sweep; its columns
 are the tropical vertices of Q(C), and a strictly positive diagonal in the
 closure certifies emptiness.  Whether a matrix is closed is worked out, not
 declared: ``kleene_star`` keeps the closure it computes on the matrix and on
-the closure, so the vertex functions, which start from it, share one sweep.
+the closure, so the vertex functions, which start from it, share one sweep;
+``tropical_vertices`` keeps the closure's columns beside it in the same way.
 
 A ``PolytropeMatrix`` is held as ``(den, rows)``: c_ij == rows[i][j] / den,
 with None for -inf.  ``from_rows`` is the one place where Fractions are
@@ -153,14 +154,19 @@ def tropical_vertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
 
     These generate Q(C) as a tropical polytope.  A -inf entry anywhere in
     the closure means the polytrope is unbounded and has no such finite
-    generator set; that case raises Unbounded.
+    generator set; that case raises Unbounded.  The columns are kept in the
+    closure's private ``__dict__`` beside it, so a later call on ``c`` or
+    on the closure returns a fresh list of them with no new pass.
     """
-    verts: dict[tuple[int, ...], None] = {}
-    for col in zip(*kleene_star(c).rows):
-        if None in col:
-            raise Unbounded("closure column contains -inf; polytrope is unbounded")
-        verts[tuple(v - col[0] for v in col)] = None
-    return list(verts)
+    star = kleene_star(c)
+    if "_columns" not in star.__dict__:
+        verts: dict[tuple[int, ...], None] = {}
+        for col in zip(*star.rows):
+            if None in col:
+                raise Unbounded("closure column contains -inf; polytrope is unbounded")
+            verts[tuple(v - col[0] for v in col)] = None
+        star.__dict__["_columns"] = tuple(verts)
+    return list(star.__dict__["_columns"])
 
 
 def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:

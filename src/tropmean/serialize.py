@@ -22,11 +22,13 @@ denominator and integers, the matrix as its ``(den, rows)``.
 
 Rationals are written by one routine, ``format_ratio``, from a numerator
 and a positive denominator, and ``format_rational`` from a Fraction's two
-integers.  Rows of integers over one denominator, a point's ``(den,
-nums)``, a matrix's ``(den, rows)`` and the vertex columns over their
-closure's denominator, are written by ``rows_to_json``, which formats each
-distinct value once, so no Fraction is built to write a point, a matrix or
-a vertex list.
+integers.  The documents the commands print, ``result_to_json``,
+``polytrope_to_json`` and ``certificate_to_json``, are text written in one
+pass, byte for byte as ``json.dumps(doc, indent=2)`` writes them.  Their
+rows of integers over one denominator, points, matrices, vertex lists and
+the polygon, go through one row writer, ``_rows``, and one table of quoted
+text per denominator that the document's blocks share, so each distinct
+value is formatted once and no Fraction is built to write them.
 """
 
 from __future__ import annotations
@@ -107,24 +109,6 @@ def _parse_int(text: str) -> int:
     return int(text) if len(text) <= MAX_LITERAL_DIGITS else int(parse_rational(text))
 
 
-def rows_to_json(den: int, rows: Sequence[Sequence[int | None]]) -> list[list[str | None]]:
-    """Rows of integers over one denominator den > 0 as text, None as None;
-    each distinct value is formatted once."""
-    text: dict[int | None, str | None] = {
-        v: format_ratio(v, den) for v in {v for row in rows for v in row} if v is not None
-    }
-    text[None] = None
-    return [[text[v] for v in row] for row in rows]
-
-
-def point_to_json(p: TorusPoint) -> list[str]:
-    return rows_to_json(p.den, [p.nums])[0]
-
-
-def matrix_to_json(c: PolytropeMatrix) -> dict[str, object]:
-    return {"n": c.n, "entries": rows_to_json(c.den, c.rows)}
-
-
 def matrix_from_json(data: object) -> PolytropeMatrix:
     if not isinstance(data, dict) or "entries" not in data:
         raise ParseError("matrix JSON must be an object with an 'entries' key")
@@ -142,33 +126,6 @@ def matrix_from_json(data: object) -> PolytropeMatrix:
             raise ParseError("matrix rows must all have length n")
         rows.append([None if v is None else _ratio(v) for v in raw])
     return PolytropeMatrix(*_over_lcm(rows))
-
-
-def certificate_to_json(cert: Certificate, sample: SampleSet) -> dict[str, object]:
-    """Certificate as a self-contained proof document: the certified value,
-    the point it is attained at and the weights, each with its piece's
-    constant c = p_i - p_k written from the sample's integers.
-
-    Sample and coordinate indices are 1-based here, matching how such
-    proofs are written out by hand; in-memory objects stay 0-based.
-    """
-    weights = []
-    for j, (entries, p) in enumerate(zip(cert.weights, sample.nums, strict=True)):
-        pieces = [
-            {
-                "i": i + 1,
-                "k": k + 1,
-                "c": format_ratio(p[i] - p[k], sample.den),
-                "w": format_rational(w),
-            }
-            for i, k, w in entries
-        ]
-        weights.append({"sample": j + 1, "pieces": pieces})
-    return {
-        "c_star": format_rational(cert.c_star),
-        "point": point_to_json(cert.point),
-        "weights": weights,
-    }
 
 
 def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
@@ -216,29 +173,142 @@ def _piece_index(value: object, n: int) -> int:
     return value - 1
 
 
+class _Texts(dict):
+    """The quoted JSON text of integers over one denominator, "null" for
+    None, each value formatted on its first lookup."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__({None: "null"})
+        self.den = den
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = f'"{format_ratio(v, self.den)}"'
+        return text
+
+
+class _Tables(dict):
+    """A document's ``_Texts``, one per denominator, so that its blocks over
+    one denominator share their text."""
+
+    def __missing__(self, den: int) -> _Texts:
+        texts = self[den] = _Texts(den)
+        return texts
+
+    def rational(self, v: Fraction) -> str:
+        return self[v.denominator][v.numerator]
+
+
+# Each writer below returns one value of a document as ``json.dumps(doc,
+# indent=2)`` writes it on a line that ``indent``, a newline and spaces,
+# starts; the values inside it are written first, as text.
+def _list(items: list[str], indent: str) -> str:
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
+def _object(indent: str, **fields: str) -> str:
+    """Each field's name, which needs no escaping, to its value's text."""
+    inner = indent + "  "
+    items = [f'"{k}": {v}' for k, v in fields.items()]
+    return "{" + inner + ("," + inner).join(items) + indent + "}"
+
+
+def _rows(texts: _Texts, rows: Sequence[Sequence[int | None]], indent: str) -> str:
+    """Nonempty rows of integers over the denominator of ``texts``, None for
+    -inf, as lists of "p/q" strings and nulls: one join per row over the
+    table, and one over the rows with the text that closes a row and opens
+    the next between them."""
+    inner = indent + "  "
+    item, text = inner + "  ", texts.__getitem__
+    sep, between = "," + item, inner + "]," + inner + "[" + item
+    body = between.join([sep.join(map(text, r)) for r in rows])
+    return f"[{inner}[{item}{body}{inner}]{indent}]" if rows else "[]"
+
+
+def _point(tables: _Tables, p: TorusPoint, indent: str) -> str:
+    return _list(list(map(tables[p.den].__getitem__, p.nums)), indent)
+
+
+def _matrix(tables: _Tables, c: PolytropeMatrix, indent: str) -> str:
+    return _object(indent, n=str(c.n), entries=_rows(tables[c.den], c.rows, indent + "  "))
+
+
+def _certificate(tables: _Tables, cert: Certificate, sample: SampleSet, indent: str) -> str:
+    inner = indent + "  "
+    group, at = inner + "  ", inner + "      "
+    c, groups = tables[sample.den], []
+    for j, (entries, p) in enumerate(zip(cert.weights, sample.nums, strict=True)):
+        pieces = [
+            _object(at, i=str(i + 1), k=str(k + 1), c=c[p[i] - p[k]], w=tables.rational(w))
+            for i, k, w in entries
+        ]
+        groups.append(_object(group, sample=str(j + 1), pieces=_list(pieces, group + "  ")))
+    return _object(
+        indent,
+        c_star=tables.rational(cert.c_star),
+        point=_point(tables, cert.point, inner),
+        weights=_list(groups, inner),
+    )
+
+
+def certificate_to_json(cert: Certificate, sample: SampleSet) -> str:
+    """Certificate as a self-contained proof document: the certified value,
+    the point it is attained at and the weights, each with its piece's
+    constant c = p_i - p_k written from the sample's integers.
+
+    Sample and coordinate indices are 1-based here, matching how such
+    proofs are written out by hand; in-memory objects stay 0-based.
+    """
+    return _certificate(_Tables(), cert, sample, "\n")
+
+
 def result_to_json(
     result: FrechetResult,
     sample: SampleSet,
     den: int,
     tropical: Sequence[Sequence[int]],
     pseudo: Sequence[Sequence[int]],
-) -> dict[str, object]:
+) -> str:
     """A mean result for ``sample`` with the tropical vertices and
     pseudovertices of its mean polytrope, which the caller computes: integer
-    columns over den, the closure's denominator."""
-    vertices = rows_to_json(den, [*tropical, *pseudo])
-    out: dict[str, object] = {
-        "mean": point_to_json(result.mean),
-        "distances": [format_rational(d) for d in result.distances],
-        "min_sum": format_rational(result.min_sum),
-        "fm_polytrope": matrix_to_json(result.fm_polytrope),
-        "exact": result.exact,
-        "tropical_vertices": vertices[: len(tropical)],
-        "pseudovertices": vertices[len(tropical) :],
+    columns over den, the closure's denominator.  The certificate, when
+    there is one, is written as ``certificate_to_json`` writes it."""
+    tables, line = _Tables(), "\n  "
+    fields = {
+        "mean": _point(tables, result.mean, line),
+        "distances": _list([tables.rational(d) for d in result.distances], line),
+        "min_sum": tables.rational(result.min_sum),
+        "fm_polytrope": _matrix(tables, result.fm_polytrope, line),
+        "exact": "true" if result.exact else "false",
+        "tropical_vertices": _rows(tables[den], tropical, line),
+        "pseudovertices": _rows(tables[den], pseudo, line),
     }
     if result.certificate is not None:
-        out["certificate"] = certificate_to_json(result.certificate, sample)
-    return out
+        fields["certificate"] = _certificate(tables, result.certificate, sample, line)
+    return _object("\n", **fields)
+
+
+def polytrope_to_json(
+    mat: PolytropeMatrix,
+    star: PolytropeMatrix,
+    tropical: Sequence[Sequence[int]],
+    pseudo: Sequence[Sequence[int]],
+    polygon: Sequence[Sequence[int]] | None,
+) -> str:
+    """A matrix with its closure ``star`` and the vertex lists and, for
+    n = 3, the polygon (None otherwise) that the caller reads off it:
+    integer rows over the closure's denominator."""
+    tables, line = _Tables(), "\n  "
+    texts = tables[star.den]
+    fields = {
+        "matrix": _matrix(tables, mat, line),
+        "starred": _matrix(tables, star, line),
+        "tropical_vertices": _rows(texts, tropical, line),
+        "pseudovertices": _rows(texts, pseudo, line),
+    }
+    if polygon is not None:
+        fields["polygon"] = _rows(texts, polygon, line)
+    return _object("\n", **fields)
 
 
 def load_points(text: str) -> SampleSet:

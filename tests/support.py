@@ -29,7 +29,7 @@ from tropmean import (
 from tropmean.core import TorusPoint
 from tropmean.qp import DEGENERATE_STEPS, QPError
 from tropmean.core import abbreviate
-from tropmean.serialize import format_rational, load_points, parse_json, parse_rational
+from tropmean.serialize import load_points, parse_json, parse_rational
 
 DENOMS = (1, 2, 3, 5)
 
@@ -464,23 +464,91 @@ def reference_load_points(text: str):
     return sample, (den, nums)
 
 
-# A point and the rendering as they ran over Fractions before a point was
-# held as integers over its denominator: ``canonicalize`` subtracted the
-# first coordinate from every Fraction, and the serializer formatted each
-# coordinate and each matrix entry from its Fraction.
+# A point as it ran over Fractions before it was held as integers over its
+# denominator: ``canonicalize`` subtracted the first coordinate from every
+# Fraction.
 def reference_canonicalize(coords) -> tuple[Fraction, ...]:
     """The canonical coordinates of a raw vector by Fraction arithmetic."""
     vals = [Fraction(v) for v in coords]
     return tuple(v - vals[0] for v in vals)
 
 
+# The documents the commands print, built as dicts from Fractions, with each
+# rational written as Python's own text for its Fraction: the references the
+# serializer's text writers are compared against byte for byte through
+# ``json.dumps(doc, indent=2)``, sharing no code with them.
 def reference_point_to_json(p: TorusPoint) -> list[str]:
-    return [format_rational(c) for c in p.coords]
+    return [str(c) for c in p.coords]
+
+
+def reference_rows_to_json(den: int, rows) -> list[list[str | None]]:
+    """Rows of integers over den, None for -inf, as "p/q" strings and None."""
+    return [[None if v is None else str(Fraction(v, den)) for v in row] for row in rows]
 
 
 def reference_matrix_to_json(c: PolytropeMatrix) -> dict:
-    entries = [[None if v == NEG_INF else format_rational(v) for v in row] for row in c.entries]
+    entries = [[None if v == NEG_INF else str(v) for v in row] for row in c.entries]
     return {"n": c.n, "entries": entries}
+
+
+def reference_certificate_to_json(cert: Certificate, sample: SampleSet) -> dict:
+    """The proof document: 1-based indices, each piece's constant
+    c = p_i - p_k read off the sample's Fraction coordinates."""
+    weights = [
+        {
+            "sample": j + 1,
+            "pieces": [
+                {"i": i + 1, "k": k + 1, "c": str(p[i] - p[k]), "w": str(w)}
+                for i, k, w in entries
+            ],
+        }
+        for j, (entries, p) in enumerate(zip(cert.weights, sample))
+    ]
+    return {
+        "c_star": str(cert.c_star),
+        "point": reference_point_to_json(cert.point),
+        "weights": weights,
+    }
+
+
+def reference_result_to_json(result, sample: SampleSet) -> dict:
+    """The ``mean`` document of ``result``, with the vertex lists of its mean
+    polytrope from the Fraction vertex pass."""
+    fm = result.fm_polytrope
+    doc = {
+        "mean": reference_point_to_json(result.mean),
+        "distances": [str(d) for d in result.distances],
+        "min_sum": str(result.min_sum),
+        "fm_polytrope": reference_matrix_to_json(fm),
+        "exact": result.exact,
+        "tropical_vertices": list(map(reference_point_to_json, reference_tropical_vertices(fm))),
+        "pseudovertices": list(map(reference_point_to_json, reference_pseudovertices(fm))),
+    }
+    if result.certificate is not None:
+        doc["certificate"] = reference_certificate_to_json(result.certificate, sample)
+    return doc
+
+
+def reference_polytrope_to_json(mat: PolytropeMatrix) -> dict:
+    """The ``polytrope`` document of ``mat``: the matrix, its closure, the
+    vertex lists of the Fraction vertex pass and, for n = 3, the polygon
+    (x2-x1, x3-x1) counterclockwise from the smallest point, below the chord
+    to the largest and then above it."""
+    pverts = reference_pseudovertices(mat)
+    doc = {
+        "matrix": reference_matrix_to_json(mat),
+        "starred": reference_matrix_to_json(kleene_star(mat)),
+        "tropical_vertices": list(map(reference_point_to_json, reference_tropical_vertices(mat))),
+        "pseudovertices": list(map(reference_point_to_json, pverts)),
+    }
+    if mat.n == 3:
+        pts = sorted((p[1], p[2]) for p in pverts)
+        if len(pts) >= 3:
+            (ax, ay), (bx, by) = pts[0], pts[-1]
+            above = [(u, v) for u, v in pts if (bx - ax) * (v - ay) > (by - ay) * (u - ax)]
+            pts = [p for p in pts if p not in above] + above[::-1]
+        doc["polygon"] = [[str(u), str(v)] for u, v in pts]
+    return doc
 
 
 def reference_verify_certificate(sample: SampleSet, cert: Certificate) -> bool:

@@ -2,9 +2,11 @@
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,17 +14,17 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import tropmean
 from tropmean import (
     NEG_INF,
     PolytropeMatrix,
     SampleSet,
+    TorusPoint,
     Unbounded,
     canonicalize,
     exact_frechet,
+    find_certificate,
     fm_polytrope,
     kleene_star,
     objective,
@@ -31,7 +33,7 @@ from tropmean import (
     tropical_vertices,
     verify_certificate,
 )
-from tropmean.cli import _build_parser, _emit, _random_sample, _render, _Rows, _Texts, main
+from tropmean.cli import _build_parser, _random_sample, main
 from tropmean.frechet import FrechetResult
 from tropmean.serialize import (
     certificate_from_json,
@@ -39,11 +41,16 @@ from tropmean.serialize import (
     format_rational,
     load_points,
     matrix_from_json,
-    matrix_to_json,
     parse_rational,
-    rows_to_json,
 )
-from support import reference_pseudovertices, reference_tropical_vertices
+from support import (
+    reference_certificate_to_json,
+    reference_matrix_to_json,
+    reference_polytrope_to_json,
+    reference_pseudovertices,
+    reference_result_to_json,
+    reference_tropical_vertices,
+)
 
 F = Fraction
 
@@ -112,7 +119,7 @@ def test_mean_exact_golden(tmp_path, capsys):
     cert = certificate_from_json(doc["certificate"], sample)
     assert verify_certificate(sample, cert)
     mat = matrix_from_json(doc["fm_polytrope"])
-    assert matrix_to_json(mat) == doc["fm_polytrope"]
+    assert reference_matrix_to_json(mat) == doc["fm_polytrope"]
 
 
 def test_mean_singleton(tmp_path, capsys):
@@ -136,16 +143,21 @@ def test_mean_ignores_an_options_block(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "pts.json", '{"points": [[0, 0, 0], [0, 1, 2]]}')
-    sample = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
-    mean = canonicalize([F(0), F(1, 2), F(1)])  # the sample average
-    stub = FrechetResult(
+def _uncertified(sample):
+    """The result ``exact_frechet`` returns when no mean was certified: the
+    sample average, ``exact`` false and no certificate."""
+    mean = canonicalize([sum((p[a] for p in sample), F(0)) / sample.m for a in range(sample.n)])
+    return FrechetResult(
         mean=mean,
         distances=tuple(trop_dist(mean, p) for p in sample),
         min_sum=objective(sample, mean.coords),
         fm_polytrope=fm_polytrope(sample, mean),
     )
+
+
+def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "pts.json", '{"points": [[0, 0, 0], [0, 1, 2]]}')
+    stub = _uncertified(SampleSet.from_rows([(0, 0, 0), (0, 1, 2)]))
     import tropmean.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "exact_frechet", lambda s, **kw: stub)
@@ -352,7 +364,7 @@ def test_printed_vertex_lists_read_back_as_the_reference(tmp_path, capsys):
             for i in range(n)
         ]
         c = PolytropeMatrix.from_rows(rows)
-        body = json.dumps({"n": n, "entries": matrix_to_json(c)["entries"]})
+        body = json.dumps({"n": n, "entries": reference_matrix_to_json(c)["entries"]})
         code = main(["polytrope", "--matrix", write(tmp_path, f"mat-{t}.json", body)])
         out = capsys.readouterr().out
         try:
@@ -403,37 +415,12 @@ def _seeded_matrix_bodies(rng, count):
     return bodies
 
 
-def _reference_polygon(den, pverts):
-    """The n = 3 polygon by Fractions: (x2-x1, x3-x1) counterclockwise from
-    the smallest point, below the chord to the largest and then above it."""
-    pts = sorted((F(p[1], den), F(p[2], den)) for p in pverts)
-    if len(pts) >= 3:
-        (ax, ay), (bx, by) = pts[0], pts[-1]
-        above = [(u, v) for u, v in pts if (bx - ax) * (v - ay) > (by - ay) * (u - ax)]
-        pts = [p for p in pts if p not in above] + above[::-1]
-    return [[format_rational(u), format_rational(v)] for u, v in pts]
-
-
-def _reference_polytrope_doc(mat):
-    star = kleene_star(mat)
-    pverts = pseudovertices(mat)
-    doc = {
-        "matrix": matrix_to_json(mat),
-        "starred": matrix_to_json(star),
-        "tropical_vertices": rows_to_json(star.den, tropical_vertices(mat)),
-        "pseudovertices": rows_to_json(star.den, pverts),
-    }
-    if mat.n == 3:
-        doc["polygon"] = _reference_polygon(star.den, pverts)
-    return doc
-
-
 def test_polytrope_prints_the_bytes_of_json_dumps_of_the_library_document(tmp_path, capsys):
-    """``polytrope`` writes, byte for byte, ``json.dumps(doc, indent=2)`` of
-    the document the serializer's writers and the vertex functions make:
-    on seeded matrices in 2 to 7 coordinates, with null entries, with
-    repeated closure columns and with n = 3 polygons, and from points files.
-    Matrices with no vertex list exit 2 and print nothing."""
+    """``polytrope`` writes, byte for byte, ``json.dumps(doc, indent=2)`` and
+    a newline of the reference document built from Fractions in
+    ``support``: on seeded matrices in 2 to 7 coordinates, with null
+    entries, with repeated closure columns and with n = 3 polygons, and from
+    points files.  Matrices with no vertex list exit 2 and print nothing."""
     rng = Random("cli:polytrope-bytes")
     seen = {"printed": 0, "null": 0, "repeated": 0, "polygon": 0}
     for t, body in enumerate(_seeded_matrix_bodies(rng, 240)):
@@ -441,7 +428,7 @@ def test_polytrope_prints_the_bytes_of_json_dumps_of_the_library_document(tmp_pa
         out = capsys.readouterr().out
         mat = matrix_from_json(json.loads(body))
         try:
-            doc = _reference_polytrope_doc(mat)
+            doc = reference_polytrope_to_json(mat)
         except (Unbounded, tropmean.EmptyPolytrope):
             assert code == 2 and out == ""
             continue
@@ -457,16 +444,12 @@ def test_polytrope_prints_the_bytes_of_json_dumps_of_the_library_document(tmp_pa
         points = [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)]
         text = json.dumps({"points": points})
         assert main(["polytrope", write(tmp_path, f"pts-{t}.json", text)]) == 0
-        mat = exact_frechet(load_points(text)).fm_polytrope
-        assert capsys.readouterr().out == json.dumps(_reference_polytrope_doc(mat), indent=2) + "\n"
+        expected = reference_polytrope_to_json(exact_frechet(load_points(text)).fm_polytrope)
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
-def test_polytrope_formats_each_value_once_per_denominator(tmp_path, capsys, monkeypatch):
-    """``polytrope --matrix`` calls ``format_ratio`` once for each distinct
-    value of its document over each denominator in it: the matrix's values
-    over its own, and the closure's and both vertex lists' over the
-    closure's, shared with the matrix's when the two are equal."""
-    import tropmean.cli as cli_mod
+def _count_format_ratio(monkeypatch):
+    """The (num, den) of every ``format_ratio`` call the serializer makes."""
     import tropmean.serialize as serialize_mod
 
     calls = []
@@ -476,7 +459,15 @@ def test_polytrope_formats_each_value_once_per_denominator(tmp_path, capsys, mon
         return format_ratio(num, den)
 
     monkeypatch.setattr(serialize_mod, "format_ratio", counted)
-    monkeypatch.setattr(cli_mod, "format_ratio", counted)
+    return calls
+
+
+def test_polytrope_formats_each_value_once_per_denominator(tmp_path, capsys, monkeypatch):
+    """``polytrope --matrix`` calls ``format_ratio`` once for each distinct
+    value of its document over each denominator in it: the matrix's values
+    over its own, and the closure's and both vertex lists' over the
+    closure's, shared with the matrix's when the two are equal."""
+    calls = _count_format_ratio(monkeypatch)
     rng = Random("cli:format-once")
     bodies = _seeded_matrix_bodies(rng, 60)
     for n in (5, 6, 7):
@@ -497,6 +488,130 @@ def test_polytrope_formats_each_value_once_per_denominator(tmp_path, capsys, mon
         assert sorted(calls) == sorted(values)
         printed += 1
     assert printed >= 40
+
+
+@pytest.fixture(scope="module")
+def pool_points():
+    """The points of every benchmark pool sample, 288 of ``mean-small`` and
+    10 of ``mean-large``, from perfbench/workloads.py, loaded from its file
+    and registered under its bare name while it runs: its dataclasses look
+    their module up."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "workloads", module)
+        spec.loader.exec_module(module)
+        workloads = [module.WORKLOADS[name] for name in ("mean-small", "mean-large")]
+        return [
+            module.mean_rows(*cell, rep)
+            for workload in workloads
+            for cell in workload.cells
+            for rep in range(1, workload.pool + 1)
+        ]
+
+
+def _tie_heavy_points(rng, count):
+    """``count`` samples with n from 2 to 6, m from 1 to 8 and coordinates
+    in -2..2, so that distances, coordinates and pieces tie often."""
+    return [
+        [[rng.randint(-2, 2) for _ in range(2 + t % 5)] for _ in range(1 + t % 8)]
+        for t in range(count)
+    ]
+
+
+def _points_text(rows):
+    return json.dumps({"points": [[str(v) for v in row] for row in rows]})
+
+
+def test_mean_prints_the_bytes_of_json_dumps_of_the_reference_document(
+    tmp_path, capsys, monkeypatch, pool_points
+):
+    """``mean`` writes, byte for byte, ``json.dumps(doc, indent=2)`` and a
+    newline of the reference document built from Fractions in ``support``:
+    on every benchmark pool sample, on 300 seeded tie-heavy samples, on a
+    sample whose document holds integers longer than the 1,000-digit chunk
+    of the rational writer, and, exit 3, for a mean that was not certified,
+    with ``"exact": false`` and no certificate."""
+    qs = [10**600 + 7, 10**600 + 9, 10**600 + 13]
+    long = [[0, f"1/{qs[0]}", 3], [0, 2, f"-1/{qs[1]}"], [0, f"1/{qs[2]}", 0]]
+    samples = [*pool_points, *_tie_heavy_points(Random("cli:mean-bytes"), 300), long]
+    path = str(tmp_path / "pts.json")
+    for rows in samples:
+        text = _points_text(rows)
+        Path(path).write_text(text, encoding="utf-8")
+        assert main(["mean", path]) == 0
+        sample = load_points(text)
+        expected = reference_result_to_json(exact_frechet(sample), sample)
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert re.search(r"[0-9]{1001}", json.dumps(expected))
+    sample = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
+    stub = _uncertified(sample)
+    import tropmean.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "exact_frechet", lambda s: stub)
+    assert main(["mean", write(tmp_path, "pts.csv", "0,0,0\n0,1,2\n")]) == 3
+    expected = reference_result_to_json(stub, sample)
+    assert expected["exact"] is False and "certificate" not in expected
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_certify_prints_the_bytes_of_json_dumps_of_the_reference_document(
+    tmp_path, capsys, pool_points
+):
+    """``certify --point`` writes, byte for byte, ``json.dumps(doc,
+    indent=2)`` and a newline of the reference certificate document, at the
+    mean and at the last tropical vertex of the mean polytrope, on every
+    benchmark pool sample and on 300 seeded tie-heavy samples."""
+    samples = [*pool_points, *_tie_heavy_points(Random("cli:certify-bytes"), 300)]
+    path = str(tmp_path / "pts.json")
+    apart = 0
+    for rows in samples:
+        text = _points_text(rows)
+        Path(path).write_text(text, encoding="utf-8")
+        sample = load_points(text)
+        result = exact_frechet(sample)
+        fm = result.fm_polytrope
+        vertex = TorusPoint(kleene_star(fm).den, tropical_vertices(fm)[-1])
+        for point in (result.mean, vertex):
+            assert main(["certify", path, "--point", ",".join(map(str, point.coords))]) == 0
+            expected = reference_certificate_to_json(find_certificate(sample, point), sample)
+            assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+        apart += vertex != result.mean
+    assert apart >= 50
+
+
+def test_mean_formats_each_value_once_per_denominator(tmp_path, capsys, monkeypatch, pool_points):
+    """``mean`` calls ``format_ratio`` once for each distinct value of its
+    document over each denominator in it: the mean's coordinates over its
+    own, the mean polytrope's entries over its own, both vertex lists' over
+    the closure's, the certificate's constants over the sample's, and each
+    distance, the minimum, the certified value and each weight over its
+    own, the tables of equal denominators shared."""
+    calls = _count_format_ratio(monkeypatch)
+    rng = Random("cli:mean-format-once")
+    path = str(tmp_path / "pts.json")
+    for rows in [*_tie_heavy_points(rng, 60), *pool_points[::12]]:
+        text = _points_text(rows)
+        Path(path).write_text(text, encoding="utf-8")
+        calls.clear()
+        assert main(["mean", path]) == 0
+        capsys.readouterr()
+        sample = load_points(text)
+        result = exact_frechet(sample)
+        fm, cert = result.fm_polytrope, result.certificate
+        values = {(v, result.mean.den) for v in result.mean.nums}
+        values |= {(v, fm.den) for row in fm.rows for v in row if v is not None}
+        values |= {(v, kleene_star(fm).den) for col in pseudovertices(fm) for v in col}
+        scalars = [*result.distances, result.min_sum, cert.c_star]
+        scalars += [w for entries in cert.weights for _, _, w in entries]
+        values |= {(v.numerator, v.denominator) for v in scalars}
+        values |= {
+            (p[i] - p[k], sample.den)
+            for entries, p in zip(cert.weights, sample.nums)
+            for i, k, _ in entries
+        }
+        assert sorted(calls) == sorted(values)
 
 
 def test_certify_golden(tmp_path, capsys):
@@ -943,59 +1058,3 @@ def test_mean_reproduces_the_benchmark_reference_digest(tmp_path, capsys, worklo
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
     digests = reference[workload][f"{n},{m}"]["digests"]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digests[rep - 1]
-
-
-# Documents of the output's shape: objects and arrays, nested, empty or not,
-# holding strings (non-ASCII and control characters among them), ints,
-# booleans and null, and the blocks every command prints, lists of rows of
-# "p/q" strings and nulls, with empty rows and one-row blocks among them,
-# alone and in objects at depth 1 and 2.
-_ratio_texts = st.builds(format_ratio, st.integers(), st.integers(min_value=1))
-_text_blocks = st.lists(st.lists(_ratio_texts | st.none(), max_size=5), max_size=4)
-_keys = st.text(max_size=6)
-_documents = st.recursive(
-    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), _text_blocks),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=4)
-    ),
-    max_leaves=25,
-)
-_block_documents = st.one_of(
-    _text_blocks,
-    st.dictionaries(_keys, _text_blocks, max_size=4),
-    st.dictionaries(_keys, st.dictionaries(_keys, _text_blocks, max_size=3), max_size=3),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_documents | _block_documents)
-def test_the_writer_gives_the_bytes_of_json_dumps(doc):
-    assert _render(doc) == json.dumps(doc, indent=2)
-
-
-_int_rows = st.lists(
-    st.lists(st.integers(-40, 40) | st.none(), min_size=1, max_size=5), max_size=4
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.tuples(_keys, st.sampled_from((1, 2, 6, 10)), _int_rows), max_size=4),
-    st.booleans(),
-)
-def test_the_writer_gives_integer_row_blocks_as_rows_to_json(blocks, nested):
-    """A ``_Rows`` block of rows over den is written as ``rows_to_json(den,
-    rows)`` is, in objects at depth 1 and 2, blocks over one denominator
-    sharing one table of text."""
-    texts = {}
-    doc = {key: _Rows(texts.setdefault(den, _Texts(den)), rows) for key, den, rows in blocks}
-    text = {key: rows_to_json(den, rows) for key, den, rows in blocks}
-    if nested:
-        doc, text = {"matrix": doc, "n": 3}, {"matrix": text, "n": 3}
-    assert _render(doc) == json.dumps(text, indent=2)
-
-
-def test_emit_writes_the_rendered_document_and_a_newline(capsys):
-    doc = {"mean": ["0", "-1/2"], "exact": True, "n": 3, "none": None, "é": [[], {}]}
-    _emit(doc)
-    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

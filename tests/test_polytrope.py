@@ -294,6 +294,21 @@ def test_tropical_vertices_golden():
         assert membership(KNOWN, v.coords)
 
 
+def test_the_closure_keeps_its_columns():
+    """A second ``tropical_vertices`` call, on the matrix or on its closure,
+    and ``pseudovertices`` after it read the columns the first call kept
+    beside the closure, not its rows, and each call returns a fresh list."""
+    c = nonpositive_matrix(Random("polytrope:kept-columns"), 5)
+    first = tropical_vertices(c)
+    star = kleene_star(c)
+    star.__dict__["rows"] = None  # a second pass over the rows would fail
+    again = tropical_vertices(c)
+    assert again == first and again is not first
+    again.append(None)
+    assert tropical_vertices(star) == first
+    assert pseudovertices(c)[: len(first)] == first
+
+
 def test_tropical_vertices_reject_unbounded():
     ident = PolytropeMatrix.from_rows(
         [[F(0) if i == j else NEG_INF for j in range(3)] for i in range(3)]

@@ -20,6 +20,7 @@ from tropmean import (
     exact_frechet,
     find_certificate,
 )
+from tropmean import serialize
 from tropmean.serialize import (
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
@@ -28,9 +29,7 @@ from tropmean.serialize import (
     format_rational,
     load_points,
     matrix_from_json,
-    matrix_to_json,
     parse_rational,
-    point_to_json,
     result_to_json,
 )
 from support import (
@@ -40,6 +39,7 @@ from support import (
     reference_matrix_from_json,
     reference_matrix_to_json,
     reference_point_to_json,
+    reference_rows_to_json,
 )
 
 F = Fraction
@@ -104,7 +104,7 @@ def test_matrix_round_trip_with_bottom_entries():
             [NEG_INF, F(3), F(0)],
         ]
     )
-    doc = matrix_to_json(mat)
+    doc = json.loads(serialize._matrix(serialize._Tables(), mat, "\n"))
     assert doc["entries"][0][2] is None
     back = matrix_from_json(doc)
     assert back.entries == mat.entries
@@ -122,13 +122,13 @@ def test_matrix_json_validation():
 def test_certificate_round_trip_uses_one_based_indices():
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
     cert = find_certificate(s, canonicalize([0, 0, -1]))
-    doc = certificate_to_json(cert, s)
+    doc = json.loads(certificate_to_json(cert, s))
     assert doc["c_star"] == "186"
     assert [g["sample"] for g in doc["weights"]] == [1, 2, 3]
     for group in doc["weights"]:
         for item in group["pieces"]:
             assert 1 <= item["i"] <= 3 and 1 <= item["k"] <= 3
-    back = certificate_from_json(json.loads(json.dumps(doc)), s)
+    back = certificate_from_json(doc, s)
     assert back == cert
 
 
@@ -137,7 +137,7 @@ def test_certificate_json_needs_its_point():
     without it, or with the wrong number of coordinates, is refused."""
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
     cert = find_certificate(s, canonicalize([0, 0, -1]))
-    doc = certificate_to_json(cert, s)
+    doc = json.loads(certificate_to_json(cert, s))
     assert doc["point"] == ["0", "0", "-1"]
     shifted = dict(doc, point=["1/2", "0.5", "-1/2"])
     assert certificate_from_json(shifted, s) == cert
@@ -152,7 +152,7 @@ def test_certificate_json_needs_its_point():
 def test_certificate_json_rejects_mismatched_constants():
     s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
     result = exact_frechet(s)
-    doc = certificate_to_json(result.certificate, s)
+    doc = json.loads(certificate_to_json(result.certificate, s))
     doc["weights"][0]["pieces"][0]["c"] = "999"
     with pytest.raises(ParseError):
         certificate_from_json(doc, s)
@@ -169,11 +169,11 @@ def test_certificate_constants_are_read_off_the_sample():
     for _ in range(40):
         s = mixed_sample(rng, rng.randint(2, 5), rng.randint(1, 6))
         cert = exact_frechet(s).certificate
-        doc = certificate_to_json(cert, s)
+        doc = json.loads(certificate_to_json(cert, s))
         for group, p in zip(doc["weights"], s):
             for item in group["pieces"]:
                 assert item["c"] == format_rational(p[item["i"] - 1] - p[item["k"] - 1])
-        assert certificate_from_json(json.loads(json.dumps(doc)), s) == cert
+        assert certificate_from_json(doc, s) == cert
         piece = doc["weights"][-1]["pieces"][-1]
         c = F(piece["c"])
         piece["c"] = f"{2 * c.numerator}/{2 * c.denominator}"
@@ -192,7 +192,7 @@ def test_certificate_json_reads_sample_labels_as_integers(group, label):
     """A weight group's ``sample`` is read like a piece index: ``true`` is
     not 1 and ``2.0`` is not 2, though they compare equal in Python."""
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
-    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])), s)
+    doc = json.loads(certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])), s))
     doc["weights"][group]["sample"] = label
     with pytest.raises(ParseError, match=f"weight group {group} must declare sample {group + 1}"):
         certificate_from_json(doc, s)
@@ -202,15 +202,16 @@ def test_result_document_shape():
     s = SampleSet.from_rows([(0, 0, 0), (0, 1, 2)])
     result = exact_frechet(s)
     tverts = [(0, 0, 1), (0, 1, 1)]
-    doc = result_to_json(result, s, 1, tverts, tverts[::-1])
+    text = result_to_json(result, s, 1, tverts, tverts[::-1])
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2)
     assert doc["min_sum"] == "2"
     assert doc["exact"] is True
-    assert doc["mean"] == point_to_json(result.mean)
+    assert doc["mean"] == reference_point_to_json(result.mean)
     assert doc["distances"] == ["1", "1"]
     assert doc["tropical_vertices"] == [["0", "0", "1"], ["0", "1", "1"]]
     assert doc["pseudovertices"] == [["0", "1", "1"], ["0", "0", "1"]]
     assert "certificate" in doc
-    json.dumps(doc)  # the document is plain JSON data
 
 
 def test_load_points_json_forms():
@@ -290,7 +291,7 @@ def _lax(i):
 )
 def test_certificate_json_rejects_malformed_pieces(change, message):
     s = SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)])
-    doc = certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])), s)
+    doc = json.loads(certificate_to_json(find_certificate(s, canonicalize([0, 0, -1])), s))
     group = doc["weights"][0]
     if change == "string piece":
         group["pieces"][0] = "i=1,k=2"
@@ -430,17 +431,40 @@ def _numerator_grids(draw):
 @settings(max_examples=200, deadline=None)
 @given(_denominators, _numerator_grids())
 def test_points_and_matrices_render_as_by_the_fraction_route(den, rows):
-    """``point_to_json`` and ``matrix_to_json`` write from a point's or a
-    matrix's integers the strings that formatting each Fraction wrote, which
-    are Python's own text for it: negative values, den 1, None entries and
+    """The writer writes a point's or a matrix's integers as ``json.dumps``
+    writes the strings that formatting each Fraction gave, which are
+    Python's own text for it: negative values, den 1, None entries and
     integers past the chunk size alike."""
     c = PolytropeMatrix(den, rows)
     expected = reference_matrix_to_json(c)
-    assert matrix_to_json(c) == expected
-    assert expected["entries"] == [
-        [None if v == NEG_INF else str(v) for v in row] for row in c.entries
-    ]
+    assert serialize._matrix(serialize._Tables(), c, "\n") == json.dumps(expected, indent=2)
     p = TorusPoint(den, (0, *(0 if v is None else v for v in rows[0][1:])))
     expected = reference_point_to_json(p)
-    assert point_to_json(p) == expected
-    assert expected == [str(v) for v in p.coords]
+    assert serialize._point(serialize._Tables(), p, "\n") == json.dumps(expected, indent=2)
+
+
+_keys = st.sampled_from(["matrix", "entries", "tropical_vertices", "pseudovertices", "polygon"])
+_int_rows = st.lists(
+    st.lists(st.integers(-40, 40) | st.none(), min_size=1, max_size=5), max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_keys, st.sampled_from((1, 2, 6, 10)), _int_rows), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_the_row_writer_gives_the_bytes_of_json_dumps(blocks, nested):
+    """Blocks of rows of integers over a denominator, None among them, are
+    written as ``json.dumps`` writes their rows of "p/q" strings and nulls,
+    in objects at depth 1 and 2, blocks over one denominator sharing one
+    table of text: den 1, one-row and empty blocks among them."""
+    tables = serialize._Tables()
+    line = "\n    " if nested else "\n  "
+    text = {key: serialize._rows(tables[den], rows, line) for key, den, rows in blocks}
+    expected = {key: reference_rows_to_json(den, rows) for key, den, rows in blocks}
+    written = serialize._object(line[:-2], **text)
+    if nested:
+        written = serialize._object("\n", matrix=written, n="3")
+        expected = {"matrix": expected, "n": 3}
+    assert written == json.dumps(expected, indent=2)
