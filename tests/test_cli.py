@@ -14,6 +14,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropmean
 from tropmean import (
@@ -33,15 +35,19 @@ from tropmean import (
     tropical_vertices,
     verify_certificate,
 )
-from tropmean.cli import _build_parser, _random_sample, main
+from tropmean import serialize
+from tropmean.cli import _build_parser, _polygon_ccw, _random_sample, main
 from tropmean.frechet import FrechetResult
 from tropmean.serialize import (
     certificate_from_json,
+    certificate_to_json,
     format_ratio,
     format_rational,
     load_points,
     matrix_from_json,
     parse_rational,
+    polytrope_to_json,
+    result_to_json,
 )
 from support import (
     reference_certificate_to_json,
@@ -49,6 +55,7 @@ from support import (
     reference_polytrope_to_json,
     reference_pseudovertices,
     reference_result_to_json,
+    reference_rows_to_json,
     reference_tropical_vertices,
 )
 
@@ -612,6 +619,54 @@ def test_mean_formats_each_value_once_per_denominator(tmp_path, capsys, monkeypa
             for i, k, _ in entries
         }
         assert sorted(calls) == sorted(values)
+
+
+_keys = st.sampled_from(["matrix", "entries", "tropical_vertices", "pseudovertices", "polygon"])
+_int_rows = st.lists(
+    st.lists(st.integers(-40, 40) | st.none(), min_size=1, max_size=5), max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_keys, st.sampled_from((1, 2, 6, 10)), _int_rows), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_the_writer_gives_integer_row_blocks_as_rows_to_json(blocks, nested):
+    """Blocks of rows of integers over a denominator, None among them, are
+    written as ``json.dumps`` writes their rows of "p/q" strings and nulls,
+    in objects at depth 1 and 2, blocks over one denominator sharing one
+    table of text: den 1, one-row and empty blocks among them."""
+    tables = serialize._Tables()
+    line = "\n    " if nested else "\n  "
+    text = {key: serialize._rows(tables[den], rows, line) for key, den, rows in blocks}
+    expected = {key: reference_rows_to_json(den, rows) for key, den, rows in blocks}
+    written = serialize._object(line[:-2], **text)
+    if nested:
+        written = serialize._object("\n", matrix=written, n="3")
+        expected = {"matrix": expected, "n": 3}
+    assert written == json.dumps(expected, indent=2)
+
+
+def test_emit_writes_the_rendered_document_and_a_newline(tmp_path, capsys):
+    """Each command that writes a document writes the text its serializer
+    returns and one newline, nothing else."""
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    sample = load_points(THREE_POINTS_DOC)
+    result = exact_frechet(sample)
+    fm = result.fm_polytrope
+    star = kleene_star(fm)
+    polygon = _polygon_ccw(pseudovertices(fm))
+    assert main(["mean", path]) == 0
+    expected = result_to_json(result, sample, star.den, tropical_vertices(fm), pseudovertices(fm))
+    assert capsys.readouterr().out == expected + "\n"
+    assert main(["polytrope", path]) == 0
+    expected = polytrope_to_json(fm, star, tropical_vertices(fm), pseudovertices(fm), polygon)
+    assert capsys.readouterr().out == expected + "\n"
+    point = canonicalize((0, 0, -1))
+    assert main(["certify", path, "--point", "0,0,-1"]) == 0
+    expected = certificate_to_json(find_certificate(sample, point), sample)
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_certify_golden(tmp_path, capsys):

@@ -39,7 +39,6 @@ from support import (
     reference_matrix_from_json,
     reference_matrix_to_json,
     reference_point_to_json,
-    reference_rows_to_json,
 )
 
 F = Fraction
@@ -442,29 +441,3 @@ def test_points_and_matrices_render_as_by_the_fraction_route(den, rows):
     expected = reference_point_to_json(p)
     assert serialize._point(serialize._Tables(), p, "\n") == json.dumps(expected, indent=2)
 
-
-_keys = st.sampled_from(["matrix", "entries", "tropical_vertices", "pseudovertices", "polygon"])
-_int_rows = st.lists(
-    st.lists(st.integers(-40, 40) | st.none(), min_size=1, max_size=5), max_size=4
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.tuples(_keys, st.sampled_from((1, 2, 6, 10)), _int_rows), min_size=1, max_size=4),
-    st.booleans(),
-)
-def test_the_row_writer_gives_the_bytes_of_json_dumps(blocks, nested):
-    """Blocks of rows of integers over a denominator, None among them, are
-    written as ``json.dumps`` writes their rows of "p/q" strings and nulls,
-    in objects at depth 1 and 2, blocks over one denominator sharing one
-    table of text: den 1, one-row and empty blocks among them."""
-    tables = serialize._Tables()
-    line = "\n    " if nested else "\n  "
-    text = {key: serialize._rows(tables[den], rows, line) for key, den, rows in blocks}
-    expected = {key: reference_rows_to_json(den, rows) for key, den, rows in blocks}
-    written = serialize._object(line[:-2], **text)
-    if nested:
-        written = serialize._object("\n", matrix=written, n="3")
-        expected = {"matrix": expected, "n": 3}
-    assert written == json.dumps(expected, indent=2)
