@@ -7,7 +7,8 @@ equals the exact mean's certified minimum.  ``mean`` and ``polytrope`` read
 both vertex lists of their mean or input polytrope off one closure, which
 ``kleene_star`` keeps on the matrix, as integer columns over its
 denominator.
-Input is read as bytes and decoded as UTF-8, from a file or stdin alike.
+Input is read as bytes, a file's with ``os.read`` and no buffered file
+object, and decoded as UTF-8, from a file or stdin alike.
 Results go to stdout as JSON (CSV for bench, one line for distance),
 diagnostics to stderr; each JSON document is the text ``serialize``
 writes for it, ``result_to_json``, ``polytrope_to_json`` or
@@ -118,8 +119,13 @@ def _read_text(path: str) -> str:
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+        except OSError as exc:  # a directory opens, and its read names no file
+            raise OSError(exc.errno, exc.strerror, path) from None
+        finally:
+            os.close(fd)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

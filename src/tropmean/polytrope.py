@@ -60,7 +60,8 @@ def _check_scalar(v: Fraction | int) -> Fraction | int:
 
 class PolytropeMatrix(Frozen):
     """Square constraint matrix for Q(C) = {x : x_i - x_j >= c_ij}, held as
-    c_ij == rows[i][j] / den over the least common denominator den."""
+    c_ij == rows[i][j] / den over the least common denominator den; the rows
+    are copied to tuples, and divided only when den and they share a factor."""
 
     _fields = ("den", "rows")
 
@@ -72,8 +73,10 @@ class PolytropeMatrix(Frozen):
             raise ValueError("entries must form an n x n matrix")
         if den < 1:
             raise ValueError("the denominator must be positive")
-        g = gcd(den, *(v for row in rows for v in row if v is not None))
-        rows = tuple(tuple(v if v is None else v // g for v in row) for row in rows)
+        g = gcd(den, *[v for row in rows for v in row if v is not None])
+        if g > 1:
+            rows = [[v if v is None else v // g for v in row] for row in rows]
+        rows = tuple(map(tuple, rows))
         self.__dict__.update(den=den // g, rows=rows)
 
     @classmethod
@@ -171,15 +174,15 @@ def tropical_vertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
 
 def _breakpoints(x: Sequence[int], y: Sequence[int]) -> list[tuple[int, ...]]:
     """The interior breakpoints of the segment from y to x, two canonical
-    columns over one denominator, in increasing threshold lam, canonical
-    too: coordinate i is x_i + min(lam, 0) when y_i - x_i <= lam and
-    y_i - max(lam, 0) otherwise.  The chain's ends, y and x, are left out.
+    columns over one denominator, in increasing threshold lam: the point
+    max(lam + x, y) - max(lam, 0), canonical as x_0 == y_0 == 0, at each
+    y_i - x_i but the smallest and the largest, which give its ends y and x.
     """
-    d = [yi - xi for xi, yi in zip(x, y)]
+    xy = list(zip(x, y))
     out = []
-    for lam in sorted(set(d))[1:-1]:
-        a, b = min(lam, 0), max(lam, 0)
-        out.append(tuple(xi + a if di <= lam else yi - b for xi, yi, di in zip(x, y, d)))
+    for lam in sorted({yi - xi for xi, yi in xy})[1:-1]:
+        top = lam if lam > 0 else 0  # max(lam, 0); both maxima skip a slower call to max
+        out.append(tuple([(xi + lam if xi + lam > yi else yi) - top for xi, yi in xy]))
     return out
 
 
@@ -188,7 +191,8 @@ def pseudovertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
     of the tropical segment between each pair of them, walked once per pair
     from the later vertex to the earlier one, in first occurrence order, as
     canonical integer columns over ``kleene_star(c).den`` like
-    ``tropical_vertices``, whose columns lead the list.
+    ``tropical_vertices``, whose columns lead the list, and each breakpoint
+    put straight into one ordered dict.
 
     Each of these points is a vertex.  A point p of Q(C) is one exactly
     when the pairs (i, j) with p_i - p_j equal to the closure entry c*_ij
@@ -212,6 +216,7 @@ def pseudovertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:
     verts = tropical_vertices(c)
     points = dict.fromkeys(verts)
     for u, w in combinations(verts, 2):
-        points.update(dict.fromkeys(_breakpoints(u, w)))
+        for p in _breakpoints(u, w):
+            points[p] = None
     return list(points)
 

@@ -3,7 +3,8 @@
 Rationals travel as strings, "p/q" or plain "p" for integers, so no reader
 ever sees a rounded value.  Decimal literals in input files are converted
 exactly (0.2 becomes 1/5, not the nearest binary float).  Minus infinity in
-matrix entries is encoded as JSON null.
+matrix entries is encoded as JSON null.  Every JSON document is read by
+one ``json.JSONDecoder``, built at import with the number hooks below.
 
 Every number read, whether a string literal, a CSV cell or a bare JSON
 number, is held to MAX_LITERAL_DIGITS digits in all (numerator, denominator,
@@ -94,10 +95,13 @@ def parse_rational(text: str) -> Fraction:
 def parse_json(text: str) -> object:
     """A JSON document with its numbers read exactly and within the caps.
 
-    Decimal numbers become Fractions, integers stay ints.
+    Decimal numbers become Fractions, integers stay ints.  A leading
+    byte-order mark is refused as ``json.loads`` refuses it.
     """
     try:
-        return json.loads(text, parse_float=parse_rational, parse_int=_parse_int)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
@@ -107,6 +111,9 @@ def parse_json(text: str) -> object:
 def _parse_int(text: str) -> int:
     # A literal no longer than the digit cap is within the caps.
     return int(text) if len(text) <= MAX_LITERAL_DIGITS else int(parse_rational(text))
+
+
+_DECODER = json.JSONDecoder(parse_float=parse_rational, parse_int=_parse_int)
 
 
 def matrix_from_json(data: object) -> PolytropeMatrix:

@@ -918,6 +918,36 @@ def test_a_second_byte_order_mark_is_not_a_number(tmp_path, capsys):
     _assert_one_error_line(capsys, "error: line 1: not a rational: '\\ufeff0'")
 
 
+def test_a_second_byte_order_mark_is_refused_by_the_json_reader(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + b'{"entries": [[0, -1], [-1, 0]]}')
+    assert main(["polytrope", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["mean"], ["polytrope", "--matrix"]], ids=["mean", "matrix"])
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("missing.json", "[Errno 2] No such file or directory"),
+        ("folder", "[Errno 21] Is a directory"),
+    ],
+    ids=["missing", "directory"],
+)
+def test_an_unreadable_file_exits_2_with_the_line_naming_it(tmp_path, capsys, command, name, line):
+    path = tmp_path / name
+    if name == "folder":
+        path.mkdir()
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}: {str(path)!r}\n"
+
+
 @pytest.mark.parametrize(
     "coordinate", ['"1_000"', '"1e1_0"', '"1 / 2"', '"\u0661\u0662"', '"\uff11"'],
     ids=["underscore", "underscore-exponent", "spaced-slash", "arabic-indic-digits", "fullwidth-digit"],

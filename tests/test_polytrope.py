@@ -113,6 +113,13 @@ def test_from_rows_holds_the_entries_over_their_least_common_denominator(rows, k
     scaled = PolytropeMatrix(k * c.den, [[v if v is None else k * v for v in row] for row in c.rows])
     assert scaled == c and hash(scaled) == hash(c)
     assert (scaled.den, scaled.rows) == (c.den, c.rows)
+    # rows already over the least common denominator are kept, not divided,
+    # and the matrix does not follow later changes to the caller's lists
+    lists = [list(row) for row in c.rows]
+    kept = PolytropeMatrix(c.den, lists)
+    lists[0][0] = 1 if lists[0][0] is None else lists[0][0] + 1
+    lists.append(lists.pop(0))
+    assert (kept.den, kept.rows) == (c.den, c.rows)
 
 
 def test_kleene_star_golden():
@@ -538,6 +545,9 @@ def test_every_segment_breakpoint_of_the_closure_is_a_vertex():
 
 
 def test_segment_breakpoints_match_the_fraction_reference():
+    """On random pairs, on pairs whose thresholds repeat, on pairs with the
+    threshold 0 strictly between the smallest and the largest, and on equal
+    points, which have no interior breakpoint."""
     rng = Random("polytrope:segment-reference")
     for t in range(300):
         n = rng.randint(2, 7)
@@ -550,6 +560,18 @@ def test_segment_breakpoints_match_the_fraction_reference():
             y = canonicalize([v + rng.choice(shifts) for v in x])
         else:
             y = canonicalize([F(rng.randint(-12, 12), rng.choice(_DENOMS)) for _ in range(n)])
+        assert tuple(_chain(x, y)) == reference_segment_breakpoints(x, y)
+        assert tuple(_chain(y, x)) == reference_segment_breakpoints(y, x)
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        x = canonicalize([F(rng.randint(-12, 12), rng.choice(_DENOMS)) for _ in range(n)])
+        assert _breakpoints(x.nums, x.nums) == []
+        # y shifts each coordinate of x by low < 0, 0 or high > 0, coordinate 1
+        # by low and 2 by high, so thresholds repeat and 0 lies strictly inside
+        low, high = (F(s * rng.randint(1, 6), rng.choice(_DENOMS)) for s in (-1, 1))
+        shifts = [F(0), low, high, *(rng.choice((low, F(0), high)) for _ in range(n - 3))]
+        y = canonicalize([v + s for v, s in zip(x, shifts)])
+        assert 0 in sorted({yi - xi for xi, yi in zip(x, y)})[1:-1]
         assert tuple(_chain(x, y)) == reference_segment_breakpoints(x, y)
         assert tuple(_chain(y, x)) == reference_segment_breakpoints(y, x)
 
