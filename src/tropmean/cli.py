@@ -26,7 +26,7 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 
-from .core import SampleSet, TorusPoint, canonicalize, trop_dist
+from .core import SampleSet, TorusPoint, trop_dist
 from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
 from .frechet import exact_frechet, find_certificate
 from .polytrope import kleene_star, pseudovertices, tropical_vertices
@@ -36,8 +36,8 @@ from .serialize import (
     load_points,
     matrix_from_json,
     parse_json,
-    parse_rational,
     polytrope_to_json,
+    read_point,
     result_to_json,
 )
 
@@ -139,7 +139,7 @@ def _parse_vector(text: str) -> TorusPoint:
     if len(parts) < 2:
         raise argparse.ArgumentTypeError("need at least two comma-separated coordinates")
     try:
-        return canonicalize([parse_rational(p) for p in parts])
+        return read_point(parts)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -74,7 +74,7 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
     is the intersection of the tropical balls B(p_j, d_j); entrywise that
     is c_ij = max_j(-d_j + p_{j,i} - p_{j,k}) with a zero diagonal.
     """
-    e, nums, lifts = _lift(sample, mean)
+    e, _, nums, lifts = _lift(sample, mean)
     return _mean_set(nums, [hi - lo for hi, lo in lifts], e)
 
 
@@ -87,9 +87,9 @@ def _average(sample: SampleSet) -> TorusPoint:
 
 def _lift(
     sample: SampleSet, x: TorusPoint
-) -> tuple[int, Sequence[Sequence[int]], list[tuple[int, int]]]:
-    """(e, nums, lifts): the sample over the common denominator e of the
-    sample and x, and per sample the max and min of x - p_j, over e too."""
+) -> tuple[int, list[int], Sequence[Sequence[int]], list[tuple[int, int]]]:
+    """(e, xs, nums, lifts): x and the sample over the common denominator e
+    of the two, and per sample the max and min of x - p_j, over e too."""
     den, nums = sample.den, sample.nums
     e = lcm(den, x.den)
     xs = [v * (e // x.den) for v in x.nums]
@@ -99,7 +99,7 @@ def _lift(
     for p in nums:
         gaps = list(map(sub, xs, p))
         lifts.append((max(gaps), min(gaps)))
-    return e, nums, lifts
+    return e, xs, nums, lifts
 
 
 def _mean_set(nums: Sequence[Sequence[int]], spreads: list[int], e: int) -> PolytropeMatrix:
@@ -148,7 +148,7 @@ def _result_at(
     sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None
 ) -> FrechetResult:
     """The result at ``mean``, exact when a ``cert`` is given."""
-    e, nums, lifts = _lift(sample, mean)
+    e, _, nums, lifts = _lift(sample, mean)
     spreads = [hi - lo for hi, lo in lifts]
     return FrechetResult(
         mean=mean,
@@ -189,8 +189,9 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     The split program writes d(x, p_j) = u_j - l_j and minimizes
     sum (u_j - l_j)^2 over x_2..x_n, u and l subject to u_j - x_i >= -p_{j,i}
     and x_k - l_j >= p_{j,k} for all i, k: 2nm difference rows, the edges
-    ``minimize_qp`` takes.  The start lifts with u_j and l_j at the max and
-    min of x - p_j, and so does the optimum.
+    ``minimize_qp`` takes on its nodes x_1..x_n, u_1..u_m, l_1..l_m, in that
+    order, so x_1 is its ground.  The start lifts with u_j and l_j at the max
+    and min of x - p_j, and so does the optimum.
 
     With multipliers alpha_ji and beta_jk on those rows, stationarity in u_j
     and l_j gives sum_i alpha_ji = sum_k beta_jk = 2 t_j, t_j = u_j - l_j, and
@@ -211,22 +212,18 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     """
     n = sample.n
     m = sample.m
-    nv = n - 1
 
-    e, nums, lifts = _lift(sample, start)
+    e, x0, nums, lifts = _lift(sample, start)
     # Sample j's n rows of u_j, then its n rows of l_j: row r is sample r // 2n.
-    # x_1 is the ground, and x_2..x_n are variables 0..n-2.
-    xs = [None, *range(nv)]
     edges: list[Edge] = []
     d: list[int] = []
     for j, p in enumerate(nums):
-        edges += [(nv + j, x) for x in xs]
-        edges += [(x, nv + m + j) for x in xs]
+        edges += [(n + j, i) for i in range(n)]
+        edges += [(i, n + m + j) for i in range(n)]
         d += [-c for c in p]
         d += p
     tops, bots = zip(*lifts)
-    x0 = [v * (e // start.den) for v in start.nums[1:]]
-    squares = [(u, u + m, 0) for u in range(nv, nv + m)]
+    squares = [(u, u + m, 0) for u in range(n, n + m)]
     value, (zd, zn), active, u = minimize_qp(squares, edges, d, [*x0, *tops, *bots])
 
     # Per sample, its alpha and its beta by coordinate, over one factor.
@@ -246,5 +243,5 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
             for k, b in beta.items()
         }
         weights.append(tuple((i, k, w) for (i, k), w in sorted(per.items())))
-    mean = TorusPoint(zd * e, (0, *zn[:nv]))
+    mean = TorusPoint(zd * e, tuple(zn[:n]))
     return mean, Certificate(value / (e * e), tuple(weights), mean)

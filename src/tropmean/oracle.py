@@ -13,7 +13,8 @@ as its prefix is infeasible or the unconstrained lower bound of its partial
 sum exceeds the best value seen.  Most surviving leaves are settled by the
 normal equations alone (when the free minimizer already lies inside the
 region); only the rest run an exact active-set program, which takes the
-assignment's squares (x_i - x_k - c)^2 and the region's rows as they are.
+assignment's squares (x_i - x_k - c)^2 and the region's rows as they are,
+with x_1 as its ground.
 
 The module is deliberately independent of the refinement pipeline in
 ``frechet``: it shares only the exact linear-algebra and QP kernels, and its
@@ -56,7 +57,7 @@ class _Cell:
     value: Fraction | None  # exact region minimum, if already known
     bound: Fraction  # unconstrained lower bound on the region minimum
     point: tuple[Fraction, ...] | None  # minimizer with x_1 = 0, if known
-    start: list[int]  # feasible gauge point for the deferred program
+    start: list[int]  # feasible point with x_1 = 0 for the deferred program
 
 
 def brute_force_frechet(
@@ -147,7 +148,7 @@ def brute_force_frechet(
             value, point, seen = None, None, objective_at(feas)
         if ub is None or seen < ub:
             ub = seen
-        start = [feas[t] - feas[0] for t in range(1, n)]
+        start = [v - feas[0] for v in feas]
         cells.append(_Cell(len(cells), tuple(chosen), value, bound, point, start))
 
     def descend(j: int) -> None:
@@ -175,7 +176,6 @@ def brute_force_frechet(
     # Settle deferred cells cheapest bound first; once the bound passes the
     # best value no remaining cell can matter.  Each rebuilds its program
     # from its assignment.
-    node = [None, *range(nv)]  # x_1 is the ground, x_2..x_n variables 0..n-2
     best = min((c.value for c in cells if c.value is not None), default=None)
     for cell in sorted(
         (c for c in cells if c.value is None), key=lambda c: (c.bound, c.order)
@@ -186,16 +186,16 @@ def brute_force_frechet(
         squares: list[Square] = []
         for j, (i, k) in enumerate(cell.assignment):
             tighten(cell_region, j, (i, k))
-            squares.append((node[i], node[k], consts[j][i, k]))
+            squares.append((i, k, consts[j][i, k]))
         edges: list[Edge] = []
         rhs: list[int] = []
         for i in range(n):
             for k in range(n):
                 if cell_region[i][k] is not None:
-                    edges.append((node[i], node[k]))
+                    edges.append((i, k))
                     rhs.append(cell_region[i][k])
         cell.value, (zd, zn), _, _ = minimize_qp(squares, edges, rhs, cell.start)
-        cell.point = (Fraction(0), *(Fraction(v, zd) for v in zn))
+        cell.point = tuple(Fraction(v, zd) for v in zn)
         if best is None or cell.value < best:
             best = cell.value
 

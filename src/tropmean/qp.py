@@ -1,8 +1,8 @@
 """Exact primal active-set solver for small optimal-tension quadratic programs.
 
 Minimizes a sum of squares q(z) = sum_s (z_a - z_b - c_s)^2 subject to
-difference constraints z_a - z_b >= d, with integer data, where either end
-of a square or a constraint may be the ground, a node held at zero.
+difference constraints z_a - z_b >= d, with integer data, on the nodes
+0, 1, ..., node 0 the ground held at zero, as x_1 is in canonical form.
 These are optimal-tension problems (Rockafellar, *Network Flows and
 Monotropic Optimization*, 1984).  The method is the classical one: keep a
 working set W of constraints treated as equalities, minimize q on the
@@ -22,9 +22,9 @@ positive length, a stationary point minimizes q over its W's subspace, so
 no W is stationary twice across such a step, and the fallback ends every
 run of zero-length steps.
 
-An independent set of difference rows is a forest on the variables and the
-ground, and the loop keeps W as one across iterations: per node its
-component label and its W rows, per component its nodes in increasing order.
+An independent set of difference rows is a forest on the nodes, and the
+loop keeps W as one across iterations: per node its component label and its
+W rows, per component its nodes in increasing order.
 
 * Join: a row whose ends lie in two components enters, and the smaller
   component takes the larger one's label.  A blocking row always joins two.
@@ -34,13 +34,13 @@ component label and its W rows, per component its nodes in increasing order.
   rows left collects that side of its tree under a fresh label.
 * The nullspace is spanned by the indicator vectors of the components
   without the ground, and that is exactly the basis read off the RREF of its
-  rows: in a component of k variables joined by k - 1 rows any k - 1 columns
-  are independent, so the pivots are its k - 1 lowest variables, the free
+  rows: in a component of k nodes joined by k - 1 rows any k - 1 columns
+  are independent, so the pivots are its k - 1 lowest nodes, the free
   column is its highest, and the RREF vector of that column is 1 on the
   component; the vectors come in the order of their free columns.  So the
   steps are those of the loop that takes its basis from the RREF.
 * The multipliers, the flow dual to the tension, come from one rooted pass
-  per tree: rooted at its largest node, the ground when it holds it, each
+  per tree: rooted at its smallest node, the ground when it holds it, each
   node in reverse walk order hands its residual to the row to its parent as
   that row's multiplier, and on to the parent.
 
@@ -75,8 +75,8 @@ from math import gcd
 
 from .linalg import integer_solve
 
-Edge = tuple[int | None, int | None]
-Square = tuple[int | None, int | None, int]
+Edge = tuple[int, int]
+Square = tuple[int, int, int]
 
 MAX_ITER = 10_000
 DEGENERATE_STEPS = 12
@@ -92,43 +92,39 @@ def minimize_qp(
     """Solve min sum (z_a - z_b - c)^2 over the squares (a, b, c)
     s.t.  z_a - z_b >= d[r] for each edge r = (a, b).
 
-    Either end of a square or an edge may be None, the ground, which is
-    held at zero: the edge (a, None) reads z_a >= d[r] and (None, b) reads
-    -z_b >= d[r].  z0 must be feasible.  All data are ints.
-    Returns (optimal value, (zd, zn), active rows, u): the optimizer
-    z = zn / zd with zd > 0, the rows of the final working set in increasing
-    order, and their multipliers lam = u / zd over the same zd, lam >= 0 in
-    the same order, with sum_r lam_r (e_a - e_b) the gradient of the sum.
+    Node 0 is the ground, held at zero: the edge (a, 0) reads z_a >= d[r]
+    and (0, b) reads -z_b >= d[r].  z0 must be feasible, zero at node 0 too.
+    All data are ints.  Returns (optimal value, (zd, zn), active rows, u):
+    the optimizer z = zn / zd with zd > 0 and zn[0] == 0, the rows of the
+    final working set in increasing order, and their multipliers lam = u / zd
+    over the same zd, lam >= 0 in the same order, with sum_r lam_r (e_a - e_b)
+    the gradient of the sum off the ground.
     """
-    nvars = len(z0)
-    # Node nvars is the ground: zn and every step hold a zero there.
-    ends = [(nvars if a is None else a, nvars if b is None else b) for a, b in edges]
-    terms = [(nvars if a is None else a, nvars if b is None else b, c) for a, b, c in squares]
-    zd, zn = 1, [*z0, 0]
-    slacks = [zn[a] - zn[b] - v for (a, b), v in zip(ends, d)]
-    if any(s < 0 for s in slacks):
+    zd, zn = 1, list(z0)
+    slacks = [zn[a] - zn[b] - v for (a, b), v in zip(edges, d)]
+    if zn[0] or any(s < 0 for s in slacks):
         raise QPError("infeasible starting point")
-    work = Forest(ends, nvars)
+    work = Forest(edges, len(zn))
     for i, s in enumerate(slacks):
         if s == 0:
             work.join(i)
     degenerate = 0
 
     for _ in range(MAX_ITER):
-        # The ground's entry of grad collects what no variable takes.
-        grad = [0] * (nvars + 1)
-        res = [zn[a] - zn[b] - c * zd for a, b, c in terms]
-        for (a, b, _), r in zip(terms, res):
+        # The ground's entry of grad collects what no other node takes.
+        grad = [0] * len(zn)
+        res = [zn[a] - zn[b] - c * zd for a, b, c in squares]
+        for (a, b, _), r in zip(squares, res):
             grad[a] += 2 * r
             grad[b] -= 2 * r
-        sd, sn = _subspace_step(terms, grad, nullspace(work), zd)
+        sd, sn = _subspace_step(squares, grad, nullspace(work), zd)
         if not any(sn):
-            u = work.multipliers(grad[:nvars])
+            u = work.multipliers(grad)
             neg = [(v, r) for r, v in u.items() if v < 0]
             if not neg:
                 active = sorted(u)
                 value = Fraction(sum(r * r for r in res), zd * zd)
-                return value, (zd, zn[:nvars]), active, [u[r] for r in active]
+                return value, (zd, zn), active, [u[r] for r in active]
             work.split(min(neg)[1] if degenerate < DEGENERATE_STEPS else min(r for _, r in neg))
             continue
         # Row i's limit slack_i / (-row_i.step) is (slack / -prod) times
@@ -137,7 +133,7 @@ def minimize_qp(
         # prod < 0 can block; working-set rows have prod == 0.
         best_num, best_den = zd, sd
         blocker = None
-        for i, (a, b) in enumerate(ends):
+        for i, (a, b) in enumerate(edges):
             prod = sn[a] - sn[b]
             if prod < 0:
                 num = zn[a] - zn[b] - d[i] * zd
@@ -159,18 +155,18 @@ def minimize_qp(
 
 
 class Forest:
-    """A working set of rows with ``ends`` on the nodes 0..nvars, nvars the ground.
+    """A working set of rows with ``ends`` on the nodes 0..nodes-1, 0 the ground.
 
     ``label`` holds each node's component, ``members`` each component's nodes
     in increasing order and ``at`` each node's rows in the forest.
     """
 
-    def __init__(self, ends: list[tuple[int, int]], nvars: int) -> None:
+    def __init__(self, ends: list[Edge], nodes: int) -> None:
         self.ends = ends
-        self.label = list(range(nvars + 1))
-        self.members = {t: [t] for t in range(nvars + 1)}
-        self.at: list[list[int]] = [[] for _ in range(nvars + 1)]
-        self.fresh = nvars + 1
+        self.label = list(range(nodes))
+        self.members = {t: [t] for t in range(nodes)}
+        self.at: list[list[int]] = [[] for _ in range(nodes)]
+        self.fresh = nodes
 
     def join(self, r: int) -> bool:
         """Add row r when its ends lie in two components; says whether it did."""
@@ -202,19 +198,20 @@ class Forest:
         self.members[old] = [t for t in self.members[old] if self.label[t] == old]
 
     def multipliers(self, grad: list[int]) -> dict[int, int]:
-        """u by row with sum_r u_r (e_a - e_b) = grad over the forest's rows (a, b);
-        a residual left at a root other than the ground is an inconsistency."""
-        residual = [*grad, 0]
+        """u by row with sum_r u_r (e_a - e_b) = grad off the ground over the
+        forest's rows (a, b); each tree is rooted at its smallest node, and a
+        residual left at a root other than the ground is an inconsistency."""
+        residual = list(grad)
         u = {}
         for group in self.members.values():
-            order, up = self._walk(group[-1])
+            order, up = self._walk(group[0])
             for t in order[:0:-1]:
                 r = up[t]
                 res = residual[t]
                 a, b = self.ends[r]
                 u[r], other = (res, b) if a == t else (-res, a)
                 residual[other] += res
-            if residual[group[-1]] and group[-1] < len(grad):
+            if residual[group[0]] and group[0]:
                 raise QPError("stationary point with inconsistent multiplier system")
         return u
 
@@ -234,7 +231,7 @@ class Forest:
 
 
 def _subspace_step(
-    terms: list[tuple[int, int, int]], grad: list[int], groups: list[list[int]], zd: int
+    squares: list[Square], grad: list[int], groups: list[list[int]], zd: int
 ) -> tuple[int, list[int]]:
     """Minimize the sum of squares along z + span(B); returns the step as (sd, sn).
 
@@ -251,7 +248,7 @@ def _subspace_step(
     red = [[0] * len(groups) + [-sum(grad[t] for t in group)] for group in groups]
     # A square on nodes a and b adds 2 (e_a - e_b)(e_a - e_b)^T to H, so
     # 2 (f_p - f_q)(f_p - f_q)^T to B^T H B, p and q the groups of a and b.
-    for a, b, _ in terms:
+    for a, b, _ in squares:
         p, q = group_of[a], group_of[b]
         if p != q:
             if p >= 0:
@@ -275,13 +272,12 @@ def _subspace_step(
 
 
 def nullspace(work: Forest) -> list[list[int]]:
-    """Basis of {z : z_a = z_b for every row (a, b) of the forest}.
+    """Basis of {z : z_0 = 0 and z_a = z_b for every row (a, b) of the forest}.
 
     The basis is the indicator vectors of the components that do not hold
-    the ground, in the order of their largest variable, each given as its
-    variables in increasing order.
+    the ground, node 0, in the order of their largest node, each given as
+    its nodes in increasing order.
     """
-    ground = work.label[-1]
-    groups = [group for lab, group in work.members.items() if lab != ground]
+    groups = [group for group in work.members.values() if group[0]]
     return sorted(groups, key=lambda group: group[-1])
 

@@ -17,9 +17,9 @@ digits for converting an integer to text.  ``as_rational`` shares the check.
 Points, matrix entries and certificate values are read by one coordinate
 reader, ``_ratio``: a bare JSON integer or a plain ASCII "p" or "p/q"
 literal goes straight to an integer pair, and every other form through
-``parse_rational``.  ``load_points`` and ``matrix_from_json`` then put
-their pairs over the lcm of the denominators, the sample as its common
-denominator and integers, the matrix as its ``(den, rows)``.
+``parse_rational``.  ``load_points``, ``matrix_from_json`` and ``read_point``
+put their pairs over the lcm of the denominators: a sample's integers, a
+matrix's ``(den, rows)``, and the point of a certificate or of ``--point``.
 
 Rationals are written by one routine, ``format_ratio``, from a numerator
 and a positive denominator, and ``format_rational`` from a Fraction's two
@@ -143,8 +143,7 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
     raw = data["point"]
     if not isinstance(raw, list) or len(raw) != sample.n:
         raise ParseError(f"certificate 'point' must be an array of {sample.n} coordinates")
-    den, (nums,) = _over_lcm([[_ratio(v) for v in raw]])
-    point = TorusPoint(den, tuple(v - nums[0] for v in nums))
+    point = read_point(raw)
     groups = data["weights"]
     if not isinstance(groups, list) or len(groups) != sample.m:
         raise ParseError("certificate must carry one weight group per sample")
@@ -171,6 +170,12 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
             entries.append((i, k, Fraction(*_ratio(item["w"]))))
         by_sample.append(tuple(entries))
     return Certificate(Fraction(*_ratio(data["c_star"])), tuple(by_sample), point)
+
+
+def read_point(values: Sequence[object]) -> TorusPoint:
+    """The canonical point of coordinates read by ``_ratio``."""
+    den, (nums,) = _over_lcm([[_ratio(v) for v in values]])
+    return TorusPoint(den, tuple(v - nums[0] for v in nums))
 
 
 def _piece_index(value: object, n: int) -> int:

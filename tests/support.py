@@ -99,35 +99,35 @@ def dot(x, y):
     return sum((a * b for a, b in zip(x, y) if a), Fraction(0))
 
 
-def densify(edges, nvars):
-    """The dense rows of ``qp.minimize_qp`` edges: (a, b) is e_a - e_b, None the ground."""
+def densify(edges, nodes):
+    """The dense rows of ``qp.minimize_qp`` edges over the nodes 1..nodes-1:
+    (a, b) is e_a - e_b, and node 0, the ground, has no column."""
     rows = []
     for a, b in edges:
-        row = [Fraction(0)] * nvars
-        if a is not None:
-            row[a] += 1
-        if b is not None:
-            row[b] -= 1
-        rows.append(row)
+        row = [Fraction(0)] * nodes
+        row[a] += 1
+        row[b] -= 1
+        rows.append(row[1:])
     return rows
 
 
-def dense_objective(squares, nvars):
-    """(H, g, c0), dense and over Fractions, with 1/2 z^T H z + g^T z + c0 the
-    sum of the ``qp.minimize_qp`` squares (a, b, c), that is (z_a - z_b - c)^2
-    with None the ground: each adds 2 (e_a - e_b)(e_a - e_b)^T to H,
-    -2 c (e_a - e_b) to g and c^2 to c0."""
-    h = [[Fraction(0)] * nvars for _ in range(nvars)]
-    g = [Fraction(0)] * nvars
+def dense_objective(squares, nodes):
+    """(H, g, c0), dense over the nodes 1..nodes-1 and over Fractions, with
+    1/2 z^T H z + g^T z + c0 the sum of the ``qp.minimize_qp`` squares
+    (a, b, c), that is (z_a - z_b - c)^2 with node 0 the ground: each adds
+    2 (e_a - e_b)(e_a - e_b)^T to H, -2 c (e_a - e_b) to g and c^2 to c0,
+    and the ground's row and column are left out."""
+    h = [[Fraction(0)] * nodes for _ in range(nodes)]
+    g = [Fraction(0)] * nodes
     c0 = Fraction(0)
     for a, b, c in squares:
-        ends = [(t, sign) for t, sign in ((a, 1), (b, -1)) if t is not None]
+        ends = ((a, 1), (b, -1))
         for s, ss in ends:
             g[s] -= 2 * ss * c
             for t, st in ends:
                 h[s][t] += 2 * ss * st
         c0 += Fraction(c) ** 2
-    return h, g, c0
+    return [row[1:] for row in h[1:]], g[1:], c0
 
 
 def rref_over_fractions(rows):
@@ -299,13 +299,14 @@ def fraction_result(result, e):
 
 def fraction_program(squares, edges, d, z0):
     """A program of ``qp.minimize_qp`` as ``reference_qp`` takes it: dense H,
-    g and c0 from ``dense_objective``, dense rows, d and z0, all Fractions."""
+    g and c0 from ``dense_objective``, dense rows, d and z0 off the ground,
+    all Fractions."""
     as_fractions = lambda xs: [Fraction(v) for v in xs]
     return (
         *dense_objective(squares, len(z0)),
         densify(edges, len(z0)),
         as_fractions(d),
-        as_fractions(z0),
+        as_fractions(z0[1:]),
     )
 
 
@@ -321,26 +322,27 @@ def reference_average(sample: SampleSet) -> TorusPoint:
 
 
 def reference_epigraph_program(sample: SampleSet, start: TorusPoint):
-    """(dense H, g, edges, d, z0) of the split epigraph program at ``start``."""
+    """(dense H, g, edges, d, z0) of the split epigraph program at ``start``,
+    on the nodes x_1..x_n, u_1..u_m, l_1..l_m; H and g leave out x_1, the
+    ground."""
     n, m = sample.n, sample.m
-    nv = n - 1
-    nvars = nv + 2 * m
+    nvars = n - 1 + 2 * m
     zero = Fraction(0)
     h = [[zero] * nvars for _ in range(nvars)]
-    for u in range(nv, nv + m):
+    # u_j is node n + j, so column n + j - 1 off the ground.
+    for u in range(n - 1, n - 1 + m):
         h[u][u] = h[u + m][u + m] = Fraction(2)
         h[u][u + m] = h[u + m][u] = Fraction(-2)
     g = [zero] * nvars
-    xs = [None, *range(nv)]
     edges = []
     d = []
     for j in range(m):
-        edges += [(nv + j, x) for x in xs]
-        edges += [(x, nv + m + j) for x in xs]
+        edges += [(n + j, i) for i in range(n)]
+        edges += [(i, n + m + j) for i in range(n)]
         d += [-c for c in sample[j]] + list(sample[j])
     x = start.coords
     gaps = [[a - b for a, b in zip(x, p)] for p in sample]
-    z0 = [*x[1:], *map(max, gaps), *map(min, gaps)]
+    z0 = [*x, *map(max, gaps), *map(min, gaps)]
     return h, g, edges, d, z0
 
 
@@ -351,7 +353,7 @@ def reference_epigraph(sample: SampleSet, start: TorusPoint):
     i < k piece, weight 1 on piece (0, 1) for a sample with no multiplier."""
     n, m = sample.n, sample.m
     h, g, edges, d, z0 = reference_epigraph_program(sample, start)
-    (c_star, z, active, lam), _ = reference_qp(h, g, 0, densify(edges, len(z0)), d, z0)
+    (c_star, z, active, lam), _ = reference_qp(h, g, 0, densify(edges, len(z0)), d, z0[1:])
     sides = [({}, {}) for _ in range(m)]
     for r, value in zip(active, lam):
         if value:

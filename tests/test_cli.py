@@ -696,7 +696,33 @@ def test_certify_refuses_an_empty_coordinate(tmp_path, capsys, point):
     assert caught.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "tropmean certify: error: argument --point: not a rational: ''"
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("1/0", "not a rational: '1/0'"),
+        ("1e4400", "exponent of '1e4400' exceeds 1000"),
+        ("1" * 1001, "number '1111111111...1111111111' has more than 1000 digits"),
+        ("\u0663", "not a rational: '\u0663'"),
+    ],
+    ids=["zero-denominator", "exponent", "digits", "non-ascii-digit"],
+)
+def test_certify_names_an_unreadable_coordinate(tmp_path, capsys, field, message):
+    """A --point coordinate that the coordinate reader refuses ends in one
+    usage error line, which quotes it."""
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    with pytest.raises(SystemExit) as caught:
+        main(["certify", path, "--point", f"0,{field},-1"])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"tropmean certify: error: argument --point: {message}"
+    ]
 
 
 def test_certify_refuses_a_one_coordinate_point(tmp_path, capsys):

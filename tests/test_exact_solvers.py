@@ -212,26 +212,33 @@ def _solve(squares, edges, d, z0):
 
 def test_qp_takes_integers_and_returns_them_over_one_denominator():
     # The program of test_qp_activates_a_blocking_constraint: the optimizer
-    # (3/2, 3/2) comes back as (3, 3) over 2, and the multiplier 1 as 2 over
-    # the same 2.
-    result = minimize_qp([(0, None, 1), (1, None, 2)], [(0, 1)], [0], [2, 0])
-    assert result == (F(1, 2), (2, [3, 3]), [0], [2])
+    # (3/2, 3/2) comes back as (3, 3) over 2, the ground's 0 with it, and the
+    # multiplier 1 as 2 over the same 2.
+    result = minimize_qp([(1, 0, 1), (2, 0, 2)], [(1, 2)], [0], [0, 2, 0])
+    assert result == (F(1, 2), (2, [0, 3, 3]), [0], [2])
+
+
+def test_qp_rejects_a_start_off_zero_at_the_ground():
+    # The start (1, 3, 1) is (0, 2, 0) shifted by 1, feasible for the row
+    # z1 - z2 >= 0 but not held at zero on node 0.
+    with pytest.raises(QPError):
+        minimize_qp([(1, 0, 1), (2, 0, 2)], [(1, 2)], [0], [1, 3, 1])
 
 
 def _qp_value(squares, z):
-    at = lambda t: F(0) if t is None else z[t]
-    return sum(((at(a) - at(b) - c) ** 2 for a, b, c in squares), F(0))
+    return sum(((z[a] - z[b] - c) ** 2 for a, b, c in squares), F(0))
 
 
 def _gradient(squares, z):
+    """The gradient of the sum at z, over the nodes off the ground."""
     h, g, _ = dense_objective(squares, len(z))
-    return [hz + ga for hz, ga in zip(mat_vec(h, z), g)]
+    return [hz + ga for hz, ga in zip(mat_vec(h, z[1:]), g)]
 
 
 def test_qp_unconstrained_minimum():
-    squares = [(0, None, F(1)), (1, None, F(2))]
-    value, z, active, _ = _solve(squares, [], [], [F(0), F(0)])
-    assert z == [F(1), F(2)]
+    squares = [(1, 0, F(1)), (2, 0, F(2))]
+    value, z, active, _ = _solve(squares, [], [], [F(0), F(0), F(0)])
+    assert z == [F(0), F(1), F(2)]
     assert value == F(0)
     assert active == []
 
@@ -239,9 +246,9 @@ def test_qp_unconstrained_minimum():
 def test_qp_activates_a_blocking_constraint():
     # minimize (z1-1)^2 + (z2-2)^2 over z1 - z2 >= 0 from (2, 0): the step
     # towards (1, 2) is blocked at (4/3, 4/3), and the optimum is (3/2, 3/2).
-    squares = [(0, None, F(1)), (1, None, F(2))]
-    value, z, active, lam = _solve(squares, [(0, 1)], [F(0)], [F(2), F(0)])
-    assert z == [F(3, 2), F(3, 2)]
+    squares = [(1, 0, F(1)), (2, 0, F(2))]
+    value, z, active, lam = _solve(squares, [(1, 2)], [F(0)], [F(0), F(2), F(0)])
+    assert z == [F(0), F(3, 2), F(3, 2)]
     assert active == [0]
     # the gradient (1, -1) = lam (e_1 - e_2)
     assert _gradient(squares, z) == [F(1), F(-1)]
@@ -252,25 +259,25 @@ def test_qp_activates_a_blocking_constraint():
 
 
 def test_qp_leaves_an_inactive_constraint_alone():
-    value, z, active, _ = _solve([(0, None, F(3))], [(0, None)], [F(0)], [F(5)])
-    assert z == [F(3)]
+    value, z, active, _ = _solve([(1, 0, F(3))], [(1, 0)], [F(0)], [F(0), F(5)])
+    assert z == [F(0), F(3)]
     assert value == F(0)
     assert active == []
 
 
 def test_qp_rejects_infeasible_start():
     with pytest.raises(QPError):
-        _solve([(0, None, F(0))], [(0, None)], [F(1)], [F(0)])
+        _solve([(1, 0, F(0))], [(1, 0)], [F(1)], [F(0), F(0)])
 
 
 def test_qp_semidefinite_hessian_with_equality_like_rows():
     # no square on z2, a flat direction; ground edges both ways round pin
     # z2 between 1 and 1
-    edges = [(1, None), (None, 1)]
+    edges = [(2, 0), (0, 2)]
     d = [F(1), F(-1)]
-    value, z, active, _ = _solve([(0, None, F(0))], edges, d, [F(4), F(1)])
-    assert z[0] == F(0)
-    assert z[1] == F(1)
+    value, z, active, _ = _solve([(1, 0, F(0))], edges, d, [F(0), F(4), F(1)])
+    assert z[1] == F(0)
+    assert z[2] == F(1)
     assert value == F(0)
 
 
@@ -288,18 +295,18 @@ def test_qp_random_boxes_agree_with_coordinate_clamping():
         edges = []
         d = []
         for a in range(nv):
-            squares += [(a, None, target[a])] * diag[a]
-            edges.extend([(a, None), (None, a)])
+            squares += [(a + 1, 0, target[a])] * diag[a]
+            edges.extend([(a + 1, 0), (0, a + 1)])
             d.extend([lo[a], -hi[a]])
-        z0 = [min(max(F(0), lo[a]), hi[a]) for a in range(nv)]
+        z0 = [F(0), *(min(max(F(0), lo[a]), hi[a]) for a in range(nv))]
         value, z, active, lam = _solve(squares, edges, d, z0)
-        clamped = [min(max(target[a], lo[a]), hi[a]) for a in range(nv)]
+        clamped = [F(0), *(min(max(target[a], lo[a]), hi[a]) for a in range(nv))]
         assert z == clamped
         assert value == _qp_value(squares, clamped)
         # KKT: nonnegative multipliers with C_A^T lam the gradient
         assert len(lam) == len(active)
         assert all(v >= 0 for v in lam)
-        rows = densify(edges, nv)
+        rows = densify(edges, nv + 1)
         combined = [sum((v * rows[i][t] for i, v in zip(active, lam)), F(0)) for t in range(nv)]
         assert combined == _gradient(squares, z)
 
@@ -309,13 +316,13 @@ def test_qp_first_row_blocks_on_a_tie(order):
     # z1 <= 1 and z1 - z2 <= 1 both block the first step, from the origin
     # towards (2, 0), at the same length; the lower index enters the working
     # set, and the optimum is (1, 0) either way.
-    squares = [(0, None, F(2)), (1, None, F(0))]
-    pair = [((None, 0), F(-1)), ((1, 0), F(-1))]
+    squares = [(1, 0, F(2)), (2, 0, F(0))]
+    pair = [((0, 1), F(-1)), ((2, 1), F(-1))]
     edges = [pair[a][0] for a in order]
     d = [pair[a][1] for a in order]
-    z0 = [F(0), F(0)]
+    z0 = [F(0), F(0), F(0)]
     value, z, active, lam = _solve(squares, edges, d, z0)
-    assert z == [F(1), F(0)]
+    assert z == [F(0), F(1), F(0)]
     assert value == F(1)
     assert 0 in active
     # C_A^T lam = the gradient (-2, 0) puts the whole multiplier on z1 <= 1.
@@ -335,32 +342,32 @@ QP_CASES = {
     # min (u - l)^2 over (x, u, l) with u >= x, u >= 3/2, l <= x and l <= 0:
     # no square touches x, a zero block of H, as in frechet's epigraph program.
     "zero-block": _program(
-        [(1, 2, 0)],
-        [(1, 0), (1, None), (0, 2), (None, 2)],
+        [(2, 3, 0)],
+        [(2, 1), (2, 0), (1, 3), (0, 3)],
         [0, F(3, 2), 0, 0],
-        [3, 5, -1],
+        [0, 3, 5, -1],
     ),
     # Right-hand sides with denominators 2 to 6.
     "fractional-rhs": _program(
-        [(0, None, 1), (1, None, 2), (2, None, 0)],
-        [(None, 0), (2, 1), (0, 2), (1, None), (None, 1)],
+        [(1, 0, 1), (2, 0, 2), (3, 0, 0)],
+        [(0, 1), (3, 2), (1, 3), (2, 0), (0, 2)],
         [F(-1, 2), F(-5, 6), F(-7, 4), F(-3, 5), F(-4, 3)],
-        [0, 0, 0],
+        [0, 0, 0, 0],
     ),
     # One edge twice says z1 <= 1, and both copies block the first step.
     "repeated-tie": _program(
-        [(0, None, 2), (1, None, 0)], [(None, 0), (None, 0)], [-1, -1], [0, 0]
+        [(1, 0, 2), (2, 0, 0)], [(0, 1), (0, 1)], [-1, -1], [0, 0, 0]
     ),
     # z1 <= 1 is tight at the start, but its multiplier there is negative.
     "negative-multiplier": _program(
-        [(0, None, 0), (1, None, 0)], [(None, 0)], [-1], [1, 0]
+        [(1, 0, 0), (2, 0, 0)], [(0, 1)], [-1], [0, 1, 0]
     ),
 }
 
 
 def test_qp_cases_exercise_their_feature():
     squares, _, _, _ = QP_CASES["zero-block"]
-    assert all(0 not in (a, b) for a, b, _ in squares)
+    assert all(1 not in (a, b) for a, b, _ in squares)
     _, _, d, _ = QP_CASES["fractional-rhs"]
     assert {v.denominator for v in d} == {2, 3, 4, 5, 6}
     assert _reference(QP_CASES["repeated-tie"])[1]["ties"] >= 1
@@ -368,7 +375,9 @@ def test_qp_cases_exercise_their_feature():
 
 
 def _reference(program):
-    return reference_qp(*fraction_program(*program))
+    """``reference_qp`` on a program, its z given back the ground's 0."""
+    (value, z, active, lam), stats = reference_qp(*fraction_program(*program))
+    return (value, [F(0), *z], active, lam), stats
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -377,21 +386,21 @@ _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 @st.composite
 def _qp_programs(draw):
     """Sums of one to four squares (z_a - z_b - c)^2, each on two variables
-    or a variable and the ground, either way round, and never on the
-    leading ``zero`` variables (a zero block of H); ends may repeat.  Edges
-    join two variables or a variable and the ground, either way round, and
-    are tight at z0 or not; or they repeat an earlier edge and its rhs, and
-    tie with it in the ratio test."""
+    or a variable and the ground, node 0, either way round, and never on
+    the leading ``zero`` variables (a zero block of H); ends may repeat.
+    Edges join two variables or a variable and the ground, either way
+    round, and are tight at z0 or not; or they repeat an earlier edge and
+    its rhs, and tie with it in the ratio test."""
     nvars = draw(st.integers(1, 4))
     zero = draw(st.integers(0, nvars - 1))
-    square_node = st.sampled_from([None, *range(zero, nvars)])
+    square_node = st.sampled_from([0, *range(zero + 1, nvars + 1)])
     squares = [
         (*draw(st.tuples(square_node, square_node).filter(lambda e: e[0] != e[1])), draw(_small))
         for _ in range(draw(st.integers(1, 4)))
     ]
-    z0 = [draw(_small) for _ in range(nvars)]
-    at = lambda t: F(0) if t is None else z0[t]
-    node = st.sampled_from([None, *range(nvars)])
+    z0 = [F(0), *(draw(_small) for _ in range(nvars))]
+    at = z0.__getitem__
+    node = st.integers(0, nvars)
     edges, d = [], []
     for _ in range(draw(st.integers(0, 6))):
         if edges and draw(st.booleans()):
@@ -476,7 +485,7 @@ def test_split_programs_match_the_fraction_active_set_loop(case):
     _, edges, d, z0 = program
     # The start lifts u_j and l_j to the max and min: each has a tight row.
     rows = densify(edges, len(z0))
-    slacks = [dot(row, z0) - rhs for row, rhs in zip(rows, d)]
+    slacks = [dot(row, z0[1:]) - rhs for row, rhs in zip(rows, d)]
     assert all(min(slacks[r : r + n]) == 0 for r in range(0, len(rows), n))
     _assert_matches_reference(program)
 
@@ -533,18 +542,18 @@ def test_degenerate_runs_fall_back_to_the_lowest_index_drop():
 
 @st.composite
 def _edge_sets(draw, forest=True):
-    """Edges on nvars variables in qp's internal form, node nvars being the
-    ground, each either way round.
+    """Edges on the nodes 0..nvars, node 0 being the ground, each either
+    way round.
 
     As a forest, each variable, in a random order, stays isolated or joins
     the ground or one variable drawn before it; otherwise extra edges may
     close cycles or repeat an edge.  The edges come shuffled.
     """
     nvars = draw(st.integers(1, 7))
-    order = draw(st.permutations(range(nvars)))
+    order = draw(st.permutations(range(1, nvars + 1)))
     ends = []
     for pos, t in enumerate(order):
-        other = draw(st.sampled_from([None, nvars, *order[:pos]]))
+        other = draw(st.sampled_from([None, 0, *order[:pos]]))
         if other is not None:
             ends.append((t, other))
     if not forest:
@@ -558,35 +567,39 @@ def _edge_sets(draw, forest=True):
 
 
 def _dense_ends(ends, nvars):
-    return densify([tuple(None if t == nvars else t for t in e) for e in ends], nvars)
+    return densify(ends, nvars + 1) or [[F(0)] * nvars]
+
+
+def _indicators(groups, nvars):
+    return [[int(t in group) for t in range(1, nvars + 1)] for group in groups]
 
 
 def _forest(ends, nvars):
     """The forest of ``ends`` joined in order, and the rows it kept."""
-    work = qp_mod.Forest(ends, nvars)
+    work = qp_mod.Forest(ends, nvars + 1)
     return work, [r for r in range(len(ends)) if work.join(r)]
 
 
 def _flow(ends, u, nvars):
-    """C^T u over the variables, the rows' flow; the ground takes no equation."""
+    """C^T u over every node, the rows' flow, the ground's entry included."""
     grad = [0] * (nvars + 1)
     for r, v in u.items():
         a, b = ends[r]
         grad[a] += v
         grad[b] -= v
-    return grad[:nvars]
+    return grad
 
 
 @settings(max_examples=300, deadline=None)
 @given(_edge_sets())
 @example(([], 3))
-@example(([(0, 2), (4, 1)], 4))
+@example(([(1, 3), (0, 2)], 4))
 def test_forest_nullspace_is_the_rref_basis(case):
     ends, nvars = case
-    rows = _dense_ends(ends, nvars) or [[F(0)] * nvars]
+    rows = _dense_ends(ends, nvars)
     _, expected = solve_over_fractions(rows, [F(0)] * len(rows))
     groups = qp_mod.nullspace(_forest(ends, nvars)[0])
-    assert [[int(t in group) for t in range(nvars)] for group in groups] == expected
+    assert _indicators(groups, nvars) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -594,7 +607,7 @@ def test_forest_nullspace_is_the_rref_basis(case):
 def test_union_find_keeps_the_rows_rref_keeps(case):
     ends, nvars = case
     _, kept = _forest(ends, nvars)
-    rows = _dense_ends(ends, nvars)
+    rows = densify(ends, nvars + 1)
     greedy = []
     for r in range(len(rows)):
         if rank([rows[i] for i in greedy + [r]]) == len(greedy) + 1:
@@ -610,8 +623,11 @@ def test_leaf_peeling_solves_the_multiplier_system(case, data):
     u = {r: data.draw(st.integers(-9, 9)) for r in range(len(ends))}
     grad = _flow(ends, u, nvars)
     assert work.multipliers(grad) == u
+    # The ground takes no equation, so its entry changes nothing.
+    grad[0] += 1
+    assert work.multipliers(grad) == u
     # A residual no row can absorb is an inconsistency.
-    free = [t for t in range(nvars) if all(t not in e for e in ends)]
+    free = [t for t in range(1, nvars + 1) if all(t not in e for e in ends)]
     if free:
         grad[free[0]] += 1
         with pytest.raises(QPError):
@@ -625,7 +641,7 @@ def test_joins_and_splits_keep_the_rebuilt_basis(case, data):
     basis rebuilt from its rows, same groups in the same order, and its
     rooted pass solves the multiplier system of its rows."""
     ends, nvars = case
-    work = qp_mod.Forest(ends, nvars)
+    work = qp_mod.Forest(ends, nvars + 1)
     inside = []
     for _ in range(data.draw(st.integers(0, 12))):
         if inside and data.draw(st.booleans()):
@@ -634,15 +650,15 @@ def test_joins_and_splits_keep_the_rebuilt_basis(case, data):
             inside.remove(r)
         elif ends:
             r = data.draw(st.integers(0, len(ends) - 1))
-            rows = _dense_ends([ends[i] for i in inside + [r]], nvars)
+            rows = densify([ends[i] for i in inside + [r]], nvars + 1)
             independent = rank(rows) == len(inside) + 1
             assert work.join(r) == independent
             if independent:
                 inside.append(r)
-        rows = _dense_ends([ends[i] for i in inside], nvars) or [[F(0)] * nvars]
+        rows = _dense_ends([ends[i] for i in inside], nvars)
         _, expected = solve_over_fractions(rows, [F(0)] * len(rows))
         groups = qp_mod.nullspace(work)
-        assert [[int(t in group) for t in range(nvars)] for group in groups] == expected
+        assert _indicators(groups, nvars) == expected
         assert all(group == sorted(group) for group in groups)
         u = {r: data.draw(st.integers(-9, 9)) for r in inside}
         assert work.multipliers(_flow(ends, u, nvars)) == u
