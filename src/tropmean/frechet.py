@@ -6,10 +6,11 @@ epigraph quadratic program, started at the coordinatewise average, whose
 optimum is the exact mean and whose KKT multipliers are its positivity
 certificate; the certificate names the mean as its point and is checked
 there, by stationarity, before the mean is reported as exact.  The start,
-the program's lift, the distances and the mean set are computed on the
-sample's fields ``(den, nums)``, its integers over one common denominator.
-``find_certificate`` hands out that certificate's weights, named at
-and checked at any point whose objective equals the certified minimum.
+the program's right-hand sides, the distances and the mean set are
+computed on the sample's fields ``(den, nums)``, its integers over one
+common denominator.  ``find_certificate`` hands out that certificate's
+weights, named at and checked at any point whose objective equals the
+certified minimum.
 
 ``fm_polytrope`` gives the h-description of the full mean set, obtained by
 intersecting the tropical balls around the samples with the per-sample
@@ -27,7 +28,7 @@ from .certify import Certificate, verify_certificate
 from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
 from .errors import InternalError, NotOptimal
 from .polytrope import PolytropeMatrix
-from .qp import Edge, QPError, minimize_qp
+from .qp import QPError, minimize_qp, right_hand_sides
 
 
 class FrechetResult(Frozen):
@@ -74,8 +75,8 @@ def fm_polytrope(sample: SampleSet, mean: TorusPoint) -> PolytropeMatrix:
     is the intersection of the tropical balls B(p_j, d_j); entrywise that
     is c_ij = max_j(-d_j + p_{j,i} - p_{j,k}) with a zero diagonal.
     """
-    e, _, nums, lifts = _lift(sample, mean)
-    return _mean_set(nums, [hi - lo for hi, lo in lifts], e)
+    e, _, nums, spreads = _lift(sample, mean)
+    return _mean_set(nums, spreads, e)
 
 
 def _average(sample: SampleSet) -> TorusPoint:
@@ -87,19 +88,20 @@ def _average(sample: SampleSet) -> TorusPoint:
 
 def _lift(
     sample: SampleSet, x: TorusPoint
-) -> tuple[int, list[int], Sequence[Sequence[int]], list[tuple[int, int]]]:
-    """(e, xs, nums, lifts): x and the sample over the common denominator e
-    of the two, and per sample the max and min of x - p_j, over e too."""
+) -> tuple[int, list[int], Sequence[Sequence[int]], list[int]]:
+    """(e, xs, nums, spreads): x and the sample over the common denominator
+    e of the two, and per sample the spread max - min of x - p_j, the
+    distance d(x, p_j), over e too."""
     den, nums = sample.den, sample.nums
     e = lcm(den, x.den)
     xs = [v * (e // x.den) for v in x.nums]
     f = e // den
     nums = nums if f == 1 else [[c * f for c in p] for p in nums]
-    lifts = []
+    spreads = []
     for p in nums:
         gaps = list(map(sub, xs, p))
-        lifts.append((max(gaps), min(gaps)))
-    return e, xs, nums, lifts
+        spreads.append(max(gaps) - min(gaps))
+    return e, xs, nums, spreads
 
 
 def _mean_set(nums: Sequence[Sequence[int]], spreads: list[int], e: int) -> PolytropeMatrix:
@@ -127,7 +129,7 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     with a QPError or a check fails, the start point comes back with no
     certificate, not exact.
 
-    The start, the program's lift and right-hand sides, the distances,
+    The start, the program's right-hand sides, the distances,
     ``min_sum`` and the mean set are all computed on the sample's integers
     ``sample.nums`` over its one denominator ``sample.den``, and the start
     and the mean are points built from those integers; only the distances,
@@ -148,8 +150,7 @@ def _result_at(
     sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None
 ) -> FrechetResult:
     """The result at ``mean``, exact when a ``cert`` is given."""
-    e, _, nums, lifts = _lift(sample, mean)
-    spreads = [hi - lo for hi, lo in lifts]
+    e, _, nums, spreads = _lift(sample, mean)
     return FrechetResult(
         mean=mean,
         distances=tuple(Fraction(v, e) for v in spreads),
@@ -184,64 +185,34 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
 
 
 def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Certificate]:
-    """Global minimizer and its certificate from one exact quadratic program.
+    """Global minimizer and its certificate from the epigraph program
+    (``qp``), started at ``start`` and solved in the variables e z, e the
+    common denominator of the sample and the start (``_lift``).
 
-    The split program writes d(x, p_j) = u_j - l_j and minimizes
-    sum (u_j - l_j)^2 over x_2..x_n, u and l subject to u_j - x_i >= -p_{j,i}
-    and x_k - l_j >= p_{j,k} for all i, k: 2nm difference rows, the edges
-    ``minimize_qp`` takes on its nodes x_1..x_n, u_1..u_m, l_1..l_m, in that
-    order, so x_1 is its ground.  The start lifts with u_j and l_j at the max
-    and min of x - p_j, and so does the optimum.
-
-    With multipliers alpha_ji and beta_jk on those rows, stationarity in u_j
-    and l_j gives sum_i alpha_ji = sum_k beta_jk = 2 t_j, t_j = u_j - l_j, and
-    in x gives sum_j (sum_i alpha_ji e_i - sum_k beta_jk e_k) = 0.  So the
-    product weights w_jik = alpha_ji beta_jk / (2 t_j)^2, on pieces active at
-    t_j, are a positivity certificate (see ``certify``): their combined
-    gradient sum_j 2 t_j sum_ik w_jik (e_i - e_k) vanishes.  Pieces are
-    reported as their i < k representative; a sample with t_j = 0 is the mean
-    itself, and weight 1 on piece (0, 1) serves.
-
-    The program is solved on integers, in the variables e z with e the common
-    denominator of the sample and the start (``_lift``): its right-hand sides
-    are the sample's numerators over e, its start the lift over e, and its
-    objective the m squares (u_j, l_j, 0).  Its value is c_star times e^2.
-    The multipliers come back as integers over one positive factor, which a
-    weight alpha beta / (sum alpha sum beta) does not see, so each weight is
-    one Fraction of integers.
+    Stationarity in u_j and l_j gives sum_i alpha_ji = sum_k beta_jk = 2 t_j,
+    t_j = u_j - l_j, and in x gives sum_j (sum_i alpha_ji e_i - sum_k beta_jk
+    e_k) = 0.  So the product weights w_jik = alpha_ji beta_jk / (2 t_j)^2,
+    on pieces active at t_j, are a positivity certificate (see ``certify``):
+    their combined gradient sum_j 2 t_j sum_ik w_jik (e_i - e_k) vanishes.
+    When t_j > 0 no coordinate carries both an alpha and a beta, since both
+    its rows tight would make t_j zero, so the pieces (i, k) are distinct
+    pairs, each reported as its i < k representative; a sample with t_j = 0
+    has no multiplier, is the mean itself, and weight 1 on piece (0, 1)
+    serves.  The multipliers come over one positive factor, which a weight
+    alpha beta / (sum alpha sum beta) does not see, and the value is c_star
+    times e^2.
     """
-    n = sample.n
-    m = sample.m
+    e, x0, nums, _ = _lift(sample, start)
+    value, (zd, xn), alphas, betas = minimize_qp(sample.n, x0, right_hand_sides(nums))
 
-    e, x0, nums, lifts = _lift(sample, start)
-    # Sample j's n rows of u_j, then its n rows of l_j: row r is sample r // 2n.
-    edges: list[Edge] = []
-    d: list[int] = []
-    for j, p in enumerate(nums):
-        edges += [(n + j, i) for i in range(n)]
-        edges += [(i, n + m + j) for i in range(n)]
-        d += [-c for c in p]
-        d += p
-    tops, bots = zip(*lifts)
-    squares = [(u, u + m, 0) for u in range(n, n + m)]
-    value, (zd, zn), active, u = minimize_qp(squares, edges, d, [*x0, *tops, *bots])
-
-    # Per sample, its alpha and its beta by coordinate, over one factor.
-    sides: list[tuple[dict[int, int], ...]] = [({}, {}) for _ in range(m)]
-    for r, a in zip(active, u):
-        if a:
-            j, s = divmod(r, 2 * n)
-            sides[j][s // n][s % n] = a
     weights = []
-    for alpha, beta in sides:
-        total = sum(alpha.values()) * sum(beta.values())
-        if not total:
-            alpha, beta, total = {0: 1}, {1: 1}, 1
-        per = {
-            (min(i, k), max(i, k)): Fraction(a * b, total)
-            for i, a in alpha.items()
-            for k, b in beta.items()
-        }
-        weights.append(tuple((i, k, w) for (i, k), w in sorted(per.items())))
-    mean = TorusPoint(zd * e, tuple(zn[:n]))
+    for alpha, beta in zip(alphas, betas):
+        total = sum(alpha) * sum(beta)
+        pieces = [
+            (min(i, k), max(i, k), Fraction(a * b, total))
+            for i, a in enumerate(alpha) if a
+            for k, b in enumerate(beta) if b
+        ]
+        weights.append(tuple(sorted(pieces)) if total else ((0, 1, Fraction(1)),))
+    mean = TorusPoint(zd * e, tuple(xn))
     return mean, Certificate(value / (e * e), tuple(weights), mean)

@@ -12,9 +12,9 @@ come from a Bellman-Ford pass rather than an LP, and a branch dies as soon
 as its prefix is infeasible or the unconstrained lower bound of its partial
 sum exceeds the best value seen.  Most surviving leaves are settled by the
 normal equations alone (when the free minimizer already lies inside the
-region); only the rest run an exact active-set program, which takes the
-assignment's squares (x_i - x_k - c)^2 and the region's rows as they are,
-with x_1 as its ground.
+region); the rest are deferred to the sample's epigraph program (``qp``)
+pinned to the assignment, which is the chosen squares over the region,
+started at the region's feasible point.
 
 The module is deliberately independent of the refinement pipeline in
 ``frechet``: it shares only the exact linear-algebra and QP kernels, and its
@@ -38,7 +38,7 @@ from math import lcm
 from .core import SampleSet, TorusPoint, canonicalize
 from .errors import BudgetExceeded, InternalError
 from .linalg import integer_solve
-from .qp import Edge, Square, minimize_qp
+from .qp import minimize_qp, right_hand_sides
 
 Assignment = tuple[tuple[int, int], ...]
 
@@ -174,28 +174,17 @@ def brute_force_frechet(
         raise InternalError("no feasible region, though the regions cover the torus")
 
     # Settle deferred cells cheapest bound first; once the bound passes the
-    # best value no remaining cell can matter.  Each rebuilds its program
-    # from its assignment.
+    # best value no remaining cell can matter.  Each is the sample's
+    # epigraph program pinned to its assignment.
+    d = right_hand_sides(nums)
     best = min((c.value for c in cells if c.value is not None), default=None)
     for cell in sorted(
         (c for c in cells if c.value is None), key=lambda c: (c.bound, c.order)
     ):
         if best is not None and cell.bound > best:
             break
-        cell_region: list[list[int | None]] = [[None] * n for _ in range(n)]
-        squares: list[Square] = []
-        for j, (i, k) in enumerate(cell.assignment):
-            tighten(cell_region, j, (i, k))
-            squares.append((i, k, consts[j][i, k]))
-        edges: list[Edge] = []
-        rhs: list[int] = []
-        for i in range(n):
-            for k in range(n):
-                if cell_region[i][k] is not None:
-                    edges.append((i, k))
-                    rhs.append(cell_region[i][k])
-        cell.value, (zd, zn), _, _ = minimize_qp(squares, edges, rhs, cell.start)
-        cell.point = tuple(Fraction(v, zd) for v in zn)
+        cell.value, (zd, xn), _, _ = minimize_qp(n, cell.start, d, cell.assignment)
+        cell.point = tuple(Fraction(v, zd) for v in xn)
         if best is None or cell.value < best:
             best = cell.value
 

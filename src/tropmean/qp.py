@@ -1,26 +1,34 @@
-"""Exact primal active-set solver for small optimal-tension quadratic programs.
+"""Exact primal active-set solver for the epigraph program of a sample.
 
-Minimizes a sum of squares q(z) = sum_s (z_a - z_b - c_s)^2 subject to
-difference constraints z_a - z_b >= d, with integer data, on the nodes
-0, 1, ..., node 0 the ground held at zero, as x_1 is in canonical form.
-These are optimal-tension problems (Rockafellar, *Network Flows and
-Monotropic Optimization*, 1984).  The method is the classical one: keep a
-working set W of constraints treated as equalities, minimize q on the
-corresponding affine subspace, either step to the nearest blocking
-constraint or, once stationary, inspect the multipliers.  Blocking rows are
-always independent of the working set, so multipliers stay unique, and the
+For a sample p_1..p_m in n coordinates, the program minimizes
+sum_j (u_j - l_j)^2 subject to u_j - x_i >= -p_{j,i} and
+x_k - l_j >= p_{j,k} for all j, i and k, on the nodes x_1..x_n, u_1..u_m,
+l_1..l_m, numbered 0, 1, ... in that order; node 0, x_1, is the ground,
+held at zero as in canonical form.  Over a fixed x the least u_j - l_j is
+the tropical distance, the spread of x - p_j, so the value is the least
+sum of squared distances.  Pinning sample j to (i, k) holds its rows
+(u_j, x_i) and (x_k, l_j) as equalities, which makes x_i - p_{j,i} the max
+and x_k - p_{j,k} the min of x - p_j: the pinned program is the sum of the
+squares (x_i - x_k - p_{j,i} + p_{j,k})^2 over the region where they are.
+
+The program is an optimal-tension problem (Rockafellar, *Network Flows and
+Monotropic Optimization*, 1984), solved by the classical method: keep a
+working set W of rows treated as equalities, minimize the objective on the
+corresponding affine subspace, either step to the nearest blocking row or,
+once stationary, inspect the multipliers.  Blocking rows are always
+independent of the working set, so multipliers stay unique, and the
 multipliers of the optimum are returned with it.
 
-At a stationary point the row with the most negative multiplier leaves W,
-ties going to the lowest row index (Dantzig's rule).  After
+At a stationary point the unpinned row with the most negative multiplier
+leaves W, ties going to the lowest row index (Dantzig's rule).  After
 ``DEGENERATE_STEPS`` steps of length zero in a row, the lowest-index
 negative row leaves instead, until a step has positive length; with the
 ratio test's lowest-index blocking row that is Bland's rule (Bland, "New
 finite pivoting rules for the simplex method", 1977), which cannot cycle at
-one point.  So the loop ends: q never rises and falls strictly on a step of
-positive length, a stationary point minimizes q over its W's subspace, so
-no W is stationary twice across such a step, and the fallback ends every
-run of zero-length steps.
+one point.  So the loop ends: the objective never rises and falls strictly
+on a step of positive length, a stationary point minimizes it over its W's
+subspace, so no W is stationary twice across such a step, and the fallback
+ends every run of zero-length steps.
 
 An independent set of difference rows is a forest on the nodes, and the
 loop keeps W as one across iterations: per node its component label and its
@@ -28,7 +36,8 @@ W rows, per component its nodes in increasing order.
 
 * Join: a row whose ends lie in two components enters, and the smaller
   component takes the larger one's label.  A blocking row always joins two.
-  The starting W joins the tight rows in order, keeping a row exactly when
+  The starting W joins the pinned rows, a forest since each u_j and l_j is
+  a leaf of one, then the tight rows in order, keeping a row exactly when
   greedy order finds it independent of the rows before it.
 * Split: a dropped row leaves, and a walk from one of its ends over the
   rows left collects that side of its tree under a fresh label.
@@ -48,9 +57,9 @@ The data are integers, and so is every step of the loop; its iterates are
 exactly those of the same loop over the rationals:
 
 * z is kept as an integer vector over one denominator, z = zn / zd, reduced
-  by the gcd after each move, and the gradient of q as the integer vector
-  zd times it, the sum over the squares of 2 r (e_a - e_b) with the
-  residual r = zn_a - zn_b - c zd.
+  by the gcd after each move, and the gradient of the objective as the
+  integer vector zd times it, 2 r_j at u_j and -2 r_j at l_j with the
+  residual r_j = zn_{u_j} - zn_{l_j}.
 * The ratio test walks the rows once.  A slack is computed, as
   zn_a - zn_b - d zd, only for a row the step moves toward, the only rows
   that can block.  Step lengths are compared by integer cross-multiplication,
@@ -60,9 +69,9 @@ exactly those of the same loop over the rationals:
   makes it, is built from the squares and solved by one
   ``linalg.integer_solve``, which takes its pivots from the diagonal.
 
-A program with rational data is put on integers by its caller: scaling z,
-and with it every c and d, by one positive factor changes no working set,
-step or blocking row.
+A sample with rational coordinates is put on integers by the caller:
+scaling every node, and with it p, by one positive factor changes no
+working set, step or blocking row.
 
 Exact arithmetic removes every tolerance question; the iteration cap is a
 safety net and is never reached on the problem sizes this package solves.
@@ -70,13 +79,14 @@ safety net and is never reached on the problem sizes this package solves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 from .linalg import integer_solve
 
 Edge = tuple[int, int]
-Square = tuple[int, int, int]
 
 MAX_ITER = 10_000
 DEGENERATE_STEPS = 12
@@ -86,45 +96,70 @@ class QPError(RuntimeError):
     pass
 
 
-def minimize_qp(
-    squares: list[Square], edges: list[Edge], d: list[int], z0: list[int]
-) -> tuple[Fraction, tuple[int, list[int]], list[int], list[int]]:
-    """Solve min sum (z_a - z_b - c)^2 over the squares (a, b, c)
-    s.t.  z_a - z_b >= d[r] for each edge r = (a, b).
+def right_hand_sides(nums: Sequence[Sequence[int]]) -> list[int]:
+    """The right-hand sides d of the epigraph rows of the sample ``nums``,
+    -p_j and then p_j for each sample j, as ``minimize_qp`` takes them."""
+    d: list[int] = []
+    for p in nums:
+        d += [-c for c in p]
+        d += p
+    return d
 
-    Node 0 is the ground, held at zero: the edge (a, 0) reads z_a >= d[r]
-    and (0, b) reads -z_b >= d[r].  z0 must be feasible, zero at node 0 too.
-    All data are ints.  Returns (optimal value, (zd, zn), active rows, u):
-    the optimizer z = zn / zd with zd > 0 and zn[0] == 0, the rows of the
-    final working set in increasing order, and their multipliers lam = u / zd
-    over the same zd, lam >= 0 in the same order, with sum_r lam_r (e_a - e_b)
-    the gradient of the sum off the ground.
+
+def minimize_qp(
+    n: int, x0: list[int], d: list[int], pins: Sequence[tuple[int, int]] = ()
+) -> tuple[Fraction, tuple[int, list[int]], list[list[int]], list[list[int]]]:
+    """Solve the epigraph program whose 2nm right-hand sides are d.
+
+    d holds sample j's rows in order, u_j - x_i >= d[2nj + i], then
+    x_k - l_j >= d[2nj + n + k], so -p_j and then p_j.  The start is x0 on
+    x_1..x_n, zero at x_1, with u_j and l_j at the max and the min of
+    x0 - p_j; pins[j] = (i, k) holds sample j's rows (u_j, x_i) and
+    (x_k, l_j) as equalities, and each must be tight at the start.  A start
+    off zero at x_1, or a pinned row not tight there, raises QPError.  All
+    data are ints.
+
+    Returns (optimal value, (zd, xn), alpha, beta): the optimizer x = xn / zd
+    with zd > 0 and xn[0] == 0, and per sample j the multipliers of its rows,
+    alpha[j][i] / zd on (u_j, x_i) and beta[j][k] / zd on (x_k, l_j), zero
+    off the final working set and >= 0 off the pins.
     """
-    zd, zn = 1, list(z0)
+    m = len(d) // (2 * n)
+    starts = range(0, len(d), 2 * n)
+    edges: list[Edge] = []
+    for u in range(n, n + m):
+        edges += [(u, i) for i in range(n)]
+        edges += [(i, u + m) for i in range(n)]
+    squares = [(u, u + m) for u in range(n, n + m)]
+    zd, zn = 1, list(x0)
+    zn += [max(map(add, x0, d[r : r + n])) for r in starts]
+    zn += [min(map(sub, x0, d[r + n : r + 2 * n])) for r in starts]
+    pinned = {row for r, (i, k) in zip(starts, pins) for row in (r + i, r + n + k)}
     slacks = [zn[a] - zn[b] - v for (a, b), v in zip(edges, d)]
-    if zn[0] or any(s < 0 for s in slacks):
+    if x0[0] or any(slacks[r] for r in pinned):
         raise QPError("infeasible starting point")
     work = Forest(edges, len(zn))
-    for i, s in enumerate(slacks):
+    for r in sorted(pinned):
+        work.join(r)
+    for r, s in enumerate(slacks):
         if s == 0:
-            work.join(i)
+            work.join(r)
     degenerate = 0
 
     for _ in range(MAX_ITER):
-        # The ground's entry of grad collects what no other node takes.
-        grad = [0] * len(zn)
-        res = [zn[a] - zn[b] - c * zd for a, b, c in squares]
-        for (a, b, _), r in zip(squares, res):
-            grad[a] += 2 * r
-            grad[b] -= 2 * r
+        # zd times the gradient, zero on x, which no square reaches.
+        res = [zn[a] - zn[b] for a, b in squares]
+        twice = [2 * r for r in res]
+        grad = [0] * n + twice + [-v for v in twice]
         sd, sn = _subspace_step(squares, grad, nullspace(work), zd)
         if not any(sn):
             u = work.multipliers(grad)
-            neg = [(v, r) for r, v in u.items() if v < 0]
+            neg = [(v, r) for r, v in u.items() if v < 0 and r not in pinned]
             if not neg:
-                active = sorted(u)
-                value = Fraction(sum(r * r for r in res), zd * zd)
-                return value, (zd, zn), active, [u[r] for r in active]
+                mult = [u.get(r, 0) for r in range(len(d))]
+                alpha = [mult[r : r + n] for r in starts]
+                beta = [mult[r + n : r + 2 * n] for r in starts]
+                return Fraction(sum(r * r for r in res), zd * zd), (zd, zn[:n]), alpha, beta
             work.split(min(neg)[1] if degenerate < DEGENERATE_STEPS else min(r for _, r in neg))
             continue
         # Row i's limit slack_i / (-row_i.step) is (slack / -prod) times
@@ -231,15 +266,15 @@ class Forest:
 
 
 def _subspace_step(
-    squares: list[Square], grad: list[int], groups: list[list[int]], zd: int
+    squares: list[Edge], grad: list[int], groups: list[list[int]], zd: int
 ) -> tuple[int, list[int]]:
-    """Minimize the sum of squares along z + span(B); returns the step as (sd, sn).
+    """Minimize the objective along z + span(B); returns the step as (sd, sn).
 
     The columns of B are the indicator vectors of the groups.  With grad
     zd times the gradient, the reduced system (B^T H B) u = -B^T grad, H the
-    Hessian of the sum, is solved by u = zd y, y the rational solution.
-    With den the common denominator of u, the step B y is sn / sd with
-    sn = B (den u) and sd = den zd, both divided by their gcd.
+    Hessian of the sum of the squares (z_a - z_b)^2, is solved by u = zd y,
+    y the rational solution.  With u = nums / den, divided by the gcd of den
+    and nums, the step B y is sn / sd with sn = B nums and sd = den zd.
     """
     group_of = [-1] * len(grad)
     for a, group in enumerate(groups):
@@ -248,7 +283,7 @@ def _subspace_step(
     red = [[0] * len(groups) + [-sum(grad[t] for t in group)] for group in groups]
     # A square on nodes a and b adds 2 (e_a - e_b)(e_a - e_b)^T to H, so
     # 2 (f_p - f_q)(f_p - f_q)^T to B^T H B, p and q the groups of a and b.
-    for a, b, _ in squares:
+    for a, b in squares:
         p, q = group_of[a], group_of[b]
         if p != q:
             if p >= 0:
@@ -263,12 +298,10 @@ def _subspace_step(
         # Cannot happen for a quadratic bounded below on the subspace.
         raise QPError("unbounded equality subproblem")
     den, nums = solved
-    sn = [0] * len(grad)
-    for group, coef in zip(groups, nums):
-        for t in group:
-            sn[t] += coef
-    div = gcd(den, *sn)
-    return den * zd // div, [v // div for v in sn]
+    div = gcd(den, *nums)
+    # A node in no group, group -1, reads the last entry, 0.
+    coef = [v // div for v in nums] + [0]
+    return den * zd // div, [coef[a] for a in group_of]
 
 
 def nullspace(work: Forest) -> list[list[int]]:

@@ -100,7 +100,7 @@ def dot(x, y):
 
 
 def densify(edges, nodes):
-    """The dense rows of ``qp.minimize_qp`` edges over the nodes 1..nodes-1:
+    """The dense rows of difference edges over the nodes 1..nodes-1:
     (a, b) is e_a - e_b, and node 0, the ground, has no column."""
     rows = []
     for a, b in edges:
@@ -113,8 +113,8 @@ def densify(edges, nodes):
 
 def dense_objective(squares, nodes):
     """(H, g, c0), dense over the nodes 1..nodes-1 and over Fractions, with
-    1/2 z^T H z + g^T z + c0 the sum of the ``qp.minimize_qp`` squares
-    (a, b, c), that is (z_a - z_b - c)^2 with node 0 the ground: each adds
+    1/2 z^T H z + g^T z + c0 the sum of the squares (a, b, c), that is
+    (z_a - z_b - c)^2 with node 0 the ground: each adds
     2 (e_a - e_b)(e_a - e_b)^T to H, -2 c (e_a - e_b) to g and c^2 to c0,
     and the ground's row and column are left out."""
     h = [[Fraction(0)] * nodes for _ in range(nodes)]
@@ -192,11 +192,12 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
     step has positive length.  Returns ``((value, z, active, lam), stats)``,
     where ``stats`` counts loop iterations, rows dropped for a negative
     multiplier, the drops that took the lowest index after a run of zero
-    steps, and ratio-test ties a later row lost to an earlier one.
+    steps, and ratio-test ties a later row lost to an earlier one, and lists
+    the blocking rows in the order they joined.
     """
     nvars = len(z0)
     z = list(z0)
-    stats = {"iterations": 0, "drops": 0, "fallbacks": 0, "ties": 0}
+    stats = {"iterations": 0, "drops": 0, "fallbacks": 0, "ties": 0, "blocked": []}
     degenerate = 0
     slacks = [dot(row, z) - rhs for row, rhs in zip(rows, d)]
     if any(s < 0 for s in slacks):
@@ -255,27 +256,36 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
         z = [zt + alpha * st for zt, st in zip(z, step)]
         if blocker is not None:
             work.append(blocker)
+            stats["blocked"].append(blocker)
     raise QPError("active-set iteration cap exceeded")
 
 
-def integer_program(squares, edges, d, z0):
-    """A rational program of ``qp.minimize_qp`` put on integers: (program, e).
+def fraction_program(n, x0, d):
+    """The integer program (n, x0, d) of ``qp.minimize_qp`` as ``reference_qp``
+    takes it: dense H, g and c0, dense rows, d, and the start off the ground,
+    all Fractions, from ``epigraph_program`` on the sample whose rows d
+    holds, -p_j and then p_j for each sample j."""
+    ps = [[Fraction(v) for v in d[r + n : r + 2 * n]] for r in range(0, len(d), 2 * n)]
+    h, g, edges, rhs, z0 = epigraph_program([Fraction(v) for v in x0], ps)
+    if rhs != d:
+        raise ValueError("d does not hold -p_j and then p_j for each sample")
+    return h, g, Fraction(0), densify(edges, len(z0)), rhs, z0[1:]
 
-    z is scaled by e, the lcm of the denominators of the squares' c, d and
-    z0, so the program in e z has the squares (a, b, e c), d' = e d and
-    z0' = e z0.  Its optimizer and multipliers are e times, its value e^2
-    times those of the rational program, and its working sets are the same.
-    The scaling is this helper's own, so it shares no code with ``qp`` or
-    ``linalg``.
+
+def integer_program(sample: SampleSet, start: TorusPoint):
+    """The epigraph program of ``sample`` at ``start`` put on integers for
+    ``qp.minimize_qp``: ((n, x0, d), e).
+
+    The nodes are scaled by e, the lcm of the denominators of the sample and
+    the start, so the program in e z has x0 = e x and d = e d.  Its optimizer
+    and multipliers are e times, its value e^2 times those of the rational
+    program, and its working sets are the same.  The scaling is this
+    helper's own, so it shares no code with ``qp`` or ``frechet``.
     """
-    e = lcm(*(Fraction(v).denominator for v in (*(c for _, _, c in squares), *d, *z0)))
-    program = (
-        [(a, b, _whole(e * c)) for a, b, c in squares],
-        list(edges),
-        [_whole(e * v) for v in d],
-        [_whole(e * v) for v in z0],
-    )
-    return program, e
+    _, _, _, d, z0 = reference_epigraph_program(sample, start)
+    x = z0[: sample.n]
+    e = lcm(*(v.denominator for v in (*d, *x)))
+    return (sample.n, [_whole(e * v) for v in x], [_whole(e * v) for v in d]), e
 
 
 def _whole(v):
@@ -287,27 +297,28 @@ def _whole(v):
 
 def fraction_result(result, e):
     """``minimize_qp``'s result on ``integer_program``'s program, read back as
-    the rational program's (value, z, active, lam)."""
-    value, (zd, zn), active, u = result
-    return (
-        value / (e * e),
-        [Fraction(v, zd * e) for v in zn],
-        active,
-        [Fraction(v, zd * e) for v in u],
-    )
+    the rational program's (value, x, alpha, beta)."""
+    value, (zd, xn), alpha, beta = result
+    back = lambda vs: [Fraction(v, zd * e) for v in vs]
+    return value / (e * e), back(xn), [back(a) for a in alpha], [back(b) for b in beta]
 
 
-def fraction_program(squares, edges, d, z0):
-    """A program of ``qp.minimize_qp`` as ``reference_qp`` takes it: dense H,
-    g and c0 from ``dense_objective``, dense rows, d and z0 off the ground,
-    all Fractions."""
-    as_fractions = lambda xs: [Fraction(v) for v in xs]
-    return (
-        *dense_objective(squares, len(z0)),
-        densify(edges, len(z0)),
-        as_fractions(d),
-        as_fractions(z0[1:]),
-    )
+def reference_region_program(nums, assignment):
+    """(squares, edges, d) of an oracle cell as a general difference program
+    on x_1..x_n alone, node 0 the ground, for ``dense_objective`` and
+    ``densify``: one square (x_i - x_k - p_i + p_k)^2 per sample on its pair
+    (i, k), and the rows x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k,
+    each pair (a, b) once at its largest bound, in row-major order."""
+    n = len(nums[0])
+    bound = {}
+    for p, (i, k) in zip(nums, assignment):
+        for a in range(n):
+            for row, c in (((i, a), p[i] - p[a]), ((a, k), p[a] - p[k])):
+                if row[0] != row[1] and (row not in bound or c > bound[row]):
+                    bound[row] = c
+    edges = sorted(bound)
+    squares = [(i, k, p[i] - p[k]) for p, (i, k) in zip(nums, assignment)]
+    return squares, edges, [bound[row] for row in edges]
 
 
 # The assembly of the mean's epigraph program and of the result at a point,
@@ -321,11 +332,12 @@ def reference_average(sample: SampleSet) -> TorusPoint:
     )
 
 
-def reference_epigraph_program(sample: SampleSet, start: TorusPoint):
-    """(dense H, g, edges, d, z0) of the split epigraph program at ``start``,
-    on the nodes x_1..x_n, u_1..u_m, l_1..l_m; H and g leave out x_1, the
-    ground."""
-    n, m = sample.n, sample.m
+def epigraph_program(x, ps):
+    """(dense H, g, edges, d, z0) of the split epigraph program of the points
+    ``ps`` started at ``x``, over Fractions, on the nodes x_1..x_n,
+    u_1..u_m, l_1..l_m; H and g leave out x_1, the ground, and z0 lifts u_j
+    and l_j to the max and min of x - p_j."""
+    n, m = len(x), len(ps)
     nvars = n - 1 + 2 * m
     zero = Fraction(0)
     h = [[zero] * nvars for _ in range(nvars)]
@@ -336,14 +348,18 @@ def reference_epigraph_program(sample: SampleSet, start: TorusPoint):
     g = [zero] * nvars
     edges = []
     d = []
-    for j in range(m):
+    for j, p in enumerate(ps):
         edges += [(n + j, i) for i in range(n)]
         edges += [(i, n + m + j) for i in range(n)]
-        d += [-c for c in sample[j]] + list(sample[j])
-    x = start.coords
-    gaps = [[a - b for a, b in zip(x, p)] for p in sample]
+        d += [-c for c in p] + list(p)
+    gaps = [[a - b for a, b in zip(x, p)] for p in ps]
     z0 = [*x, *map(max, gaps), *map(min, gaps)]
     return h, g, edges, d, z0
+
+
+def reference_epigraph_program(sample: SampleSet, start: TorusPoint):
+    """``epigraph_program`` of the sample at ``start``."""
+    return epigraph_program(list(start.coords), list(sample))
 
 
 def reference_epigraph(sample: SampleSet, start: TorusPoint):

@@ -21,6 +21,7 @@ from tropmean import (
     kleene_star,
     trop_dist,
 )
+from tropmean.core import read_literal
 from support import rand_point, rand_vector, reference_canonicalize
 
 
@@ -123,6 +124,16 @@ def test_library_strings_at_the_literal_caps_are_read():
     assert as_rational(" -1e1000 ") == -(Fraction(10) ** 1000)
     assert as_rational("1/" + "3" * 998) == Fraction(1, int("3" * 998))
     assert canonicalize(["1/2", "0.25"]).coords == (0, Fraction(-1, 4))
+
+
+def test_the_digit_cap_counts_digits_not_characters():
+    """A literal of exactly 1,000 digits is read though its text is longer
+    than the cap, with a sign in front or with a "/" among its digits; one
+    of 1,001 digits with a sign is refused with the cap's line."""
+    assert read_literal("-" + "7" * 1000) == -int("7" * 1000)
+    assert read_literal("3" * 500 + "/" + "7" * 500) == Fraction(int("3" * 500), int("7" * 500))
+    with pytest.raises(ValueError, match=r"^number '-777.*' has more than 1000 digits$"):
+        read_literal("-" + "7" * 1001)
 
 
 def test_distance_golden_values():

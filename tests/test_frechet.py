@@ -25,7 +25,6 @@ from tropmean.oracle import brute_force_frechet
 from support import (
     active_pieces,
     ball_to_polytrope,
-    dense_objective,
     form_value,
     int_sample,
     intersect,
@@ -260,17 +259,16 @@ def test_integer_assembly_matches_the_fraction_assembly(sample, data):
         patch.setattr(frechet_mod, "minimize_qp", record)
         fallback = exact_frechet(sample)
     (program,) = programs
-    squares, edges, d, z0 = program
-    assert all(type(v) is int for v in (*d, *z0))
-    assert all(type(c) is int for _, _, c in squares)
+    n, x0, d = program
+    assert all(type(v) is int for v in (n, *d, *x0))
     # The program is in the variables e z, e the common denominator of the
-    # sample and the start: its rows and start are e times the Fraction
-    # ones, and its squares, whose constants are zero, give the same H and g.
+    # sample and the start: its right-hand sides and start are e times the
+    # Fraction ones.
     e = lcm(sample.den, *(v.denominator for v in start))
-    eh, eg, eedges, ed, ez0 = reference_epigraph_program(sample, start)
-    assert (dense_objective(squares, len(z0)), edges) == ((eh, eg, 0), eedges)
+    _, _, _, ed, ez0 = reference_epigraph_program(sample, start)
+    assert n == sample.n
     assert d == [e * v for v in ed]
-    assert z0 == [e * v for v in ez0]
+    assert x0 == [e * v for v in ez0[:n]]
     assert not fallback.exact
     assert fallback.mean == start
 
@@ -323,6 +321,46 @@ def test_certificate_read_off_on_the_benchmark_pool(n):
         for rep in range(1, 25):
             sample = _random_sample(0, n, m, rep)
             _assert_epigraph_matches_the_fraction_route(sample, reference_average(sample))
+
+
+def test_alpha_and_beta_sit_on_distinct_coordinates(monkeypatch):
+    """At every certified mean of the mean-small pool and of 400 seeded
+    tie-heavy samples, no coordinate of a sample with t_j > 0 carries both
+    an alpha and a beta multiplier, since both its rows tight would make t_j
+    zero, and a sample with t_j = 0 carries none.  So a sample's pieces
+    (i, k) are distinct pairs, and its weights need no pair dictionary."""
+    solved = []
+    solve = frechet_mod.minimize_qp
+
+    def recorded(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(frechet_mod, "minimize_qp", recorded)
+    samples = [
+        _random_sample(0, n, k * n, rep)
+        for n in (3, 4, 5, 6)
+        for k in (1, 2, 3)
+        for rep in range(1, 25)
+    ]
+    rng = Random("frechet:distinct-pairs")
+    for _ in range(400):
+        n = rng.randint(3, 6)
+        rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(2, 3 * n))]
+        samples.append(SampleSet(1, rows))
+    positive = 0
+    for sample in samples:
+        solved.clear()
+        result = exact_frechet(sample)
+        assert result.exact
+        ((_, _, alphas, betas),) = solved
+        for alpha, beta, t in zip(alphas, betas, result.distances):
+            if t:
+                assert not any(a and b for a, b in zip(alpha, beta))
+                positive += 1
+            else:
+                assert not any(alpha) and not any(beta)
+    assert positive > 5000
 
 
 def test_result_invariants_on_random_instances():

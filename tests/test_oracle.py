@@ -12,8 +12,10 @@ from tropmean import (
     exact_frechet,
     objective,
 )
+import tropmean.oracle as oracle_mod
 from tropmean.oracle import brute_force_frechet
-from support import int_sample
+from tropmean.qp import QPError
+from support import dense_objective, densify, int_sample, reference_qp, reference_region_program
 
 F = Fraction
 
@@ -113,3 +115,41 @@ def test_oracle_agrees_with_the_certified_pipeline():
         result = exact_frechet(s)
         assert result.exact
         assert result.min_sum == value
+
+
+def test_deferred_cells_are_pinned_epigraph_programs(monkeypatch):
+    """A deferred cell of a sample shaped like criterion 6's is the sample's
+    epigraph program pinned to the cell's assignment.  Its value is what the
+    rational loop finds on the cell's own program over x alone, the
+    assignment's squares over the region's rows (``reference_region_program``),
+    from the same start.  Pinning a row that is slack at the start raises
+    QPError."""
+    programs = []
+    solve = oracle_mod.minimize_qp
+
+    def recorded(*args):
+        programs.append((args, solve(*args)))
+        return programs[-1][1]
+
+    monkeypatch.setattr(oracle_mod, "minimize_qp", recorded)
+    for n, m in ((3, 3), (3, 4), (4, 3), (4, 4)):
+        for idx in range(2):
+            brute_force_frechet(int_sample(Random(f"accept6:{n}:{m}:{idx}"), n, m))
+    monkeypatch.undo()
+    assert len(programs) >= 400
+    slack = 0
+    for (n, x0, d, pins), (value, _, _, _) in programs:
+        nums = [d[r + n : r + 2 * n] for r in range(0, len(d), 2 * n)]
+        squares, edges, rhs = reference_region_program(nums, pins)
+        (expected, _, _, _), _ = reference_qp(
+            *dense_objective(squares, n), densify(edges, n), rhs, [F(v) for v in x0[1:]]
+        )
+        assert value == expected
+        # Pin sample 1's max to a coordinate where x0 - p_1 falls below it.
+        gaps = [a - b for a, b in zip(x0, nums[0])]
+        below = [i for i, g in enumerate(gaps) if g < max(gaps)]
+        if below:
+            slack += 1
+            with pytest.raises(QPError):
+                solve(n, x0, d, [(below[0], pins[0][1]), *pins[1:]])
+    assert slack >= 400
