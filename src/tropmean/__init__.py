@@ -14,7 +14,6 @@ from .core import (
     trop_dist,
 )
 from .errors import (
-    BudgetExceeded,
     CertificateError,
     EmptyPolytrope,
     InternalError,
@@ -42,7 +41,6 @@ from .polytrope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded",
     "Certificate",
     "CertificateError",
     "EmptyPolytrope",

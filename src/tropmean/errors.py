@@ -37,8 +37,3 @@ class InternalError(TropmeanError):
     """Raised when an invariant the mathematics guarantees fails to hold,
     which means a bug in this package rather than bad input.  A check that
     raises it stays in force under ``python -O``, unlike an assert."""
-
-
-class BudgetExceeded(TropmeanError):
-    """Raised when an exhaustive computation would exceed its configured
-    work budget."""

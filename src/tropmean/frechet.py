@@ -174,7 +174,8 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
     result = exact_frechet(sample)
     if not result.exact:
         raise NotOptimal("could not certify a mean for this sample")
-    value = objective(sample, x_star.coords)
+    e, _, _, spreads = _lift(sample, x_star)
+    value = Fraction(sum(v * v for v in spreads), e * e)
     if value != result.min_sum:
         raise NotOptimal(f"objective {value} exceeds the certified minimum {result.min_sum}")
     c = result.certificate

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import SampleSet, TorusPoint, canonicalize
-from .errors import BudgetExceeded, InternalError
+from .errors import InternalError, TropmeanError
 from .linalg import integer_solve
 from .qp import minimize_qp, right_hand_sides
 
@@ -48,6 +48,10 @@ Exact = int | Fraction
 # Cap on the optimal-assignment list; desk-scale instances stay far below
 # it, degenerate handcrafted ones will not starve memory.
 MAX_ASSIGNMENTS = 10_000
+
+
+class BudgetExceeded(TropmeanError):
+    """Raised when the assignments to walk would exceed the work budget."""
 
 
 @dataclass

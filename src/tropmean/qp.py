@@ -31,27 +31,28 @@ subspace, so no W is stationary twice across such a step, and the fallback
 ends every run of zero-length steps.
 
 An independent set of difference rows is a forest on the nodes, and the
-loop keeps W as one across iterations: per node its component label and its
-W rows, per component its nodes in increasing order.
+loop keeps W as one across iterations: per node its W rows and the name of
+its component, the component's smallest node, so the ground's is 0.
 
-* Join: a row whose ends lie in two components enters, and the smaller
-  component takes the larger one's label.  A blocking row always joins two.
-  The starting W joins the pinned rows, a forest since each u_j and l_j is
-  a leaf of one, then the tight rows in order, keeping a row exactly when
-  greedy order finds it independent of the rows before it.
-* Split: a dropped row leaves, and a walk from one of its ends over the
-  rows left collects that side of its tree under a fresh label.
+* Join: a row whose ends lie in two components enters, and the component
+  with the larger name takes the smaller one.  A blocking row always joins
+  two.  The starting W joins the pinned rows, a forest since each u_j and
+  l_j is a leaf of one, then the tight rows in order, keeping a row exactly
+  when greedy order finds it independent of the rows before it.
+* Split: a dropped row leaves, and a walk from each of its ends over the
+  rows left names that side of its tree by its smallest node.
 * The nullspace is spanned by the indicator vectors of the components
-  without the ground, and that is exactly the basis read off the RREF of its
-  rows: in a component of k nodes joined by k - 1 rows any k - 1 columns
-  are independent, so the pivots are its k - 1 lowest nodes, the free
-  column is its highest, and the RREF vector of that column is 1 on the
-  component; the vectors come in the order of their free columns.  So the
-  steps are those of the loop that takes its basis from the RREF.
+  not named 0, those without the ground, read off the labels in one pass.
+  That is exactly the basis read off the RREF of its rows: in a component
+  of k nodes joined by k - 1 rows any k - 1 columns are independent, so the
+  pivots are its k - 1 lowest nodes, the free column is its highest, and
+  the RREF vector of that column is 1 on the component; the vectors come in
+  the order of their free columns.  So the steps are those of the loop that
+  takes its basis from the RREF.
 * The multipliers, the flow dual to the tension, come from one rooted pass
-  per tree: rooted at its smallest node, the ground when it holds it, each
-  node in reverse walk order hands its residual to the row to its parent as
-  that row's multiplier, and on to the parent.
+  per tree: rooted at its name, each node in reverse walk order hands its
+  residual to the row to its parent as that row's multiplier, and on to the
+  parent.
 
 The data are integers, and so is every step of the loop; its iterates are
 exactly those of the same loop over the rationals:
@@ -192,29 +193,23 @@ def minimize_qp(
 class Forest:
     """A working set of rows with ``ends`` on the nodes 0..nodes-1, 0 the ground.
 
-    ``label`` holds each node's component, ``members`` each component's nodes
-    in increasing order and ``at`` each node's rows in the forest.
+    ``at`` holds each node's rows in the forest and ``label`` its component's
+    name, the component's smallest node, at which its tree is rooted.
     """
 
     def __init__(self, ends: list[Edge], nodes: int) -> None:
         self.ends = ends
-        self.label = list(range(nodes))
-        self.members = {t: [t] for t in range(nodes)}
         self.at: list[list[int]] = [[] for _ in range(nodes)]
-        self.fresh = nodes
+        self.label = list(range(nodes))
 
     def join(self, r: int) -> bool:
         """Add row r when its ends lie in two components; says whether it did."""
         a, b = self.ends[r]
-        keep, gone = self.label[a], self.label[b]
+        keep, gone = sorted((self.label[a], self.label[b]))
         if keep == gone:
             return False
-        if len(self.members[keep]) < len(self.members[gone]):
-            keep, gone = gone, keep
-        moved = self.members.pop(gone)
-        for t in moved:
+        for t in self._walk(gone)[0]:
             self.label[t] = keep
-        self.members[keep] = sorted(self.members[keep] + moved)
         self.at[a].append(r)
         self.at[b].append(r)
         return True
@@ -224,29 +219,27 @@ class Forest:
         a, b = self.ends[r]
         self.at[a].remove(r)
         self.at[b].remove(r)
-        side, _ = self._walk(a)
-        old, new = self.label[a], self.fresh
-        self.fresh += 1
-        for t in side:
-            self.label[t] = new
-        self.members[new] = sorted(side)
-        self.members[old] = [t for t in self.members[old] if self.label[t] == old]
+        for end in (a, b):
+            side = self._walk(end)[0]
+            name = min(side)
+            for t in side:
+                self.label[t] = name
 
     def multipliers(self, grad: list[int]) -> dict[int, int]:
         """u by row with sum_r u_r (e_a - e_b) = grad off the ground over the
-        forest's rows (a, b); each tree is rooted at its smallest node, and a
-        residual left at a root other than the ground is an inconsistency."""
+        forest's rows (a, b); each tree is rooted at its name, and a residual
+        left at a root other than the ground is an inconsistency."""
         residual = list(grad)
         u = {}
-        for group in self.members.values():
-            order, up = self._walk(group[0])
+        for root in set(self.label):
+            order, up = self._walk(root)
             for t in order[:0:-1]:
                 r = up[t]
                 res = residual[t]
                 a, b = self.ends[r]
                 u[r], other = (res, b) if a == t else (-res, a)
                 residual[other] += res
-            if residual[group[0]] and group[0]:
+            if residual[root] and root:
                 raise QPError("stationary point with inconsistent multiplier system")
         return u
 
@@ -307,10 +300,12 @@ def _subspace_step(
 def nullspace(work: Forest) -> list[list[int]]:
     """Basis of {z : z_0 = 0 and z_a = z_b for every row (a, b) of the forest}.
 
-    The basis is the indicator vectors of the components that do not hold
-    the ground, node 0, in the order of their largest node, each given as
+    The basis is the indicator vectors of the components not named 0, those
+    without the ground, in the order of their largest node, each given as
     its nodes in increasing order.
     """
-    groups = [group for group in work.members.values() if group[0]]
-    return sorted(groups, key=lambda group: group[-1])
-
+    groups: dict[int, list[int]] = {}
+    for t, name in enumerate(work.label):
+        if name:
+            groups.setdefault(name, []).append(t)
+    return sorted(groups.values(), key=lambda group: group[-1])

@@ -5,10 +5,12 @@ and checks each output with ``perfbench/gate.py`` against the digests in
 ``perfbench/reference.json``; a failed check there is a failed op, seen only
 when the benchmark runs.  This runs the same gate on every pool instance of
 every workload, in-process: 288 ``mean-small``, 10 ``mean-large`` and 9
-``polytrope-matrix`` inputs.  The benchmark's modules are loaded from their
-files and not changed.
+``polytrope-matrix`` inputs, and pins the whole ``mean`` stdout of each mean
+pool cell, which the gate does not.  The benchmark's modules are loaded
+from their files and not changed.
 """
 
+import hashlib
 import importlib.util
 import io
 import sys
@@ -40,29 +42,85 @@ def bench():
         yield _load(patch, "workloads"), _load(patch, "gate")
 
 
+@pytest.fixture(scope="module")
+def outputs(bench, tmp_path_factory):
+    """Exit code and stdout of the command on every pool instance, by
+    workload, then cell key, then rep."""
+    workloads, _ = bench
+    tmp_path = tmp_path_factory.mktemp("pools")
+    runs = {}
+    for name, workload in workloads.WORKLOADS.items():
+        cells = runs[name] = {}
+        for cell in workload.cells:
+            done = cells[workloads.cell_key(cell)] = []
+            for rep in range(1, workload.pool + 1):
+                path = workloads.write_input(tmp_path, workload, cell, rep)
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    rc = main(workloads.argv_for(workload, path))
+                done.append((rc, out.getvalue()))
+    return runs
+
+
 @pytest.mark.parametrize(
     "name, count", [("mean-small", 288), ("mean-large", 10), ("polytrope-matrix", 9)]
 )
-def test_every_pool_instance_passes_the_gate(bench, tmp_path, name, count):
+def test_every_pool_instance_passes_the_gate(bench, outputs, name, count):
     workloads, gate = bench
     workload = workloads.WORKLOADS[name]
     reference = workloads.load_reference()[name]
     failed = []
     ran = 0
     for cell in workload.cells:
-        digests = reference[workloads.cell_key(cell)]["digests"]
-        for rep, expected in enumerate(digests, start=1):
-            path = workloads.write_input(tmp_path, workload, cell, rep)
-            out = io.StringIO()
-            with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                rc = main(workloads.argv_for(workload, path))
+        key = workloads.cell_key(cell)
+        digests = reference[key]["digests"]
+        assert len(outputs[name][key]) == len(digests)
+        for rep, ((rc, out), expected) in enumerate(zip(outputs[name][key], digests), start=1):
             if workload.command == "mean":
                 sample = SampleSet.from_rows(workloads.mean_rows(*cell, rep))
-                problem = gate.check_mean(sample, rc, out.getvalue(), expected)
+                problem = gate.check_mean(sample, rc, out, expected)
             else:
-                problem = gate.check_polytrope(rc, out.getvalue(), expected)
+                problem = gate.check_polytrope(rc, out, expected)
             if problem is not None:
                 failed.append(f"cell {cell} rep {rep}: {problem}")
             ran += 1
     assert failed == []
     assert ran == count
+
+
+# sha256 (first 16 hex digits) of the whole ``mean`` stdout of each pool
+# cell, its instances' documents joined in rep order.  Unlike the gate's
+# route-invariant digests these cover the printed mean and the certificate,
+# which are where the QP's path ends: a change to the path moves them.
+MEAN_STDOUT = {
+    "mean-small": {
+        "3,3": "2f8a06019d2a5e83",
+        "3,6": "d4d4d53c6207048e",
+        "3,9": "5ec76820b4986017",
+        "4,4": "0bfbc43451918884",
+        "4,8": "b53971ffadd6cec0",
+        "4,12": "1bbd69de747dcc00",
+        "5,5": "016c3121149521c7",
+        "5,10": "096e6bfc3c3270c0",
+        "5,15": "a753cf58ec84df66",
+        "6,6": "0b7789c296f36fcb",
+        "6,12": "44c3d670a9d723f4",
+        "6,18": "189840907ee22fa8",
+    },
+    "mean-large": {
+        "8,8": "d47fcd11b2183f85",
+        "8,16": "9e0eb6b7349081fe",
+        "10,10": "469bef67bdc891e5",
+        "10,20": "88644cc5e2e83c15",
+        "12,12": "b7cf9e7095bd0560",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["mean-small", "mean-large"])
+def test_every_mean_pool_stdout_is_pinned(outputs, name):
+    digests = {
+        key: hashlib.sha256("".join(out for _, out in runs).encode("utf-8")).hexdigest()[:16]
+        for key, runs in outputs[name].items()
+    }
+    assert digests == MEAN_STDOUT[name]

@@ -626,3 +626,42 @@ def test_joins_and_splits_keep_the_rebuilt_basis(case, data):
         assert all(group == sorted(group) for group in groups)
         u = {r: data.draw(st.integers(-9, 9)) for r in inside}
         assert work.multipliers(_flow(ends, u, nvars)) == u
+
+
+def _smallest_in_tree(rows, nodes):
+    """Each node's smallest tree-mate over ``rows``: a union of roots that
+    keeps the smaller one as root keeps each tree's smallest node its root."""
+    up = list(range(nodes))
+
+    def root(t):
+        while up[t] != t:
+            t = up[t]
+        return t
+
+    for a, b in rows:
+        a, b = root(a), root(b)
+        up[max(a, b)] = min(a, b)
+    return [root(t) for t in range(nodes)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_sets(forest=False), st.data())
+def test_every_component_is_named_by_its_smallest_node(case, data):
+    """After every join and split, each node's label is the smallest node of
+    its tree, so the ground's is 0, and the forest holds nothing besides the
+    rows' ends, each node's rows and the labels."""
+    ends, nvars = case
+    work = qp_mod.Forest(ends, nvars + 1)
+    inside = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        if inside and data.draw(st.booleans()):
+            r = data.draw(st.sampled_from(inside))
+            work.split(r)
+            inside.remove(r)
+        elif ends:
+            r = data.draw(st.integers(0, len(ends) - 1))
+            if work.join(r):
+                inside.append(r)
+        assert work.label == _smallest_in_tree([ends[r] for r in inside], nvars + 1)
+        assert work.label[0] == 0
+        assert sorted(vars(work)) == ["at", "ends", "label"]

@@ -14,10 +14,12 @@ from tropmean import (
     canonicalize,
     exact_frechet,
     fm_polytrope,
+    kleene_star,
     membership,
     objective,
     pseudovertices,
     trop_dist,
+    tropical_vertices,
     verify_certificate,
 )
 from tropmean.cli import _random_sample
@@ -389,6 +391,47 @@ def test_mean_polytrope_contains_exactly_the_minimizers():
                 assert objective(s, x) == result.min_sum
             else:
                 assert objective(s, x) > result.min_sum
+
+
+@st.composite
+def _grid_samples(draw):
+    """Samples of two or three points at n 3 to 6 on a small integer grid,
+    so that mean sets of many points are common."""
+    n = draw(st.integers(3, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return SampleSet.from_rows(draw(st.lists(row, min_size=2, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_grid_samples(), st.data())
+def test_the_mean_set_is_convex_and_ends_at_its_closure(sample, data):
+    """The paper's convexity theorem: the mean set is a polytrope, so convex
+    both classically and in max-plus.  Midpoints and max-plus combinations
+    of its tropical vertices and pseudovertices are means, and a tropical
+    vertex pushed just past one of its tight closure inequalities
+    x_i - x_k >= c*_ik is not."""
+    result = exact_frechet(sample)
+    assert result.exact
+    star = kleene_star(result.fm_polytrope)
+    corners = vertex_points(tropical_vertices, star)
+    points = st.sampled_from(vertex_points(pseudovertices, star))
+    for _ in range(3):
+        a, b = data.draw(points), data.draw(points)
+        shift = data.draw(st.fractions(-4, 4, max_denominator=6))
+        assert objective(sample, [(u + v) / 2 for u, v in zip(a, b)]) == result.min_sum
+        assert objective(sample, [max(u, v + shift) for u, v in zip(a, b)]) == result.min_sum
+    v = data.draw(st.sampled_from(corners))
+    tight = [
+        (i, k)
+        for i, row in enumerate(star.entries)
+        for k, c in enumerate(row)
+        if i != k and v[i] - v[k] == c
+    ]
+    i, k = data.draw(st.sampled_from(tight))
+    pushed = list(v.coords)
+    pushed[i] -= F(1, 1000 * star.den)
+    assert not membership(star, pushed)
+    assert objective(sample, pushed) > result.min_sum
 
 
 def test_translation_moves_means_and_keeps_the_value():

@@ -6,14 +6,13 @@ from random import Random
 import pytest
 
 from tropmean import (
-    BudgetExceeded,
     SampleSet,
     canonicalize,
     exact_frechet,
     objective,
 )
 import tropmean.oracle as oracle_mod
-from tropmean.oracle import brute_force_frechet
+from tropmean.oracle import BudgetExceeded, brute_force_frechet
 from tropmean.qp import QPError
 from support import dense_objective, densify, int_sample, reference_qp, reference_region_program
 
