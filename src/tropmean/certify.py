@@ -54,11 +54,11 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     objective >= c_star everywhere.
 
     The check runs on integers: the sample and the point over their common
-    denominator e, so each form is an integer over e, and each sample's
-    weights over their own denominator W_j, which they must sum to.  An
-    active form is +-s_j, the spread of x - p_j over e, so sample j adds
-    s_j g_j / W_j to the gradient over e, where g_j sums +-w W_j (e_i -
-    e_k); those are summed over the running lcm of the W_j.
+    denominator e, so each form is an integer over e, and every weight over
+    one denominator W, the lcm of all of them, which each sample's weights
+    must sum to.  An active form is +-s_j, the spread of x - p_j over e, so
+    each piece of sample j adds +-s_j w W (e_i - e_k) to one integer
+    gradient, the weighted gradient times e W.
     """
     if len(cert.weights) != sample.m:
         raise CertificateError("certificate sample count mismatch")
@@ -70,9 +70,10 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     e = lcm(den, x.den)
     f = e // den
     xs = [v * (e // x.den) for v in x.nums]
+    wd = lcm(*(w.denominator for per in cert.weights for _, _, w in per))
     active = True
     value = 0
-    grad, gden = [0] * n, 1
+    grad = [0] * n
     for j, per in enumerate(cert.weights):
         if not per:
             raise CertificateError(f"sample {j} carries no pieces")
@@ -80,13 +81,11 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
         gaps = [a - c * f for a, c in zip(xs, p)]
         spread = max(gaps) - min(gaps)
         value += spread * spread
-        wden = lcm(*(w.denominator for _, _, w in per))
         total = 0
-        g = [0] * n
         for i, k, w in per:
             if not (0 <= i < n and 0 <= k < n) or i == k:
                 raise CertificateError("piece indices out of range")
-            wn = w.numerator * (wden // w.denominator)
+            wn = w.numerator * (wd // w.denominator)
             if wn < 0:
                 raise CertificateError("negative weight")
             total += wn
@@ -95,15 +94,9 @@ def verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
                 if form != -spread:
                     active = False
                 wn = -wn
-            g[i] += wn
-            g[k] -= wn
-        if total != wden:
-            raise CertificateError(f"weights of sample {j} sum to {Fraction(total, wden)}, not 1")
-        if active and spread and any(g):
-            step = lcm(gden, wden)
-            a, b = step // gden, spread * (step // wden)
-            grad = [u * a + v * b for u, v in zip(grad, g)]
-            gden = step
+            grad[i] += spread * wn
+            grad[k] -= spread * wn
+        if total != wd:
+            raise CertificateError(f"weights of sample {j} sum to {Fraction(total, wd)}, not 1")
     c_star = cert.c_star
     return active and not any(grad) and value * c_star.denominator >= c_star.numerator * e * e
-

@@ -58,17 +58,18 @@ The data are integers, and so is every step of the loop; its iterates are
 exactly those of the same loop over the rationals:
 
 * z is kept as an integer vector over one denominator, z = zn / zd, reduced
-  by the gcd after each move, and the gradient of the objective as the
-  integer vector zd times it, 2 r_j at u_j and -2 r_j at l_j with the
-  residual r_j = zn_{u_j} - zn_{l_j}.
+  by the gcd after each move.  An iteration reads the residuals
+  r_j = zn_{u_j} - zn_{l_j} of the squares; zd times the gradient, 2 r_j at
+  u_j and -2 r_j at l_j, is built only at a stationary point.
 * The ratio test walks the rows once.  A slack is computed, as
   zn_a - zn_b - d zd, only for a row the step moves toward, the only rows
   that can block.  Step lengths are compared by integer cross-multiplication,
   in the same row order and with the same strict comparison as over the
   rationals, so the blocking rows are the same too.
 * The reduced system, symmetric positive semidefinite as a sum of squares
-  makes it, is built from the squares and solved by one
-  ``linalg.integer_solve``, which takes its pivots from the diagonal.
+  makes it, is built at half scale from the squares and their residuals
+  and solved by one ``linalg.integer_solve``, which takes its pivots from
+  the diagonal and returns the step in lowest terms.
 
 A sample with rational coordinates is put on integers by the caller:
 scaling every node, and with it p, by one positive factor changes no
@@ -148,13 +149,12 @@ def minimize_qp(
     degenerate = 0
 
     for _ in range(MAX_ITER):
-        # zd times the gradient, zero on x, which no square reaches.
         res = [zn[a] - zn[b] for a, b in squares]
-        twice = [2 * r for r in res]
-        grad = [0] * n + twice + [-v for v in twice]
-        sd, sn = _subspace_step(squares, grad, nullspace(work), zd)
+        sd, sn = _subspace_step(work, squares, res, zd)
         if not any(sn):
-            u = work.multipliers(grad)
+            # zd times the gradient, zero on x, which no square reaches.
+            twice = [2 * r for r in res]
+            u = work.multipliers([0] * n + twice + [-v for v in twice])
             neg = [(v, r) for r, v in u.items() if v < 0 and r not in pinned]
             if not neg:
                 mult = [u.get(r, 0) for r in range(len(d))]
@@ -259,42 +259,41 @@ class Forest:
 
 
 def _subspace_step(
-    squares: list[Edge], grad: list[int], groups: list[list[int]], zd: int
+    work: Forest, squares: list[Edge], res: list[int], zd: int
 ) -> tuple[int, list[int]]:
     """Minimize the objective along z + span(B); returns the step as (sd, sn).
 
-    The columns of B are the indicator vectors of the groups.  With grad
-    zd times the gradient, the reduced system (B^T H B) u = -B^T grad, H the
-    Hessian of the sum of the squares (z_a - z_b)^2, is solved by u = zd y,
-    y the rational solution.  With u = nums / den, divided by the gcd of den
-    and nums, the step B y is sn / sd with sn = B nums and sd = den zd.
+    The columns of B are the indicator vectors of ``nullspace(work)``, each
+    group named by its first node, its label.  The reduced system
+    (B^T H B) u = -B^T grad, H the Hessian and grad zd times the gradient,
+    is built at half scale from the squares' residuals res and solved by
+    u = zd y, y the rational solution: ``integer_solve`` gives u = nums / den
+    in lowest terms, so the step B y is sn / sd with sn = B nums, sd = den zd.
     """
-    group_of = [-1] * len(grad)
-    for a, group in enumerate(groups):
-        for t in group:
-            group_of[t] = a
-    red = [[0] * len(groups) + [-sum(grad[t] for t in group)] for group in groups]
-    # A square on nodes a and b adds 2 (e_a - e_b)(e_a - e_b)^T to H, so
-    # 2 (f_p - f_q)(f_p - f_q)^T to B^T H B, p and q the groups of a and b.
-    for a, b in squares:
-        p, q = group_of[a], group_of[b]
+    groups = nullspace(work)
+    index = {group[0]: p for p, group in enumerate(groups)}
+    red = [[0] * (len(groups) + 1) for _ in groups]
+    # Half of what square (a, b) adds, (f_p - f_q)(f_p - f_q)^T and -r (f_p -
+    # f_q) with r its residual, p and q the groups of a and b, the ground none.
+    for (a, b), r in zip(squares, res):
+        p, q = index.get(work.label[a]), index.get(work.label[b])
         if p != q:
-            if p >= 0:
-                red[p][p] += 2
-            if q >= 0:
-                red[q][q] += 2
-                if p >= 0:
-                    red[p][q] -= 2
-                    red[q][p] -= 2
+            if p is not None:
+                red[p][p] += 1
+                red[p][-1] -= r
+            if q is not None:
+                red[q][q] += 1
+                red[q][-1] += r
+                if p is not None:
+                    red[p][q] -= 1
+                    red[q][p] -= 1
     solved = integer_solve(red)
     if solved is None:
         # Cannot happen for a quadratic bounded below on the subspace.
         raise QPError("unbounded equality subproblem")
     den, nums = solved
-    div = gcd(den, *nums)
-    # A node in no group, group -1, reads the last entry, 0.
-    coef = [v // div for v in nums] + [0]
-    return den * zd // div, [coef[a] for a in group_of]
+    step = dict(zip(index, nums))
+    return den * zd, [step.get(t, 0) for t in work.label]
 
 
 def nullspace(work: Forest) -> list[list[int]]:

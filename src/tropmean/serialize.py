@@ -349,14 +349,16 @@ def load_points(text: str) -> SampleSet:
     else:
         import csv  # here, so that JSON input and the other commands skip it
 
-        rows = []
-        for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            try:
-                rows.append([_ratio(cell.strip()) for cell in record])
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+        rows, lineno = [], 0
+        try:
+            for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+                if record and any(cell.strip() for cell in record):
+                    rows.append([_ratio(cell.strip()) for cell in record])
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        except csv.Error as exc:
+            # The reader fails on the record after the last one it gave.
+            raise ParseError(f"line {lineno + 1}: {exc}") from exc
         if not rows:
             raise ParseError("no data rows found")
     try:

@@ -990,6 +990,17 @@ def test_numbers_outside_the_ascii_syntax_exit_2_on_every_python(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "command", [["mean"], ["distance"], ["certify", "--point", "0,0"]], ids=["mean", "distance", "certify"]
+)
+def test_a_csv_cell_past_the_field_limit_exits_2_with_its_line(tmp_path, capsys, command):
+    """The csv module refuses a field of more than 131,072 characters; a
+    200,000-digit cell is a malformed input, not a crash."""
+    path = write(tmp_path, "pts.csv", "0,1\n2," + "7" * 200_000 + "\n")
+    assert main([*command, path]) == 2
+    _assert_one_error_line(capsys, "error: line 2: field larger than field limit (131072)")
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         ('{"points": [1, 2]}', "error: point 0 is not an array"),

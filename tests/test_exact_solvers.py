@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from unittest import mock
 
@@ -111,7 +111,8 @@ def test_integer_solve_matches_fraction_gauss_jordan(system):
     """A^T A x = r, rank-deficient or inconsistent as it often is, is solved
     as rational Gauss-Jordan solves it: None when the rhs column holds a
     pivot, else the particular solution with every free variable at zero,
-    over the least common denominator."""
+    over the least common denominator, so in lowest terms, which the QP's
+    step relies on."""
     a, b = system
     expected = solve_over_fractions(a, b)
     solved = integer_solve(_integer_rows(a, b))
@@ -122,6 +123,7 @@ def test_integer_solve_matches_fraction_gauss_jordan(system):
     x = [F(v, den) for v in nums]
     assert x == expected[0]
     assert den == lcm(*(v.denominator for v in x))
+    assert gcd(den, *nums) == 1
     assert mat_vec(a, x) == b
 
 
@@ -626,6 +628,37 @@ def test_joins_and_splits_keep_the_rebuilt_basis(case, data):
         assert all(group == sorted(group) for group in groups)
         u = {r: data.draw(st.integers(-9, 9)) for r in inside}
         assert work.multipliers(_flow(ends, u, nvars)) == u
+
+
+def test_the_step_minimizes_the_squares_on_the_working_sets_subspace():
+    """``_subspace_step`` from a seeded working set of epigraph rows at a
+    point zn / zd is B y: B the rational nullspace basis of the working rows
+    with the ground held, y the minimizer of the sum of the squares over
+    z + span(B) that Gauss-Jordan gives, free variables at zero."""
+    rng = Random("qp:step")
+    for _ in range(300):
+        n, m = rng.randint(2, 4), rng.randint(1, 4)
+        nvars = n + 2 * m - 1
+        squares = [(u, u + m) for u in range(n, n + m)]
+        ends = [(u, i) for u in range(n, n + m) for i in range(n)]
+        ends += [(i, u + m) for u in range(n, n + m) for i in range(n)]
+        work = qp_mod.Forest(ends, nvars + 1)
+        inside = [r for r in rng.sample(range(len(ends)), rng.randint(0, len(ends))) if work.join(r)]
+        zd = rng.randint(1, 6)
+        zn = [0] + [rng.randint(-9, 9) for _ in range(nvars)]
+        sd, sn = qp_mod._subspace_step(work, squares, [zn[a] - zn[b] for a, b in squares], zd)
+        rows = _dense_ends([ends[r] for r in inside], nvars)
+        _, basis = solve_over_fractions(rows, [F(0)] * len(rows))
+        sq = densify(squares, nvars + 1)
+        z = [F(v, zd) for v in zn[1:]]
+        across = [[dot(row, v) for row in sq] for v in basis]
+        red = [[2 * dot(a, b) for b in across] for a in across]
+        rhs = [-2 * dot([dot(row, z) for row in sq], a) for a in across]
+        step = [F(0)] * nvars
+        for y, v in zip(solve_over_fractions(red, rhs)[0], basis):
+            step = [s + y * t for s, t in zip(step, v)]
+        assert sd > 0 and sn[0] == 0
+        assert [F(v, sd) for v in sn[1:]] == step
 
 
 def _smallest_in_tree(rows, nodes):

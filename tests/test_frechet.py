@@ -434,6 +434,39 @@ def test_the_mean_set_is_convex_and_ends_at_its_closure(sample, data):
     assert objective(sample, pushed) > result.min_sum
 
 
+def _degenerate_corpus():
+    """Seeded samples where the QP's working set is most degenerate: entries
+    in -1..1, so exact ties in almost every distance; duplicate points, some
+    as translates along (1, ..., 1), which are one point of the torus; a
+    single point; and two coordinates."""
+    rng = Random("frechet:degenerate")
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        yield [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(2, 2 * n))]
+        base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        copies = [rng.choice(base) for _ in range(rng.randint(2, 6))]
+        yield [[v + t for v in p] for p, t in zip(copies, rng.choices(range(-2, 3), k=len(copies)))]
+        yield [[F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]]
+        yield [[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)] for _ in range(rng.randint(1, 6))]
+
+
+def test_every_degenerate_sample_is_certified():
+    """Ties, duplicates, m = 1 and n = 2: every mean comes with a certificate
+    that ``verify_certificate`` accepts at the mean, for the minimum the
+    mean attains, and that minimum is the oracle's where enumeration is
+    cheap."""
+    for rows in _degenerate_corpus():
+        sample = SampleSet.from_rows(rows)
+        result = exact_frechet(sample)
+        assert result.exact
+        cert = result.certificate
+        assert cert.point == result.mean
+        assert cert.c_star == result.min_sum == objective(sample, result.mean.coords)
+        assert verify_certificate(sample, cert)
+        if (sample.n * (sample.n - 1)) ** sample.m <= 1000:
+            assert brute_force_frechet(sample)[0] == result.min_sum
+
+
 def test_translation_moves_means_and_keeps_the_value():
     rng = Random("frechet:shift")
     for _ in range(10):
