@@ -28,7 +28,7 @@ from .certify import Certificate, verify_certificate
 from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
 from .errors import InternalError, NotOptimal
 from .polytrope import PolytropeMatrix
-from .qp import QPError, minimize_qp, right_hand_sides
+from .qp import minimize_qp, right_hand_sides
 
 
 class FrechetResult(Frozen):
@@ -125,9 +125,9 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     point.  The result carries the certificate, and so is exact, only when
     its value equals the objective at the mean and ``verify_certificate``
     accepts it there: every weighted piece active at the mean and the
-    weighted gradient zero, with no system solved.  When the program fails
-    with a QPError or a check fails, the start point comes back with no
-    certificate, not exact.
+    weighted gradient zero, with no system solved.  When the solve raises
+    InternalError, which only a bug makes it do, or a check fails, the start
+    point comes back with no certificate, not exact.
 
     The start, the program's right-hand sides, the distances,
     ``min_sum`` and the mean set are all computed on the sample's integers
@@ -138,7 +138,7 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     start = _average(sample)
     try:
         mean, cert = _epigraph_qp(sample, start)
-    except QPError:
+    except InternalError:
         return _result_at(sample, start)
     result = _result_at(sample, mean, cert)
     if cert.c_star == result.min_sum and verify_certificate(sample, cert):

@@ -17,10 +17,10 @@ pinned to the assignment, which is the chosen squares over the region,
 started at the region's feasible point.
 
 The module is deliberately independent of the refinement pipeline in
-``frechet``: it shares only the exact linear-algebra and QP kernels, and its
-region enumeration and the normal equations of its partial sums,
-``add_square`` and ``min_quadratic``, are its own, so the tests can confront
-the two routes on equal terms.
+``frechet``: it shares only the kernels of ``qp``, ``minimize_qp`` and
+``integer_solve``, and its region enumeration and the normal equations of
+its partial sums, ``add_square`` and ``min_quadratic``, are its own, so the
+tests can confront the two routes on equal terms.
 
 The walk runs on the sample's fields, its integers over one common
 denominator den, in the coordinates X = den x: regions, increments,
@@ -37,8 +37,7 @@ from math import lcm
 
 from .core import SampleSet, TorusPoint, canonicalize
 from .errors import InternalError, TropmeanError
-from .linalg import integer_solve
-from .qp import minimize_qp, right_hand_sides
+from .qp import integer_solve, minimize_qp, right_hand_sides
 
 Assignment = tuple[tuple[int, int], ...]
 
@@ -260,7 +259,8 @@ def min_quadratic(
 
     A and b, ints or Fractions, are scaled to integers by one common
     denominator and solved by ``integer_solve``, which takes A symmetric
-    positive semidefinite, as the normal equations of a sum of squares are.
+    positive semidefinite and the system consistent, as the normal
+    equations of a sum of squares are.
     Returns the minimum value and one minimizer, the solution of A y = b
     with its free coordinates at zero, padded back to full n-length
     coordinates with x_1 = 0.
@@ -268,9 +268,6 @@ def min_quadratic(
     scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
     rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]
     bs = [row[-1] for row in rows]
-    solved = integer_solve(rows)
-    if solved is None:
-        raise InternalError("normal equations of a sum of squares came out inconsistent")
-    den, nums = solved
+    den, nums = integer_solve(rows)
     value = c0 - Fraction(sum(v * y for v, y in zip(bs, nums)), scale * den)
     return value, (Fraction(0), *(Fraction(v, den) for v in nums))

@@ -68,8 +68,8 @@ exactly those of the same loop over the rationals:
   rationals, so the blocking rows are the same too.
 * The reduced system, symmetric positive semidefinite as a sum of squares
   makes it, is built at half scale from the squares and their residuals
-  and solved by one ``linalg.integer_solve``, which takes its pivots from
-  the diagonal and returns the step in lowest terms.
+  and solved by one ``integer_solve``, which takes its pivots from the
+  diagonal and returns the step in lowest terms.
 
 A sample with rational coordinates is put on integers by the caller:
 scaling every node, and with it p, by one positive factor changes no
@@ -77,6 +77,9 @@ working set, step or blocking row.
 
 Exact arithmetic removes every tolerance question; the iteration cap is a
 safety net and is never reached on the problem sizes this package solves.
+A start off the program, the cap, an inconsistent multiplier system and a
+step system outside ``integer_solve``'s contract each raise InternalError:
+every one is a bug, not a property of the sample.
 """
 
 from __future__ import annotations
@@ -86,16 +89,12 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .linalg import integer_solve
+from .errors import InternalError
 
 Edge = tuple[int, int]
 
 MAX_ITER = 10_000
 DEGENERATE_STEPS = 12
-
-
-class QPError(RuntimeError):
-    pass
 
 
 def right_hand_sides(nums: Sequence[Sequence[int]]) -> list[int]:
@@ -118,8 +117,8 @@ def minimize_qp(
     x_1..x_n, zero at x_1, with u_j and l_j at the max and the min of
     x0 - p_j; pins[j] = (i, k) holds sample j's rows (u_j, x_i) and
     (x_k, l_j) as equalities, and each must be tight at the start.  A start
-    off zero at x_1, or a pinned row not tight there, raises QPError.  All
-    data are ints.
+    off zero at x_1, or a pinned row not tight there, raises
+    InternalError.  All data are ints.
 
     Returns (optimal value, (zd, xn), alpha, beta): the optimizer x = xn / zd
     with zd > 0 and xn[0] == 0, and per sample j the multipliers of its rows,
@@ -139,7 +138,7 @@ def minimize_qp(
     pinned = {row for r, (i, k) in zip(starts, pins) for row in (r + i, r + n + k)}
     slacks = [zn[a] - zn[b] - v for (a, b), v in zip(edges, d)]
     if x0[0] or any(slacks[r] for r in pinned):
-        raise QPError("infeasible starting point")
+        raise InternalError("infeasible starting point")
     work = Forest(edges, len(zn))
     for r in sorted(pinned):
         work.join(r)
@@ -187,7 +186,7 @@ def minimize_qp(
                 zn = [v // div for v in zn]
         if blocker is not None:
             work.join(blocker)
-    raise QPError("active-set iteration cap exceeded")
+    raise InternalError("active-set iteration cap exceeded")
 
 
 class Forest:
@@ -240,7 +239,7 @@ class Forest:
                 u[r], other = (res, b) if a == t else (-res, a)
                 residual[other] += res
             if residual[root] and root:
-                raise QPError("stationary point with inconsistent multiplier system")
+                raise InternalError("stationary point with inconsistent multiplier system")
         return u
 
     def _walk(self, root: int) -> tuple[list[int], dict[int, int | None]]:
@@ -287,13 +286,64 @@ def _subspace_step(
                 if p is not None:
                     red[p][q] -= 1
                     red[q][p] -= 1
-    solved = integer_solve(red)
-    if solved is None:
-        # Cannot happen for a quadratic bounded below on the subspace.
-        raise QPError("unbounded equality subproblem")
-    den, nums = solved
+    den, nums = integer_solve(red)
     step = dict(zip(index, nums))
     return den * zd, [step.get(t, 0) for t in work.label]
+
+
+def integer_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """Solve the augmented integer system [A | b], n rows of n + 1, with A
+    symmetric positive semidefinite (PSD), in place.
+
+    Returns the solution with the free variables at zero as (den, nums),
+    x[t] == nums[t] / den with den the least common denominator.  No rows
+    means no variables.  Both systems the package sets up are of this kind
+    and consistent: the reduced Hessian of the QP step and the normal
+    equations of a sum of squares.
+
+    The elimination is Bareiss's (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", 1968) with the
+    pivots taken from the diagonal, in order.  Below pivot p in column c,
+    each entry a right of column c in a row with entry f in column c becomes
+    (p a - f q) / prev, with q the pivot row's entry above a and prev the
+    last nonzero pivot before p; a row with f == 0 is left as it is when
+    p == prev.  By Sylvester's identity every entry is then a minor of the
+    input, so the division is exact and no gcd is taken, and each pivot is
+    a principal minor, positive while the pivot block is nonsingular.  A
+    zero pivot leaves row and column c of the Schur complement zero, since
+    that complement is PSD too: column c depends on the pivot columns before
+    it, exactly as over the rationals, so variable c is free and set to
+    zero, and a nonzero b in row c is an inconsistency.  A negative pivot,
+    or a zero one with anything else in its row, b included, or in its
+    column, is a system outside the contract, A not PSD or the system
+    inconsistent, and raises InternalError.
+
+    The last pivot D is the determinant of the block of pivot rows and
+    columns, so by Cramer's rule D x is an integer vector, and the
+    back-substitution that finds it, pivot c from row c, divides exactly too.
+    """
+    n = len(rows)
+    prev = 1
+    for c, top in enumerate(rows):
+        p = top[c]
+        if p > 0:
+            q = top[c + 1:]
+            for row in rows[c + 1:]:
+                f = row[c]
+                if f or p != prev:
+                    row[c + 1:] = [(p * a - f * b) // prev for a, b in zip(row[c + 1:], q)]
+            prev = p
+        elif p < 0 or any(top[c + 1:]) or any(row[c] for row in rows[c + 1:]):
+            raise InternalError("integer_solve takes a consistent positive semidefinite system")
+    # D x, last pivot first; a free variable stays zero.
+    nums = [0] * n
+    for c in reversed(range(n)):
+        row = rows[c]
+        if row[c]:
+            rest = sum(a * v for a, v in zip(row[c + 1:n], nums[c + 1:]))
+            nums[c] = (prev * row[n] - rest) // row[c]
+    g = gcd(prev, *nums)
+    return prev // g, [v // g for v in nums]
 
 
 def nullspace(work: Forest) -> list[list[int]]:

@@ -349,16 +349,17 @@ def load_points(text: str) -> SampleSet:
     else:
         import csv  # here, so that JSON input and the other commands skip it
 
-        rows, lineno = [], 0
+        # A record may span lines; an error names the first line of the
+        # record being read, the line after those the reader has consumed.
+        reader = csv.reader(io.StringIO(text))
+        rows, lineno = [], 1
         try:
-            for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+            for record in reader:
                 if record and any(cell.strip() for cell in record):
                     rows.append([_ratio(cell.strip()) for cell in record])
-        except ParseError as exc:
+                lineno = reader.line_num + 1
+        except (ParseError, csv.Error) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        except csv.Error as exc:
-            # The reader fails on the record after the last one it gave.
-            raise ParseError(f"line {lineno + 1}: {exc}") from exc
         if not rows:
             raise ParseError("no data rows found")
     try:

@@ -27,7 +27,8 @@ from tropmean import (
     trop_dist,
 )
 from tropmean.core import TorusPoint
-from tropmean.qp import DEGENERATE_STEPS, QPError
+from tropmean.errors import InternalError
+from tropmean.qp import DEGENERATE_STEPS
 from tropmean.core import abbreviate
 from tropmean.serialize import load_points, parse_json, parse_rational
 
@@ -134,7 +135,7 @@ def rref_over_fractions(rows):
     """Plain Gauss-Jordan over the rationals: (RREF rows, pivot columns).
 
     The reference the integer kernel is checked against, so it shares no
-    code with ``tropmean.linalg``.
+    code with ``tropmean.qp.integer_solve``.
     """
     m = [list(r) for r in rows]
     pivots = []
@@ -201,7 +202,7 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
     degenerate = 0
     slacks = [dot(row, z) - rhs for row, rhs in zip(rows, d)]
     if any(s < 0 for s in slacks):
-        raise QPError("infeasible starting point")
+        raise InternalError("infeasible starting point")
     work = []
     for i, s in enumerate(slacks):
         if s == 0 and rank([rows[a] for a in work + [i]]) == len(work) + 1:
@@ -219,7 +220,7 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
             red = [[dot(va, vb) for vb in hb] for va in basis]
             sol = solve_over_fractions(red, [-dot(v, grad) for v in basis])
             if sol is None:
-                raise QPError("unbounded equality subproblem")
+                raise InternalError("unbounded equality subproblem")
             for y, v in zip(sol[0], basis):
                 step = [s + y * vt for s, vt in zip(step, v)]
         if not any(step):
@@ -228,7 +229,7 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
                 at = [[rows[i][t] for i in work] for t in range(nvars)]
                 sol = solve_over_fractions(at, grad)
                 if sol is None:
-                    raise QPError("stationary point with inconsistent multiplier system")
+                    raise InternalError("stationary point with inconsistent multiplier system")
                 lam = sol[0]
             neg = [(v, i) for i, v in zip(work, lam) if v < 0]
             if not neg:
@@ -257,7 +258,7 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
         if blocker is not None:
             work.append(blocker)
             stats["blocked"].append(blocker)
-    raise QPError("active-set iteration cap exceeded")
+    raise InternalError("active-set iteration cap exceeded")
 
 
 def fraction_program(n, x0, d):

@@ -180,6 +180,27 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
         assert captured.err == "not optimal: could not certify a mean for this sample\n"
 
 
+def test_mean_prints_the_average_when_the_solve_raises_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    """A broken invariant inside the exact solve is a bug, not bad input:
+    ``exact_frechet`` falls back to the average, and ``mean`` prints it
+    uncertified and exits 3 rather than ending in a traceback."""
+    import tropmean.qp as qp_mod
+
+    def broken(rows):
+        raise tropmean.InternalError("stub")
+
+    monkeypatch.setattr(qp_mod, "integer_solve", broken)
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    assert main(["mean", path]) == 3
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["exact"] is False
+    assert doc["mean"] == ["0", "-1", "-3"]
+    assert captured.err == ""
+
+
 def test_polytrope_from_matrix_golden(tmp_path, capsys):
     body = json.dumps(
         {
@@ -998,6 +1019,14 @@ def test_a_csv_cell_past_the_field_limit_exits_2_with_its_line(tmp_path, capsys,
     path = write(tmp_path, "pts.csv", "0,1\n2," + "7" * 200_000 + "\n")
     assert main([*command, path]) == 2
     _assert_one_error_line(capsys, "error: line 2: field larger than field limit (131072)")
+
+
+def test_a_csv_error_names_the_first_line_of_its_record(tmp_path, capsys):
+    """A quoted cell may span lines, so the records and the lines part
+    ways: the bad cell of the third record is on the fourth line."""
+    path = write(tmp_path, "pts.csv", '1,2\n"3\n",4\n5,y\n')
+    assert main(["mean", path]) == 2
+    _assert_one_error_line(capsys, "error: line 4: not a rational: 'y'")
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,7 @@ import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
 from tropmean import SampleSet, canonicalize
 from tropmean.errors import InternalError
-from tropmean.linalg import integer_solve
-from tropmean.qp import QPError, minimize_qp
+from tropmean.qp import integer_solve, minimize_qp
 from support import (
     dense_objective,
     densify,
@@ -109,17 +108,17 @@ def _normal_systems(draw):
 @example(([[F(1, 4), F(0), F(1, 2)], [F(0), F(0), F(0)], [F(1, 2), F(0), F(1)]], [F(1), F(0), F(2)]))
 def test_integer_solve_matches_fraction_gauss_jordan(system):
     """A^T A x = r, rank-deficient or inconsistent as it often is, is solved
-    as rational Gauss-Jordan solves it: None when the rhs column holds a
-    pivot, else the particular solution with every free variable at zero,
-    over the least common denominator, so in lowest terms, which the QP's
-    step relies on."""
+    as rational Gauss-Jordan solves it: InternalError when the rhs column
+    holds a pivot, else the particular solution with every free variable at
+    zero, over the least common denominator, so in lowest terms, which the
+    QP's step relies on."""
     a, b = system
     expected = solve_over_fractions(a, b)
-    solved = integer_solve(_integer_rows(a, b))
     if expected is None:
-        assert solved is None
+        with pytest.raises(InternalError):
+            integer_solve(_integer_rows(a, b))
         return
-    den, nums = solved
+    den, nums = integer_solve(_integer_rows(a, b))
     x = [F(v, den) for v in nums]
     assert x == expected[0]
     assert den == lcm(*(v.denominator for v in x))
@@ -132,7 +131,8 @@ def test_integer_solve_matches_fraction_gauss_jordan(system):
 def test_integer_solve_finds_a_planted_solution(rows, data):
     """A^T A x = A^T A x0 for a planted x0 is solved exactly, free variables
     at zero; adding a nullspace vector of A^T A to the rhs moves it off the
-    range, which is that nullspace's orthogonal complement, and makes it None."""
+    range, which is that nullspace's orthogonal complement, and makes it
+    raise InternalError."""
     a = _gram(rows)
     nvars = len(a)
     x0 = [data.draw(_entries) for _ in range(nvars)]
@@ -145,7 +145,8 @@ def test_integer_solve_finds_a_planted_solution(rows, data):
     if len(pivots) < nvars:
         _, null = solve_over_fractions(a, [F(0)] * nvars)
         b_off = [u + v for u, v in zip(b, null[0])]
-        assert integer_solve(_integer_rows(a, b_off)) is None
+        with pytest.raises(InternalError):
+            integer_solve(_integer_rows(a, b_off))
 
 
 @pytest.mark.parametrize(
@@ -278,7 +279,7 @@ def test_qp_takes_integers_and_returns_them_over_one_denominator():
 
 def test_qp_rejects_a_start_off_zero_at_the_ground():
     # The start (1, 1) is (0, 0) shifted by 1, not held at zero on x_1.
-    with pytest.raises(QPError):
+    with pytest.raises(InternalError):
         minimize_qp(2, [1, 1], [0, 0, 0, 0, 0, -1, 0, 1])
 
 
@@ -317,7 +318,7 @@ def test_qp_rejects_infeasible_start():
     # pinning it to (x_1, x_2) asks the slack row u_1 - x_1 >= 0 to be tight.
     program = _program([[0, 0], [0, 2]], [0, 1])
     assert minimize_qp(*program, [(1, 0), (0, 1)])[0] == 2
-    with pytest.raises(QPError):
+    with pytest.raises(InternalError):
         minimize_qp(*program, [(0, 1), (0, 1)])
 
 
@@ -596,7 +597,7 @@ def test_leaf_peeling_solves_the_multiplier_system(case, data):
     free = [t for t in range(1, nvars + 1) if all(t not in e for e in ends)]
     if free:
         grad[free[0]] += 1
-        with pytest.raises(QPError):
+        with pytest.raises(InternalError):
             work.multipliers(grad)
 
 

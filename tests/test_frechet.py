@@ -23,6 +23,7 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.cli import _random_sample
+from tropmean.errors import InternalError
 from tropmean.oracle import brute_force_frechet
 from support import (
     active_pieces,
@@ -189,7 +190,7 @@ def test_exact_bench_cell_15_15():
 @pytest.mark.parametrize("failure", ["qp", "verification"])
 def test_exact_falls_back_to_the_average_when_not_certified(monkeypatch, failure):
     def raise_qp_error(*args):
-        raise frechet_mod.QPError("stub")
+        raise InternalError("stub")
 
     if failure == "qp":
         monkeypatch.setattr(frechet_mod, "minimize_qp", raise_qp_error)
@@ -240,9 +241,9 @@ def _mixed_samples(draw):
     return SampleSet.from_rows(rows)
 
 
-class _Recorded(frechet_mod.QPError):
-    """Raised in place of a solve; as a QPError it sends exact_frechet to
-    its fallback, the start."""
+class _Recorded(InternalError):
+    """Raised in place of a solve; as an InternalError it sends exact_frechet
+    to its fallback, the start."""
 
 
 @settings(max_examples=120, deadline=None)

@@ -16,13 +16,14 @@ go unchecked there; the package raises its errors instead.  A certificate
 check that called into the route it checks, or solved a system, would not
 be independent of it, and a second JSON writer could drift from the one
 whose bytes the goldens and the benchmark digests pin.  ``qp`` reads no
-``.denominator`` and does not import ``over_common_denominator``: the exact
-QP takes integer data, and a rescaling inside it would be a second, hidden
-scaling of what its caller already put on integers.  For the same reason,
-in ``polytrope`` only ``PolytropeMatrix.from_rows``, which scales Fraction
-entries onto a matrix's integers, reads ``.denominator``, and ``linalg``
-holds no scaling helper: the closure, vertex and breakpoint kernels take a
-matrix's and a point's integers as they are held.  In ``core`` only
+``.denominator`` and neither defines nor imports a scaling helper such as
+the package's old ``over_common_denominator``: the exact QP and its
+``integer_solve`` take integer data, and a rescaling inside them would be a
+second, hidden scaling of what their callers already put on integers.  For
+the same reason, in ``polytrope`` only ``PolytropeMatrix.from_rows``, which
+scales Fraction entries onto a matrix's integers, reads ``.denominator``:
+the closure, vertex and breakpoint kernels take a matrix's and a point's
+integers as they are held.  In ``core`` only
 ``canonicalize``, which scales Fraction coordinates onto a point's
 integers, reads ``.denominator``.
 
@@ -252,8 +253,8 @@ def _denominator_readers(path):
 def test_the_polytrope_kernels_take_integers_only():
     polytrope = ROOT / "src" / "tropmean" / "polytrope.py"
     assert _denominator_readers(polytrope) <= {"PolytropeMatrix.from_rows"}
-    linalg = ast.parse((ROOT / "src" / "tropmean" / "linalg.py").read_text(encoding="utf-8"))
-    defined = {node.name for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)}
+    qp = ast.parse((ROOT / "src" / "tropmean" / "qp.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(qp) if isinstance(node, ast.FunctionDef)}
     assert "over_common_denominator" not in defined
 
 

@@ -11,9 +11,9 @@ from tropmean import (
     exact_frechet,
     objective,
 )
+from tropmean.errors import InternalError
 import tropmean.oracle as oracle_mod
 from tropmean.oracle import BudgetExceeded, brute_force_frechet
-from tropmean.qp import QPError
 from support import dense_objective, densify, int_sample, reference_qp, reference_region_program
 
 F = Fraction
@@ -122,7 +122,7 @@ def test_deferred_cells_are_pinned_epigraph_programs(monkeypatch):
     rational loop finds on the cell's own program over x alone, the
     assignment's squares over the region's rows (``reference_region_program``),
     from the same start.  Pinning a row that is slack at the start raises
-    QPError."""
+    InternalError."""
     programs = []
     solve = oracle_mod.minimize_qp
 
@@ -149,6 +149,6 @@ def test_deferred_cells_are_pinned_epigraph_programs(monkeypatch):
         below = [i for i, g in enumerate(gaps) if g < max(gaps)]
         if below:
             slack += 1
-            with pytest.raises(QPError):
+            with pytest.raises(InternalError):
                 solve(n, x0, d, [(below[0], pins[0][1]), *pins[1:]])
     assert slack >= 400
