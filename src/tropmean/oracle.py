@@ -6,15 +6,18 @@ every chosen piece attains its sample's maximum.  On that region the
 restricted sum equals the true objective, and the regions cover the torus,
 so the least of the restricted minima is the exact global minimum.
 
-The walk over assignments is depth first.  A region prefix is a system of
-difference constraints x_i - x_k >= c, so feasibility and a feasible point
-come from a Bellman-Ford pass rather than an LP, and a branch dies as soon
-as its prefix is infeasible or the unconstrained lower bound of its partial
-sum exceeds the best value seen.  Most surviving leaves are settled by the
-normal equations alone (when the free minimizer already lies inside the
-region); the rest are deferred to the sample's epigraph program (``qp``)
-pinned to the assignment, which is the chosen squares over the region,
-started at the region's feasible point.
+The walk over assignments is one depth-first branch and bound.  A region
+prefix is a system of difference constraints x_i - x_k >= c, so
+feasibility and a feasible point come from a Bellman-Ford pass rather than
+an LP, and a branch dies as soon as its prefix is infeasible or the
+unconstrained lower bound of its partial sum exceeds the least region
+minimum settled so far.  Each surviving leaf is settled where the walk
+reaches it: by the normal equations alone when the free minimizer already
+lies inside the region, and otherwise by the sample's epigraph program
+(``qp``) pinned to the assignment, which is the chosen squares over the
+region, started at the region's feasible point.  A pruned region's minimum
+is at least its bound, so above the optimum, and every optimal region is
+settled in depth-first order.
 
 The module is deliberately independent of the one exact route in
 ``frechet``, a single epigraph program started at the average: it shares
@@ -24,15 +27,14 @@ region enumeration and the normal equations of its partial sums,
 confront the two routes on equal terms.
 
 The walk runs on the sample's fields, its integers over one common
-denominator den, in the coordinates X = den x: regions, increments,
-feasible points, squares and deferred programs are integers, region minima
-are in units of 1/den^2, and only the returned value and witness are scaled
-back.
+denominator den, in the coordinates X = den x: regions, feasible points,
+squares and pinned programs are integers, region minima are in units of
+1/den^2, and only the returned value and witness are scaled back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -49,68 +51,48 @@ Exact = int | Fraction
 # it, degenerate handcrafted ones will not starve memory.
 MAX_ASSIGNMENTS = 10_000
 
+# Cap on the assignments a walk may cover, checked before any work.
+BUDGET = 10**6
+
 
 class BudgetExceeded(TropmeanError):
     """Raised when the assignments to walk would exceed the work budget."""
 
 
-@dataclass
-class _Cell:
-    order: int
-    assignment: Assignment
-    value: Fraction | None  # exact region minimum, if already known
-    bound: Fraction  # unconstrained lower bound on the region minimum
-    point: tuple[Fraction, ...] | None  # minimizer with x_1 = 0, if known
-    start: list[int]  # feasible point with x_1 = 0 for the deferred program
-
-
-def brute_force_frechet(
-    sample: SampleSet, budget: int = 10**6
-) -> tuple[Fraction, TorusPoint, list[Assignment]]:
+def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[Assignment]]:
     """Exact minimum, one witness minimizer, and all optimal assignments.
 
-    Raises BudgetExceeded when (n(n-1))^m exceeds ``budget``, before any
-    work is done.  The witness comes from the first region (in depth-first
-    lexicographic order) that attains the minimum; assignments are ordered
-    (i, k) pairs, one per sample, where the pair means coordinate i
+    Raises BudgetExceeded when (n(n-1))^m exceeds the module's ``BUDGET``,
+    before any work is done.  One depth-first walk settles each leaf region
+    where it reaches it, and nothing is deferred: the witness comes from the
+    first region (in depth-first lexicographic order) that attains the
+    minimum, and the assignments are those of the optimal regions in the
+    same order, the first ``MAX_ASSIGNMENTS`` of them.  An assignment holds
+    ordered (i, k) pairs, one per sample, where the pair means coordinate i
     realizes the max and k the min of x - p_j.
     """
     n = sample.n
     m = sample.m
     count = (n * (n - 1)) ** m
-    if count > budget:
-        raise BudgetExceeded(f"{count} assignments exceed budget {budget}")
+    if count > BUDGET:
+        raise BudgetExceeded(f"{count} assignments exceed budget {BUDGET}")
 
     pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
     nv = n - 1
     den, nums = sample.den, sample.nums
+    d = right_hand_sides(nums)
 
-    # Difference-constraint increments per (sample, pair): choosing (i, k)
-    # for sample j forces x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k.
-    increments: list[dict[tuple[int, int], list[tuple[int, int, int]]]] = []
-    for p in nums:
-        per_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for i, k in pairs:
-            cons = []
-            for a in range(n):
-                if a != i:
-                    cons.append((i, a, p[i] - p[a]))
-                if a != k:
-                    cons.append((a, k, p[a] - p[k]))
-            per_pair[(i, k)] = cons
-        increments.append(per_pair)
-    consts = [{(i, k): p[i] - p[k] for i, k in pairs} for p in nums]
-
-    def tighten(
-        region: list[list[int | None]], j: int, pair: tuple[int, int]
-    ) -> list[tuple[int, int, int | None]]:
-        """Impose sample j's increments for ``pair``; returns what to undo."""
+    def tighten(p: Sequence[int], i: int, k: int) -> list[tuple[int, int, int | None]]:
+        """Impose x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k, which
+        choosing (i, k) for the sample p forces; returns what to undo."""
         saved = []
-        for a, b, c in increments[j][pair]:
-            old = region[a][b]
-            if old is None or c > old:
-                saved.append((a, b, old))
-                region[a][b] = c
+        for a in range(n):
+            for lo, hi in ((i, a), (a, k)):
+                c = p[lo] - p[hi]
+                old = region[lo][hi]
+                if lo != hi and (old is None or c > old):
+                    saved.append((lo, hi, old))
+                    region[lo][hi] = c
         return saved
 
     # Accumulated region: region[i][k] is the current lower bound on
@@ -122,17 +104,10 @@ def brute_force_frechet(
     b_vec = [0] * nv
     c0 = 0
 
-    cells: list[_Cell] = []
-    ub: Fraction | int | None = None  # best objective value seen anywhere, times den^2
+    best: Fraction | None = None  # least region minimum settled so far, times den^2
+    witness: tuple[Fraction, ...] = ()
+    winners: list[Assignment] = []
     chosen: list[tuple[int, int]] = []
-
-    def objective_at(x: list[int]) -> int:
-        total = 0
-        for p in nums:
-            diffs = [x[a] - p[a] for a in range(n)]
-            spread = max(diffs) - min(diffs)
-            total += spread * spread
-        return total
 
     def in_region(x: tuple[Fraction, ...]) -> bool:
         for i in range(n):
@@ -144,24 +119,30 @@ def brute_force_frechet(
         return True
 
     def settle(bound: Fraction, free_min: tuple[Fraction, ...], feas: list[int]) -> None:
-        """Record the leaf region from its parent's bound and feasible point."""
-        nonlocal ub
+        """Settle the leaf region from its parent's bound and feasible point:
+        the free minimizer when it lies inside, else the sample's epigraph
+        program pinned to the assignment, started at the feasible point."""
+        nonlocal best, witness
         if in_region(free_min):
-            value, point, seen = bound, free_min, bound
+            value, point = bound, free_min
         else:
-            value, point, seen = None, None, objective_at(feas)
-        if ub is None or seen < ub:
-            ub = seen
-        start = [v - feas[0] for v in feas]
-        cells.append(_Cell(len(cells), tuple(chosen), value, bound, point, start))
+            start = [v - feas[0] for v in feas]
+            value, (zd, xn), _, _ = minimize_qp(n, start, d, tuple(chosen))
+            point = tuple(Fraction(v, zd) for v in xn)
+        if best is None or value < best:
+            best, witness = value, point
+            winners.clear()
+        if value == best and len(winners) < MAX_ASSIGNMENTS:
+            winners.append(tuple(chosen))
 
     def descend(j: int) -> None:
         nonlocal c0
+        p = nums[j]
         for i, k in pairs:
-            saved = tighten(region, j, (i, k))
-            c0 += add_square(a_mat, b_vec, i, k, consts[j][i, k], 1)
+            saved = tighten(p, i, k)
+            c0 += add_square(a_mat, b_vec, i, k, p[i] - p[k], 1)
             bound, free_min = min_quadratic(a_mat, b_vec, c0)
-            feas = _difference_point(region, n) if ub is None or bound <= ub else None
+            feas = _difference_point(region, n) if best is None or bound <= best else None
             if feas is not None:
                 chosen.append((i, k))
                 if j + 1 < m:
@@ -169,38 +150,14 @@ def brute_force_frechet(
                 else:
                     settle(bound, free_min, feas)
                 chosen.pop()
-            c0 += add_square(a_mat, b_vec, i, k, consts[j][i, k], -1)
+            c0 += add_square(a_mat, b_vec, i, k, p[i] - p[k], -1)
             for a, b, old in saved:
                 region[a][b] = old
 
     descend(0)
-    if not cells:
-        raise InternalError("no feasible region, though the regions cover the torus")
-
-    # Settle deferred cells cheapest bound first; once the bound passes the
-    # best value no remaining cell can matter.  Each is the sample's
-    # epigraph program pinned to its assignment.
-    d = right_hand_sides(nums)
-    best = min((c.value for c in cells if c.value is not None), default=None)
-    for cell in sorted(
-        (c for c in cells if c.value is None), key=lambda c: (c.bound, c.order)
-    ):
-        if best is not None and cell.bound > best:
-            break
-        cell.value, (zd, xn), _, _ = minimize_qp(n, cell.start, d, cell.assignment)
-        cell.point = tuple(Fraction(v, zd) for v in xn)
-        if best is None or cell.value < best:
-            best = cell.value
-
     if best is None:
-        raise InternalError("no region was evaluated")
-    winners = [c for c in cells if c.value == best]
-    winners.sort(key=lambda c: c.order)
-    witness = winners[0].point
-    if witness is None:
-        raise InternalError("the best region has no minimizer")
-    optimal = [c.assignment for c in winners[:MAX_ASSIGNMENTS]]
-    return Fraction(best, den * den), canonicalize([Fraction(v, den) for v in witness]), optimal
+        raise InternalError("no feasible region, though the regions cover the torus")
+    return Fraction(best, den * den), canonicalize([Fraction(v, den) for v in witness]), winners
 
 
 def _difference_point(region: list[list[int | None]], n: int) -> list[int] | None:

@@ -26,6 +26,7 @@ from tropmean import (
     tropical_vertices,
     verify_certificate,
 )
+from tropmean.errors import InternalError
 from tropmean.oracle import add_square, min_quadratic
 from support import (
     active_pieces,
@@ -93,6 +94,22 @@ def test_certificate_for_a_singleton_sample():
 def test_find_certificate_rejects_suboptimal_points():
     with pytest.raises(NotOptimal):
         find_certificate(THREE_POINTS, canonicalize([0, 0, 0]))
+
+
+def test_find_certificate_raises_when_the_mean_certificate_fails_at_the_point(monkeypatch):
+    # exact_frechet's own check is the first call; refusing the second, at
+    # the point find_certificate names, breaks an invariant.
+    mean = exact_frechet(THREE_POINTS).mean
+    calls = []
+
+    def refuse_second(sample, cert):
+        calls.append(cert)
+        return len(calls) == 1 and verify_certificate(sample, cert)
+
+    monkeypatch.setattr("tropmean.frechet.verify_certificate", refuse_second)
+    with pytest.raises(InternalError, match="does not hold at a point of equal objective"):
+        find_certificate(THREE_POINTS, mean)
+    assert len(calls) == 2
 
 
 def test_perturbed_weights_fail_verification():

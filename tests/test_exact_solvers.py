@@ -322,6 +322,20 @@ def test_qp_rejects_infeasible_start():
         minimize_qp(*program, [(0, 1), (0, 1)])
 
 
+def test_qp_iteration_cap_raises_and_the_mean_falls_back_to_the_average(monkeypatch):
+    # The three-point sample needs more than one iteration from its average
+    # (0, -1, -3), so a cap of one raises, and exact_frechet hands back the
+    # average with no certificate.
+    rows = [[-3, 0, 0], [0, -6, 0], [0, 0, -12]]
+    program = _program(rows)
+    monkeypatch.setattr(qp_mod, "MAX_ITER", 1)
+    with pytest.raises(InternalError, match="iteration cap"):
+        minimize_qp(*program)
+    result = frechet_mod.exact_frechet(SampleSet.from_rows(rows))
+    assert result.mean == canonicalize([0, -1, -3])
+    assert not result.exact
+
+
 def test_qp_semidefinite_hessian_with_equality_like_rows():
     # No square reaches x, so H has a zero block.  Pinned to the pairs
     # (x_1, x_2) and (x_1, x_3), the program is x_2^2 + x_3^2 over their

@@ -1,5 +1,6 @@
 """The exhaustive solver against golden values, grids and the fast pipeline."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -51,9 +52,33 @@ def test_two_point_split():
 
 
 def test_budget_is_enforced_up_front():
-    s = int_sample(Random("oracle:budget"), 4, 4)
+    # 20^5 = 3,200,000 assignments, over the module's BUDGET
+    s = int_sample(Random("oracle:budget"), 5, 5)
     with pytest.raises(BudgetExceeded):
-        brute_force_frechet(s, budget=100)
+        brute_force_frechet(s)
+
+
+def test_the_oracle_output_is_pinned():
+    """Value, witness and the ordered list of optimal assignments, pinned by
+    one digest on tie-heavy samples, entries -1..1 over 1 or 2, and on the
+    criterion-6 shapes of ``test_deferred_cells_are_pinned_epigraph_programs``:
+    with many optimal regions per sample, a change to the walk's order or
+    to which region names the witness shows here."""
+    rng = Random("oracle:pinned")
+    samples = []
+    for n, m, count in ((3, 2, 10), (3, 3, 8), (3, 4, 8), (4, 2, 8), (4, 3, 5), (4, 4, 1)):
+        for _ in range(count):
+            q = rng.choice((1, 2))
+            rows = [[F(rng.randint(-1, 1), q) for _ in range(n)] for _ in range(m)]
+            samples.append(SampleSet.from_rows(rows))
+    for n, m in ((3, 3), (3, 4), (4, 3), (4, 4)):
+        for idx in range(2):
+            samples.append(int_sample(Random(f"accept6:{n}:{m}:{idx}"), n, m))
+    digest = hashlib.sha256()
+    for s in samples:
+        value, witness, assignments = brute_force_frechet(s)
+        digest.update(repr((value, witness.den, witness.nums, assignments)).encode())
+    assert digest.hexdigest() == "96d3dcf45b50861e5767b2c4e8ea318a3fe9955252029244cf409b53c1f33518"
 
 
 def test_witness_attains_the_reported_value():
