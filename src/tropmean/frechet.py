@@ -9,19 +9,25 @@ there, by stationarity, before the mean is reported as exact.
 
 A point is evaluated in one place, ``_result_at``: on the integers of the
 sample and the point over their common denominator, it gives the
-distances, ``min_sum`` and the mean set, the intersection of the tropical
-balls around the samples at those distances.  ``fm_polytrope`` reads that
-mean set, and ``find_certificate`` that ``min_sum``, handing out the
-certificate's weights at any point whose objective equals the certified
-minimum.  ``objective`` computes the sum over Fractions through
-``trop_dist``, apart from that evaluation, so it can check it.
+distances, as integer spreads over that denominator, and the mean set, the
+intersection of the tropical balls around the samples at those distances.
+A ``FrechetResult`` holds the distances so, and its certificate holds each
+sample's weights as integers over one denominator; ``distances`` and
+``min_sum`` are Fraction views of the spreads, and the writer in
+``serialize`` formats the integers without building them.
+``fm_polytrope`` reads the mean set, and ``find_certificate`` the
+``min_sum``, handing out the certificate's weights at any point whose
+objective equals the certified minimum.  ``objective`` computes the sum
+over Fractions through ``trop_dist``, apart from that evaluation, so it
+can check it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import sub
 
 from .certify import Certificate, verify_certificate
@@ -34,32 +40,50 @@ from .qp import minimize_qp, right_hand_sides
 class FrechetResult(Frozen):
     """Outcome of a mean computation.
 
-    ``certificate`` is a positivity certificate for ``mean``, attached only
-    once found and independently verified, and ``exact`` says whether one
-    is; ``min_sum`` always equals the sum of the squared ``distances``.
+    Distance j, from ``mean`` to sample j, is held as ``spreads[j] / den``:
+    integers over a positive denominator, divided by their gcd, so equality
+    and hashing compare values.  ``distances`` and ``min_sum``, the sum of
+    their squares, give them back as Fractions.  ``certificate`` is a
+    positivity certificate for ``mean``, attached only once found and
+    independently verified, and ``exact`` says whether one is.
     """
 
-    _fields = ("mean", "distances", "min_sum", "fm_polytrope", "certificate")
+    _fields = ("mean", "den", "spreads", "fm_polytrope", "certificate")
 
     def __init__(
         self,
         mean: TorusPoint,
-        distances: tuple[Fraction, ...],
-        min_sum: Fraction,
+        den: int,
+        spreads: tuple[int, ...],
         fm_polytrope: PolytropeMatrix,
         certificate: Certificate | None = None,
     ) -> None:
+        g = gcd(den, *spreads)
         self.__dict__.update(
             mean=mean,
-            distances=distances,
-            min_sum=min_sum,
+            den=den // g,
+            spreads=tuple([v // g for v in spreads]),
             fm_polytrope=fm_polytrope,
             certificate=certificate,
         )
 
+    @cached_property
+    def distances(self) -> tuple[Fraction, ...]:
+        """The distances as Fractions."""
+        return tuple([Fraction(v, self.den) for v in self.spreads])
+
+    @cached_property
+    def min_sum(self) -> Fraction:
+        """The sum of the squared distances, as a Fraction."""
+        return Fraction(_squares(self.spreads), self.den * self.den)
+
     @property
     def exact(self) -> bool:
         return self.certificate is not None
+
+
+def _squares(values: Sequence[int]) -> int:
+    return sum(v * v for v in values)
 
 
 def objective(sample: SampleSet, x: Sequence[RationalLike]) -> Fraction:
@@ -108,8 +132,10 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     point comes back with no certificate, not exact.
 
     The start and the mean are points built from the sample's integers, and
-    the program and ``_result_at`` run on integers too; only the distances,
-    ``min_sum`` and the certificate become Fractions.
+    the program, ``_result_at`` and the certificate's weights are integers
+    too: the value of the program and ``c_star`` are the only Fractions
+    built, and ``c_star`` is checked against the squared spreads over
+    ``den`` by cross-multiplying.
     """
     start = _average(sample)
     try:
@@ -117,7 +143,9 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     except InternalError:
         return _result_at(sample, start)
     result = _result_at(sample, mean, cert)
-    if cert.c_star == result.min_sum and verify_certificate(sample, cert):
+    c, den = cert.c_star, result.den
+    attained = c.numerator * den * den == _squares(result.spreads) * c.denominator
+    if attained and verify_certificate(sample, cert):
         return result
     return _result_at(sample, start)
 
@@ -142,13 +170,7 @@ def _result_at(
     rows = [[max(map(sub, top, col)) for col in cols] for top in tops]
     for i, row in enumerate(rows):
         row[i] = 0
-    return FrechetResult(
-        mean=mean,
-        distances=tuple(Fraction(v, e) for v in spreads),
-        min_sum=Fraction(sum(v * v for v in spreads), e * e),
-        fm_polytrope=PolytropeMatrix(e, rows),
-        certificate=cert,
-    )
+    return FrechetResult(mean, e, tuple(spreads), PolytropeMatrix(e, rows), cert)
 
 
 def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
@@ -191,7 +213,9 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     pairs, each reported as its i < k representative; a sample with t_j = 0
     has no multiplier, is the mean itself, and weight 1 on piece (0, 1)
     serves.  The multipliers come over one positive factor, which a weight
-    alpha beta / (sum alpha sum beta) does not see, and the value is c_star
+    alpha beta / (sum alpha sum beta) does not see, so sample j's weights
+    are written as the integers alpha_ji beta_jk over sum alpha sum beta
+    (``Certificate`` divides them by their gcd), and the value is c_star
     times e^2.
     """
     e, x0, nums = _lift(sample, start)
@@ -201,10 +225,10 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     for alpha, beta in zip(alphas, betas):
         total = sum(alpha) * sum(beta)
         pieces = [
-            (min(i, k), max(i, k), Fraction(a * b, total))
+            (min(i, k), max(i, k), a * b)
             for i, a in enumerate(alpha) if a
             for k, b in enumerate(beta) if b
         ]
-        weights.append(tuple(sorted(pieces)) if total else ((0, 1, Fraction(1)),))
+        weights.append((total, tuple(sorted(pieces))) if total else (1, ((0, 1, 1),)))
     mean = TorusPoint(zd * e, tuple(xn))
     return mean, Certificate(value / (e * e), tuple(weights), mean)

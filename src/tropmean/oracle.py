@@ -38,7 +38,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .core import SampleSet, TorusPoint, canonicalize
+from .core import SampleSet, TorusPoint
 from .errors import InternalError, TropmeanError
 from .qp import integer_solve, minimize_qp, right_hand_sides
 
@@ -105,20 +105,22 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
     c0 = 0
 
     best: Fraction | None = None  # least region minimum settled so far, times den^2
-    witness: tuple[Fraction, ...] = ()
+    witness: tuple[int, Sequence[int]] = (1, ())  # its point, integers over a denominator
     winners: list[Assignment] = []
     chosen: list[tuple[int, int]] = []
 
-    def in_region(x: tuple[Fraction, ...]) -> bool:
+    def in_region(x: tuple[int, Sequence[int]]) -> bool:
+        xd, xn = x
         for i in range(n):
             row = region[i]
+            xi = xn[i]
             for k in range(n):
                 c = row[k]
-                if c is not None and x[i] - x[k] < c:
+                if c is not None and xi - xn[k] < c * xd:
                     return False
         return True
 
-    def settle(bound: Fraction, free_min: tuple[Fraction, ...], feas: list[int]) -> None:
+    def settle(bound: Fraction, free_min: tuple[int, Sequence[int]], feas: list[int]) -> None:
         """Settle the leaf region from its parent's bound and feasible point:
         the free minimizer when it lies inside, else the sample's epigraph
         program pinned to the assignment, started at the feasible point."""
@@ -127,8 +129,7 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
             value, point = bound, free_min
         else:
             start = [v - feas[0] for v in feas]
-            value, (zd, xn), _, _ = minimize_qp(n, start, d, tuple(chosen))
-            point = tuple(Fraction(v, zd) for v in xn)
+            value, point, _, _ = minimize_qp(n, start, d, tuple(chosen))
         if best is None or value < best:
             best, witness = value, point
             winners.clear()
@@ -157,7 +158,8 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
     descend(0)
     if best is None:
         raise InternalError("no feasible region, though the regions cover the torus")
-    return Fraction(best, den * den), canonicalize([Fraction(v, den) for v in witness]), winners
+    wd, wn = witness
+    return Fraction(best, den * den), TorusPoint(wd * den, tuple(wn)), winners
 
 
 def _difference_point(region: list[list[int | None]], n: int) -> list[int] | None:
@@ -211,7 +213,7 @@ def add_square(
 
 def min_quadratic(
     a: list[list[Exact]], b: list[Exact], c0: Exact
-) -> tuple[Fraction, tuple[Fraction, ...]]:
+) -> tuple[Fraction, tuple[int, tuple[int, ...]]]:
     """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
     normal equations ``add_square`` built.
 
@@ -221,11 +223,11 @@ def min_quadratic(
     equations of a sum of squares are.
     Returns the minimum value and one minimizer, the solution of A y = b
     with its free coordinates at zero, padded back to full n-length
-    coordinates with x_1 = 0.
+    coordinates with x_1 = 0 and held as (den, nums): x_i = nums[i] / den.
     """
     scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
     rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]
     bs = [row[-1] for row in rows]
     den, nums = integer_solve(rows)
     value = c0 - Fraction(sum(v * y for v, y in zip(bs, nums)), scale * den)
-    return value, (Fraction(0), *(Fraction(v, den) for v in nums))
+    return value, (den, (0, *nums))

@@ -34,15 +34,24 @@ An independent set of difference rows is a forest on the nodes, and the
 loop keeps W as one across iterations: per node its W rows and the name of
 its component, the component's smallest node, so the ground's is 0.
 
-* Join: a row whose ends lie in two components enters, and the component
-  with the larger name takes the smaller one.  A blocking row always joins
-  two.  The starting W joins the pinned rows, a forest since each u_j and
-  l_j is a leaf of one, then the tight rows in order, keeping a row exactly
-  when greedy order finds it independent of the rows before it.
-* Split: a dropped row leaves, and a walk from each of its ends over the
-  rows left names that side of its tree by its smallest node.
+Both walks over a tree mark the nodes they reach by their labels: a node
+is entered while it still bears the label the walk replaces, so a walk
+keeps no parent and no visited set.
+
+* Join: a row whose ends lie in two components enters, and a walk gives
+  the component with the larger name the smaller one.  A blocking row
+  always joins two.  The starting W joins the pinned rows, a forest since
+  each u_j and l_j is a leaf of one, then the tight rows in order, keeping
+  a row exactly when greedy order finds it independent of the rows before
+  it.
+* Split: a dropped row leaves, and a walk from one of its ends over the
+  rows left names that side of its tree by its smallest node.  The side
+  that holds the tree's name keeps it, so the other end is walked only
+  when the first side holds the name.
 * The nullspace is spanned by the indicator vectors of the components
-  not named 0, those without the ground, read off the labels in one pass.
+  not named 0, those without the ground, read off the labels in one pass:
+  a group opens at its name, its smallest node, and takes the later nodes
+  that bear it.
   That is exactly the basis read off the RREF of its rows: in a component
   of k nodes joined by k - 1 rows any k - 1 columns are independent, so the
   pivots are its k - 1 lowest nodes, the free column is its highest, and
@@ -50,22 +59,28 @@ its component, the component's smallest node, so the ground's is 0.
   the order of their free columns.  So the steps are those of the loop that
   takes its basis from the RREF.
 * The multipliers, the flow dual to the tension, come from one rooted pass
-  per tree: rooted at its name, each node in reverse walk order hands its
-  residual to the row to its parent as that row's multiplier, and on to the
-  parent.
+  over the forest, each tree rooted at its name, with one list of each
+  node's row to its parent: each node in reverse walk order hands its
+  residual to that row as its multiplier, and on to the parent.
 
 The data are integers, and so is every step of the loop; its iterates are
 exactly those of the same loop over the rationals:
 
 * z is kept as an integer vector over one denominator, z = zn / zd, reduced
-  by the gcd after each move.  An iteration reads the residuals
-  r_j = zn_{u_j} - zn_{l_j} of the squares; zd times the gradient, 2 r_j at
-  u_j and -2 r_j at l_j, is built only at a stationary point.
-* The ratio test walks the rows once.  A slack is computed, as
-  zn_a - zn_b - d zd, only for a row the step moves toward, the only rows
-  that can block.  Step lengths are compared by integer cross-multiplication,
-  in the same row order and with the same strict comparison as over the
-  rationals, so the blocking rows are the same too.
+  by the gcd after each move.  It starts from one gap list x0 - p_j per
+  sample: u_j and l_j are its max and min, and the slacks of sample j's
+  rows are u_j - g_i and g_k - l_j, so the tight rows are read off the
+  gaps.  An iteration reads the residuals r_j = zn_{u_j} - zn_{l_j} of the
+  squares; zd times the gradient, 2 r_j at u_j and -2 r_j at l_j, is built
+  only at a stationary point.
+* The ratio test walks the rows once, one sample's block at a time.  Only
+  a row the step moves toward can block: (u_j, x_i) when x_i's step
+  exceeds u_j's, (x_k, l_j) when x_k's falls below l_j's, so a side that no
+  coordinate's step passes is skipped, and a slack is computed, as
+  zn_a - zn_b - d zd, only for such a row.  Step lengths are compared by
+  integer cross-multiplication, in the same row order and with the same
+  strict comparison as over the rationals, so the blocking rows are the
+  same too.
 * The reduced system, symmetric positive semidefinite as a sum of squares
   makes it, is built at half scale from the squares and their residuals
   and solved by one ``integer_solve``, which takes its pivots from the
@@ -87,7 +102,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import InternalError
 
@@ -132,23 +147,29 @@ def minimize_qp(
         edges += [(u, i) for i in range(n)]
         edges += [(i, u + m) for i in range(n)]
     squares = [(u, u + m) for u in range(n, n + m)]
-    zd, zn = 1, list(x0)
-    zn += [max(map(add, x0, d[r : r + n])) for r in starts]
-    zn += [min(map(sub, x0, d[r + n : r + 2 * n])) for r in starts]
-    pinned = {row for r, (i, k) in zip(starts, pins) for row in (r + i, r + n + k)}
-    slacks = [zn[a] - zn[b] - v for (a, b), v in zip(edges, d)]
-    if x0[0] or any(slacks[r] for r in pinned):
+    # Sample j's gaps x0 - p_j: u_j and l_j start at their max and min, and
+    # its rows' slacks are u_j - g_i and g_k - l_j.
+    gaps = [list(map(add, x0, d[r : r + n])) for r in starts]
+    ups, lows = list(map(max, gaps)), list(map(min, gaps))
+    zd, zn = 1, [*x0, *ups, *lows]
+    if x0[0] or any(g[i] != u or g[k] != lo for g, u, lo, (i, k) in zip(gaps, ups, lows, pins)):
         raise InternalError("infeasible starting point")
+    pinned = {row for r, (i, k) in zip(starts, pins) for row in (r + i, r + n + k)}
     work = Forest(edges, len(zn))
     for r in sorted(pinned):
         work.join(r)
-    for r, s in enumerate(slacks):
-        if s == 0:
-            work.join(r)
+    for r, g, u, lo in zip(starts, gaps, ups, lows):
+        for i, v in enumerate(g):
+            if v == u:
+                work.join(r + i)
+        for k, v in enumerate(g):
+            if v == lo:
+                work.join(r + n + k)
     degenerate = 0
+    cols = range(n)
 
     for _ in range(MAX_ITER):
-        res = [zn[a] - zn[b] for a, b in squares]
+        res = list(map(sub, zn[n : n + m], zn[n + m :]))
         sd, sn = _subspace_step(work, squares, res, zd)
         if not any(sn):
             # zd times the gradient, zero on x, which no square reaches.
@@ -165,16 +186,32 @@ def minimize_qp(
         # Row i's limit slack_i / (-row_i.step) is (slack / -prod) times
         # sd/zd with slack = zn_a - zn_b - d_i zd, so the limits compare as
         # slack / -prod, starting from zd/sd (a full step).  Only a row with
-        # prod < 0 can block; working-set rows have prod == 0.
+        # prod < 0 can block, (u_j, x_i) when x_i's step exceeds u_j's and
+        # (x_k, l_j) when x_k's falls below l_j's; working-set rows have
+        # prod == 0.  The rows are visited in order, one sample's block at
+        # a time, and a side no coordinate's step passes is skipped.
         best_num, best_den = zd, sd
         blocker = None
-        for i, (a, b) in enumerate(edges):
-            prod = sn[a] - sn[b]
-            if prod < 0:
-                num = zn[a] - zn[b] - d[i] * zd
-                if num * best_den < best_num * -prod:
-                    best_num, best_den = num, -prod
-                    blocker = i
+        sx, zx = sn[:n], zn[:n]
+        top, bottom = max(sx), min(sx)
+        r = 0
+        for su, sl, zu, zl in zip(sn[n : n + m], sn[n + m :], zn[n : n + m], zn[n + m :]):
+            if top > su:
+                for i in cols:
+                    if sx[i] > su:
+                        num = zu - zx[i] - d[r + i] * zd
+                        if num * best_den < best_num * (sx[i] - su):
+                            best_num, best_den = num, sx[i] - su
+                            blocker = r + i
+            r += n
+            if bottom < sl:
+                for k in cols:
+                    if sx[k] < sl:
+                        num = zx[k] - zl - d[r + k] * zd
+                        if num * best_den < best_num * (sl - sx[k]):
+                            best_num, best_den = num, sl - sx[k]
+                            blocker = r + k
+            r += n
         degenerate = 0 if best_num else degenerate + 1
         if best_num:
             # z + alpha step with alpha = best_num sd / (best_den zd).
@@ -204,11 +241,13 @@ class Forest:
     def join(self, r: int) -> bool:
         """Add row r when its ends lie in two components; says whether it did."""
         a, b = self.ends[r]
-        keep, gone = sorted((self.label[a], self.label[b]))
-        if keep == gone:
+        x, y = self.label[a], self.label[b]
+        if x == y:
             return False
-        for t in self._walk(gone)[0]:
-            self.label[t] = keep
+        if x < y:
+            self._mark(b, x)
+        else:
+            self._mark(a, y)
         self.at[a].append(r)
         self.at[b].append(r)
         return True
@@ -218,43 +257,65 @@ class Forest:
         a, b = self.ends[r]
         self.at[a].remove(r)
         self.at[b].remove(r)
-        for end in (a, b):
-            side = self._walk(end)[0]
-            name = min(side)
-            for t in side:
-                self.label[t] = name
+        # The side that holds the tree's name, its smallest node, keeps it,
+        # so b's side is walked only when a's side holds the name.
+        name = self.label[a]
+        if self._rename(a) == name:
+            self._rename(b)
 
     def multipliers(self, grad: list[int]) -> dict[int, int]:
         """u by row with sum_r u_r (e_a - e_b) = grad off the ground over the
         forest's rows (a, b); each tree is rooted at its name, and a residual
         left at a root other than the ground is an inconsistency."""
+        label, at, ends = self.label, self.at, self.ends
         residual = list(grad)
-        u = {}
-        for root in set(self.label):
-            order, up = self._walk(root)
-            for t in order[:0:-1]:
-                r = up[t]
-                res = residual[t]
-                a, b = self.ends[r]
-                u[r], other = (res, b) if a == t else (-res, a)
-                residual[other] += res
-            if residual[root] and root:
-                raise InternalError("stationary point with inconsistent multiplier system")
-        return u
-
-    def _walk(self, root: int) -> tuple[list[int], dict[int, int | None]]:
-        """The nodes of root's tree, each after its parent, and each node's
-        row to its parent, None for the root."""
-        order = [root]
-        up: dict[int, int | None] = {root: None}
+        # Every root, then each node after its parent; up[t] is t's row to
+        # its parent, -1 at a root.
+        order = [t for t, name in enumerate(label) if t == name]
+        up = [-1] * len(label)
         for t in order:
-            for r in self.at[t]:
+            for r in at[t]:
                 if r != up[t]:
-                    a, b = self.ends[r]
+                    a, b = ends[r]
                     other = b if a == t else a
                     up[other] = r
                     order.append(other)
-        return order, up
+        u = {}
+        for t in reversed(order):
+            r = up[t]
+            res = residual[t]
+            if r < 0:
+                if res and t:
+                    raise InternalError("stationary point with inconsistent multiplier system")
+                continue
+            a, b = ends[r]
+            u[r], other = (res, b) if a == t else (-res, a)
+            residual[other] += res
+        return u
+
+    def _rename(self, start: int) -> int:
+        """Name start's tree by its smallest node; returns the name."""
+        side = self._mark(start, -1)
+        name = min(side)
+        for t in side:
+            self.label[t] = name
+        return name
+
+    def _mark(self, start: int, mark: int) -> list[int]:
+        """Relabel start's tree to ``mark``, entering a node over a row while
+        it still bears start's old label; returns the nodes relabelled."""
+        label, at, ends = self.label, self.at, self.ends
+        old = label[start]
+        label[start] = mark
+        nodes = [start]
+        for t in nodes:
+            for r in at[t]:
+                a, b = ends[r]
+                other = b if a == t else a
+                if label[other] == old:
+                    label[other] = mark
+                    nodes.append(other)
+        return nodes
 
 
 def _subspace_step(
@@ -271,11 +332,12 @@ def _subspace_step(
     """
     groups = nullspace(work)
     index = {group[0]: p for p, group in enumerate(groups)}
+    where = list(map(index.get, work.label))
     red = [[0] * (len(groups) + 1) for _ in groups]
     # Half of what square (a, b) adds, (f_p - f_q)(f_p - f_q)^T and -r (f_p -
     # f_q) with r its residual, p and q the groups of a and b, the ground none.
     for (a, b), r in zip(squares, res):
-        p, q = index.get(work.label[a]), index.get(work.label[b])
+        p, q = where[a], where[b]
         if p != q:
             if p is not None:
                 red[p][p] += 1
@@ -287,8 +349,7 @@ def _subspace_step(
                     red[p][q] -= 1
                     red[q][p] -= 1
     den, nums = integer_solve(red)
-    step = dict(zip(index, nums))
-    return den * zd, [step.get(t, 0) for t in work.label]
+    return den * zd, [0 if p is None else nums[p] for p in where]
 
 
 def integer_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
@@ -340,7 +401,7 @@ def integer_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
     for c in reversed(range(n)):
         row = rows[c]
         if row[c]:
-            rest = sum(a * v for a, v in zip(row[c + 1:n], nums[c + 1:]))
+            rest = sum(map(mul, row[c + 1:n], nums[c + 1:]))
             nums[c] = (prev * row[n] - rest) // row[c]
     g = gcd(prev, *nums)
     return prev // g, [v // g for v in nums]
@@ -353,8 +414,13 @@ def nullspace(work: Forest) -> list[list[int]]:
     without the ground, in the order of their largest node, each given as
     its nodes in increasing order.
     """
+    # A group opens at its name, its smallest node; the ground's, named 0,
+    # is left out.
     groups: dict[int, list[int]] = {}
     for t, name in enumerate(work.label):
-        if name:
-            groups.setdefault(name, []).append(t)
+        if name == t:
+            groups[t] = [t]
+        else:
+            groups[name].append(t)
+    del groups[0]
     return sorted(groups.values(), key=lambda group: group[-1])

@@ -19,7 +19,8 @@ reader, ``_ratio``: a bare JSON integer or a plain ASCII "p" or "p/q"
 literal goes straight to an integer pair, and every other form through
 ``parse_rational``.  ``load_points``, ``matrix_from_json`` and ``read_point``
 put their pairs over the lcm of the denominators: a sample's integers, a
-matrix's ``(den, rows)``, and the point of a certificate or of ``--point``.
+matrix's ``(den, rows)``, and the point of a certificate or of ``--point``;
+``certificate_from_json`` puts each sample's weights over theirs.
 
 Rationals are written by one routine, ``format_ratio``, from a numerator
 and a positive denominator, and ``format_rational`` from a Fraction's two
@@ -29,7 +30,11 @@ pass, byte for byte as ``json.dumps(doc, indent=2)`` writes them.  Their
 rows of integers over one denominator, points, matrices, vertex lists and
 the polygon, go through one row writer, ``_rows``, and one table of quoted
 text per denominator that the document's blocks share, so each distinct
-value is formatted once and no Fraction is built to write them.
+value is formatted once and no Fraction is built to write them.  A
+result's distances and minimum, over its ``den`` and ``den`` squared, and
+a certificate's weights, over each sample's denominator, are written
+through the same tables; ``format_ratio`` reduces each value by the gcd,
+so its text is the Fraction's.
 """
 
 from __future__ import annotations
@@ -137,7 +142,8 @@ def matrix_from_json(data: object) -> PolytropeMatrix:
 
 def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
     """A proof document's certificate for ``sample``; each constant c is
-    checked against the sample's integers by cross-multiplying."""
+    checked against the sample's integers by cross-multiplying, and each
+    sample's weights are put over the lcm of their denominators."""
     if not isinstance(data, dict) or not {"c_star", "point", "weights"} <= data.keys():
         raise ParseError("certificate JSON needs 'c_star', 'point' and 'weights'")
     raw = data["point"]
@@ -147,7 +153,7 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
     groups = data["weights"]
     if not isinstance(groups, list) or len(groups) != sample.m:
         raise ParseError("certificate must carry one weight group per sample")
-    by_sample: list[tuple[tuple[int, int, Fraction], ...]] = []
+    by_sample = []
     for j, (group, p) in enumerate(zip(groups, sample.nums)):
         label = group.get("sample") if isinstance(group, dict) else None
         if isinstance(label, bool) or not isinstance(label, int) or label != j + 1:
@@ -155,7 +161,7 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
         items = group.get("pieces", [])
         if not isinstance(items, list):
             raise ParseError(f"the pieces of sample {j + 1} must be an array")
-        entries = []
+        pairs, ws = [], []
         for item in items:
             if not isinstance(item, dict) or not {"i", "k", "c", "w"} <= item.keys():
                 raise ParseError(f"a piece of sample {j + 1} must be an object with i, k, c and w")
@@ -167,9 +173,11 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
                 raise ParseError(
                     f"piece constant mismatch in sample {j + 1}: {abbreviate(item['c'])}"
                 )
-            entries.append((i, k, Fraction(*_ratio(item["w"]))))
-        by_sample.append(tuple(entries))
-    return Certificate(Fraction(*_ratio(data["c_star"])), tuple(by_sample), point)
+            pairs.append((i, k))
+            ws.append(_ratio(item["w"]))
+        wden, (wn,) = _over_lcm([ws])
+        by_sample.append((wden, tuple([(i, k, w) for (i, k), w in zip(pairs, wn)])))
+    return Certificate(Fraction(*_ratio(data["c_star"])), by_sample, point)
 
 
 def read_point(values: Sequence[object]) -> TorusPoint:
@@ -249,10 +257,11 @@ def _certificate(tables: _Tables, cert: Certificate, sample: SampleSet, indent: 
     inner = indent + "  "
     group, at = inner + "  ", inner + "      "
     c, groups = tables[sample.den], []
-    for j, (entries, p) in enumerate(zip(cert.weights, sample.nums, strict=True)):
+    for j, ((den, entries), p) in enumerate(zip(cert.weights, sample.nums, strict=True)):
+        w = tables[den]
         pieces = [
-            _object(at, i=str(i + 1), k=str(k + 1), c=c[p[i] - p[k]], w=tables.rational(w))
-            for i, k, w in entries
+            _object(at, i=str(i + 1), k=str(k + 1), c=c[p[i] - p[k]], w=w[v])
+            for i, k, v in entries
         ]
         groups.append(_object(group, sample=str(j + 1), pieces=_list(pieces, group + "  ")))
     return _object(
@@ -285,11 +294,11 @@ def result_to_json(
     pseudovertices of its mean polytrope, which the caller computes: integer
     columns over den, the closure's denominator.  The certificate, when
     there is one, is written as ``certificate_to_json`` writes it."""
-    tables, line = _Tables(), "\n  "
+    tables, line, e = _Tables(), "\n  ", result.den
     fields = {
         "mean": _point(tables, result.mean, line),
-        "distances": _list([tables.rational(d) for d in result.distances], line),
-        "min_sum": tables.rational(result.min_sum),
+        "distances": _list(list(map(tables[e].__getitem__, result.spreads)), line),
+        "min_sum": tables[e * e][sum(v * v for v in result.spreads)],
         "fm_polytrope": _matrix(tables, result.fm_polytrope, line),
         "exact": "true" if result.exact else "false",
         "tropical_vertices": _rows(tables[den], tropical, line),

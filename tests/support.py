@@ -388,7 +388,7 @@ def reference_epigraph(sample: SampleSet, start: TorusPoint):
         }
         weights.append(tuple((i, k, w) for (i, k), w in sorted(per.items())))
     mean = canonicalize([Fraction(0), *z[: n - 1]])
-    return mean, Certificate(c_star, tuple(weights), mean)
+    return mean, Certificate(c_star, integer_weights(weights), mean)
 
 
 def reference_result_fields(sample: SampleSet, mean: TorusPoint):
@@ -521,7 +521,7 @@ def reference_certificate_to_json(cert: Certificate, sample: SampleSet) -> dict:
                 for i, k, w in entries
             ],
         }
-        for j, (entries, p) in enumerate(zip(cert.weights, sample))
+        for j, (entries, p) in enumerate(zip(fraction_weights(cert), sample))
     ]
     return {
         "c_star": str(cert.c_star),
@@ -585,7 +585,7 @@ def reference_verify_certificate(sample: SampleSet, cert: Certificate) -> bool:
     a = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
     b = [Fraction(0)] * (n - 1)
     c0 = Fraction(0)
-    for j, per in enumerate(cert.weights):
+    for j, per in enumerate(fraction_weights(cert)):
         if not per:
             raise CertificateError(f"sample {j} carries no pieces")
         total = Fraction(0)
@@ -805,4 +805,21 @@ def form_value(sample: SampleSet, j: int, i: int, k: int, x) -> Fraction:
 
 def weight_map(cert: Certificate, j: int) -> dict[tuple[int, int], Fraction]:
     """Sample j's weights, keyed by their pieces' ordered pairs (i, k)."""
-    return {(i, k): w for i, k, w in cert.weights[j]}
+    return {(i, k): w for i, k, w in fraction_weights(cert)[j]}
+
+
+def fraction_weights(cert: Certificate) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+    """Each sample's weights as (i, k, w) with w a Fraction, read off the
+    integers over the sample's denominator that the certificate holds."""
+    return tuple(tuple((i, k, Fraction(w, den)) for i, k, w in per) for den, per in cert.weights)
+
+
+def integer_weights(weights) -> tuple:
+    """Per-sample (i, k, w) weights, w a Fraction or an int, as a
+    ``Certificate`` holds them: integers over the lcm of the sample's
+    denominators, 1 for a sample with no pieces."""
+    groups = []
+    for per in weights:
+        den = lcm(*(Fraction(w).denominator for _, _, w in per))
+        groups.append((den, tuple((i, k, int(w * den)) for i, k, w in per)))
+    return tuple(groups)

@@ -6,10 +6,12 @@ and checks each output with ``perfbench/gate.py`` against the digests in
 when the benchmark runs.  This runs the same gate on every pool instance of
 every workload, in-process: 288 ``mean-small``, 10 ``mean-large`` and 9
 ``polytrope-matrix`` inputs, and pins the whole ``mean`` stdout of each mean
-pool cell, which the gate does not.  The benchmark's modules are loaded
-from their files and not changed.
+pool cell, which the gate does not, and the number of Fractions a ``mean``
+op builds.  The benchmark's modules are loaded from their files and not
+changed.
 """
 
+import fractions
 import hashlib
 import importlib.util
 import io
@@ -124,3 +126,26 @@ def test_every_mean_pool_stdout_is_pinned(outputs, name):
         for key, runs in outputs[name].items()
     }
     assert digests == MEAN_STDOUT[name]
+
+
+@pytest.mark.parametrize("name", ["mean-small", "mean-large"])
+def test_a_mean_op_builds_at_most_two_fractions(bench, tmp_path, monkeypatch, name):
+    """A ``mean`` op holds its sample, points, result and certificate as
+    integers over their denominators, from the parser to the writer: on
+    rep 1 of the dearest cell of each mean workload it constructs two
+    Fractions at most, the value of the epigraph program and ``c_star``."""
+    workloads, _ = bench
+    workload = workloads.WORKLOADS[name]
+    path = workloads.write_input(tmp_path, workload, workload.cells[-1], 1)
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    with redirect_stdout(io.StringIO()):
+        assert main(workloads.argv_for(workload, path)) == 0
+    monkeypatch.undo()
+    assert len(built) <= 2, built

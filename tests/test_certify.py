@@ -31,7 +31,9 @@ from tropmean.oracle import add_square, min_quadratic
 from support import (
     active_pieces,
     form_value,
+    fraction_weights,
     int_sample,
+    integer_weights,
     mixed_sample,
     rand_sample,
     reference_verify_certificate,
@@ -115,13 +117,13 @@ def test_find_certificate_raises_when_the_mean_certificate_fails_at_the_point(mo
 def test_perturbed_weights_fail_verification():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
     swapped = []
-    for j, per in enumerate(cert.weights):
+    for j, per in enumerate(fraction_weights(cert)):
         if j != 2:
             swapped.append(per)
             continue
         (i1, k1, w1), (i2, k2, w2) = per
         swapped.append(((i1, k1, w2), (i2, k2, w1)))
-    bad = Certificate(cert.c_star, tuple(swapped), cert.point)
+    bad = Certificate(cert.c_star, integer_weights(swapped), cert.point)
     assert not verify_certificate(THREE_POINTS, bad)
 
 
@@ -133,32 +135,61 @@ def test_weaker_bound_still_verifies():
 
 def test_malformed_certificates_are_rejected():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
-    i, k, _ = cert.weights[0][0]
+    weights = fraction_weights(cert)
+    i, k, _ = weights[0][0]
     negative = Certificate(
         cert.c_star,
-        (((i, k, F(-1)),),) + cert.weights[1:],
+        integer_weights((((i, k, F(-1)),),) + weights[1:]),
         cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, negative)
     unnormalized = Certificate(
         cert.c_star,
-        (((i, k, F(1, 2)),),) + cert.weights[1:],
+        integer_weights((((i, k, F(1, 2)),),) + weights[1:]),
         cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, unnormalized)
     tampered = Certificate(
         cert.c_star,
-        (((i, THREE_POINTS.n, F(1)),),) + cert.weights[1:],
+        integer_weights((((i, THREE_POINTS.n, F(1)),),) + weights[1:]),
         cert.point,
     )
     with pytest.raises(ValueError):
         verify_certificate(THREE_POINTS, tampered)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        (0, ((0, 2, 0),)),
+        (-1, ((0, 2, -1),)),
+        (F(1), ((0, 2, 1),)),
+        (1.0, ((0, 2, 1),)),
+        ("1", ((0, 2, 1),)),
+        (True, ((0, 2, 1),)),
+        (1, ((0, 2, F(1)),)),
+        (2, ((0, 2, 1.0), (1, 2, 1))),
+        (1, ((0, 2, True),)),
+        (None, ()),
+    ],
+)
+def test_weights_off_the_integers_raise_certificate_error(group):
+    """A weight group whose denominator is not a positive int, or whose
+    numerators are not all ints, is a structural defect: it raises
+    CertificateError, not TypeError or ZeroDivisionError, and the
+    certificate holding it can be built, compared and hashed."""
+    cert = find_certificate(THREE_POINTS, THREE_MEAN)
+    bad = Certificate(cert.c_star, (group, *cert.weights[1:]), cert.point)
+    again = Certificate(cert.c_star, (group, *cert.weights[1:]), cert.point)
+    assert bad == again and hash(bad) == hash(again)
+    with pytest.raises(CertificateError, match="0 are not integers over a positive integer"):
+        verify_certificate(THREE_POINTS, bad)
+
+
 def _defective(cert, defect):
-    weights = list(cert.weights)
+    weights = list(fraction_weights(cert))
     i, k, w = weights[0][0]
     if defect == "sample count":
         weights.pop()
@@ -176,7 +207,7 @@ def _defective(cert, defect):
         weights[0] = ((i, k, F(-1)), (i, k, F(2)))
     else:
         weights[0] = ((i, k, F(1, 2)),)
-    return Certificate(cert.c_star, tuple(weights), cert.point)
+    return Certificate(cert.c_star, integer_weights(weights), cert.point)
 
 
 @pytest.mark.parametrize(
@@ -202,9 +233,10 @@ def test_structural_defects_raise_certificate_error(defect, message):
 def test_a_zero_weight_piece_need_not_be_active():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
     assert (0, 1) not in active_pieces(THREE_POINTS, cert.point.coords)[1]
-    weights = list(cert.weights)
+    weights = list(fraction_weights(cert))
     weights[1] = (*weights[1], (0, 1, F(0)))
-    assert verify_certificate(THREE_POINTS, Certificate(cert.c_star, tuple(weights), cert.point))
+    zero = Certificate(cert.c_star, integer_weights(weights), cert.point)
+    assert verify_certificate(THREE_POINTS, zero)
 
 
 def _verdict(check, sample, cert):
@@ -218,7 +250,7 @@ def _mutations(cert):
     """The certificate with c_star raised by 1/10**9, weight moved between
     two pieces of one sample, a coordinate index past n and a negative
     weight."""
-    weights = list(cert.weights)
+    weights = list(fraction_weights(cert))
     (i, k, w), *rest = weights[0]
     yield Certificate(cert.c_star + F(1, 10**9), cert.weights, cert.point)
     for j, per in enumerate(weights):
@@ -226,10 +258,13 @@ def _mutations(cert):
             (i0, k0, w0), (i1, k1, w1), *tail = per
             per = ((i0, k0, w0 / 2), (i1, k1, w1 + w0 / 2), *tail)
             moved = weights[:j] + [per] + weights[j + 1:]
-            yield Certificate(cert.c_star, tuple(moved), cert.point)
+            yield Certificate(cert.c_star, integer_weights(moved), cert.point)
             break
-    yield Certificate(cert.c_star, (((i, cert.point.dim, w), *rest), *weights[1:]), cert.point)
-    yield Certificate(cert.c_star, (((i, k, -w), *rest), *weights[1:]), cert.point)
+    yield Certificate(
+        cert.c_star, integer_weights((((i, cert.point.dim, w), *rest), *weights[1:])), cert.point
+    )
+    negative = integer_weights((((i, k, -w), *rest), *weights[1:]))
+    yield Certificate(cert.c_star, negative, cert.point)
 
 
 def test_integer_check_agrees_with_the_fraction_check():
@@ -265,7 +300,10 @@ def _tied_samples(draw):
 
 
 def _with_weights(cert, j, per):
-    return Certificate(cert.c_star, (*cert.weights[:j], tuple(per), *cert.weights[j + 1:]), cert.point)
+    """The certificate with sample j's weights replaced by the (i, k, w) in per."""
+    weights = fraction_weights(cert)
+    weights = integer_weights((*weights[:j], tuple(per), *weights[j + 1:]))
+    return Certificate(cert.c_star, weights, cert.point)
 
 
 def _inactive_pairs(sample, x):
@@ -295,16 +333,17 @@ def _inactive_moves(sample, cert):
     if not any(pairs):
         return []
     j = next(j for j, ik in enumerate(pairs) if ik)
-    (i, k, w), *rest = cert.weights[j]
+    weights = fraction_weights(cert)
+    (i, k, w), *rest = weights[j]
     one = _with_weights(cert, j, ((i, k, w / 2), *rest, (*pairs[j], w / 2)))
     every = []
-    for per, ik in zip(cert.weights, pairs):
+    for per, ik in zip(weights, pairs):
         if ik:
             halves = [(i, k, w / 2) for i, k, w in per]
             quarters = [(*pair, F(1, 4)) for pair in (ik, ik[::-1])]
             per = halves + quarters
         every.append(tuple(per))
-    return [one, Certificate(cert.c_star, tuple(every), cert.point)]
+    return [one, Certificate(cert.c_star, integer_weights(every), cert.point)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,7 +363,7 @@ def test_stationarity_check_agrees_with_the_elimination_check(sample, data):
     coords = list(x.coords)
     coords[t] += Fraction(data.draw(st.sampled_from((1, -1))), x.den)
     shifted = Certificate(cert.c_star, cert.weights, canonicalize(coords))
-    (i, k, w), *rest = cert.weights[0]
+    (i, k, w), *rest = fraction_weights(cert)[0]
     halved = _with_weights(cert, 0, ((i, k, w / 2), *rest))
     negative = _with_weights(cert, 0, ((i, k, -w), *rest))
     raised = Certificate(cert.c_star + F(1, 10**9), cert.weights, cert.point)
@@ -421,7 +460,7 @@ def test_combined_form_touches_the_objective_at_the_optimum():
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
     terms = [
         (i, k, p[i] - p[k], w)
-        for per, p in zip(cert.weights, THREE_POINTS)
+        for per, p in zip(fraction_weights(cert), THREE_POINTS)
         for i, k, w in per
     ]
     assert _weighted_sum(terms, list(THREE_MEAN.coords)) == cert.c_star
@@ -433,7 +472,7 @@ def test_min_quadratic_single_square():
     value, point = min_quadratic(*_normal_equations(3, [(1, 0, F(3), F(1))]))
     assert value == 0
     # x_1 is the gauge, x_2 - x_1 = 3 is forced and x_3, free, is set to 0
-    assert point == (0, 3, 0)
+    assert point == (1, (0, 3, 0))
 
 
 def test_add_square_with_negative_weight_undoes_the_square():
@@ -452,7 +491,8 @@ def test_min_quadratic_matches_direct_elimination():
     for _ in range(50):
         n = rng.randint(2, 5)
         terms = _random_terms(rng, n)
-        value, point = min_quadratic(*_normal_equations(n, terms))
+        value, (den, nums) = min_quadratic(*_normal_equations(n, terms))
+        point = [F(v, den) for v in nums]
         assert len(point) == n and point[0] == 0
         assert _weighted_sum(terms, list(point)) == value
         # sampled points never beat the reported minimum
@@ -469,8 +509,8 @@ def test_min_quadratic_point_is_stationary_along_every_gauge_axis():
     for _ in range(50):
         n = rng.randint(2, 5)
         terms = _random_terms(rng, n)
-        _, point = min_quadratic(*_normal_equations(n, terms))
-        x = list(point)
+        _, (den, nums) = min_quadratic(*_normal_equations(n, terms))
+        x = [F(v, den) for v in nums]
         assert x[0] == 0
         for t in range(1, n):
             up = x[:t] + [x[t] + 1] + x[t + 1:]
@@ -536,7 +576,7 @@ def test_find_certificate_at_every_tropical_vertex_of_the_mean_set():
             assert cert.c_star == objective(s, v.coords)
             active = active_pieces(s, v.coords)
             for j, per in enumerate(cert.weights):
-                assert all((i, k) in active[j] for i, k, _ in per)
+                assert all((i, k) in active[j] for i, k, _ in per[1])
             vertices += 1
         step = F(1)
         while True:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -154,10 +155,12 @@ def _uncertified(sample):
     """The result ``exact_frechet`` returns when no mean was certified: the
     sample average, ``exact`` false and no certificate."""
     mean = canonicalize([sum((p[a] for p in sample), F(0)) / sample.m for a in range(sample.n)])
+    distances = [trop_dist(mean, p) for p in sample]
+    den = lcm(*(d.denominator for d in distances))
     return FrechetResult(
         mean=mean,
-        distances=tuple(trop_dist(mean, p) for p in sample),
-        min_sum=objective(sample, mean.coords),
+        den=den,
+        spreads=tuple(int(d * den) for d in distances),
         fm_polytrope=fm_polytrope(sample, mean),
     )
 
@@ -613,9 +616,10 @@ def test_mean_formats_each_value_once_per_denominator(tmp_path, capsys, monkeypa
     """``mean`` calls ``format_ratio`` once for each distinct value of its
     document over each denominator in it: the mean's coordinates over its
     own, the mean polytrope's entries over its own, both vertex lists' over
-    the closure's, the certificate's constants over the sample's, and each
-    distance, the minimum, the certified value and each weight over its
-    own, the tables of equal denominators shared."""
+    the closure's, the certificate's constants over the sample's, the
+    distances over the result's ``den`` and the minimum over its square,
+    each sample's weights over their denominator and the certified value
+    over its own, the tables of equal denominators shared."""
     calls = _count_format_ratio(monkeypatch)
     rng = Random("cli:mean-format-once")
     path = str(tmp_path / "pts.json")
@@ -631,12 +635,13 @@ def test_mean_formats_each_value_once_per_denominator(tmp_path, capsys, monkeypa
         values = {(v, result.mean.den) for v in result.mean.nums}
         values |= {(v, fm.den) for row in fm.rows for v in row if v is not None}
         values |= {(v, kleene_star(fm).den) for col in pseudovertices(fm) for v in col}
-        scalars = [*result.distances, result.min_sum, cert.c_star]
-        scalars += [w for entries in cert.weights for _, _, w in entries]
-        values |= {(v.numerator, v.denominator) for v in scalars}
+        values |= {(v, result.den) for v in result.spreads}
+        values.add((sum(v * v for v in result.spreads), result.den**2))
+        values.add((cert.c_star.numerator, cert.c_star.denominator))
+        values |= {(w, den) for den, entries in cert.weights for _, _, w in entries}
         values |= {
             (p[i] - p[k], sample.den)
-            for entries, p in zip(cert.weights, sample.nums)
+            for (_, entries), p in zip(cert.weights, sample.nums)
             for i, k, _ in entries
         }
         assert sorted(calls) == sorted(values)

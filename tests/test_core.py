@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tropmean import (
     NEG_INF,
+    Certificate,
     PolytropeMatrix,
     SampleSet,
     TorusPoint,
@@ -22,6 +23,7 @@ from tropmean import (
     trop_dist,
 )
 from tropmean.core import read_literal
+from tropmean.frechet import FrechetResult
 from support import rand_point, rand_vector, reference_canonicalize
 
 
@@ -255,6 +257,25 @@ def test_values_compare_and_hash_by_value_and_refuse_changes(index):
             delattr(x, name)
     for z in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
         assert z == x and hash(z) == hash(x)
+
+
+@pytest.mark.parametrize("k", [2, 3, 12])
+def test_results_and_certificates_over_scaled_denominators_are_equal(k):
+    """A result's spreads and each weight group of a certificate are held
+    over their least denominator: the same values over k times it make an
+    equal value with an equal hash and the same fields."""
+    result = exact_frechet(SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)]))
+    cert = result.certificate
+    assert any(den > 1 for den, _ in cert.weights)
+    spreads = tuple(k * v for v in result.spreads)
+    scaled = FrechetResult(result.mean, k * result.den, spreads, result.fm_polytrope, cert)
+    assert scaled == result and hash(scaled) == hash(result)
+    assert (scaled.den, scaled.spreads) == (result.den, result.spreads)
+    assert (scaled.distances, scaled.min_sum) == (result.distances, result.min_sum)
+    weights = [(k * den, [(i, j, k * w) for i, j, w in per]) for den, per in cert.weights]
+    again = Certificate(cert.c_star, weights, cert.point)
+    assert again == cert and hash(again) == hash(cert)
+    assert again.weights == cert.weights
 
 
 def test_value_reprs():

@@ -30,6 +30,7 @@ from support import (
     active_pieces,
     ball_to_polytrope,
     form_value,
+    fraction_weights,
     int_sample,
     intersect,
     rand_point,
@@ -148,7 +149,7 @@ def test_split_certificate_on_ties():
     assert verify_certificate(s, cert)
     active = active_pieces(s, result.mean.coords)
     split = 0
-    for j, per in enumerate(cert.weights):
+    for j, per in enumerate(fraction_weights(cert)):
         assert sum(w for _, _, w in per) == 1
         assert all((i, k) in active[j] for i, k, _ in per)
         # Orient each piece from its largest to its smallest coordinate; the
