@@ -132,10 +132,9 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     point comes back with no certificate, not exact.
 
     The start and the mean are points built from the sample's integers, and
-    the program, ``_result_at`` and the certificate's weights are integers
-    too: the value of the program and ``c_star`` are the only Fractions
-    built, and ``c_star`` is checked against the squared spreads over
-    ``den`` by cross-multiplying.
+    the program, its value, ``_result_at`` and the certificate's weights are
+    integers too: ``c_star`` is the only Fraction built, and it is checked
+    against the squared spreads over ``den`` by cross-multiplying.
     """
     start = _average(sample)
     try:
@@ -215,8 +214,9 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
     serves.  The multipliers come over one positive factor, which a weight
     alpha beta / (sum alpha sum beta) does not see, so sample j's weights
     are written as the integers alpha_ji beta_jk over sum alpha sum beta
-    (``Certificate`` divides them by their gcd), and the value is c_star
-    times e^2.
+    (``Certificate`` divides them by their gcd).  The program's value comes
+    as an integer over zd^2, zd the optimizer's denominator, and times e^2,
+    so c_star, the one Fraction built, is that integer over (zd e)^2.
     """
     e, x0, nums = _lift(sample, start)
     value, (zd, xn), alphas, betas = minimize_qp(sample.n, x0, right_hand_sides(nums))
@@ -231,4 +231,4 @@ def _epigraph_qp(sample: SampleSet, start: TorusPoint) -> tuple[TorusPoint, Cert
         ]
         weights.append((total, tuple(sorted(pieces))) if total else (1, ((0, 1, 1),)))
     mean = TorusPoint(zd * e, tuple(xn))
-    return mean, Certificate(value / (e * e), tuple(weights), mean)
+    return mean, Certificate(Fraction(value, (zd * e) ** 2), tuple(weights), mean)

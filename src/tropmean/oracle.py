@@ -28,24 +28,24 @@ confront the two routes on equal terms.
 
 The walk runs on the sample's fields, its integers over one common
 denominator den, in the coordinates X = den x: regions, feasible points,
-squares and pinned programs are integers, region minima are in units of
-1/den^2, and only the returned value and witness are scaled back.
+squares, normal equations and pinned programs are integers, and a bound or
+region minimum is a pair (num, den') of integers, den' > 0, in units of
+1/den^2, compared with another by cross-multiplying.  Only the returned
+value and witness are scaled back, and the value is the one Fraction a
+walk builds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from .core import SampleSet, TorusPoint
 from .errors import InternalError, TropmeanError
 from .qp import integer_solve, minimize_qp, right_hand_sides
 
 Assignment = tuple[tuple[int, int], ...]
-
-# The normal equations hold ints or Fractions alike.
-Exact = int | Fraction
 
 # Cap on the optimal-assignment list; desk-scale instances stay far below
 # it, degenerate handcrafted ones will not starve memory.
@@ -104,7 +104,8 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
     b_vec = [0] * nv
     c0 = 0
 
-    best: Fraction | None = None  # least region minimum settled so far, times den^2
+    # The least region minimum settled so far, times den^2, as (num, den').
+    best: tuple[int, int] | None = None
     witness: tuple[int, Sequence[int]] = (1, ())  # its point, integers over a denominator
     winners: list[Assignment] = []
     chosen: list[tuple[int, int]] = []
@@ -120,20 +121,24 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
                     return False
         return True
 
-    def settle(bound: Fraction, free_min: tuple[int, Sequence[int]], feas: list[int]) -> None:
+    def settle(
+        bound: tuple[int, int], free_min: tuple[int, Sequence[int]], feas: list[int]
+    ) -> None:
         """Settle the leaf region from its parent's bound and feasible point:
         the free minimizer when it lies inside, else the sample's epigraph
-        program pinned to the assignment, started at the feasible point."""
+        program pinned to the assignment, started at the feasible point,
+        whose value comes over zd^2."""
         nonlocal best, witness
         if in_region(free_min):
-            value, point = bound, free_min
+            (num, vd), point = bound, free_min
         else:
             start = [v - feas[0] for v in feas]
-            value, point, _, _ = minimize_qp(n, start, d, tuple(chosen))
-        if best is None or value < best:
-            best, witness = value, point
+            num, point, _, _ = minimize_qp(n, start, d, tuple(chosen))
+            vd = point[0] * point[0]
+        if best is None or num * best[1] < best[0] * vd:
+            best, witness = (num, vd), point
             winners.clear()
-        if value == best and len(winners) < MAX_ASSIGNMENTS:
+        if num * best[1] == best[0] * vd and len(winners) < MAX_ASSIGNMENTS:
             winners.append(tuple(chosen))
 
     def descend(j: int) -> None:
@@ -143,7 +148,8 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
             saved = tighten(p, i, k)
             c0 += add_square(a_mat, b_vec, i, k, p[i] - p[k], 1)
             bound, free_min = min_quadratic(a_mat, b_vec, c0)
-            feas = _difference_point(region, n) if best is None or bound <= best else None
+            fits = best is None or bound[0] * best[1] <= best[0] * bound[1]
+            feas = _difference_point(region, n) if fits else None
             if feas is not None:
                 chosen.append((i, k))
                 if j + 1 < m:
@@ -159,7 +165,7 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
     if best is None:
         raise InternalError("no feasible region, though the regions cover the torus")
     wd, wn = witness
-    return Fraction(best, den * den), TorusPoint(wd * den, tuple(wn)), winners
+    return Fraction(best[0], best[1] * den * den), TorusPoint(wd * den, tuple(wn)), winners
 
 
 def _difference_point(region: list[list[int | None]], n: int) -> list[int] | None:
@@ -185,10 +191,9 @@ def _difference_point(region: list[list[int | None]], n: int) -> list[int] | Non
     return None
 
 
-def add_square(
-    a: list[list[Exact]], b: list[Exact], i: int, k: int, c: Exact, w: Exact
-) -> Exact:
-    """Add w (x_i - x_k - c)^2 to the normal equations A y = b, in place.
+def add_square(a: list[list[int]], b: list[int], i: int, k: int, c: int, w: int) -> int:
+    """Add w (x_i - x_k - c)^2 to the integer normal equations A y = b, in
+    place.
 
     That is w (e_i - e_k)(e_i - e_k)^T on A and w c (e_i - e_k) on b, so w
     and w c are added or subtracted directly: +w on A's two diagonal entries
@@ -212,22 +217,18 @@ def add_square(
 
 
 def min_quadratic(
-    a: list[list[Exact]], b: list[Exact], c0: Exact
-) -> tuple[Fraction, tuple[int, tuple[int, ...]]]:
+    a: list[list[int]], b: list[int], c0: int
+) -> tuple[tuple[int, int], tuple[int, tuple[int, ...]]]:
     """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
-    normal equations ``add_square`` built.
+    integer normal equations ``add_square`` built.
 
-    A and b, ints or Fractions, are scaled to integers by one common
-    denominator and solved by ``integer_solve``, which takes A symmetric
+    A y = b is solved by ``integer_solve``, which takes A symmetric
     positive semidefinite and the system consistent, as the normal
-    equations of a sum of squares are.
-    Returns the minimum value and one minimizer, the solution of A y = b
-    with its free coordinates at zero, padded back to full n-length
-    coordinates with x_1 = 0 and held as (den, nums): x_i = nums[i] / den.
+    equations of a sum of squares are, and gives y = nums / den with its
+    free coordinates at zero.  At y the value is c0 - b.y.  Returns the
+    minimum as (c0 den - b.nums, den) and the minimizer, padded back to
+    full n-length coordinates with x_1 = 0, as (den, nums): x_i =
+    nums[i] / den.
     """
-    scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
-    rows = [[v.numerator * (scale // v.denominator) for v in (*r, rhs)] for r, rhs in zip(a, b)]
-    bs = [row[-1] for row in rows]
-    den, nums = integer_solve(rows)
-    value = c0 - Fraction(sum(v * y for v, y in zip(bs, nums)), scale * den)
-    return value, (den, (0, *nums))
+    den, nums = integer_solve([[*row, rhs] for row, rhs in zip(a, b)])
+    return (c0 * den - sum(map(mul, b, nums)), den), (den, (0, *nums))

@@ -72,7 +72,8 @@ exactly those of the same loop over the rationals:
   rows are u_j - g_i and g_k - l_j, so the tight rows are read off the
   gaps.  An iteration reads the residuals r_j = zn_{u_j} - zn_{l_j} of the
   squares; zd times the gradient, 2 r_j at u_j and -2 r_j at l_j, is built
-  only at a stationary point.
+  only at a stationary point.  The optimal value is the integer sum of
+  the r_j^2, read over zd^2.
 * The ratio test walks the rows once, one sample's block at a time.  Only
   a row the step moves toward can block: (u_j, x_i) when x_i's step
   exceeds u_j's, (x_k, l_j) when x_k's falls below l_j's, so a side that no
@@ -80,7 +81,9 @@ exactly those of the same loop over the rationals:
   zn_a - zn_b - d zd, only for such a row.  Step lengths are compared by
   integer cross-multiplication, in the same row order and with the same
   strict comparison as over the rationals, so the blocking rows are the
-  same too.
+  same too.  Every slack is >= 0, so the pass stops at the first row that
+  blocks at slack zero, which no later row can replace; a step of length
+  zero still costs its subspace step.
 * The reduced system, symmetric positive semidefinite as a sum of squares
   makes it, is built at half scale from the squares and their residuals
   and solved by one ``integer_solve``, which takes its pivots from the
@@ -100,7 +103,6 @@ every one is a bug, not a property of the sample.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd
 from operator import add, mul, sub
 
@@ -124,7 +126,7 @@ def right_hand_sides(nums: Sequence[Sequence[int]]) -> list[int]:
 
 def minimize_qp(
     n: int, x0: list[int], d: list[int], pins: Sequence[tuple[int, int]] = ()
-) -> tuple[Fraction, tuple[int, list[int]], list[list[int]], list[list[int]]]:
+) -> tuple[int, tuple[int, list[int]], list[list[int]], list[list[int]]]:
     """Solve the epigraph program whose 2nm right-hand sides are d.
 
     d holds sample j's rows in order, u_j - x_i >= d[2nj + i], then
@@ -135,10 +137,12 @@ def minimize_qp(
     off zero at x_1, or a pinned row not tight there, raises
     InternalError.  All data are ints.
 
-    Returns (optimal value, (zd, xn), alpha, beta): the optimizer x = xn / zd
-    with zd > 0 and xn[0] == 0, and per sample j the multipliers of its rows,
-    alpha[j][i] / zd on (u_j, x_i) and beta[j][k] / zd on (x_k, l_j), zero
-    off the final working set and >= 0 off the pins.
+    Returns (value, (zd, xn), alpha, beta), integers over zd > 0: the
+    optimal value value / zd^2, value the sum of the squares of
+    zd (u_j - l_j), the optimizer x = xn / zd with xn[0] == 0, and per
+    sample j the multipliers of its rows, alpha[j][i] / zd on (u_j, x_i)
+    and beta[j][k] / zd on (x_k, l_j), zero off the final working set and
+    >= 0 off the pins.
     """
     m = len(d) // (2 * n)
     starts = range(0, len(d), 2 * n)
@@ -166,7 +170,6 @@ def minimize_qp(
             if v == lo:
                 work.join(r + n + k)
     degenerate = 0
-    cols = range(n)
 
     for _ in range(MAX_ITER):
         res = list(map(sub, zn[n : n + m], zn[n + m :]))
@@ -180,38 +183,10 @@ def minimize_qp(
                 mult = [u.get(r, 0) for r in range(len(d))]
                 alpha = [mult[r : r + n] for r in starts]
                 beta = [mult[r + n : r + 2 * n] for r in starts]
-                return Fraction(sum(r * r for r in res), zd * zd), (zd, zn[:n]), alpha, beta
+                return sum(r * r for r in res), (zd, zn[:n]), alpha, beta
             work.split(min(neg)[1] if degenerate < DEGENERATE_STEPS else min(r for _, r in neg))
             continue
-        # Row i's limit slack_i / (-row_i.step) is (slack / -prod) times
-        # sd/zd with slack = zn_a - zn_b - d_i zd, so the limits compare as
-        # slack / -prod, starting from zd/sd (a full step).  Only a row with
-        # prod < 0 can block, (u_j, x_i) when x_i's step exceeds u_j's and
-        # (x_k, l_j) when x_k's falls below l_j's; working-set rows have
-        # prod == 0.  The rows are visited in order, one sample's block at
-        # a time, and a side no coordinate's step passes is skipped.
-        best_num, best_den = zd, sd
-        blocker = None
-        sx, zx = sn[:n], zn[:n]
-        top, bottom = max(sx), min(sx)
-        r = 0
-        for su, sl, zu, zl in zip(sn[n : n + m], sn[n + m :], zn[n : n + m], zn[n + m :]):
-            if top > su:
-                for i in cols:
-                    if sx[i] > su:
-                        num = zu - zx[i] - d[r + i] * zd
-                        if num * best_den < best_num * (sx[i] - su):
-                            best_num, best_den = num, sx[i] - su
-                            blocker = r + i
-            r += n
-            if bottom < sl:
-                for k in cols:
-                    if sx[k] < sl:
-                        num = zx[k] - zl - d[r + k] * zd
-                        if num * best_den < best_num * (sl - sx[k]):
-                            best_num, best_den = num, sl - sx[k]
-                            blocker = r + k
-            r += n
+        best_num, best_den, blocker = _ratio_test(n, d, zd, zn, sd, sn)
         degenerate = 0 if best_num else degenerate + 1
         if best_num:
             # z + alpha step with alpha = best_num sd / (best_den zd).
@@ -224,6 +199,51 @@ def minimize_qp(
         if blocker is not None:
             work.join(blocker)
     raise InternalError("active-set iteration cap exceeded")
+
+
+def _ratio_test(
+    n: int, d: list[int], zd: int, zn: list[int], sd: int, sn: list[int]
+) -> tuple[int, int, int | None]:
+    """The step's length as (num, den), the move z + (num sd / (den zd)) step,
+    and its blocking row, or None for a full step, num / den == zd / sd.
+
+    Row i's limit slack_i / (-row_i.step) is (slack / -prod) times sd/zd
+    with slack = zn_a - zn_b - d_i zd, so the limits compare as
+    slack / -prod, starting from zd/sd (a full step).  Only a row with
+    prod < 0 can block, (u_j, x_i) when x_i's step exceeds u_j's and
+    (x_k, l_j) when x_k's falls below l_j's; working-set rows have
+    prod == 0.  The rows are visited in order, one sample's block at a
+    time, and a side no coordinate's step passes is skipped.  Every slack
+    is >= 0 and a later row wins only by a strict ``<``, so the first row
+    that blocks at slack zero is the blocker, and the pass stops there.
+    """
+    m = (len(zn) - n) // 2
+    best_num, best_den = zd, sd
+    blocker = None
+    sx, zx = sn[:n], zn[:n]
+    top, bottom = max(sx), min(sx)
+    cols = range(n)
+    r = 0
+    for su, sl, zu, zl in zip(sn[n : n + m], sn[n + m :], zn[n : n + m], zn[n + m :]):
+        if top > su:
+            for i in cols:
+                if sx[i] > su:
+                    num = zu - zx[i] - d[r + i] * zd
+                    if num * best_den < best_num * (sx[i] - su):
+                        best_num, best_den, blocker = num, sx[i] - su, r + i
+                        if not num:
+                            return best_num, best_den, blocker
+        r += n
+        if bottom < sl:
+            for k in cols:
+                if sx[k] < sl:
+                    num = zx[k] - zl - d[r + k] * zd
+                    if num * best_den < best_num * (sl - sx[k]):
+                        best_num, best_den, blocker = num, sl - sx[k], r + k
+                        if not num:
+                            return best_num, best_den, blocker
+        r += n
+    return best_num, best_den, blocker
 
 
 class Forest:

@@ -298,10 +298,11 @@ def _whole(v):
 
 def fraction_result(result, e):
     """``minimize_qp``'s result on ``integer_program``'s program, read back as
-    the rational program's (value, x, alpha, beta)."""
+    the rational program's (value, x, alpha, beta): the value is an integer
+    over (zd e)^2, the rest integers over zd e."""
     value, (zd, xn), alpha, beta = result
     back = lambda vs: [Fraction(v, zd * e) for v in vs]
-    return value / (e * e), back(xn), [back(a) for a in alpha], [back(b) for b in beta]
+    return Fraction(value, (zd * e) ** 2), back(xn), [back(a) for a in alpha], [back(b) for b in beta]
 
 
 def reference_region_program(nums, assignment):

@@ -4,6 +4,7 @@ sums of squared difference pieces."""
 import importlib.util
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -434,11 +435,32 @@ def test_add_square_builds_the_same_equations_on_ints_and_fractions():
 
 
 def _normal_equations(n, terms):
-    """A, b and c0 of the weighted sum over (i, k, c, w) terms."""
-    a = [[F(0)] * (n - 1) for _ in range(n - 1)]
-    b = [F(0)] * (n - 1)
-    c0 = sum((add_square(a, b, i, k, c, w) for i, k, c, w in terms), F(0))
+    """A, b and c0 of the weighted sum over integer (i, k, c, w) terms."""
+    a = [[0] * (n - 1) for _ in range(n - 1)]
+    b = [0] * (n - 1)
+    c0 = sum(add_square(a, b, i, k, c, w) for i, k, c, w in terms)
     return a, b, c0
+
+
+def _integer_terms(terms):
+    """Rational (i, k, c, w) terms put on integers as (terms, q, s): with q
+    the lcm of the denominators of the c and y = q x, the weighted sum is
+    g(y) / s, g the sum over the integer terms (i, k, q c, s w / q^2) and s
+    the lcm of the denominators of the w / q^2."""
+    q = lcm(*(F(c).denominator for _, _, c, _ in terms))
+    s = lcm(*((F(w) / q**2).denominator for *_, w in terms))
+    whole = [(i, k, q * F(c), s * F(w) / q**2) for i, k, c, w in terms]
+    assert all(v.denominator == 1 for *_, c, w in whole for v in (c, w))
+    return [(i, k, int(c), int(w)) for i, k, c, w in whole], q, s
+
+
+def _minimum(n, terms):
+    """``min_quadratic`` on the weighted sum over rational (i, k, c, w)
+    terms, through ``_integer_terms``, read back as its minimum and
+    minimizer over Fractions."""
+    ints, q, s = _integer_terms(terms)
+    (num, den), (xd, xn) = min_quadratic(*_normal_equations(n, ints))
+    return F(num, den * s), [F(v, xd * q) for v in xn]
 
 
 def _weighted_sum(terms, x):
@@ -464,13 +486,13 @@ def test_combined_form_touches_the_objective_at_the_optimum():
         for i, k, w in per
     ]
     assert _weighted_sum(terms, list(THREE_MEAN.coords)) == cert.c_star
-    value, _ = min_quadratic(*_normal_equations(THREE_POINTS.n, terms))
+    value, _ = _minimum(THREE_POINTS.n, terms)
     assert value == 186
 
 
 def test_min_quadratic_single_square():
-    value, point = min_quadratic(*_normal_equations(3, [(1, 0, F(3), F(1))]))
-    assert value == 0
+    value, point = min_quadratic(*_normal_equations(3, [(1, 0, 3, 1)]))
+    assert value == (0, 1)
     # x_1 is the gauge, x_2 - x_1 = 3 is forced and x_3, free, is set to 0
     assert point == (1, (0, 3, 0))
 
@@ -479,7 +501,7 @@ def test_add_square_with_negative_weight_undoes_the_square():
     rng = Random("certify:undo")
     for _ in range(30):
         n = rng.randint(2, 5)
-        terms = _random_terms(rng, n)
+        terms, _, _ = _integer_terms(_random_terms(rng, n))
         a, b, c0 = _normal_equations(n, terms)
         i, k, c, w = terms[-1]
         c0 += add_square(a, b, i, k, c, -w)
@@ -491,8 +513,7 @@ def test_min_quadratic_matches_direct_elimination():
     for _ in range(50):
         n = rng.randint(2, 5)
         terms = _random_terms(rng, n)
-        value, (den, nums) = min_quadratic(*_normal_equations(n, terms))
-        point = [F(v, den) for v in nums]
+        value, point = _minimum(n, terms)
         assert len(point) == n and point[0] == 0
         assert _weighted_sum(terms, list(point)) == value
         # sampled points never beat the reported minimum
@@ -509,8 +530,7 @@ def test_min_quadratic_point_is_stationary_along_every_gauge_axis():
     for _ in range(50):
         n = rng.randint(2, 5)
         terms = _random_terms(rng, n)
-        _, (den, nums) = min_quadratic(*_normal_equations(n, terms))
-        x = [F(v, den) for v in nums]
+        _, x = _minimum(n, terms)
         assert x[0] == 0
         for t in range(1, n):
             up = x[:t] + [x[t] + 1] + x[t + 1:]
@@ -530,14 +550,13 @@ def test_min_quadratic_gauge_choice_does_not_matter():
             pairs.append((i, k, F(rng.randint(-5, 5)), F(rng.randint(1, 3))))
 
         def build(perm):
-            terms = [(perm[i], perm[k], c, w) for i, k, c, w in pairs]
-            return _normal_equations(n, terms)
+            return [(perm[i], perm[k], c, w) for i, k, c, w in pairs]
 
         base = list(range(n))
         perm = base[:]
         rng.shuffle(perm)
-        v1, _ = min_quadratic(*build(base))
-        v2, _ = min_quadratic(*build(perm))
+        v1, _ = _minimum(n, build(base))
+        v2, _ = _minimum(n, build(perm))
         assert v1 == v2
 
 

@@ -269,12 +269,12 @@ def _assert_matches_reference(program):
 
 def test_qp_takes_integers_and_returns_them_over_one_denominator():
     # The points (0, 0) and (0, 1) from (0, 0): the mean (0, 1/2) comes back
-    # as (0, 1) over 2, and each sample's multipliers, 2 t_j = 1 on one row
-    # of each side, as 2 over the same 2.
+    # as (0, 1) over 2, its value 1/2 as 2 over 2^2, and each sample's
+    # multipliers, 2 t_j = 1 on one row of each side, as 2 over the same 2.
     result = minimize_qp(2, [0, 0], [0, 0, 0, 0, 0, -1, 0, 1])
-    assert result == (F(1, 2), (2, [0, 1]), [[0, 2], [2, 0]], [[2, 0], [0, 2]])
-    _, (zd, xn), alpha, beta = result
-    assert all(type(v) is int for v in (zd, *xn, *chain(*alpha, *beta)))
+    assert result == (2, (2, [0, 1]), [[0, 2], [2, 0]], [[2, 0], [0, 2]])
+    value, (zd, xn), alpha, beta = result
+    assert all(type(v) is int for v in (value, zd, *xn, *chain(*alpha, *beta)))
 
 
 def test_qp_rejects_a_start_off_zero_at_the_ground():
@@ -344,7 +344,7 @@ def test_qp_semidefinite_hessian_with_equality_like_rows():
     # multiplier, which a row held as an inequality would have dropped.
     rows, pins = [[0, 0, -1], [0, 0, 0]], [(0, 1), (0, 2)]
     program = _program(rows, [0, -1, -2])
-    assert minimize_qp(*program)[0] == F(1, 2)
+    assert fraction_result(minimize_qp(*program), 1)[0] == F(1, 2)
     result = minimize_qp(*program, pins)
     assert result == (1, (1, [0, 0, -1]), [[-2, 0, 2], [2, 0, 0]], [[0, 0, 0], [0, 0, 2]])
     squares, edges, d = reference_region_program(rows, pins)

@@ -18,7 +18,8 @@ be independent of it, and a second JSON writer could drift from the one
 whose bytes the goldens and the benchmark digests pin.  For the same reason
 ``frechet.objective`` goes through ``trop_dist`` and names none of the
 helpers that evaluate a result, whose ``min_sum`` it checks.  ``qp`` reads no
-``.denominator`` and neither defines nor imports a scaling helper such as
+``.denominator``, names no ``Fraction``, not even for its value, and
+neither defines nor imports a scaling helper such as
 the package's old ``over_common_denominator``: the exact QP and its
 ``integer_solve`` take integer data, and a rescaling inside them would be a
 second, hidden scaling of what their callers already put on integers.  For
@@ -251,6 +252,14 @@ def test_the_qp_kernel_takes_integers_only():
         if isinstance(node, ast.Attribute) and node.attr == "denominator"
     ]
     assert reads == []
+    names = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        or (isinstance(node, ast.alias) and node.name.split(".")[-1] in {"Fraction", "fractions"})
+    ]
+    assert names == []
     assert not any(m.endswith("over_common_denominator") for m in _imported_modules(path))
 
 

@@ -1,5 +1,6 @@
 """The exhaustive solver against golden values, grids and the fast pipeline."""
 
+import fractions
 import hashlib
 from fractions import Fraction
 from random import Random
@@ -81,6 +82,31 @@ def test_the_oracle_output_is_pinned():
     assert digest.hexdigest() == "96d3dcf45b50861e5767b2c4e8ea318a3fe9955252029244cf409b53c1f33518"
 
 
+def test_the_walk_builds_one_fraction_its_value(monkeypatch):
+    """Bounds, region minima and pinned programs' values are integer pairs
+    compared by cross-multiplying, so on criterion 6's first two samples of
+    each shape ``brute_force_frechet`` builds one Fraction per call, the
+    value it returns."""
+    samples = [
+        int_sample(Random(f"accept6:{n}:{m}:{idx}"), n, m)
+        for n, m in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4))
+        for idx in range(2)
+    ]
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for s in samples:
+        monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+        brute_force_frechet(s)
+        monkeypatch.undo()
+        assert len(built) == 1, built
+        built.clear()
+
+
 def test_witness_attains_the_reported_value():
     rng = Random("oracle:witness")
     for _ in range(25):
@@ -143,8 +169,9 @@ def test_oracle_agrees_with_the_certified_pipeline():
 
 def test_deferred_cells_are_pinned_epigraph_programs(monkeypatch):
     """A deferred cell of a sample shaped like criterion 6's is the sample's
-    epigraph program pinned to the cell's assignment.  Its value is what the
-    rational loop finds on the cell's own program over x alone, the
+    epigraph program pinned to the cell's assignment.  Its value, an integer
+    over the square of its optimizer's denominator, is what the rational loop
+    finds on the cell's own program over x alone, the
     assignment's squares over the region's rows (``reference_region_program``),
     from the same start.  Pinning a row that is slack at the start raises
     InternalError."""
@@ -162,13 +189,13 @@ def test_deferred_cells_are_pinned_epigraph_programs(monkeypatch):
     monkeypatch.undo()
     assert len(programs) >= 400
     slack = 0
-    for (n, x0, d, pins), (value, _, _, _) in programs:
+    for (n, x0, d, pins), (value, (zd, _), _, _) in programs:
         nums = [d[r + n : r + 2 * n] for r in range(0, len(d), 2 * n)]
         squares, edges, rhs = reference_region_program(nums, pins)
         (expected, _, _, _), _ = reference_qp(
             *dense_objective(squares, n), densify(edges, n), rhs, [F(v) for v in x0[1:]]
         )
-        assert value == expected
+        assert F(value, zd * zd) == expected
         # Pin sample 1's max to a coordinate where x0 - p_1 falls below it.
         gaps = [a - b for a, b in zip(x0, nums[0])]
         below = [i for i, g in enumerate(gaps) if g < max(gaps)]
