@@ -33,14 +33,14 @@ Weights = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 class Certificate(Frozen):
-    """Per-sample convex weights on the pieces active at ``point``, and the
-    certified value: objective >= c_star everywhere, attained at ``point``.
-    ``weights[j]`` is (den, ((i, k, num), ...)): weight num / den on sample
-    j's piece for the 0-based coordinate pair (i, k), whose constant is
-    read off the sample.  Each group of integers is divided by its gcd, so
-    equality and hashing compare values; a group that is not integers over
-    a positive denominator is kept as given, for ``verify_certificate`` to
-    refuse."""
+    """Per-sample convex weights on the pieces active at ``point``, and a
+    bound c_star with objective >= c_star everywhere, which
+    ``verify_certificate`` proves from weights stationary at ``point`` and
+    objective(point) >= c_star.  ``weights[j]`` is (den, ((i, k, num), ...)):
+    weight num / den on sample j's piece for the 0-based pair (i, k), whose
+    constant is read off the sample.  Each group of integers is divided by
+    its gcd, so equality and hashing compare values; a group not integers
+    over a positive denominator is kept as given for the check to refuse."""
 
     _fields = ("c_star", "weights", "point")
 

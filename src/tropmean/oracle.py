@@ -9,15 +9,17 @@ so the least of the restricted minima is the exact global minimum.
 The walk over assignments is one depth-first branch and bound.  A region
 prefix is a system of difference constraints x_i - x_k >= c, so
 feasibility and a feasible point come from a Bellman-Ford pass rather than
-an LP, and a branch dies as soon as its prefix is infeasible or the
-unconstrained lower bound of its partial sum exceeds the least region
-minimum settled so far.  Each surviving leaf is settled where the walk
-reaches it: by the normal equations alone when the free minimizer already
-lies inside the region, and otherwise by the sample's epigraph program
-(``qp``) pinned to the assignment, which is the chosen squares over the
-region, started at the region's feasible point.  A pruned region's minimum
-is at least its bound, so above the optimum, and every optimal region is
-settled in depth-first order.
+an LP.  Each child of a prefix takes its own copies, so the walk undoes
+nothing: the parent's normal equations with the child's square added, whose
+unconstrained minimum bounds the child, and, only when that bound does not
+exceed the least region minimum settled so far, the parent's region
+tightened by the child's pair, which dies when infeasible.  Each surviving
+leaf is settled where the walk reaches it: by the normal equations alone
+when the free minimizer already lies inside the region, and otherwise by
+the sample's epigraph program (``qp``) pinned to the assignment, which is
+the chosen squares over the region, started at the region's feasible
+point.  A pruned region's minimum is at least its bound, so above the
+optimum, and every optimal region is settled in depth-first order.
 
 The module is deliberately independent of the one exact route in
 ``frechet``, a single epigraph program started at the average: it shares
@@ -46,6 +48,9 @@ from .errors import InternalError, TropmeanError
 from .qp import integer_solve, minimize_qp, right_hand_sides
 
 Assignment = tuple[tuple[int, int], ...]
+# Normal equations A y = b of a partial sum in the gauge x_1 = 0, and its
+# constant term.
+Equations = tuple[list[list[int]], list[int], int]
 
 # Cap on the optimal-assignment list; desk-scale instances stay far below
 # it, degenerate handcrafted ones will not starve memory.
@@ -81,91 +86,66 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
     nv = n - 1
     den, nums = sample.den, sample.nums
     d = right_hand_sides(nums)
-
-    def tighten(p: Sequence[int], i: int, k: int) -> list[tuple[int, int, int | None]]:
-        """Impose x_i - x_a >= p_i - p_a and x_a - x_k >= p_a - p_k, which
-        choosing (i, k) for the sample p forces; returns what to undo."""
-        saved = []
-        for a in range(n):
-            for lo, hi in ((i, a), (a, k)):
-                c = p[lo] - p[hi]
-                old = region[lo][hi]
-                if lo != hi and (old is None or c > old):
-                    saved.append((lo, hi, old))
-                    region[lo][hi] = c
-        return saved
-
-    # Accumulated region: region[i][k] is the current lower bound on
-    # x_i - x_k, or None while unconstrained.
-    region: list[list[int | None]] = [[None] * n for _ in range(n)]
-    # Normal equations A y = b of the unconstrained partial sum in the gauge
-    # x_1 = 0, plus its constant term.
-    a_mat = [[0] * nv for _ in range(nv)]
-    b_vec = [0] * nv
-    c0 = 0
-
     # The least region minimum settled so far, times den^2, as (num, den').
     best: tuple[int, int] | None = None
     witness: tuple[int, Sequence[int]] = (1, ())  # its point, integers over a denominator
     winners: list[Assignment] = []
-    chosen: list[tuple[int, int]] = []
 
-    def in_region(x: tuple[int, Sequence[int]]) -> bool:
-        xd, xn = x
-        for i in range(n):
-            row = region[i]
-            xi = xn[i]
-            for k in range(n):
-                c = row[k]
-                if c is not None and xi - xn[k] < c * xd:
-                    return False
-        return True
-
-    def settle(
-        bound: tuple[int, int], free_min: tuple[int, Sequence[int]], feas: list[int]
-    ) -> None:
-        """Settle the leaf region from its parent's bound and feasible point:
-        the free minimizer when it lies inside, else the sample's epigraph
-        program pinned to the assignment, started at the feasible point,
-        whose value comes over zd^2."""
+    def descend(chosen: Assignment, region: list[list[int | None]], eqs: Equations) -> None:
+        """Walk the children of the prefix ``chosen``, whose region bounds
+        x_i - x_k below by region[i][k], None while unconstrained, and whose
+        partial sum has the normal equations and constant ``eqs``."""
         nonlocal best, witness
-        if in_region(free_min):
-            (num, vd), point = bound, free_min
-        else:
-            start = [v - feas[0] for v in feas]
-            num, point, _, _ = minimize_qp(n, start, d, tuple(chosen))
-            vd = point[0] * point[0]
-        if best is None or num * best[1] < best[0] * vd:
-            best, witness = (num, vd), point
-            winners.clear()
-        if num * best[1] == best[0] * vd and len(winners) < MAX_ASSIGNMENTS:
-            winners.append(tuple(chosen))
-
-    def descend(j: int) -> None:
-        nonlocal c0
-        p = nums[j]
+        p = nums[len(chosen)]
+        a_mat, b_vec, c0 = eqs
         for i, k in pairs:
-            saved = tighten(p, i, k)
-            c0 += add_square(a_mat, b_vec, i, k, p[i] - p[k], 1)
-            bound, free_min = min_quadratic(a_mat, b_vec, c0)
-            fits = best is None or bound[0] * best[1] <= best[0] * bound[1]
-            feas = _difference_point(region, n) if fits else None
-            if feas is not None:
-                chosen.append((i, k))
-                if j + 1 < m:
-                    descend(j + 1)
-                else:
-                    settle(bound, free_min, feas)
-                chosen.pop()
-            c0 += add_square(a_mat, b_vec, i, k, p[i] - p[k], -1)
-            for a, b, old in saved:
-                region[a][b] = old
+            a, b = [row[:] for row in a_mat], b_vec[:]
+            c = c0 + add_square(a, b, i, k, p[i] - p[k], 1)
+            bound, free_min = min_quadratic(a, b, c)
+            if best is not None and bound[0] * best[1] > best[0] * bound[1]:
+                continue
+            # Choosing (i, k) for p forces x_i - x_t >= p_i - p_t and
+            # x_t - x_k >= p_t - p_k for every t.
+            sub = [row[:] for row in region]
+            for t in range(n):
+                for lo, hi in ((i, t), (t, k)):
+                    gap = p[lo] - p[hi]
+                    if lo != hi and (sub[lo][hi] is None or gap > sub[lo][hi]):
+                        sub[lo][hi] = gap
+            feas = _difference_point(sub, n)
+            if feas is None:
+                continue
+            here = chosen + ((i, k),)
+            if len(here) < m:
+                descend(here, sub, (a, b, c))
+                continue
+            # A leaf: the free minimizer when it lies inside, else the
+            # sample's epigraph program pinned to the assignment, started at
+            # the feasible point, whose value comes over zd^2.
+            if _inside(sub, free_min):
+                (num, vd), point = bound, free_min
+            else:
+                num, point, _, _ = minimize_qp(n, [v - feas[0] for v in feas], d, here)
+                vd = point[0] * point[0]
+            if best is None or num * best[1] < best[0] * vd:
+                best, witness = (num, vd), point
+                winners.clear()
+            if num * best[1] == best[0] * vd and len(winners) < MAX_ASSIGNMENTS:
+                winners.append(here)
 
-    descend(0)
+    descend((), [[None] * n for _ in range(n)], ([[0] * nv for _ in range(nv)], [0] * nv, 0))
     if best is None:
         raise InternalError("no feasible region, though the regions cover the torus")
     wd, wn = witness
     return Fraction(best[0], best[1] * den * den), TorusPoint(wd * den, tuple(wn)), winners
+
+
+def _inside(region: list[list[int | None]], x: tuple[int, Sequence[int]]) -> bool:
+    """Whether x_i = xn[i] / xd, x = (xd, xn), lies in the region."""
+    xd, xn = x
+    return all(
+        c is None or xi - xk >= c * xd for row, xi in zip(region, xn) for c, xk in zip(row, xn)
+    )
 
 
 def _difference_point(region: list[list[int | None]], n: int) -> list[int] | None:

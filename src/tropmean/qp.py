@@ -49,9 +49,8 @@ keeps no parent and no visited set.
   that holds the tree's name keeps it, so the other end is walked only
   when the first side holds the name.
 * The nullspace is spanned by the indicator vectors of the components
-  not named 0, those without the ground, read off the labels in one pass:
-  a group opens at its name, its smallest node, and takes the later nodes
-  that bear it.
+  not named 0, those without the ground, each given by its name: one
+  backward pass over the labels meets a name first at its largest node.
   That is exactly the basis read off the RREF of its rows: in a component
   of k nodes joined by k - 1 rows any k - 1 columns are independent, so the
   pivots are its k - 1 lowest nodes, the free column is its highest, and
@@ -343,17 +342,17 @@ def _subspace_step(
 ) -> tuple[int, list[int]]:
     """Minimize the objective along z + span(B); returns the step as (sd, sn).
 
-    The columns of B are the indicator vectors of ``nullspace(work)``, each
-    group named by its first node, its label.  The reduced system
-    (B^T H B) u = -B^T grad, H the Hessian and grad zd times the gradient,
-    is built at half scale from the squares' residuals res and solved by
-    u = zd y, y the rational solution: ``integer_solve`` gives u = nums / den
-    in lowest terms, so the step B y is sn / sd with sn = B nums, sd = den zd.
+    The columns of B are the indicator vectors of the components that
+    ``nullspace(work)`` names, each node in the one its label names.  The
+    reduced system (B^T H B) u = -B^T grad, H the Hessian and grad zd times
+    the gradient, is built at half scale from the squares' residuals res and
+    solved by u = zd y, y the rational solution: ``integer_solve`` gives
+    u = nums / den in lowest terms, so the step B y is sn / sd with sn = B
+    nums, sd = den zd.
     """
-    groups = nullspace(work)
-    index = {group[0]: p for p, group in enumerate(groups)}
+    index = {name: p for p, name in enumerate(nullspace(work))}
     where = list(map(index.get, work.label))
-    red = [[0] * (len(groups) + 1) for _ in groups]
+    red = [[0] * (len(index) + 1) for _ in index]
     # Half of what square (a, b) adds, (f_p - f_q)(f_p - f_q)^T and -r (f_p -
     # f_q) with r its residual, p and q the groups of a and b, the ground none.
     for (a, b), r in zip(squares, res):
@@ -427,20 +426,14 @@ def integer_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
     return prev // g, [v // g for v in nums]
 
 
-def nullspace(work: Forest) -> list[list[int]]:
+def nullspace(work: Forest) -> list[int]:
     """Basis of {z : z_0 = 0 and z_a = z_b for every row (a, b) of the forest}.
 
     The basis is the indicator vectors of the components not named 0, those
     without the ground, in the order of their largest node, each given as
-    its nodes in increasing order.
+    its name, the label its nodes bear.
     """
-    # A group opens at its name, its smallest node; the ground's, named 0,
-    # is left out.
-    groups: dict[int, list[int]] = {}
-    for t, name in enumerate(work.label):
-        if name == t:
-            groups[t] = [t]
-        else:
-            groups[name].append(t)
-    del groups[0]
-    return sorted(groups.values(), key=lambda group: group[-1])
+    # Read backwards, a name first appears at its component's largest node.
+    names = list(dict.fromkeys(reversed(work.label)))
+    names.remove(0)
+    return names[::-1]

@@ -337,10 +337,10 @@ def load_points(text: str) -> SampleSet:
 
     JSON: {"points": [[...], ...]} with coordinates as "p/q" strings,
     integers, or decimal literals; any other key, such as an old "options"
-    block, is ignored.  CSV: one point per row.  Coordinates are read as
-    integer pairs and the sample is built on their common denominator.
+    block, is ignored, and a leading byte-order mark refused.  CSV: one point
+    per row.  Coordinates are read as integer pairs over one denominator.
     """
-    stripped = text.lstrip()
+    stripped = text.removeprefix("\ufeff").lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         doc = parse_json(text)
         if isinstance(doc, list):

@@ -6,11 +6,12 @@ run of the tests sees the same instances on every platform and process.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from random import Random
 
@@ -23,13 +24,19 @@ from tropmean import (
     SampleSet,
     Unbounded,
     canonicalize,
+    exact_frechet,
     kleene_star,
+    objective,
     trop_dist,
+    tropical_vertices,
+    verify_certificate,
 )
+from tropmean.cli import main
 from tropmean.core import TorusPoint
 from tropmean.errors import InternalError
 from tropmean.qp import DEGENERATE_STEPS
 from tropmean.core import abbreviate
+from tropmean.oracle import brute_force_frechet
 from tropmean.serialize import load_points, parse_json, parse_rational
 
 DENOMS = (1, 2, 3, 5)
@@ -824,3 +831,43 @@ def integer_weights(weights) -> tuple:
         den = lcm(*(Fraction(w).denominator for _, _, w in per))
         groups.append((den, tuple((i, k, int(w * den)) for i, k, w in per)))
     return tuple(groups)
+
+
+def small_scope(n: int, m_max: int, lo: int, hi: int):
+    """Every multiset of 1 to m_max canonical integer points in n
+    coordinates, first coordinate 0 and the others in lo..hi, as rows."""
+    points = [(0, *rest) for rest in product(range(lo, hi + 1), repeat=n - 1)]
+    for m in range(1, m_max + 1):
+        yield from combinations_with_replacement(points, m)
+
+
+def check_small_scope_sample(rows, path) -> None:
+    """Assert the small-scope checks on the sample ``rows``: the mean is
+    exact, its ``min_sum`` is the oracle's value, its certificate verifies,
+    and every tropical vertex of ``fm_polytrope`` has objective ``min_sum``;
+    in-process, ``certify --point`` exits 0 at each vertex and 3 at a point
+    off the mean set.  The command line reads the sample from ``path``."""
+    sample = SampleSet.from_rows(rows)
+    result = exact_frechet(sample)
+    assert result.exact
+    assert result.min_sum == brute_force_frechet(sample)[0]
+    assert verify_certificate(sample, result.certificate)
+    den = kleene_star(result.fm_polytrope).den
+    vertices = [[Fraction(v, den) for v in col] for col in tropical_vertices(result.fm_polytrope)]
+    path.write_text(json.dumps({"points": [list(row) for row in rows]}))
+    for x in vertices:
+        assert objective(sample, x) == result.min_sum
+        assert _certify(path, x) == 0
+    # The first vertex moved along the last coordinate, 1/7 at a time,
+    # until its objective exceeds min_sum: a point off the mean set.
+    off = list(vertices[0])
+    while objective(sample, off) == result.min_sum:
+        off[-1] += Fraction(1, 7)
+    assert _certify(path, off) == 3
+
+
+def _certify(path, x) -> int:
+    """The exit code of ``certify --point x path``, its output dropped."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return main(["certify", "--point", ",".join(map(str, x)), str(path)])

@@ -551,8 +551,9 @@ def _dense_ends(ends, nvars):
     return densify(ends, nvars + 1) or [[F(0)] * nvars]
 
 
-def _indicators(groups, nvars):
-    return [[int(t in group) for t in range(1, nvars + 1)] for group in groups]
+def _indicators(names, work, nvars):
+    """The indicator vectors, off the ground, of the components named."""
+    return [[int(work.label[t] == name) for t in range(1, nvars + 1)] for name in names]
 
 
 def _forest(ends, nvars):
@@ -579,8 +580,8 @@ def test_forest_nullspace_is_the_rref_basis(case):
     ends, nvars = case
     rows = _dense_ends(ends, nvars)
     _, expected = solve_over_fractions(rows, [F(0)] * len(rows))
-    groups = qp_mod.nullspace(_forest(ends, nvars)[0])
-    assert _indicators(groups, nvars) == expected
+    work = _forest(ends, nvars)[0]
+    assert _indicators(qp_mod.nullspace(work), work, nvars) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,9 +639,10 @@ def test_joins_and_splits_keep_the_rebuilt_basis(case, data):
                 inside.append(r)
         rows = _dense_ends([ends[i] for i in inside], nvars)
         _, expected = solve_over_fractions(rows, [F(0)] * len(rows))
-        groups = qp_mod.nullspace(work)
-        assert _indicators(groups, nvars) == expected
-        assert all(group == sorted(group) for group in groups)
+        names = qp_mod.nullspace(work)
+        assert _indicators(names, work, nvars) == expected
+        # Each component is named by its smallest node.
+        assert all(work.label.index(name) == name for name in names)
         u = {r: data.draw(st.integers(-9, 9)) for r in inside}
         assert work.multipliers(_flow(ends, u, nvars)) == u
 

@@ -255,6 +255,17 @@ def test_load_points_error_positions():
         load_points('{"points": [[true, false]]}')
 
 
+@pytest.mark.parametrize("text", ['\ufeff{"points": [[0, 1]]}', "\ufeff [[0, 1]]"])
+def test_load_points_refuses_a_byte_order_mark_before_json(text):
+    """A caller's text that starts with a BOM is JSON that ``parse_json``
+    refuses by name, not a CSV whose first field is not a rational."""
+    with pytest.raises(ParseError) as info:
+        load_points(text)
+    assert str(info.value) == (
+        "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    )
+
+
 def _lax(i):
     """What ``int(i) - 1`` made of an index, with the matching piece
     constant, so that only the index check can refuse the piece."""
