@@ -14,7 +14,8 @@ diagnostics to stderr; each JSON document is the text ``serialize``
 writes for it, ``result_to_json``, ``polytrope_to_json`` or
 ``certificate_to_json``, and a newline.  Exit codes: 0 success,
 1 stdout closed by its reader, 2 malformed or unusable input, 3 a point
-that fails optimality certification or a mean that could not be certified.
+that fails optimality certification or a mean that could not be certified,
+which ``mean`` still prints, with one stderr line saying why.
 """
 
 from __future__ import annotations
@@ -196,7 +197,10 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     fm = result.fm_polytrope
     den = kleene_star(fm).den
     print(result_to_json(result, sample, den, tropical_vertices(fm), pseudovertices(fm)))
-    return 0 if result.exact else 3
+    if result.exact:
+        return 0
+    print(f"mean not certified: {result.reason}", file=sys.stderr)
+    return 3
 
 
 def _cmd_polytrope(args: argparse.Namespace) -> int:

@@ -45,10 +45,11 @@ class FrechetResult(Frozen):
     and hashing compare values.  ``distances`` and ``min_sum``, the sum of
     their squares, give them back as Fractions.  ``certificate`` is a
     positivity certificate for ``mean``, attached only once found and
-    independently verified, and ``exact`` says whether one is.
+    independently verified, and ``exact`` says whether one is; ``reason``
+    says why not, when no certificate is attached.
     """
 
-    _fields = ("mean", "den", "spreads", "fm_polytrope", "certificate")
+    _fields = ("mean", "den", "spreads", "fm_polytrope", "certificate", "reason")
 
     def __init__(
         self,
@@ -57,6 +58,7 @@ class FrechetResult(Frozen):
         spreads: tuple[int, ...],
         fm_polytrope: PolytropeMatrix,
         certificate: Certificate | None = None,
+        reason: str | None = None,
     ) -> None:
         g = gcd(den, *spreads)
         self.__dict__.update(
@@ -65,6 +67,7 @@ class FrechetResult(Frozen):
             spreads=tuple([v // g for v in spreads]),
             fm_polytrope=fm_polytrope,
             certificate=certificate,
+            reason=reason,
         )
 
     @cached_property
@@ -128,8 +131,9 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     its value equals the objective at the mean and ``verify_certificate``
     accepts it there: every weighted piece active at the mean and the
     weighted gradient zero, with no system solved.  When the solve raises
-    InternalError, which only a bug makes it do, or a check fails, the start
-    point comes back with no certificate, not exact.
+    InternalError, as it does on reaching its iteration cap, or a check
+    fails, the start point comes back with no certificate, not exact, and
+    the error's message or the failed check as its ``reason``.
 
     The start and the mean are points built from the sample's integers, and
     the program, its value, ``_result_at`` and the certificate's weights are
@@ -139,18 +143,21 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     start = _average(sample)
     try:
         mean, cert = _epigraph_qp(sample, start)
-    except InternalError:
-        return _result_at(sample, start)
+    except InternalError as exc:
+        return _result_at(sample, start, reason=str(exc))
     result = _result_at(sample, mean, cert)
     c, den = cert.c_star, result.den
-    attained = c.numerator * den * den == _squares(result.spreads) * c.denominator
-    if attained and verify_certificate(sample, cert):
+    if c.numerator * den * den != _squares(result.spreads) * c.denominator:
+        reason = "the program's value is not the objective at its optimizer"
+    elif not verify_certificate(sample, cert):
+        reason = "the certificate does not verify at the mean"
+    else:
         return result
-    return _result_at(sample, start)
+    return _result_at(sample, start, reason=reason)
 
 
 def _result_at(
-    sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None
+    sample: SampleSet, mean: TorusPoint, cert: Certificate | None = None, reason: str | None = None
 ) -> FrechetResult:
     """The result at ``mean``, exact when a ``cert`` is given: the one
     evaluation of a point, on the integers of ``_lift``.  Distance d_j is
@@ -169,7 +176,7 @@ def _result_at(
     rows = [[max(map(sub, top, col)) for col in cols] for top in tops]
     for i, row in enumerate(rows):
         row[i] = 0
-    return FrechetResult(mean, e, tuple(spreads), PolytropeMatrix(e, rows), cert)
+    return FrechetResult(mean, e, tuple(spreads), PolytropeMatrix(e, rows), cert, reason)
 
 
 def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:

@@ -6,32 +6,31 @@ every chosen piece attains its sample's maximum.  On that region the
 restricted sum equals the true objective, and the regions cover the torus,
 so the least of the restricted minima is the exact global minimum.
 
-The walk over assignments is one depth-first branch and bound.  A region
-prefix is a system of difference constraints x_i - x_k >= c, so
-feasibility and a feasible point come from a Bellman-Ford pass rather than
-an LP.  Each child of a prefix takes its own copies, so the walk undoes
-nothing: the parent's normal equations with the child's square added, whose
-unconstrained minimum bounds the child, and, only when that bound does not
-exceed the least region minimum settled so far, the parent's region
-tightened by the child's pair, which dies when infeasible.  Each surviving
-leaf is settled where the walk reaches it: by the normal equations alone
-when the free minimizer already lies inside the region, and otherwise by
-the sample's epigraph program (``qp``) pinned to the assignment, which is
-the chosen squares over the region, started at the region's feasible
-point.  A pruned region's minimum is at least its bound, so above the
-optimum, and every optimal region is settled in depth-first order.
+The walk over assignments is a plain depth-first walk over the feasible
+regions.  A region prefix is a system of difference constraints
+x_i - x_k >= c, so feasibility and a feasible point come from a
+Bellman-Ford pass rather than an LP.  Each child takes its own copy of the
+parent's region tightened by its pair, so the walk undoes nothing, and an
+infeasible child is dropped with everything below it.  Each leaf is
+settled where the walk reaches it, from the normal equations of its m
+chosen squares: by their free minimizer when that already lies inside the
+region, and otherwise by the sample's epigraph program (``qp``) pinned to
+the assignment, which is the chosen squares over the region, started at
+the region's feasible point.  Nothing is pruned by value: each chosen
+square is at most its sample's squared distance, so a prefix's least sum
+never exceeds the optimum, and no bound of that kind could cut a branch.
 
 The module is deliberately independent of the one exact route in
 ``frechet``, a single epigraph program started at the average: it shares
 only the kernels of ``qp``, ``minimize_qp`` and ``integer_solve``, and its
-region enumeration and the normal equations of its partial sums,
+region enumeration and the normal equations of its leaves,
 ``add_square`` and ``min_quadratic``, are its own, so the tests can
 confront the two routes on equal terms.
 
 The walk runs on the sample's fields, its integers over one common
 denominator den, in the coordinates X = den x: regions, feasible points,
-squares, normal equations and pinned programs are integers, and a bound or
-region minimum is a pair (num, den') of integers, den' > 0, in units of
+squares, normal equations and pinned programs are integers, and a region
+minimum is a pair (num, den') of integers, den' > 0, in units of
 1/den^2, compared with another by cross-multiplying.  Only the returned
 value and witness are scaled back, and the value is the one Fraction a
 walk builds.
@@ -48,9 +47,6 @@ from .errors import InternalError, TropmeanError
 from .qp import integer_solve, minimize_qp, right_hand_sides
 
 Assignment = tuple[tuple[int, int], ...]
-# Normal equations A y = b of a partial sum in the gauge x_1 = 0, and its
-# constant term.
-Equations = tuple[list[list[int]], list[int], int]
 
 # Cap on the optimal-assignment list; desk-scale instances stay far below
 # it, degenerate handcrafted ones will not starve memory.
@@ -91,19 +87,12 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
     witness: tuple[int, Sequence[int]] = (1, ())  # its point, integers over a denominator
     winners: list[Assignment] = []
 
-    def descend(chosen: Assignment, region: list[list[int | None]], eqs: Equations) -> None:
+    def descend(chosen: Assignment, region: list[list[int | None]]) -> None:
         """Walk the children of the prefix ``chosen``, whose region bounds
-        x_i - x_k below by region[i][k], None while unconstrained, and whose
-        partial sum has the normal equations and constant ``eqs``."""
+        x_i - x_k below by region[i][k], None while unconstrained."""
         nonlocal best, witness
         p = nums[len(chosen)]
-        a_mat, b_vec, c0 = eqs
         for i, k in pairs:
-            a, b = [row[:] for row in a_mat], b_vec[:]
-            c = c0 + add_square(a, b, i, k, p[i] - p[k], 1)
-            bound, free_min = min_quadratic(a, b, c)
-            if best is not None and bound[0] * best[1] > best[0] * bound[1]:
-                continue
             # Choosing (i, k) for p forces x_i - x_t >= p_i - p_t and
             # x_t - x_k >= p_t - p_k for every t.
             sub = [row[:] for row in region]
@@ -117,14 +106,15 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
                 continue
             here = chosen + ((i, k),)
             if len(here) < m:
-                descend(here, sub, (a, b, c))
+                descend(here, sub)
                 continue
-            # A leaf: the free minimizer when it lies inside, else the
-            # sample's epigraph program pinned to the assignment, started at
-            # the feasible point, whose value comes over zd^2.
-            if _inside(sub, free_min):
-                (num, vd), point = bound, free_min
-            else:
+            # A leaf: the free minimizer of its squares when it lies inside,
+            # else the sample's epigraph program pinned to the assignment,
+            # started at the feasible point, whose value comes over zd^2.
+            a, b = [[0] * nv for _ in range(nv)], [0] * nv
+            c = sum(add_square(a, b, ci, ck, q[ci] - q[ck], 1) for (ci, ck), q in zip(here, nums))
+            (num, vd), point = min_quadratic(a, b, c)
+            if not _inside(sub, point):
                 num, point, _, _ = minimize_qp(n, [v - feas[0] for v in feas], d, here)
                 vd = point[0] * point[0]
             if best is None or num * best[1] < best[0] * vd:
@@ -133,7 +123,7 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
             if num * best[1] == best[0] * vd and len(winners) < MAX_ASSIGNMENTS:
                 winners.append(here)
 
-    descend((), [[None] * n for _ in range(n)], ([[0] * nv for _ in range(nv)], [0] * nv, 0))
+    descend((), [[None] * n for _ in range(n)])
     if best is None:
         raise InternalError("no feasible region, though the regions cover the torus")
     wd, wn = witness
@@ -180,7 +170,7 @@ def add_square(a: list[list[int]], b: list[int], i: int, k: int, c: int, w: int)
     and -w on its two off-diagonal ones, +w c at i and -w c at k on b.
     y = (x_2, ..., x_n) is the gauge x_1 = 0, so a piece that touches x_1
     adds to one row only.  Returns the square's share w c^2 of the constant
-    term; a negative w removes a square that was added before.
+    term.
     """
     i, k = i - 1, k - 1
     wc = w * c

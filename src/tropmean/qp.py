@@ -92,11 +92,13 @@ A sample with rational coordinates is put on integers by the caller:
 scaling every node, and with it p, by one positive factor changes no
 working set, step or blocking row.
 
-Exact arithmetic removes every tolerance question; the iteration cap is a
-safety net and is never reached on the problem sizes this package solves.
-A start off the program, the cap, an inconsistent multiplier system and a
-step system outside ``integer_solve``'s contract each raise InternalError:
-every one is a bug, not a property of the sample.
+Exact arithmetic removes every tolerance question, but not every long
+run: once Bland's rule takes over, the loop can make thousands of
+exchanges at one degenerate point, so a valid tie-heavy sample can reach
+the iteration cap ``MAX_ITER``.  The cap, a start off the program, an
+inconsistent multiplier system and a step system outside
+``integer_solve``'s contract each raise InternalError; all but the cap
+are bugs, not properties of the sample.
 """
 
 from __future__ import annotations

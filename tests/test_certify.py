@@ -497,17 +497,6 @@ def test_min_quadratic_single_square():
     assert point == (1, (0, 3, 0))
 
 
-def test_add_square_with_negative_weight_undoes_the_square():
-    rng = Random("certify:undo")
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        terms, _, _ = _integer_terms(_random_terms(rng, n))
-        a, b, c0 = _normal_equations(n, terms)
-        i, k, c, w = terms[-1]
-        c0 += add_square(a, b, i, k, c, -w)
-        assert (a, b, c0) == _normal_equations(n, terms[:-1])
-
-
 def test_min_quadratic_matches_direct_elimination():
     rng = Random("certify:quad")
     for _ in range(50):

@@ -153,7 +153,7 @@ def test_mean_ignores_an_options_block(tmp_path, capsys):
 
 def _uncertified(sample):
     """The result ``exact_frechet`` returns when no mean was certified: the
-    sample average, ``exact`` false and no certificate."""
+    sample average, ``exact`` false, no certificate and a ``reason``."""
     mean = canonicalize([sum((p[a] for p in sample), F(0)) / sample.m for a in range(sample.n)])
     distances = [trop_dist(mean, p) for p in sample]
     den = lcm(*(d.denominator for d in distances))
@@ -162,6 +162,7 @@ def _uncertified(sample):
         den=den,
         spreads=tuple(int(d * den) for d in distances),
         fm_polytrope=fm_polytrope(sample, mean),
+        reason="stub reason",
     )
 
 
@@ -172,8 +173,10 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "exact_frechet", lambda s, **kw: stub)
     assert main(["mean", path]) == 3
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["exact"] is False
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["exact"] is False
+    # One stderr line says that the mean is not certified, and why.
+    assert captured.err == "mean not certified: stub reason\n"
     # Every other command that needs a certified mean refuses to go on.
     monkeypatch.setattr(tropmean.frechet, "exact_frechet", lambda s, **kw: stub)
     for argv in (["polytrope", path], ["certify", path, "--point", "0,1/2,1"]):
@@ -188,7 +191,8 @@ def test_mean_prints_the_average_when_the_solve_raises_internal_error(
 ):
     """A broken invariant inside the exact solve is a bug, not bad input:
     ``exact_frechet`` falls back to the average, and ``mean`` prints it
-    uncertified and exits 3 rather than ending in a traceback."""
+    uncertified and exits 3 rather than ending in a traceback, with the
+    error's message on one stderr line."""
     import tropmean.qp as qp_mod
 
     def broken(rows):
@@ -201,7 +205,7 @@ def test_mean_prints_the_average_when_the_solve_raises_internal_error(
     doc = json.loads(captured.out)
     assert doc["exact"] is False
     assert doc["mean"] == ["0", "-1", "-3"]
-    assert captured.err == ""
+    assert captured.err == "mean not certified: stub\n"
 
 
 def test_polytrope_from_matrix_golden(tmp_path, capsys):

@@ -334,6 +334,7 @@ def test_qp_iteration_cap_raises_and_the_mean_falls_back_to_the_average(monkeypa
     result = frechet_mod.exact_frechet(SampleSet.from_rows(rows))
     assert result.mean == canonicalize([0, -1, -3])
     assert not result.exact
+    assert result.reason == "active-set iteration cap exceeded"
 
 
 def test_qp_semidefinite_hessian_with_equality_like_rows():
@@ -519,6 +520,30 @@ def test_degenerate_runs_fall_back_to_the_lowest_index_drop():
     _, dantzig = reference_qp(*fraction_program(*program), degenerate_steps=10**9)
     assert dantzig["iterations"] != stats["iterations"]
     _assert_matches_reference(program)
+
+
+def _stall_rows():
+    """90 points in 30 coordinates, entries -1..1: the second (30, 90)
+    sample of a seeded draw of two samples per shape."""
+    rng = Random(11)
+    drawn = [
+        [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)]
+        for n, m, span in ((20, 60, 1), (30, 60, 2), (30, 90, 1))
+        for _ in range(2)
+    ]
+    return drawn[-1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 28: after 12 zero-length steps Bland's rule makes thousands of "
+    "exchanges at one point and the QP reaches MAX_ITER",
+)
+def test_a_tie_heavy_sample_is_certified():
+    """With the cap raised the loop certifies this sample, at min_sum 360,
+    after 12,948 iterations, 6,463 of them zero-length steps at one point."""
+    result = frechet_mod.exact_frechet(SampleSet.from_rows(_stall_rows()))
+    assert result.exact, result.reason
 
 
 @st.composite

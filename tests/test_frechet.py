@@ -200,18 +200,33 @@ def test_exact_bench_cell_15_15():
     ]
 
 
-@pytest.mark.parametrize("failure", ["qp", "verification"])
+FALLBACK_REASONS = {
+    "qp": "stub",
+    "value": "the program's value is not the objective at its optimizer",
+    "verification": "the certificate does not verify at the mean",
+}
+
+
+@pytest.mark.parametrize("failure", FALLBACK_REASONS)
 def test_exact_falls_back_to_the_average_when_not_certified(monkeypatch, failure):
     def raise_qp_error(*args):
         raise InternalError("stub")
 
+    def value_off(sample, start):
+        mean, cert = solve(sample, start)
+        return mean, frechet_mod.Certificate(cert.c_star + 1, cert.weights, cert.point)
+
+    solve = frechet_mod._epigraph_qp
     if failure == "qp":
         monkeypatch.setattr(frechet_mod, "minimize_qp", raise_qp_error)
+    elif failure == "value":
+        monkeypatch.setattr(frechet_mod, "_epigraph_qp", value_off)
     else:
         monkeypatch.setattr(frechet_mod, "verify_certificate", lambda s, c: False)
     result = exact_frechet(THREE_POINTS)
     assert not result.exact
     assert result.certificate is None
+    assert result.reason == FALLBACK_REASONS[failure]
     assert result.mean == canonicalize([-1, -2, -4])
     assert result.min_sum == objective(THREE_POINTS, result.mean.coords)
 

@@ -107,6 +107,34 @@ def test_the_walk_builds_one_fraction_its_value(monkeypatch):
         built.clear()
 
 
+def test_min_quadratic_runs_once_per_settled_leaf(monkeypatch):
+    """No bound prunes, so only a leaf needs normal equations: on criterion
+    6's first two samples of each shape ``min_quadratic`` runs once per
+    settled leaf, just before the leaf's region is tested on its free
+    minimizer, and at no interior node."""
+    quad, inside = oracle_mod.min_quadratic, oracle_mod._inside
+    log = []
+
+    def logged_quad(a, b, c0):
+        bound, point = quad(a, b, c0)
+        log.append(("min_quadratic", point))
+        return bound, point
+
+    def logged_inside(region, x):
+        log.append(("inside", x))
+        return inside(region, x)
+
+    monkeypatch.setattr(oracle_mod, "min_quadratic", logged_quad)
+    monkeypatch.setattr(oracle_mod, "_inside", logged_inside)
+    for n, m in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)):
+        for idx in range(2):
+            brute_force_frechet(int_sample(Random(f"accept6:{n}:{m}:{idx}"), n, m))
+            names = [name for name, _ in log]
+            assert names and names == ["min_quadratic", "inside"] * (len(log) // 2)
+            assert all(log[t][1] == log[t + 1][1] for t in range(0, len(log), 2))
+            log.clear()
+
+
 def test_witness_attains_the_reported_value():
     rng = Random("oracle:witness")
     for _ in range(25):
