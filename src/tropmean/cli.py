@@ -213,7 +213,7 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
         sample = load_points(_read_text(args.file))
         result = exact_frechet(sample)
         if not result.exact:
-            raise NotOptimal("could not certify a mean for this sample")
+            raise NotOptimal(f"could not certify a mean for this sample: {result.reason}")
         mat = result.fm_polytrope
 
     star = kleene_star(mat)

@@ -36,6 +36,5 @@ class CertificateError(TropmeanError, ValueError):
 class InternalError(TropmeanError):
     """Raised when the exact solve cannot finish: an invariant the
     mathematics guarantees fails to hold, which means a bug in this package
-    rather than bad input, or the QP reaches its iteration cap, which a
-    valid tie-heavy sample can do.  A check that raises it stays in force
-    under ``python -O``, unlike an assert."""
+    rather than bad input, or the QP reaches its iteration cap.  A check
+    that raises it stays in force under ``python -O``, unlike an assert."""

@@ -194,7 +194,7 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
     value = _result_at(sample, x_star).min_sum
     result = exact_frechet(sample)
     if not result.exact:
-        raise NotOptimal("could not certify a mean for this sample")
+        raise NotOptimal(f"could not certify a mean for this sample: {result.reason}")
     if value != result.min_sum:
         raise NotOptimal(f"objective {value} exceeds the certified minimum {result.min_sum}")
     c = result.certificate

@@ -20,15 +20,18 @@ independent of the working set, so multipliers stay unique, and the
 multipliers of the optimum are returned with it.
 
 At a stationary point the unpinned row with the most negative multiplier
-leaves W, ties going to the lowest row index (Dantzig's rule).  After
-``DEGENERATE_STEPS`` steps of length zero in a row, the lowest-index
-negative row leaves instead, until a step has positive length; with the
-ratio test's lowest-index blocking row that is Bland's rule (Bland, "New
-finite pivoting rules for the simplex method", 1977), which cannot cycle at
-one point.  So the loop ends: the objective never rises and falls strictly
-on a step of positive length, a stationary point minimizes it over its W's
-subspace, so no W is stationary twice across such a step, and the fallback
-ends every run of zero-length steps.
+leaves W, ties going to the lowest row index (Dantzig's rule).  The loop is
+deterministic given z and W, so a W stationary twice at one point means the
+loop is cycling there: the working sets stationary at the current point are
+recorded, and once one repeats, the lowest-index negative row leaves
+instead, until a step has positive length.  With the ratio test's
+lowest-index blocking row that is Bland's rule (Bland, "New finite pivoting
+rules for the simplex method", 1977), which cannot cycle at one point.  So
+the loop ends: the objective never rises and falls strictly on a step of
+positive length, and a stationary point minimizes it over its W's subspace,
+so no W is stationary twice across such a step; at one point there are
+finitely many working sets, so Dantzig's drops meet a repeat unless a step
+of positive length comes first, and Bland's rule ends the run after one.
 
 An independent set of difference rows is a forest on the nodes, and the
 loop keeps W as one across iterations: per node its W rows and the name of
@@ -92,13 +95,11 @@ A sample with rational coordinates is put on integers by the caller:
 scaling every node, and with it p, by one positive factor changes no
 working set, step or blocking row.
 
-Exact arithmetic removes every tolerance question, but not every long
-run: once Bland's rule takes over, the loop can make thousands of
-exchanges at one degenerate point, so a valid tie-heavy sample can reach
-the iteration cap ``MAX_ITER``.  The cap, a start off the program, an
-inconsistent multiplier system and a step system outside
-``integer_solve``'s contract each raise InternalError; all but the cap
-are bugs, not properties of the sample.
+Exact arithmetic removes every tolerance question.  A start off the
+program, an inconsistent multiplier system and a step system outside
+``integer_solve``'s contract are bugs, not properties of the sample, and
+raise InternalError, as does the iteration cap ``MAX_ITER``, which bounds
+the time of a loop that ends without it.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ from .errors import InternalError
 Edge = tuple[int, int]
 
 MAX_ITER = 10_000
-DEGENERATE_STEPS = 12
 
 
 def right_hand_sides(nums: Sequence[Sequence[int]]) -> list[int]:
@@ -170,7 +170,9 @@ def minimize_qp(
         for k, v in enumerate(g):
             if v == lo:
                 work.join(r + n + k)
-    degenerate = 0
+    # The working sets stationary at the current point z, and whether one
+    # has repeated there.
+    stationary, repeated = set(), False
 
     for _ in range(MAX_ITER):
         res = list(map(sub, zn[n : n + m], zn[n + m :]))
@@ -185,11 +187,14 @@ def minimize_qp(
                 alpha = [mult[r : r + n] for r in starts]
                 beta = [mult[r + n : r + 2 * n] for r in starts]
                 return sum(r * r for r in res), (zd, zn[:n]), alpha, beta
-            work.split(min(neg)[1] if degenerate < DEGENERATE_STEPS else min(r for _, r in neg))
+            key = frozenset(r for rows in work.at for r in rows)
+            repeated = repeated or key in stationary
+            stationary.add(key)
+            work.split(min(r for _, r in neg) if repeated else min(neg)[1])
             continue
         best_num, best_den, blocker = _ratio_test(n, d, zd, zn, sd, sn)
-        degenerate = 0 if best_num else degenerate + 1
         if best_num:
+            stationary, repeated = set(), False
             # z + alpha step with alpha = best_num sd / (best_den zd).
             zn = [best_den * a + best_num * b for a, b in zip(zn, sn)]
             zd *= best_den

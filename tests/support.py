@@ -34,7 +34,6 @@ from tropmean import (
 from tropmean.cli import main
 from tropmean.core import TorusPoint
 from tropmean.errors import InternalError
-from tropmean.qp import DEGENERATE_STEPS
 from tropmean.core import abbreviate
 from tropmean.oracle import brute_force_frechet
 from tropmean.serialize import load_points, parse_json, parse_rational
@@ -187,7 +186,7 @@ def solve_over_fractions(a, b):
     return particular, basis
 
 
-def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERATE_STEPS):
+def reference_qp(h, g, c0, rows, d, z0, max_iter=1000):
     """The primal active-set loop of ``qp.minimize_qp`` written over Fractions,
     on the objective 1/2 z^T H z + g^T z + c0 with dense H.
 
@@ -195,18 +194,19 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
     ratio test compares rational step lengths with a strict ``<`` in row
     order, and the working set starts as the greedily independent tight
     rows.  At a stationary point it drops the row with the most negative
-    multiplier, ties to the lowest row index, or the lowest-index negative
-    row once ``degenerate_steps`` steps in a row had length zero, until a
-    step has positive length.  Returns ``((value, z, active, lam), stats)``,
-    where ``stats`` counts loop iterations, rows dropped for a negative
-    multiplier, the drops that took the lowest index after a run of zero
-    steps, and ratio-test ties a later row lost to an earlier one, and lists
-    the blocking rows in the order they joined.
+    multiplier, ties to the lowest row index; once a working set is
+    stationary a second time at one point, it drops the lowest-index
+    negative row instead, until a step has positive length.  Returns
+    ``((value, z, active, lam), stats)``, where ``stats`` counts loop
+    iterations, rows dropped for a negative multiplier, the drops that took
+    the lowest index after a repeat, and ratio-test ties a later row lost
+    to an earlier one, and lists the blocking rows in the order they
+    joined.
     """
     nvars = len(z0)
     z = list(z0)
     stats = {"iterations": 0, "drops": 0, "fallbacks": 0, "ties": 0, "blocked": []}
-    degenerate = 0
+    stationary, repeated = set(), False
     slacks = [dot(row, z) - rhs for row, rhs in zip(rows, d)]
     if any(s < 0 for s in slacks):
         raise InternalError("infeasible starting point")
@@ -243,11 +243,13 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
                 value = Fraction(1, 2) * dot(mat_vec(h, z), z) + dot(g, z) + c0
                 order = sorted(range(len(work)), key=work.__getitem__)
                 return (value, z, [work[a] for a in order], [lam[a] for a in order]), stats
-            if degenerate < degenerate_steps:
-                work.remove(min(neg)[1])
-            else:
+            repeated = repeated or frozenset(work) in stationary
+            stationary.add(frozenset(work))
+            if repeated:
                 work.remove(min(i for _, i in neg))
                 stats["fallbacks"] += 1
+            else:
+                work.remove(min(neg)[1])
             stats["drops"] += 1
             continue
         alpha, blocker = Fraction(1), None
@@ -260,7 +262,8 @@ def reference_qp(h, g, c0, rows, d, z0, max_iter=1000, degenerate_steps=DEGENERA
                 alpha, blocker = limit, i
             elif limit == alpha and blocker is not None:
                 stats["ties"] += 1
-        degenerate = degenerate + 1 if alpha == 0 else 0
+        if alpha:
+            stationary, repeated = set(), False
         z = [zt + alpha * st for zt, st in zip(z, step)]
         if blocker is not None:
             work.append(blocker)
@@ -864,6 +867,16 @@ def check_small_scope_sample(rows, path) -> None:
     while objective(sample, off) == result.min_sum:
         off[-1] += Fraction(1, 7)
     assert _certify(path, off) == 3
+
+
+def check_tie_sample(rows) -> None:
+    """Assert that the mean of the sample ``rows`` is exact, that its
+    certificate verifies, and that its ``min_sum`` is the objective there."""
+    sample = SampleSet.from_rows(rows)
+    result = exact_frechet(sample)
+    assert result.exact, result.reason
+    assert verify_certificate(sample, result.certificate)
+    assert result.min_sum == objective(sample, result.mean)
 
 
 def _certify(path, x) -> int:

@@ -177,13 +177,27 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
     assert json.loads(captured.out)["exact"] is False
     # One stderr line says that the mean is not certified, and why.
     assert captured.err == "mean not certified: stub reason\n"
-    # Every other command that needs a certified mean refuses to go on.
-    monkeypatch.setattr(tropmean.frechet, "exact_frechet", lambda s, **kw: stub)
-    for argv in (["polytrope", path], ["certify", path, "--point", "0,1/2,1"]):
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "not optimal: could not certify a mean for this sample\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["polytrope"], ["certify", "--point", "0,1/2,1"]], ids=["polytrope", "certify"]
+)
+def test_commands_that_need_a_certified_mean_say_why_there_is_none(
+    tmp_path, capsys, monkeypatch, argv
+):
+    """Every other command that needs a certified mean refuses to go on:
+    exit 3, nothing on stdout, and one stderr line that names the result's
+    reason, as ``mean`` does."""
+    path = write(tmp_path, "pts.json", '{"points": [[0, 0, 0], [0, 1, 2]]}')
+    stub = _uncertified(SampleSet.from_rows([(0, 0, 0), (0, 1, 2)]))
+    import tropmean.cli as cli_mod
+
+    for module in (cli_mod, tropmean.frechet):
+        monkeypatch.setattr(module, "exact_frechet", lambda s, **kw: stub)
+    assert main([*argv, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not optimal: could not certify a mean for this sample: stub reason\n"
 
 
 def test_mean_prints_the_average_when_the_solve_raises_internal_error(

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import tropmean.frechet as frechet_mod
 import tropmean.qp as qp_mod
-from tropmean import SampleSet, canonicalize
+from tropmean import SampleSet, canonicalize, verify_certificate
+from tropmean.cli import _random_sample
 from tropmean.errors import InternalError
 from tropmean.qp import integer_solve, minimize_qp
+import support
 from support import (
     dense_objective,
     densify,
@@ -226,11 +228,11 @@ def _program(rows, start=None):
     return integer_program(sample, at)[0]
 
 
-def _reference(program, **options):
+def _reference(program):
     """``reference_qp`` on an integer program (n, x0, d) of ``minimize_qp``:
     the result in the kernel's shape (value, x, alpha, beta), and the stats."""
     n, _, d = program
-    (value, z, active, lam), stats = reference_qp(*fraction_program(*program), **options)
+    (value, z, active, lam), stats = reference_qp(*fraction_program(*program))
     flat = [F(0)] * len(d)
     for r, v in zip(active, lam):
         flat[r] = v
@@ -494,8 +496,8 @@ def test_tie_heavy_programs_match_the_fraction_active_set_loop(program):
 
 
 # Eight coordinates in -1..1 for eleven samples: started at the average, the
-# epigraph program meets DEGENERATE_STEPS steps of length zero in a row
-# before a drop, and the drop then takes the lowest index.
+# epigraph program makes a run of 16 zero-length steps at one point, and no
+# working set is stationary twice there.
 DEGENERATE_SAMPLE = [
     [-1, -1, 0, 1, -1, 0, -1, 1],
     [1, 0, -1, -1, 1, 1, 1, -1],
@@ -511,15 +513,43 @@ DEGENERATE_SAMPLE = [
 ]
 
 
-def test_degenerate_runs_fall_back_to_the_lowest_index_drop():
-    sample = SampleSet.from_rows([[F(v) for v in row] for row in DEGENERATE_SAMPLE])
+@pytest.mark.parametrize("collide", [lambda rows: 0, min], ids=["one-key", "lowest-row"])
+@pytest.mark.parametrize(
+    "sample",
+    [
+        SampleSet.from_rows(DEGENERATE_SAMPLE),
+        # mean-small pool instances, ``bench``'s samples at seed 0, where
+        # a point is stationary under two working sets.
+        _random_sample(0, 3, 9, 8),
+        _random_sample(0, 5, 10, 20),
+        _random_sample(0, 6, 12, 5),
+    ],
+    ids=["degenerate", "pool-3-9-8", "pool-5-10-20", "pool-6-12-5"],
+)
+def test_colliding_working_set_keys_take_bland_drops_to_the_same_optimum(
+    sample, collide, monkeypatch
+):
+    """Working sets given keys that collide, one key for all or one per
+    lowest row, so a working set stationary at a point can count as a
+    repeat of another and Bland's rule takes over there, up to the next
+    step of positive length.  A key collision is safe: it only switches to
+    Bland's rule early, which cannot cycle.  The kernel agrees with the
+    rational loop with and without the collision, and the forced run takes
+    a different path, with Bland drops, to the same optimum, whose
+    certificate verifies."""
     program = _epigraph_program(sample, frechet_mod._average(sample))
-    _, stats = _reference(program)
-    assert stats["fallbacks"] >= 1
-    # Without the fallback the loop takes another path.
-    _, dantzig = reference_qp(*fraction_program(*program), degenerate_steps=10**9)
-    assert dantzig["iterations"] != stats["iterations"]
-    _assert_matches_reference(program)
+    free = _assert_matches_reference(program)
+    assert free["fallbacks"] == 0
+    expected = minimize_qp(*program)
+    for module in (qp_mod, support):
+        monkeypatch.setattr(module, "frozenset", collide, raising=False)
+    forced = _assert_matches_reference(program)
+    assert forced["fallbacks"] >= 1
+    assert forced["iterations"] != free["iterations"]
+    assert minimize_qp(*program)[0] == expected[0]
+    result = frechet_mod.exact_frechet(sample)
+    assert result.exact
+    assert verify_certificate(sample, result.certificate)
 
 
 def _stall_rows():
@@ -534,16 +564,16 @@ def _stall_rows():
     return drawn[-1]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 28: after 12 zero-length steps Bland's rule makes thousands of "
-    "exchanges at one point and the QP reaches MAX_ITER",
-)
 def test_a_tie_heavy_sample_is_certified():
-    """With the cap raised the loop certifies this sample, at min_sum 360,
-    after 12,948 iterations, 6,463 of them zero-length steps at one point."""
-    result = frechet_mod.exact_frechet(SampleSet.from_rows(_stall_rows()))
+    """90 tied points in 30 coordinates, on which Bland's rule, taken after a
+    fixed run of zero-length steps, stalled at one point until the
+    iteration cap: certified at min_sum 360 after 834 iterations, counted
+    as ``nullspace`` calls."""
+    with mock.patch.object(qp_mod, "nullspace", wraps=qp_mod.nullspace) as basis:
+        result = frechet_mod.exact_frechet(SampleSet.from_rows(_stall_rows()))
     assert result.exact, result.reason
+    assert result.min_sum == 360
+    assert basis.call_count == 834
 
 
 @st.composite
