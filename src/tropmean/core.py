@@ -5,10 +5,12 @@ point of the torus R^n / R(1,...,1) is stored through its unique
 representative whose first coordinate is zero, held as ``(den, nums)``:
 integers over a positive denominator, divided by their gcd, so equality,
 hashing and serialization are all well defined.  ``coords`` gives the
-coordinates back as Fractions, and ``canonicalize`` is the one place where
-Fractions are scaled onto a point.  A sample is held the same way, as
+coordinates back as Fractions.  A sample is held the same way, as
 ``(den, nums)``: its points' integers over one common denominator, which
-the solvers and the certificate check compute on.  A string becomes a
+the solvers and the certificate check compute on.  ``over_lcm`` is the one
+routine that puts rationals over their least common denominator: the
+library constructors here and in ``polytrope`` and the document readers
+in ``serialize`` all go through it.  A string becomes a
 rational through ``read_literal`` only, under the literal caps the command
 line applies too.
 """
@@ -165,19 +167,25 @@ class TorusPoint(Frozen):
         return "TorusPoint(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+def over_lcm(rows: Sequence[Sequence[tuple[int, int] | None]]) -> tuple[int, list[list]]:
+    """(den, nums): rows of (numerator, denominator) pairs or None, each
+    numerator scaled onto den, the lcm of the denominators, and None kept.
+    The one place where rationals are put over one denominator."""
+    den = lcm(*(p[1] for row in rows for p in row if p is not None))
+    return den, [[None if p is None else p[0] * (den // p[1]) for p in row] for row in rows]
+
+
 def canonicalize(coords: Sequence[RationalLike]) -> TorusPoint:
     """Return the canonical representative of a raw coordinate vector.
 
     Subtracts the first coordinate from all entries, which is the unique
-    shift by a multiple of (1,...,1) that lands on first-coordinate zero.
-    This is the one place where Fractions are scaled onto a point: over the
-    lcm of their denominators.
+    shift by a multiple of (1,...,1) that lands on first-coordinate zero,
+    after ``over_lcm`` puts them over their least common denominator.
     """
-    vals = [as_rational(c) for c in coords]
+    vals = [as_rational(c).as_integer_ratio() for c in coords]
     if len(vals) < 2:
         raise ValueError("need at least two coordinates")
-    den = lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (den // v.denominator) for v in vals]
+    den, (nums,) = over_lcm([vals])
     return TorusPoint(den, tuple(v - nums[0] for v in nums))
 
 
@@ -200,7 +208,8 @@ class SampleSet(Frozen):
     Held as ``(den, nums)``: point j has coordinates nums[j][a] / den.  The
     constructor takes raw rows over den > 0, shifts each to first entry 0
     and divides den and the integers by their gcd, so equality and hashing
-    compare values.  ``points`` gives the ``TorusPoint``s back.
+    compare values.  ``from_rows`` reads rationals through ``over_lcm``.
+    ``points`` gives the ``TorusPoint``s back.
     """
 
     _fields = ("den", "nums")
@@ -222,9 +231,9 @@ class SampleSet(Frozen):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "SampleSet":
-        points = [canonicalize(row) for row in rows]
-        den = lcm(*(p.den for p in points))
-        return cls(den, [[v * (den // p.den) for v in p.nums] for p in points])
+        """The sample of rows of Fractions, ints and strings, all read
+        before any row is checked, over the lcm ``over_lcm`` takes."""
+        return cls(*over_lcm([[as_rational(v).as_integer_ratio() for v in row] for row in rows]))
 
     @cached_property
     def points(self) -> tuple[TorusPoint, ...]:

@@ -12,10 +12,12 @@ the closure, so the vertex functions, which start from it, share one sweep;
 ``tropical_vertices`` keeps the closure's columns beside it in the same way.
 
 A ``PolytropeMatrix`` is held as ``(den, rows)``: c_ij == rows[i][j] / den,
-with None for -inf.  ``from_rows`` is the one place where Fractions are
-scaled.  The constructor divides den and the integers by their gcd, so den
-is the entries' least common denominator whatever denominator the matrix
-was built over, and equality and hashing compare values.  ``entries`` gives
+with None for -inf.  ``from_rows`` puts Fraction and int entries over
+their lcm through ``core.over_lcm``, the one routine that puts the
+package's samples, points and matrices over one denominator.  The
+constructor divides den and the integers by their gcd, so den is the
+entries' least common denominator whatever denominator the matrix was
+built over, and equality and hashing compare values.  ``entries`` gives
 the Fractions and -inf back.
 
 The closure, the tropical vertices and the pseudovertices run on those
@@ -42,9 +44,9 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
-from .core import Frozen, RationalLike, as_rational
+from .core import Frozen, RationalLike, as_rational, over_lcm
 from .errors import EmptyPolytrope, Unbounded
 
 NEG_INF = float("-inf")
@@ -52,9 +54,12 @@ NEG_INF = float("-inf")
 TropicalScalar = Fraction | float  # the only float ever allowed is -inf
 
 
-def _check_scalar(v: Fraction | int) -> Fraction | int:
+def _entry_ratio(v: TropicalScalar) -> tuple[int, int] | None:
+    """A matrix entry as (numerator, denominator), None for -inf."""
+    if v == NEG_INF:
+        return None
     if isinstance(v, (Fraction, int)) and not isinstance(v, bool):
-        return v
+        return v.as_integer_ratio()
     raise ValueError(f"matrix entries must be rationals or -inf, got {v!r}")
 
 
@@ -82,11 +87,8 @@ class PolytropeMatrix(Frozen):
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]]) -> "PolytropeMatrix":
         """The matrix of Fraction, int and -inf entries, over the lcm of the
-        finite entries' denominators."""
-        ent = [[None if v == NEG_INF else _check_scalar(v) for v in row] for row in rows]
-        den = lcm(*(v.denominator for row in ent for v in row if v is not None))
-        nums = [[v if v is None else v.numerator * (den // v.denominator) for v in r] for r in ent]
-        return cls(den, nums)
+        finite entries' denominators that ``core.over_lcm`` takes."""
+        return cls(*over_lcm([[_entry_ratio(v) for v in row] for row in rows]))
 
     @property
     def n(self) -> int:

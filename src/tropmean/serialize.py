@@ -18,8 +18,9 @@ Points, matrix entries and certificate values are read by one coordinate
 reader, ``_ratio``: a bare JSON integer or a plain ASCII "p" or "p/q"
 literal goes straight to an integer pair, and every other form through
 ``parse_rational``.  ``load_points``, ``matrix_from_json`` and ``read_point``
-put their pairs over the lcm of the denominators: a sample's integers, a
-matrix's ``(den, rows)``, and the point of a certificate or of ``--point``;
+put their pairs over the lcm of the denominators through ``core.over_lcm``,
+as the library constructors do: a sample's integers, a matrix's
+``(den, rows)``, and the point of a certificate or of ``--point``;
 ``certificate_from_json`` puts each sample's weights over theirs.
 
 Rationals are written by one routine, ``format_ratio``, from a numerator
@@ -44,11 +45,11 @@ import json
 import re
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import core
 from .certify import Certificate
-from .core import SampleSet, TorusPoint, abbreviate, read_literal
+from .core import SampleSet, TorusPoint, abbreviate, over_lcm, read_literal
 from .errors import ParseError
 from .frechet import FrechetResult
 from .polytrope import PolytropeMatrix
@@ -137,7 +138,7 @@ def matrix_from_json(data: object) -> PolytropeMatrix:
         if not isinstance(raw, list) or len(raw) != n:
             raise ParseError("matrix rows must all have length n")
         rows.append([None if v is None else _ratio(v) for v in raw])
-    return PolytropeMatrix(*_over_lcm(rows))
+    return PolytropeMatrix(*over_lcm(rows))
 
 
 def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
@@ -175,14 +176,14 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
                 )
             pairs.append((i, k))
             ws.append(_ratio(item["w"]))
-        wden, (wn,) = _over_lcm([ws])
+        wden, (wn,) = over_lcm([ws])
         by_sample.append((wden, tuple([(i, k, w) for (i, k), w in zip(pairs, wn)])))
     return Certificate(Fraction(*_ratio(data["c_star"])), by_sample, point)
 
 
 def read_point(values: Sequence[object]) -> TorusPoint:
     """The canonical point of coordinates read by ``_ratio``."""
-    den, (nums,) = _over_lcm([[_ratio(v) for v in values]])
+    den, (nums,) = over_lcm([[_ratio(v) for v in values]])
     return TorusPoint(den, tuple(v - nums[0] for v in nums))
 
 
@@ -372,15 +373,9 @@ def load_points(text: str) -> SampleSet:
         if not rows:
             raise ParseError("no data rows found")
     try:
-        return SampleSet(*_over_lcm(rows))
+        return SampleSet(*over_lcm(rows))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _over_lcm(rows: list[list[tuple[int, int] | None]]) -> tuple[int, list[list[int | None]]]:
-    """(den, nums): rows of (numerator, denominator) pairs or None, over the lcm den."""
-    den = lcm(*(p[1] for row in rows for p in row if p is not None))
-    return den, [[None if p is None else p[0] * (den // p[1]) for p in row] for row in rows]
 
 
 # A plain ASCII "p" or "p/q" literal with a nonzero q.

@@ -19,16 +19,16 @@ whose bytes the goldens and the benchmark digests pin.  For the same reason
 ``frechet.objective`` goes through ``trop_dist`` and names none of the
 helpers that evaluate a result, whose ``min_sum`` it checks.  ``qp`` reads no
 ``.denominator``, names no ``Fraction``, not even for its value, and
-neither defines nor imports a scaling helper such as
+neither defines nor imports a scaling helper such as ``core.over_lcm`` or
 the package's old ``over_common_denominator``: the exact QP and its
 ``integer_solve`` take integer data, and a rescaling inside them would be a
-second, hidden scaling of what their callers already put on integers.  For
-the same reason, in ``polytrope`` only ``PolytropeMatrix.from_rows``, which
-scales Fraction entries onto a matrix's integers, reads ``.denominator``:
+second, hidden scaling of what their callers already put on integers.  In
+``core``, ``polytrope`` and ``serialize``, ``lcm`` is called only inside
+``core.over_lcm``, the one routine that puts rationals over their least
+common denominator for the library constructors and the document
+readers, and neither ``core`` nor ``polytrope`` reads ``.denominator``:
 the closure, vertex and breakpoint kernels take a matrix's and a point's
-integers as they are held.  In ``core`` only
-``canonicalize``, which scales Fraction coordinates onto a point's
-integers, reads ``.denominator``.
+integers as they are held.
 
 Start-up is most of the wall time of one command, so importing
 ``tropmean.cli`` loads neither ``dataclasses`` (which brings ``inspect``,
@@ -260,30 +260,54 @@ def test_the_qp_kernel_takes_integers_only():
         or (isinstance(node, ast.alias) and node.name.split(".")[-1] in {"Fraction", "fractions"})
     ]
     assert names == []
-    assert not any(m.endswith("over_common_denominator") for m in _imported_modules(path))
+    helpers = ("over_common_denominator", "over_lcm")
+    assert not any(m.endswith(helpers) for m in _imported_modules(path))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert sorted(defined & set(helpers)) == []
 
 
-def _denominator_readers(path):
-    """The qualified names of the functions and methods of a module that
-    read ``.denominator``; "" stands for the module's top level."""
-    readers = set()
+def _scopes(path, found):
+    """The qualified names of the functions and methods of a module with a
+    node for which ``found`` holds; "" stands for the module's top level."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "denominator":
-                readers.add(scope)
+            if found(child):
+                scopes.add(scope)
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    return readers
+    return scopes
+
+
+def _calls_lcm(node):
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "lcm")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "lcm")
+    )
+
+
+def _reads_denominator(node):
+    return isinstance(node, ast.Attribute) and node.attr == "denominator"
+
+
+def test_rationals_are_put_over_their_lcm_in_over_lcm_only():
+    package = ROOT / "src" / "tropmean"
+    callers = {
+        f"{name}.{scope}"
+        for name in ("core", "polytrope", "serialize")
+        for scope in _scopes(package / f"{name}.py", _calls_lcm)
+    }
+    assert callers == {"core.over_lcm"}
 
 
 def test_the_polytrope_kernels_take_integers_only():
     polytrope = ROOT / "src" / "tropmean" / "polytrope.py"
-    assert _denominator_readers(polytrope) <= {"PolytropeMatrix.from_rows"}
+    assert _scopes(polytrope, _reads_denominator) == set()
     qp = ast.parse((ROOT / "src" / "tropmean" / "qp.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(qp) if isinstance(node, ast.FunctionDef)}
     assert "over_common_denominator" not in defined
@@ -291,7 +315,8 @@ def test_the_polytrope_kernels_take_integers_only():
 
 def test_points_are_scaled_in_canonicalize_only():
     core = ROOT / "src" / "tropmean" / "core.py"
-    assert _denominator_readers(core) <= {"canonicalize"}
+    assert _scopes(core, _reads_denominator) == set()
+    assert "canonicalize" in _scopes(core, lambda node: isinstance(node, ast.Name) and node.id == "over_lcm")
 
 
 def test_every_constructor_argument_is_a_compared_field():

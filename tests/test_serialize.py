@@ -30,11 +30,13 @@ from tropmean.serialize import (
     load_points,
     matrix_from_json,
     parse_rational,
+    read_point,
     result_to_json,
 )
 from support import (
     mixed_sample,
     reference_average,
+    reference_canonicalize,
     reference_load_points,
     reference_matrix_from_json,
     reference_matrix_to_json,
@@ -314,6 +316,62 @@ def test_certificate_json_rejects_malformed_pieces(change, message):
     with pytest.raises(ParseError) as caught:
         certificate_from_json(doc, s)
     assert str(caught.value) == message
+
+
+def _written(rng):
+    """A random rational and one way a caller or a document writes it: an
+    int, a Fraction, an unreduced "p/q" string or a decimal string."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        v = rng.randint(-20, 20)
+        return Fraction(v), v
+    if kind == 1:
+        v = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        return v, v
+    if kind == 2:
+        t, q = rng.randint(2, 5), rng.randint(1, 12)
+        text = f"{rng.randint(-40, 40) * t}/{q * t}"
+    else:
+        text = f"{rng.choice(['', '-'])}{rng.randint(0, 9)}.{rng.randint(0, 999):03d}"
+    return Fraction(text), text
+
+
+def _json_text(w, bare):
+    """A written rational in a JSON document: ints bare, a decimal bare when
+    ``bare`` holds, and every other form as a string."""
+    if isinstance(w, int) or (bare and isinstance(w, str) and "." in w):
+        return str(w)
+    return json.dumps(str(w))
+
+
+def test_library_constructors_and_document_readers_agree():
+    """On seeded samples and matrices written as ints, Fractions, unreduced
+    "p/q" strings and decimals, with first coordinates mostly nonzero, the
+    library constructors and the document readers build equal values, and
+    the values of the Fraction route: a sample from its rows, a JSON
+    document and a CSV one, a point by ``canonicalize`` and ``read_point``,
+    and a matrix from Fractions and ``NEG_INF`` and from a document with
+    null."""
+    rng = Random("serialize:routes")
+    for _ in range(200):
+        n, m = rng.randint(2, 6), rng.randint(1, 8)
+        rows = [[_written(rng) for _ in range(n)] for _ in range(m)]
+        written = [[w for _, w in row] for row in rows]
+        bare = rng.random() < 0.5
+        points = ", ".join("[" + ", ".join(_json_text(w, bare) for w in r) + "]" for r in written)
+        csv_text = "\n".join(",".join(map(str, row)) for row in written)
+        sample = SampleSet.from_rows(written)
+        assert sample == load_points('{"points": [%s]}' % points) == load_points(csv_text)
+        assert [p.coords for p in sample] == [reference_canonicalize(v for v, _ in r) for r in rows]
+        assert [canonicalize(row) for row in written] == [read_point(row) for row in written]
+        entries = [
+            [(NEG_INF, None) if rng.random() < 0.2 else _written(rng) for _ in range(n)]
+            for _ in range(n)
+        ]
+        mat = PolytropeMatrix.from_rows([[v for v, _ in row] for row in entries])
+        texts = [[w if w is None or isinstance(w, int) else str(w) for _, w in r] for r in entries]
+        assert mat == matrix_from_json({"entries": texts})
+        assert mat.entries == tuple(tuple(v for v, _ in row) for row in entries)
 
 
 # Literals the fast read takes (plain ASCII "p" and "p/q", signs, leading
