@@ -10,13 +10,16 @@ coordinates back as Fractions.  A sample is held the same way, as
 the solvers and the certificate check compute on.  ``over_lcm`` is the one
 routine that puts rationals over their least common denominator: the
 library constructors here and in ``polytrope`` and the document readers
-in ``serialize`` all go through it.  A string becomes a
-rational through ``read_literal`` only, under the literal caps the command
-line applies too.
+in ``serialize`` all go through it.  ``integer_ratio`` is the one reader
+of rational values: an int, a Fraction or a string becomes an integer pair
+there, for the library constructors and the document readers alike, a
+string through ``read_literal`` under the literal caps unless it is a
+plain "p" or "p/q".
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -26,22 +29,43 @@ RationalLike = Fraction | int | str
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and decimal strings to an exact Fraction;
-    a string is read by ``read_literal``, under the literal caps."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational value")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return read_literal(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    """An int, a Fraction, or a "p", "p/q" or decimal string as an exact
+    Fraction, read by ``integer_ratio``."""
+    return value if isinstance(value, Fraction) else Fraction(*integer_ratio(value))
 
 
 # Caps on every number literal read: its digits in all, and its decimal exponent.
 MAX_LITERAL_DIGITS = 1000
 MAX_LITERAL_EXPONENT = 1000
+
+# A plain ASCII "p" or "p/q" literal with a nonzero q.
+_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def integer_ratio(value: object) -> tuple[int, int]:
+    """An int, a Fraction or a string, exactly, as (numerator, denominator)
+    with a positive denominator: a plain ASCII "p" or "p/q" string within
+    the digit cap is read directly, any other string by ``read_literal``.
+    A malformed string raises ValueError and a value of another type
+    TypeError, each with the line to print.  The one reader of rational
+    values."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str):
+        plain = len(value) <= MAX_LITERAL_DIGITS and _PLAIN_RATIONAL.fullmatch(value)
+        if plain:
+            return int(plain[1]), int(plain[2] or 1)
+        return read_literal(value).as_integer_ratio()
+    if isinstance(value, bool):
+        raise TypeError("booleans are not coordinates")
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
+    if isinstance(value, float):
+        # A float is already rounded: refuse it rather than guess which
+        # decimal was meant.
+        raise TypeError(f"refusing inexact float {value!r}; write it as a string")
+    raise TypeError(f"cannot read coordinate {abbreviate(value)}")
+
 
 # Every character a literal may hold; ``Fraction`` checks the grammar.
 _LITERAL_CHARS = frozenset("0123456789+-/.eE")
@@ -180,9 +204,10 @@ def canonicalize(coords: Sequence[RationalLike]) -> TorusPoint:
 
     Subtracts the first coordinate from all entries, which is the unique
     shift by a multiple of (1,...,1) that lands on first-coordinate zero,
-    after ``over_lcm`` puts them over their least common denominator.
+    after ``integer_ratio`` reads them and ``over_lcm`` puts them over
+    their least common denominator.
     """
-    vals = [as_rational(c).as_integer_ratio() for c in coords]
+    vals = [integer_ratio(c) for c in coords]
     if len(vals) < 2:
         raise ValueError("need at least two coordinates")
     den, (nums,) = over_lcm([vals])
@@ -208,7 +233,8 @@ class SampleSet(Frozen):
     Held as ``(den, nums)``: point j has coordinates nums[j][a] / den.  The
     constructor takes raw rows over den > 0, shifts each to first entry 0
     and divides den and the integers by their gcd, so equality and hashing
-    compare values.  ``from_rows`` reads rationals through ``over_lcm``.
+    compare values.  ``from_rows`` reads rationals through ``integer_ratio``
+    and ``over_lcm``.
     ``points`` gives the ``TorusPoint``s back.
     """
 
@@ -231,9 +257,10 @@ class SampleSet(Frozen):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "SampleSet":
-        """The sample of rows of Fractions, ints and strings, all read
-        before any row is checked, over the lcm ``over_lcm`` takes."""
-        return cls(*over_lcm([[as_rational(v).as_integer_ratio() for v in row] for row in rows]))
+        """The sample of rows of Fractions, ints and strings, all read by
+        ``integer_ratio`` before any row is checked, over the lcm
+        ``over_lcm`` takes."""
+        return cls(*over_lcm([[integer_ratio(v) for v in row] for row in rows]))
 
     @cached_property
     def points(self) -> tuple[TorusPoint, ...]:

@@ -12,16 +12,20 @@ decimal part and exponent together) and to a decimal exponent of at most
 MAX_LITERAL_EXPONENT in absolute value.  The caps are checked on the text,
 before any integer is built, so a literal such as 1e100000000 is refused at
 once, and every number read stays well below Python's limit of 4,300
-digits for converting an integer to text.  ``as_rational`` shares the check.
+digits for converting an integer to text.  The caps are defined in
+``core`` and named here beside the formats.
 
-Points, matrix entries and certificate values are read by one coordinate
-reader, ``_ratio``: a bare JSON integer or a plain ASCII "p" or "p/q"
-literal goes straight to an integer pair, and every other form through
-``parse_rational``.  ``load_points``, ``matrix_from_json`` and ``read_point``
+Points, matrix entries and certificate values are read by the library's one
+reader of rational values, ``core.integer_ratio``: a bare JSON integer or a
+plain ASCII "p" or "p/q" literal goes straight to an integer pair, and
+every other string through ``read_literal``, as ``parse_rational`` reads
+it.  ``_ratio`` and ``read_point``, which is ``core.canonicalize``, add only
+the boundary that turns the library's TypeError or ValueError into a
+ParseError with the same text.  ``load_points`` and ``matrix_from_json``
 put their pairs over the lcm of the denominators through ``core.over_lcm``,
-as the library constructors do: a sample's integers, a matrix's
-``(den, rows)``, and the point of a certificate or of ``--point``;
-``certificate_from_json`` puts each sample's weights over theirs.
+as the library constructors do: a sample's integers and a matrix's
+``(den, rows)``; ``certificate_from_json`` puts each sample's weights over
+theirs.
 
 Rationals are written by one routine, ``format_ratio``, from a numerator
 and a positive denominator, and ``format_rational`` from a Fraction's two
@@ -42,14 +46,13 @@ from __future__ import annotations
 
 import io
 import json
-import re
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
 from . import core
 from .certify import Certificate
-from .core import SampleSet, TorusPoint, abbreviate, over_lcm, read_literal
+from .core import SampleSet, TorusPoint, abbreviate, canonicalize, integer_ratio, over_lcm
 from .errors import ParseError
 from .frechet import FrechetResult
 from .polytrope import PolytropeMatrix
@@ -93,7 +96,7 @@ MAX_LITERAL_EXPONENT = core.MAX_LITERAL_EXPONENT
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return read_literal(text)
+        return core.read_literal(text)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -182,9 +185,11 @@ def certificate_from_json(data: object, sample: SampleSet) -> Certificate:
 
 
 def read_point(values: Sequence[object]) -> TorusPoint:
-    """The canonical point of coordinates read by ``_ratio``."""
-    den, (nums,) = over_lcm([[_ratio(v) for v in values]])
-    return TorusPoint(den, tuple(v - nums[0] for v in nums))
+    """The canonical point of coordinates, by ``core.canonicalize``."""
+    try:
+        return canonicalize(values)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _piece_index(value: object, n: int) -> int:
@@ -378,29 +383,10 @@ def load_points(text: str) -> SampleSet:
         raise ParseError(str(exc)) from exc
 
 
-# A plain ASCII "p" or "p/q" literal with a nonzero q.
-_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
-
-
 def _ratio(value: object) -> tuple[int, int]:
     """One coordinate from a JSON scalar or CSV cell, exactly, as (numerator,
-    denominator); a bare int or a plain literal is read directly."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is str and len(value) <= MAX_LITERAL_DIGITS:
-        plain = _PLAIN_RATIONAL.fullmatch(value)
-        if plain:
-            return int(plain[1]), int(plain[2] or 1)
-    if isinstance(value, bool):
-        raise ParseError("booleans are not coordinates")
-    if isinstance(value, (int, Fraction)):
-        v = Fraction(value)
-    elif isinstance(value, str):
-        v = parse_rational(value)
-    elif isinstance(value, float):
-        # Floats only appear when a caller bypassed parse_float; refuse
-        # rather than guess which decimal was meant.
-        raise ParseError(f"refusing inexact float {value!r}; write it as a string")
-    else:
-        raise ParseError(f"cannot read coordinate {abbreviate(value)}")
-    return v.numerator, v.denominator
+    denominator), by ``core.integer_ratio``."""
+    try:
+        return integer_ratio(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc

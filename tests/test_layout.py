@@ -28,7 +28,13 @@ second, hidden scaling of what their callers already put on integers.  In
 common denominator for the library constructors and the document
 readers, and neither ``core`` nor ``polytrope`` reads ``.denominator``:
 the closure, vertex and breakpoint kernels take a matrix's and a point's
-integers as they are held.
+integers as they are held.  A rational value is read in one place,
+``core.integer_ratio``: no module of the package but ``core`` imports ``re``
+or compiles a pattern, so the plain-literal pattern has one home, and
+``serialize._ratio`` and ``serialize.read_point`` call ``integer_ratio`` and
+``canonicalize`` with no dispatch on the value's type of their own; a
+second reader could grow its own grammar or refusals, and the library and
+the documents would then read one value two ways.
 
 Start-up is most of the wall time of one command, so importing
 ``tropmean.cli`` loads neither ``dataclasses`` (which brings ``inspect``,
@@ -284,11 +290,16 @@ def _scopes(path, found):
     return scopes
 
 
-def _calls_lcm(node):
-    return isinstance(node, ast.Call) and (
-        (isinstance(node.func, ast.Name) and node.func.id == "lcm")
-        or (isinstance(node.func, ast.Attribute) and node.func.attr == "lcm")
-    )
+def _calls(name):
+    """Whether a node calls a function or method named ``name``."""
+
+    def found(node):
+        return isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+
+    return found
 
 
 def _reads_denominator(node):
@@ -300,7 +311,7 @@ def test_rationals_are_put_over_their_lcm_in_over_lcm_only():
     callers = {
         f"{name}.{scope}"
         for name in ("core", "polytrope", "serialize")
-        for scope in _scopes(package / f"{name}.py", _calls_lcm)
+        for scope in _scopes(package / f"{name}.py", _calls("lcm"))
     }
     assert callers == {"core.over_lcm"}
 
@@ -317,6 +328,44 @@ def test_points_are_scaled_in_canonicalize_only():
     core = ROOT / "src" / "tropmean" / "core.py"
     assert _scopes(core, _reads_denominator) == set()
     assert "canonicalize" in _scopes(core, lambda node: isinstance(node, ast.Name) and node.id == "over_lcm")
+
+
+def _uses_re(node):
+    """An import of ``re`` or a call to a ``compile`` function."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "re" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "re"
+    return _calls("compile")(node)
+
+
+def _dispatches_on_type(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"isinstance", "type"}
+    )
+
+
+def test_rational_values_are_read_in_integer_ratio_only():
+    package = ROOT / "src" / "tropmean"
+    patterns = [
+        f"{path.stem}.{scope}"
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "core"
+        for scope in _scopes(path, _uses_re)
+    ]
+    assert patterns == []
+    core = package / "core.py"
+    assert _scopes(core, _uses_re) == {""}
+    serialize = package / "serialize.py"
+    readers = {"_ratio", "read_point"}
+    assert readers & _scopes(serialize, _dispatches_on_type) == set()
+    assert "_ratio" in _scopes(serialize, _calls("integer_ratio"))
+    assert "read_point" in _scopes(serialize, _calls("canonicalize"))
+    assert {"as_rational", "canonicalize", "SampleSet.from_rows"} <= _scopes(
+        core, _calls("integer_ratio")
+    )
 
 
 def test_every_constructor_argument_is_a_compared_field():

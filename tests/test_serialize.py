@@ -16,11 +16,13 @@ from tropmean import (
     PolytropeMatrix,
     SampleSet,
     TorusPoint,
+    as_rational,
     canonicalize,
     exact_frechet,
     find_certificate,
 )
 from tropmean import serialize
+from tropmean.core import integer_ratio, read_literal
 from tropmean.serialize import (
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
@@ -397,6 +399,58 @@ _json_cell = st.one_of(
     st.builds(str, st.integers(-(10**20), 10**20)),
     st.sampled_from(["2.5", "-0.0", "1E3", "true", "false", "null", "[1]", "{}"]),
 )
+
+
+@st.composite
+def _plain_literals(draw):
+    """A plain "p" or "p/q" literal, signed or not, with leading zeros, an
+    unreduced fraction, or padded with zeros to a length up to one past the
+    digit cap."""
+    sign, text = draw(_sign), draw(_digits)
+    if draw(st.booleans()):
+        t, zeros = draw(st.integers(1, 12)), draw(st.sampled_from(["", "0", "00"]))
+        text = f"{draw(st.integers(0, 99)) * t}/{zeros}{draw(st.integers(1, 12)) * t}"
+    if draw(st.booleans()):
+        length = draw(st.integers(MAX_LITERAL_DIGITS - 2, MAX_LITERAL_DIGITS + 1))
+        text = text.rjust(length - len(sign), "0")
+    return sign + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_plain_literals(), _literal))
+def test_integer_ratio_reads_the_literals_read_literal_reads(text):
+    """The plain read of ``integer_ratio`` and ``read_literal`` give one
+    value for every literal, or refuse it with one ValueError line."""
+    try:
+        expected = read_literal(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            integer_ratio(text)
+        assert str(refused.value) == str(exc)
+    else:
+        num, den = integer_ratio(text)
+        assert den > 0 and Fraction(num, den) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, 0.5, None, [1], {}, "x", "7" * (MAX_LITERAL_DIGITS + 1)],
+    ids=["bool", "float", "none", "list", "dict", "text", "over-cap"],
+)
+def test_library_and_documents_refuse_a_value_with_one_line(value):
+    """``as_rational`` raises TypeError for a value that is not an int, a
+    Fraction or a string and ValueError for a malformed string, with the
+    text of the ParseError a document reader raises for it, and of the
+    line ``load_points`` gives for it in a points document."""
+    with pytest.raises(ValueError if isinstance(value, str) else TypeError) as library:
+        as_rational(value)
+    with pytest.raises(ParseError) as document:
+        serialize._ratio(value)
+    assert str(document.value) == str(library.value)
+    if not isinstance(value, float):
+        with pytest.raises(ParseError) as loaded:
+            load_points('{"points": [[0, %s], [1, 2]]}' % json.dumps(value))
+        assert str(loaded.value) == str(library.value)
 
 
 @st.composite
