@@ -14,8 +14,10 @@ diagnostics to stderr; each JSON document is the text ``serialize``
 writes for it, ``result_to_json``, ``polytrope_to_json`` or
 ``certificate_to_json``, and a newline.  Exit codes: 0 success,
 1 stdout closed by its reader, 2 malformed or unusable input, 3 a point
-that fails optimality certification or a mean that could not be certified,
-which ``mean`` still prints, with one stderr line saying why.
+that fails optimality certification, a mean that could not be certified,
+which ``mean`` still prints, or an ``InternalError``, a broken invariant
+such as the mean's weights failing at a point of equal objective, with one
+stderr line saying why.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from collections.abc import Callable, Sequence
 
 from .core import SampleSet, TorusPoint, trop_dist
-from .errors import EmptyPolytrope, NotOptimal, ParseError, Unbounded
+from .errors import EmptyPolytrope, InternalError, NotOptimal, ParseError, Unbounded
 from .frechet import exact_frechet, find_certificate
 from .polytrope import kleene_star, pseudovertices, tropical_vertices
 from .serialize import (
@@ -61,6 +63,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except NotOptimal as exc:
         print(f"not optimal: {exc}", file=sys.stderr)
+        return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

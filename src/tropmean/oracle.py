@@ -12,39 +12,36 @@ x_i - x_k >= c, so feasibility and a feasible point come from a
 Bellman-Ford pass rather than an LP.  Each child takes its own copy of the
 parent's region tightened by its pair, so the walk undoes nothing, and an
 infeasible child is dropped with everything below it.  Each leaf is
-settled where the walk reaches it, from the normal equations of its m
-chosen squares: by their free minimizer when that already lies inside the
-region, and otherwise by the sample's epigraph program (``qp``) pinned to
-the assignment, which is the chosen squares over the region, started at
-the region's feasible point.  Nothing is pruned by value: each chosen
-square is at most its sample's squared distance, so a prefix's least sum
-never exceeds the optimum, and no bound of that kind could cut a branch.
+settled where the walk reaches it, in one way: by the sample's epigraph
+program (``qp``) pinned to the assignment, which is the chosen squares
+over the region, started at the region's feasible point.  Its value is
+the region minimum and its optimizer the leaf's candidate witness.
+Nothing is pruned by value: each chosen square is at most its sample's
+squared distance, so a prefix's least sum never exceeds the optimum, and
+no bound of that kind could cut a branch.
 
 The module is deliberately independent of the one exact route in
-``frechet``, a single epigraph program started at the average: it shares
-only the kernels of ``qp``, ``minimize_qp`` and ``integer_solve``, and its
-region enumeration and the normal equations of its leaves,
-``add_square`` and ``min_quadratic``, are its own, so the tests can
-confront the two routes on equal terms.
+``frechet``, a single epigraph program started at the average: its region
+walk and its Bellman-Ford pass are its own, and it shares one kernel,
+``qp.minimize_qp`` run pinned to a region, so the tests can confront the
+two routes on equal terms.
 
 The walk runs on the sample's fields, its integers over one common
-denominator den, in the coordinates X = den x: regions, feasible points,
-squares, normal equations and pinned programs are integers, and a region
-minimum is a pair (num, den') of integers, den' > 0, in units of
-1/den^2, compared with another by cross-multiplying.  Only the returned
-value and witness are scaled back, and the value is the one Fraction a
-walk builds.
+denominator den, in the coordinates X = den x: regions, feasible points
+and pinned programs are integers, and a region minimum is a pair
+(num, den') of integers, den' > 0, in units of 1/den^2, compared with
+another by cross-multiplying.  Only the returned value and witness are
+scaled back, and the value is the one Fraction a walk builds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import mul
 
 from .core import SampleSet, TorusPoint
 from .errors import InternalError, TropmeanError
-from .qp import integer_solve, minimize_qp, right_hand_sides
+from .qp import minimize_qp, right_hand_sides
 
 Assignment = tuple[tuple[int, int], ...]
 
@@ -79,7 +76,6 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
         raise BudgetExceeded(f"{count} assignments exceed budget {BUDGET}")
 
     pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
-    nv = n - 1
     den, nums = sample.den, sample.nums
     d = right_hand_sides(nums)
     # The least region minimum settled so far, times den^2, as (num, den').
@@ -108,15 +104,10 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
             if len(here) < m:
                 descend(here, sub)
                 continue
-            # A leaf: the free minimizer of its squares when it lies inside,
-            # else the sample's epigraph program pinned to the assignment,
+            # A leaf: the sample's epigraph program pinned to the assignment,
             # started at the feasible point, whose value comes over zd^2.
-            a, b = [[0] * nv for _ in range(nv)], [0] * nv
-            c = sum(add_square(a, b, ci, ck, q[ci] - q[ck], 1) for (ci, ck), q in zip(here, nums))
-            (num, vd), point = min_quadratic(a, b, c)
-            if not _inside(sub, point):
-                num, point, _, _ = minimize_qp(n, [v - feas[0] for v in feas], d, here)
-                vd = point[0] * point[0]
+            num, point, _, _ = minimize_qp(n, [v - feas[0] for v in feas], d, here)
+            vd = point[0] * point[0]
             if best is None or num * best[1] < best[0] * vd:
                 best, witness = (num, vd), point
                 winners.clear()
@@ -128,14 +119,6 @@ def brute_force_frechet(sample: SampleSet) -> tuple[Fraction, TorusPoint, list[A
         raise InternalError("no feasible region, though the regions cover the torus")
     wd, wn = witness
     return Fraction(best[0], best[1] * den * den), TorusPoint(wd * den, tuple(wn)), winners
-
-
-def _inside(region: list[list[int | None]], x: tuple[int, Sequence[int]]) -> bool:
-    """Whether x_i = xn[i] / xd, x = (xd, xn), lies in the region."""
-    xd, xn = x
-    return all(
-        c is None or xi - xk >= c * xd for row, xi in zip(region, xn) for c, xk in zip(row, xn)
-    )
 
 
 def _difference_point(region: list[list[int | None]], n: int) -> list[int] | None:
@@ -159,46 +142,3 @@ def _difference_point(region: list[list[int | None]], n: int) -> list[int] | Non
         if not changed:
             return dist
     return None
-
-
-def add_square(a: list[list[int]], b: list[int], i: int, k: int, c: int, w: int) -> int:
-    """Add w (x_i - x_k - c)^2 to the integer normal equations A y = b, in
-    place.
-
-    That is w (e_i - e_k)(e_i - e_k)^T on A and w c (e_i - e_k) on b, so w
-    and w c are added or subtracted directly: +w on A's two diagonal entries
-    and -w on its two off-diagonal ones, +w c at i and -w c at k on b.
-    y = (x_2, ..., x_n) is the gauge x_1 = 0, so a piece that touches x_1
-    adds to one row only.  Returns the square's share w c^2 of the constant
-    term.
-    """
-    i, k = i - 1, k - 1
-    wc = w * c
-    if i >= 0:
-        b[i] += wc
-        a[i][i] += w
-    if k >= 0:
-        b[k] -= wc
-        a[k][k] += w
-        if i >= 0:
-            a[i][k] -= w
-            a[k][i] -= w
-    return wc * c
-
-
-def min_quadratic(
-    a: list[list[int]], b: list[int], c0: int
-) -> tuple[tuple[int, int], tuple[int, tuple[int, ...]]]:
-    """Exact global minimum of y.A.y - 2 b.y + c0, the sum of squares whose
-    integer normal equations ``add_square`` built.
-
-    A y = b is solved by ``integer_solve``, which takes A symmetric
-    positive semidefinite and the system consistent, as the normal
-    equations of a sum of squares are, and gives y = nums / den with its
-    free coordinates at zero.  At y the value is c0 - b.y.  Returns the
-    minimum as (c0 den - b.nums, den) and the minimizer, padded back to
-    full n-length coordinates with x_1 = 0, as (den, nums): x_i =
-    nums[i] / den.
-    """
-    den, nums = integer_solve([[*row, rhs] for row, rhs in zip(a, b)])
-    return (c0 * den - sum(map(mul, b, nums)), den), (den, (0, *nums))

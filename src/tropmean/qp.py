@@ -384,9 +384,9 @@ def integer_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
 
     Returns the solution with the free variables at zero as (den, nums),
     x[t] == nums[t] / den with den the least common denominator.  No rows
-    means no variables.  Both systems the package sets up are of this kind
-    and consistent: the reduced Hessian of the QP step and the normal
-    equations of a sum of squares.
+    means no variables.  The one system the package sets up, the reduced
+    Hessian of the QP step in ``_subspace_step``, is of this kind and
+    consistent.
 
     The elimination is Bareiss's (Bareiss, "Sylvester's identity and
     multistep integer-preserving Gaussian elimination", 1968) with the

@@ -1,10 +1,8 @@
-"""Optimality certificates, and the oracle's exact minimization of weighted
-sums of squared difference pieces."""
+"""Optimality certificates and the weighted forms they combine."""
 
 import importlib.util
 import sys
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -28,7 +26,6 @@ from tropmean import (
     verify_certificate,
 )
 from tropmean.errors import InternalError
-from tropmean.oracle import add_square, min_quadratic
 from support import (
     active_pieces,
     form_value,
@@ -419,134 +416,26 @@ def test_a_shifted_point_fails_on_every_pool_sample(workloads, name):
             assert not all(verdicts), (cell, rep)
 
 
-def test_add_square_builds_the_same_equations_on_ints_and_fractions():
-    rng = Random("certify:ints")
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        terms = [(*rng.sample(range(n), 2), rng.randint(-6, 6), rng.randint(-3, 8)) for _ in range(5)]
-        built = []
-        for zero in (0, F(0)):
-            a = [[zero] * (n - 1) for _ in range(n - 1)]
-            b = [zero] * (n - 1)
-            c0 = sum(add_square(a, b, i, k, zero + c, zero + w) for i, k, c, w in terms)
-            built.append((a, b, c0))
-        assert built[0] == built[1]
-        assert all(type(v) is int for v in (*built[0][1], built[0][2]))
-
-
-def _normal_equations(n, terms):
-    """A, b and c0 of the weighted sum over integer (i, k, c, w) terms."""
-    a = [[0] * (n - 1) for _ in range(n - 1)]
-    b = [0] * (n - 1)
-    c0 = sum(add_square(a, b, i, k, c, w) for i, k, c, w in terms)
-    return a, b, c0
-
-
-def _integer_terms(terms):
-    """Rational (i, k, c, w) terms put on integers as (terms, q, s): with q
-    the lcm of the denominators of the c and y = q x, the weighted sum is
-    g(y) / s, g the sum over the integer terms (i, k, q c, s w / q^2) and s
-    the lcm of the denominators of the w / q^2."""
-    q = lcm(*(F(c).denominator for _, _, c, _ in terms))
-    s = lcm(*((F(w) / q**2).denominator for *_, w in terms))
-    whole = [(i, k, q * F(c), s * F(w) / q**2) for i, k, c, w in terms]
-    assert all(v.denominator == 1 for *_, c, w in whole for v in (c, w))
-    return [(i, k, int(c), int(w)) for i, k, c, w in whole], q, s
-
-
-def _minimum(n, terms):
-    """``min_quadratic`` on the weighted sum over rational (i, k, c, w)
-    terms, through ``_integer_terms``, read back as its minimum and
-    minimizer over Fractions."""
-    ints, q, s = _integer_terms(terms)
-    (num, den), (xd, xn) = min_quadratic(*_normal_equations(n, ints))
-    return F(num, den * s), [F(v, xd * q) for v in xn]
-
-
 def _weighted_sum(terms, x):
     return sum((w * (x[i] - x[k] - c) ** 2 for i, k, c, w in terms), F(0))
 
 
-def _random_terms(rng, n):
-    """Weighted difference pieces with rational constants and weights; the
-    pairs are drawn from all of range(n), so some touch the ground x_1."""
-    terms = []
-    for _ in range(rng.randint(1, 6)):
-        i, k = rng.sample(range(n), 2)
-        c = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-        terms.append((i, k, c, F(rng.randint(1, 8), rng.choice((1, 2, 3)))))
-    return terms
-
-
 def test_combined_form_touches_the_objective_at_the_optimum():
+    """The certificate's weighted form equals c_star at the mean, and there
+    it is stationary: f(x + e_t) == f(x - e_t) for a quadratic f means its
+    gradient has no e_t component at x, checked for every coordinate t."""
     cert = find_certificate(THREE_POINTS, THREE_MEAN)
     terms = [
         (i, k, p[i] - p[k], w)
         for per, p in zip(fraction_weights(cert), THREE_POINTS)
         for i, k, w in per
     ]
-    assert _weighted_sum(terms, list(THREE_MEAN.coords)) == cert.c_star
-    value, _ = _minimum(THREE_POINTS.n, terms)
-    assert value == 186
-
-
-def test_min_quadratic_single_square():
-    value, point = min_quadratic(*_normal_equations(3, [(1, 0, 3, 1)]))
-    assert value == (0, 1)
-    # x_1 is the gauge, x_2 - x_1 = 3 is forced and x_3, free, is set to 0
-    assert point == (1, (0, 3, 0))
-
-
-def test_min_quadratic_matches_direct_elimination():
-    rng = Random("certify:quad")
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        terms = _random_terms(rng, n)
-        value, point = _minimum(n, terms)
-        assert len(point) == n and point[0] == 0
-        assert _weighted_sum(terms, list(point)) == value
-        # sampled points never beat the reported minimum
-        for _ in range(20):
-            x = [F(0)] + [F(rng.randint(-8, 8), rng.choice((1, 2))) for _ in range(n - 1)]
-            assert _weighted_sum(terms, x) >= value
-
-
-def test_min_quadratic_point_is_stationary_along_every_gauge_axis():
-    """f(x + e_t) == f(x - e_t) for a quadratic f means its gradient has no
-    e_t component at x; checked on the weighted sum itself, with no linear
-    algebra, for every coordinate x_2..x_n the gauge leaves free."""
-    rng = Random("certify:stationary")
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        terms = _random_terms(rng, n)
-        _, x = _minimum(n, terms)
-        assert x[0] == 0
-        for t in range(1, n):
-            up = x[:t] + [x[t] + 1] + x[t + 1:]
-            down = x[:t] + [x[t] - 1] + x[t + 1:]
-            assert _weighted_sum(terms, up) == _weighted_sum(terms, down)
-
-
-def test_min_quadratic_gauge_choice_does_not_matter():
-    """Difference forms are shift invariant, so relabeling which coordinate
-    is pinned to zero must not change the minimum value."""
-    rng = Random("certify:gauge")
-    for _ in range(30):
-        n = rng.randint(3, 5)
-        pairs = []
-        for _ in range(rng.randint(2, 5)):
-            i, k = rng.sample(range(n), 2)
-            pairs.append((i, k, F(rng.randint(-5, 5)), F(rng.randint(1, 3))))
-
-        def build(perm):
-            return [(perm[i], perm[k], c, w) for i, k, c, w in pairs]
-
-        base = list(range(n))
-        perm = base[:]
-        rng.shuffle(perm)
-        v1, _ = _minimum(n, build(base))
-        v2, _ = _minimum(n, build(perm))
-        assert v1 == v2
+    x = list(THREE_MEAN.coords)
+    assert _weighted_sum(terms, x) == cert.c_star == 186
+    for t in range(THREE_POINTS.n):
+        up = x[:t] + [x[t] + 1] + x[t + 1:]
+        down = x[:t] + [x[t] - 1] + x[t + 1:]
+        assert _weighted_sum(terms, up) == _weighted_sum(terms, down)
 
 
 def test_certificates_on_random_certified_optima():

@@ -222,6 +222,23 @@ def test_mean_prints_the_average_when_the_solve_raises_internal_error(
     assert captured.err == "mean not certified: stub\n"
 
 
+def test_certify_reports_an_internal_error_on_one_line(tmp_path, capsys, monkeypatch):
+    """The mean's weights must hold at every point of equal objective; when
+    they do not, a bug and not bad input, ``certify`` exits 3 with one
+    ``internal error`` line on stderr and prints nothing, rather than
+    ending in a traceback.  The stub accepts the certificate at the mean,
+    its first check, inside ``exact_frechet``, and refuses it at the point."""
+    verdicts = iter((True, False))
+    monkeypatch.setattr(tropmean.frechet, "verify_certificate", lambda sample, cert: next(verdicts))
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    assert main(["certify", "--point", "0,0,-1", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: the mean's certificate does not hold at a point of equal objective\n"
+    )
+
+
 def test_polytrope_from_matrix_golden(tmp_path, capsys):
     body = json.dumps(
         {

@@ -34,7 +34,12 @@ or compiles a pattern, so the plain-literal pattern has one home, and
 ``serialize._ratio`` and ``serialize.read_point`` call ``integer_ratio`` and
 ``canonicalize`` with no dispatch on the value's type of their own; a
 second reader could grow its own grammar or refusals, and the library and
-the documents would then read one value two ways.
+the documents would then read one value two ways.  The exhaustive oracle
+settles a region in one way, by the sample's epigraph program pinned to
+it: it imports only ``minimize_qp`` and ``right_hand_sides`` from ``qp``
+and builds no normal equations of its own, and ``integer_solve``, the one
+exact linear solve, serves the QP step alone, so the torus's gauge is held
+in one place.
 
 Start-up is most of the wall time of one command, so importing
 ``tropmean.cli`` loads neither ``dataclasses`` (which brings ``inspect``,
@@ -366,6 +371,30 @@ def test_rational_values_are_read_in_integer_ratio_only():
     assert {"as_rational", "canonicalize", "SampleSet.from_rows"} <= _scopes(
         core, _calls("integer_ratio")
     )
+
+
+def test_the_oracle_settles_a_region_in_one_way():
+    """``oracle`` takes exactly ``minimize_qp`` and ``right_hand_sides`` from
+    ``qp`` and builds no normal equations of its own, and in the package
+    ``integer_solve`` is called only by the QP step."""
+    package = ROOT / "src" / "tropmean"
+    oracle = package / "oracle.py"
+    tree = ast.parse(oracle.read_text(encoding="utf-8"))
+    from_qp = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "qp"
+        for alias in node.names
+    }
+    assert from_qp == {"minimize_qp", "right_hand_sides"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert sorted(defined & {"add_square", "min_quadratic", "_inside"}) == []
+    callers = {
+        f"{path.stem}.{scope}"
+        for path in sorted(package.glob("*.py"))
+        for scope in _scopes(path, _calls("integer_solve"))
+    }
+    assert callers == {"qp._subspace_step"}
 
 
 def test_every_constructor_argument_is_a_compared_field():

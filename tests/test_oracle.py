@@ -15,6 +15,7 @@ from tropmean import (
 )
 from tropmean.errors import InternalError
 import tropmean.oracle as oracle_mod
+import tropmean.qp as qp_mod
 from tropmean.oracle import BudgetExceeded, brute_force_frechet
 from support import dense_objective, densify, int_sample, reference_qp, reference_region_program
 
@@ -107,32 +108,50 @@ def test_the_walk_builds_one_fraction_its_value(monkeypatch):
         built.clear()
 
 
-def test_min_quadratic_runs_once_per_settled_leaf(monkeypatch):
-    """No bound prunes, so only a leaf needs normal equations: on criterion
-    6's first two samples of each shape ``min_quadratic`` runs once per
-    settled leaf, just before the leaf's region is tested on its free
-    minimizer, and at no interior node."""
-    quad, inside = oracle_mod.min_quadratic, oracle_mod._inside
-    log = []
+def test_each_feasible_leaf_is_settled_by_one_pinned_program(monkeypatch):
+    """No bound prunes and a leaf is settled in one way: on criterion 6's
+    first two samples of each shape ``minimize_qp`` runs once per feasible
+    full assignment, pinned to it, in the walk's lexicographic order, and no
+    linear system is solved outside those programs.  The feasible leaves are
+    counted from the Bellman-Ford passes: each walked prefix, the root
+    included, tries its n(n-1) children, so the feasible children less the
+    walked prefixes below the root are the feasible leaves."""
+    point, solve, step = oracle_mod._difference_point, oracle_mod.minimize_qp, qp_mod.integer_solve
+    passes, programs, stray = [], [], []
+    inside = False
 
-    def logged_quad(a, b, c0):
-        bound, point = quad(a, b, c0)
-        log.append(("min_quadratic", point))
-        return bound, point
+    def counted_point(region, n):
+        passes.append(point(region, n))
+        return passes[-1]
 
-    def logged_inside(region, x):
-        log.append(("inside", x))
-        return inside(region, x)
+    def counted_solve(n, x0, d, pins=()):
+        nonlocal inside
+        programs.append(tuple(pins))
+        inside = True
+        try:
+            return solve(n, x0, d, pins)
+        finally:
+            inside = False
 
-    monkeypatch.setattr(oracle_mod, "min_quadratic", logged_quad)
-    monkeypatch.setattr(oracle_mod, "_inside", logged_inside)
+    def counted_step(rows):
+        if not inside:
+            stray.append(rows)
+        return step(rows)
+
+    monkeypatch.setattr(oracle_mod, "_difference_point", counted_point)
+    monkeypatch.setattr(oracle_mod, "minimize_qp", counted_solve)
+    monkeypatch.setattr(qp_mod, "integer_solve", counted_step)
     for n, m in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)):
         for idx in range(2):
             brute_force_frechet(int_sample(Random(f"accept6:{n}:{m}:{idx}"), n, m))
-            names = [name for name, _ in log]
-            assert names and names == ["min_quadratic", "inside"] * (len(log) // 2)
-            assert all(log[t][1] == log[t + 1][1] for t in range(0, len(log), 2))
-            log.clear()
+            prefixes = len(passes) // (n * (n - 1))
+            leaves = sum(p is not None for p in passes) - (prefixes - 1)
+            assert len(programs) == leaves, (n, m, idx)
+            assert all(len(pins) == m for pins in programs)
+            assert programs == sorted(set(programs))
+            assert not stray
+            passes.clear()
+            programs.clear()
 
 
 def test_witness_attains_the_reported_value():
