@@ -15,9 +15,11 @@ writes for it, ``result_to_json``, ``polytrope_to_json`` or
 ``certificate_to_json``, and a newline.  Exit codes: 0 success,
 1 stdout closed by its reader, 2 malformed or unusable input, 3 a point
 that fails optimality certification, a mean that could not be certified,
-which ``mean`` still prints, or an ``InternalError``, a broken invariant
-such as the mean's weights failing at a point of equal objective, with one
-stderr line saying why.
+or an ``InternalError``, a broken invariant such as the mean's weights
+failing at a point of equal objective, with one stderr line saying why.
+``mean`` alone prints an uncertified mean, the average, before its exit 3;
+``polytrope FILE``, ``certify`` and ``bench`` refuse it through
+``FrechetResult.certified``, ``bench`` after the rows before it.
 """
 
 from __future__ import annotations
@@ -215,11 +217,7 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
     if args.matrix is not None:
         mat = matrix_from_json(parse_json(_read_text(args.matrix)))
     else:
-        sample = load_points(_read_text(args.file))
-        result = exact_frechet(sample)
-        if not result.exact:
-            raise NotOptimal(f"could not certify a mean for this sample: {result.reason}")
-        mat = result.fm_polytrope
+        mat = exact_frechet(load_points(_read_text(args.file))).certified().fm_polytrope
 
     star = kleene_star(mat)
     tropical, pverts = tropical_vertices(mat), pseudovertices(mat)
@@ -247,7 +245,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for rep in range(1, args.reps + 1):
                 sample = _random_sample(args.seed, n, m, rep)
                 t0 = time.perf_counter()
-                result = exact_frechet(sample)
+                result = exact_frechet(sample).certified()
                 elapsed_ms = (time.perf_counter() - t0) * 1000.0
                 cell = "" if args.no_timing else f"{elapsed_ms:.3f}"
                 writer.write(f"{n},{m},{rep},{cell},{format_rational(result.min_sum)}\n")

@@ -5,7 +5,11 @@ on the torus.  ``exact_frechet`` computes its minimum exactly: one
 epigraph quadratic program, started at the coordinatewise average, whose
 optimum is the exact mean and whose KKT multipliers are its positivity
 certificate; the certificate names the mean as its point and is checked
-there, by stationarity, before the mean is reported as exact.
+there, by stationarity, before the mean is reported as exact.  The solve
+fails one way: a broken invariant inside it and either failed check raise
+InternalError, and one handler returns the uncertified average in its
+place.  ``FrechetResult.certified`` is the one refusal of such a result,
+for every caller that needs a certified mean.
 
 A point is evaluated in one place, ``_result_at``: on the integers of the
 sample and the point over their common denominator, it gives the
@@ -84,6 +88,14 @@ class FrechetResult(Frozen):
     def exact(self) -> bool:
         return self.certificate is not None
 
+    def certified(self) -> FrechetResult:
+        """This result when it is exact; otherwise raises NotOptimal with its
+        ``reason``, the one refusal of every caller that needs a certified
+        mean."""
+        if not self.exact:
+            raise NotOptimal(f"could not certify a mean for this sample: {self.reason}")
+        return self
+
 
 def _squares(values: Sequence[int]) -> int:
     return sum(v * v for v in values)
@@ -130,10 +142,11 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     point.  The result carries the certificate, and so is exact, only when
     its value equals the objective at the mean and ``verify_certificate``
     accepts it there: every weighted piece active at the mean and the
-    weighted gradient zero, with no system solved.  When the solve raises
-    InternalError, as it does on reaching its iteration cap, or a check
-    fails, the start point comes back with no certificate, not exact, and
-    the error's message or the failed check as its ``reason``.
+    weighted gradient zero, with no system solved.  Either failed check
+    raises InternalError, as the solve does on a broken invariant or on
+    reaching its iteration cap, and the one handler of it returns the start
+    point with no certificate, not exact, and the error's message as its
+    ``reason``.
 
     The start and the mean are points built from the sample's integers, and
     the program, its value, ``_result_at`` and the certificate's weights are
@@ -143,17 +156,15 @@ def exact_frechet(sample: SampleSet) -> FrechetResult:
     start = _average(sample)
     try:
         mean, cert = _epigraph_qp(sample, start)
+        result = _result_at(sample, mean, cert)
+        c, den = cert.c_star, result.den
+        if c.numerator * den * den != _squares(result.spreads) * c.denominator:
+            raise InternalError("the program's value is not the objective at its optimizer")
+        if not verify_certificate(sample, cert):
+            raise InternalError("the certificate does not verify at the mean")
     except InternalError as exc:
         return _result_at(sample, start, reason=str(exc))
-    result = _result_at(sample, mean, cert)
-    c, den = cert.c_star, result.den
-    if c.numerator * den * den != _squares(result.spreads) * c.denominator:
-        reason = "the program's value is not the objective at its optimizer"
-    elif not verify_certificate(sample, cert):
-        reason = "the certificate does not verify at the mean"
-    else:
-        return result
-    return _result_at(sample, start, reason=reason)
+    return result
 
 
 def _result_at(
@@ -192,9 +203,7 @@ def find_certificate(sample: SampleSet, x_star: TorusPoint) -> Certificate:
     higher or when no mean of the sample could be certified.
     """
     value = _result_at(sample, x_star).min_sum
-    result = exact_frechet(sample)
-    if not result.exact:
-        raise NotOptimal(f"could not certify a mean for this sample: {result.reason}")
+    result = exact_frechet(sample).certified()
     if value != result.min_sum:
         raise NotOptimal(f"objective {value} exceeds the certified minimum {result.min_sum}")
     c = result.certificate

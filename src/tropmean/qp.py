@@ -151,7 +151,6 @@ def minimize_qp(
     for u in range(n, n + m):
         edges += [(u, i) for i in range(n)]
         edges += [(i, u + m) for i in range(n)]
-    squares = [(u, u + m) for u in range(n, n + m)]
     # Sample j's gaps x0 - p_j: u_j and l_j start at their max and min, and
     # its rows' slacks are u_j - g_i and g_k - l_j.
     gaps = [list(map(add, x0, d[r : r + n])) for r in starts]
@@ -176,7 +175,7 @@ def minimize_qp(
 
     for _ in range(MAX_ITER):
         res = list(map(sub, zn[n : n + m], zn[n + m :]))
-        sd, sn = _subspace_step(work, squares, res, zd)
+        sd, sn = _subspace_step(work, res, zd)
         if not any(sn):
             # zd times the gradient, zero on x, which no square reaches.
             twice = [2 * r for r in res]
@@ -344,9 +343,7 @@ class Forest:
         return nodes
 
 
-def _subspace_step(
-    work: Forest, squares: list[Edge], res: list[int], zd: int
-) -> tuple[int, list[int]]:
+def _subspace_step(work: Forest, res: list[int], zd: int) -> tuple[int, list[int]]:
     """Minimize the objective along z + span(B); returns the step as (sd, sn).
 
     The columns of B are the indicator vectors of the components that
@@ -355,15 +352,17 @@ def _subspace_step(
     the gradient, is built at half scale from the squares' residuals res and
     solved by u = zd y, y the rational solution: ``integer_solve`` gives
     u = nums / den in lowest terms, so the step B y is sn / sd with sn = B
-    nums, sd = den zd.
+    nums, sd = den zd.  Sample j's square is (u_j, l_j), nodes n + j and
+    n + m + j of the module's layout, with m = len(res).
     """
     index = {name: p for p, name in enumerate(nullspace(work))}
     where = list(map(index.get, work.label))
     red = [[0] * (len(index) + 1) for _ in index]
-    # Half of what square (a, b) adds, (f_p - f_q)(f_p - f_q)^T and -r (f_p -
-    # f_q) with r its residual, p and q the groups of a and b, the ground none.
-    for (a, b), r in zip(squares, res):
-        p, q = where[a], where[b]
+    n = len(where) - 2 * len(res)
+    # Half of what square (u_j, l_j) adds, (f_p - f_q)(f_p - f_q)^T and -r
+    # (f_p - f_q) with r its residual, p and q the groups of u_j and l_j, the
+    # ground none.
+    for p, q, r in zip(where[n:], where[n + len(res) :], res):
         if p != q:
             if p is not None:
                 red[p][p] += 1

@@ -30,7 +30,6 @@ from tropmean import (
     find_certificate,
     fm_polytrope,
     kleene_star,
-    objective,
     pseudovertices,
     trop_dist,
     tropical_vertices,
@@ -180,23 +179,32 @@ def test_mean_exit_codes_when_not_certified(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [["polytrope"], ["certify", "--point", "0,1/2,1"]], ids=["polytrope", "certify"]
+    ("argv", "out"),
+    [
+        (["polytrope", "PATH"], ""),
+        (["certify", "--point", "0,1/2,1", "PATH"], ""),
+        (
+            ["bench", "--dims", "3", "--multipliers", "1", "--reps", "2", "--no-timing"],
+            "n,m,rep,mean_time_ms,objective\n",
+        ),
+    ],
+    ids=["polytrope", "certify", "bench"],
 )
 def test_commands_that_need_a_certified_mean_say_why_there_is_none(
-    tmp_path, capsys, monkeypatch, argv
+    tmp_path, capsys, monkeypatch, argv, out
 ):
     """Every other command that needs a certified mean refuses to go on:
-    exit 3, nothing on stdout, and one stderr line that names the result's
-    reason, as ``mean`` does."""
+    exit 3, nothing on stdout past ``bench``'s header, and one stderr line
+    that names the result's reason, as ``mean`` does."""
     path = write(tmp_path, "pts.json", '{"points": [[0, 0, 0], [0, 1, 2]]}')
     stub = _uncertified(SampleSet.from_rows([(0, 0, 0), (0, 1, 2)]))
     import tropmean.cli as cli_mod
 
     for module in (cli_mod, tropmean.frechet):
         monkeypatch.setattr(module, "exact_frechet", lambda s, **kw: stub)
-    assert main([*argv, path]) == 3
+    assert main([path if a == "PATH" else a for a in argv]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == out
     assert captured.err == "not optimal: could not certify a mean for this sample: stub reason\n"
 
 

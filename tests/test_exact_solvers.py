@@ -718,7 +718,7 @@ def test_the_step_minimizes_the_squares_on_the_working_sets_subspace():
         inside = [r for r in rng.sample(range(len(ends)), rng.randint(0, len(ends))) if work.join(r)]
         zd = rng.randint(1, 6)
         zn = [0] + [rng.randint(-9, 9) for _ in range(nvars)]
-        sd, sn = qp_mod._subspace_step(work, squares, [zn[a] - zn[b] for a, b in squares], zd)
+        sd, sn = qp_mod._subspace_step(work, [zn[a] - zn[b] for a, b in squares], zd)
         rows = _dense_ends([ends[r] for r in inside], nvars)
         _, basis = solve_over_fractions(rows, [F(0)] * len(rows))
         sq = densify(squares, nvars + 1)

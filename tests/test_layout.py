@@ -1,16 +1,19 @@
 """README's Layout block names exactly the modules of the package, its
 Command line section names exactly the command-line flags, its Library
 section names every exported function and only names that resolve, the
-package's export list names only what it defines, no module imports a name
-it does not use, and no module checks an invariant with ``assert``.  Of the
-package, ``certify`` imports only ``core`` and ``errors``, and no module
-calls ``json.dump`` or ``json.dumps``.  Every exported immutable value class
-takes exactly the fields it compares as constructor arguments.
+package's export list names only what it defines, no module of the package
+or of its tests imports a name it does not use, and no module checks an
+invariant with ``assert``.  Of the package, ``certify`` imports only
+``core`` and ``errors``, and no module calls ``json.dump`` or
+``json.dumps``.  Every exported immutable value class takes exactly the
+fields it compares as constructor arguments.
 
 A module or flag added, deleted or moved without the README following would
 leave it describing code that is not there; this keeps the two in step.  A
 stale name in ``tropmean.__all__`` would otherwise fail only on a star
-import, and a stale import outlives the code that needed it unnoticed.
+import, and a stale import outlives the code that needed it unnoticed, in a
+test as in the package.  ``perfbench/`` is not read: ``gate.py`` imports
+``workloads`` for the ``src`` path that importing it sets.
 ``python -O`` strips assert statements, so an invariant checked by one would
 go unchecked there; the package raises its errors instead.  A certificate
 check that called into the route it checks, or solved a system, would not
@@ -39,7 +42,12 @@ settles a region in one way, by the sample's epigraph program pinned to
 it: it imports only ``minimize_qp`` and ``right_hand_sides`` from ``qp``
 and builds no normal equations of its own, and ``integer_solve``, the one
 exact linear solve, serves the QP step alone, so the torus's gauge is held
-in one place.
+in one place.  An uncertified mean takes one route: ``exact_frechet`` builds
+it, the result with a ``reason``, in its one ``except InternalError``
+handler, and ``FrechetResult.certified`` alone writes the refusal of it,
+for every caller that needs a certified mean; a second fallback site or a
+second copy of the refusal could drift from the first, or let a command
+pass an uncertified mean off as checked.
 
 Start-up is most of the wall time of one command, so importing
 ``tropmean.cli`` loads neither ``dataclasses`` (which brings ``inspect``,
@@ -177,6 +185,7 @@ def _unused_imports(path):
 
 def test_every_module_uses_its_imports():
     modules = sorted((ROOT / "src" / "tropmean").glob("*.py"))
+    modules += sorted((ROOT / "tests").glob("*.py"))
     unused = [
         entry
         for path in modules
@@ -395,6 +404,40 @@ def test_the_oracle_settles_a_region_in_one_way():
         for scope in _scopes(path, _calls("integer_solve"))
     }
     assert callers == {"qp._subspace_step"}
+
+
+def test_an_uncertified_mean_takes_one_route():
+    """``exact_frechet`` builds the uncertified result, the one with a
+    ``reason``, in its one ``except InternalError`` handler only, and the
+    refusal of such a result is written once, in ``FrechetResult.certified``."""
+    package = ROOT / "src" / "tropmean"
+    refusal = "could not certify a mean for this sample"
+    texts = [path.read_text(encoding="utf-8") for path in package.glob("*.py")]
+    assert sum(text.count(refusal) for text in texts) == 1
+    assert _scopes(
+        package / "frechet.py",
+        lambda node: isinstance(node, ast.Constant) and refusal in str(node.value),
+    ) == {"FrechetResult.certified"}
+    tree = ast.parse((package / "frechet.py").read_text(encoding="utf-8"))
+    [exact] = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "exact_frechet"
+    ]
+    handlers = [node for node in ast.walk(exact) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == ["InternalError"]
+
+    # A result is built in ``_result_at`` alone, and is uncertified when
+    # that call passes a ``reason``.
+    assert _scopes(package / "frechet.py", _calls("FrechetResult")) == {"_result_at"}
+    built = [
+        node
+        for node in ast.walk(tree)
+        if _calls("_result_at")(node)
+        and (len(node.args) > 3 or any(k.arg == "reason" for k in node.keywords))
+    ]
+    assert len(built) == 1
+    assert built[0] in list(ast.walk(handlers[0]))
 
 
 def test_every_constructor_argument_is_a_compared_field():
