@@ -10,11 +10,15 @@ coordinates back as Fractions.  A sample is held the same way, as
 the solvers and the certificate check compute on.  ``over_lcm`` is the one
 routine that puts rationals over their least common denominator: the
 library constructors here and in ``polytrope`` and the document readers
-in ``serialize`` all go through it.  ``integer_ratio`` is the one reader
-of rational values: an int, a Fraction or a string becomes an integer pair
-there, for the library constructors and the document readers alike, a
-string through ``read_literal`` under the literal caps unless it is a
-plain "p" or "p/q".
+in ``serialize`` all go through it.  ``lowest`` is its mirror, the one
+routine that refuses a denominator below one and puts integers over a
+denominator in lowest terms: the constructors of ``TorusPoint``,
+``SampleSet``, ``polytrope.PolytropeMatrix`` and ``frechet.FrechetResult``
+all go through it.  ``integer_ratio`` is the one reader of rational
+values: an int, a Fraction or a string becomes an integer pair there, for
+the library constructors and the document readers alike, a string through
+``read_literal`` under the literal caps unless it is a plain "p" or
+"p/q".
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ class TorusPoint(Frozen):
     """A point of the tropical projective torus in canonical form.
 
     Held as ``(den, nums)``: coordinate i is nums[i] / den, with nums[0]
-    zero and den positive, both divided by their gcd, so equality and
+    zero and den positive, in lowest terms by ``lowest``, so equality and
     hashing compare values.  ``coords`` gives the Fractions back; use
     :func:`canonicalize` to build a point from an arbitrary representative.
     """
@@ -157,17 +161,13 @@ class TorusPoint(Frozen):
     def __init__(self, den: int, nums: tuple[int, ...]) -> None:
         if len(nums) < 2:
             raise ValueError("torus points need at least two coordinates")
-        if den < 1:
-            raise ValueError("the denominator must be positive")
+        den, (nums,) = lowest(den, [nums])
         if nums[0] != 0:
             raise ValueError(
                 "canonical representative must have first coordinate 0; "
                 "use canonicalize()"
             )
-        g = gcd(den, *nums)
-        fields = self.__dict__
-        fields["den"] = den // g
-        fields["nums"] = tuple(nums) if g == 1 else tuple([v // g for v in nums])
+        self.__dict__.update(den=den, nums=tuple(nums))
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:
@@ -197,6 +197,19 @@ def over_lcm(rows: Sequence[Sequence[tuple[int, int] | None]]) -> tuple[int, lis
     The one place where rationals are put over one denominator."""
     den = lcm(*(p[1] for row in rows for p in row if p is not None))
     return den, [[None if p is None else p[0] * (den // p[1]) for p in row] for row in rows]
+
+
+def lowest(den: int, rows: Sequence[Sequence[int | None]]) -> tuple[int, Sequence]:
+    """(den, rows) in lowest terms: den and every integer of the rows
+    divided by their gcd, None kept, and the rows given back as they are
+    when the gcd is 1.  Raises ValueError when den is below one.  The one
+    place where integers over a denominator are reduced."""
+    if den < 1:
+        raise ValueError("the denominator must be positive")
+    g = gcd(den, *[v for row in rows for v in row if v is not None])
+    if g == 1:
+        return den, rows
+    return den // g, [[None if v is None else v // g for v in row] for row in rows]
 
 
 def canonicalize(coords: Sequence[RationalLike]) -> TorusPoint:
@@ -232,7 +245,7 @@ class SampleSet(Frozen):
 
     Held as ``(den, nums)``: point j has coordinates nums[j][a] / den.  The
     constructor takes raw rows over den > 0, shifts each to first entry 0
-    and divides den and the integers by their gcd, so equality and hashing
+    and puts them in lowest terms by ``lowest``, so equality and hashing
     compare values.  ``from_rows`` reads rationals through ``integer_ratio``
     and ``over_lcm``.
     ``points`` gives the ``TorusPoint``s back.
@@ -248,12 +261,8 @@ class SampleSet(Frozen):
         n = len(nums[0])
         if any(len(row) != n for row in nums):
             raise ValueError("all sample points must share one dimension")
-        if den < 1:
-            raise ValueError("the denominator must be positive")
-        nums = [[v - row[0] for v in row] for row in nums]
-        g = gcd(den, *(v for row in nums for v in row))
-        nums = tuple(tuple(v // g for v in row) for row in nums)
-        self.__dict__.update(den=den // g, nums=nums)
+        den, nums = lowest(den, [[v - row[0] for v in row] for row in nums])
+        self.__dict__.update(den=den, nums=tuple(map(tuple, nums)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[RationalLike]]) -> "SampleSet":

@@ -31,11 +31,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import sub
 
 from .certify import Certificate, verify_certificate
-from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, trop_dist
+from .core import Frozen, RationalLike, SampleSet, TorusPoint, as_rational, lowest, trop_dist
 from .errors import InternalError, NotOptimal
 from .polytrope import PolytropeMatrix
 from .qp import minimize_qp, right_hand_sides
@@ -45,8 +45,9 @@ class FrechetResult(Frozen):
     """Outcome of a mean computation.
 
     Distance j, from ``mean`` to sample j, is held as ``spreads[j] / den``:
-    integers over a positive denominator, divided by their gcd, so equality
-    and hashing compare values.  ``distances`` and ``min_sum``, the sum of
+    integers over a positive denominator, in lowest terms by
+    ``core.lowest``, so equality and hashing compare values; a denominator
+    below one raises ValueError.  ``distances`` and ``min_sum``, the sum of
     their squares, give them back as Fractions.  ``certificate`` is a
     positivity certificate for ``mean``, attached only once found and
     independently verified, and ``exact`` says whether one is; ``reason``
@@ -64,11 +65,11 @@ class FrechetResult(Frozen):
         certificate: Certificate | None = None,
         reason: str | None = None,
     ) -> None:
-        g = gcd(den, *spreads)
+        den, (spreads,) = lowest(den, [spreads])
         self.__dict__.update(
             mean=mean,
-            den=den // g,
-            spreads=tuple([v // g for v in spreads]),
+            den=den,
+            spreads=tuple(spreads),
             fm_polytrope=fm_polytrope,
             certificate=certificate,
             reason=reason,

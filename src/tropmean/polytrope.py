@@ -15,10 +15,10 @@ A ``PolytropeMatrix`` is held as ``(den, rows)``: c_ij == rows[i][j] / den,
 with None for -inf.  ``from_rows`` puts Fraction and int entries over
 their lcm through ``core.over_lcm``, the one routine that puts the
 package's samples, points and matrices over one denominator.  The
-constructor divides den and the integers by their gcd, so den is the
-entries' least common denominator whatever denominator the matrix was
-built over, and equality and hashing compare values.  ``entries`` gives
-the Fractions and -inf back.
+constructor puts den and the integers in lowest terms by ``core.lowest``,
+so den is the entries' least common denominator whatever denominator the
+matrix was built over, and equality and hashing compare values.
+``entries`` gives the Fractions and -inf back.
 
 The closure, the tropical vertices and the pseudovertices run on those
 integers.  Floyd-Warshall, the column shifts and the breakpoint comparisons
@@ -44,9 +44,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 
-from .core import Frozen, RationalLike, as_rational, over_lcm
+from .core import Frozen, RationalLike, as_rational, lowest, over_lcm
 from .errors import EmptyPolytrope, Unbounded
 
 NEG_INF = float("-inf")
@@ -65,8 +64,8 @@ def _entry_ratio(v: TropicalScalar) -> tuple[int, int] | None:
 
 class PolytropeMatrix(Frozen):
     """Square constraint matrix for Q(C) = {x : x_i - x_j >= c_ij}, held as
-    c_ij == rows[i][j] / den over the least common denominator den; the rows
-    are copied to tuples, and divided only when den and they share a factor."""
+    c_ij == rows[i][j] / den over the least common denominator den, in
+    lowest terms by ``core.lowest``; the rows are copied to tuples."""
 
     _fields = ("den", "rows")
 
@@ -76,13 +75,8 @@ class PolytropeMatrix(Frozen):
             raise ValueError("polytropes need dimension at least 2")
         if any(len(r) != n for r in rows):
             raise ValueError("entries must form an n x n matrix")
-        if den < 1:
-            raise ValueError("the denominator must be positive")
-        g = gcd(den, *[v for row in rows for v in row if v is not None])
-        if g > 1:
-            rows = [[v if v is None else v // g for v in row] for row in rows]
-        rows = tuple(map(tuple, rows))
-        self.__dict__.update(den=den // g, rows=rows)
+        den, rows = lowest(den, rows)
+        self.__dict__.update(den=den, rows=tuple(map(tuple, rows)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]]) -> "PolytropeMatrix":

@@ -263,7 +263,9 @@ def test_values_compare_and_hash_by_value_and_refuse_changes(index):
 def test_results_and_certificates_over_scaled_denominators_are_equal(k):
     """A result's spreads and each weight group of a certificate are held
     over their least denominator: the same values over k times it make an
-    equal value with an equal hash and the same fields."""
+    equal value with an equal hash and the same fields.  A result over a
+    denominator of zero or below is refused, as the other value classes
+    refuse one."""
     result = exact_frechet(SampleSet.from_rows([(-3, 0, 0), (0, -6, 0), (0, 0, -12)]))
     cert = result.certificate
     assert any(den > 1 for den, _ in cert.weights)
@@ -272,6 +274,9 @@ def test_results_and_certificates_over_scaled_denominators_are_equal(k):
     assert scaled == result and hash(scaled) == hash(result)
     assert (scaled.den, scaled.spreads) == (result.den, result.spreads)
     assert (scaled.distances, scaled.min_sum) == (result.distances, result.min_sum)
+    for den in (0, -k * result.den):
+        with pytest.raises(ValueError, match="^the denominator must be positive$"):
+            FrechetResult(result.mean, den, spreads, result.fm_polytrope, cert)
     weights = [(k * den, [(i, j, k * w) for i, j, w in per]) for den, per in cert.weights]
     again = Certificate(cert.c_star, weights, cert.point)
     assert again == cert and hash(again) == hash(cert)

@@ -29,11 +29,23 @@ second, hidden scaling of what their callers already put on integers.  In
 ``core``, ``polytrope`` and ``serialize``, ``lcm`` is called only inside
 ``core.over_lcm``, the one routine that puts rationals over their least
 common denominator for the library constructors and the document
-readers, and neither ``core`` nor ``polytrope`` reads ``.denominator``:
-the closure, vertex and breakpoint kernels take a matrix's and a point's
-integers as they are held.  A rational value is read in one place,
-``core.integer_ratio``: no module of the package but ``core`` imports ``re``
-or compiles a pattern, so the plain-literal pattern has one home, and
+readers.  Its mirror ``core.lowest`` is the one routine that refuses a
+denominator below one and puts integers over a denominator in lowest
+terms: in ``core``, ``polytrope`` and ``frechet`` ``gcd`` is called only
+inside it, and the refusal's text is written once in the package, so the
+four value classes that hold integers over a denominator cannot drift
+apart in what they accept, as ``FrechetResult`` once did by taking a
+denominator of zero or below.  Three reductions stay outside it:
+``certify``'s weight groups are (i, k, w) triples, not rows of values, and
+routing them through ``lowest`` doubled the cost of building a
+certificate; ``serialize.format_ratio`` reduces one pair per distinct text
+inside the document writer; and ``qp`` reduces its own iterates and
+solves, as no scaling helper may enter the exact QP.  Neither ``core`` nor
+``polytrope`` reads ``.denominator``: the closure, vertex and breakpoint
+kernels take a matrix's and a point's integers as they are held.  A
+rational value is read in one place, ``core.integer_ratio``: no module of
+the package but ``core`` imports ``re`` or compiles a pattern, so the
+plain-literal pattern has one home, and
 ``serialize._ratio`` and ``serialize.read_point`` call ``integer_ratio`` and
 ``canonicalize`` with no dispatch on the value's type of their own; a
 second reader could grow its own grammar or refusals, and the library and
@@ -328,6 +340,18 @@ def test_rationals_are_put_over_their_lcm_in_over_lcm_only():
         for scope in _scopes(package / f"{name}.py", _calls("lcm"))
     }
     assert callers == {"core.over_lcm"}
+
+
+def test_integers_are_put_in_lowest_terms_in_lowest_only():
+    package = ROOT / "src" / "tropmean"
+    callers = {
+        f"{name}.{scope}"
+        for name in ("core", "polytrope", "frechet")
+        for scope in _scopes(package / f"{name}.py", _calls("gcd"))
+    }
+    assert callers == {"core.lowest"}
+    texts = [path.read_text(encoding="utf-8") for path in package.glob("*.py")]
+    assert sum(text.count("the denominator must be positive") for text in texts) == 1
 
 
 def test_the_polytrope_kernels_take_integers_only():
