@@ -12,13 +12,20 @@ the closure, so the vertex functions, which start from it, share one sweep;
 ``tropical_vertices`` keeps the closure's columns beside it in the same way.
 
 A ``PolytropeMatrix`` is held as ``(den, rows)``: c_ij == rows[i][j] / den,
-with None for -inf.  ``from_rows`` puts Fraction and int entries over
-their lcm through ``core.over_lcm``, the one routine that puts the
-package's samples, points and matrices over one denominator.  The
+with None for -inf.  ``from_rows`` reads every finite entry, a Fraction,
+an int or a "p", "p/q" or decimal string, through ``core.integer_ratio``,
+so a matrix takes and refuses what ``SampleSet.from_rows`` does, and puts
+the entries over their lcm through ``core.over_lcm``, the one routine that
+puts the package's samples, points and matrices over one denominator.  The
 constructor puts den and the integers in lowest terms by ``core.lowest``,
 so den is the entries' least common denominator whatever denominator the
 matrix was built over, and equality and hashing compare values.
 ``entries`` gives the Fractions and -inf back.
+
+``membership`` tests x_i - x_j >= c_ij for every (i, j), the diagonal
+included, so a matrix with a positive diagonal entry, which is empty, has no
+member.  It reads x by ``core.canonicalize`` and decides each test on
+integers, as ``kleene_star`` and the vertex functions do.
 
 The closure, the tropical vertices and the pseudovertices run on those
 integers.  Floyd-Warshall, the column shifts and the breakpoint comparisons
@@ -45,21 +52,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .core import Frozen, RationalLike, as_rational, lowest, over_lcm
+from .core import Frozen, RationalLike, canonicalize, integer_ratio, lowest, over_lcm
 from .errors import EmptyPolytrope, Unbounded
 
 NEG_INF = float("-inf")
 
 TropicalScalar = Fraction | float  # the only float ever allowed is -inf
-
-
-def _entry_ratio(v: TropicalScalar) -> tuple[int, int] | None:
-    """A matrix entry as (numerator, denominator), None for -inf."""
-    if v == NEG_INF:
-        return None
-    if isinstance(v, (Fraction, int)) and not isinstance(v, bool):
-        return v.as_integer_ratio()
-    raise ValueError(f"matrix entries must be rationals or -inf, got {v!r}")
 
 
 class PolytropeMatrix(Frozen):
@@ -79,10 +77,14 @@ class PolytropeMatrix(Frozen):
         self.__dict__.update(den=den, rows=tuple(map(tuple, rows)))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[TropicalScalar]]) -> "PolytropeMatrix":
-        """The matrix of Fraction, int and -inf entries, over the lcm of the
-        finite entries' denominators that ``core.over_lcm`` takes."""
-        return cls(*over_lcm([[_entry_ratio(v) for v in row] for row in rows]))
+    def from_rows(cls, rows: Iterable[Iterable[RationalLike | float]]) -> "PolytropeMatrix":
+        """The matrix of -inf entries and of Fractions, ints and "p", "p/q"
+        and decimal strings, each finite entry read by ``core.integer_ratio``
+        as ``SampleSet.from_rows`` reads it, before any row is checked, over
+        the lcm ``core.over_lcm`` takes."""
+        return cls(
+            *over_lcm([[None if v == NEG_INF else integer_ratio(v) for v in row] for row in rows])
+        )
 
     @property
     def n(self) -> int:
@@ -134,18 +136,17 @@ def kleene_star(c: PolytropeMatrix) -> PolytropeMatrix:
 
 
 def membership(c: PolytropeMatrix, x: Sequence[RationalLike]) -> bool:
-    """Exact test of x_i - x_j >= c_ij for all i != j (any representative)."""
+    """Exact test of x_i - x_j >= c_ij for all i and j, the diagonal
+    included, so a matrix with a positive diagonal entry has no member.
+    x, any representative, is read by ``canonicalize``, and each test is
+    made on integers as (x_i - x_j) * c.den >= c_ij * x.den."""
     if len(x) != c.n:
         raise ValueError("dimension mismatch")
-    v = [as_rational(t) for t in x]
-    for i in range(c.n):
-        for j in range(c.n):
-            if i == j:
-                continue
-            e = c.entries[i][j]
-            if e != NEG_INF and v[i] - v[j] < e:
-                return False
-    return True
+    p = canonicalize(x)
+    xs = [v * c.den for v in p.nums]
+    return all(
+        e is None or xi - xj >= e * p.den for xi, row in zip(xs, c.rows) for xj, e in zip(xs, row)
+    )
 
 
 def tropical_vertices(c: PolytropeMatrix) -> list[tuple[int, ...]]:

@@ -113,6 +113,21 @@ def test_distance_error_exits(tmp_path, capsys):
     assert main(["distance", bad]) == 2
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs a listing of open descriptors")
+def test_reading_an_input_leaves_no_descriptor_open(tmp_path, capsys):
+    """``_read_text`` opens a raw descriptor, which no finalizer closes and no
+    ResourceWarning reports, so the descriptors the process holds are
+    counted around a read of a file, of a directory and of a bad document."""
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    bad = write(tmp_path, "bad.json", '{"points": [[0, 1]')
+    before = len(os.listdir("/proc/self/fd"))
+    assert main(["mean", path]) == 0
+    assert main(["mean", str(tmp_path)]) == 2
+    assert main(["mean", bad]) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    capsys.readouterr()
+
+
 def test_mean_exact_golden(tmp_path, capsys):
     path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
     assert main(["mean", path]) == 0

@@ -47,9 +47,14 @@ rational value is read in one place, ``core.integer_ratio``: no module of
 the package but ``core`` imports ``re`` or compiles a pattern, so the
 plain-literal pattern has one home, and
 ``serialize._ratio`` and ``serialize.read_point`` call ``integer_ratio`` and
-``canonicalize`` with no dispatch on the value's type of their own; a
-second reader could grow its own grammar or refusals, and the library and
-the documents would then read one value two ways.  The exhaustive oracle
+``canonicalize`` with no dispatch on the value's type of their own, nor
+does ``polytrope``, whose ``PolytropeMatrix.from_rows`` calls
+``integer_ratio``; a second reader could grow its own grammar or refusals,
+and the library and the documents would then read one value two ways, as
+``from_rows`` once refused the "-1/2" that ``SampleSet.from_rows`` takes.
+``polytrope.membership`` names no ``Fraction``, ``as_rational`` or
+``entries``: it decides each constraint on the matrix's and the point's
+integers, as the closure and vertex kernels do.  The exhaustive oracle
 settles a region in one way, by the sample's epigraph program pinned to
 it: it imports only ``minimize_qp`` and ``right_hand_sides`` from ``qp``
 and builds no normal equations of its own, and ``integer_solve``, the one
@@ -354,9 +359,21 @@ def test_integers_are_put_in_lowest_terms_in_lowest_only():
     assert sum(text.count("the denominator must be positive") for text in texts) == 1
 
 
+def _names(*names):
+    """Whether a node is a name or an attribute called one of ``names``."""
+
+    def found(node):
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in names
+        )
+
+    return found
+
+
 def test_the_polytrope_kernels_take_integers_only():
     polytrope = ROOT / "src" / "tropmean" / "polytrope.py"
     assert _scopes(polytrope, _reads_denominator) == set()
+    assert "membership" not in _scopes(polytrope, _names("Fraction", "as_rational", "entries"))
     qp = ast.parse((ROOT / "src" / "tropmean" / "qp.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(qp) if isinstance(node, ast.FunctionDef)}
     assert "over_common_denominator" not in defined
@@ -401,6 +418,9 @@ def test_rational_values_are_read_in_integer_ratio_only():
     assert readers & _scopes(serialize, _dispatches_on_type) == set()
     assert "_ratio" in _scopes(serialize, _calls("integer_ratio"))
     assert "read_point" in _scopes(serialize, _calls("canonicalize"))
+    polytrope = package / "polytrope.py"
+    assert _scopes(polytrope, _dispatches_on_type) == set()
+    assert "PolytropeMatrix.from_rows" in _scopes(polytrope, _calls("integer_ratio"))
     assert {"as_rational", "canonicalize", "SampleSet.from_rows"} <= _scopes(
         core, _calls("integer_ratio")
     )

@@ -79,8 +79,56 @@ def test_matrix_validation():
         PolytropeMatrix.from_rows([[F(0)]])
     with pytest.raises(ValueError):
         PolytropeMatrix.from_rows([[F(0), F(1)], [F(0)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError) as caught:
         PolytropeMatrix.from_rows([[F(0), 0.5], [F(0), F(0)]])
+    assert str(caught.value) == "refusing inexact float 0.5; write it as a string"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0,
+        -3,
+        F(-1, 2),
+        "-1/2",
+        "0.25",
+        "1e-3",
+        True,
+        0.5,
+        float("nan"),
+        "1/0",
+        "1" * 1001,
+        [1],
+    ],
+    ids=[
+        "0",
+        "-3",
+        "Fraction(-1, 2)",
+        "'-1/2'",
+        "'0.25'",
+        "'1e-3'",
+        "True",
+        "0.5",
+        "nan",
+        "'1/0'",
+        "1001-digit",
+        "[1]",
+    ],
+)
+def test_a_matrix_reads_an_entry_as_a_sample_reads_a_coordinate(value):
+    """``PolytropeMatrix.from_rows`` and ``SampleSet.from_rows`` both read a
+    finite value by ``integer_ratio``: both take it as one rational, or both
+    refuse it with one exception type and one text."""
+    rows = [[0, value], [0, 0]]
+    outcomes = []
+    for build, fields in ((PolytropeMatrix.from_rows, "rows"), (SampleSet.from_rows, "nums")):
+        try:
+            built = build(rows)
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((built.den, getattr(built, fields)))
+    assert outcomes[0] == outcomes[1]
 
 
 _scalars = st.one_of(
@@ -245,6 +293,25 @@ def test_kleene_star_matches_a_fraction_floyd_warshall(rows):
 def test_membership_golden_checks():
     assert membership(KNOWN, (0, -4, 3))
     assert not membership(KNOWN, (0, 0, 0))
+
+
+def test_a_matrix_with_a_positive_diagonal_entry_has_no_member():
+    """x_i - x_i >= c_ii fails for every x when c_ii > 0, so membership tests
+    the diagonal too: an empty matrix has no member."""
+    empty = PolytropeMatrix(1, [[1, -5], [-5, 0]])
+    with pytest.raises(EmptyPolytrope):
+        kleene_star(empty)
+    assert not membership(empty, (0, 0))
+    rng = Random("polytrope:positive-diagonal")
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        rows = [list(row) for row in nonpositive_matrix(rng, n).entries]
+        i = rng.randrange(n)
+        rows[i][i] = F(rng.randint(1, 6), rng.choice((1, 2)))
+        c = PolytropeMatrix.from_rows(rows)
+        with pytest.raises(EmptyPolytrope):
+            kleene_star(c)
+        assert not membership(c, rand_vector(rng, n))
 
 
 def test_membership_refuses_a_point_of_another_dimension():
