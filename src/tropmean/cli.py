@@ -9,6 +9,12 @@ both vertex lists of their mean or input polytrope off one closure, which
 denominator.
 Input is read as bytes, a file's with ``os.read`` and no buffered file
 object, and decoded as UTF-8, from a file or stdin alike.
+``argparse`` parses only each command's shape, its flags, arguments and
+their counts, and keeps its usage error for a fault there.  The handlers
+read the flag values, before any file or output, with the documents'
+readers: ``--point`` by ``read_point`` on its comma-separated fields, and
+each integer flag by ``parse_rational``.  A bad value is a ParseError whose
+one line names the flag.
 Results go to stdout as JSON (CSV for bench, one line for distance),
 diagnostics to stderr; each JSON document is the text ``serialize``
 writes for it, ``result_to_json``, ``polytrope_to_json`` or
@@ -29,9 +35,9 @@ import functools
 import os
 import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from .core import SampleSet, TorusPoint, trop_dist
+from .core import SampleSet, abbreviate, trop_dist
 from .errors import EmptyPolytrope, InternalError, NotOptimal, ParseError, Unbounded
 from .frechet import exact_frechet, find_certificate
 from .polytrope import kleene_star, pseudovertices, tropical_vertices
@@ -41,6 +47,7 @@ from .serialize import (
     load_points,
     matrix_from_json,
     parse_json,
+    parse_rational,
     polytrope_to_json,
     read_point,
     result_to_json,
@@ -85,8 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--pair",
         nargs=2,
-        type=int,
-        default=(1, 2),
+        default=("1", "2"),
         metavar=("A", "B"),
         help="1-based indices of the two points (default: 1 2)",
     )
@@ -103,14 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="optimality certificate for a point")
     p_cert.add_argument("file", help="points file (JSON or CSV), '-' for stdin")
-    p_cert.add_argument("--point", type=_parse_vector, required=True, help="point as 'a,b,c'")
+    p_cert.add_argument("--point", required=True, help="point as 'a,b,c'")
     p_cert.set_defaults(handler=_cmd_certify)
 
     p_bench = sub.add_parser("bench", help="timing grid over random samples")
-    p_bench.add_argument("--dims", type=_ints_at_least(2), default=(5, 10, 15, 20))
-    p_bench.add_argument("--multipliers", type=_ints_at_least(1), default=(1, 2, 3))
-    p_bench.add_argument("--reps", type=_int_at_least(1), default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--dims", default="5,10,15,20")
+    p_bench.add_argument("--multipliers", default="1,2,3")
+    p_bench.add_argument("--reps", default="10")
+    p_bench.add_argument("--seed", default="0")
     p_bench.add_argument(
         "--no-timing",
         action="store_true",
@@ -142,51 +148,27 @@ def _read_text(path: str) -> str:
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _parse_vector(text: str) -> TorusPoint:
-    parts = text.replace(" ", "").split(",")
-    if len(parts) < 2:
-        raise argparse.ArgumentTypeError("need at least two comma-separated coordinates")
-    try:
-        return read_point(parts)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type for one integer of at least ``low``."""
-
-    def parse(text: str) -> int:
+def _integers(flag: str, texts: Sequence[str], low: int | None = None) -> list[int]:
+    """A flag's values, each read by ``parse_rational`` as a document's
+    literal is and held to be an integer, of at least ``low`` if given."""
+    values = []
+    for text in texts:
         try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}")
-        return value
-
-    return parse
-
-
-def _ints_at_least(low: int) -> Callable[[str], tuple[int, ...]]:
-    """An argparse type for comma-separated integers, each at least ``low``."""
-
-    def parse(text: str) -> tuple[int, ...]:
-        try:
-            values = tuple(int(p) for p in text.split(","))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        if any(v < low for v in values):
-            raise argparse.ArgumentTypeError(f"values must be at least {low}")
-        return values
-
-    return parse
+            value = parse_rational(text)
+        except ParseError as exc:
+            raise ParseError(f"{flag}: {exc}") from None
+        if value.denominator != 1 or low is not None and value < low:
+            bound = "" if low is None else f" of at least {low}"
+            raise ParseError(f"{flag}: {abbreviate(text)} is not an integer{bound}")
+        values.append(value.numerator)
+    return values
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    a, b = _integers("--pair", args.pair, 1)
     sample = load_points(_read_text(args.file))
-    a, b = args.pair
-    if not (1 <= a <= sample.m and 1 <= b <= sample.m):
-        raise ParseError(f"point indices must be in 1..{sample.m}")
+    if max(a, b) > sample.m:
+        raise ParseError(f"--pair: point indices must be in 1..{sample.m}")
     d = trop_dist(sample[a - 1], sample[b - 1])
     line = format_rational(d)
     if d.denominator != 1:
@@ -227,28 +209,33 @@ def _cmd_polytrope(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    try:
+        point = read_point(args.point.split(","))
+    except ParseError as exc:
+        raise ParseError(f"--point: {exc}") from None
     sample = load_points(_read_text(args.file))
-    if args.point.dim != sample.n:
-        raise ParseError(
-            f"--point has {args.point.dim} coordinates, the points have {sample.n}"
-        )
-    print(certificate_to_json(find_certificate(sample, args.point), sample))
+    if point.dim != sample.n:
+        raise ParseError(f"--point has {point.dim} coordinates, the points have {sample.n}")
+    print(certificate_to_json(find_certificate(sample, point), sample))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    writer = sys.stdout
-    writer.write("n,m,rep,mean_time_ms,objective\n")
-    for n in args.dims:
-        for mult in args.multipliers:
+    dims = _integers("--dims", args.dims.split(","), 2)
+    multipliers = _integers("--multipliers", args.multipliers.split(","), 1)
+    (reps,) = _integers("--reps", [args.reps], 1)
+    (seed,) = _integers("--seed", [args.seed])
+    print("n,m,rep,mean_time_ms,objective")
+    for n in dims:
+        for mult in multipliers:
             m = mult * n
-            for rep in range(1, args.reps + 1):
-                sample = _random_sample(args.seed, n, m, rep)
+            for rep in range(1, reps + 1):
+                sample = _random_sample(seed, n, m, rep)
                 t0 = time.perf_counter()
                 result = exact_frechet(sample).certified()
                 elapsed_ms = (time.perf_counter() - t0) * 1000.0
                 cell = "" if args.no_timing else f"{elapsed_ms:.3f}"
-                writer.write(f"{n},{m},{rep},{cell},{format_rational(result.min_sum)}\n")
+                print(f"{n},{m},{rep},{cell},{format_rational(result.min_sum)}")
     return 0
 
 

@@ -775,14 +775,37 @@ def test_certify_refuses_an_empty_coordinate(tmp_path, capsys, point):
     """An empty field is an error, not a coordinate to skip: dropping it
     would certify a different, shorter point."""
     path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
-    with pytest.raises(SystemExit) as caught:
-        main(["certify", path, "--point", point])
-    assert caught.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        "tropmean certify: error: argument --point: not a rational: ''"
-    ]
+    assert main(["certify", path, "--point", point]) == 2
+    assert capsys.readouterr() == ("", "error: --point: not a rational: ''\n")
+
+
+@pytest.mark.parametrize(
+    "point, field",
+    [
+        ("0,1 0,-1", "1 0"),
+        ("0,1 / 2,-1", "1 / 2"),
+        ("0,- 1,-1", "- 1"),
+        ("0,1e 3,-1", "1e 3"),
+        ("0,0,- 1", "- 1"),
+    ],
+)
+def test_certify_refuses_a_space_inside_a_coordinate(tmp_path, capsys, point, field):
+    """``--point`` is split on commas alone and each field read as a
+    document coordinate is, so a space inside a field is refused as in a
+    points file, never deleted to join two numbers into one."""
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    assert main(["certify", "--point", point, path]) == 2
+    assert capsys.readouterr() == ("", f"error: --point: not a rational: {field!r}\n")
+
+
+def test_certify_drops_spaces_around_a_coordinate(tmp_path, capsys):
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    assert main(["certify", "--point", " 0 , 0 ,-1 ", path]) == 0
+    spaced = capsys.readouterr().out
+    point = serialize.read_point([" 0 ", " 0 ", "-1 "])
+    assert json.loads(spaced)["point"] == [format_rational(v) for v in point.coords]
+    assert main(["certify", "--point", "0,0,-1", path]) == 0
+    assert capsys.readouterr().out == spaced
 
 
 @pytest.mark.parametrize(
@@ -797,28 +820,16 @@ def test_certify_refuses_an_empty_coordinate(tmp_path, capsys, point):
 )
 def test_certify_names_an_unreadable_coordinate(tmp_path, capsys, field, message):
     """A --point coordinate that the coordinate reader refuses ends in one
-    usage error line, which quotes it."""
+    error line, which names the flag and quotes the coordinate."""
     path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
-    with pytest.raises(SystemExit) as caught:
-        main(["certify", path, "--point", f"0,{field},-1"])
-    assert caught.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        f"tropmean certify: error: argument --point: {message}"
-    ]
+    assert main(["certify", path, "--point", f"0,{field},-1"]) == 2
+    assert capsys.readouterr() == ("", f"error: --point: {message}\n")
 
 
 def test_certify_refuses_a_one_coordinate_point(tmp_path, capsys):
     path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
-    with pytest.raises(SystemExit) as caught:
-        main(["certify", path, "--point", "5"])
-    assert caught.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        "tropmean certify: error: argument --point: need at least two comma-separated coordinates"
-    ]
+    assert main(["certify", path, "--point", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: --point: need at least two coordinates\n")
 
 
 def test_certify_singleton_is_trivial(tmp_path, capsys):
@@ -858,14 +869,9 @@ def test_bench_records_timings_by_default(capsys):
     "flag, value, low", [("--dims", "1", 2), ("--dims", "0", 2), ("--multipliers", "0", 1)]
 )
 def test_bench_refuses_sizes_it_cannot_sample(flag, value, low, capsys):
-    with pytest.raises(SystemExit) as caught:
-        main(["bench", flag, value, "--reps", "1"])
-    assert caught.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        f"tropmean bench: error: argument {flag}: values must be at least {low}"
-    ]
+    assert main(["bench", flag, value, "--reps", "1"]) == 2
+    line = f"error: {flag}: '{value}' is not an integer of at least {low}\n"
+    assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize(
@@ -881,31 +887,41 @@ def test_bench_refuses_sizes_it_cannot_sample(flag, value, low, capsys):
 def test_bench_refuses_an_empty_size_entry(flag, value, capsys):
     """An empty entry is an error, not a size to skip: an empty list would
     print only the header and exit 0."""
-    with pytest.raises(SystemExit) as caught:
-        main(["bench", flag, value, "--reps", "1", "--no-timing"])
-    assert caught.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert main(["bench", flag, value, "--reps", "1", "--no-timing"]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag}: not a rational: ''\n")
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["bench", "--reps", "0"], "argument --reps: must be at least 1"),
-        (["bench", "--reps", "x"], "argument --reps: invalid literal for int() with base 10: 'x'"),
+        (["bench", "--reps", "0"], "--reps: '0' is not an integer of at least 1"),
+        (["bench", "--reps", "x"], "--reps: not a rational: 'x'"),
+        (["bench", "--reps", "1,2"], "--reps: not a rational: '1,2'"),
+        (["bench", "--reps", "1.5"], "--reps: '1.5' is not an integer of at least 1"),
+        (["bench", "--reps", "1_0"], "--reps: not a rational: '1_0'"),
+        (["bench", "--seed", "1.5"], "--seed: '1.5' is not an integer"),
+        (["bench", "--seed", "\u0663"], "--seed: not a rational: '\u0663'"),
+        (["distance", "PATH", "--pair", "1", "x"], "--pair: not a rational: 'x'"),
+        (["distance", "PATH", "--pair", "1,2", "3"], "--pair: not a rational: '1,2'"),
     ],
-    ids=["bench-reps", "bench-reps-text"],
+    ids=[
+        "bench-reps",
+        "bench-reps-text",
+        "bench-reps-list",
+        "bench-reps-fraction",
+        "bench-reps-underscore",
+        "bench-seed-fraction",
+        "bench-seed-non-ascii-digit",
+        "distance-pair-text",
+        "distance-pair-list",
+    ],
 )
-def test_unusable_counts_exit_2_with_one_line(capsys, argv, message):
-    with pytest.raises(SystemExit) as caught:
-        main(argv)
-    assert caught.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        f"tropmean bench: error: {message}"
-    ]
+def test_unusable_counts_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    """A count is read as a document literal is, and must be an integer; a
+    one-value flag takes no list.  A bad value is one line naming the flag."""
+    path = write(tmp_path, "pts.json", THREE_POINTS_DOC)
+    assert main([path if a == "PATH" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_module_entry_point(tmp_path):

@@ -8,6 +8,15 @@ booleans, ``null`` and extra or missing coordinates.  Whatever the input,
 no exception escapes ``main``, the exit code is 0, 2 or 3, an exit 2
 leaves stdout empty and writes exactly one stderr line of at most 300
 bytes, and an exit 3 writes at most one stderr line.
+
+The flag values are fuzzed the same way on a well-formed points file:
+``certify --point V`` with V mutated from ``0,0,-1`` or ``0,1/2,-1``, and
+``distance --pair A B`` with A and B mutated from ``1`` or ``2``, by the
+same inserted tokens.  The same guard holds, except where argparse reads a
+value as an unknown option, one that starts with "-" and is not a negative
+number: that is a fault of the command's shape, and it keeps argparse's
+usage error, ``SystemExit(2)`` with nothing on stdout.  ``bench``'s flags
+stay out, since a valid huge size such as ``--dims 1e9`` runs for ever.
 """
 
 import contextlib
@@ -15,7 +24,7 @@ import io
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropmean.cli import main
@@ -51,7 +60,7 @@ _INSERTED = st.sampled_from(
 
 @st.composite
 def _mutated(draw, seeds):
-    """A seed document with one to three tokens inserted, deleted or doubled."""
+    """A seed text with one to three tokens inserted, deleted or doubled."""
     tokens = _TOKEN.findall(draw(st.sampled_from(seeds)))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(tokens)))
@@ -63,11 +72,11 @@ def _mutated(draw, seeds):
                 del tokens[at]
             else:
                 tokens.insert(at, tokens[at])
-    return "".join(tokens).encode("utf-8")
+    return "".join(tokens)
 
 
 def _inputs(seeds):
-    return st.one_of(st.binary(max_size=120), _mutated(seeds))
+    return st.one_of(st.binary(max_size=120), _mutated(seeds).map(str.encode))
 
 
 _COMMANDS = st.one_of(
@@ -113,3 +122,34 @@ def _assert_guarded(code, out, err):
 def test_malformed_input_exits_with_one_guarded_line(input_path, case):
     command, data = case
     _assert_guarded(*_run(input_path, command, data))
+
+
+_FLAG_VALUES = st.one_of(
+    _mutated(("0,0,-1", "0,1/2,-1")).map(lambda v: ("certify", "--point", v)),
+    st.tuples(_mutated(("1", "2")), _mutated(("1", "2"))).map(
+        lambda pair: ("distance", "--pair", *pair)
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def points_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "points.json"
+    path.write_text(POINT_SEEDS[0], encoding="utf-8")
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_FLAG_VALUES)
+@example(("distance", "--pair", "-Infinity1", "2"))
+def test_malformed_flag_values_exit_with_one_guarded_line(points_path, command):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(points_path)])
+    except SystemExit as exc:
+        assert exc.code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("usage: tropmean")
+        assert any(v.startswith("-") for v in command[2:])
+        return
+    _assert_guarded(code, out.getvalue(), err.getvalue())

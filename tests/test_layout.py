@@ -64,7 +64,12 @@ it, the result with a ``reason``, in its one ``except InternalError``
 handler, and ``FrechetResult.certified`` alone writes the refusal of it,
 for every caller that needs a certified mean; a second fallback site or a
 second copy of the refusal could drift from the first, or let a command
-pass an uncertified mean off as checked.
+pass an uncertified mean off as checked.  A command-line value takes the
+documents' route too: no action of the command-line parser converts its
+value with a ``type``, and no module names ``ArgumentTypeError``, so each
+flag value is read by its handler with ``parse_rational`` or
+``read_point``, and a bad one is a ParseError, never argparse's usage error
+with a second grammar behind it.
 
 Start-up is most of the wall time of one command, so importing
 ``tropmean.cli`` loads neither ``dataclasses`` (which brings ``inspect``,
@@ -482,6 +487,23 @@ def test_an_uncertified_mean_takes_one_route():
     ]
     assert len(built) == 1
     assert built[0] in list(ast.walk(handlers[0]))
+
+
+def test_command_line_values_take_one_route():
+    """argparse parses the commands' shape alone: no action of the parser
+    or of its sub-parsers has a ``type``, and no module of the package names
+    ``ArgumentTypeError``."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [*parser._actions, *(a for p in sub.choices.values() for a in p._actions)]
+    assert [a.dest for a in actions if a.type is not None] == []
+    package = ROOT / "src" / "tropmean"
+    named = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if "ArgumentTypeError" in path.read_text(encoding="utf-8")
+    ]
+    assert named == []
 
 
 def test_every_constructor_argument_is_a_compared_field():
